@@ -158,15 +158,11 @@ class SubsampleProbe:
         """
         tree, lists, dens = self.geometry(max_points)
         plan = ev.compile_plan(tree, lists, precision=precision)
-        block = None
-        if batch > 1:
-            block = np.repeat(dens[:, None], int(batch), axis=1)
+        block = batch > 1
+        if block:
+            dens = np.repeat(dens[:, None], int(batch), axis=1)
 
         def one(profile):
-            if block is not None:
-                return ev.evaluate_multi(
-                    tree, lists, block, profile, plan=plan
-                )
             return ev.evaluate(tree, lists, dens, profile, plan=plan)
 
         for _ in range(max(0, warmups)):
@@ -178,7 +174,7 @@ class SubsampleProbe:
             t0 = time.perf_counter()
             pot = one(profile)
             best = min(best, time.perf_counter() - t0)
-        if block is not None:
+        if block:
             pot = np.ascontiguousarray(pot[:, 0])
         return float(best), pot, profile
 

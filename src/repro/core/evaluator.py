@@ -373,9 +373,14 @@ class FmmEvaluator:
         ``densities`` must be in the tree's sorted point order with dof
         interleaved per point; the result uses the same layout.  A 2-D
         array whose first axis has ``n_points * source_dim`` rows is a
-        multi-RHS column block and is routed to :meth:`evaluate_multi`
-        (result ``(n_points * target_dim, q)``); any other shape is
-        flattened to a single density vector.
+        multi-RHS column block: all ``q`` columns ride through the eight
+        phases in one pass and the result is ``(n_points * target_dim,
+        q)``, column ``j`` bit-identical to ``evaluate(densities[:, j])``
+        (see the phase-apply notes in :mod:`repro.core.plan`).  Any other
+        shape is flattened to a single density vector.  The one-pass
+        block path needs a plan; without one (or when the subclass sets
+        ``SUPPORTS_MULTI_RHS = False``) the columns run one at a time —
+        identical by construction, just without the GEMM batching win.
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
@@ -393,23 +398,41 @@ class FmmEvaluator:
         profile = profile if profile is not None else PhaseProfile()
         expected = tree.n_points * self.kernel.source_dim
         arr = np.asarray(densities)
-        if arr.ndim == 2 and arr.shape[0] == expected:
-            return self.evaluate_multi(
-                tree, lists, arr, profile, plan=plan, use_plan=use_plan,
-                precision=precision,
-            )
+        block = arr.ndim == 2 and arr.shape[0] == expected
+        dens = np.ascontiguousarray(arr, dtype=np.float64)
+        q = dens.shape[1] if block else 1
+        if block and q == 1:
+            return self.evaluate(
+                tree, lists, dens[:, 0], profile, plan=plan,
+                use_plan=use_plan, precision=precision,
+            ).reshape(-1, 1)
+        if not block:
+            dens = dens.reshape(-1)
+            if dens.size != expected:
+                raise ValueError(
+                    f"densities shape {arr.shape} has {dens.size} values, "
+                    f"expected n_points*source_dim = {expected} (or a 2-D "
+                    f"({expected}, q) multi-RHS block)"
+                )
         plan = self._resolve_plan(
             tree, lists, profile, plan, use_plan, precision
         )
         profile.precision = plan.precision if plan is not None else "fp64"
-        state = self.allocate(tree)
-        dens = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-        if dens.size != expected:
-            raise ValueError(
-                f"densities shape {arr.shape} has {dens.size} values, "
-                f"expected n_points*source_dim = {expected} (or a 2-D "
-                f"({expected}, q) multi-RHS block)"
-            )
+        if block and (plan is None or not self.SUPPORTS_MULTI_RHS):
+            cols = [
+                self.evaluate(
+                    tree,
+                    lists,
+                    np.ascontiguousarray(dens[:, j]),
+                    profile,
+                    plan=plan,
+                    use_plan=use_plan,
+                    precision=precision,
+                )
+                for j in range(q)
+            ]
+            return np.stack(cols, axis=1)
+        state = self.allocate(tree, q)
 
         with profile.phase("S2U"):
             self.s2u(tree, dens, state, profile, plan=plan)
@@ -427,87 +450,10 @@ class FmmEvaluator:
             self.d2t(tree, state, profile, plan=plan)
         with profile.phase("ULI"):
             self.uli(tree, lists, dens, state, profile, plan=plan)
-        return state["pot"]
-
-    def evaluate_multi(
-        self,
-        tree: FmmTree,
-        lists: InteractionLists,
-        dens_block: np.ndarray,
-        profile: PhaseProfile | None = None,
-        plan=None,
-        use_plan: bool = True,
-        precision: str | None = None,
-    ) -> np.ndarray:
-        """Potentials for a ``(n_points * source_dim, q)`` density block.
-
-        Returns ``(n_points * eval_target_dim, q)``; column ``j`` is
-        bit-identical to ``evaluate(dens_block[:, j])`` (see the multi-RHS
-        notes in :mod:`repro.core.plan`).  The batched one-pass path needs
-        a plan; without one (or when the subclass sets
-        ``SUPPORTS_MULTI_RHS = False``) columns run through
-        :meth:`evaluate` one at a time — identical by construction, just
-        without the GEMM batching win.  ``precision`` behaves as in
-        :meth:`evaluate`.
-        """
-        profile = profile if profile is not None else PhaseProfile()
-        dens = np.ascontiguousarray(dens_block, dtype=np.float64)
-        expected = tree.n_points * self.kernel.source_dim
-        if dens.ndim != 2 or dens.shape[0] != expected:
-            raise ValueError(
-                f"densities shape {np.asarray(dens_block).shape} is not a "
-                f"({expected}, q) multi-RHS block "
-                f"(n_points*source_dim = {expected})"
-            )
-        q = dens.shape[1]
-        if q == 1:
-            pot = self.evaluate(
-                tree, lists, dens[:, 0], profile, plan=plan,
-                use_plan=use_plan, precision=precision,
-            )
-            return pot.reshape(-1, 1)
-        plan = self._resolve_plan(
-            tree, lists, profile, plan, use_plan, precision
-        )
-        profile.precision = plan.precision if plan is not None else "fp64"
-        if plan is None or not self.SUPPORTS_MULTI_RHS:
-            cols = [
-                self.evaluate(
-                    tree,
-                    lists,
-                    np.ascontiguousarray(dens[:, j]),
-                    profile,
-                    plan=plan,
-                    use_plan=use_plan,
-                )
-                for j in range(q)
-            ]
-            return np.stack(cols, axis=1)
-        state = self.allocate_multi(tree, q)
-        pool = self.task_pool
-        with profile.phase("S2U"):
-            plan.apply_s2u_multi(self, dens, state, profile, pool=pool)
-        with profile.phase("U2U"):
-            plan.apply_u2u_multi(self, state, profile, pool=pool)
-        with profile.phase("VLI"):
-            if self.m2l_mode == "fft":
-                plan.apply_vli_fft_multi(self, state, profile, pool=pool)
-            else:
-                plan.apply_vli_dense_multi(self, state, profile, pool=pool)
-        with profile.phase("XLI"):
-            plan.apply_xli_multi(self, dens, state, profile, pool=pool)
-        with profile.phase("D2D"):
-            plan.apply_d2d_multi(self, state, profile, pool=pool)
-        with profile.phase("WLI"):
-            plan.apply_wli_multi(self, tree, state, profile, pool=pool)
-        with profile.phase("D2T"):
-            plan.apply_d2t_multi(self, state, profile, pool=pool)
-        with profile.phase("ULI"):
-            plan.apply_uli_multi(self, dens, state, profile, pool=pool)
-        pot = state["pot"]  # (n_points, q, kt_eval)
-        return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(
-            -1, q
-        )
+        pot = state["pot"]
+        if block:  # (n_points, q, kt_eval) -> (n_points * kt_eval, q)
+            return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(-1, q)
+        return pot
 
     def evaluate_targets(
         self,
@@ -593,45 +539,37 @@ class FmmEvaluator:
 
     # -- state ------------------------------------------------------------
 
-    def allocate(self, tree: FmmTree) -> dict:
+    def allocate(self, tree: FmmTree, q: int = 1) -> dict:
         """Per-run working arrays (upward/downward densities, potentials).
 
-        ``pot`` is a view of the first ``n_points`` rows of ``_pot_pad``,
-        which carries one extra sentinel row: plan-based scatters send
-        every padding slot there in a single fancy-indexed add, and the
-        garbage accumulated in the sentinel is simply never read.
-        """
-        ks, kt = self.kernel.source_dim, self.kernel.target_dim
-        n = tree.n_nodes
-        kte = self.eval_kernel.target_dim
-        pot_pad = np.zeros((tree.n_points + 1) * kte)
-        return {
-            "up": np.zeros((n, self.ns * ks)),
-            "dcheck": np.zeros((n, self.ns * kt)),
-            "dequiv": np.zeros((n, self.ns * ks)),
-            "pot": pot_pad[: tree.n_points * kte],
-            "_pot_pad": pot_pad,
-        }
+        Storage is ``(rows, q, features)`` — the column axis in the middle,
+        so per-column slices gather contiguously and per-box gathers keep
+        a box's columns adjacent (see the phase-apply notes in
+        :mod:`repro.core.plan`).  With ``q == 1`` the returned arrays are
+        the 2-D ``(rows, features)`` / flat-potential views of that
+        storage, the layout every single-RHS caller works in.
 
-    def allocate_multi(self, tree: FmmTree, q: int) -> dict:
-        """Working arrays for a ``q``-column multi-RHS apply.
-
-        The column axis sits in the middle (``(rows, q, features)``) so
-        per-column slices gather contiguously and per-box gathers keep a
-        box's columns adjacent (see the multi-RHS notes in
-        :mod:`repro.core.plan`).
+        ``pot`` views the first ``n_points`` rows of ``_pot_pad``, which
+        carries one extra sentinel row: plan-based scatters send every
+        padding slot there in a single fancy-indexed add, and the garbage
+        accumulated in the sentinel is simply never read.
         """
         ks, kt = self.kernel.source_dim, self.kernel.target_dim
         n = tree.n_nodes
         kte = self.eval_kernel.target_dim
         pot_pad = np.zeros((tree.n_points + 1, q, kte))
-        return {
+        state = {
             "up": np.zeros((n, q, self.ns * ks)),
             "dcheck": np.zeros((n, q, self.ns * kt)),
             "dequiv": np.zeros((n, q, self.ns * ks)),
             "pot": pot_pad[: tree.n_points],
             "_pot_pad": pot_pad,
         }
+        if q == 1:
+            state = {k: a[:, 0] for k, a in state.items()}
+            state["_pot_pad"] = pot_pad.reshape(-1)
+            state["pot"] = state["_pot_pad"][: tree.n_points * kte]
+        return state
 
     # -- phases -----------------------------------------------------------
 

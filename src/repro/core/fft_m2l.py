@@ -102,56 +102,36 @@ class FftM2L:
     def forward(self, u: np.ndarray, dtype=np.float64) -> np.ndarray:
         """Surface densities -> frequency grids.
 
-        ``u`` has shape ``(n_boxes, ns * source_dim)`` with dof interleaved
-        per point; output is ``(n_boxes, source_dim, n, n, nf)`` complex.
-        ``dtype`` sets the grid precision: float32 grids yield complex64
-        transforms (the fp32 plans), float64 the historical complex128.
-        """
-        nb = u.shape[0]
-        ks = self.kernel.source_dim
-        grids = np.zeros((nb, ks, self.n**3), dtype=dtype)
-        grids[:, :, self._surf_n] = u.reshape(nb, self.ns, ks).transpose(0, 2, 1)
-        grids = grids.reshape(nb, ks, self.n, self.n, self.n)
-        return np.fft.rfftn(grids, axes=(-3, -2, -1))
+        ``u`` has shape ``(..., ns * source_dim)`` with dof interleaved
+        per point and any leading batch dims (boxes, or boxes x columns);
+        output is ``(..., source_dim, n, n, nf)`` complex.  ``dtype``
+        sets the grid precision: float32 grids yield complex64 transforms
+        (the fp32 plans), float64 the historical complex128.
 
-    def forward_multi(self, u: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Multi-RHS :meth:`forward`: ``(n_boxes, q, ns * source_dim)`` in,
-        ``(n_boxes, q, source_dim, n, n, nf)`` out.
-
-        Each ``[:, j]`` slice is bit-identical to ``forward(u[:, j])``:
-        the grid embedding is pure data movement and pocketfft transforms
-        are computed independently per batch slot.
+        Each batch slot is bit-identical whatever the leading shape: the
+        grid embedding is pure data movement and pocketfft transforms
+        are computed independently per slot.
         """
-        nb, q = u.shape[0], u.shape[1]
+        lead = u.shape[:-1]
         ks = self.kernel.source_dim
-        grids = np.zeros((nb, q, ks, self.n**3), dtype=dtype)
-        grids[:, :, :, self._surf_n] = u.reshape(nb, q, self.ns, ks).transpose(
-            0, 1, 3, 2
+        grids = np.zeros(lead + (ks, self.n**3), dtype=dtype)
+        grids[..., self._surf_n] = np.swapaxes(
+            u.reshape(lead + (self.ns, ks)), -1, -2
         )
-        grids = grids.reshape(nb, q, ks, self.n, self.n, self.n)
+        grids = grids.reshape(lead + (ks, self.n, self.n, self.n))
         return np.fft.rfftn(grids, axes=(-3, -2, -1))
-
-    def inverse_multi(self, acc: np.ndarray) -> np.ndarray:
-        """Multi-RHS :meth:`inverse`: ``(n_boxes, q, target_dim, n, n, nf)``
-        in, ``(n_boxes, q, ns * target_dim)`` out (per-slice bit-identical)."""
-        nb, q = acc.shape[0], acc.shape[1]
-        kt = self.kernel.target_dim
-        grids = np.fft.irfftn(acc, s=(self.n,) * 3, axes=(-3, -2, -1))
-        vals = grids.reshape(nb, q, kt, self.n**3)[:, :, :, self._surf_n]
-        return vals.transpose(0, 1, 3, 2).reshape(nb, q, self.ns * kt)
 
     def translate(self, that: np.ndarray, uhat: np.ndarray) -> np.ndarray:
         """Pointwise (diagonal) frequency-space translation.
 
         ``that``: ``(kt, ks, n, n, nf)``; ``uhat``: ``(..., ks, n, n, nf)``
-        with any leading batch dims (boxes, or boxes x densities for the
-        multi-RHS path); returns ``(..., kt, n, n, nf)``.
+        with any leading batch dims (boxes, or boxes x columns); returns ``(..., kt, n, n, nf)``.
 
         Written as an explicit sum of elementwise products rather than an
         einsum: each output element is a fixed-order chain of complex
         multiply-adds, so the result is bit-identical for any leading
-        batch shape — one multi-RHS call over ``(nb, q, ks, ...)`` matches
-        ``q`` single calls exactly.  (``einsum(optimize=True)`` picks
+        batch shape — one call over ``(nb, q, ks, ...)`` matches ``q``
+        one-column calls exactly.  (``einsum(optimize=True)`` picks
         shape-dependent contraction paths, which breaks that, and never
         vectorises this memory-bound product as well anyway.)
         """
@@ -170,14 +150,15 @@ class FftM2L:
     def inverse(self, acc: np.ndarray) -> np.ndarray:
         """Frequency accumulators -> check potentials on the surface points.
 
-        ``acc``: ``(n_boxes, target_dim, n, n, nf)``; returns
-        ``(n_boxes, ns * target_dim)`` with dof interleaved per point.
+        ``acc``: ``(..., target_dim, n, n, nf)``; returns
+        ``(..., ns * target_dim)`` with dof interleaved per point (batch
+        slots independent, as in :meth:`forward`).
         """
-        nb = acc.shape[0]
+        lead = acc.shape[:-4]
         kt = self.kernel.target_dim
         grids = np.fft.irfftn(acc, s=(self.n,) * 3, axes=(-3, -2, -1))
-        vals = grids.reshape(nb, kt, self.n**3)[:, :, self._surf_n]
-        return vals.transpose(0, 2, 1).reshape(nb, self.ns * kt)
+        vals = grids.reshape(lead + (kt, self.n**3))[..., self._surf_n]
+        return np.swapaxes(vals, -1, -2).reshape(lead + (self.ns * kt,))
 
     # -- flop model ---------------------------------------------------------------
 

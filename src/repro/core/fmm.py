@@ -255,28 +255,19 @@ class Fmm:
         tree = plan.tree
         ks = self.kernel.source_dim
         kt = self.evaluator.eval_kernel.target_dim
-        dens, multi = _as_density_block(
+        dens, _ = _as_density_block(
             densities, tree.n_points, ks, "Fmm.evaluate"
         )
-        if multi:
-            q = dens.shape[1]
-            sorted_dens = (
-                dens.reshape(-1, ks, q)[tree.order].reshape(-1, q)
-            )
-            pot_sorted = self.evaluator.evaluate_multi(
-                tree, plan.lists, sorted_dens, profile,
-                plan=eval_plan, use_plan=use_plan, precision=precision,
-            )
-            pot = np.empty_like(pot_sorted)
-            pot.reshape(-1, kt, q)[tree.order] = pot_sorted.reshape(-1, kt, q)
-            return pot
-        sorted_dens = dens.reshape(-1, ks)[tree.order].reshape(-1)
+        # one permutation for a flat vector and a (rows, q) block alike:
+        # points on axis 0, dof on axis 1, columns (if any) trailing
+        n, cols = tree.n_points, dens.shape[1:]
+        sorted_dens = dens.reshape((n, ks) + cols)[tree.order].reshape(dens.shape)
         pot_sorted = self.evaluator.evaluate(
             tree, plan.lists, sorted_dens, profile,
             plan=eval_plan, use_plan=use_plan, precision=precision,
         )
         pot = np.empty_like(pot_sorted)
-        pot.reshape(-1, kt)[tree.order] = pot_sorted.reshape(-1, kt)
+        pot.reshape((n, kt) + cols)[tree.order] = pot_sorted.reshape((n, kt) + cols)
         return pot
 
     def evaluate_targets(

@@ -22,10 +22,13 @@ those tiles on a shared thread pool while keeping the results
   profile ledger (and hence :meth:`TraceRecorder.signature`) is
   independent of the thread schedule.
 
-BLAS is pinned to one thread inside :meth:`TaskPool.run` (see
-:mod:`repro.util.blas`), so task-level threads never multiply with BLAS
+BLAS is pinned to one thread for the whole of a pooled phase — by
+``EvalPlan._tiles``, the one caller of :meth:`TaskPool.run`, around the
+worker tiles *and* the GEMMs the owning thread runs between them (see
+:mod:`repro.util.blas`) — so task-level threads never multiply with BLAS
 threads, and every configured thread count runs the same single-threaded
-GEMMs — the other half of the bit-identity argument.
+GEMMs whatever the host's BLAS setting: the other half of the
+bit-identity argument.
 
 ``PARALLEL:<phase>`` / ``PARALLEL:busy:<phase>`` trace spans record the
 section's elapsed and summed per-tile busy seconds.  Only ``wall_s``
@@ -41,8 +44,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-
-from repro.util.blas import limit_blas_threads
 
 __all__ = [
     "TaskPool",
@@ -109,33 +110,32 @@ class TaskPool:
         tasks = list(tasks)
         if not tasks:
             return [], 0.0
-        with limit_blas_threads(1):
-            if self.threads <= 1 or len(tasks) == 1:
-                results = []
-                busy = 0.0
-                for fn in tasks:
-                    t0 = time.perf_counter()
-                    results.append(fn())
-                    busy += time.perf_counter() - t0
-                with self._lock:
-                    self._runs += 1
-                    self._done += len(tasks)
-                    self._busy_s += busy
-                return results, busy
-            ex = self._executor()
-            with self._lock:
-                self._submitted += len(tasks)
-            futs = [ex.submit(self._call, fn) for fn in tasks]
+        if self.threads <= 1 or len(tasks) == 1:
             results = []
             busy = 0.0
-            for f in futs:  # submission order == compiled tile order
-                r, dt = f.result()
-                results.append(r)
-                busy += dt
+            for fn in tasks:
+                t0 = time.perf_counter()
+                results.append(fn())
+                busy += time.perf_counter() - t0
             with self._lock:
                 self._runs += 1
+                self._done += len(tasks)
                 self._busy_s += busy
             return results, busy
+        ex = self._executor()
+        with self._lock:
+            self._submitted += len(tasks)
+        futs = [ex.submit(self._call, fn) for fn in tasks]
+        results = []
+        busy = 0.0
+        for f in futs:  # submission order == compiled tile order
+            r, dt = f.result()
+            results.append(r)
+            busy += dt
+        with self._lock:
+            self._runs += 1
+            self._busy_s += busy
+        return results, busy
 
     # -- observability -----------------------------------------------------
 

@@ -7,10 +7,19 @@ the density vector — batch groupings, padded shapes, gather index arrays,
 scatter segment boundaries, surface point sets, V-list translation
 schedules, per-(level, child-position) traversal node sets, and the leaf
 kernel-matrix blocks themselves — can therefore be compiled once and
-reused across applies.  That is what :class:`EvalPlan` holds.
+reused across applies.  That is what :class:`EvalPlan` holds, together
+with the one apply method per phase (``apply_s2u`` ... ``apply_uli``)
+that consumes it.
 
 Design rules:
 
+* **One body per phase.**  Each apply is written once, for a
+  ``(rows, q, features)`` column block of right-hand sides and as a list
+  of tiles run through :meth:`EvalPlan._tiles`: a single density is the
+  ``q = 1`` case, serial execution the ``pool=None`` case.  The numerics
+  and ownership rules that make every column at every pool width
+  bit-identical to the solo serial apply sit in one comment block beside
+  that helper.
 * **Bit-identical results.**  A plan-based apply must produce exactly the
   floating-point operation sequence of the legacy per-call path.  Compile
   therefore consumes the *same* grouping generators the legacy phases use
@@ -55,13 +64,16 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.core.contract import gemm_cols
 from repro.core.parallel import record_parallel_spans
 from repro.core.tree import FmmTree, TreeDelta, diff_trees
+from repro.util.blas import limit_blas_threads
 
 __all__ = [
     "EvalPlan",
@@ -282,9 +294,9 @@ class EvalPlan:
     #: charges — the only plan state mutated after compile.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     #: Lazily derived read-after-write frontiers of the U2U step list for
-    #: the parallel executor (see :meth:`_wave_steps`); purely structural,
-    #: so cached per plan under ``_lock``.
-    _par_waves: dict = field(default_factory=dict, repr=False)
+    #: pooled applies (see :meth:`_u2u_waves`); purely structural, so
+    #: cached per plan under ``_lock``.
+    _waves: list | None = field(default=None, repr=False)
     _mat_left: int = field(default=0, repr=False)
     _cache_matrices: bool = field(default=True, repr=False)
 
@@ -363,25 +375,12 @@ class EvalPlan:
             return a.astype(np.float32)
         return a
 
-    def _dens_table(self, dens: np.ndarray) -> np.ndarray:
-        """Density rows extended by one all-zero sentinel row.
-
-        Every padding slot of a gather index points at the sentinel, so
-        assembling a padded per-box density block is a single fancy index.
-        The buffer is reused across phases and applies.
-        """
-        table = self._buffer("dens", (self.n_points + 1, self.ks), self.rdtype)
-        table[: self.n_points] = np.asarray(dens).reshape(self.n_points, self.ks)
-        table[self.n_points] = 0.0
-        return table
-
-    def _pot_table(self, state: dict) -> np.ndarray:
-        """Sentinel-extended potential rows (see ``FmmEvaluator.allocate``).
-
-        Row ``n_points`` absorbs the padding-slot writes of fancy-indexed
-        scatters; ``state["pot"]`` views only the real rows.
-        """
-        return state["_pot_pad"].reshape(self.n_points + 1, self.kt_eval)
+    def _kmat(self, blk, kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """A block's kernel matrix: the compile-time cache when the budget
+        covered it, else evaluated now (bit-identical either way)."""
+        if blk.kmat is not None:
+            return blk.kmat
+        return self._cast(kernel.matrix_batch(a, b))
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Reusable per-thread scratch array (density table, FFT accumulators)."""
@@ -394,107 +393,352 @@ class EvalPlan:
             buf = bufs[name] = np.empty(need, dtype=dtype)
         return buf[:need].reshape(shape)
 
+    # -- state layout -------------------------------------------------------
+
+    @staticmethod
+    def _cols(arr: np.ndarray) -> np.ndarray:
+        """``(rows, q, features)`` view of a node-state array; the 2-D
+        layout single-RHS callers hold is its one-column case."""
+        return arr if arr.ndim == 3 else arr[:, None, :]
+
+    def _pot_table(self, state: dict) -> np.ndarray:
+        """``(n_points + 1, q, kt_eval)`` view of the sentinel-extended
+        potential rows (see ``FmmEvaluator.allocate``).
+
+        Row ``n_points`` absorbs the padding-slot writes of fancy-indexed
+        scatters; ``state["pot"]`` views only the real rows.
+        """
+        pad = state["_pot_pad"]
+        if pad.ndim == 3:
+            return pad
+        return pad.reshape(self.n_points + 1, 1, self.kt_eval)
+
+    def _dens_table(self, dens: np.ndarray) -> np.ndarray:
+        """Sentinel-extended ``(n_points + 1, ks, q)`` density table for a
+        flat density vector (``q = 1``) or a ``(n_points * ks, q)`` block.
+
+        Every padding slot of a gather index points at the all-zero
+        sentinel row, so assembling a padded per-box density block is a
+        single fancy index; row-major over points, so that gather reshapes
+        straight to gemm_cols's ``(b, pad * ks, q)``.  The buffer is
+        reused across phases and applies.
+        """
+        dens = np.asarray(dens)
+        q = 1 if dens.ndim == 1 else dens.shape[1]
+        table = self._buffer("dens", (self.n_points + 1, self.ks, q), self.rdtype)
+        table[: self.n_points] = dens.reshape(self.n_points, self.ks, q)
+        table[self.n_points] = 0.0
+        return table
+
+    @staticmethod
+    def _den_block(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Gather ``(b, pad * ks, q)`` C-contiguous padded densities."""
+        b, pad = rows.shape
+        ks, q = table.shape[1], table.shape[2]
+        return table[rows].reshape(b, pad * ks, q)
+
     # -- phase applies -----------------------------------------------------
+    #
+    # One body per phase.  Each builds the phase's tiles — a compiled
+    # block, chunk or step each, never a fraction of one, because BLAS
+    # GEMM results are not stable under a changed row count at small
+    # sizes — and hands them to :meth:`_tiles` with a ``compute`` (may
+    # run on a pool worker) and a ``done`` (always runs on the caller, in
+    # compiled tile order).  ``q`` right-hand sides ride through together
+    # (every operator is density-linear); a single density is the ``q = 1``
+    # case, and serial execution is the ``pool=None`` case.  Three sets of
+    # rules make every column of every (q, pool width) combination
+    # **bit-identical** to the solo serial apply:
+    #
+    # State layout.  Node state carries ``q`` on axis 1 — ``up``/``dequiv``
+    # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
+    # ``_pot_pad`` ``(n_points + 1, q, kt_eval)`` — so a per-column slice
+    # ``arr[idx, j]`` gathers the same contiguous copy a 2-D ``arr[idx]``
+    # does.  Single-RHS callers (the distributed driver, the GPU overrides,
+    # the legacy phases) hold 2-D / flat views of one-column storage
+    # (``FmmEvaluator.allocate``); :meth:`_cols` / :meth:`_pot_table` lift
+    # them back, so the q axis never leaves this module.  gemm_cols
+    # operands instead keep ``q`` innermost (``(b, j, q)`` in, ``(b, i, q)``
+    # out), BLAS's preferred column layout; scatters transpose views.
+    #
+    # Column numerics.
+    # * Kernel-block contractions (S2U/XLI/WLI/D2T/ULI) go through
+    #   :func:`repro.core.contract.gemm_cols`: GEMM runs on a fixed
+    #   ``(b, j, Q_PAD)`` zero-padded contiguous block, so column ``c`` of a
+    #   ``q``-column call matches the one-column call bit for bit.
+    # * Dense matrix steps (U2U, D2D, dense M2L, the S2U post-multiply)
+    #   loop over columns: folding ``q`` into those GEMMs would change the
+    #   row count and with it the bits.
+    # * pocketfft transforms are batch-stable and ``FftM2L.translate`` is
+    #   an explicit elementwise multiply-add chain, so FFTs and translates
+    #   batch over ``(box, column)``; the V-list still walks columns in
+    #   groups capped by ``VLI_MULTI_BYTES`` (grouping does not change bits).
+    # * ``np.add.reduceat`` segment sums are exact per slot regardless of
+    #   trailing axes, so scatter schedules are shared as-is.
+    # * W-list gating uses the *union* zero pattern over the columns.  A
+    #   column that is zero on some kept pair contributes an exact ``+0.0``
+    #   to that segment sum, which IEEE addition absorbs (``x + 0.0 == x``;
+    #   a ``-0.0`` slot flips to ``+0.0``, equal under ``==``), so it still
+    #   matches the solo apply whose own pattern kept fewer pairs.
+    #
+    # Output ownership (what lets tiles run on a pool).
+    # * Disjoint-output tiles (S2U leaf groups, V-list FFT chunk targets,
+    #   D2D l2l child rows within a level) write their slices from
+    #   ``compute`` — the serial stores, reordered across disjoint rows.
+    # * Overlapping-output tiles (U2U parents, dense-M2L targets, the
+    #   XLI/WLI/D2T/ULI scatters, whose ``pot_rows`` share the sentinel pad
+    #   row across blocks) return values from ``compute``; ``done`` adds
+    #   them in compiled tile order — the serial ``+=`` sequence.
+    # * U2U needs read-after-write frontiers (a parent written at level L
+    #   is read at level L-1): :meth:`_u2u_waves` re-derives the level
+    #   grouping and each wave is one ``run``.  D2D levels are explicit.
+    # * Flops are charged in ``done``, so profiles (and trace signatures)
+    #   are schedule-independent.
+    # * With a pool, BLAS is pinned to one thread for the *whole* phase —
+    #   worker tiles and the caller's own GEMMs (the D2D check-to-equivalent
+    #   conversion) alike — so every pool width runs the same single-thread
+    #   GEMMs whatever the host's BLAS setting.  ``pool=None`` leaves BLAS
+    #   alone and emits no ``PARALLEL:*`` spans.
+
+    #: Byte budget for the V-list frequency accumulator: columns are
+    #: processed in groups sized to stay under it.  Deliberately small: the
+    #: translation sweep re-touches the whole accumulator once per offset
+    #: step, so it must stay cache-resident — at 256 MB a q=8 V-list ran 3x
+    #: *slower* than eight solo passes; at 8 MB (one column group on
+    #: paper-size levels) it matches the solo path.  The V-list is
+    #: memory-bound and gains nothing from column batching anyway — the
+    #: multi-RHS win lives in the GEMM phases (see DESIGN.md).
+    VLI_MULTI_BYTES = 8 * 2**20
+
+    @contextmanager
+    def _tiles(self, phase: str, profile, pool):
+        """Yield ``run(tiles, compute, done)``: the one place tiles execute.
+
+        ``pool=None`` runs them inline and lazily — compute a tile, ``done``
+        it, move on — so no list of tile results is ever held.  With a pool
+        the computes of one ``run`` go to the workers together, then every
+        ``done(tile, result)`` replays on the caller in tile order; the
+        BLAS pin and the ``PARALLEL:<phase>`` span pair cover all the runs
+        of the phase.
+        """
+        if pool is None:
+            def run(tiles, compute, done):
+                for tile in tiles:
+                    done(tile, compute(tile))
+
+            yield run
+            return
+        busy, ntiles = 0.0, 0
+
+        def run(tiles, compute, done):
+            nonlocal busy, ntiles
+            results, b = pool.run([partial(compute, tile) for tile in tiles])
+            busy += b
+            ntiles += len(tiles)
+            for tile, res in zip(tiles, results):
+                done(tile, res)
+
+        t0 = time.perf_counter()
+        with limit_blas_threads(1):
+            yield run
+        if ntiles:
+            record_parallel_spans(
+                profile, phase, time.perf_counter() - t0, busy,
+                ntiles, pool.threads,
+            )
+
+    def _u2u_waves(self, nrows: int) -> list:
+        """Partition the U2U steps into read-after-write frontiers.
+
+        Consecutive steps stay in one wave until a step would *read* a
+        row some earlier step of the wave wrote; compile emits U2U
+        level-by-level, so this reproduces exactly the level frontiers.
+        Cached per plan (purely structural).
+        """
+        with self._lock:
+            if self._waves is None:
+                waves = []
+                cur: list = []
+                dirty = np.zeros(nrows, dtype=bool)
+                for st in self.u2u:
+                    if cur and dirty[st.src].any():
+                        waves.append(cur)
+                        cur = []
+                        dirty[:] = False
+                    cur.append(st)
+                    dirty[st.dst] = True
+                if cur:
+                    waves.append(cur)
+                self._waves = waves
+            return self._waves
 
     def apply_s2u(self, ev, dens, state, profile, pool=None) -> None:
         if not self.s2u:
             return
-        if pool is not None:
-            return self._par_s2u(ev, dens, state, profile, pool)
-        up = state["up"]
+        up = self._cols(state["up"])
         table = self._dens_table(dens)
-        for blk in self.s2u:
-            den = table[blk.den_rows].reshape(blk.group.size, blk.pad * self.ks)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-            )
-            q = gemm_cols(k, den[:, :, None])[:, :, 0]
-            up[blk.group] = q @ blk.mat.T
-            profile.add_flops(blk.flops)
+        q = table.shape[2]
+
+        def compute(blk):
+            k = self._kmat(blk, ev.kernel, blk.surf, blk.pts)
+            qv = gemm_cols(k, self._den_block(table, blk.den_rows))
+            for j in range(q):  # leaf groups are disjoint: write in place
+                up[blk.group, j] = np.ascontiguousarray(qv[:, :, j]) @ blk.mat.T
+
+        def done(blk, _):
+            profile.add_flops(blk.flops * q)
+
+        with self._tiles("S2U", profile, pool) as run:
+            run(self.s2u, compute, done)
+
+    def _run_steps(self, phase, waves, src, dst, profile, pool) -> None:
+        """``dst[st.dst] += src[st.src] @ st.mat.T`` per column, for matrix
+        steps whose targets may repeat across steps (U2U parents, dense-M2L
+        targets): products compute as tiles, adds replay in step order.
+        Steps of one wave must not read each other's writes.  The operand
+        is staged in the matrix's dtype: float32 dense-M2L matrices under
+        an fp32 plan, float64 (no copy) everywhere else.
+        """
+        q = src.shape[1]
+
+        def compute(st):
+            return [
+                src[st.src, j].astype(st.mat.dtype, copy=False) @ st.mat.T
+                for j in range(q)
+            ]
+
+        def done(st, prods):
+            for j in range(q):
+                dst[st.dst, j] += prods[j]
+            profile.add_flops(st.flops * q)
+
+        with self._tiles(phase, profile, pool) as run:
+            for wave in waves:
+                run(wave, compute, done)
 
     def apply_u2u(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_u2u(ev, state, profile, pool)
-        up = state["up"]
-        for st in self.u2u:
-            up[st.dst] += up[st.src] @ st.mat.T
-            profile.add_flops(st.flops)
-
-    def apply_vli_fft(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_vli_fft(ev, state, profile, pool)
-        up, dcheck = state["up"], state["dcheck"]
-        fft = ev.fft
-        step_flops = fft.translate_flops_per_pair()
-        for ch in self.vli_fft:
-            uhat = fft.forward(up[ch.usrc], dtype=self.rdtype)
-            acc = self._buffer(
-                "vli_acc",
-                (ch.utgt.size, self.kt, fft.n, fft.n, fft.nf),
-                self.cdtype,
-            )
-            acc.fill(0.0)
-            for _off, that, tpos, spos, npairs in ch.steps:
-                acc[tpos] += fft.translate(that, uhat[spos])
-                profile.add_flops(npairs * step_flops)
-            dcheck[ch.utgt] += fft.inverse(acc)
-            profile.add_flops(
-                (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
-                * fft.fft_flops_per_box()
-            )
+        if not self.u2u:
+            return
+        up = self._cols(state["up"])
+        # inline tiles already run in step order; only a pool needs the
+        # read-after-write frontiers
+        waves = [self.u2u] if pool is None else self._u2u_waves(up.shape[0])
+        self._run_steps("U2U", waves, up, up, profile, pool)
 
     def apply_vli_dense(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_vli_dense(ev, state, profile, pool)
-        up, dcheck = state["up"], state["dcheck"]
-        for st in self.vli_dense:
-            dcheck[st.dst] += self._cast(up[st.src]) @ st.mat.T
-            profile.add_flops(st.flops)
-
-    def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
-        if not self.xli:
+        if not self.vli_dense:
             return
-        dcheck = state["dcheck"]
-        for seg, sums in self.compute_xli(ev, dens, profile, pool=pool):
-            dcheck[seg] += sums
+        # steps only read ``up``, so they form a single wave
+        self._run_steps(
+            "VLI", [self.vli_dense], self._cols(state["up"]),
+            self._cols(state["dcheck"]), profile, pool,
+        )
+
+    def apply_vli_fft(self, ev, state, profile, pool=None) -> None:
+        if not self.vli_fft:
+            return
+        up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
+        q = up.shape[1]
+        fft = ev.fft
+        step_flops = fft.translate_flops_per_pair()
+        box_flops = fft.fft_flops_per_box()
+        # Accumulator bytes per column: the complex itemsize halves under
+        # fp32, so the cache-resident column group doubles for free.
+        per_col = np.dtype(self.cdtype).itemsize * self.kt * fft.n * fft.n * fft.nf
+
+        def groups(ch):
+            qc = max(1, int(self.VLI_MULTI_BYTES // max(ch.utgt.size * per_col, 1)))
+            return [(q0, min(q0 + qc, q)) for q0 in range(0, q, qc)]
+
+        def compute(ch):
+            src_up = up[ch.usrc]
+            for q0, q1 in groups(ch):
+                uhat = fft.forward(
+                    np.ascontiguousarray(src_up[:, q0:q1]), dtype=self.rdtype
+                )
+                acc = self._buffer(
+                    "vli_acc",
+                    (ch.utgt.size, q1 - q0, self.kt, fft.n, fft.n, fft.nf),
+                    self.cdtype,
+                )
+                acc.fill(0.0)
+                for _off, that, tpos, spos, _npairs in ch.steps:
+                    # one translate carries every column of the group
+                    acc[tpos] += fft.translate(that, uhat[spos])
+                # chunk targets are disjoint: add in place
+                dcheck[ch.utgt, q0:q1] += fft.inverse(acc)
+
+        def done(ch, _):
+            for q0, q1 in groups(ch):
+                for _off, _that, _tpos, _spos, npairs in ch.steps:
+                    profile.add_flops(npairs * step_flops * (q1 - q0))
+                profile.add_flops(
+                    (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
+                    * box_flops
+                    * (q1 - q0)
+                )
+
+        with self._tiles("VLI", profile, pool) as run:
+            run(self.vli_fft, compute, done)
 
     def compute_xli(self, ev, dens, profile, pool=None) -> list:
         """The GEMM stage of :meth:`apply_xli`, without touching state.
 
         X-list values depend only on the input densities, so the matrix
         products can run while the shared-density reduction is still in
-        flight; the returned ``(targets, sums)`` segments are added into
-        ``dcheck`` later (same values, same per-block order as the fused
-        apply — the split is bit-identical).
+        flight; the returned ``(targets, sums)`` segments (``sums`` in the
+        caller's ``dcheck`` layout: 2-D for a flat ``dens``, ``q`` on axis
+        1 for a block) are added into ``dcheck`` later — same values, same
+        per-block order as the fused apply, so the split is bit-identical.
         """
-        if pool is not None and self.xli:
-            return self._par_compute_xli(ev, dens, profile, pool)
-        out = []
-        table = self._dens_table(dens) if self.xli else None
-        for blk in self.xli:
-            den = table[blk.den_rows].reshape(blk.rows.size, blk.pad * self.ks)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
+        out: list = []
+        if not self.xli:
+            return out
+        table = self._dens_table(dens)
+        q = table.shape[2]
+        flat = np.ndim(dens) == 1
+
+        def compute(blk):
+            k = self._kmat(blk, ev.kernel, blk.surf, blk.pts)
+            vals = gemm_cols(k, self._den_block(table, blk.den_rows))
+            return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
+
+        def done(blk, sums):  # (nseg, ns*kt, q)
+            out.append(
+                (blk.seg, sums[:, :, 0] if flat else sums.transpose(0, 2, 1))
             )
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            out.append((blk.seg, np.add.reduceat(vals[blk.order], blk.starts, axis=0)))
-            profile.add_flops(blk.flops)
+            profile.add_flops(blk.flops * q)
+
+        with self._tiles("XLI", profile, pool) as run:
+            run(self.xli, compute, done)
         return out
 
+    def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
+        dcheck = state["dcheck"]
+        for seg, sums in self.compute_xli(ev, dens, profile, pool=pool):
+            dcheck[seg] += sums
+
     def apply_d2d(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_d2d(ev, state, profile, pool)
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        for lv in self.d2d:
-            for st in lv.l2l:
-                dcheck[st.dst] += dequiv[st.src] @ st.mat.T
-                profile.add_flops(st.flops)
-            dequiv[lv.nodes] = dcheck[lv.nodes] @ lv.conv_mat.T
-            profile.add_flops(lv.conv_flops)
+        if not self.d2d:
+            return
+        dcheck, dequiv = self._cols(state["dcheck"]), self._cols(state["dequiv"])
+        q = dcheck.shape[1]
+
+        def compute(st):
+            # one l2l step per child position: the steps of a level write
+            # disjoint child rows and read parent rows finished last level
+            for j in range(q):
+                dcheck[st.dst, j] += dequiv[st.src, j] @ st.mat.T
+
+        def done(st, _):
+            profile.add_flops(st.flops * q)
+
+        with self._tiles("D2D", profile, pool) as run:
+            for lv in self.d2d:
+                run(lv.l2l, compute, done)
+                for j in range(q):
+                    dequiv[lv.nodes, j] = dcheck[lv.nodes, j] @ lv.conv_mat.T
+                profile.add_flops(lv.conv_flops * q)
 
     def _wli_section(self, ev, tree, keep, profile) -> _WliSection:
         """The W-list schedule for ``keep``, compiled lazily under the plan
@@ -517,902 +761,70 @@ class EvalPlan:
                     )
             return self._wli
 
+    def _scatter_pot(self, potr, rows, vals) -> None:
+        """``potr[rows] += vals`` for gemm_cols-layout ``vals``
+        ``(b, pad * kt_eval, q)`` and ``(b, pad)`` potential-table rows."""
+        b, pad = rows.shape
+        potr[rows] += vals.reshape(b, pad, self.kt_eval, -1).transpose(0, 1, 3, 2)
+
     def apply_wli(self, ev, tree, state, profile, pool=None) -> None:
         if self.wli_rows.size == 0:
             return
-        up = state["up"]
-        keep = np.any(up[self.wli_cols] != 0.0, axis=1)
-        if not keep.any():
-            return
-        wli = self._wli_section(ev, tree, keep, profile)
-        if pool is not None:
-            return self._par_wli(ev, wli, state, profile, pool)
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-        for blk in wli.blocks:
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.eval_kernel.matrix_batch(blk.pts, blk.surf))
-            )
-            vals = gemm_cols(k, self._cast(up[blk.cols])[:, :, None])[:, :, 0]
-            sums = np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            potr[blk.pot_rows] += sums.reshape(blk.seg.size, blk.pad, kt)
-            profile.add_flops(blk.flops)
-
-    def apply_d2t(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_d2t(ev, state, profile, pool)
-        dequiv = state["dequiv"]
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-        for blk in self.d2t:
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.eval_kernel.matrix_batch(blk.pts, blk.surf))
-            )
-            vals = gemm_cols(k, self._cast(dequiv[blk.group])[:, :, None])[:, :, 0]
-            potr[blk.pot_rows] += vals.reshape(blk.group.size, blk.pad, kt)
-            profile.add_flops(blk.flops)
-
-    def apply_uli(self, ev, dens, state, profile, pool=None) -> None:
-        if not self.uli:
-            return
-        if pool is not None:
-            return self._par_uli(ev, dens, state, profile, pool)
-        table = self._dens_table(dens)
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-        for blk in self.uli:
-            den = table[blk.den_rows].reshape(blk.boxes.size, blk.sp * self.ks)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(
-                    ev.eval_kernel.matrix_batch(blk.tgt_pts, blk.src_pts)
-                )
-            )
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            potr[blk.pot_rows] += vals.reshape(blk.boxes.size, blk.tp, kt)
-            profile.add_flops(blk.flops)
-
-    # -- multi-RHS applies -------------------------------------------------
-    #
-    # Every operator is density-linear, so a block of ``q`` densities can
-    # ride through the eight phases together: the per-phase contractions
-    # batch over columns and the FFT grids batch.  The serving batcher
-    # depends on each column being **bit-identical** to a solo apply,
-    # which pins the numerics used below:
-    #
-    # * Kernel-block contractions (S2U/XLI/WLI/D2T/ULI) go through
-    #   :func:`repro.core.contract.gemm_cols` in *both* the solo and the
-    #   multi applies: GEMM runs on a fixed ``(b, j, Q_PAD)`` zero-padded
-    #   contiguous block, so column ``c`` of a ``q``-column call matches
-    #   the solo call's column bit for bit (see contract.py).
-    # * Dense matrix steps (U2U, D2D, dense M2L, the S2U post-multiply)
-    #   loop over columns: BLAS GEMM row results are *not* stable under a
-    #   changed row count at small sizes, so folding ``q`` into those
-    #   GEMMs would change bits.  ``arr[idx, j]`` (advanced + scalar
-    #   index) yields the same contiguous copy the solo path's
-    #   ``arr[idx]`` gather does, so each per-column GEMM call is
-    #   literally identical.
-    # * pocketfft transforms are batch-stable, so forward/inverse FFTs
-    #   batch over ``(box, column)``, and ``FftM2L.translate`` is an
-    #   explicit elementwise multiply-add chain (batch-stable over any
-    #   leading dims), so one translate call carries all columns of an
-    #   offset at once.
-    # * ``np.add.reduceat`` segment sums are exact per-slot regardless of
-    #   trailing axes, so scatter schedules are shared as-is.
-    # * W-list gating uses the *union* zero pattern over the block's
-    #   columns.  A column that is zero on some kept pair contributes an
-    #   exact ``+0.0`` to that segment sum, which IEEE addition absorbs
-    #   (``x + 0.0 == x``; a ``-0.0`` slot flips to ``+0.0``, equal under
-    #   ``==``), so per-column results still match the solo apply whose
-    #   own pattern kept fewer pairs.
-    #
-    # Multi state layout (see ``FmmEvaluator.allocate_multi``): node/point
-    # state keeps ``q`` on axis 1 — ``up``/``dequiv`` are
-    # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
-    # ``_pot_pad`` ``(n_points + 1, q, kt_eval)`` — so per-column slices
-    # (the matrix steps) gather contiguously.  gemm_cols operands instead
-    # keep ``q`` innermost (``(b, j, q)`` in, ``(b, i, q)`` out), matching
-    # BLAS's preferred column layout; scatters transpose views on the fly.
-
-    def _dens_table_multi(self, dens: np.ndarray) -> np.ndarray:
-        """Sentinel-extended ``(n_points + 1, ks, q)`` density table for a
-        ``(n_points * ks, q)`` column block.  Row-major over points so a
-        padded gather reshapes straight to gemm_cols's ``(b, pad*ks, q)``."""
-        q = dens.shape[1]
-        table = self._buffer(
-            "dens_multi", (self.n_points + 1, self.ks, q), self.rdtype
-        )
-        table[: self.n_points] = dens.reshape(self.n_points, self.ks, q)
-        table[self.n_points] = 0.0
-        return table
-
-    @staticmethod
-    def _den_block(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Gather ``(b, pad * ks, q)`` C-contiguous padded densities."""
-        b, pad = rows.shape
-        ks, q = table.shape[1], table.shape[2]
-        return table[rows].reshape(b, pad * ks, q)
-
-    def apply_s2u_multi(self, ev, dens, state, profile, pool=None) -> None:
-        if not self.s2u:
-            return
-        if pool is not None:
-            return self._par_s2u_multi(ev, dens, state, profile, pool)
-        up = state["up"]
-        table = self._dens_table_multi(dens)
-        q = table.shape[2]
-        for blk in self.s2u:
-            den = self._den_block(table, blk.den_rows)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-            )
-            qv = gemm_cols(k, den)
-            for j in range(q):
-                up[blk.group, j] = (
-                    np.ascontiguousarray(qv[:, :, j]) @ blk.mat.T
-                )
-            profile.add_flops(blk.flops * q)
-
-    def apply_u2u_multi(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_u2u_multi(ev, state, profile, pool)
-        up = state["up"]
-        q = up.shape[1]
-        for st in self.u2u:
-            for j in range(q):
-                up[st.dst, j] += up[st.src, j] @ st.mat.T
-            profile.add_flops(st.flops * q)
-
-    #: Byte budget for the multi-RHS V-list frequency accumulator: columns
-    #: are processed in groups sized to stay under it (FFT batching is
-    #: column-stable, so grouping does not change bits).  Deliberately
-    #: small: the translation sweep re-touches the whole accumulator once
-    #: per offset step, so it must stay cache-resident — at 256 MB a q=8
-    #: V-list ran 3x *slower* than eight solo passes; at 8 MB (one column
-    #: group on paper-size levels) it matches the solo path.  The V-list
-    #: is memory-bound and gains nothing from column batching anyway —
-    #: the multi-RHS win lives in the GEMM phases (see DESIGN.md).
-    VLI_MULTI_BYTES = 8 * 2**20
-
-    def apply_vli_fft_multi(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_vli_fft_multi(ev, state, profile, pool)
-        up, dcheck = state["up"], state["dcheck"]
-        q = up.shape[1]
-        fft = ev.fft
-        step_flops = fft.translate_flops_per_pair()
-        # Accumulator bytes per column: the complex itemsize halves under
-        # fp32, so the cache-resident column group doubles for free.
-        per_col = np.dtype(self.cdtype).itemsize * self.kt * fft.n * fft.n * fft.nf
-        for ch in self.vli_fft:
-            src_up = up[ch.usrc]
-            qc = max(1, int(self.VLI_MULTI_BYTES // max(ch.utgt.size * per_col, 1)))
-            for q0 in range(0, q, qc):
-                q1 = min(q0 + qc, q)
-                uhat = fft.forward_multi(
-                    np.ascontiguousarray(src_up[:, q0:q1]), dtype=self.rdtype
-                )
-                acc = self._buffer(
-                    "vli_acc_multi",
-                    (ch.utgt.size, q1 - q0, self.kt, fft.n, fft.n, fft.nf),
-                    self.cdtype,
-                )
-                acc.fill(0.0)
-                for _off, that, tpos, spos, npairs in ch.steps:
-                    # One translate carries every column of the group: the
-                    # elementwise multiply-add chain is identical per
-                    # (pair, column) regardless of the leading batch shape.
-                    acc[tpos] += fft.translate(that, uhat[spos])
-                    profile.add_flops(npairs * step_flops * (q1 - q0))
-                dcheck[ch.utgt, q0:q1] += fft.inverse_multi(acc)
-                profile.add_flops(
-                    (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
-                    * fft.fft_flops_per_box()
-                    * (q1 - q0)
-                )
-
-    def apply_vli_dense_multi(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_vli_dense_multi(ev, state, profile, pool)
-        up, dcheck = state["up"], state["dcheck"]
-        q = up.shape[1]
-        for st in self.vli_dense:
-            for j in range(q):
-                dcheck[st.dst, j] += self._cast(up[st.src, j]) @ st.mat.T
-            profile.add_flops(st.flops * q)
-
-    def apply_xli_multi(self, ev, dens, state, profile, pool=None) -> None:
-        if not self.xli:
-            return
-        if pool is not None:
-            return self._par_xli_multi(ev, dens, state, profile, pool)
-        dcheck = state["dcheck"]
-        table = self._dens_table_multi(dens)
-        q = table.shape[2]
-        for blk in self.xli:
-            den = self._den_block(table, blk.den_rows)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-            )
-            vals = gemm_cols(k, den)  # (b, ns*kt, q)
-            sums = np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            dcheck[blk.seg] += sums.transpose(0, 2, 1)
-            profile.add_flops(blk.flops * q)
-
-    def apply_d2d_multi(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_d2d_multi(ev, state, profile, pool)
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        q = dcheck.shape[1]
-        for lv in self.d2d:
-            for st in lv.l2l:
-                for j in range(q):
-                    dcheck[st.dst, j] += dequiv[st.src, j] @ st.mat.T
-                profile.add_flops(st.flops * q)
-            for j in range(q):
-                dequiv[lv.nodes, j] = dcheck[lv.nodes, j] @ lv.conv_mat.T
-            profile.add_flops(lv.conv_flops * q)
-
-    def apply_wli_multi(self, ev, tree, state, profile, pool=None) -> None:
-        if self.wli_rows.size == 0:
-            return
-        up = state["up"]
+        up = self._cols(state["up"])
         q = up.shape[1]
         keep = np.any(up[self.wli_cols] != 0.0, axis=(1, 2))
         if not keep.any():
             return
         wli = self._wli_section(ev, tree, keep, profile)
-        if pool is not None:
-            return self._par_wli_multi(ev, wli, state, profile, pool)
-        potr = state["_pot_pad"]
-        kt = self.kt_eval
-        for blk in wli.blocks:
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.eval_kernel.matrix_batch(blk.pts, blk.surf))
-            )
+        potr = self._pot_table(state)
+
+        def compute(blk):
+            k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
             vals = gemm_cols(k, self._cast(up[blk.cols]).transpose(0, 2, 1))
-            sums = np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            potr[blk.pot_rows] += sums.reshape(
-                blk.seg.size, blk.pad, kt, q
-            ).transpose(0, 1, 3, 2)
+            return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
+
+        def done(blk, sums):
+            self._scatter_pot(potr, blk.pot_rows, sums)
             profile.add_flops(blk.flops * q)
 
-    def apply_d2t_multi(self, ev, state, profile, pool=None) -> None:
-        if pool is not None:
-            return self._par_d2t_multi(ev, state, profile, pool)
-        dequiv = state["dequiv"]
-        potr = state["_pot_pad"]
+        with self._tiles("WLI", profile, pool) as run:
+            run(wli.blocks, compute, done)
+
+    def apply_d2t(self, ev, state, profile, pool=None) -> None:
+        if not self.d2t:
+            return
+        dequiv = self._cols(state["dequiv"])
         q = dequiv.shape[1]
-        kt = self.kt_eval
-        for blk in self.d2t:
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(ev.eval_kernel.matrix_batch(blk.pts, blk.surf))
-            )
-            vals = gemm_cols(k, self._cast(dequiv[blk.group]).transpose(0, 2, 1))
-            potr[blk.pot_rows] += vals.reshape(
-                blk.group.size, blk.pad, kt, q
-            ).transpose(0, 1, 3, 2)
+        potr = self._pot_table(state)
+
+        def compute(blk):
+            k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
+            return gemm_cols(k, self._cast(dequiv[blk.group]).transpose(0, 2, 1))
+
+        def done(blk, vals):
+            self._scatter_pot(potr, blk.pot_rows, vals)
             profile.add_flops(blk.flops * q)
 
-    def apply_uli_multi(self, ev, dens, state, profile, pool=None) -> None:
+        with self._tiles("D2T", profile, pool) as run:
+            run(self.d2t, compute, done)
+
+    def apply_uli(self, ev, dens, state, profile, pool=None) -> None:
         if not self.uli:
             return
-        if pool is not None:
-            return self._par_uli_multi(ev, dens, state, profile, pool)
-        table = self._dens_table_multi(dens)
-        q = table.shape[2]
-        potr = state["_pot_pad"]
-        kt = self.kt_eval
-        for blk in self.uli:
-            den = self._den_block(table, blk.den_rows)
-            k = (
-                blk.kmat
-                if blk.kmat is not None
-                else self._cast(
-                    ev.eval_kernel.matrix_batch(blk.tgt_pts, blk.src_pts)
-                )
-            )
-            vals = gemm_cols(k, den)
-            potr[blk.pot_rows] += vals.reshape(
-                blk.boxes.size, blk.tp, kt, q
-            ).transpose(0, 1, 3, 2)
-            profile.add_flops(blk.flops * q)
-
-    # -- parallel phase applies --------------------------------------------
-    #
-    # Every ``_par_*`` body runs the *same* compiled tiles as its serial
-    # twin — a task owns a whole block/chunk/step, never a fraction of
-    # one, because BLAS GEMM results are not stable under a changed row
-    # count at small sizes.  Determinism then follows from output
-    # ownership (see repro/core/parallel.py):
-    #
-    # * Disjoint-output tiles (S2U leaf groups, V-list FFT chunk targets,
-    #   D2D l2l child rows within a level) write their slices directly
-    #   from the worker.
-    # * Overlapping-output tiles (U2U parents, dense-M2L targets, the
-    #   XLI/WLI/D2T/ULI scatters, whose ``pot_rows`` share the sentinel
-    #   pad row across blocks) only compute on workers; the coordinator
-    #   combines the returned values serially in compiled tile order —
-    #   the exact ``+=`` sequence of the serial loop.
-    # * U2U needs read-after-write frontiers (a parent written at level
-    #   L is read at level L-1): :meth:`_wave_steps` re-derives the
-    #   compile-time level grouping from the step list and the pool
-    #   barriers between waves.  D2D levels are already explicit.
-    #
-    # Flop accounting replays on the coordinator in serial iteration
-    # order, so profiles (and trace signatures) are schedule-independent.
-
-    def _wave_steps(self, steps, nrows: int, key: str) -> list:
-        """Partition matrix steps into read-after-write frontiers.
-
-        Consecutive steps stay in one wave until a step would *read* a
-        row some earlier step of the wave wrote; compile emits U2U
-        level-by-level, so this reproduces exactly the level frontiers.
-        Cached per plan (purely structural).
-        """
-        with self._lock:
-            waves = self._par_waves.get(key)
-            if waves is None:
-                waves = []
-                cur: list = []
-                dirty = np.zeros(nrows, dtype=bool)
-                for st in steps:
-                    if cur and dirty[st.src].any():
-                        waves.append(cur)
-                        cur = []
-                        dirty[:] = False
-                    cur.append(st)
-                    dirty[st.dst] = True
-                if cur:
-                    waves.append(cur)
-                self._par_waves[key] = waves
-            return waves
-
-    def _par_s2u(self, ev, dens, state, profile, pool) -> None:
-        up = state["up"]
         table = self._dens_table(dens)
-
-        def tile(blk):
-            def run():
-                den = table[blk.den_rows].reshape(
-                    blk.group.size, blk.pad * self.ks
-                )
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-                )
-                q = gemm_cols(k, den[:, :, None])[:, :, 0]
-                up[blk.group] = q @ blk.mat.T  # leaf groups are disjoint
-            return run
-
-        t0 = time.perf_counter()
-        _, busy = pool.run([tile(blk) for blk in self.s2u])
-        for blk in self.s2u:
-            profile.add_flops(blk.flops)
-        record_parallel_spans(
-            profile, "S2U", time.perf_counter() - t0, busy,
-            len(self.s2u), pool.threads,
-        )
-
-    def _par_u2u(self, ev, state, profile, pool) -> None:
-        up = state["up"]
-        if not self.u2u:
-            return
-        t0 = time.perf_counter()
-        busy = 0.0
-        for wave in self._wave_steps(self.u2u, up.shape[0], "u2u"):
-            prods, b = pool.run(
-                [(lambda st=st: up[st.src] @ st.mat.T) for st in wave]
-            )
-            busy += b
-            for st, prod in zip(wave, prods):
-                up[st.dst] += prod
-                profile.add_flops(st.flops)
-        record_parallel_spans(
-            profile, "U2U", time.perf_counter() - t0, busy,
-            len(self.u2u), pool.threads,
-        )
-
-    def _par_vli_fft(self, ev, state, profile, pool) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        fft = ev.fft
-        step_flops = fft.translate_flops_per_pair()
-
-        def tile(ch):
-            def run():
-                uhat = fft.forward(up[ch.usrc], dtype=self.rdtype)
-                acc = self._buffer(
-                    "vli_acc",
-                    (ch.utgt.size, self.kt, fft.n, fft.n, fft.nf),
-                    self.cdtype,
-                )
-                acc.fill(0.0)
-                for _off, that, tpos, spos, _npairs in ch.steps:
-                    acc[tpos] += fft.translate(that, uhat[spos])
-                dcheck[ch.utgt] += fft.inverse(acc)  # chunk targets disjoint
-            return run
-
-        t0 = time.perf_counter()
-        _, busy = pool.run([tile(ch) for ch in self.vli_fft])
-        for ch in self.vli_fft:
-            for _off, _that, _tpos, _spos, npairs in ch.steps:
-                profile.add_flops(npairs * step_flops)
-            profile.add_flops(
-                (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
-                * fft.fft_flops_per_box()
-            )
-        record_parallel_spans(
-            profile, "VLI", time.perf_counter() - t0, busy,
-            len(self.vli_fft), pool.threads,
-        )
-
-    def _par_vli_dense(self, ev, state, profile, pool) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        if not self.vli_dense:
-            return
-        t0 = time.perf_counter()
-        # steps only read ``up``; targets may repeat across offset codes,
-        # so all products compute in parallel and combine in step order
-        prods, busy = pool.run(
-            [
-                (lambda st=st: self._cast(up[st.src]) @ st.mat.T)
-                for st in self.vli_dense
-            ]
-        )
-        for st, prod in zip(self.vli_dense, prods):
-            dcheck[st.dst] += prod
-            profile.add_flops(st.flops)
-        record_parallel_spans(
-            profile, "VLI", time.perf_counter() - t0, busy,
-            len(self.vli_dense), pool.threads,
-        )
-
-    def _par_compute_xli(self, ev, dens, profile, pool) -> list:
-        table = self._dens_table(dens)
-
-        def tile(blk):
-            def run():
-                den = table[blk.den_rows].reshape(
-                    blk.rows.size, blk.pad * self.ks
-                )
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-                )
-                vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-                return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            return run
-
-        t0 = time.perf_counter()
-        sums, busy = pool.run([tile(blk) for blk in self.xli])
-        out = []
-        for blk, s in zip(self.xli, sums):
-            out.append((blk.seg, s))
-            profile.add_flops(blk.flops)
-        record_parallel_spans(
-            profile, "XLI", time.perf_counter() - t0, busy,
-            len(self.xli), pool.threads,
-        )
-        return out
-
-    def _par_d2d(self, ev, state, profile, pool) -> None:
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        if not self.d2d:
-            return
-        t0 = time.perf_counter()
-        busy = 0.0
-        ntiles = 0
-        def tile(st):
-            def run():
-                dcheck[st.dst] += dequiv[st.src] @ st.mat.T
-            return run
-
-        for lv in self.d2d:
-            # l2l steps write disjoint child rows (one step per child
-            # position) and read only parent rows finished last level
-            _, b = pool.run([tile(st) for st in lv.l2l])
-            busy += b
-            ntiles += len(lv.l2l)
-            for st in lv.l2l:
-                profile.add_flops(st.flops)
-            dequiv[lv.nodes] = dcheck[lv.nodes] @ lv.conv_mat.T
-            profile.add_flops(lv.conv_flops)
-        record_parallel_spans(
-            profile, "D2D", time.perf_counter() - t0, busy,
-            ntiles, pool.threads,
-        )
-
-    def _par_wli(self, ev, wli, state, profile, pool) -> None:
-        up = state["up"]
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-
-        def tile(blk):
-            def run():
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.pts, blk.surf)
-                    )
-                )
-                vals = gemm_cols(
-                    k, self._cast(up[blk.cols])[:, :, None]
-                )[:, :, 0]
-                return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            return run
-
-        t0 = time.perf_counter()
-        sums, busy = pool.run([tile(blk) for blk in wli.blocks])
-        for blk, s in zip(wli.blocks, sums):
-            # blocks share the sentinel pad row -> combine in block order
-            potr[blk.pot_rows] += s.reshape(blk.seg.size, blk.pad, kt)
-            profile.add_flops(blk.flops)
-        record_parallel_spans(
-            profile, "WLI", time.perf_counter() - t0, busy,
-            len(wli.blocks), pool.threads,
-        )
-
-    def _par_d2t(self, ev, state, profile, pool) -> None:
-        dequiv = state["dequiv"]
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-        if not self.d2t:
-            return
-
-        def tile(blk):
-            def run():
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.pts, blk.surf)
-                    )
-                )
-                return gemm_cols(
-                    k, self._cast(dequiv[blk.group])[:, :, None]
-                )[:, :, 0]
-            return run
-
-        t0 = time.perf_counter()
-        vals, busy = pool.run([tile(blk) for blk in self.d2t])
-        for blk, v in zip(self.d2t, vals):
-            potr[blk.pot_rows] += v.reshape(blk.group.size, blk.pad, kt)
-            profile.add_flops(blk.flops)
-        record_parallel_spans(
-            profile, "D2T", time.perf_counter() - t0, busy,
-            len(self.d2t), pool.threads,
-        )
-
-    def _par_uli(self, ev, dens, state, profile, pool) -> None:
-        table = self._dens_table(dens)
-        potr = self._pot_table(state)
-        kt = self.kt_eval
-
-        def tile(blk):
-            def run():
-                den = table[blk.den_rows].reshape(
-                    blk.boxes.size, blk.sp * self.ks
-                )
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.tgt_pts, blk.src_pts)
-                    )
-                )
-                return gemm_cols(k, den[:, :, None])[:, :, 0]
-            return run
-
-        t0 = time.perf_counter()
-        vals, busy = pool.run([tile(blk) for blk in self.uli])
-        for blk, v in zip(self.uli, vals):
-            potr[blk.pot_rows] += v.reshape(blk.boxes.size, blk.tp, kt)
-            profile.add_flops(blk.flops)
-        record_parallel_spans(
-            profile, "ULI", time.perf_counter() - t0, busy,
-            len(self.uli), pool.threads,
-        )
-
-    # -- parallel multi-RHS applies ----------------------------------------
-
-    def _par_s2u_multi(self, ev, dens, state, profile, pool) -> None:
-        up = state["up"]
-        table = self._dens_table_multi(dens)
         q = table.shape[2]
+        potr = self._pot_table(state)
 
-        def tile(blk):
-            def run():
-                den = self._den_block(table, blk.den_rows)
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-                )
-                qv = gemm_cols(k, den)
-                for j in range(q):
-                    up[blk.group, j] = (
-                        np.ascontiguousarray(qv[:, :, j]) @ blk.mat.T
-                    )
-            return run
+        def compute(blk):
+            k = self._kmat(blk, ev.eval_kernel, blk.tgt_pts, blk.src_pts)
+            return gemm_cols(k, self._den_block(table, blk.den_rows))
 
-        t0 = time.perf_counter()
-        _, busy = pool.run([tile(blk) for blk in self.s2u])
-        for blk in self.s2u:
+        def done(blk, vals):
+            self._scatter_pot(potr, blk.pot_rows, vals)
             profile.add_flops(blk.flops * q)
-        record_parallel_spans(
-            profile, "S2U", time.perf_counter() - t0, busy,
-            len(self.s2u), pool.threads,
-        )
 
-    def _par_u2u_multi(self, ev, state, profile, pool) -> None:
-        up = state["up"]
-        q = up.shape[1]
-        if not self.u2u:
-            return
-        t0 = time.perf_counter()
-        busy = 0.0
-        for wave in self._wave_steps(self.u2u, up.shape[0], "u2u"):
-            prods, b = pool.run(
-                [
-                    (lambda st=st: [
-                        up[st.src, j] @ st.mat.T for j in range(q)
-                    ])
-                    for st in wave
-                ]
-            )
-            busy += b
-            for st, cols in zip(wave, prods):
-                for j in range(q):
-                    up[st.dst, j] += cols[j]
-                profile.add_flops(st.flops * q)
-        record_parallel_spans(
-            profile, "U2U", time.perf_counter() - t0, busy,
-            len(self.u2u), pool.threads,
-        )
-
-    def _par_vli_fft_multi(self, ev, state, profile, pool) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        q = up.shape[1]
-        fft = ev.fft
-        step_flops = fft.translate_flops_per_pair()
-        per_col = (
-            np.dtype(self.cdtype).itemsize * self.kt * fft.n * fft.n * fft.nf
-        )
-
-        def groups(ch):
-            qc = max(
-                1, int(self.VLI_MULTI_BYTES // max(ch.utgt.size * per_col, 1))
-            )
-            return [(q0, min(q0 + qc, q)) for q0 in range(0, q, qc)]
-
-        def tile(ch):
-            def run():
-                src_up = up[ch.usrc]
-                for q0, q1 in groups(ch):
-                    uhat = fft.forward_multi(
-                        np.ascontiguousarray(src_up[:, q0:q1]),
-                        dtype=self.rdtype,
-                    )
-                    acc = self._buffer(
-                        "vli_acc_multi",
-                        (ch.utgt.size, q1 - q0, self.kt,
-                         fft.n, fft.n, fft.nf),
-                        self.cdtype,
-                    )
-                    acc.fill(0.0)
-                    for _off, that, tpos, spos, _npairs in ch.steps:
-                        acc[tpos] += fft.translate(that, uhat[spos])
-                    dcheck[ch.utgt, q0:q1] += fft.inverse_multi(acc)
-            return run
-
-        t0 = time.perf_counter()
-        _, busy = pool.run([tile(ch) for ch in self.vli_fft])
-        for ch in self.vli_fft:
-            for q0, q1 in groups(ch):
-                for _off, _that, _tpos, _spos, npairs in ch.steps:
-                    profile.add_flops(npairs * step_flops * (q1 - q0))
-                profile.add_flops(
-                    (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
-                    * fft.fft_flops_per_box()
-                    * (q1 - q0)
-                )
-        record_parallel_spans(
-            profile, "VLI", time.perf_counter() - t0, busy,
-            len(self.vli_fft), pool.threads,
-        )
-
-    def _par_vli_dense_multi(self, ev, state, profile, pool) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        q = up.shape[1]
-        if not self.vli_dense:
-            return
-        t0 = time.perf_counter()
-        prods, busy = pool.run(
-            [
-                (lambda st=st: [
-                    self._cast(up[st.src, j]) @ st.mat.T for j in range(q)
-                ])
-                for st in self.vli_dense
-            ]
-        )
-        for st, cols in zip(self.vli_dense, prods):
-            for j in range(q):
-                dcheck[st.dst, j] += cols[j]
-            profile.add_flops(st.flops * q)
-        record_parallel_spans(
-            profile, "VLI", time.perf_counter() - t0, busy,
-            len(self.vli_dense), pool.threads,
-        )
-
-    def _par_xli_multi(self, ev, dens, state, profile, pool) -> None:
-        dcheck = state["dcheck"]
-        table = self._dens_table_multi(dens)
-        q = table.shape[2]
-
-        def tile(blk):
-            def run():
-                den = self._den_block(table, blk.den_rows)
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(ev.kernel.matrix_batch(blk.surf, blk.pts))
-                )
-                vals = gemm_cols(k, den)
-                return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            return run
-
-        t0 = time.perf_counter()
-        sums, busy = pool.run([tile(blk) for blk in self.xli])
-        for blk, s in zip(self.xli, sums):
-            dcheck[blk.seg] += s.transpose(0, 2, 1)
-            profile.add_flops(blk.flops * q)
-        record_parallel_spans(
-            profile, "XLI", time.perf_counter() - t0, busy,
-            len(self.xli), pool.threads,
-        )
-
-    def _par_d2d_multi(self, ev, state, profile, pool) -> None:
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        q = dcheck.shape[1]
-        if not self.d2d:
-            return
-
-        def tile(st):
-            def run():
-                for j in range(q):
-                    dcheck[st.dst, j] += dequiv[st.src, j] @ st.mat.T
-            return run
-
-        t0 = time.perf_counter()
-        busy = 0.0
-        ntiles = 0
-        for lv in self.d2d:
-            _, b = pool.run([tile(st) for st in lv.l2l])
-            busy += b
-            ntiles += len(lv.l2l)
-            for st in lv.l2l:
-                profile.add_flops(st.flops * q)
-            for j in range(q):
-                dequiv[lv.nodes, j] = dcheck[lv.nodes, j] @ lv.conv_mat.T
-            profile.add_flops(lv.conv_flops * q)
-        record_parallel_spans(
-            profile, "D2D", time.perf_counter() - t0, busy,
-            ntiles, pool.threads,
-        )
-
-    def _par_wli_multi(self, ev, wli, state, profile, pool) -> None:
-        up = state["up"]
-        q = up.shape[1]
-        potr = state["_pot_pad"]
-        kt = self.kt_eval
-
-        def tile(blk):
-            def run():
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.pts, blk.surf)
-                    )
-                )
-                vals = gemm_cols(
-                    k, self._cast(up[blk.cols]).transpose(0, 2, 1)
-                )
-                return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-            return run
-
-        t0 = time.perf_counter()
-        sums, busy = pool.run([tile(blk) for blk in wli.blocks])
-        for blk, s in zip(wli.blocks, sums):
-            potr[blk.pot_rows] += s.reshape(
-                blk.seg.size, blk.pad, kt, q
-            ).transpose(0, 1, 3, 2)
-            profile.add_flops(blk.flops * q)
-        record_parallel_spans(
-            profile, "WLI", time.perf_counter() - t0, busy,
-            len(wli.blocks), pool.threads,
-        )
-
-    def _par_d2t_multi(self, ev, state, profile, pool) -> None:
-        dequiv = state["dequiv"]
-        potr = state["_pot_pad"]
-        q = dequiv.shape[1]
-        kt = self.kt_eval
-        if not self.d2t:
-            return
-
-        def tile(blk):
-            def run():
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.pts, blk.surf)
-                    )
-                )
-                return gemm_cols(
-                    k, self._cast(dequiv[blk.group]).transpose(0, 2, 1)
-                )
-            return run
-
-        t0 = time.perf_counter()
-        vals, busy = pool.run([tile(blk) for blk in self.d2t])
-        for blk, v in zip(self.d2t, vals):
-            potr[blk.pot_rows] += v.reshape(
-                blk.group.size, blk.pad, kt, q
-            ).transpose(0, 1, 3, 2)
-            profile.add_flops(blk.flops * q)
-        record_parallel_spans(
-            profile, "D2T", time.perf_counter() - t0, busy,
-            len(self.d2t), pool.threads,
-        )
-
-    def _par_uli_multi(self, ev, dens, state, profile, pool) -> None:
-        table = self._dens_table_multi(dens)
-        q = table.shape[2]
-        potr = state["_pot_pad"]
-        kt = self.kt_eval
-
-        def tile(blk):
-            def run():
-                den = self._den_block(table, blk.den_rows)
-                k = (
-                    blk.kmat
-                    if blk.kmat is not None
-                    else self._cast(
-                        ev.eval_kernel.matrix_batch(blk.tgt_pts, blk.src_pts)
-                    )
-                )
-                return gemm_cols(k, den)
-            return run
-
-        t0 = time.perf_counter()
-        vals, busy = pool.run([tile(blk) for blk in self.uli])
-        for blk, v in zip(self.uli, vals):
-            potr[blk.pot_rows] += v.reshape(
-                blk.boxes.size, blk.tp, kt, q
-            ).transpose(0, 1, 3, 2)
-            profile.add_flops(blk.flops * q)
-        record_parallel_spans(
-            profile, "ULI", time.perf_counter() - t0, busy,
-            len(self.uli), pool.threads,
-        )
+        with self._tiles("ULI", profile, pool) as run:
+            run(self.uli, compute, done)
 
 
 # -- compile ------------------------------------------------------------------

@@ -68,7 +68,7 @@ class GpuFmmEvaluator(FmmEvaluator):
 
     #: Device staging moves one density vector per transfer; multi-RHS
     #: blocks fall back to a bit-identical per-column loop (see
-    #: ``FmmEvaluator.evaluate_multi``).
+    #: ``FmmEvaluator.evaluate``).
     SUPPORTS_MULTI_RHS = False
 
     # -- helpers -----------------------------------------------------------

@@ -87,11 +87,11 @@ class ModelGeometry:
         self.version = int(version)
         self.fmm = fmm
         # The TuneConfig active for this snapshot (None untuned).  It
-        # rides here — not only on the model — because its knobs
-        # (VLI_MULTI_BYTES chunking, matrix budget) shape the compiled
-        # plan: a worker recompiling a cache-evicted plan for an *old*
-        # snapshot must use the old knobs, or answers under one geometry
-        # version could differ bit-wise across recompiles.
+        # rides here — not only on the model — because its matrix
+        # budget shapes the compiled plan: a worker recompiling a
+        # cache-evicted plan for an *old* snapshot must use the old
+        # budget, or answers under one geometry version could differ
+        # bit-wise across recompiles.
         self.tuned = tuned
 
 
@@ -572,12 +572,9 @@ class ServeEngine:
         precision = model.precision if precision is None else precision
 
         def compile_fn():
-            ep = geom.fmm.compile_eval_plan(
+            return geom.fmm.compile_eval_plan(
                 geom.plan, precision=precision, **kwargs
             )
-            if tuned is not None:  # instance override of the class knob
-                ep.VLI_MULTI_BYTES = tuned.vli_multi_bytes
-            return ep
 
         # plans of the same model at different precisions (and geometry
         # versions) are distinct cache entries, each charged its own
@@ -730,7 +727,6 @@ class ServeEngine:
                 new_plan, precision=config.precision,
                 matrix_budget=config.matrix_budget,
             )
-            ep.VLI_MULTI_BYTES = config.vli_multi_bytes
             # Publication order (see update_geometry): new plan in cache,
             # then the snapshot swap, then stale-key cleanup.
             self.plans.put(

@@ -1,10 +1,9 @@
 """Online autotuning: cost model, budgeted search, store, SLO monitor.
 
 The config space the serving stack exposes is wide — expansion order,
-leaf ``max_points``, precision, batch shape, ``VLI_MULTI_BYTES``, matrix
-budget — and the right point depends on geometry, kernel and hardware
-(paper Table III; Holm et al., PAPERS.md).  This package picks it
-automatically:
+leaf ``max_points``, precision, batch shape, matrix budget — and the
+right point depends on geometry, kernel and hardware (paper Table III;
+Holm et al., PAPERS.md).  This package picks it automatically:
 
 * :mod:`repro.tune.cost` — a structural per-phase cost model calibrated
   from cheap subsample probes (:class:`repro.core.autotune.SubsampleProbe`).

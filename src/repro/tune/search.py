@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.autotune import _FP32_SAFETY, SubsampleProbe
 from repro.core.evaluator import FmmEvaluator
 from repro.core.lists import build_lists
-from repro.core.plan import MATRIX_BUDGET, EvalPlan
+from repro.core.plan import MATRIX_BUDGET
 from repro.core.tree import build_tree
 from repro.kernels import get_kernel
 from repro.tune.cost import CostModel, plan_bytes_estimate
@@ -109,7 +109,6 @@ class TuneConfig:
     precision: str = "fp64"
     max_batch: int = 8
     max_wait_ms: float = 2.0
-    vli_multi_bytes: int = EvalPlan.VLI_MULTI_BYTES
     matrix_budget: int = MATRIX_BUDGET
     threads: int = 1
 
@@ -117,7 +116,7 @@ class TuneConfig:
         return (
             f"o{self.order}q{self.max_points}{self.precision}"
             f"b{self.max_batch}w{self.max_wait_ms:g}"
-            f"v{self.vli_multi_bytes // 2**20}m{self.matrix_budget // 2**20}"
+            f"m{self.matrix_budget // 2**20}"
             f"t{self.threads}"
         )
 
@@ -137,7 +136,6 @@ class TuneConfig:
             "precision": self.precision,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
-            "vli_multi_bytes": self.vli_multi_bytes,
             "matrix_budget": self.matrix_budget,
             "threads": self.threads,
         }
@@ -146,7 +144,7 @@ class TuneConfig:
     def from_dict(cls, d: dict) -> "TuneConfig":
         return cls(**{k: d[k] for k in (
             "order", "max_points", "precision", "max_batch", "max_wait_ms",
-            "vli_multi_bytes", "matrix_budget", "threads",
+            "matrix_budget", "threads",
         ) if k in d})
 
 
@@ -231,18 +229,17 @@ def _measure_one(
         tree, lists, precision=cfg.precision,
         matrix_budget=cfg.matrix_budget,
     )
-    plan.VLI_MULTI_BYTES = cfg.vli_multi_bytes
     block = rng.standard_normal(
         (tree.n_points * ev.kernel.source_dim, cfg.max_batch)
     )
     prev_threads = ev.threads
     ev.configure_threads(cfg.threads if cfg.threads > 1 else None)
     try:
-        ev.evaluate_multi(tree, lists, block, PhaseProfile(), plan=plan)
+        ev.evaluate(tree, lists, block, PhaseProfile(), plan=plan)
         best = np.inf
         for _ in range(max(1, reps)):
             t0 = time.perf_counter()
-            ev.evaluate_multi(tree, lists, block, PhaseProfile(), plan=plan)
+            ev.evaluate(tree, lists, block, PhaseProfile(), plan=plan)
             best = min(best, time.perf_counter() - t0)
     finally:
         ev.configure_threads(prev_threads)

@@ -16,9 +16,11 @@ import pytest
 
 from repro.core import Fmm
 from repro.core.contract import Q_PAD, gemm_cols
+from repro.core.plan import EvalPlan
 from repro.datasets import uniform_cube
 from repro.kernels import get_kernel
 from repro.perf.trace import TraceRecorder
+from repro.util.blas import limit_blas_threads
 from repro.util.timer import PhaseProfile
 
 
@@ -64,19 +66,46 @@ def _density_block(kernel_name, n, q, seed):
 class TestMultiRhsBitIdentity:
     """Batched evaluate vs per-column solo evaluate, bit for bit."""
 
+    #: ``(columns, VLI_MULTI_BYTES override)`` blocks pushed through the
+    #: plan phases: the historical 5 columns; one column as a block (the
+    #: 2-D-view / 3-D-storage boundary); a second ``gemm_cols`` column
+    #: group; and a V-list capped below one column's accumulator, so it
+    #: walks the block in column groups of one.
+    PLAN_CASES = [
+        (DENS_COLUMNS, None), (1, None), (Q_PAD + 1, None), (DENS_COLUMNS, 1),
+    ]
+
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
-    def test_plan_path(self, kernel):
+    def test_plan_path(self, kernel, monkeypatch):
         n = 900
         pts = uniform_cube(n, seed=31)
         fmm = Fmm(kernel, order=4, max_points_per_box=40)
-        block = _density_block(kernel, n, DENS_COLUMNS, seed=5)
+        block = _density_block(kernel, n, Q_PAD + 1, seed=5)
         plan = fmm.plan(pts)
         ep = fmm.compile_eval_plan(plan)
-        multi = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
-        assert multi.shape == (n * fmm.kernel.target_dim, DENS_COLUMNS)
-        for j in range(DENS_COLUMNS):
-            solo = fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=ep)
-            assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
+        # the tile pool pins BLAS to one thread; pin the references alike
+        with limit_blas_threads(1):
+            solos = [
+                fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=ep)
+                for j in range(block.shape[1])
+            ]
+            for q, vli_bytes in self.PLAN_CASES:
+                if vli_bytes is not None:
+                    monkeypatch.setattr(EvalPlan, "VLI_MULTI_BYTES", vli_bytes)
+                for threads in (None, 2):
+                    fmm.evaluator.configure_threads(threads)
+                    try:
+                        multi = fmm.evaluate(
+                            pts, block[:, :q], plan=plan, eval_plan=ep
+                        )
+                    finally:
+                        fmm.evaluator.configure_threads(None)
+                    assert multi.shape == (n * fmm.kernel.target_dim, q)
+                    for j in range(q):
+                        assert np.array_equal(multi[:, j], solos[j]), (
+                            f"{kernel} q={q} vli_bytes={vli_bytes} "
+                            f"threads={threads} col {j}"
+                        )
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_no_plan_path(self, kernel):

@@ -35,7 +35,7 @@ from repro.kernels import get_kernel
 from repro.mpi import run_spmd
 from repro.perf.model import parallel_report
 from repro.perf.trace import TraceRecorder
-from repro.util.blas import limit_blas_threads
+from repro.util.blas import blas_thread_count, limit_blas_threads
 from repro.util.timer import PhaseProfile
 
 N = 900
@@ -82,8 +82,8 @@ def compiled(geometry):
             with limit_blas_threads(1):
                 ref = ev.evaluate(tree, lists, dens, PhaseProfile(),
                                   plan=plan)
-                refm = ev.evaluate_multi(tree, lists, block, PhaseProfile(),
-                                         plan=plan)
+                refm = ev.evaluate(tree, lists, block, PhaseProfile(),
+                                   plan=plan)
             cache[key] = (ev, plan, dens, block, ref, refm)
         return cache[key]
 
@@ -162,12 +162,48 @@ class TestBitIdentitySolo:
         ev.configure_threads(threads)
         try:
             out = ev.evaluate(tree, lists, dens, PhaseProfile(), plan=plan)
-            outm = ev.evaluate_multi(tree, lists, block, PhaseProfile(),
-                                     plan=plan)
+            outm = ev.evaluate(tree, lists, block, PhaseProfile(),
+                               plan=plan)
         finally:
             ev.configure_threads(None)
         assert np.array_equal(out, ref)
         assert np.array_equal(outm, refm)
+
+    def test_matches_pinned_serial_at_blas_scale(self):
+        """The served ``stk`` shape: 3 000 uniform points, Stokes, order 6.
+
+        Its per-level check-to-equivalent conversions are 456-wide GEMMs
+        over hundreds of boxes — large enough for a multi-thread BLAS to
+        split, which the N=900 / order-4 matrix above never is.  A GEMM
+        left outside the pooled phase's pin then shows up as a pooled
+        apply that differs from the pinned serial one.
+        """
+        if blas_thread_count() < 2:
+            pytest.skip(
+                "BLAS runs a single thread (or is not controllable) here: "
+                "pinned and ambient GEMMs are the same computation"
+            )
+        kern = get_kernel("stokes")
+        tree = build_tree(uniform_cube(3_000, seed=23), 64)
+        lists = build_lists(tree)
+        ev = FmmEvaluator(kern, 6)
+        plan = ev.compile_plan(tree, lists)
+        dens = _density(kern, tree.n_points)
+        block = np.stack([dens, -dens], axis=1)
+        with limit_blas_threads(1):
+            ref = ev.evaluate(tree, lists, dens, PhaseProfile(), plan=plan)
+            refm = ev.evaluate(tree, lists, block, PhaseProfile(), plan=plan)
+        for threads in (1, 2):
+            ev.configure_threads(threads)
+            try:
+                out = ev.evaluate(tree, lists, dens, PhaseProfile(),
+                                  plan=plan)
+                outm = ev.evaluate(tree, lists, block, PhaseProfile(),
+                                   plan=plan)
+            finally:
+                ev.configure_threads(None)
+            assert np.array_equal(out, ref), f"threads={threads}"
+            assert np.array_equal(outm, refm), f"threads={threads} multi"
 
     def test_threads_kwarg_on_fmm_and_compile(self):
         pts = uniform_cube(600, seed=22)
@@ -439,23 +475,28 @@ class TestSmokePerf:
         ep = fmm.compile_eval_plan(plan)
         dens = np.random.default_rng(91).standard_normal(len(pts))
 
-        def best_of(reps):
-            best = np.inf
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed():
+            t0 = time.perf_counter()
+            fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
+            return time.perf_counter() - t0
 
-        with limit_blas_threads(1):
-            fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)  # warm
-            serial = best_of(5)
-        fmm.evaluator.configure_threads(2)
+        # Serial and 2-thread reps alternate, so both see the same
+        # background load (five of one then five of the other let a busy
+        # second core land on one side only); the first round warms both.
+        ev, pool = fmm.evaluator, TaskPool(2)
+        serial = parallel = np.inf
         try:
-            fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)  # warm pool
-            parallel = best_of(5)
+            for rep in range(6):
+                ev.set_pool(None)
+                with limit_blas_threads(1):
+                    s = timed()
+                ev.set_pool(pool)
+                p = timed()
+                if rep:
+                    serial, parallel = min(serial, s), min(parallel, p)
         finally:
-            fmm.evaluator.configure_threads(None)
+            ev.set_pool(None)
+            pool.shutdown()
         assert parallel <= serial * 1.1, (
             f"2-thread apply {parallel * 1e3:.1f}ms vs serial "
             f"{serial * 1e3:.1f}ms exceeds the 1.1x smoke bound"

@@ -133,6 +133,10 @@ class TestSearch:
                          max_batch=16, max_wait_ms=4.0)
         assert TuneConfig.from_dict(cfg.to_dict()) == cfg
         assert "o6q144fp32" in cfg.key()
+        # entries stored before the vli_multi_bytes knob was removed
+        # still load: unknown keys are ignored
+        stored = {**cfg.to_dict(), "vli_multi_bytes": 8 * 2**20}
+        assert TuneConfig.from_dict(stored) == cfg
 
 
 class TestStore:
