@@ -653,91 +653,34 @@ class FmmEvaluator:
         else:
             self._vli_dense(tree, lists, state, profile, scope)
 
-    def _v_pairs_by_level(self, tree, lists, scope=None):
-        """Yield (level, tgt_idx, src_idx, offsets) for nonzero V pairs."""
-        v = lists.v
-        counts = v.counts
-        tgts = np.repeat(np.arange(tree.n_nodes), counts)
-        srcs = v.indices
-        if scope is not None and tgts.size:
-            keep = scope[tgts]
-            tgts, srcs = tgts[keep], srcs[keep]
-        if srcs.size == 0:
-            return
-        levels = tree.levels[tgts]
+    def _v_offset_steps(self, tree, lists, scope=None):
+        """Yield ``(level, offset, tgt_idx, src_idx)`` per distinct V offset of
+        a level (dense M2L: one operator each); within one step each target
+        appears at most once."""
+        tgts, srcs = lists.v.pairs(scope)
         side = 2.0 * tree.half_widths[tgts]
         offs = np.rint(
             (tree.centers[tgts] - tree.centers[srcs]) / side[:, None]
         ).astype(np.int64)
-        for lev in np.unique(levels):
-            sel = levels == lev
-            yield int(lev), tgts[sel], srcs[sel], offs[sel]
+        code = tree.levels[tgts] * 343 + (offs + 3) @ (49, 7, 1)
+        order = np.argsort(code, kind="stable")  # pairs stay in list order
+        for sel in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+            if sel.size:
+                lev, off = int(tree.levels[tgts[sel[0]]]), tuple(offs[sel[0]])
+                yield lev, off, tgts[sel], srcs[sel]
 
     def _vli_dense(self, tree, lists, state, profile, scope=None) -> None:
         up, dcheck = state["up"], state["dcheck"]
-        for lev, tgts, srcs, offs in self._v_pairs_by_level(tree, lists, scope):
-            code = (offs[:, 0] + 3) * 49 + (offs[:, 1] + 3) * 7 + offs[:, 2] + 3
-            for c in np.unique(code):
-                sel = code == c
-                off = tuple(offs[sel][0])
-                m = self.ops.m2l_dense(lev, off)
-                # Within one offset each target appears at most once.
-                dcheck[tgts[sel]] += up[srcs[sel]] @ m.T
-                profile.add_flops(2.0 * sel.sum() * m.size)
-
-    #: Target boxes processed per FFT batch: bounds the frequency-grid
-    #: working set (each box holds a (2p)^3 complex grid) so deep levels
-    #: with tens of thousands of boxes do not blow up memory.
-    VLI_CHUNK = 2048
-
-    def _vli_chunks(self, tree, lists, scope=None):
-        """Yield FFT V-list chunk schedules ``(level, usrc, utgt, steps)``.
-
-        ``usrc``/``utgt`` are the unique source/target boxes of the chunk;
-        ``steps`` is a list of ``(offset, tgt_positions, src_positions,
-        n_pairs)`` where the positions index into ``utgt``/``usrc``.  Both
-        the per-call path and plan compilation iterate this generator, so
-        chunk boundaries and translation order are identical by
-        construction.  Within one offset each target appears at most once.
-        """
-        for lev, tgts, srcs, offs in self._v_pairs_by_level(tree, lists, scope):
-            # pairs arrive sorted by target; chunks are contiguous slices
-            utgt_all = np.unique(tgts)
-            for t0 in range(0, utgt_all.size, self.VLI_CHUNK):
-                chunk = utgt_all[t0 : t0 + self.VLI_CHUNK]
-                a = np.searchsorted(tgts, chunk[0], side="left")
-                b = np.searchsorted(tgts, chunk[-1], side="right")
-                ctgts, csrcs, coffs = tgts[a:b], srcs[a:b], offs[a:b]
-                usrc, src_pos = np.unique(csrcs, return_inverse=True)
-                utgt, tgt_pos = np.unique(ctgts, return_inverse=True)
-                code = (
-                    (coffs[:, 0] + 3) * 49 + (coffs[:, 1] + 3) * 7 + coffs[:, 2] + 3
-                )
-                steps = []
-                for c in np.unique(code):
-                    sel = code == c
-                    off = tuple(int(o) for o in coffs[sel][0])
-                    steps.append((off, tgt_pos[sel], src_pos[sel], int(sel.sum())))
-                yield lev, usrc, utgt, steps
+        for lev, off, tgts, srcs in self._v_offset_steps(tree, lists, scope):
+            m = self.ops.m2l_dense(lev, off)
+            dcheck[tgts] += up[srcs] @ m.T
+            profile.add_flops(2.0 * tgts.size * m.size)
 
     def _vli_fft(self, tree, lists, state, profile, scope=None) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        fft = self.fft
-        kt = self.kernel.target_dim
-        for lev, usrc, utgt, steps in self._vli_chunks(tree, lists, scope):
-            uhat = fft.forward(up[usrc])
-            acc = np.zeros(
-                (utgt.size, kt, fft.n, fft.n, fft.nf), dtype=np.complex128
-            )
-            for off, tpos, spos, npairs in steps:
-                that = fft.kernel_hat(lev, off)
-                acc[tpos] += fft.translate(that, uhat[spos])
-                profile.add_flops(npairs * fft.translate_flops_per_pair())
-            dcheck[utgt] += fft.inverse(acc)
-            profile.add_flops(
-                (usrc.size * self.kernel.source_dim + utgt.size * kt)
-                * fft.fft_flops_per_box()
-            )
+        up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
+        for g in self.fft.schedule(tree, lists.v, scope):
+            self.fft.vlist(g, up, dcheck)
+            profile.add_flops(g.flops)
 
     def _pair_batches(self, tree, rows, cols, level_of, pad_count_of):
         """Group interaction pairs by (level, padded count) and chunk.

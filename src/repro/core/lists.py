@@ -68,11 +68,19 @@ class CsrList:
     def total(self) -> int:
         return int(self.indices.size)
 
+    def pairs(self, scope: np.ndarray | None = None):
+        """``(rows, cols)`` of every entry, row-major; ``scope`` (bool mask
+        over rows) keeps the entries of in-scope rows."""
+        rows = np.repeat(np.arange(self.offsets.size - 1), self.counts)
+        if scope is None:
+            return rows, self.indices
+        keep = scope[rows]
+        return rows[keep], self.indices[keep]
+
     def invert(self, n: int | None = None) -> "CsrList":
         """Transpose of the adjacency (``j in inv.of(i)`` iff ``i in of(j)``)."""
         n = self.offsets.size - 1 if n is None else n
-        rows = np.repeat(np.arange(self.offsets.size - 1), self.counts)
-        return CsrList.from_pairs(self.indices, rows, n)
+        return CsrList.from_pairs(self.indices, self.pairs()[0], n)
 
 
 @dataclass

@@ -4,8 +4,8 @@ The paper's headline workloads (vortex-flow time stepping, iterative
 boundary-integral solvers) call the FMM repeatedly on a *fixed* tree with
 *changing* densities.  Everything in an evaluation that does not depend on
 the density vector — batch groupings, padded shapes, gather index arrays,
-scatter segment boundaries, surface point sets, V-list translation
-schedules, per-(level, child-position) traversal node sets, and the leaf
+scatter segment boundaries, surface point sets, V-list sibling-group
+tables, per-(level, child-position) traversal node sets, and the leaf
 kernel-matrix blocks themselves — can therefore be compiled once and
 reused across applies.  That is what :class:`EvalPlan` holds, together
 with the one apply method per phase (``apply_s2u`` ... ``apply_uli``)
@@ -23,10 +23,10 @@ Design rules:
 * **Bit-identical results.**  A plan-based apply must produce exactly the
   floating-point operation sequence of the legacy per-call path.  Compile
   therefore consumes the *same* grouping generators the legacy phases use
-  (``FmmEvaluator._leaf_batches`` / ``_pair_batches`` / ``_vli_chunks`` /
-  ``_uli_groups``), so batch membership, batch order and chunk boundaries
-  cannot diverge, and padded point arrays are materialised with the same
-  centre padding the legacy gathers produce.
+  (``FmmEvaluator._leaf_batches`` / ``_pair_batches`` / ``_uli_groups``
+  and ``FftM2L.schedule``), so batch membership, batch order and group
+  boundaries cannot diverge, and padded point arrays are materialised
+  with the same centre padding the legacy gathers produce.
 * **No Python per-box loops at apply time.**  Gathers are a single fancy
   index into a sentinel-extended density table; scatters are a stable
   argsort + ``np.add.reduceat`` segment sum (precompiled order/starts)
@@ -45,8 +45,8 @@ Design rules:
   GEMM + scatter.  Blocks that do not fit fall back to evaluating
   the kernel per apply, bit-identically either way.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
-  stores float32 kernel matrices, complex64 FFT translation hats and
-  float32 scratch tables, so the GEMM / FFT-translate phases run in
+  stores float32 kernel matrices, reads the complex64 V-list offset
+  tables and uses float32 scratch tables, so the GEMM / FFT-translate phases run in
   single precision (the paper ran exactly these phases in fp32 on the
   GPU, §5).  The *accumulation* state stays float64 throughout: the
   ``up``/``dcheck``/``dequiv``/potential arrays, the U2U/D2D operator
@@ -192,17 +192,6 @@ class _D2dLevel:
 
 
 @dataclass
-class _VChunk:
-    """One FFT V-list chunk: forward FFTs, per-offset translations, inverse."""
-
-    level: int
-    usrc: np.ndarray
-    utgt: np.ndarray
-    #: (offset, kernel_hat ref, tgt_positions, src_positions, n_pairs)
-    steps: list
-
-
-@dataclass
 class _PairBlock:
     """One (level, padded-count) pair batch of XLI or WLI."""
 
@@ -266,11 +255,14 @@ class EvalPlan:
     scoped: bool
     #: Arithmetic precision of the GEMM / FFT-translate phases: "fp64"
     #: (historical, bit-identical default) or "fp32" (float32 matrices,
-    #: complex64 hats, float32 gather tables; accumulators stay float64).
+    #: complex64 V-list, float32 gather tables; accumulators stay float64).
     precision: str = "fp64"
     s2u: list = field(default_factory=list)
     u2u: list = field(default_factory=list)
+    #: :class:`~repro.core.fft_m2l.VGroup` runs, and the bytes of the
+    #: offset tables their levels read (each distinct table once).
     vli_fft: list = field(default_factory=list)
+    vli_table_bytes: int = 0
     vli_dense: list = field(default_factory=list)
     xli: list = field(default_factory=list)
     d2d: list = field(default_factory=list)
@@ -342,12 +334,7 @@ class EvalPlan:
             total += sum(arrays(b) for b in sec)
         for lv in self.d2d:
             total += arrays(lv) + sum(arrays(st) for st in lv.l2l)
-        for ch in self.vli_fft:
-            total += ch.usrc.nbytes + ch.utgt.nbytes
-            for _off, that, tpos, spos, _np in ch.steps:
-                # kernel_hat transforms are shared with FftM2L's own cache,
-                # but they live only because the plan keeps them referenced.
-                total += that.nbytes + tpos.nbytes + spos.nbytes
+        total += self.vli_table_bytes + sum(arrays(g) for g in self.vli_fft)
         if self._wli is not None:
             total += self._wli.sig.nbytes
             total += sum(arrays(b) for b in self._wli.blocks)
@@ -469,10 +456,10 @@ class EvalPlan:
     # * Dense matrix steps (U2U, D2D, dense M2L, the S2U post-multiply)
     #   loop over columns: folding ``q`` into those GEMMs would change the
     #   row count and with it the bits.
-    # * pocketfft transforms are batch-stable and ``FftM2L.translate`` is
-    #   an explicit elementwise multiply-add chain, so FFTs and translates
-    #   batch over ``(box, column)``; the V-list still walks columns in
-    #   groups capped by ``VLI_MULTI_BYTES`` (grouping does not change bits).
+    # * The FFT V-list is ``FftM2L.vlist``: pocketfft transforms are
+    #   batch-stable, and every column runs its own gather and GEMM of the
+    #   solo shapes inside each frequency slab, sharing only the slab's
+    #   kernel matrix and the gather indices.
     # * ``np.add.reduceat`` segment sums are exact per slot regardless of
     #   trailing axes, so scatter schedules are shared as-is.
     # * W-list gating uses the *union* zero pattern over the columns.  A
@@ -482,7 +469,7 @@ class EvalPlan:
     #   matches the solo apply whose own pattern kept fewer pairs.
     #
     # Output ownership (what lets tiles run on a pool).
-    # * Disjoint-output tiles (S2U leaf groups, V-list FFT chunk targets,
+    # * Disjoint-output tiles (S2U leaf groups, V-list group targets,
     #   D2D l2l child rows within a level) write their slices from
     #   ``compute`` — the serial stores, reordered across disjoint rows.
     # * Overlapping-output tiles (U2U parents, dense-M2L targets, the
@@ -499,16 +486,6 @@ class EvalPlan:
     #   conversion) alike — so every pool width runs the same single-thread
     #   GEMMs whatever the host's BLAS setting.  ``pool=None`` leaves BLAS
     #   alone and emits no ``PARALLEL:*`` spans.
-
-    #: Byte budget for the V-list frequency accumulator: columns are
-    #: processed in groups sized to stay under it.  Deliberately small: the
-    #: translation sweep re-touches the whole accumulator once per offset
-    #: step, so it must stay cache-resident — at 256 MB a q=8 V-list ran 3x
-    #: *slower* than eight solo passes; at 8 MB (one column group on
-    #: paper-size levels) it matches the solo path.  The V-list is
-    #: memory-bound and gains nothing from column batching anyway — the
-    #: multi-RHS win lives in the GEMM phases (see DESIGN.md).
-    VLI_MULTI_BYTES = 8 * 2**20
 
     @contextmanager
     def _tiles(self, phase: str, profile, pool):
@@ -638,45 +615,12 @@ class EvalPlan:
         if not self.vli_fft:
             return
         up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
-        q = up.shape[1]
-        fft = ev.fft
-        step_flops = fft.translate_flops_per_pair()
-        box_flops = fft.fft_flops_per_box()
-        # Accumulator bytes per column: the complex itemsize halves under
-        # fp32, so the cache-resident column group doubles for free.
-        per_col = np.dtype(self.cdtype).itemsize * self.kt * fft.n * fft.n * fft.nf
 
-        def groups(ch):
-            qc = max(1, int(self.VLI_MULTI_BYTES // max(ch.utgt.size * per_col, 1)))
-            return [(q0, min(q0 + qc, q)) for q0 in range(0, q, qc)]
+        def compute(g):  # group targets are disjoint: added in place
+            ev.fft.vlist(g, up, dcheck, self.cdtype, self._buffer)
 
-        def compute(ch):
-            src_up = up[ch.usrc]
-            for q0, q1 in groups(ch):
-                uhat = fft.forward(
-                    np.ascontiguousarray(src_up[:, q0:q1]), dtype=self.rdtype
-                )
-                acc = self._buffer(
-                    "vli_acc",
-                    (ch.utgt.size, q1 - q0, self.kt, fft.n, fft.n, fft.nf),
-                    self.cdtype,
-                )
-                acc.fill(0.0)
-                for _off, that, tpos, spos, _npairs in ch.steps:
-                    # one translate carries every column of the group
-                    acc[tpos] += fft.translate(that, uhat[spos])
-                # chunk targets are disjoint: add in place
-                dcheck[ch.utgt, q0:q1] += fft.inverse(acc)
-
-        def done(ch, _):
-            for q0, q1 in groups(ch):
-                for _off, _that, _tpos, _spos, npairs in ch.steps:
-                    profile.add_flops(npairs * step_flops * (q1 - q0))
-                profile.add_flops(
-                    (ch.usrc.size * self.ks + ch.utgt.size * self.kt)
-                    * box_flops
-                    * (q1 - q0)
-                )
+        def done(g, _):
+            profile.add_flops(g.flops * up.shape[1])
 
         with self._tiles("VLI", profile, pool) as run:
             run(self.vli_fft, compute, done)
@@ -1067,10 +1011,8 @@ class _PlanReuse:
 
     def __init__(self, old_plan: EvalPlan, old_tree: FmmTree, old_lists,
                  delta: TreeDelta, precision: str):
-        self.old_plan = old_plan
         self.old_tree = old_tree
         self.old_lists = old_lists
-        self.refinement_changed = bool(delta.refinement_changed)
         self.node_clean = delta.node_clean
         self.old_index = delta.old_index
         self.perm = delta.perm
@@ -1109,39 +1051,6 @@ class _PlanReuse:
                         (blk.level, blk.pad,
                          int(keys[blk.rows[j]]), int(keys[blk.cols[j]]))
                     ] = (blk.kmat, j)
-        self._hats: dict[tuple, np.ndarray] = {}
-        if old_plan.precision == "fp32":
-            for ch in old_plan.vli_fft:
-                for off, that, _tpos, _spos, _npairs in ch.steps:
-                    self._hats[(ch.level, off)] = that
-
-    def fp32_hats(self) -> dict:
-        """Seed cache of complex64 translation hats harvested from the old
-        plan (the cast is deterministic, so sharing them is bitwise safe)."""
-        return dict(self._hats)
-
-    def vli_reusable(self, lists, scope) -> bool:
-        """True when the old plan's whole VLI section can be shared.
-
-        The V-list schedule (chunk boundaries, offset codes, spectra
-        positions) depends only on node indexing, levels, centres and the
-        V-list rows — none of which involve point coordinates.  With the
-        refinement pattern unchanged the node set and its Morton order
-        are identical, so if the V-list survived (the localized list
-        rebuild returns it by identity) and neither compile is scoped,
-        the compiled chunks are bitwise the fresh ones.  Precision must
-        match: fp32 chunks store complex64 hats.
-        """
-        if scope is not None or self.old_plan.scoped:
-            return False
-        if not self.kmats_ok or self.refinement_changed:
-            return False
-        v, ov = lists.v, self.old_lists.v
-        if v is ov:
-            return True
-        return np.array_equal(v.offsets, ov.offsets) and np.array_equal(
-            v.indices, ov.indices
-        )
 
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
         """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
@@ -1336,7 +1245,7 @@ def compile_plan(
     near field); disable it to trade apply speed for memory.
     ``precision`` is ``"fp64"`` (default; bit-identical to the
     pre-precision engine) or ``"fp32"`` (float32 matrices / complex64
-    hats / float32 tables; see the module docstring for what stays
+    V-list / float32 tables; see the module docstring for what stays
     float64).  ``"auto"`` must be resolved by the caller first —
     resolution needs a calibration workload this function does not have.
     """
@@ -1551,59 +1460,18 @@ def compile_plan(
             )
 
     # -- VLI ---------------------------------------------------------------
-    if _reuse is not None and _reuse.vli_reusable(lists, scopes.vli):
-        # refinement unchanged + V-list survived: the schedule is purely
-        # structural, share the old plan's compiled chunks wholesale
-        plan.vli_fft = list(_reuse.old_plan.vli_fft)
-        plan.vli_dense = list(_reuse.old_plan.vli_dense)
-    elif ev.m2l_mode == "fft":
-        fft = ev.fft
-        # fp32 plans store each translation hat rounded to complex64 once
-        # per (level, offset) — chunks at the same level share the cast.
-        # A patch seeds the cache from the old plan: the cast is
-        # deterministic, so the shared arrays are bitwise identical.
-        hat_c64: dict[tuple, np.ndarray] = (
-            {} if _reuse is None else _reuse.fp32_hats()
-        )
-
-        def _hat(lev, off):
-            that = fft.kernel_hat(lev, off)
-            if precision != "fp32":
-                return that
-            key = (lev, off)
-            h32 = hat_c64.get(key)
-            if h32 is None:
-                h32 = hat_c64[key] = that.astype(np.complex64)
-                h32.setflags(write=False)
-            return h32
-
-        for lev, usrc, utgt, steps in ev._vli_chunks(tree, lists, scopes.vli):
-            plan.vli_fft.append(
-                _VChunk(
-                    level=lev,
-                    usrc=usrc,
-                    utgt=utgt,
-                    steps=[
-                        (off, _hat(lev, off), tpos, spos, npairs)
-                        for off, tpos, spos, npairs in steps
-                    ],
-                )
-            )
+    if ev.m2l_mode == "fft":
+        plan.vli_fft = ev.fft.schedule(tree, lists.v, scopes.vli)
+        # build the levels' offset tables now, not at first apply; levels of
+        # a homogeneous kernel share one table
+        tables = [ev.fft.offset_table(g.level, plan.cdtype)[0] for g in plan.vli_fft]
+        plan.vli_table_bytes = sum({id(t): t.nbytes for t in tables}.values())
     else:
-        for lev, tgts, srcs, offs in ev._v_pairs_by_level(tree, lists, scopes.vli):
-            code = (offs[:, 0] + 3) * 49 + (offs[:, 1] + 3) * 7 + offs[:, 2] + 3
-            for c in np.unique(code):
-                cs = code == c
-                off = tuple(offs[cs][0])
-                m = plan._cast(ev.ops.m2l_dense(lev, off))
-                plan.vli_dense.append(
-                    _MatStep(
-                        mat=m,
-                        src=srcs[cs],
-                        dst=tgts[cs],
-                        flops=2.0 * cs.sum() * m.size,
-                    )
-                )
+        for lev, off, tgts, srcs in ev._v_offset_steps(tree, lists, scopes.vli):
+            m = plan._cast(ev.ops.m2l_dense(lev, off))
+            plan.vli_dense.append(
+                _MatStep(mat=m, src=srcs, dst=tgts, flops=2.0 * tgts.size * m.size)
+            )
 
     # -- D2D ---------------------------------------------------------------
     for lev in range(1, tree.max_level + 1):
@@ -1673,7 +1541,7 @@ def patch_plan(
     :class:`TreeDelta`, which swaps the expensive kernel-matrix
     materialisations (and the per-box ULI gather loops) for copies or
     shared references wherever the delta proves the inputs unchanged.
-    Cheap index arrays (gather/scatter schedules, V-list chunk codes,
+    Cheap index arrays (gather/scatter schedules, V-list group tables,
     operator steps) are always rebuilt: rows shift after the delta merge
     and the rebuild costs milliseconds.
 

@@ -173,73 +173,41 @@ class GpuFmmEvaluator(FmmEvaluator):
     def vli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
         """FFT-diagonalised V-list with the multiply on the device.
 
-        Per the paper, per-octant FFTs run on the CPU; only the pointwise
-        frequency-space translation is offloaded.  Dense mode has no GPU
-        path and falls back to the CPU implementation.  With a plan, the
-        chunk schedules come precompiled and the complex64 kernel
-        transforms the device consumes are cached on the plan, so repeated
-        applies skip both the pair grouping and the narrowing casts.
+        Per the paper, per-octant FFTs run on the CPU; only the
+        frequency-space translation is offloaded, in complex64.  Dense mode
+        has no GPU path and falls back to the CPU implementation.  The
+        arithmetic is the shared sibling-group routine; the ledger charges
+        the device per listed pair (each streams a source and an
+        accumulator grid) plus one kernel transform per distinct offset.
         """
         if self.m2l_mode != "fft" or not self._device_ok("VLI", profile):
             super().vli(tree, lists, state, profile, scope, plan=plan)
             return
-        up, dcheck = state["up"], state["dcheck"]
+        up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
-        fp32_plan = plan is not None and plan.precision == "fp32"
+        grid = fft.n * fft.n * fft.nf * np.dtype(np.complex64).itemsize
         if plan is not None:
-            # fp32 plans already carry complex64 kernel transforms — the
-            # device consumes the plan's shared buffers directly, with no
-            # side cache and no per-apply narrowing casts.
-            that32 = None if fp32_plan else plan.gpu.setdefault("vli_that32", {})
-            chunks = (
-                (ch.level, ch.usrc, ch.utgt, ch.steps) for ch in plan.vli_fft
-            )
+            groups, buffer = plan.vli_fft, plan._buffer
         else:
-            that32 = {}
-            chunks = (
-                (lev, usrc, utgt,
-                 [(off, fft.kernel_hat(lev, off), tpos, spos, npairs)
-                  for off, tpos, spos, npairs in steps])
-                for lev, usrc, utgt, steps in self._vli_chunks(tree, lists, scope)
+            groups, buffer = fft.schedule(tree, lists.v, scope), None
+        ledger, model = self.gpu.ledger, self.gpu.model
+        for g in groups:
+            fft.vlist(g, up, dcheck, np.complex64, buffer)
+            # CPU: forward and inverse FFTs
+            profile.add_flops(
+                (g.usrc.size * ks + g.utgt.size * kt) * fft.fft_flops_per_box()
             )
-        for lev, usrc, utgt, steps in chunks:
-            # CPU: forward FFTs (float32 grids under an fp32 plan, so the
-            # rfft emits complex64 directly instead of narrowing after)
-            if fp32_plan:
-                uhat = fft.forward(up[usrc], dtype=np.float32)
-            else:
-                uhat = fft.forward(up[usrc]).astype(np.complex64)
-            profile.add_flops(usrc.size * ks * fft.fft_flops_per_box())
-            nbytes_grid = uhat[0].nbytes if usrc.size else 0
-            self.gpu.ledger.charge_transfer(
+            nbytes = g.usrc.size * ks * grid
+            ledger.charge_transfer("VLI", model.transfer_seconds(nbytes), nbytes)
+            self.gpu.charge_launch(
                 "VLI",
-                self.gpu.model.transfer_seconds(uhat.nbytes),
-                uhat.nbytes,
-            )
-            acc = np.zeros(
-                (utgt.size, kt, fft.n, fft.n, fft.nf), dtype=np.complex64
-            )
-            flops = 0.0
-            gbytes = 0.0
-            for off, that, tpos, spos, npairs in steps:
-                if that32 is None:
-                    t32 = that  # already complex64, owned by the plan
-                else:
-                    t32 = that32.get((lev, off))
-                    if t32 is None:
-                        t32 = that32[(lev, off)] = that.astype(np.complex64)
-                acc[tpos] += fft.translate(t32, uhat[spos])
-                flops += npairs * fft.translate_flops_per_pair()
+                g.n_pairs * fft.translate_flops_per_pair(),
                 # low arithmetic intensity: every pair streams a grid
-                gbytes += npairs * (2.0 * nbytes_grid) + t32.nbytes
-            self.gpu.charge_launch("VLI", flops, gbytes)
-            self.gpu.ledger.charge_transfer(
-                "VLI", self.gpu.model.transfer_seconds(acc.nbytes), acc.nbytes
+                g.n_pairs * 2.0 * ks * grid + g.n_offsets * kt * ks * grid,
             )
-            # CPU: inverse FFTs and surface gather
-            dcheck[utgt] += fft.inverse(acc.astype(np.complex128))
-            profile.add_flops(utgt.size * kt * fft.fft_flops_per_box())
+            nbytes = g.utgt.size * kt * grid
+            ledger.charge_transfer("VLI", model.transfer_seconds(nbytes), nbytes)
 
     def d2t(self, tree, state, profile, scope=None, plan=None) -> None:
         if not self._device_ok("D2T", profile):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Fmm
 from repro.core.fft_m2l import FftM2L
@@ -101,18 +103,99 @@ class TestM2LModes:
             Fmm("laplace", m2l_mode="magic")
 
     def test_fft_translator_matches_dense_operator(self, rng):
-        """Unit-level: FFT path reproduces the dense M2L matvec."""
+        """Unit-level: the sibling-group routine reproduces the dense M2L
+        matvecs.  One target parent with all 26 colleagues, so every
+        (direction, source child, target child) combination occurs, checked
+        against ``OperatorCache.m2l_dense`` per listed pair; then again with
+        absent source and target children and an out-of-scope target."""
+        for name, order in (("laplace", 6), ("stokes", 4), ("yukawa", 4)):
+            kern = get_kernel(name)
+            ops, fft = OperatorCache(kern, order), FftM2L(kern, order)
+            for holes in (False, True):
+                tree, v, scope, pairs = _colleague_block(rng, holes)
+                groups = fft.schedule(tree, v, scope)
+                assert sum(g.n_pairs for g in groups) == len(pairs)
+                up = rng.standard_normal(
+                    (tree.n_nodes, 1, ops.n_surf * kern.source_dim)
+                )
+                want = np.zeros((tree.n_nodes, ops.n_surf * kern.target_dim))
+                for t, s, off in pairs:
+                    want[t] += ops.m2l_dense(3, off) @ up[s, 0]
+                for cdtype, tol in ((np.complex128, 1e-10), (np.complex64, 2e-4)):
+                    got = np.zeros((tree.n_nodes, 1, want.shape[1]))
+                    for g in groups:
+                        fft.vlist(g, up, got, cdtype)
+                    np.testing.assert_allclose(
+                        got[:, 0], want, rtol=0, atol=tol * np.abs(want).max()
+                    )
+                    # rows with no listed pair are never written
+                    assert not got[~want.any(axis=1)].any()
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(4, 2e-3), (6, 5e-5)]))
+    @settings(max_examples=6, deadline=None)
+    def test_random_adaptive_cloud_matches_direct_sum(self, seed, order_tol):
+        """Clustered random clouds (deep, unbalanced trees) through the full
+        evaluate, against direct summation under the order -> error ladder."""
+        order, tol = order_tol
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 900))
+        centres = rng.random((int(rng.integers(1, 5)), 3))
+        spread = 10.0 ** rng.uniform(-3, -0.5, size=(len(centres), 1))
+        which = rng.integers(0, len(centres), n)
+        pts = np.clip(
+            centres[which] + spread[which] * rng.standard_normal((n, 3)), 0, 1
+        )
         kern = get_kernel("laplace")
-        order = 6
-        ops = OperatorCache(kern, order)
-        fft = FftM2L(kern, order)
-        u = rng.standard_normal((1, ops.n_surf))
-        for off in [(2, 0, 0), (3, -1, 2), (-2, -2, -2)]:
-            dense = ops.m2l_dense(3, off) @ u[0]
-            uhat = fft.forward(u)
-            acc = fft.translate(fft.kernel_hat(3, off), uhat)
-            out = fft.inverse(acc)[0]
-            np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-12)
+        dens = rng.standard_normal(n)
+        f = Fmm(kern, order=order, max_points_per_box=20).evaluate(pts, dens)
+        assert rel_err(f, direct_sum(kern, pts, pts, dens)) < tol
+
+
+def _colleague_block(rng, holes):
+    """A 3 x 3 x 3 block of level-2 boxes with their level-3 children, as the
+    arrays ``FftM2L.schedule`` reads, plus the V-list of the centre box's
+    children from brute-force geometry: ``(tree, v, scope, [(t, s, offset)])``.
+
+    With ``holes``, some source children and one target child are absent
+    and one more target child is out of scope (its pairs stay in ``v``).
+    """
+    from types import SimpleNamespace
+
+    from repro.core.lists import CsrList
+
+    parents = np.array([(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
+    kids = (np.arange(8)[:, None] >> (2, 1, 0)) & 1
+    keep = np.ones((27, 8), dtype=bool)
+    if holes:
+        keep[rng.integers(0, 27, 12), rng.integers(0, 8, 12)] = False
+        keep[13, 5] = False  # a target child
+        keep[13, 0] = True
+    n = 27 + int(keep.sum())
+    children = np.full((n, 8), -1)
+    children[:27][keep] = np.arange(27, n)
+    par, pos = np.nonzero(keep)
+    coords = np.vstack([parents + 0.5, parents[par] + 0.25 + 0.5 * kids[pos]])
+    tree = SimpleNamespace(
+        n_nodes=n,
+        levels=np.r_[np.full(27, 2), np.full(n - 27, 3)],
+        parent=np.r_[np.full(27, -1), par],
+        children=children,
+        centers=coords / 4.0,
+        half_widths=np.r_[np.full(27, 0.125), np.full(n - 27, 0.0625)],
+    )
+    scope = np.ones(n, dtype=bool)
+    if holes:
+        scope[children[13, 0]] = False
+    rows, cols, pairs = [], [], []
+    for t in children[13][children[13] >= 0]:
+        for s in range(27, n):
+            off = np.rint((tree.centers[t] - tree.centers[s]) * 8).astype(int)
+            if np.abs(off).max() > 1:
+                rows.append(t)
+                cols.append(s)
+                if scope[t]:
+                    pairs.append((t, s, tuple(off)))
+    return tree, CsrList.from_pairs(np.array(rows), np.array(cols), n), scope, pairs
 
 
 class TestApiContract:

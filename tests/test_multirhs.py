@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import Fmm
 from repro.core.contract import Q_PAD, gemm_cols
-from repro.core.plan import EvalPlan
+from repro.core.fft_m2l import FftM2L
 from repro.datasets import uniform_cube
 from repro.kernels import get_kernel
 from repro.perf.trace import TraceRecorder
@@ -66,11 +66,11 @@ def _density_block(kernel_name, n, q, seed):
 class TestMultiRhsBitIdentity:
     """Batched evaluate vs per-column solo evaluate, bit for bit."""
 
-    #: ``(columns, VLI_MULTI_BYTES override)`` blocks pushed through the
-    #: plan phases: the historical 5 columns; one column as a block (the
-    #: 2-D-view / 3-D-storage boundary); a second ``gemm_cols`` column
-    #: group; and a V-list capped below one column's accumulator, so it
-    #: walks the block in column groups of one.
+    #: ``(columns, FftM2L.SPECTRA_BYTES override)`` blocks pushed through
+    #: the plan phases: the historical 5 columns; one column as a block
+    #: (the 2-D-view / 3-D-storage boundary); a second ``gemm_cols`` column
+    #: group; and a V-list whose spectra bound is below one column, so it
+    #: walks the block in column runs of one.
     PLAN_CASES = [
         (DENS_COLUMNS, None), (1, None), (Q_PAD + 1, None), (DENS_COLUMNS, 1),
     ]
@@ -89,9 +89,9 @@ class TestMultiRhsBitIdentity:
                 fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=ep)
                 for j in range(block.shape[1])
             ]
-            for q, vli_bytes in self.PLAN_CASES:
-                if vli_bytes is not None:
-                    monkeypatch.setattr(EvalPlan, "VLI_MULTI_BYTES", vli_bytes)
+            for q, spectra_bytes in self.PLAN_CASES:
+                if spectra_bytes is not None:
+                    monkeypatch.setattr(FftM2L, "SPECTRA_BYTES", spectra_bytes)
                 for threads in (None, 2):
                     fmm.evaluator.configure_threads(threads)
                     try:
@@ -103,7 +103,7 @@ class TestMultiRhsBitIdentity:
                     assert multi.shape == (n * fmm.kernel.target_dim, q)
                     for j in range(q):
                         assert np.array_equal(multi[:, j], solos[j]), (
-                            f"{kernel} q={q} vli_bytes={vli_bytes} "
+                            f"{kernel} q={q} spectra_bytes={spectra_bytes} "
                             f"threads={threads} col {j}"
                         )
 

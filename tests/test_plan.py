@@ -215,3 +215,111 @@ def test_distributed_plan_compiles_once():
     for r in range(4):
         spans = res.trace.span_events(rank=r, phase="setup:plan")
         assert len(spans) == 1, f"rank {r}: {len(spans)} setup:plan spans"
+
+
+# -- V-list sibling-group schedule --------------------------------------------
+
+
+def _listed(tree, v, scope=None):
+    """V pairs per level, restricted to in-scope targets."""
+    tgts, _ = v.pairs(scope)
+    return np.bincount(tree.levels[tgts], minlength=tree.max_level + 1)
+
+
+def _scheduled(fft, tree, v, scope=None):
+    out = np.zeros(tree.max_level + 1, dtype=np.int64)
+    for g in fft.schedule(tree, v, scope):
+        out[g.level] += g.n_pairs
+        assert g.nbr.shape == (len(g.tchild), len(g.dirs))
+        assert len(g.tchild) <= fft.GROUP_PARENTS
+    return out
+
+
+def test_vlist_schedule_counts_adaptive_and_patched(rng):
+    """The parent tables reproduce ``lists.v`` pair for pair, per level, on
+    a deep adaptive tree and on the tree + lists an update step produces."""
+    from repro.datasets import plummer_cluster
+
+    pts = plummer_cluster(2500, seed=5)
+    fmm = Fmm("laplace", order=4, max_points_per_box=20)
+    plan = fmm.plan(pts)
+    fft = fmm.evaluator.fft
+    assert plan.tree.max_level >= 5
+    assert np.array_equal(
+        _scheduled(fft, plan.tree, plan.lists.v),
+        _listed(plan.tree, plan.lists.v),
+    )
+    new = pts.copy()
+    moved = np.arange(300)
+    new[moved] = 0.31 + 0.01 * rng.random((300, 3))  # forces deep splits
+    new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+    assert delta.refinement_changed
+    assert np.array_equal(
+        _scheduled(fft, new_plan.tree, new_plan.lists.v),
+        _listed(new_plan.tree, new_plan.lists.v),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_vlist_schedule_counts_let_scoped(p):
+    """Same on per-rank LET trees under the ownership mask the driver
+    compiles with."""
+    from repro.datasets import ellipsoid_surface
+
+    points = ellipsoid_surface(2400, seed=3)
+
+    def body(comm):
+        fmm = DistributedFmm(order=4, max_points_per_box=30)
+        fmm.setup(comm, points[comm.rank :: comm.size])
+        tree, v, scope = fmm.let.tree, fmm.lists.v, fmm.let.owned_contrib
+        got = _scheduled(fmm.evaluator.fft, tree, v, scope)
+        return got, _listed(tree, v, scope), _listed(tree, v)
+
+    res = run_spmd(p, body)
+    for got, want, unscoped in res.values:
+        assert np.array_equal(got, want)
+        assert want.sum() < unscoped.sum()  # the mask did restrict something
+
+
+def test_vlist_schedule_rejects_non_product_list():
+    """A V-list missing one pair is not a sibling-group product: compile
+    refuses it, naming the level and both counts."""
+    from repro.core.lists import CsrList, InteractionLists
+
+    fmm, plan, _ = _setup()
+    v = plan.lists.v
+    node = int(np.flatnonzero(v.counts > 0)[-1])
+    offsets = v.offsets.copy()
+    offsets[node + 1 :] -= 1
+    cut = CsrList(offsets, np.delete(v.indices, v.offsets[node]))
+    lists = InteractionLists(
+        plan.lists.u, cut, plan.lists.w, plan.lists.x, plan.lists.colleagues
+    )
+    level = int(plan.tree.levels[node])
+    n_level = int(_listed(plan.tree, v)[level])
+    with pytest.raises(
+        PlanMismatchError,
+        match=rf"level {level}.*imply {n_level} pairs.*holds {n_level - 1}",
+    ):
+        fmm.evaluator.compile_plan(plan.tree, lists)
+
+
+def test_plan_nbytes_charges_each_offset_table_once(monkeypatch):
+    """The serve plan cache budgets on ``nbytes``: a level's offset table
+    counts once however many groups the level splits into, and the levels
+    of a homogeneous kernel share one table."""
+    from repro.core.fft_m2l import FftM2L
+
+    for kernel, per_level in (("laplace", False), ("yukawa", True)):
+        fmm, plan, _ = _setup(kernel, q=10)
+        ep = fmm.compile_eval_plan(plan)
+        levels = {g.level for g in ep.vli_fft}
+        assert len(levels) >= 2
+        one = fmm.evaluator.fft.offset_table(2)[0].nbytes
+        assert ep.vli_table_bytes == one * (len(levels) if per_level else 1)
+        with monkeypatch.context() as m:
+            m.setattr(FftM2L, "GROUP_PARENTS", 2)
+            split = fmm.compile_eval_plan(plan)
+        assert len(split.vli_fft) > len(ep.vli_fft)
+        assert split.vli_table_bytes == ep.vli_table_bytes
+        assert ep.nbytes < split.nbytes < ep.nbytes + ep.vli_table_bytes
