@@ -48,15 +48,13 @@ def _cmd_evaluate(args) -> int:
         profile.bind_trace(recorder, 0)
     t0 = time.perf_counter()
     plan = fmm.plan(points, profile=profile)
-    pot = fmm.evaluate(points, dens, plan=plan, profile=profile,
-                       use_plan=not args.no_plan)
+    pot = fmm.evaluate(points, dens, plan=plan, profile=profile)
     dt = time.perf_counter() - t0
     # --repeat: re-apply on the same tree (iterative-solver pattern); the
     # evaluator compiles its EvalPlan on the second call and amortises it
     for k in range(args.repeat - 1):
         t1 = time.perf_counter()
-        pot = fmm.evaluate(points, dens, plan=plan, profile=profile,
-                           use_plan=not args.no_plan)
+        pot = fmm.evaluate(points, dens, plan=plan, profile=profile)
         print(f"  repeat {k + 2}: {time.perf_counter() - t1:.2f}s")
     if recorder is not None:
         n = recorder.write_jsonl(args.trace)
@@ -1238,8 +1236,6 @@ def main(argv=None) -> int:
     pe.add_argument("--repeat", type=int, default=1, metavar="K",
                     help="apply K times on the fixed tree (amortised plan "
                          "path kicks in from the second call)")
-    pe.add_argument("--no-plan", action="store_true",
-                    help="disable EvalPlan compilation (legacy per-call path)")
     pe.add_argument("--precision", default="fp64",
                     choices=["fp64", "fp32", "auto"],
                     help="plan precision: fp64 (bit-identical baseline), "

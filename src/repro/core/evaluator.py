@@ -15,16 +15,19 @@ Phases, matching the paper's naming:
 =========  =================================================================
 
 The evaluator owns no tree state: it maps ``(tree, lists, densities)`` to
-potentials, charging flops to an optional :class:`PhaseProfile`.  Both the
-distributed driver and the GPU-accelerated evaluator reuse its phase
-methods, overriding only what they accelerate.
+potentials, charging flops to an optional :class:`PhaseProfile`.  The
+arithmetic of every phase lives in one place, the ``apply_*`` methods of a
+compiled :class:`~repro.core.plan.EvalPlan`; the eight phase methods here
+hand the plan this evaluator's task pool and nothing else.  They are the
+interface a backend overrides (the GPU evaluator replaces four of them),
+and the one the distributed driver calls with its ownership-scoped plan.
 
-Every phase accepts an optional precompiled :class:`~repro.core.plan.EvalPlan`
-(see that module): with a plan, the phase runs a pure-array apply over
-bit-identical precompiled schedules; without one it derives its batching
-per call as before.  :meth:`evaluate` compiles a plan lazily on the second
-consecutive call with the same ``(tree, lists)`` pair, so one-shot
-evaluations pay nothing and repeated applies amortise the setup.
+:meth:`evaluate` finds the plan itself when the caller passes none: the
+first call on a ``(tree, lists)`` pair applies a transient plan without
+kernel-matrix caches (schedules only, kernel blocks evaluated chunk by
+chunk and discarded), the second consecutive call compiles the cached plan
+that every later call reuses.  One-shot evaluations therefore never hold a
+matrix cache and repeated applies amortise the setup.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import weakref
 
 import numpy as np
 
-from repro.core.contract import gemm_cols
 from repro.core.fft_m2l import FftM2L
 from repro.core.lists import InteractionLists
 from repro.core.operators import OperatorCache
@@ -64,15 +66,12 @@ class FmmEvaluator:
         forces from the same pass.  Must share the base kernel's
         ``source_dim``.  Default: the base kernel itself.
     precision:
-        Arithmetic precision of plan-based applies: ``"fp64"`` (default;
-        bit-identical to the pre-precision engine), ``"fp32"`` (float32
-        GEMM phases / complex64 V-list; accumulators stay float64), or
-        ``"auto"`` (a one-time calibration probe —
+        Arithmetic precision of the plans this evaluator compiles:
+        ``"fp64"`` (default), ``"fp32"`` (float32 GEMM phases / complex64
+        V-list; accumulators stay float64), or ``"auto"`` (a one-time
+        calibration probe —
         :func:`repro.core.autotune.autotune_precision` — picks the
-        cheapest precision meeting ``precision_rtol``).  fp32 is
-        plan-only: the legacy per-call path stays float64, so
-        ``use_plan=False`` with an fp32 precision raises
-        :class:`~repro.core.plan.PrecisionError`.
+        cheapest precision meeting ``precision_rtol``).
     precision_rtol:
         Relative-error target for ``precision="auto"`` (default
         :data:`repro.core.autotune.DEFAULT_PRECISION_RTOL`).
@@ -110,14 +109,19 @@ class FmmEvaluator:
         self.ops = OperatorCache(kernel, order, rcond=rcond)
         self.fft = FftM2L(kernel, order) if m2l_mode == "fft" else None
         self.ns = self.ops.n_surf
-        # Lazy plan cache: (weakrefs to the last-seen tree/lists, how many
-        # consecutive evaluates saw them, and the compiled plan if any).
-        # Guarded by ``_plan_lock``: concurrent evaluates of one shared
-        # evaluator must agree on a single compile per (tree, lists).
+        # Lazy plan cache: weakrefs to the last-seen tree/lists, how many
+        # consecutive evaluates saw them, and a box holding the compiled
+        # plan (``{"plan": EvalPlan}`` or empty).  Guarded by
+        # ``_plan_lock``: concurrent evaluates of one shared evaluator must
+        # agree on a single compile per (tree, lists).  The one writer
+        # outside the lock is the tree weakref's callback, which empties
+        # the box it was created with — and touches nothing else, because
+        # it can fire inside a garbage collection on a thread that holds
+        # the lock.
         self._plan_tree = None
         self._plan_lists = None
         self._plan_calls = 0
-        self._plan_obj = None
+        self._plan_box: dict = {}
         self._plan_lock = threading.Lock()
         # "auto" resolves once per evaluator (first workload wins) under
         # its own lock — _cached_plan holds _plan_lock, so the probe must
@@ -126,8 +130,7 @@ class FmmEvaluator:
         self._auto_result = None
         self._auto_lock = threading.Lock()
         # Intra-rank parallelism: plan applies run their phase tiles on a
-        # TaskPool when ``threads`` is set (``None`` = the historical
-        # serial path).  The pool may also be an externally owned shared
+        # TaskPool when ``threads`` is set (``None`` = serial).  The pool may also be an externally owned shared
         # executor (the serving engines) via :meth:`set_pool`.
         self._threads = None if threads is None else max(1, int(threads))
         self._pool = None
@@ -138,7 +141,7 @@ class FmmEvaluator:
 
     @property
     def threads(self) -> int | None:
-        """Configured task-pool size (``None`` = serial legacy path)."""
+        """Configured task-pool size (``None`` = serial applies)."""
         return self._threads
 
     @property
@@ -146,7 +149,7 @@ class FmmEvaluator:
         """The active :class:`~repro.core.parallel.TaskPool`, or ``None``.
 
         Created lazily from ``threads`` so constructing an evaluator
-        never spawns OS threads; plan applies pass this to every phase.
+        never spawns OS threads; the phase methods pass this to the plan.
         """
         if self._threads is None:
             return self._pool  # None, or an externally shared pool
@@ -276,22 +279,30 @@ class FmmEvaluator:
     #: chip, so host-side matrix caches would only burn memory.
     PLAN_CACHE_MATRICES = True
 
-    def _cached_plan(self, tree, lists, profile, precision="fp64"):
-        """Plan for ``(tree, lists)``, compiled on the second consecutive
-        evaluate that sees the pair (one-shot calls stay plan-free).
+    @property
+    def _plan_obj(self):
+        """The lazily compiled plan, or ``None`` (none yet, or its tree died)."""
+        return self._plan_box.get("plan")
 
-        fp32 plans compile eagerly on the *first* call instead: float32
-        arithmetic only exists as a plan, so deferring would silently run
-        the first call in fp64 — a precision the caller did not ask for.
-        A cached plan at a different precision is discarded and
-        recompiled (per-call overrides flip precision mid-stream).
+    def _cached_plan(self, tree, lists, profile, precision):
+        """Plan for an evaluate call that brought none.
 
-        Compilation is charged to the ``setup:plan`` span so traces and
-        the perf model can separate amortisable setup from apply work.
-        The whole lookup runs under ``_plan_lock``: two threads evaluating
-        the same pair must produce exactly one compile (later callers
-        block briefly, then reuse it) and must not race the weakref
-        bookkeeping into re-compiling or dropping a live plan.
+        The second consecutive call that sees a ``(tree, lists)`` pair
+        compiles the plan every later call reuses; the first gets a
+        transient plan compiled without kernel-matrix caches, which the
+        caller applies once and drops — a one-shot evaluation evaluates
+        each kernel block once either way, and this way never holds them
+        all.  A cached plan at a different precision is discarded and
+        recompiled (per-call overrides flip precision mid-stream), and the
+        cache holds its tree weakly: when the caller drops the tree, the
+        plan goes with it.
+
+        The cached compile is charged to the ``setup:plan`` span so traces
+        and the perf model can separate amortisable setup from apply work,
+        and runs under ``_plan_lock``: two threads evaluating the same pair
+        must produce exactly one compile (later callers block briefly,
+        then reuse it) and must not race the weakref bookkeeping into
+        re-compiling or dropping a live plan.
         """
         with self._plan_lock:
             tr = self._plan_tree() if self._plan_tree is not None else None
@@ -299,25 +310,26 @@ class FmmEvaluator:
             if tr is tree and lr is lists:
                 self._plan_calls += 1
             else:
-                self._plan_tree = weakref.ref(tree)
+                box = self._plan_box = {}
+                self._plan_tree = weakref.ref(tree, lambda _ref: box.clear())
                 self._plan_lists = weakref.ref(lists)
                 self._plan_calls = 1
-                self._plan_obj = None
-            if (
-                self._plan_obj is not None
-                and self._plan_obj.precision != precision
-            ):
-                self._plan_obj = None
-            need_at = 1 if precision == "fp32" else 2
-            if self._plan_obj is None and self._plan_calls >= need_at:
+            plan = self._plan_box.get("plan")
+            if plan is not None and plan.precision != precision:
+                plan = None
+            if plan is None and self._plan_calls >= 2:
                 with profile.phase("setup:plan"):
-                    self._plan_obj = self.compile_plan(
+                    plan = self._plan_box["plan"] = self.compile_plan(
                         tree,
                         lists,
                         cache_matrices=self.PLAN_CACHE_MATRICES,
                         precision=precision,
                     )
-            return self._plan_obj
+        if plan is None:
+            plan = self.compile_plan(
+                tree, lists, cache_matrices=False, precision=precision
+            )
+        return plan
 
     #: Whether this evaluator can push a multi-RHS ``(n, q)`` density
     #: block through the phases in one pass.  The GPU evaluator turns
@@ -325,17 +337,20 @@ class FmmEvaluator:
     #: back to a bit-identical per-column loop.
     SUPPORTS_MULTI_RHS = True
 
-    def _resolve_plan(self, tree, lists, profile, plan, use_plan, precision):
+    def _resolve_plan(self, tree, lists, profile, plan, precision):
         """Shared plan/precision resolution for the evaluate entry points.
 
-        Returns the plan to apply (or ``None`` for the fp64 legacy
-        path), enforcing the precision contract: an explicit plan's own
-        precision wins unless an explicit override contradicts it, and
-        fp32 without a plan is an error (there is no fp32 legacy path).
+        Returns the plan to apply and records its precision on the
+        profile.  An explicit plan's own precision wins unless an explicit
+        override contradicts it; without a plan the lazy cache supplies
+        one at the effective precision.
         """
         from repro.core.plan import PrecisionError
 
-        if plan is not None:
+        if plan is None:
+            eff = self._effective_precision(tree, profile, precision)
+            plan = self._cached_plan(tree, lists, profile, eff)
+        else:
             plan.check(tree)
             if precision is not None:
                 eff = self._effective_precision(tree, profile, precision)
@@ -345,15 +360,7 @@ class FmmEvaluator:
                         f"but the call requested {eff!r}; recompile the "
                         f"plan or drop the override"
                     )
-            return plan
-        eff = self._effective_precision(tree, profile, precision)
-        if use_plan:
-            plan = self._cached_plan(tree, lists, profile, eff)
-        if plan is None and eff == "fp32":
-            raise PrecisionError(
-                "fp32 evaluation is plan-only (the legacy per-call path "
-                "is float64); enable use_plan or pass a compiled fp32 plan"
-            )
+        profile.precision = plan.precision
         return plan
 
     # -- public API -------------------------------------------------------
@@ -365,7 +372,6 @@ class FmmEvaluator:
         densities: np.ndarray,
         profile: PhaseProfile | None = None,
         plan=None,
-        use_plan: bool = True,
         precision: str | None = None,
     ) -> np.ndarray:
         """Potentials at the tree's (Morton-sorted) points.
@@ -377,23 +383,22 @@ class FmmEvaluator:
         phases in one pass and the result is ``(n_points * target_dim,
         q)``, column ``j`` bit-identical to ``evaluate(densities[:, j])``
         (see the phase-apply notes in :mod:`repro.core.plan`).  Any other
-        shape is flattened to a single density vector.  The one-pass
-        block path needs a plan; without one (or when the subclass sets
-        ``SUPPORTS_MULTI_RHS = False``) the columns run one at a time —
-        identical by construction, just without the GEMM batching win.
+        shape is flattened to a single density vector.  A subclass that
+        sets ``SUPPORTS_MULTI_RHS = False`` runs the columns one at a
+        time — identical by construction, just without the GEMM batching
+        win.
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
-        Otherwise, with ``use_plan`` (the default), a plan is compiled
-        lazily on the second consecutive call with the same
-        ``(tree, lists)`` and reused from then on; ``use_plan=False``
-        forces the per-call legacy path.
+        Otherwise the evaluator supplies one: a transient plan without
+        matrix caches on the first call with a ``(tree, lists)`` pair, a
+        cached plan compiled on the second consecutive call and reused
+        from then on.
 
         ``precision`` overrides the evaluator default for this call.  An
         explicit ``plan`` carries its own precision; combining it with a
         *conflicting* explicit override raises
-        :class:`~repro.core.plan.PrecisionError`, as does requesting
-        fp32 on the plan-free path (fp32 is plan-only).
+        :class:`~repro.core.plan.PrecisionError`.
         """
         profile = profile if profile is not None else PhaseProfile()
         expected = tree.n_points * self.kernel.source_dim
@@ -404,7 +409,7 @@ class FmmEvaluator:
         if block and q == 1:
             return self.evaluate(
                 tree, lists, dens[:, 0], profile, plan=plan,
-                use_plan=use_plan, precision=precision,
+                precision=precision,
             ).reshape(-1, 1)
         if not block:
             dens = dens.reshape(-1)
@@ -414,46 +419,42 @@ class FmmEvaluator:
                     f"expected n_points*source_dim = {expected} (or a 2-D "
                     f"({expected}, q) multi-RHS block)"
                 )
-        plan = self._resolve_plan(
-            tree, lists, profile, plan, use_plan, precision
-        )
-        profile.precision = plan.precision if plan is not None else "fp64"
-        if block and (plan is None or not self.SUPPORTS_MULTI_RHS):
+        plan = self._resolve_plan(tree, lists, profile, plan, precision)
+        if block and not self.SUPPORTS_MULTI_RHS:
             cols = [
                 self.evaluate(
-                    tree,
-                    lists,
-                    np.ascontiguousarray(dens[:, j]),
-                    profile,
+                    tree, lists, np.ascontiguousarray(dens[:, j]), profile,
                     plan=plan,
-                    use_plan=use_plan,
-                    precision=precision,
                 )
                 for j in range(q)
             ]
             return np.stack(cols, axis=1)
         state = self.allocate(tree, q)
-
-        with profile.phase("S2U"):
-            self.s2u(tree, dens, state, profile, plan=plan)
-        with profile.phase("U2U"):
-            self.u2u(tree, state, profile, plan=plan)
-        with profile.phase("VLI"):
-            self.vli(tree, lists, state, profile, plan=plan)
-        with profile.phase("XLI"):
-            self.xli(tree, lists, dens, state, profile, plan=plan)
-        with profile.phase("D2D"):
-            self.d2d(tree, state, profile, plan=plan)
+        self._upward_and_down(tree, lists, dens, state, profile, plan)
         with profile.phase("WLI"):
-            self.wli(tree, lists, state, profile, plan=plan)
+            self.wli(tree, lists, state, profile, plan)
         with profile.phase("D2T"):
-            self.d2t(tree, state, profile, plan=plan)
+            self.d2t(tree, state, profile, plan)
         with profile.phase("ULI"):
-            self.uli(tree, lists, dens, state, profile, plan=plan)
+            self.uli(tree, lists, dens, state, profile, plan)
         pot = state["pot"]
         if block:  # (n_points, q, kt_eval) -> (n_points * kt_eval, q)
             return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(-1, q)
         return pot
+
+    def _upward_and_down(self, tree, lists, dens, state, profile, plan):
+        """S2U through D2D: everything that does not depend on where the
+        field is evaluated, leaving ``up`` and ``dequiv`` complete."""
+        with profile.phase("S2U"):
+            self.s2u(tree, dens, state, profile, plan)
+        with profile.phase("U2U"):
+            self.u2u(tree, state, profile, plan)
+        with profile.phase("VLI"):
+            self.vli(tree, lists, state, profile, plan)
+        with profile.phase("XLI"):
+            self.xli(tree, lists, dens, state, profile, plan)
+        with profile.phase("D2D"):
+            self.d2d(tree, state, profile, plan)
 
     def evaluate_targets(
         self,
@@ -465,35 +466,37 @@ class FmmEvaluator:
     ) -> np.ndarray:
         """Potentials at arbitrary target points (sources stay on the tree).
 
-        Runs the full upward/interaction/downward machinery on the source
-        tree, then evaluates the final phases (D2T, W-list, U-list direct)
-        at the given targets: each target inherits the interaction lists of
-        the leaf containing it.  Targets must lie in the unit cube.  This
-        path is plan-free: the target-side phases depend on the ad-hoc
-        target set, which a tree-bound plan cannot precompile.
+        Runs the upward/interaction/downward phases on the source tree
+        through a plan, resolved exactly as :meth:`evaluate` resolves one
+        (so at the evaluator's precision), then evaluates the final
+        phases (D2T, W-list, U-list direct) at the given targets: each
+        target inherits the interaction lists of the leaf containing it.
+        The target-side sums depend on the ad-hoc target set, which a
+        tree-bound plan cannot precompile; they run per leaf in float64.
+        ``targets`` must be finite ``(n, 3)`` points in the unit cube;
+        anything else raises a ``ValueError`` naming the first bad row.
         """
         from repro.octree.linear import covering_leaf_indices
-
-        profile = profile if profile is not None else PhaseProfile()
-        state = self.allocate(tree)
-        dens = np.ascontiguousarray(densities, dtype=np.float64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64)
-
-        with profile.phase("S2U"):
-            self.s2u(tree, dens, state, profile)
-        with profile.phase("U2U"):
-            self.u2u(tree, state, profile)
-        with profile.phase("VLI"):
-            self.vli(tree, lists, state, profile)
-        with profile.phase("XLI"):
-            self.xli(tree, lists, dens, state, profile)
-        with profile.phase("D2D"):
-            self.d2d(tree, state, profile)
-
-        # Locate each target's leaf.
         from repro.util import morton
 
-        tkeys = morton.encode_points(targets)
+        profile = profile if profile is not None else PhaseProfile()
+        dens = np.ascontiguousarray(densities, dtype=np.float64).reshape(-1)
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.ndim == 2 and targets.shape[1] == 3:
+            inside = ((targets >= 0.0) & (targets <= 1.0)).all(axis=1)  # NaN: False
+            if not inside.all():
+                row = int(np.argmin(inside))
+                raise ValueError(
+                    f"targets must be finite points in the unit cube "
+                    f"[0, 1]^3; row {row} is {targets[row]}"
+                )
+        tkeys = morton.encode_points(targets)  # raises on a non-(n, 3) shape
+
+        plan = self._resolve_plan(tree, lists, profile, None, None)
+        state = self.allocate(tree)
+        self._upward_and_down(tree, lists, dens, state, profile, plan)
+
+        # Locate each target's leaf.
         leaf_idx_in_leaves = covering_leaf_indices(
             tree.keys[tree.is_leaf], tkeys
         )
@@ -572,147 +575,32 @@ class FmmEvaluator:
         return state
 
     # -- phases -----------------------------------------------------------
+    #
+    # The interface a backend implements: one method per phase of Algorithm
+    # 1, each applying its section of ``plan`` to ``state``.  Ownership
+    # scopes, precision and the kernel-matrix caches are properties of the
+    # plan; the pool is this evaluator's.
 
-    #: Leaf boxes per batched kernel-matrix call (bounds peak memory).
-    LEAF_BATCH = 1024
+    def s2u(self, tree, dens, state, profile, plan) -> None:
+        """Leaf sources to upward equivalent densities."""
+        plan.apply_s2u(self, dens, state, profile, pool=self.task_pool)
 
-    def _leaf_batches(self, tree, sel):
-        from repro.core.tree import leaf_batches
-
-        yield from leaf_batches(tree, sel, self.LEAF_BATCH)
-
-    def _gather_leaf_points(self, tree, dens, group, pad, ks):
-        from repro.core.tree import gather_leaf_points
-
-        return gather_leaf_points(tree, dens, group, pad, ks)
-
-    def s2u(self, tree, dens, state, profile, scope=None, plan=None) -> None:
-        """Leaf sources to upward equivalent densities.
-
-        ``scope`` (bool mask over nodes) restricts the phase; the
-        distributed driver passes ownership masks so ghost data never
-        double-counts.
-        """
-        if plan is not None:
-            plan.apply_s2u(self, dens, state, profile, pool=self.task_pool)
-            return
-        ks, kt = self.kernel.source_dim, self.kernel.target_dim
-        up = state["up"]
-        counts = tree.point_counts()
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        base = {}
-        for lev, pad, group in self._leaf_batches(tree, sel):
-            pts, den = self._gather_leaf_points(tree, dens, group, pad, ks)
-            if lev not in base:
-                base[lev] = self.ops.uc_points(lev)
-            uc = base[lev][None, :, :] + tree.centers[group][:, None, :]
-            k = self.kernel.matrix_batch(uc, pts)
-            q = gemm_cols(k, den[:, :, None])[:, :, 0]
-            up[group] = q @ self.ops.uc2ue(lev).T
-            true_pts = counts[group].sum()
-            profile.add_flops(
-                self.kernel.pair_flops(self.ns, true_pts)
-                + 2.0 * group.size * (self.ns * ks) * (self.ns * kt)
-            )
-
-    def u2u(self, tree, state, profile, scope=None, plan=None) -> None:
+    def u2u(self, tree, state, profile, plan) -> None:
         """Post-order M2M accumulation (children into parents)."""
-        if plan is not None:
-            plan.apply_u2u(self, state, profile, pool=self.task_pool)
-            return
-        up = state["up"]
-        counts = tree.point_counts()
-        for lev in range(tree.max_level, 0, -1):
-            nodes = tree.nodes_at_level(lev)
-            nodes = nodes[counts[nodes] > 0]
-            if scope is not None:
-                nodes = nodes[scope[nodes]]
-            if nodes.size == 0:
-                continue
-            pos = tree.child_pos[nodes]
-            for k in range(8):
-                sel = nodes[pos == k]
-                if sel.size == 0:
-                    continue
-                m = self.ops.m2m(lev, k)
-                up[tree.parent[sel]] += up[sel] @ m.T
-                profile.add_flops(2.0 * sel.size * m.size)
+        plan.apply_u2u(self, state, profile, pool=self.task_pool)
 
-    def vli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
+    def vli(self, tree, lists, state, profile, plan) -> None:
         """V-list translations (FFT-diagonal by default)."""
-        if plan is not None:
-            if self.m2l_mode == "fft":
-                plan.apply_vli_fft(self, state, profile, pool=self.task_pool)
-            else:
-                plan.apply_vli_dense(self, state, profile, pool=self.task_pool)
-            return
         if self.m2l_mode == "fft":
-            self._vli_fft(tree, lists, state, profile, scope)
+            plan.apply_vli_fft(self, state, profile, pool=self.task_pool)
         else:
-            self._vli_dense(tree, lists, state, profile, scope)
+            plan.apply_vli_dense(self, state, profile, pool=self.task_pool)
 
-    def _v_offset_steps(self, tree, lists, scope=None):
-        """Yield ``(level, offset, tgt_idx, src_idx)`` per distinct V offset of
-        a level (dense M2L: one operator each); within one step each target
-        appears at most once."""
-        tgts, srcs = lists.v.pairs(scope)
-        side = 2.0 * tree.half_widths[tgts]
-        offs = np.rint(
-            (tree.centers[tgts] - tree.centers[srcs]) / side[:, None]
-        ).astype(np.int64)
-        code = tree.levels[tgts] * 343 + (offs + 3) @ (49, 7, 1)
-        order = np.argsort(code, kind="stable")  # pairs stay in list order
-        for sel in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-            if sel.size:
-                lev, off = int(tree.levels[tgts[sel[0]]]), tuple(offs[sel[0]])
-                yield lev, off, tgts[sel], srcs[sel]
+    def xli(self, tree, lists, dens, state, profile, plan) -> None:
+        """X-list: source points of coarse leaves onto DC surfaces."""
+        self.xli_apply(state, self.xli_compute(tree, lists, dens, profile, plan))
 
-    def _vli_dense(self, tree, lists, state, profile, scope=None) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        for lev, off, tgts, srcs in self._v_offset_steps(tree, lists, scope):
-            m = self.ops.m2l_dense(lev, off)
-            dcheck[tgts] += up[srcs] @ m.T
-            profile.add_flops(2.0 * tgts.size * m.size)
-
-    def _vli_fft(self, tree, lists, state, profile, scope=None) -> None:
-        up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
-        for g in self.fft.schedule(tree, lists.v, scope):
-            self.fft.vlist(g, up, dcheck)
-            profile.add_flops(g.flops)
-
-    def _pair_batches(self, tree, rows, cols, level_of, pad_count_of):
-        """Group interaction pairs by (level, padded count) and chunk.
-
-        ``level_of``/``pad_count_of`` pick which side of the pair sets the
-        surface level and the padded point count.  Pairs within a group
-        share one broadcast kernel evaluation.
-        """
-        if rows.size == 0:
-            return
-        counts = pad_count_of
-        kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
-        code = level_of * np.int64(1 << 24) + kpad
-        for c in np.unique(code):
-            sel = np.flatnonzero(code == c)
-            pad = int(kpad[sel[0]])
-            lev = int(level_of[sel[0]])
-            chunk = max(1, int(6e6 / max(pad * self.ns, 1)))
-            for s in range(0, sel.size, chunk):
-                part = sel[s : s + chunk]
-                yield lev, pad, rows[part], cols[part]
-
-    def xli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
-        """X-list: source points of coarse leaves onto DC surfaces.
-
-        Pairs are batched by (target level, padded source count): the DC
-        surfaces are regenerated from target centres, the coarse-leaf
-        source points padded with zero-density centre points.
-        """
-        self.xli_apply(state, self.xli_compute(tree, lists, dens, profile, scope, plan))
-
-    def xli_compute(self, tree, lists, dens, profile, scope=None, plan=None) -> list:
+    def xli_compute(self, tree, lists, dens, profile, plan) -> list:
         """The GEMM stage of :meth:`xli`, decoupled from state mutation.
 
         X-list values depend only on ``dens`` — never on ``up`` or
@@ -722,42 +610,7 @@ class FmmEvaluator:
         and with the same values the fused :meth:`xli` would have added,
         so the split is bit-identical to running X-list in place.
         """
-        if plan is not None:
-            return plan.compute_xli(self, dens, profile, pool=self.task_pool)
-        ks = self.kernel.source_dim
-        counts = tree.point_counts()
-        x = lists.x
-        sel = x.counts > 0
-        if scope is not None:
-            sel = sel & scope
-        rows = np.repeat(np.arange(tree.n_nodes), np.where(sel, x.counts, 0))
-        cols = x.indices[np.repeat(sel, x.counts)] if x.indices.size else x.indices
-        keep = counts[cols] > 0
-        rows, cols = rows[keep], cols[keep]
-        out = []
-        if rows.size == 0:
-            return out
-        base = {}
-        for lev, pad, ri, ci in self._pair_batches(
-            tree, rows, cols, tree.levels[rows], counts[cols]
-        ):
-            pts, den = self._gather_leaf_points_for(tree, dens, ci, pad, ks)
-            if lev not in base:
-                base[lev] = self.ops.dc_points(lev)
-            dc = base[lev][None, :, :] + tree.centers[ri][:, None, :]
-            k = self.kernel.matrix_batch(dc, pts)
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            # segment-sum by target (np.add.at is an order slower)
-            order = np.argsort(ri, kind="stable")
-            sorted_ri = ri[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sorted_ri[1:] != sorted_ri[:-1]])
-            )
-            out.append(
-                (sorted_ri[starts], np.add.reduceat(vals[order], starts, axis=0))
-            )
-            profile.add_flops(self.kernel.pair_flops(self.ns, counts[ci].sum()))
-        return out
+        return plan.compute_xli(self, dens, profile, pool=self.task_pool)
 
     @staticmethod
     def xli_apply(state, deferred) -> None:
@@ -771,209 +624,18 @@ class FmmEvaluator:
         :meth:`xli` (the GPU evaluator's device path cannot defer)."""
         return True
 
-    def _gather_leaf_points_for(self, tree, dens, nodes, pad, ks):
-        """Padded (points, densities) for arbitrary (possibly repeated)
-        leaf nodes; padding at box centres with zero density."""
-        b = nodes.size
-        pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
-        den = np.zeros((b, pad * ks))
-        for j, i in enumerate(nodes):
-            n = tree.pt_end[i] - tree.pt_begin[i]
-            pts[j, :n] = tree.points[tree.pt_begin[i] : tree.pt_end[i]]
-            if ks:
-                den[j, : n * ks] = dens[tree.pt_begin[i] * ks : tree.pt_end[i] * ks]
-        return pts, den
-
-    def d2d(self, tree, state, profile, scope=None, plan=None) -> None:
+    def d2d(self, tree, state, profile, plan) -> None:
         """Pre-order L2L propagation and check-to-equivalent conversion."""
-        if plan is not None:
-            plan.apply_d2d(self, state, profile, pool=self.task_pool)
-            return
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        # Root has no far field: dequiv stays zero.
-        for lev in range(1, tree.max_level + 1):
-            nodes = tree.nodes_at_level(lev)
-            if scope is not None:
-                nodes = nodes[scope[nodes]]
-            if nodes.size == 0:
-                continue
-            pos = tree.child_pos[nodes]
-            for k in range(8):
-                sel = nodes[pos == k]
-                if sel.size == 0:
-                    continue
-                m = self.ops.l2l(lev, k)
-                dcheck[sel] += dequiv[tree.parent[sel]] @ m.T
-                profile.add_flops(2.0 * sel.size * m.size)
-            conv = self.ops.dc2de(lev)
-            dequiv[nodes] = dcheck[nodes] @ conv.T
-            profile.add_flops(2.0 * nodes.size * conv.size)
+        plan.apply_d2d(self, state, profile, pool=self.task_pool)
 
-    def wli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
-        """W-list: source-box up densities evaluated at target points.
+    def wli(self, tree, lists, state, profile, plan) -> None:
+        """W-list: source-box up densities evaluated at target points."""
+        plan.apply_wli(self, tree, state, profile, pool=self.task_pool)
 
-        Pairs are batched by (source level, padded target count); the
-        source UE surfaces are regenerated from box centres.  Sources are
-        gated on their density (not local point counts): in a LET an
-        internal ghost source has a valid up density but no locally
-        stored points.  The potential scatter segment-sums contributions
-        per target leaf (stable argsort + ``reduceat``, exactly as the
-        plan path does) before one vectorised add.
-        """
-        if plan is not None:
-            plan.apply_wli(self, tree, state, profile, pool=self.task_pool)
-            return
-        kt = self.eval_kernel.target_dim
-        up = state["up"]
-        potr = state["_pot_pad"].reshape(tree.n_points + 1, kt)
-        counts = tree.point_counts()
-        w = lists.w
-        sel = tree.is_leaf & (w.counts > 0) & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        rows = np.repeat(np.arange(tree.n_nodes), np.where(sel, w.counts, 0))
-        cols = w.indices[np.repeat(sel, w.counts)] if w.indices.size else w.indices
-        if rows.size:
-            keep = np.any(up[cols] != 0.0, axis=1)
-            rows, cols = rows[keep], cols[keep]
-        if rows.size == 0:
-            return
-        base = {}
-        for lev, pad, ri, ci in self._pair_batches(
-            tree, rows, cols, tree.levels[cols], counts[rows]
-        ):
-            pts, _ = self._gather_leaf_points_for(tree, np.empty(0), ri, pad, 0)
-            if lev not in base:
-                base[lev] = self.ops.ue_points(lev)
-            ue = base[lev][None, :, :] + tree.centers[ci][:, None, :]
-            k = self.eval_kernel.matrix_batch(pts, ue)
-            vals = gemm_cols(k, up[ci][:, :, None])[:, :, 0]
-            order = np.argsort(ri, kind="stable")
-            sri = ri[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sri[1:] != sri[:-1]])
-            )
-            seg = sri[starts]
-            sums = np.add.reduceat(vals[order], starts, axis=0)
-            ar = np.arange(pad, dtype=np.int64)[None, :]
-            prow = tree.pt_begin[seg][:, None] + ar
-            prow[ar >= counts[seg][:, None]] = tree.n_points
-            potr[prow] += sums.reshape(seg.size, pad, kt)
-            profile.add_flops(self.eval_kernel.pair_flops(counts[ri].sum(), self.ns))
-
-    def d2t(self, tree, state, profile, scope=None, plan=None) -> None:
+    def d2t(self, tree, state, profile, plan) -> None:
         """Down equivalent densities to potentials at leaf targets."""
-        if plan is not None:
-            plan.apply_d2t(self, state, profile, pool=self.task_pool)
-            return
-        kt = self.eval_kernel.target_dim
-        dequiv, pot = state["dequiv"], state["pot"]
-        counts = tree.point_counts()
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        base = {}
-        for lev, pad, group in self._leaf_batches(tree, sel):
-            pts, _ = self._gather_leaf_points(tree, np.empty(0), group, pad, 0)
-            if lev not in base:
-                base[lev] = self.ops.de_points(lev)
-            de = base[lev][None, :, :] + tree.centers[group][:, None, :]
-            k = self.eval_kernel.matrix_batch(pts, de)
-            vals = gemm_cols(k, dequiv[group][:, :, None])[:, :, 0]
-            for j, i in enumerate(group):
-                n = tree.pt_end[i] - tree.pt_begin[i]
-                pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += vals[
-                    j, : n * kt
-                ]
-            profile.add_flops(self.eval_kernel.pair_flops(counts[group].sum(), self.ns))
+        plan.apply_d2t(self, state, profile, pool=self.task_pool)
 
-    def _uli_groups(self, tree, lists, scope=None):
-        """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
-
-        Groups selected leaves by (padded target count, padded total
-        source count) and chunks each group; both the per-call path and
-        plan compilation iterate this generator so batch membership is
-        identical by construction.  The per-leaf total source count is a
-        CSR segment sum over the U-list (prefix-sum difference — no
-        Python loop over leaves).
-        """
-        counts = tree.point_counts()
-        u = lists.u
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        leaves = np.flatnonzero(sel)
-        if leaves.size == 0:
-            return
-        csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
-        src_total = csum[u.offsets[leaves + 1]] - csum[u.offsets[leaves]]
-        active = src_total > 0
-        leaves, src_total = leaves[active], src_total[active]
-        if leaves.size == 0:
-            return
-        tpad = np.maximum(
-            1 << np.ceil(np.log2(np.maximum(counts[leaves], 1))).astype(np.int64), 1
-        )
-        spad = np.maximum(
-            1 << np.ceil(np.log2(np.maximum(src_total, 1))).astype(np.int64), 1
-        )
-        code = tpad * np.int64(1 << 32) + spad
-        for c in np.unique(code):
-            grp = np.flatnonzero(code == c)
-            tp = int(tpad[grp[0]])
-            sp = int(spad[grp[0]])
-            # bounded chunks keep batched GEMMs large enough to amortise
-            # dispatch while keeping each compiled kmat block small
-            # enough that a localized geometry update leaves most blocks
-            # untouched — whole-block reuse in patch_plan shares those by
-            # reference instead of copying (blocks sit in leaf Morton
-            # order, so a moving cluster dirties a few contiguous chunks)
-            chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
-            for s in range(0, grp.size, chunk):
-                part = grp[s : s + chunk]
-                yield tp, sp, leaves[part], src_total[part]
-
-    def uli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
-        """U-list: exact near-field interactions.
-
-        Leaves are batched by (padded target count, padded total source
-        count); each batch evaluates one broadcast kernel block over the
-        concatenated (centre-padded, zero-density) neighbour sources.
-        """
-        if plan is not None:
-            plan.apply_uli(self, dens, state, profile, pool=self.task_pool)
-            return
-        ks = self.kernel.source_dim
-        kt = self.eval_kernel.target_dim
-        pot = state["pot"]
-        counts = tree.point_counts()
-        u = lists.u
-        for tp, sp, boxes, src_total in self._uli_groups(tree, lists, scope):
-            m = boxes.size
-            tgt, _ = self._gather_leaf_points_for(tree, np.empty(0), boxes, tp, 0)
-            src = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
-            den = np.zeros((m, sp * ks))
-            for j, i in enumerate(boxes):
-                pos = 0
-                for a in u.of(i):
-                    n = counts[a]
-                    if n == 0:
-                        continue
-                    src[j, pos : pos + n] = tree.points[
-                        tree.pt_begin[a] : tree.pt_end[a]
-                    ]
-                    den[j, pos * ks : (pos + n) * ks] = dens[
-                        tree.pt_begin[a] * ks : tree.pt_end[a] * ks
-                    ]
-                    pos += n
-            k = self.eval_kernel.matrix_batch(tgt, src)
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            for j, i in enumerate(boxes):
-                n = tree.pt_end[i] - tree.pt_begin[i]
-                pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += vals[
-                    j, : n * kt
-                ]
-            profile.add_flops(
-                self.eval_kernel.pair_flops(1, 1)
-                * float((counts[boxes] * src_total).sum())
-            )
+    def uli(self, tree, lists, dens, state, profile, plan) -> None:
+        """U-list: exact near-field interactions."""
+        plan.apply_uli(self, dens, state, profile, pool=self.task_pool)

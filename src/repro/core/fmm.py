@@ -226,7 +226,6 @@ class Fmm:
         plan: FmmPlan | None = None,
         profile: PhaseProfile | None = None,
         eval_plan=None,
-        use_plan: bool = True,
         precision: str | None = None,
     ) -> np.ndarray:
         """Potential at every point, in the input point order.
@@ -241,12 +240,12 @@ class Fmm:
 
         Repeated calls with the same ``plan`` amortise setup automatically:
         the evaluator compiles an :class:`~repro.core.plan.EvalPlan` on the
-        second call and reuses it from then on (``use_plan=False`` opts
-        out; ``eval_plan=`` supplies a precompiled one).
+        second call and reuses it from then on (``eval_plan=`` supplies a
+        precompiled one; compile it with ``cache_matrices=False`` to trade
+        apply speed for memory).
 
         ``precision`` overrides the constructor's precision for this call
-        (``"fp64"`` / ``"fp32"`` / ``"auto"``); fp32 requires the plan
-        path (see :class:`~repro.core.evaluator.FmmEvaluator`).
+        (``"fp64"`` / ``"fp32"`` / ``"auto"``).
         """
         points = np.asarray(points, dtype=np.float64)
         profile = profile if profile is not None else PhaseProfile()
@@ -264,7 +263,7 @@ class Fmm:
         sorted_dens = dens.reshape((n, ks) + cols)[tree.order].reshape(dens.shape)
         pot_sorted = self.evaluator.evaluate(
             tree, plan.lists, sorted_dens, profile,
-            plan=eval_plan, use_plan=use_plan, precision=precision,
+            plan=eval_plan, precision=precision,
         )
         pot = np.empty_like(pot_sorted)
         pot.reshape((n, kt) + cols)[tree.order] = pot_sorted.reshape((n, kt) + cols)
@@ -286,8 +285,9 @@ class Fmm:
 
         ``densities`` follows the same reshape rule as :meth:`evaluate`:
         a 2-D ``(n_points * source_dim, q)`` block evaluates each column
-        in turn (this path is plan-free, so there is no batched pass) and
-        returns ``(n_targets * target_dim, q)``.
+        in turn (the target-side sums have no batched pass) and returns
+        ``(n_targets * target_dim, q)``.  ``targets`` must be finite
+        ``(n, 3)`` points in the unit cube.
         """
         sources = np.asarray(sources, dtype=np.float64)
         profile = profile if profile is not None else PhaseProfile()

@@ -20,13 +20,14 @@ Design rules:
   and ownership rules that make every column at every pool width
   bit-identical to the solo serial apply sit in one comment block beside
   that helper.
-* **Bit-identical results.**  A plan-based apply must produce exactly the
-  floating-point operation sequence of the legacy per-call path.  Compile
-  therefore consumes the *same* grouping generators the legacy phases use
-  (``FmmEvaluator._leaf_batches`` / ``_pair_batches`` / ``_uli_groups``
-  and ``FftM2L.schedule``), so batch membership, batch order and group
-  boundaries cannot diverge, and padded point arrays are materialised
-  with the same centre padding the legacy gathers produce.
+* **Bit-identical results.**  The floating-point operation sequence of
+  an apply is fixed by the compiled block structure alone: batch
+  membership, batch order and group boundaries come from one set of
+  grouping generators (``leaf_batches`` / ``_pair_batches`` /
+  ``_uli_groups`` / ``_v_offset_steps`` and ``FftM2L.schedule``) whatever
+  the caching choices, so a fully cached plan, a matrix-free plan, a
+  plan whose budget covered only some blocks and a patched plan all
+  produce the same bits.
 * **No Python per-box loops at apply time.**  Gathers are a single fancy
   index into a sentinel-extended density table; scatters are a stable
   argsort + ``np.add.reduceat`` segment sum (precompiled order/starts)
@@ -38,12 +39,15 @@ Design rules:
   boxes whose upward density is identically zero — a property of the
   density, not the tree.  Its schedule is compiled lazily at first apply
   from the observed zero pattern and transparently recompiled if a later
-  density changes that pattern, so results always match the legacy path.
+  density changes that pattern, so a plan reused across densities
+  matches one compiled fresh for each.
 * **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
   only on geometry; they are materialised at compile under a byte budget
   (U-list first — it dominates), turning those phases into pure
   GEMM + scatter.  Blocks that do not fit fall back to evaluating
-  the kernel per apply, bit-identically either way.
+  the kernel per apply, bit-identically either way;
+  ``cache_matrices=False`` compiles schedules only, which is what a
+  one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
   stores float32 kernel matrices, reads the complex64 V-list offset
   tables and uses float32 scratch tables, so the GEMM / FFT-translate phases run in
@@ -51,8 +55,8 @@ Design rules:
   GPU, §5).  The *accumulation* state stays float64 throughout: the
   ``up``/``dcheck``/``dequiv``/potential arrays, the U2U/D2D operator
   chains (roundoff there compounds with tree depth) and multi-RHS
-  column sums.  ``precision="fp64"`` (the default) takes exactly the
-  historical code path, bit for bit.
+  column sums.  ``precision="fp64"`` (the default) stages nothing: the
+  casts are identities.
 
 A plan is bound to one ``(tree, lists, kernel, order, m2l_mode, scope)``
 configuration; :func:`tree_fingerprint` rejects accidental reuse against a
@@ -64,7 +68,8 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from contextlib import contextmanager
+import weakref
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -72,7 +77,7 @@ import numpy as np
 
 from repro.core.contract import gemm_cols
 from repro.core.parallel import record_parallel_spans
-from repro.core.tree import FmmTree, TreeDelta, diff_trees
+from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches
 from repro.util.blas import limit_blas_threads
 
 __all__ = [
@@ -99,10 +104,10 @@ VALID_PRECISIONS = ("fp64", "fp32", "auto")
 class PrecisionError(ValueError):
     """An invalid or unsatisfiable precision request.
 
-    Raised for unknown precision strings, for ``fp32`` requests on paths
-    that cannot honour them (the plan-less legacy evaluator is
-    float64-only), and by the serving engine when a request overrides a
-    model to a precision the model does not allow.
+    Raised for unknown precision strings, for a per-call override that
+    contradicts an explicit plan's precision, and by the serving engine
+    when a request overrides a model to a precision the model does not
+    allow.
     """
 
 
@@ -130,10 +135,11 @@ def tree_fingerprint(tree: FmmTree) -> str:
 class PlanScopes:
     """Per-phase node masks baked into a plan at compile time.
 
-    ``None`` means unrestricted.  The distributed driver passes the same
-    ownership masks it hands the legacy phases, so ghost data never
-    double-counts.  A plan compiled with scopes must only be applied by a
-    caller that would pass those same scopes.
+    ``None`` means unrestricted.  The distributed driver passes its
+    ownership masks (owned leaves for the leaf phases, owned contributors
+    for the tree phases), so ghost data never double-counts.  A scoped
+    plan computes exactly the owner's share: applying it is only
+    meaningful inside the exchange/reduce protocol that supplies the rest.
     """
 
     s2u: np.ndarray | None = None
@@ -275,7 +281,9 @@ class EvalPlan:
     #: state was reused vs recomputed (empty for fresh compiles).
     patch_stats: dict = field(default_factory=dict, repr=False)
     _wli: _WliSection | None = field(default=None, repr=False)
-    _tree: FmmTree | None = field(default=None, repr=False)
+    #: Weak reference to the tree compiled for (the identity fast path of
+    #: :meth:`check`); weak so that a cached plan never keeps its tree alive.
+    _tree: weakref.ref | None = field(default=None, repr=False)
     #: Scratch buffers are per-thread: concurrent applies of one plan (the
     #: serving engine's worker pool) must not share density tables or FFT
     #: accumulators mid-flight.
@@ -285,10 +293,6 @@ class EvalPlan:
     #: Guards the lazily compiled W-list section and the matrix budget it
     #: charges — the only plan state mutated after compile.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: Lazily derived read-after-write frontiers of the U2U step list for
-    #: pooled applies (see :meth:`_u2u_waves`); purely structural, so
-    #: cached per plan under ``_lock``.
-    _waves: list | None = field(default=None, repr=False)
     _mat_left: int = field(default=0, repr=False)
     _cache_matrices: bool = field(default=True, repr=False)
 
@@ -296,7 +300,7 @@ class EvalPlan:
 
     def check(self, tree: FmmTree) -> None:
         """Raise :class:`PlanMismatchError` unless compiled for ``tree``."""
-        if self._tree is tree:
+        if self._tree is not None and self._tree() is tree:
             return
         if tree_fingerprint(tree) != self.fingerprint:
             raise PlanMismatchError(
@@ -441,8 +445,8 @@ class EvalPlan:
     # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
     # ``_pot_pad`` ``(n_points + 1, q, kt_eval)`` — so a per-column slice
     # ``arr[idx, j]`` gathers the same contiguous copy a 2-D ``arr[idx]``
-    # does.  Single-RHS callers (the distributed driver, the GPU overrides,
-    # the legacy phases) hold 2-D / flat views of one-column storage
+    # does.  Single-RHS callers (the distributed driver, the GPU
+    # overrides) hold 2-D / flat views of one-column storage
     # (``FmmEvaluator.allocate``); :meth:`_cols` / :meth:`_pot_table` lift
     # them back, so the q axis never leaves this module.  gemm_cols
     # operands instead keep ``q`` innermost (``(b, j, q)`` in, ``(b, i, q)``
@@ -469,23 +473,25 @@ class EvalPlan:
     #   matches the solo apply whose own pattern kept fewer pairs.
     #
     # Output ownership (what lets tiles run on a pool).
-    # * Disjoint-output tiles (S2U leaf groups, V-list group targets,
-    #   D2D l2l child rows within a level) write their slices from
-    #   ``compute`` — the serial stores, reordered across disjoint rows.
-    # * Overlapping-output tiles (U2U parents, dense-M2L targets, the
-    #   XLI/WLI/D2T/ULI scatters, whose ``pot_rows`` share the sentinel pad
-    #   row across blocks) return values from ``compute``; ``done`` adds
-    #   them in compiled tile order — the serial ``+=`` sequence.
-    # * U2U needs read-after-write frontiers (a parent written at level L
-    #   is read at level L-1): :meth:`_u2u_waves` re-derives the level
-    #   grouping and each wave is one ``run``.  D2D levels are explicit.
+    # * Disjoint-output tiles (S2U leaf groups, V-list group targets)
+    #   write their slices from ``compute`` — the serial stores, reordered
+    #   across disjoint rows.
+    # * Overlapping-output tiles (dense-M2L targets, the XLI/WLI/D2T/ULI
+    #   scatters, whose ``pot_rows`` share the sentinel pad row across
+    #   blocks) return values from ``compute``; ``done`` adds them in
+    #   compiled tile order — the serial ``+=`` sequence.
+    # * U2U and D2D never go to the pool: their steps are chained level to
+    #   level (a parent written at level L is read at level L-1) and are
+    #   eight small GEMMs per level, so a pooled round costs more in worker
+    #   wake-ups than the steps themselves — they are the traversals the
+    #   paper, too, leaves sequential.  They run on the caller in compiled
+    #   order, under the same BLAS pin as the pooled phases.
     # * Flops are charged in ``done``, so profiles (and trace signatures)
     #   are schedule-independent.
     # * With a pool, BLAS is pinned to one thread for the *whole* phase —
-    #   worker tiles and the caller's own GEMMs (the D2D check-to-equivalent
-    #   conversion) alike — so every pool width runs the same single-thread
-    #   GEMMs whatever the host's BLAS setting.  ``pool=None`` leaves BLAS
-    #   alone and emits no ``PARALLEL:*`` spans.
+    #   worker tiles and the caller's own GEMMs alike — so every pool width
+    #   runs the same single-thread GEMMs whatever the host's BLAS setting.
+    #   ``pool=None`` leaves BLAS alone and emits no ``PARALLEL:*`` spans.
 
     @contextmanager
     def _tiles(self, phase: str, profile, pool):
@@ -524,30 +530,11 @@ class EvalPlan:
                 ntiles, pool.threads,
             )
 
-    def _u2u_waves(self, nrows: int) -> list:
-        """Partition the U2U steps into read-after-write frontiers.
-
-        Consecutive steps stay in one wave until a step would *read* a
-        row some earlier step of the wave wrote; compile emits U2U
-        level-by-level, so this reproduces exactly the level frontiers.
-        Cached per plan (purely structural).
-        """
-        with self._lock:
-            if self._waves is None:
-                waves = []
-                cur: list = []
-                dirty = np.zeros(nrows, dtype=bool)
-                for st in self.u2u:
-                    if cur and dirty[st.src].any():
-                        waves.append(cur)
-                        cur = []
-                        dirty[:] = False
-                    cur.append(st)
-                    dirty[st.dst] = True
-                if cur:
-                    waves.append(cur)
-                self._waves = waves
-            return self._waves
+    @staticmethod
+    def _blas_pin(pool):
+        """BLAS setting for a phase that stays on the caller: pinned to one
+        thread whenever a pool is set, like the pooled phases around it."""
+        return nullcontext() if pool is None else limit_blas_threads(1)
 
     def apply_s2u(self, ev, dens, state, profile, pool=None) -> None:
         if not self.s2u:
@@ -568,48 +555,36 @@ class EvalPlan:
         with self._tiles("S2U", profile, pool) as run:
             run(self.s2u, compute, done)
 
-    def _run_steps(self, phase, waves, src, dst, profile, pool) -> None:
-        """``dst[st.dst] += src[st.src] @ st.mat.T`` per column, for matrix
-        steps whose targets may repeat across steps (U2U parents, dense-M2L
-        targets): products compute as tiles, adds replay in step order.
-        Steps of one wave must not read each other's writes.  The operand
-        is staged in the matrix's dtype: float32 dense-M2L matrices under
-        an fp32 plan, float64 (no copy) everywhere else.
-        """
-        q = src.shape[1]
-
-        def compute(st):
-            return [
-                src[st.src, j].astype(st.mat.dtype, copy=False) @ st.mat.T
-                for j in range(q)
-            ]
-
-        def done(st, prods):
-            for j in range(q):
-                dst[st.dst, j] += prods[j]
-            profile.add_flops(st.flops * q)
-
-        with self._tiles(phase, profile, pool) as run:
-            for wave in waves:
-                run(wave, compute, done)
-
     def apply_u2u(self, ev, state, profile, pool=None) -> None:
-        if not self.u2u:
-            return
         up = self._cols(state["up"])
-        # inline tiles already run in step order; only a pool needs the
-        # read-after-write frontiers
-        waves = [self.u2u] if pool is None else self._u2u_waves(up.shape[0])
-        self._run_steps("U2U", waves, up, up, profile, pool)
+        q = up.shape[1]
+        with self._blas_pin(pool):
+            for st in self.u2u:  # a step's parents are distinct rows
+                for j in range(q):
+                    up[st.dst, j] += up[st.src, j] @ st.mat.T
+                profile.add_flops(st.flops * q)
 
     def apply_vli_dense(self, ev, state, profile, pool=None) -> None:
         if not self.vli_dense:
             return
-        # steps only read ``up``, so they form a single wave
-        self._run_steps(
-            "VLI", [self.vli_dense], self._cols(state["up"]),
-            self._cols(state["dcheck"]), profile, pool,
-        )
+        up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
+        q = up.shape[1]
+
+        def compute(st):
+            # staged in the matrix's dtype: float32 under an fp32 plan,
+            # float64 (no copy) otherwise
+            return [
+                up[st.src, j].astype(st.mat.dtype, copy=False) @ st.mat.T
+                for j in range(q)
+            ]
+
+        def done(st, prods):  # targets repeat across steps: add in order
+            for j in range(q):
+                dcheck[st.dst, j] += prods[j]
+            profile.add_flops(st.flops * q)
+
+        with self._tiles("VLI", profile, pool) as run:
+            run(self.vli_dense, compute, done)
 
     def apply_vli_fft(self, ev, state, profile, pool=None) -> None:
         if not self.vli_fft:
@@ -663,23 +638,16 @@ class EvalPlan:
             dcheck[seg] += sums
 
     def apply_d2d(self, ev, state, profile, pool=None) -> None:
-        if not self.d2d:
-            return
         dcheck, dequiv = self._cols(state["dcheck"]), self._cols(state["dequiv"])
         q = dcheck.shape[1]
-
-        def compute(st):
-            # one l2l step per child position: the steps of a level write
-            # disjoint child rows and read parent rows finished last level
-            for j in range(q):
-                dcheck[st.dst, j] += dequiv[st.src, j] @ st.mat.T
-
-        def done(st, _):
-            profile.add_flops(st.flops * q)
-
-        with self._tiles("D2D", profile, pool) as run:
+        with self._blas_pin(pool):
             for lv in self.d2d:
-                run(lv.l2l, compute, done)
+                # one l2l step per child position: distinct child rows,
+                # reading parent rows the previous level finished
+                for st in lv.l2l:
+                    for j in range(q):
+                        dcheck[st.dst, j] += dequiv[st.src, j] @ st.mat.T
+                    profile.add_flops(st.flops * q)
                 for j in range(q):
                     dequiv[lv.nodes, j] = dcheck[lv.nodes, j] @ lv.conv_mat.T
                 profile.add_flops(lv.conv_flops * q)
@@ -784,11 +752,8 @@ def _padded_point_rows(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray
 
 
 def _padded_points(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray:
-    """(b, pad, 3) leaf points, padding slots at the box centre.
-
-    Byte-identical to what the legacy per-box gather loops build, so the
-    downstream kernel matrices match bit for bit.
-    """
+    """(b, pad, 3) leaf points, padding slots at the box centre (a finite
+    in-box point whose zero density contributes nothing to any sum)."""
     rows = _padded_point_rows(tree, nodes, pad)
     pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
     valid = rows != tree.n_points
@@ -1194,13 +1159,105 @@ class _PlanReuse:
         return out
 
 
+# -- batch groupings ----------------------------------------------------------
+#
+# How compile cuts each phase into blocks.  Block membership and order fix
+# the floating-point operation sequence of an apply, so these are what a
+# patched plan, a scoped plan and a fresh compile must agree on
+# (``tree.leaf_batches`` is the fourth, for the leaf phases).
+
+
+def _v_offset_steps(tree, lists, scope=None):
+    """Yield ``(level, offset, tgt_idx, src_idx)`` per distinct V offset of
+    a level (dense M2L: one operator each); within one step each target
+    appears at most once."""
+    tgts, srcs = lists.v.pairs(scope)
+    side = 2.0 * tree.half_widths[tgts]
+    offs = np.rint(
+        (tree.centers[tgts] - tree.centers[srcs]) / side[:, None]
+    ).astype(np.int64)
+    code = tree.levels[tgts] * 343 + (offs + 3) @ (49, 7, 1)
+    order = np.argsort(code, kind="stable")  # pairs stay in list order
+    for sel in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        if sel.size:
+            lev, off = int(tree.levels[tgts[sel[0]]]), tuple(offs[sel[0]])
+            yield lev, off, tgts[sel], srcs[sel]
+
+
+def _pair_batches(ns, rows, cols, level_of, pad_count_of):
+    """Group interaction pairs by (level, padded count) and chunk.
+
+    ``level_of``/``pad_count_of`` pick which side of the pair sets the
+    surface level and the padded point count.  Pairs within a group
+    share one broadcast kernel evaluation.
+    """
+    if rows.size == 0:
+        return
+    counts = pad_count_of
+    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
+    code = level_of * np.int64(1 << 24) + kpad
+    for c in np.unique(code):
+        sel = np.flatnonzero(code == c)
+        pad = int(kpad[sel[0]])
+        lev = int(level_of[sel[0]])
+        chunk = max(1, int(6e6 / max(pad * ns, 1)))
+        for s in range(0, sel.size, chunk):
+            part = sel[s : s + chunk]
+            yield lev, pad, rows[part], cols[part]
+
+
+def _uli_groups(tree, lists, scope=None):
+    """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
+
+    Groups selected leaves by (padded target count, padded total
+    source count) and chunks each group.  The per-leaf total source
+    count is a CSR segment sum over the U-list (prefix-sum difference —
+    no Python loop over leaves).
+    """
+    counts = tree.point_counts()
+    u = lists.u
+    sel = tree.is_leaf & (counts > 0)
+    if scope is not None:
+        sel = sel & scope
+    leaves = np.flatnonzero(sel)
+    if leaves.size == 0:
+        return
+    csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
+    src_total = csum[u.offsets[leaves + 1]] - csum[u.offsets[leaves]]
+    active = src_total > 0
+    leaves, src_total = leaves[active], src_total[active]
+    if leaves.size == 0:
+        return
+    tpad = np.maximum(
+        1 << np.ceil(np.log2(np.maximum(counts[leaves], 1))).astype(np.int64), 1
+    )
+    spad = np.maximum(
+        1 << np.ceil(np.log2(np.maximum(src_total, 1))).astype(np.int64), 1
+    )
+    code = tpad * np.int64(1 << 32) + spad
+    for c in np.unique(code):
+        grp = np.flatnonzero(code == c)
+        tp = int(tpad[grp[0]])
+        sp = int(spad[grp[0]])
+        # bounded chunks keep batched GEMMs large enough to amortise
+        # dispatch while keeping each compiled kmat block small
+        # enough that a localized geometry update leaves most blocks
+        # untouched — whole-block reuse in patch_plan shares those by
+        # reference instead of copying (blocks sit in leaf Morton
+        # order, so a moving cluster dirties a few contiguous chunks)
+        chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
+        for s in range(0, grp.size, chunk):
+            part = grp[s : s + chunk]
+            yield tp, sp, leaves[part], src_total[part]
+
+
 def _compile_wli_blocks(ev, tree, plan: EvalPlan, rows, cols):
     """W-list pair batches for one keep pattern (lazy, possibly repeated)."""
     counts = tree.point_counts()
     blocks = []
     base: dict[int, np.ndarray] = {}
-    for lev, pad, ri, ci in ev._pair_batches(
-        tree, rows, cols, tree.levels[cols], counts[rows]
+    for lev, pad, ri, ci in _pair_batches(
+        ev.ns, rows, cols, tree.levels[cols], counts[rows]
     ):
         if lev not in base:
             base[lev] = ev.ops.ue_points(lev)
@@ -1267,13 +1324,13 @@ def compile_plan(
         scoped=scopes.any_set(),
         precision=precision,
     )
-    plan._tree = tree
+    plan._tree = weakref.ref(tree)
     plan._cache_matrices = bool(cache_matrices)
     plan._mat_left = int(matrix_budget) if cache_matrices else 0
 
     # -- ULI (compiled first: priority claim on the matrix budget) ---------
     u = lists.u
-    for tp, sp, boxes, stot in ev._uli_groups(tree, lists, scopes.uli):
+    for tp, sp, boxes, stot in _uli_groups(tree, lists, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
         uslots = [None] * boxes.size if _reuse is not None else None
         for j, i in enumerate(boxes):
@@ -1322,7 +1379,7 @@ def compile_plan(
         sel = sel & scopes.s2u
     base_uc: dict[int, np.ndarray] = {}
     mats: dict[int, np.ndarray] = {}
-    for lev, pad, group in ev._leaf_batches(tree, sel):
+    for lev, pad, group in leaf_batches(tree, sel):
         if lev not in base_uc:
             base_uc[lev] = ev.ops.uc_points(lev)
             # The uc2ue pseudoinverse stays float64 at BOTH precisions:
@@ -1364,7 +1421,7 @@ def compile_plan(
     if scopes.d2t is not None:
         dsel = dsel & scopes.d2t
     base_de: dict[int, np.ndarray] = {}
-    for lev, pad, group in ev._leaf_batches(tree, dsel):
+    for lev, pad, group in leaf_batches(tree, dsel):
         if lev not in base_de:
             base_de[lev] = ev.ops.de_points(lev)
         pts = _padded_points(tree, group, pad)
@@ -1402,8 +1459,8 @@ def compile_plan(
     keepx = counts[cols] > 0
     rows, cols = rows[keepx], cols[keepx]
     base_dc: dict[int, np.ndarray] = {}
-    for lev, pad, ri, ci in ev._pair_batches(
-        tree, rows, cols, tree.levels[rows], counts[cols]
+    for lev, pad, ri, ci in _pair_batches(
+        ev.ns, rows, cols, tree.levels[rows], counts[cols]
     ):
         if lev not in base_dc:
             base_dc[lev] = ev.ops.dc_points(lev)
@@ -1467,7 +1524,7 @@ def compile_plan(
         tables = [ev.fft.offset_table(g.level, plan.cdtype)[0] for g in plan.vli_fft]
         plan.vli_table_bytes = sum({id(t): t.nbytes for t in tables}.values())
     else:
-        for lev, off, tgts, srcs in ev._v_offset_steps(tree, lists, scopes.vli):
+        for lev, off, tgts, srcs in _v_offset_steps(tree, lists, scopes.vli):
             m = plan._cast(ev.ops.m2l_dense(lev, off))
             plan.vli_dense.append(
                 _MatStep(mat=m, src=srcs, dst=tgts, flops=2.0 * tgts.size * m.size)

@@ -143,26 +143,6 @@ def leaf_batches(tree: FmmTree, sel: np.ndarray, batch: int = 1024):
             yield lev, pad, grp[s : s + batch]
 
 
-def gather_leaf_points(tree: FmmTree, dens: np.ndarray, group: np.ndarray,
-                       pad: int, source_dim: int):
-    """Padded per-leaf (points, densities) arrays for one batch group.
-
-    Padding slots hold the box centre with zero density, contributing
-    nothing to any kernel sum.
-    """
-    b = group.size
-    pts = np.repeat(tree.centers[group][:, None, :], pad, axis=1)
-    den = np.zeros((b, pad * source_dim))
-    for j, i in enumerate(group):
-        n = tree.pt_end[i] - tree.pt_begin[i]
-        pts[j, :n] = tree.points[tree.pt_begin[i] : tree.pt_end[i]]
-        if source_dim:
-            den[j, : n * source_dim] = dens[
-                tree.pt_begin[i] * source_dim : tree.pt_end[i] * source_dim
-            ]
-    return pts, den
-
-
 def tree_from_leaves(
     leaves: np.ndarray,
     sorted_points: np.ndarray,

@@ -82,19 +82,12 @@ class DistributedFmm:
     use_gpu:
         Attach a virtual GPU to this rank and run the accelerated
         evaluator (each MPI process owns one accelerator, as on Lincoln).
-    use_plan:
-        Compile an :class:`~repro.core.plan.EvalPlan` (with this rank's
-        ownership masks baked in) on the first ``evaluate()`` and reuse
-        it for every subsequent call on the same setup — including
-        resilient retries and checkpoint resumes, which rebind
-        communicators but keep the LET, and with it the plan.
     precision:
         Plan precision (``"fp64"`` / ``"fp32"`` / ``"auto"``; see
         :class:`repro.core.Fmm`).  With ``"auto"``, every rank probes its
         own subsample and the decision is made *collectively* (allgather
         of the per-rank votes; fp32 only if every rank voted fp32), so
-        ranks never evaluate at disagreeing precisions.  fp32 requires
-        ``use_plan=True``.
+        ranks never evaluate at disagreeing precisions.
     precision_rtol:
         Relative-error target for ``precision="auto"``.
     pipeline:
@@ -131,21 +124,13 @@ class DistributedFmm:
         use_gpu: bool = False,
         gpu=None,
         gpu_wx: bool = False,
-        use_plan: bool = True,
         precision: str = "fp64",
         precision_rtol: float | None = None,
         pipeline: bool = True,
         threads: int | None = None,
     ):
-        from repro.core.plan import PrecisionError
-
         if comm_scheme not in ("hypercube", "owner"):
             raise ValueError("comm_scheme must be 'hypercube' or 'owner'")
-        if not use_plan and precision != "fp64":
-            raise PrecisionError(
-                f"precision={precision!r} requires use_plan=True: the "
-                "plan-free distributed path is float64-only"
-            )
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.order = int(order)
         self.max_points_per_box = int(max_points_per_box)
@@ -174,7 +159,6 @@ class DistributedFmm:
                 precision=precision,
                 precision_rtol=precision_rtol,
             )
-        self.use_plan = bool(use_plan)
         self.pipeline = bool(pipeline)
         self.threads = None if threads is None else max(1, int(threads))
         self.comm: SimComm | None = None
@@ -350,29 +334,18 @@ class DistributedFmm:
 
         stats: dict = {}
         patched = False
-        if self.use_plan and old_plan is not None:
-            from repro.core.plan import PlanScopes, patch_plan
+        if old_plan is not None:
+            from repro.core.plan import patch_plan
             from repro.core.tree import diff_trees
 
             let, lists = self.let, self.lists
             profile = comm.profile
-            own_leaf = let.owned_leaf
-            contrib = let.owned_contrib & (self._own_counts > 0)
             with profile.phase("setup:patch"):
                 delta = diff_trees(old_let.tree, let.tree)
                 self._plan = patch_plan(
                     self.evaluator, old_plan, old_let.tree, old_lists,
                     let.tree, lists, delta=delta,
-                    scopes=PlanScopes(
-                        s2u=own_leaf,
-                        u2u=contrib,
-                        vli=let.owned_contrib,
-                        xli=let.owned_contrib,
-                        d2d=let.owned_contrib,
-                        wli=own_leaf,
-                        d2t=own_leaf,
-                        uli=own_leaf,
-                    ),
+                    scopes=self._plan_scopes(),
                     cache_matrices=self.evaluator.PLAN_CACHE_MATRICES,
                     precision=old_plan.precision,
                 )
@@ -390,6 +363,24 @@ class DistributedFmm:
                     f"update_geometry precision vote disagrees: {votes}"
                 )
         return {"patched": patched, "patch_stats": stats}
+
+    def _plan_scopes(self):
+        """This rank's ownership masks, the scopes its plan is compiled
+        with: owned leaves for the leaf phases, owned contributors for the
+        tree phases, so ghost data never double-counts."""
+        from repro.core.plan import PlanScopes
+
+        own_leaf, contrib = self.let.owned_leaf, self.let.owned_contrib
+        return PlanScopes(
+            s2u=own_leaf,
+            u2u=contrib & (self._own_counts > 0),
+            vli=contrib,
+            xli=contrib,
+            d2d=contrib,
+            wli=own_leaf,
+            d2t=own_leaf,
+            uli=own_leaf,
+        )
 
     # -- evaluation --------------------------------------------------------------
 
@@ -446,13 +437,9 @@ class DistributedFmm:
             # COMM_reduce alone against ranks that skip them — a deadlock
             resumable = all(comm.allgather(bool(resumable)))
         state = ev.allocate(tree)
-        own_leaf = let.owned_leaf
-        contrib = let.owned_contrib & (self._own_counts > 0)
 
         plan = self._plan
-        if self.use_plan and plan is None:
-            from repro.core.plan import PlanScopes
-
+        if plan is None:
             precision = ev.precision
             if precision == "auto":
                 # Every rank probes its own subsample, then the decision is
@@ -478,21 +465,12 @@ class DistributedFmm:
                 plan = self._plan = ev.compile_plan(
                     tree,
                     lists,
-                    scopes=PlanScopes(
-                        s2u=own_leaf,
-                        u2u=contrib,
-                        vli=let.owned_contrib,
-                        xli=let.owned_contrib,
-                        d2d=let.owned_contrib,
-                        wli=own_leaf,
-                        d2t=own_leaf,
-                        uli=own_leaf,
-                    ),
+                    scopes=self._plan_scopes(),
                     cache_matrices=ev.PLAN_CACHE_MATRICES,
                     precision=precision,
                 )
 
-        profile.precision = plan.precision if plan is not None else "fp64"
+        profile.precision = plan.precision
         pipelined = (
             (self.pipeline if pipeline is None else bool(pipeline))
             and comm.size > 1
@@ -516,9 +494,9 @@ class DistributedFmm:
                 with profile.phase("COMM_exchange"):
                     let.exchange_densities(comm, dens, ks)
             with profile.phase("S2U"):
-                ev.s2u(tree, dens, state, profile, scope=own_leaf, plan=plan)
+                ev.s2u(tree, dens, state, profile, plan)
             with profile.phase("U2U"):
-                ev.u2u(tree, state, profile, scope=contrib, plan=plan)
+                ev.u2u(tree, state, profile, plan)
             if pipelined:
                 # Complete before the reduce: charges land in this phase,
                 # and ghost densities must be in place for X/U-lists.
@@ -534,10 +512,7 @@ class DistributedFmm:
                 def _overlap() -> None:
                     with profile.phase("XLI"):
                         deferred.append(
-                            ev.xli_compute(
-                                tree, lists, dens, profile,
-                                scope=let.owned_contrib, plan=plan,
-                            )
+                            ev.xli_compute(tree, lists, dens, profile, plan)
                         )
 
                 with profile.phase("COMM_reduce"):
@@ -566,23 +541,20 @@ class DistributedFmm:
                 with profile.phase("COMM_ckpt"):
                     comm.barrier()
         with profile.phase("VLI"):
-            ev.vli(tree, lists, state, profile, scope=let.owned_contrib, plan=plan)
+            ev.vli(tree, lists, state, profile, plan)
         with profile.phase("XLI"):
             if xli_deferred is not None:
                 ev.xli_apply(state, xli_deferred)
             else:
-                ev.xli(
-                    tree, lists, dens, state, profile,
-                    scope=let.owned_contrib, plan=plan,
-                )
+                ev.xli(tree, lists, dens, state, profile, plan)
         with profile.phase("D2D"):
-            ev.d2d(tree, state, profile, scope=let.owned_contrib, plan=plan)
+            ev.d2d(tree, state, profile, plan)
         with profile.phase("WLI"):
-            ev.wli(tree, lists, state, profile, scope=own_leaf, plan=plan)
+            ev.wli(tree, lists, state, profile, plan)
         with profile.phase("D2T"):
-            ev.d2t(tree, state, profile, scope=own_leaf, plan=plan)
+            ev.d2t(tree, state, profile, plan)
         with profile.phase("ULI"):
-            ev.uli(tree, lists, dens, state, profile, scope=own_leaf, plan=plan)
+            ev.uli(tree, lists, dens, state, profile, plan)
         return let.gather_own_values(state["pot"], kt)
 
     def _reduce_shared(self, state: dict, overlap=None) -> None:

@@ -122,46 +122,29 @@ class GpuFmmEvaluator(FmmEvaluator):
             return False
         return True
 
-    def _leaf_density_block(self, tree, dens, boxes):
-        """Flat density slice per streamed leaf + offsets (device copy)."""
-        ks = self.kernel.source_dim
-        parts = [
-            dens[tree.pt_begin[i] * ks : tree.pt_end[i] * ks] for i in boxes
-        ]
-        offsets = np.concatenate(
-            [[0], np.cumsum([tree.pt_end[i] - tree.pt_begin[i] for i in boxes])]
-        ).astype(np.int64)
-        flat = np.concatenate(parts) if parts else np.empty(0)
-        return flat, offsets
-
     # -- accelerated phases -------------------------------------------------
+    #
+    # Box sets come from ``plan`` (they carry its ownership scopes); the
+    # device stream and the flat gather/scatter rows built from them are
+    # density-independent and cached on the plan, so repeated applies
+    # stage densities with one fancy index.
 
-    def s2u(self, tree, dens, state, profile, scope=None, plan=None) -> None:
+    def s2u(self, tree, dens, state, profile, plan) -> None:
         if not self._device_ok("S2U", profile):
-            super().s2u(tree, dens, state, profile, scope, plan=plan)
+            super().s2u(tree, dens, state, profile, plan)
             return
-        if plan is not None:
-            # The plan caches the device stream and the flat gather rows,
-            # so repeated applies stage densities with one fancy index.
-            def _stage():
-                sel = self._boxes_mask(tree, (b.group for b in plan.s2u))
-                stream = build_leaf_stream(tree, sel)
-                cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-                rows, offsets = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
-                return stream, rows, offsets
 
-            with profile.phase("translate"):
-                stream, rows, offsets = self._plan_cache(plan, "s2u", _stage)
-                ks = self.kernel.source_dim
-                flat = dens.reshape(tree.n_points, ks)[rows].reshape(-1)
-        else:
-            counts = tree.point_counts()
-            sel = tree.is_leaf & (counts > 0)
-            if scope is not None:
-                sel = sel & scope
-            with profile.phase("translate"):
-                stream = build_leaf_stream(tree, sel)
-                flat, offsets = self._leaf_density_block(tree, dens, stream.boxes)
+        def _stage():
+            sel = self._boxes_mask(tree, (b.group for b in plan.s2u))
+            stream = build_leaf_stream(tree, sel)
+            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
+            rows, offsets = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            return stream, rows, offsets
+
+        with profile.phase("translate"):
+            stream, rows, offsets = self._plan_cache(plan, "s2u", _stage)
+            ks = self.kernel.source_dim
+            flat = dens.reshape(tree.n_points, ks)[rows].reshape(-1)
         dens_dev = self.gpu.to_device(flat, phase="S2U")
         up32 = gpu_s2u(
             self.gpu, stream, dens_dev, offsets, self.kernel, self.ops
@@ -170,7 +153,7 @@ class GpuFmmEvaluator(FmmEvaluator):
         state["up"][stream.boxes] = up_host
         profile.add_flops(0.0)  # CPU does no arithmetic here
 
-    def vli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
+    def vli(self, tree, lists, state, profile, plan) -> None:
         """FFT-diagonalised V-list with the multiply on the device.
 
         Per the paper, per-octant FFTs run on the CPU; only the
@@ -181,19 +164,15 @@ class GpuFmmEvaluator(FmmEvaluator):
         accumulator grid) plus one kernel transform per distinct offset.
         """
         if self.m2l_mode != "fft" or not self._device_ok("VLI", profile):
-            super().vli(tree, lists, state, profile, scope, plan=plan)
+            super().vli(tree, lists, state, profile, plan)
             return
         up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         grid = fft.n * fft.n * fft.nf * np.dtype(np.complex64).itemsize
-        if plan is not None:
-            groups, buffer = plan.vli_fft, plan._buffer
-        else:
-            groups, buffer = fft.schedule(tree, lists.v, scope), None
         ledger, model = self.gpu.ledger, self.gpu.model
-        for g in groups:
-            fft.vlist(g, up, dcheck, np.complex64, buffer)
+        for g in plan.vli_fft:
+            fft.vlist(g, up, dcheck, np.complex64, plan._buffer)
             # CPU: forward and inverse FFTs
             profile.add_flops(
                 (g.usrc.size * ks + g.utgt.size * kt) * fft.fft_flops_per_box()
@@ -209,69 +188,49 @@ class GpuFmmEvaluator(FmmEvaluator):
             nbytes = g.utgt.size * kt * grid
             ledger.charge_transfer("VLI", model.transfer_seconds(nbytes), nbytes)
 
-    def d2t(self, tree, state, profile, scope=None, plan=None) -> None:
+    def d2t(self, tree, state, profile, plan) -> None:
         if not self._device_ok("D2T", profile):
-            super().d2t(tree, state, profile, scope, plan=plan)
+            super().d2t(tree, state, profile, plan)
             return
         kt = self.kernel.target_dim
-        if plan is not None:
-            # Device results come back contiguous in stream order, so the
-            # cached target-point rows scatter them in one fancy add.
-            def _stage():
-                sel = self._boxes_mask(tree, (b.group for b in plan.d2t))
-                stream = build_leaf_stream(tree, sel)
-                cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-                rows, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
-                return stream, rows
 
-            with profile.phase("translate"):
-                stream, rows = self._plan_cache(plan, "d2t", _stage)
-        else:
-            counts = tree.point_counts()
-            sel = tree.is_leaf & (counts > 0)
-            if scope is not None:
-                sel = sel & scope
-            with profile.phase("translate"):
-                stream = build_leaf_stream(tree, sel)
-            rows = None
+        # Device results come back contiguous in stream order, so the
+        # cached target-point rows scatter them in one fancy add.
+        def _stage():
+            sel = self._boxes_mask(tree, (b.group for b in plan.d2t))
+            stream = build_leaf_stream(tree, sel)
+            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
+            rows, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            return stream, rows
+
+        with profile.phase("translate"):
+            stream, rows = self._plan_cache(plan, "d2t", _stage)
         deq_dev = self.gpu.to_device(
             state["dequiv"][stream.boxes], phase="D2T"
         )
         pot32 = gpu_d2t(self.gpu, stream, deq_dev, self.kernel, self.ops)
         pot_host = self.gpu.to_host(pot32, phase="D2T")
-        pot = state["pot"]
-        if rows is not None:
-            pot.reshape(-1, kt)[rows] += pot_host.reshape(-1, kt)
-            return
-        for j, i in enumerate(stream.boxes):
-            p0, p1 = stream.pt_offsets[j], stream.pt_offsets[j + 1]
-            pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += pot_host[
-                p0 * kt : p1 * kt
-            ]
+        state["pot"].reshape(-1, kt)[rows] += pot_host.reshape(-1, kt)
 
-    def wli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
+    def wli(self, tree, lists, state, profile, plan) -> None:
         """W-list on the device when ``accelerate_wx`` is set.
 
         Source UE surface points are generated on the fly (as in S2U);
         only the target particles and up densities cross global memory.
-        The device path is per-box and plan-free (the plan only speeds up
-        the host paths it falls back to).
+        The device path is per-box: the plan names the target leaves, the
+        list is walked on the fly.
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
-            super().wli(tree, lists, state, profile, scope, plan=plan)
+            super().wli(tree, lists, state, profile, plan)
             return
         from repro.gpu.kernels import pairwise_f32
 
         kt = self.kernel.target_dim
         up, pot = state["up"], state["pot"]
-        counts = tree.point_counts()
         w = lists.w
-        sel = tree.is_leaf & (w.counts > 0) & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
         flops = 0.0
         gbytes = 0.0
-        for i in np.flatnonzero(sel):
+        for i in np.unique(plan.wli_rows):
             pts = tree.leaf_points(i).astype(np.float32)
             row = np.zeros(len(pts) * kt, dtype=np.float32)
             for a in w.of(i):
@@ -291,15 +250,16 @@ class GpuFmmEvaluator(FmmEvaluator):
             gbytes += pts.nbytes + row.nbytes
         self.gpu.charge_launch("WLI", flops, gbytes)
 
-    def xli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
+    def xli(self, tree, lists, dens, state, profile, plan) -> None:
         """X-list on the device when ``accelerate_wx`` is set.
 
         Target DC surface points are generated on the fly; ghost-leaf
-        source particles stream from global memory.  Per-box and
-        plan-free, like the device W-list.
+        source particles stream from global memory.  Per-box, like the
+        device W-list: the plan names the target boxes (those with at
+        least one non-empty X-list source).
         """
         if not self.accelerate_wx or not self._device_ok("XLI", profile):
-            super().xli(tree, lists, dens, state, profile, scope, plan=plan)
+            super().xli(tree, lists, dens, state, profile, plan)
             return
         from repro.gpu.kernels import pairwise_f32
 
@@ -307,17 +267,14 @@ class GpuFmmEvaluator(FmmEvaluator):
         dcheck = state["dcheck"]
         counts = tree.point_counts()
         x = lists.x
-        sel = x.counts > 0
-        if scope is not None:
-            sel = sel & scope
         flops = 0.0
         gbytes = 0.0
-        for i in np.flatnonzero(sel):
+        segs = [blk.seg for blk in plan.xli]
+        for i in np.unique(np.concatenate(segs)) if segs else ():
             dc = self.ops.dc_points(tree.levels[i], tree.centers[i]).astype(
                 np.float32
             )
             acc = np.zeros(dcheck.shape[1], dtype=np.float32)
-            hit = False
             for a in x.of(i):
                 if counts[a] == 0:
                     continue
@@ -328,12 +285,10 @@ class GpuFmmEvaluator(FmmEvaluator):
                     tree.pt_begin[a] * ks : tree.pt_end[a] * ks
                 ].astype(np.float32)
                 acc += pairwise_f32(self.kernel, dc, pts, den)
-                hit = True
                 flops += self.kernel.pair_flops(self.ns, len(pts))
                 gbytes += pts.nbytes + den.nbytes
-            if hit:
-                dcheck[i] += acc.astype(np.float64)
-                gbytes += acc.nbytes
+            dcheck[i] += acc.astype(np.float64)
+            gbytes += acc.nbytes
         self.gpu.charge_launch("XLI", flops, gbytes)
 
     def xli_deferrable(self) -> bool:
@@ -341,43 +296,26 @@ class GpuFmmEvaluator(FmmEvaluator):
         only the CPU path supports the deferred compute/apply split."""
         return not self.accelerate_wx
 
-    def uli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
+    def uli(self, tree, lists, dens, state, profile, plan) -> None:
         if not self._device_ok("ULI", profile):
-            super().uli(tree, lists, dens, state, profile, scope, plan=plan)
+            super().uli(tree, lists, dens, state, profile, plan)
             return
         kt = self.kernel.target_dim
-        if plan is not None:
-            # Device targets are padded to block multiples, so unlike D2T
-            # both sides of the scatter need cached row arrays: dst rows
-            # into the potential table, src rows into the device result.
-            def _stage():
-                sel = self._boxes_mask(tree, (b.boxes for b in plan.uli))
-                stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
-                cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-                dst, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
-                src, _ = self._ragged_rows(stream.tgt_offsets[:-1], cnts)
-                return stream, dst, src
 
-            with profile.phase("translate"):
-                stream, dst, src = self._plan_cache(plan, "uli", _stage)
-        else:
-            counts = tree.point_counts()
-            sel = tree.is_leaf & (counts > 0)
-            if scope is not None:
-                sel = sel & scope
-            with profile.phase("translate"):
-                stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
-            dst = src = None
+        # Device targets are padded to block multiples, so unlike D2T
+        # both sides of the scatter need cached row arrays: dst rows
+        # into the potential table, src rows into the device result.
+        def _stage():
+            sel = self._boxes_mask(tree, (b.boxes for b in plan.uli))
+            stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
+            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
+            dst, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            src, _ = self._ragged_rows(stream.tgt_offsets[:-1], cnts)
+            return stream, dst, src
+
+        with profile.phase("translate"):
+            stream, dst, src = self._plan_cache(plan, "uli", _stage)
         dens_dev = self.gpu.to_device(dens, phase="ULI")
         pot32 = gpu_uli(self.gpu, stream, dens_dev, self.kernel)
         pot_host = self.gpu.to_host(pot32, phase="ULI")
-        pot = state["pot"]
-        if dst is not None:
-            pot.reshape(-1, kt)[dst] += pot_host.reshape(-1, kt)[src]
-            return
-        for j, i in enumerate(stream.boxes):
-            t0 = stream.tgt_offsets[j]
-            n = tree.pt_end[i] - tree.pt_begin[i]
-            pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += pot_host[
-                t0 * kt : (t0 + n) * kt
-            ]
+        state["pot"].reshape(-1, kt)[dst] += pot_host.reshape(-1, kt)[src]

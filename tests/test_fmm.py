@@ -284,6 +284,37 @@ class TestSeparateTargets:
         b = fmm.evaluate_targets(pts, dens, pts)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
+    def test_density_block_matches_direct(self):
+        """A ``(n * ks, q)`` block: one column of targets per density."""
+        src = uniform_cube(600, seed=70)
+        tgt = uniform_cube(80, seed=71)
+        kern = get_kernel("stokes")
+        block = np.random.default_rng(9).standard_normal((1800, 2))
+        fmm = Fmm(kern, order=6, max_points_per_box=40)
+        out = fmm.evaluate_targets(src, block, tgt)
+        assert out.shape == (240, 2)
+        for j in range(2):
+            ref = direct_sum(kern, tgt, src, block[:, j])
+            assert rel_err(out[:, j], ref) < 1e-3
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_targets_outside_unit_cube_rejected(self, bad):
+        src = uniform_cube(300, seed=72)
+        dens = np.ones(300)
+        tgt = uniform_cube(5, seed=73)
+        tgt[3, 0] = bad
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        with pytest.raises(ValueError, match=r"targets.*row 3"):
+            fmm.evaluate_targets(src, dens, tgt)
+
+    def test_targets_shape(self):
+        src = uniform_cube(300, seed=72)
+        dens = np.ones(300)
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        assert fmm.evaluate_targets(src, dens, np.empty((0, 3))).shape == (0,)
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            fmm.evaluate_targets(src, dens, np.zeros((4, 2)))
+
     def test_plan_reuse_with_targets(self):
         src = uniform_cube(700, seed=68)
         kern = get_kernel("laplace")

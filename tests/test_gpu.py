@@ -127,8 +127,13 @@ class TestGpuEvaluator:
         lists = build_lists(tree)
         sdens = dens[tree.order]
         p_cpu = FmmEvaluator(kern, 6).evaluate(tree, lists, sdens, PhaseProfile())
-        p_gpu = GpuFmmEvaluator(kern, 6).evaluate(tree, lists, sdens, PhaseProfile())
+        gpu = GpuFmmEvaluator(kern, 6)
+        p_gpu = gpu.evaluate(tree, lists, sdens, PhaseProfile())
         assert np.linalg.norm(p_gpu - p_cpu) / np.linalg.norm(p_cpu) < 5e-4
+        # the one-shot call above staged through a transient plan; a kept
+        # plan stages the same streams
+        ep = gpu.compile_plan(tree, lists)
+        assert np.array_equal(p_gpu, gpu.evaluate(tree, lists, sdens, plan=ep))
 
     def test_stokes_gpu(self):
         pts = uniform_cube(800, seed=43)

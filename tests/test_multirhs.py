@@ -5,8 +5,8 @@ them through all eight phases in one apply.  That is only sound because
 of the fixed-shape GEMM contract (:mod:`repro.core.contract`): output
 column ``c`` of every batched GEMM depends on input column ``c`` alone,
 so a batched result must equal the solo result *bitwise*, not just to
-rounding.  These tests pin that promise across kernels, both evaluation
-paths, and concurrent callers sharing one evaluator.
+rounding.  These tests pin that promise across kernels, cached and
+matrix-free plans, and concurrent callers sharing one evaluator.
 """
 
 import threading
@@ -109,26 +109,33 @@ class TestMultiRhsBitIdentity:
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_no_plan_path(self, kernel):
+        """A caller that brings no eval plan gets the matrix-free one: the
+        block on the first sighting of the tree (nothing cached, every
+        kernel block evaluated in flight), its columns alone after."""
         n = 700
         pts = uniform_cube(n, seed=32)
         fmm = Fmm(kernel, order=4, max_points_per_box=40)
         block = _density_block(kernel, n, 3, seed=6)
         plan = fmm.plan(pts)
-        multi = fmm.evaluate(pts, block, plan=plan, use_plan=False)
+        multi = fmm.evaluate(pts, block, plan=plan)
+        assert fmm.evaluator._plan_obj is None  # transient, matrix-free
+        free = fmm.compile_eval_plan(plan, cache_matrices=False)
         for j in range(3):
-            solo = fmm.evaluate(pts, block[:, j], plan=plan, use_plan=False)
+            solo = fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=free)
             assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
 
     def test_plan_path_equals_no_plan_path(self):
-        """The two paths agree bitwise, so batching never changes answers."""
+        """A cached plan and no plan at all (the transient matrix-free
+        one) agree bitwise, so batching never changes answers."""
         n = 800
         pts = uniform_cube(n, seed=33)
         fmm = Fmm("laplace", order=4, max_points_per_box=35)
         block = _density_block("laplace", n, 4, seed=7)
         plan = fmm.plan(pts)
+        b = fmm.evaluate(pts, block, plan=plan)
         ep = fmm.compile_eval_plan(plan)
+        assert ep.matrix_bytes() > 0
         a = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
-        b = fmm.evaluate(pts, block, plan=plan, use_plan=False)
         assert np.array_equal(a, b)
 
     def test_single_column_2d_equals_1d(self):

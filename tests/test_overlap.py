@@ -67,13 +67,6 @@ class TestBitIdentity:
         _, pot_p, _ = _run(pts, 4, pipeline=True, comm_scheme=scheme, **FMM_KW)
         assert np.array_equal(pot_s, pot_p)
 
-    def test_nonplan_path_bit_identical(self):
-        # use_plan=False exercises the evaluator's non-plan xli_compute
-        pts = uniform_cube(1000, seed=43)
-        _, pot_s, _ = _run(pts, 4, pipeline=False, use_plan=False, **FMM_KW)
-        _, pot_p, _ = _run(pts, 4, pipeline=True, use_plan=False, **FMM_KW)
-        assert np.array_equal(pot_s, pot_p)
-
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("pipeline", [False, True])

@@ -102,17 +102,18 @@ class TestAccuracyLadder:
 class TestFp64BitIdentity:
     """precision='fp64' must be byte-for-byte the pre-precision engine."""
 
-    def test_plan_matches_legacy_path(self):
+    def test_explicit_fp64_is_the_default(self):
         n = 1_500
         points = uniform_cube(n, seed=11)
         fmm = Fmm("laplace", order=4, max_points_per_box=40)
         dens = _dens_for(fmm.kernel, n, seed=11)
         plan = fmm.plan(points)
-        legacy = fmm.evaluate(points, dens, plan=plan, use_plan=False)
+        default = fmm.evaluate(points, dens, plan=plan)
         ep = fmm.compile_eval_plan(plan, precision="fp64")
         assert ep.precision == "fp64"
         planned = fmm.evaluate(points, dens, plan=plan, eval_plan=ep)
-        np.testing.assert_array_equal(planned, legacy)
+        np.testing.assert_array_equal(planned, default)
+        assert _rel_err(fmm.kernel, points, dens, planned) < 1e-3
 
     def test_multi_rhs_matches_columns(self):
         n = 1_000
@@ -198,19 +199,49 @@ class TestFp32Behaviour:
         assert ep32.matrix_bytes() * 2 == ep64.matrix_bytes()
         assert ep32.nbytes < 0.75 * ep64.nbytes
 
-    def test_fp32_compiles_on_first_call(self):
-        # fp64 compiles lazily on the second same-setup call; fp32 cannot
-        # run plan-free, so the evaluator compiles eagerly on the first
+    def test_fp32_serves_the_first_call(self):
+        # call one applies a transient matrix-free plan at the requested
+        # precision; the cached compile waits for call two, as for fp64
         n = 800
         points = uniform_cube(n, seed=23)
         fmm = Fmm("laplace", order=4, max_points_per_box=40,
                   precision="fp32")
         dens = _dens_for(fmm.kernel, n, seed=23)
+        plan = fmm.plan(points)
         prof = PhaseProfile()
-        pot = fmm.evaluate(points, dens, profile=prof)
-        assert "setup:plan" in prof.events
+        pot = fmm.evaluate(points, dens, plan=plan, profile=prof)
         assert prof.precision == "fp32"
-        assert np.isfinite(pot).all()
+        assert "setup:plan" not in prof.events
+        assert fmm.evaluator._plan_obj is None
+        ep = fmm.compile_eval_plan(plan)
+        assert ep.precision == "fp32"
+        np.testing.assert_array_equal(
+            pot, fmm.evaluate(points, dens, plan=plan, eval_plan=ep)
+        )
+        fmm.evaluate(points, dens, plan=plan, profile=prof)
+        assert "setup:plan" in prof.events
+        assert fmm.evaluator._plan_obj.precision == "fp32"
+
+    def test_fp32_reaches_separate_targets(self):
+        # evaluate_targets resolves its plan like evaluate: an fp32 Fmm
+        # runs the upward/downward phases in float32, not silently fp64
+        n = 800
+        points = uniform_cube(n, seed=25)
+        targets = uniform_cube(60, seed=26)
+        dens = _dens_for(get_kernel("laplace"), n, seed=25)
+        pots, profs = {}, {}
+        for prec in ("fp64", "fp32"):
+            fmm = Fmm("laplace", order=6, max_points_per_box=40,
+                      precision=prec)
+            profs[prec] = PhaseProfile()
+            pots[prec] = fmm.evaluate_targets(
+                points, dens, targets, profile=profs[prec]
+            )
+            assert profs[prec].precision == prec
+        assert not np.array_equal(pots["fp32"], pots["fp64"])
+        ref = direct_sum(get_kernel("laplace"), targets, points, dens)
+        err = np.linalg.norm(pots["fp32"] - ref) / np.linalg.norm(ref)
+        assert err < F32_FLOOR
 
     def test_gpu_fp32_uses_plan_buffers(self):
         from repro.core.lists import build_lists
@@ -242,14 +273,6 @@ class TestTypedErrors:
         with pytest.raises(PrecisionError, match="precision"):
             FmmEvaluator(get_kernel("laplace"), 4, precision="double")
 
-    def test_fp32_is_plan_only(self):
-        n = 600
-        points = uniform_cube(n, seed=31)
-        fmm = Fmm("laplace", order=4, max_points_per_box=40)
-        dens = _dens_for(fmm.kernel, n, seed=31)
-        with pytest.raises(PrecisionError, match="plan"):
-            fmm.evaluate(points, dens, use_plan=False, precision="fp32")
-
     def test_conflicting_plan_override_rejected(self):
         n = 600
         points = uniform_cube(n, seed=32)
@@ -260,12 +283,6 @@ class TestTypedErrors:
         with pytest.raises(PrecisionError, match="fp32"):
             fmm.evaluate(points, dens, plan=plan, eval_plan=ep64,
                          precision="fp32")
-
-    def test_distributed_fp32_requires_plan(self):
-        from repro.dist.driver import DistributedFmm
-
-        with pytest.raises(PrecisionError, match="use_plan"):
-            DistributedFmm(order=4, use_plan=False, precision="fp32")
 
 
 class TestServePrecision:
