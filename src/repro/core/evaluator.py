@@ -111,7 +111,7 @@ class FmmEvaluator:
         self.ns = self.ops.n_surf
         # Lazy plan cache: weakrefs to the last-seen tree/lists, how many
         # consecutive evaluates saw them, and a box holding the compiled
-        # plan (``{"plan": EvalPlan}`` or empty).  Guarded by
+        # plans (``"plan"``, and ``"targets"`` for evaluate_targets).  Guarded by
         # ``_plan_lock``: concurrent evaluates of one shared evaluator must
         # agree on a single compile per (tree, lists).  The one writer
         # outside the lock is the tree weakref's callback, which empties
@@ -284,7 +284,7 @@ class FmmEvaluator:
         """The lazily compiled plan, or ``None`` (none yet, or its tree died)."""
         return self._plan_box.get("plan")
 
-    def _cached_plan(self, tree, lists, profile, precision):
+    def _cached_plan(self, tree, lists, profile, precision, targets=False):
         """Plan for an evaluate call that brought none.
 
         The second consecutive call that sees a ``(tree, lists)`` pair
@@ -295,7 +295,10 @@ class FmmEvaluator:
         all.  A cached plan at a different precision is discarded and
         recompiled (per-call overrides flip precision mid-stream), and the
         cache holds its tree weakly: when the caller drops the tree, the
-        plan goes with it.
+        plan goes with it.  ``targets`` asks for the plan
+        :meth:`evaluate_targets` applies, kept beside the full one: it
+        reads S2U..D2D only, so its ULI / D2T / WLI scopes are empty and
+        no block of those sections is ever compiled.
 
         The cached compile is charged to the ``setup:plan`` span so traces
         and the perf model can separate amortisable setup from apply work,
@@ -304,6 +307,12 @@ class FmmEvaluator:
         then reuse it) and must not race the weakref bookkeeping into
         re-compiling or dropping a live plan.
         """
+        key, scopes = "plan", None
+        if targets:
+            from repro.core.plan import PlanScopes
+
+            none = np.zeros(tree.n_nodes, dtype=bool)
+            key, scopes = "targets", PlanScopes(uli=none, d2t=none, wli=none)
         with self._plan_lock:
             tr = self._plan_tree() if self._plan_tree is not None else None
             lr = self._plan_lists() if self._plan_lists is not None else None
@@ -314,20 +323,22 @@ class FmmEvaluator:
                 self._plan_tree = weakref.ref(tree, lambda _ref: box.clear())
                 self._plan_lists = weakref.ref(lists)
                 self._plan_calls = 1
-            plan = self._plan_box.get("plan")
+            plan = self._plan_box.get(key)
             if plan is not None and plan.precision != precision:
                 plan = None
             if plan is None and self._plan_calls >= 2:
                 with profile.phase("setup:plan"):
-                    plan = self._plan_box["plan"] = self.compile_plan(
+                    plan = self._plan_box[key] = self.compile_plan(
                         tree,
                         lists,
+                        scopes=scopes,
                         cache_matrices=self.PLAN_CACHE_MATRICES,
                         precision=precision,
                     )
         if plan is None:
             plan = self.compile_plan(
-                tree, lists, cache_matrices=False, precision=precision
+                tree, lists, scopes=scopes, cache_matrices=False,
+                precision=precision,
             )
         return plan
 
@@ -337,19 +348,21 @@ class FmmEvaluator:
     #: back to a bit-identical per-column loop.
     SUPPORTS_MULTI_RHS = True
 
-    def _resolve_plan(self, tree, lists, profile, plan, precision):
+    def _resolve_plan(self, tree, lists, profile, plan, precision,
+                      targets=False):
         """Shared plan/precision resolution for the evaluate entry points.
 
         Returns the plan to apply and records its precision on the
         profile.  An explicit plan's own precision wins unless an explicit
         override contradicts it; without a plan the lazy cache supplies
-        one at the effective precision.
+        one at the effective precision (its ``targets`` variant for
+        :meth:`evaluate_targets`).
         """
         from repro.core.plan import PrecisionError
 
         if plan is None:
             eff = self._effective_precision(tree, profile, precision)
-            plan = self._cached_plan(tree, lists, profile, eff)
+            plan = self._cached_plan(tree, lists, profile, eff, targets)
         else:
             plan.check(tree)
             if precision is not None:
@@ -467,8 +480,9 @@ class FmmEvaluator:
         """Potentials at arbitrary target points (sources stay on the tree).
 
         Runs the upward/interaction/downward phases on the source tree
-        through a plan, resolved exactly as :meth:`evaluate` resolves one
-        (so at the evaluator's precision), then evaluates the final
+        through a plan, resolved as :meth:`evaluate` resolves one (so at
+        the evaluator's precision) but compiled without the ULI / D2T /
+        WLI blocks this method never reads, then evaluates the final
         phases (D2T, W-list, U-list direct) at the given targets: each
         target inherits the interaction lists of the leaf containing it.
         The target-side sums depend on the ad-hoc target set, which a
@@ -492,7 +506,7 @@ class FmmEvaluator:
                 )
         tkeys = morton.encode_points(targets)  # raises on a non-(n, 3) shape
 
-        plan = self._resolve_plan(tree, lists, profile, None, None)
+        plan = self._resolve_plan(tree, lists, profile, None, None, targets=True)
         state = self.allocate(tree)
         self._upward_and_down(tree, lists, dens, state, profile, plan)
 
@@ -630,7 +644,7 @@ class FmmEvaluator:
 
     def wli(self, tree, lists, state, profile, plan) -> None:
         """W-list: source-box up densities evaluated at target points."""
-        plan.apply_wli(self, tree, state, profile, pool=self.task_pool)
+        plan.apply_wli(self, state, profile, pool=self.task_pool)
 
     def d2t(self, tree, state, profile, plan) -> None:
         """Down equivalent densities to potentials at leaf targets."""

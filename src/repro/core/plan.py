@@ -35,18 +35,20 @@ Design rules:
   (safe because scatter targets are unique within a batch — only the
   discarded sentinel row repeats).  See DESIGN.md for why ``np.add.at``
   is avoided.
-* **Density-dependent gating is deferred.**  The W-list prunes source
-  boxes whose upward density is identically zero — a property of the
-  density, not the tree.  Its schedule is compiled lazily at first apply
-  from the observed zero pattern and transparently recompiled if a later
-  density changes that pattern, so a plan reused across densities
-  matches one compiled fresh for each.
+* **Every list is a property of the tree; a compiled plan is never
+  written to.**  U/V/W/X membership — the pruning of empty source
+  octants included — is decided at compile from point counts (on a LET,
+  from the mask of ghost octants that hold a point on some rank); a
+  source whose density happens to vanish contributes exact zeros.  Once
+  :func:`compile_plan` returns, an apply only reads the plan (per-thread
+  scratch and the ``gpu`` staging dict aside): concurrent applies need
+  no lock, and a plan weighs the same after any number of requests.
 * **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
   only on geometry; they are materialised at compile under a byte budget
-  (U-list first — it dominates), turning those phases into pure
-  GEMM + scatter.  Blocks that do not fit fall back to evaluating
-  the kernel per apply, bit-identically either way;
-  ``cache_matrices=False`` compiles schedules only, which is what a
+  claimed in the order ULI, S2U, D2T, XLI, WLI (the U-list dominates),
+  turning those phases into pure GEMM + scatter.  Blocks that do not fit
+  fall back to evaluating the kernel per apply, bit-identically either
+  way; ``cache_matrices=False`` compiles schedules only, which is what a
   one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
   stores float32 kernel matrices, reads the complex64 V-list offset
@@ -140,6 +142,9 @@ class PlanScopes:
     for the tree phases), so ghost data never double-counts.  A scoped
     plan computes exactly the owner's share: applying it is only
     meaningful inside the exchange/reduce protocol that supplies the rest.
+    ``nonempty`` rides along with them: the LET's mask of octants that
+    hold a point on *some* rank, which decides the W-list sources kept
+    (``None`` = the tree's own point counts, exact on a solo tree).
     """
 
     s2u: np.ndarray | None = None
@@ -150,6 +155,7 @@ class PlanScopes:
     wli: np.ndarray | None = None
     d2t: np.ndarray | None = None
     uli: np.ndarray | None = None
+    nonempty: np.ndarray | None = None
 
     def any_set(self) -> bool:
         return any(
@@ -232,22 +238,14 @@ class _UliBlock:
 
 
 @dataclass
-class _WliSection:
-    """Lazily compiled W-list schedule for one observed zero-up pattern."""
-
-    sig: np.ndarray  # packbits of the keep mask over the candidate pairs
-    blocks: list
-    cached_bytes: int  # kernel-matrix bytes charged against the budget
-
-
-@dataclass
 class EvalPlan:
     """Everything density-independent about one FMM evaluation.
 
     Compile with :func:`compile_plan` (or
     :meth:`FmmEvaluator.compile_plan`); apply by passing the plan to the
     evaluator phase methods (``FmmEvaluator.evaluate`` manages this
-    automatically).  ``gpu`` is a scratch cache where
+    automatically).  Read-only once compiled, every section alike; the
+    two exceptions are scratch: the per-thread buffers, and ``gpu``, where
     :class:`~repro.gpu.accel.GpuFmmEvaluator` keeps its device streams and
     staging gather/scatter indices.
     """
@@ -272,15 +270,13 @@ class EvalPlan:
     vli_dense: list = field(default_factory=list)
     xli: list = field(default_factory=list)
     d2d: list = field(default_factory=list)
-    wli_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    wli_cols: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    wli: list = field(default_factory=list)
     d2t: list = field(default_factory=list)
     uli: list = field(default_factory=list)
     gpu: dict = field(default_factory=dict)
     #: Populated by :func:`patch_plan`: how much of the kernel-matrix
     #: state was reused vs recomputed (empty for fresh compiles).
     patch_stats: dict = field(default_factory=dict, repr=False)
-    _wli: _WliSection | None = field(default=None, repr=False)
     #: Weak reference to the tree compiled for (the identity fast path of
     #: :meth:`check`); weak so that a cached plan never keeps its tree alive.
     _tree: weakref.ref | None = field(default=None, repr=False)
@@ -290,11 +286,6 @@ class EvalPlan:
     _scratch: threading.local = field(
         default_factory=threading.local, repr=False
     )
-    #: Guards the lazily compiled W-list section and the matrix budget it
-    #: charges — the only plan state mutated after compile.
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _mat_left: int = field(default=0, repr=False)
-    _cache_matrices: bool = field(default=True, repr=False)
 
     # -- validation --------------------------------------------------------
 
@@ -310,12 +301,12 @@ class EvalPlan:
 
     def matrix_bytes(self) -> int:
         """Bytes held by cached kernel-matrix blocks (memory diagnostics)."""
-        total = 0
-        for sec in (self.s2u, self.d2t, self.xli, self.uli):
-            total += sum(b.kmat.nbytes for b in sec if b.kmat is not None)
-        if self._wli is not None:
-            total += self._wli.cached_bytes
-        return total
+        return sum(
+            b.kmat.nbytes
+            for sec in (self.s2u, self.d2t, self.xli, self.wli, self.uli)
+            for b in sec
+            if b.kmat is not None
+        )
 
     @property
     def nbytes(self) -> int:
@@ -332,17 +323,13 @@ class EvalPlan:
                     total += v.nbytes
             return total
 
-        total = self.wli_rows.nbytes + self.wli_cols.nbytes
+        total = 0
         for sec in (self.s2u, self.u2u, self.vli_dense, self.xli,
-                    self.d2t, self.uli):
+                    self.wli, self.d2t, self.uli):
             total += sum(arrays(b) for b in sec)
         for lv in self.d2d:
             total += arrays(lv) + sum(arrays(st) for st in lv.l2l)
-        total += self.vli_table_bytes + sum(arrays(g) for g in self.vli_fft)
-        if self._wli is not None:
-            total += self._wli.sig.nbytes
-            total += sum(arrays(b) for b in self._wli.blocks)
-        return total
+        return total + self.vli_table_bytes + sum(arrays(g) for g in self.vli_fft)
 
     # -- shared helpers ----------------------------------------------------
 
@@ -466,11 +453,9 @@ class EvalPlan:
     #   kernel matrix and the gather indices.
     # * ``np.add.reduceat`` segment sums are exact per slot regardless of
     #   trailing axes, so scatter schedules are shared as-is.
-    # * W-list gating uses the *union* zero pattern over the columns.  A
-    #   column that is zero on some kept pair contributes an exact ``+0.0``
-    #   to that segment sum, which IEEE addition absorbs (``x + 0.0 == x``;
-    #   a ``-0.0`` slot flips to ``+0.0``, equal under ``==``), so it still
-    #   matches the solo apply whose own pattern kept fewer pairs.
+    # * No schedule depends on a density: a column that is zero on a W-list
+    #   source runs the same GEMM and adds the exact zeros it produces,
+    #   in a block as in its solo apply.
     #
     # Output ownership (what lets tiles run on a pool).
     # * Disjoint-output tiles (S2U leaf groups, V-list group targets)
@@ -652,42 +637,17 @@ class EvalPlan:
                     dequiv[lv.nodes, j] = dcheck[lv.nodes, j] @ lv.conv_mat.T
                 profile.add_flops(lv.conv_flops * q)
 
-    def _wli_section(self, ev, tree, keep, profile) -> _WliSection:
-        """The W-list schedule for ``keep``, compiled lazily under the plan
-        lock (concurrent applies must not both compile, and must not watch
-        ``_wli`` swap mid-iteration — hence compile-and-snapshot)."""
-        sig = np.packbits(keep)
-        with self._lock:
-            if self._wli is None or not np.array_equal(sig, self._wli.sig):
-                with profile.phase("setup:wli"):
-                    if self._wli is not None:  # reclaim the replaced budget
-                        self._mat_left += self._wli.cached_bytes
-                    blocks = _compile_wli_blocks(
-                        ev, tree, self, self.wli_rows[keep], self.wli_cols[keep]
-                    )
-                    cached = sum(
-                        b.kmat.nbytes for b in blocks if b.kmat is not None
-                    )
-                    self._wli = _WliSection(
-                        sig=sig, blocks=blocks, cached_bytes=cached
-                    )
-            return self._wli
-
     def _scatter_pot(self, potr, rows, vals) -> None:
         """``potr[rows] += vals`` for gemm_cols-layout ``vals``
         ``(b, pad * kt_eval, q)`` and ``(b, pad)`` potential-table rows."""
         b, pad = rows.shape
         potr[rows] += vals.reshape(b, pad, self.kt_eval, -1).transpose(0, 1, 3, 2)
 
-    def apply_wli(self, ev, tree, state, profile, pool=None) -> None:
-        if self.wli_rows.size == 0:
+    def apply_wli(self, ev, state, profile, pool=None) -> None:
+        if not self.wli:
             return
         up = self._cols(state["up"])
         q = up.shape[1]
-        keep = np.any(up[self.wli_cols] != 0.0, axis=(1, 2))
-        if not keep.any():
-            return
-        wli = self._wli_section(ev, tree, keep, profile)
         potr = self._pot_table(state)
 
         def compute(blk):
@@ -700,7 +660,7 @@ class EvalPlan:
             profile.add_flops(blk.flops * q)
 
         with self._tiles("WLI", profile, pool) as run:
-            run(wli.blocks, compute, done)
+            run(self.wli, compute, done)
 
     def apply_d2t(self, ev, state, profile, pool=None) -> None:
         if not self.d2t:
@@ -769,27 +729,6 @@ def _scatter_schedule(targets: np.ndarray):
     return order, starts, st[starts]
 
 
-def _maybe_kmat(plan: EvalPlan, kernel, a: np.ndarray, b: np.ndarray):
-    """Materialise a kernel block if the matrix budget allows, else None.
-
-    The estimate and the charge both use the plan's working itemsize (the
-    old code hard-wired 8-byte reals, which would double-count an fp32
-    plan's footprint), and fp32 plans store the block rounded to float32 —
-    half the bytes, so the same budget fits twice the near field.
-    """
-    if not plan._cache_matrices:
-        return None
-    itemsize = np.dtype(plan.rdtype).itemsize
-    est = itemsize * a.shape[0] * (a.shape[1] * kernel.target_dim) * (
-        b.shape[1] * kernel.source_dim
-    )
-    if est > plan._mat_left:
-        return None
-    k = plan._cast(kernel.matrix_batch(a, b))
-    plan._mat_left -= k.nbytes
-    return k
-
-
 def _size_buckets(tasks):
     """Chunk ``(slot, index_array)`` tasks into descending-size buckets
     where every member is at least half the bucket's padded width, so a
@@ -804,10 +743,15 @@ def _size_buckets(tasks):
             start = r
 
 
-def _patched_kmat(plan: EvalPlan, kernel, a, b, slots, stats):
-    """Budget-identical variant of :func:`_maybe_kmat` assembling the block
-    from reusable old-plan slots plus one batched kernel call over the
-    dirty remainder.
+def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
+    """The kernel block ``kernel(a, b)`` if ``left`` bytes of matrix budget
+    cover it, else None: assembled from reusable old-plan slots plus one
+    batched kernel call over the dirty remainder — all of it, for a fresh
+    compile, whose null oracle offers no slot.
+
+    The estimate and the caller's charge use the plan's working itemsize:
+    fp32 plans store the block rounded to float32, half the bytes, so the
+    same budget fits twice the near field.
 
     ``slots[j]`` is ``(old_kmat_array, old_slot)`` when box ``j``'s
     geometry inputs are unchanged, ``(old_kmat_array, old_slot,
@@ -819,17 +763,14 @@ def _patched_kmat(plan: EvalPlan, kernel, a, b, slots, stats):
     per (target, source) *pair* (closed-form pairwise formulas; the
     only reduction is over the fixed 3-vector coordinate axis), so a
     matrix element does not depend on its batch, row or column
-    neighbours.  The budget estimate, the skip decision and the charge
-    are byte-identical to the fresh path — a patched plan makes exactly
-    the caching choices a fresh compile would.
+    neighbours.  The skip decision never looks at the slots — a patched
+    plan makes exactly the caching choices a fresh compile would.
     """
-    if not plan._cache_matrices:
-        return None
     itemsize = np.dtype(plan.rdtype).itemsize
     kt, ks = kernel.target_dim, kernel.source_dim
     rows, cols = a.shape[1] * kt, b.shape[1] * ks
     est = itemsize * a.shape[0] * rows * cols
-    if est > plan._mat_left:
+    if est > left:
         return None
     nb = a.shape[0]
     norm = []
@@ -863,12 +804,10 @@ def _patched_kmat(plan: EvalPlan, kernel, a, b, slots, stats):
             # the whole old block survives: share the array, zero copies
             stats["bytes_reused"] += first[0].nbytes
             stats["blocks_ref"] += 1
-            plan._mat_left -= first[0].nbytes
             return first[0]
     if len(dirty) == nb:
         k = plan._cast(kernel.matrix_batch(a, b))
         stats["bytes_fresh"] += k.nbytes
-        plan._mat_left -= k.nbytes
         return k
     k = np.empty((nb, rows, cols), dtype=plan.rdtype)
     by_src: dict[int, tuple] = {}
@@ -958,24 +897,43 @@ def _patched_kmat(plan: EvalPlan, kernel, a, b, slots, stats):
         di = np.asarray(dirty, dtype=np.int64)
         k[di] = plan._cast(kernel.matrix_batch(a[di], b[di]))
         stats["bytes_fresh"] += itemsize * di.size * rows * cols
-    plan._mat_left -= k.nbytes
     return k
 
 
-class _PlanReuse:
+class _NoReuse:
+    """The null reuse oracle of a fresh compile: no slot survives, so
+    :func:`_materialise` evaluates every block it can afford."""
+
+    def __init__(self):
+        self.stats = dict.fromkeys(
+            ("slots_reused", "slots_partial", "slots_fresh", "bytes_reused",
+             "bytes_fresh", "blocks_ref", "rows_remapped"), 0)
+
+    def uli_slot(self, tree, i, srcs, tp, sp):
+        return None, None
+
+    def leaf_slots(self, section, tree, group, lev, pad) -> list:
+        return [None] * group.size
+
+    def pair_slots(self, section, tree, ri, ci, lev, pad) -> list:
+        return [None] * ri.size
+
+
+class _PlanReuse(_NoReuse):
     """Reuse oracle for :func:`patch_plan`: per-phase section indexes of the
-    old plan, keyed by node-key signatures (the ``_WliSection`` signature
-    idea generalised to every cached section).
+    old plan, keyed by node-key signatures.
 
     A slot is offered for reuse only when the :class:`TreeDelta` proves
-    its geometry inputs bitwise unchanged — target box content for leaf
-    blocks, source-leaf content (plus the target's centre, pinned by its
-    key) for pair blocks, and the full filtered U-membership for ULI
-    blocks.  Kernel matrices additionally require matching precision.
+    its geometry inputs bitwise unchanged — box content for leaf blocks;
+    for pair blocks the content of the leaf whose points enter (the X-list
+    source, the W-list target) plus the other box's surface, pinned by its
+    key; and the full filtered U-membership for ULI blocks.  Kernel
+    matrices additionally require matching precision.
     """
 
     def __init__(self, old_plan: EvalPlan, old_tree: FmmTree, old_lists,
                  delta: TreeDelta, precision: str):
+        super().__init__()
         self.old_tree = old_tree
         self.old_lists = old_lists
         self.node_clean = delta.node_clean
@@ -984,22 +942,13 @@ class _PlanReuse:
         self.old_counts = old_tree.point_counts()
         self._new_counts = None
         self.kmats_ok = precision == old_plan.precision
-        self.stats = {
-            "slots_reused": 0,
-            "slots_partial": 0,
-            "slots_fresh": 0,
-            "bytes_reused": 0,
-            "bytes_fresh": 0,
-            "blocks_ref": 0,
-            "rows_remapped": 0,
-        }
         keys = old_tree.keys
         self._uli: dict[int, tuple] = {}
         for blk in old_plan.uli:
             for j, i in enumerate(blk.boxes):
                 self._uli[int(keys[i])] = (blk, j)
         self._leaf: dict[str, dict] = {"s2u": {}, "d2t": {}}
-        self._xli: dict[tuple, tuple] = {}
+        self._pair: dict[str, dict] = {"xli": {}, "wli": {}}
         if self.kmats_ok:
             for section in ("s2u", "d2t"):
                 idx = self._leaf[section]
@@ -1008,14 +957,15 @@ class _PlanReuse:
                         continue
                     for j, i in enumerate(blk.group):
                         idx[(blk.level, blk.pad, int(keys[i]))] = (blk.kmat, j)
-            for blk in old_plan.xli:
-                if blk.kmat is None:
-                    continue
-                for j in range(blk.rows.size):
-                    self._xli[
-                        (blk.level, blk.pad,
-                         int(keys[blk.rows[j]]), int(keys[blk.cols[j]]))
-                    ] = (blk.kmat, j)
+            for section, idx in self._pair.items():
+                for blk in getattr(old_plan, section):
+                    if blk.kmat is None:
+                        continue
+                    for j in range(blk.rows.size):
+                        idx[
+                            (blk.level, blk.pad,
+                             int(keys[blk.rows[j]]), int(keys[blk.cols[j]]))
+                        ] = (blk.kmat, j)
 
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
         """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
@@ -1028,7 +978,7 @@ class _PlanReuse:
         per-member *counts* survive but some member leaves are dirty,
         the column layout of the slot is still identical, so the slot is
         offered for **partial** reuse: ``(kmat, j, dirty_point_cols)``
-        tells :func:`_patched_kmat` to copy the old slot and recompute
+        tells :func:`_materialise` to copy the old slot and recompute
         only the dirty members' columns (bitwise safe — kernels are
         elementwise per pair).
         """
@@ -1049,7 +999,7 @@ class _PlanReuse:
         )
         tgt_clean = bool(self.node_clean[i])
         # a dirty target only invalidates the *rows* of its moved points:
-        # ship the old padded target coordinates so _patched_kmat can diff
+        # ship the old padded target coordinates so _materialise can diff
         # them against the fresh ones and recompute just the changed rows
         old_tgt = None
         if slot_ok and not tgt_clean:
@@ -1095,7 +1045,7 @@ class _PlanReuse:
         units; or None when nothing is copyable.  When the *target* leaf
         is dirty, ``old_tgt`` (its old padded coordinates) rides along as
         a sixth element: the copied rows are then provisional and
-        :func:`_patched_kmat` re-derives the rows whose target point
+        :func:`_materialise` re-derives the rows whose target point
         actually moved and recomputes those in full.
         """
         if self._new_counts is None:
@@ -1144,18 +1094,18 @@ class _PlanReuse:
                     out[j] = idx.get((lev, pad, int(tree.keys[i])))
         return out
 
-    def pair_slots(self, tree: FmmTree, ri: np.ndarray, ci: np.ndarray,
-                   lev: int, pad: int) -> list:
-        """Per-pair kmat slots for an XLI batch (source-leaf content plus
-        the target's key-pinned check surface determine the matrix)."""
+    def pair_slots(self, section: str, tree: FmmTree, ri: np.ndarray,
+                   ci: np.ndarray, lev: int, pad: int) -> list:
+        """Per-pair kmat slots for an XLI/WLI batch: the content of the
+        leaf whose points enter (X source ``ci``, W target ``ri``) plus the
+        other box's key-pinned surface determine the matrix."""
+        idx = self._pair[section]
         out = [None] * ri.size
-        if self._xli:
+        if idx:
             keys = tree.keys
-            for j in range(ri.size):
-                if self.node_clean[ci[j]]:
-                    out[j] = self._xli.get(
-                        (lev, pad, int(keys[ri[j]]), int(keys[ci[j]]))
-                    )
+            clean = self.node_clean[ci if section == "xli" else ri]
+            for j in np.flatnonzero(clean):
+                out[j] = idx.get((lev, pad, int(keys[ri[j]]), int(keys[ci[j]])))
         return out
 
 
@@ -1251,19 +1201,75 @@ def _uli_groups(tree, lists, scope=None):
             yield tp, sp, leaves[part], src_total[part]
 
 
-def _compile_wli_blocks(ev, tree, plan: EvalPlan, rows, cols):
-    """W-list pair batches for one keep pattern (lazy, possibly repeated)."""
-    counts = tree.point_counts()
+def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
+    """The S2U or D2T blocks over the leaves ``sel``: one leaf-section
+    builder, the leaf's points against its UC surface (S2U, sources) or
+    its DE surface (D2T, targets)."""
+    up = section == "s2u"
+    kernel = ev.kernel if up else ev.eval_kernel
+    surface = ev.ops.uc_points if up else ev.ops.de_points
+    ks, kt = ev.kernel.source_dim, ev.kernel.target_dim
+    base: dict[int, tuple] = {}
     blocks = []
+    for lev, pad, group in leaf_batches(tree, sel):
+        if lev not in base:
+            # The uc2ue pseudoinverse stays float64 at BOTH precisions:
+            # its entries are huge and cancelling (|m| ~ 1/rcond), so a
+            # float32 copy loses the cancellation and the up densities
+            # with it.  Under an fp32 plan the float32 check potentials
+            # feed this float64 GEMM — the per-level mats are tiny, the
+            # heavy leaf-kernel GEMMs stay float32, and the fp32 error
+            # stays at the float32 floor instead of the pinv's.
+            base[lev] = (surface(lev), ev.ops.uc2ue(lev) if up else None)
+        pts = _padded_points(tree, group, pad)
+        surf = base[lev][0][None, :, :] + tree.centers[group][:, None, :]
+        rows = _padded_point_rows(tree, group, pad)
+        slots = reuse.leaf_slots(section, tree, group, lev, pad)
+        n = counts[group].sum()
+        blocks.append(
+            _LeafBlock(
+                level=lev,
+                pad=pad,
+                group=group,
+                pts=pts,
+                surf=surf,
+                den_rows=rows if up else None,
+                pot_rows=None if up else rows,
+                mat=base[lev][1],
+                kmat=mat(kernel, *((surf, pts) if up else (pts, surf)), slots),
+                flops=(
+                    kernel.pair_flops(ev.ns, n)
+                    + 2.0 * group.size * (ev.ns * ks) * (ev.ns * kt)
+                    if up
+                    else kernel.pair_flops(n, ev.ns)
+                ),
+            )
+        )
+    return blocks
+
+
+def _pair_section(ev, tree, counts, mat, reuse, section, rows, cols) -> list:
+    """The XLI or WLI blocks over the ``(target, source)`` pairs: one
+    pair-section builder with the roles swapped.  X reads the source
+    leaf's points onto the target's DC surface; W evaluates the source's
+    UE surface at the target leaf's points.  Both scatter by target."""
+    x = section == "xli"
+    kernel = ev.kernel if x else ev.eval_kernel
+    surface = ev.ops.dc_points if x else ev.ops.ue_points
+    far, leaf = (rows, cols) if x else (cols, rows)  # surface / point side
     base: dict[int, np.ndarray] = {}
+    blocks = []
     for lev, pad, ri, ci in _pair_batches(
-        ev.ns, rows, cols, tree.levels[cols], counts[rows]
+        ev.ns, rows, cols, tree.levels[far], counts[leaf]
     ):
         if lev not in base:
-            base[lev] = ev.ops.ue_points(lev)
-        ue = base[lev][None, :, :] + tree.centers[ci][:, None, :]
-        pts = _padded_points(tree, ri, pad)
+            base[lev] = surface(lev)
+        fi, li = (ri, ci) if x else (ci, ri)
+        pts = _padded_points(tree, li, pad)
+        surf = base[lev][None, :, :] + tree.centers[fi][:, None, :]
         order, starts, seg = _scatter_schedule(ri)
+        slots = reuse.pair_slots(section, tree, ri, ci, lev, pad)
+        n = counts[li].sum()
         blocks.append(
             _PairBlock(
                 level=lev,
@@ -1271,14 +1277,16 @@ def _compile_wli_blocks(ev, tree, plan: EvalPlan, rows, cols):
                 rows=ri,
                 cols=ci,
                 pts=pts,
-                surf=ue,
-                den_rows=None,
+                surf=surf,
+                den_rows=_padded_point_rows(tree, ci, pad) if x else None,
                 order=order,
                 starts=starts,
                 seg=seg,
-                pot_rows=_padded_point_rows(tree, seg, pad),
-                kmat=_maybe_kmat(plan, ev.eval_kernel, pts, ue),
-                flops=ev.eval_kernel.pair_flops(counts[ri].sum(), ev.ns),
+                pot_rows=None if x else _padded_point_rows(tree, seg, pad),
+                kmat=mat(kernel, *((surf, pts) if x else (pts, surf)), slots),
+                flops=(
+                    kernel.pair_flops(ev.ns, n) if x else kernel.pair_flops(n, ev.ns)
+                ),
             )
         )
     return blocks
@@ -1292,19 +1300,20 @@ def compile_plan(
     cache_matrices: bool = True,
     matrix_budget: int = MATRIX_BUDGET,
     precision: str = "fp64",
-    _reuse: _PlanReuse | None = None,
+    _reuse: _NoReuse | None = None,
 ) -> EvalPlan:
     """Compile an :class:`EvalPlan` for evaluator ``ev`` on ``(tree, lists)``.
 
     ``scopes`` carries the distributed ownership masks (``None`` =
     unrestricted).  ``cache_matrices`` materialises leaf/pair kernel
-    blocks up to ``matrix_budget`` bytes, U-list first (it dominates the
-    near field); disable it to trade apply speed for memory.
-    ``precision`` is ``"fp64"`` (default; bit-identical to the
-    pre-precision engine) or ``"fp32"`` (float32 matrices / complex64
-    V-list / float32 tables; see the module docstring for what stays
-    float64).  ``"auto"`` must be resolved by the caller first —
-    resolution needs a calibration workload this function does not have.
+    blocks up to ``matrix_budget`` bytes, claimed in the order ULI (it
+    dominates the near field), S2U, D2T, XLI, WLI; disable it to trade
+    apply speed for memory.  ``precision`` is ``"fp64"`` (default;
+    bit-identical to the pre-precision engine) or ``"fp32"`` (float32
+    matrices / complex64 V-list / float32 tables; see the module
+    docstring for what stays float64).  ``"auto"`` must be resolved by
+    the caller first — resolution needs a calibration workload this
+    function does not have.
     """
     if precision not in ("fp64", "fp32"):
         raise PrecisionError(
@@ -1325,28 +1334,38 @@ def compile_plan(
         precision=precision,
     )
     plan._tree = weakref.ref(tree)
-    plan._cache_matrices = bool(cache_matrices)
-    plan._mat_left = int(matrix_budget) if cache_matrices else 0
+    reuse = _NoReuse() if _reuse is None else _reuse
+    left = int(matrix_budget) if cache_matrices else 0
 
-    # -- ULI (compiled first: priority claim on the matrix budget) ---------
+    def mat(kernel, a, b, slots):
+        """Materialise one kernel block and charge it to the budget."""
+        nonlocal left
+        k = _materialise(plan, left, kernel, a, b, slots, reuse.stats)
+        if k is not None:
+            left -= k.nbytes
+        return k
+
+    def within(mask, scope):
+        return mask if scope is None else mask & scope
+
+    # The matrix-caching sections compile in budget-priority order: ULI,
+    # S2U, D2T, XLI and — after the matrix-free tree phases — WLI.
+    # -- ULI ---------------------------------------------------------------
     u = lists.u
     for tp, sp, boxes, stot in _uli_groups(tree, lists, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
-        uslots = [None] * boxes.size if _reuse is not None else None
+        uslots = [None] * boxes.size
         for j, i in enumerate(boxes):
             srcs = u.of(i)
             srcs = srcs[counts[srcs] > 0]
             if srcs.size == 0:
                 continue
-            if _reuse is not None:
-                row, uslots[j] = _reuse.uli_slot(tree, i, srcs, tp, sp)
-                if row is not None:
-                    src_rows[j] = row
-                    continue
-            idx = np.concatenate(
-                [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
-            )
-            src_rows[j, : idx.size] = idx
+            row, uslots[j] = reuse.uli_slot(tree, i, srcs, tp, sp)
+            if row is None:
+                row = np.concatenate(
+                    [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
+                )
+            src_rows[j, : row.size] = row
         src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
         valid = src_rows != tree.n_points
         src_pts[valid] = tree.points[src_rows[valid]]
@@ -1360,138 +1379,21 @@ def compile_plan(
                 src_pts=src_pts,
                 den_rows=src_rows,
                 pot_rows=_padded_point_rows(tree, boxes, tp),
-                kmat=(
-                    _maybe_kmat(plan, ev.eval_kernel, tgt_pts, src_pts)
-                    if _reuse is None
-                    else _patched_kmat(
-                        plan, ev.eval_kernel, tgt_pts, src_pts, uslots,
-                        _reuse.stats,
-                    )
-                ),
+                kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
                 flops=ev.eval_kernel.pair_flops(1, 1)
                 * float((counts[boxes] * stot).sum()),
             )
         )
 
-    # -- S2U ---------------------------------------------------------------
-    sel = tree.is_leaf & (counts > 0)
-    if scopes.s2u is not None:
-        sel = sel & scopes.s2u
-    base_uc: dict[int, np.ndarray] = {}
-    mats: dict[int, np.ndarray] = {}
-    for lev, pad, group in leaf_batches(tree, sel):
-        if lev not in base_uc:
-            base_uc[lev] = ev.ops.uc_points(lev)
-            # The uc2ue pseudoinverse stays float64 at BOTH precisions:
-            # its entries are huge and cancelling (|m| ~ 1/rcond), so a
-            # float32 copy loses the cancellation and the up densities
-            # with it.  Under an fp32 plan the float32 check potentials
-            # feed this float64 GEMM — the per-level mats are tiny, the
-            # heavy leaf-kernel GEMMs stay float32, and the fp32 error
-            # stays at the float32 floor instead of the pinv's.
-            mats[lev] = ev.ops.uc2ue(lev)
-        pts = _padded_points(tree, group, pad)
-        uc = base_uc[lev][None, :, :] + tree.centers[group][:, None, :]
-        plan.s2u.append(
-            _LeafBlock(
-                level=lev,
-                pad=pad,
-                group=group,
-                pts=pts,
-                surf=uc,
-                den_rows=_padded_point_rows(tree, group, pad),
-                pot_rows=None,
-                mat=mats[lev],
-                kmat=(
-                    _maybe_kmat(plan, ev.kernel, uc, pts)
-                    if _reuse is None
-                    else _patched_kmat(
-                        plan, ev.kernel, uc, pts,
-                        _reuse.leaf_slots("s2u", tree, group, lev, pad),
-                        _reuse.stats,
-                    )
-                ),
-                flops=ev.kernel.pair_flops(ev.ns, counts[group].sum())
-                + 2.0 * group.size * (ev.ns * ks) * (ev.ns * kt),
-            )
-        )
-
-    # -- D2T ---------------------------------------------------------------
-    dsel = tree.is_leaf & (counts > 0)
-    if scopes.d2t is not None:
-        dsel = dsel & scopes.d2t
-    base_de: dict[int, np.ndarray] = {}
-    for lev, pad, group in leaf_batches(tree, dsel):
-        if lev not in base_de:
-            base_de[lev] = ev.ops.de_points(lev)
-        pts = _padded_points(tree, group, pad)
-        de = base_de[lev][None, :, :] + tree.centers[group][:, None, :]
-        plan.d2t.append(
-            _LeafBlock(
-                level=lev,
-                pad=pad,
-                group=group,
-                pts=pts,
-                surf=de,
-                den_rows=None,
-                pot_rows=_padded_point_rows(tree, group, pad),
-                mat=None,
-                kmat=(
-                    _maybe_kmat(plan, ev.eval_kernel, pts, de)
-                    if _reuse is None
-                    else _patched_kmat(
-                        plan, ev.eval_kernel, pts, de,
-                        _reuse.leaf_slots("d2t", tree, group, lev, pad),
-                        _reuse.stats,
-                    )
-                ),
-                flops=ev.eval_kernel.pair_flops(counts[group].sum(), ev.ns),
-            )
-        )
-
-    # -- XLI ---------------------------------------------------------------
-    x = lists.x
-    xsel = x.counts > 0
-    if scopes.xli is not None:
-        xsel = xsel & scopes.xli
-    rows = np.repeat(np.arange(tree.n_nodes), np.where(xsel, x.counts, 0))
-    cols = x.indices[np.repeat(xsel, x.counts)] if x.indices.size else x.indices
-    keepx = counts[cols] > 0
-    rows, cols = rows[keepx], cols[keepx]
-    base_dc: dict[int, np.ndarray] = {}
-    for lev, pad, ri, ci in _pair_batches(
-        ev.ns, rows, cols, tree.levels[rows], counts[cols]
-    ):
-        if lev not in base_dc:
-            base_dc[lev] = ev.ops.dc_points(lev)
-        pts = _padded_points(tree, ci, pad)
-        dc = base_dc[lev][None, :, :] + tree.centers[ri][:, None, :]
-        order, starts, seg = _scatter_schedule(ri)
-        plan.xli.append(
-            _PairBlock(
-                level=lev,
-                pad=pad,
-                rows=ri,
-                cols=ci,
-                pts=pts,
-                surf=dc,
-                den_rows=_padded_point_rows(tree, ci, pad),
-                order=order,
-                starts=starts,
-                seg=seg,
-                pot_rows=None,
-                kmat=(
-                    _maybe_kmat(plan, ev.kernel, dc, pts)
-                    if _reuse is None
-                    else _patched_kmat(
-                        plan, ev.kernel, dc, pts,
-                        _reuse.pair_slots(tree, ri, ci, lev, pad),
-                        _reuse.stats,
-                    )
-                ),
-                flops=ev.kernel.pair_flops(ev.ns, counts[ci].sum()),
-            )
-        )
+    # -- S2U, D2T, XLI -----------------------------------------------------
+    leaves = tree.is_leaf & (counts > 0)
+    leaf_section = partial(_leaf_section, ev, tree, counts, mat, reuse)
+    plan.s2u = leaf_section("s2u", within(leaves, scopes.s2u))
+    plan.d2t = leaf_section("d2t", within(leaves, scopes.d2t))
+    pair_section = partial(_pair_section, ev, tree, counts, mat, reuse)
+    rows, cols = lists.x.pairs(scopes.xli)
+    keep = counts[cols] > 0
+    plan.xli = pair_section("xli", rows[keep], cols[keep])
 
     # -- U2U ---------------------------------------------------------------
     for lev in range(tree.max_level, 0, -1):
@@ -1562,16 +1464,13 @@ def compile_plan(
             )
         )
 
-    # -- WLI candidates (schedule itself compiles lazily per up-pattern) ---
-    w = lists.w
-    wsel = tree.is_leaf & (w.counts > 0) & (counts > 0)
-    if scopes.wli is not None:
-        wsel = wsel & scopes.wli
-    plan.wli_rows = np.repeat(np.arange(tree.n_nodes), np.where(wsel, w.counts, 0))
-    plan.wli_cols = (
-        w.indices[np.repeat(wsel, w.counts)] if w.indices.size else w.indices
-    )
-
+    # -- WLI (last: it takes what the matrix budget has left) --------------
+    # A source is kept iff its octant holds a point on some rank; one whose
+    # density happens to vanish just contributes exact zeros.
+    nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
+    rows, cols = lists.w.pairs(within(leaves, scopes.wli))
+    keep = nonempty[cols]
+    plan.wli = pair_section("wli", rows[keep], cols[keep])
     return plan
 
 
@@ -1596,8 +1495,10 @@ def patch_plan(
     resulting plan are bit-identical to a fresh compile by construction —
     but consults a :class:`_PlanReuse` oracle built from the
     :class:`TreeDelta`, which swaps the expensive kernel-matrix
-    materialisations (and the per-box ULI gather loops) for copies or
-    shared references wherever the delta proves the inputs unchanged.
+    materialisations of all five matrix sections, the W-list included
+    (and the per-box ULI gather loops), for copies or shared references
+    wherever the delta proves the inputs unchanged; the result is a
+    complete plan, read-only like a fresh one.
     Cheap index arrays (gather/scatter schedules, V-list group tables,
     operator steps) are always rebuilt: rows shift after the delta merge
     and the rebuild costs milliseconds.

@@ -367,7 +367,8 @@ class DistributedFmm:
     def _plan_scopes(self):
         """This rank's ownership masks, the scopes its plan is compiled
         with: owned leaves for the leaf phases, owned contributors for the
-        tree phases, so ghost data never double-counts."""
+        tree phases, so ghost data never double-counts — and with them the
+        LET's mask of octants non-empty on some rank (the W-list sources)."""
         from repro.core.plan import PlanScopes
 
         own_leaf, contrib = self.let.owned_leaf, self.let.owned_contrib
@@ -380,6 +381,7 @@ class DistributedFmm:
             wli=own_leaf,
             d2t=own_leaf,
             uli=own_leaf,
+            nonempty=self.let.nonempty,
         )
 
     # -- evaluation --------------------------------------------------------------

@@ -18,7 +18,7 @@ merged into the rank's Morton-sorted point array so the resulting
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class LocalEssentialTree:
     #: Nodes overlapping this rank's domain: the scope of S2U/U2U partial
     #: sums and of the local downward pass.
     owned_contrib: np.ndarray
+    #: Nodes whose octant holds a point on *some* rank: own and shipped
+    #: ghost points, plus every ghost octant its sender reported non-empty.
+    #: These are the W-list sources whose upward density can be non-zero.
+    nonempty: np.ndarray
     #: Positions of the rank's own points inside the merged point array.
     own_positions: np.ndarray
     #: Per destination rank: node indices of own leaves whose densities
@@ -251,7 +255,6 @@ def build_let(
         keys_d = own_keys[sel]
         flags_d = own_is_leaf[sel]
         leaf_sel = sel[flags_d]
-        counts = (own_end - own_begin)[leaf_sel]
         pts = (
             np.concatenate(
                 [sorted_points[own_begin[i] : own_end[i]] for i in leaf_sel]
@@ -259,6 +262,9 @@ def build_let(
             if leaf_sel.size
             else np.empty((0, 3))
         )
+        # subtree point counts: all the receiver learns about the points
+        # under an internal octant, which stay on this rank
+        counts = (own_end - own_begin)[sel]
         send_specs.append(
             {"keys": keys_d, "is_leaf": flags_d, "counts": counts, "points": pts}
         )
@@ -267,7 +273,7 @@ def build_let(
 
     # Merge ghosts into the node set; fabricate missing ancestors locally.
     ghost_keys_parts, ghost_flag_parts = [], []
-    ghost_pts_parts, ghost_pt_keys_parts = [], []
+    ghost_pts_parts, nonempty_parts = [], []
     recv_leaf_keys: list[np.ndarray] = [np.empty(0, dtype=np.uint64)] * p
     for src in range(p):
         msg = received[src]
@@ -277,11 +283,9 @@ def build_let(
         ghost_flag_parts.append(msg["is_leaf"])
         leaf_keys = msg["keys"][msg["is_leaf"]]
         recv_leaf_keys[src] = leaf_keys
+        nonempty_parts.append(msg["keys"][msg["counts"] > 0])
         if msg["points"].size:
             ghost_pts_parts.append(msg["points"])
-            ghost_pt_keys_parts.append(
-                np.repeat(leaf_keys, msg["counts"])
-            )
 
     if ghost_keys_parts:
         ghost_keys = np.concatenate(ghost_keys_parts)
@@ -326,6 +330,13 @@ def build_let(
     overlap = (n_lo < dom_hi) & (n_hi > dom_lo)
     owned_leaf = tree.is_leaf & (n_lo >= dom_lo) & (n_hi <= dom_hi)
     owned_contrib = overlap
+    # merged counts cover own points and shipped ghost leaves (ancestors
+    # included: a count is a subtree's); the senders' reports add the ghost
+    # octants whose points were not shipped, and those octants' ancestors
+    nonempty = tree.point_counts() > 0
+    if nonempty_parts:
+        reported = np.concatenate(nonempty_parts)
+        nonempty[tree.find(morton.ancestors_of(reported, include_self=True))] = True
 
     # Density-exchange routing in tree-node indices.
     send_leaves = [tree.find(k) for k in send_leaf_keys]
@@ -338,6 +349,7 @@ def build_let(
         geometry=geometry,
         owned_leaf=owned_leaf,
         owned_contrib=owned_contrib,
+        nonempty=nonempty,
         own_positions=own_positions,
         send_leaves=send_leaves,
         recv_leaves=recv_leaves,

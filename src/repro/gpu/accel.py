@@ -230,7 +230,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         w = lists.w
         flops = 0.0
         gbytes = 0.0
-        for i in np.unique(plan.wli_rows):
+        segs = [blk.seg for blk in plan.wli]
+        for i in np.unique(np.concatenate(segs)) if segs else ():
             pts = tree.leaf_points(i).astype(np.float32)
             row = np.zeros(len(pts) * kt, dtype=np.float32)
             for a in w.of(i):

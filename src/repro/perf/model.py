@@ -295,8 +295,8 @@ def setup_seconds(
 ) -> dict[str, float]:
     """Modelled max-over-ranks time of the setup phases.
 
-    ``setup:plan`` / ``setup:wli`` are the evaluation-plan compilation
-    spans (see :mod:`repro.core.plan`): one-time work that amortises
+    ``setup:plan`` is the evaluation-plan compilation span (see
+    :mod:`repro.core.plan`): one-time work that amortises
     across repeated applies, so it belongs with setup, not evaluation.
     ``setup:precision`` is the one-time ``precision="auto"`` calibration
     probe (plus the distributed precision vote; see
@@ -305,7 +305,7 @@ def setup_seconds(
     out = {}
     for ph in (
         "tree", "let", "lists", "balance",
-        "setup:plan", "setup:wli", "setup:precision",
+        "setup:plan", "setup:precision",
     ):
         secs, _ = _phase_values(profiles, machine, [ph])
         out[ph] = float(secs.max())

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.datasets import ellipsoid_surface, uniform_cube
-from repro.dist.driver import distributed_fmm_rank
+from repro.dist.driver import DistributedFmm, distributed_fmm_rank
 from repro.kernels import direct_sum, get_kernel
 from repro.mpi import run_spmd
+from repro.util import morton
 
 
 def _match(ref_pts, pts):
@@ -148,6 +149,39 @@ class TestSchemeEquivalence:
             return max(flops) / (sum(flops) / len(flops))
 
         assert imbalance(True) <= imbalance(False) * 1.05
+
+
+class TestLetNonemptyMask:
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_w_sources_kept_iff_globally_nonempty(self, p):
+        """The W-list sources a rank's plan keeps are exactly the octants
+        that hold a point on *some* rank — ghost octants none of whose
+        points this rank ever received included."""
+        pts = ellipsoid_surface(6000, seed=35)
+
+        def body(comm):
+            fmm = DistributedFmm(
+                "laplace", order=4, max_points_per_box=25, load_balance=True
+            )
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            let, tree = fmm.let, fmm.let.tree
+            local = tree.point_counts() > 0
+            _, cols = fmm.lists.w.pairs(let.owned_leaf & local)
+            return tree.keys[cols], let.nonempty[cols], local[cols]
+
+        all_keys = np.sort(morton.encode_points(pts))
+        from_reports = 0
+        for keys, kept, local in run_spmd(p, body, timeout=300).values:
+            lo = np.searchsorted(
+                all_keys, morton.deepest_first_descendant(keys), side="left"
+            )
+            hi = np.searchsorted(
+                all_keys, morton.deepest_last_descendant(keys), side="right"
+            )
+            assert np.array_equal(kept, hi > lo)
+            from_reports += int((kept & ~local).sum())
+        # some sources were decided by a sender's report, not by merged points
+        assert from_reports > 0
 
 
 class TestDriverContract:

@@ -327,6 +327,33 @@ class TestSeparateTargets:
         np.testing.assert_allclose(out2, 2 * out1, rtol=1e-10)
 
 
+    def test_targets_plan_compiles_no_target_side_blocks(self, monkeypatch):
+        """The plan ``evaluate_targets`` caches holds S2U..D2D only — its
+        target loop never reads a ULI / D2T / WLI block — beside the full
+        plan ``evaluate`` caches, and changes no bit of either answer."""
+        src = plummer_cluster(1500, seed=74)
+        tgt = uniform_cube(120, seed=75)
+        dens = np.random.default_rng(7).standard_normal(1500)
+        fmm = Fmm("laplace", order=4, max_points_per_box=25)
+        ev, plan = fmm.evaluator, fmm.plan(src)
+        first = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # transient
+        again = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # compiled
+        tp = ev._plan_box["targets"]
+        assert not (tp.uli or tp.d2t or tp.wli)
+        assert tp.matrix_bytes() == sum(
+            b.kmat.nbytes for b in tp.s2u + tp.xli
+        ) > 0
+        full = fmm.compile_eval_plan(plan)
+        assert full.uli and full.d2t and full.wli
+        assert np.array_equal(fmm.evaluate(src, dens, plan=plan),
+                              fmm.evaluate(src, dens, plan=plan, eval_plan=full))
+        assert ev._plan_obj is not tp and ev._plan_obj.wli
+        # the same targets through the full plan, as before this split
+        monkeypatch.setattr(ev, "_resolve_plan", lambda *a, **kw: full)
+        ref = fmm.evaluate_targets(src, dens, tgt, plan=plan)
+        assert np.array_equal(first, ref) and np.array_equal(again, ref)
+
+
 class TestBalancedTree:
     def test_accuracy_preserved_and_balanced(self):
         from repro.octree import is_2to1_balanced

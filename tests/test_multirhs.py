@@ -17,7 +17,7 @@ import pytest
 from repro.core import Fmm
 from repro.core.contract import Q_PAD, gemm_cols
 from repro.core.fft_m2l import FftM2L
-from repro.datasets import uniform_cube
+from repro.datasets import plummer_cluster, uniform_cube
 from repro.kernels import get_kernel
 from repro.perf.trace import TraceRecorder
 from repro.util.blas import limit_blas_threads
@@ -137,6 +137,28 @@ class TestMultiRhsBitIdentity:
         assert ep.matrix_bytes() > 0
         a = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cache_matrices", [True, False])
+    def test_column_zero_on_wlist_sources(self, cache_matrices):
+        """A batched column equals its solo apply whatever its zeros: no
+        schedule looks at the density, so a column that vanishes on W-list
+        source leaves is batched exactly like its dense neighbour."""
+        n = 3000
+        pts = plummer_cluster(n, seed=3)
+        fmm = Fmm("laplace", order=4, max_points_per_box=25)
+        plan = fmm.plan(pts)
+        tree = plan.tree
+        ep = fmm.compile_eval_plan(plan, cache_matrices=cache_matrices)
+        cols = np.concatenate([blk.cols for blk in ep.wli])
+        srcs = np.unique(cols[tree.is_leaf[cols]])[:6]
+        assert srcs.size == 6, "test tree has too few leaf W-list sources"
+        a, b = np.random.default_rng(9).standard_normal((2, n))
+        for i in srcs:  # sorted rows pt_begin:pt_end are input rows order[...]
+            b[tree.order[tree.pt_begin[i] : tree.pt_end[i]]] = 0.0
+        out = fmm.evaluate(pts, np.stack([a, b], axis=1), plan=plan, eval_plan=ep)
+        for j, col in enumerate((a, b)):
+            solo = fmm.evaluate(pts, col, plan=plan, eval_plan=ep)
+            assert np.array_equal(out[:, j], solo), f"column {j}"
 
     def test_single_column_2d_equals_1d(self):
         n = 600

@@ -8,12 +8,12 @@ matrix here exercises that claim across kernels, precisions, thread
 counts, the distributed driver, checkpoint resume, patched plans and
 concurrent serve batches, plus the trace-signature replay guarantee.
 
-Speedup claims live in ``benchmarks/bench_parallel.py`` (and its CI
-gate); the one perf assertion here — 2 threads not slower than 1.1x
-serial at tiny N — only runs on multi-core hosts.
+Nothing here asserts a time: speedup claims, and the bound that 2 threads
+are not slower than 1.1x serial at tiny N, live in
+``benchmarks/bench_parallel.py::test_parallel_smoke`` (CI's
+``parallel-smoke`` job), where a loaded host cannot fail tier-1.
 """
 
-import os
 import time
 
 import numpy as np
@@ -461,43 +461,3 @@ class TestParallelSpans:
             e.phase.startswith("PARALLEL:") for e in rec.span_events()
         )
         assert parallel_report(rec) == {"phases": {}}
-
-
-class TestSmokePerf:
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2,
-        reason="single-core host: no parallel speedup to bound",
-    )
-    def test_two_threads_not_slower_than_serial(self):
-        pts = uniform_cube(2_000, seed=45)
-        fmm = Fmm("laplace", order=ORDER, max_points_per_box=64)
-        plan = fmm.plan(pts)
-        ep = fmm.compile_eval_plan(plan)
-        dens = np.random.default_rng(91).standard_normal(len(pts))
-
-        def timed():
-            t0 = time.perf_counter()
-            fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
-            return time.perf_counter() - t0
-
-        # Serial and 2-thread reps alternate, so both see the same
-        # background load (five of one then five of the other let a busy
-        # second core land on one side only); the first round warms both.
-        ev, pool = fmm.evaluator, TaskPool(2)
-        serial = parallel = np.inf
-        try:
-            for rep in range(6):
-                ev.set_pool(None)
-                with limit_blas_threads(1):
-                    s = timed()
-                ev.set_pool(pool)
-                p = timed()
-                if rep:
-                    serial, parallel = min(serial, s), min(parallel, p)
-        finally:
-            ev.set_pool(None)
-            pool.shutdown()
-        assert parallel <= serial * 1.1, (
-            f"2-thread apply {parallel * 1e3:.1f}ms vs serial "
-            f"{serial * 1e3:.1f}ms exceeds the 1.1x smoke bound"
-        )

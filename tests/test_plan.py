@@ -11,7 +11,9 @@ retries and what keeps the chaos-matrix replay checks meaningful.
 """
 
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,32 +182,82 @@ def test_plan_scoped_ownership_masks():
         assert np.array_equal(full[key], unscoped[key]), key
 
 
-def test_wli_pattern_change_recompiles_bit_identically():
-    """Zeroing densities changes the W-list up-gating; the lazy W-list
-    schedule recompiles, and the reused plan matches plans compiled fresh
-    for each density, cached or not."""
+def _plan_state(ep):
+    """What must not change once a plan is compiled: its weight and the
+    identity of every section's block list, blocks and kernel matrices."""
+    sections = {
+        name: getattr(ep, name)
+        for name in ("s2u", "u2u", "vli_fft", "vli_dense", "xli", "d2d",
+                     "wli", "d2t", "uli")
+    }
+    ids = {
+        name: (id(sec), [(id(b), id(getattr(b, "kmat", None))) for b in sec])
+        for name, sec in sections.items()
+    }
+    return ep.nbytes, ep.matrix_bytes(), ids
+
+
+def _zero_a_wli_source(tree, ep, dens):
+    """``dens`` with the points of one W-list *leaf* source box zeroed,
+    so that box's upward density is exactly 0.0."""
+    counts = tree.point_counts()
+    cols = np.concatenate([blk.cols for blk in ep.wli])
+    src_leaves = cols[tree.is_leaf[cols] & (counts[cols] > 0)]
+    assert src_leaves.size, "test tree has no leaf W-list sources"
+    box = int(src_leaves[0])
+    out = dens.copy()
+    out[tree.pt_begin[box] : tree.pt_end[box]] = 0.0
+    return out
+
+
+def test_zeroed_wli_source_leaves_the_plan_untouched():
+    """The W-list is a property of the tree: a source box whose density
+    vanishes stays in the schedule and contributes exact zeros, so the
+    plan is untouched, every caching variant agrees, and the answer is
+    still right."""
     fmm, plan, dens = _setup(n=2500, q=25)
     ev = fmm.evaluator
     tree, lists = plan.tree, plan.lists
     ep = ev.compile_plan(tree, lists)
-    out1 = ev.evaluate(tree, lists, dens, plan=ep).copy()
-    assert np.array_equal(_apply_all_variants(ev, tree, lists, dens), out1)
-    assert _rel_err(fmm.kernel, tree, dens, out1) < LADDER["laplace"][4]
-    assert ep._wli is not None
-    sig1 = ep._wli.sig.copy()
-    # Zero the points of one W-list *leaf* source box: its up density
-    # becomes exactly 0.0, flipping the keep mask for its pairs.
-    counts = tree.point_counts()
-    cols = ep.wli_cols
-    src_leaves = cols[tree.is_leaf[cols] & (counts[cols] > 0)]
-    assert src_leaves.size, "test tree has no leaf W-list sources"
-    box = int(src_leaves[0])
-    dens2 = dens.copy()
-    dens2[tree.pt_begin[box] : tree.pt_end[box]] = 0.0
-    out2 = ev.evaluate(tree, lists, dens2, plan=ep).copy()
-    assert np.array_equal(_apply_all_variants(ev, tree, lists, dens2), out2)
-    assert _rel_err(fmm.kernel, tree, dens2, out2) < LADDER["laplace"][4]
-    assert not np.array_equal(sig1, ep._wli.sig)
+    before = _plan_state(ep)
+    for d in (dens, _zero_a_wli_source(tree, ep, dens)):
+        out = ev.evaluate(tree, lists, d, plan=ep).copy()
+        assert _plan_state(ep) == before
+        assert np.array_equal(_apply_all_variants(ev, tree, lists, d), out)
+        assert _rel_err(fmm.kernel, tree, d, out) < LADDER["laplace"][4]
+
+
+def test_compiled_plan_is_never_written_to():
+    """``nbytes``, ``matrix_bytes()`` and every section's blocks are the
+    same objects after applies with different densities (one with a zeroed
+    W-list source) and after four threads apply the one plan at once,
+    each bit-equal to its serial result."""
+    fmm, plan, dens = _setup(n=2500, q=25)
+    ev = fmm.evaluator
+    tree, lists = plan.tree, plan.lists
+    ep = ev.compile_plan(tree, lists)
+    before = _plan_state(ep)
+    rng = np.random.default_rng(SEED + 1)
+    densities = [dens, rng.standard_normal(dens.size),
+                 _zero_a_wli_source(tree, ep, dens), rng.standard_normal(dens.size)]
+    serial = []
+    for d in densities:
+        serial.append(ev.evaluate(tree, lists, d, plan=ep).copy())
+        assert _plan_state(ep) == before
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(densities)) as pool:
+            futures = [
+                pool.submit(ev.evaluate, tree, lists, d, plan=ep)
+                for d in densities
+            ]
+            outs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (out, ref) in enumerate(zip(outs, serial)):
+        assert np.array_equal(out, ref), f"thread {i}"
+    assert _plan_state(ep) == before
 
 
 def test_lazy_plan_cache_lets_the_tree_go():

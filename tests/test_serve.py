@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import Fmm
-from repro.datasets import uniform_cube
+from repro.datasets import plummer_cluster, uniform_cube
 from repro.mpi.faults import Fault, FaultPlan, RetryPolicy
 from repro.serve import (
     DeadlineExceeded,
@@ -41,6 +41,12 @@ def make_model(seed=11):
     pts = uniform_cube(N, seed=seed)
     fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
     return fmm, pts
+
+
+def make_adaptive_model(n=1500):
+    """A Plummer cluster: deep adaptive tree with W- and X-lists."""
+    pts = plummer_cluster(n, seed=3)
+    return Fmm("laplace", order=ORDER, max_points_per_box=25), pts
 
 
 @pytest.fixture
@@ -120,6 +126,31 @@ class TestBatching:
         assert max(sizes) > 1, sizes
         snap = eng.metrics.snapshot()
         assert snap["models"]["m"]["batch_size"]["max"] == max(sizes)
+
+    def test_requests_with_zeros_batched_equal_their_solo_replies(self):
+        """A single point source, and a density that vanishes on a few
+        W-list source boxes, batched with a dense request: each still gets
+        the reply it would have got alone, bit for bit (no schedule looks
+        at a density, so batching and retries stay invisible)."""
+        n = 3000
+        eng = ServeEngine(n_workers=1, max_batch=8, max_wait_ms=20.0)
+        model = eng.register("m", *make_adaptive_model(n))
+        tree = model.plan.tree
+        wli = eng.plans.peek(eng._plan_key("m", 0, "fp64")).wli
+        cols = np.concatenate([blk.cols for blk in wli])
+        dense = np.random.default_rng(4).standard_normal(n)
+        one_hot = np.zeros(n)
+        one_hot[n // 3] = 1.0
+        holes = dense.copy()
+        for i in np.unique(cols[tree.is_leaf[cols]])[:6]:
+            holes[tree.order[tree.pt_begin[i] : tree.pt_end[i]]] = 0.0
+        blocks = (dense, one_hot, holes)
+        reqs = [eng.submit("m", d, timeout_s=60.0) for d in blocks]
+        with eng:  # all queued before the worker starts: one batch
+            batched = [r.result(timeout=60.0) for r in reqs]
+            assert [r.batch_size for r in reqs] == [3, 3, 3]
+            for d, got in zip(blocks, batched):
+                assert np.array_equal(eng.evaluate("m", d, timeout_s=60.0), got)
 
     def test_per_tenant_order_preserved(self):
         eng = ServeEngine(n_workers=1, max_batch=4, max_wait_ms=10.0)
@@ -239,6 +270,20 @@ class TestPlanCache:
         p = cache.get("big", lambda: self._FakePlan(1000))
         assert cache.get("big", lambda: self._FakePlan(1000)) is p
         assert len(cache) == 1
+
+    def test_cache_charges_what_its_plans_weigh(self):
+        """Nothing grows after insert: once requests have run, the bytes
+        charged still equal the bytes the cached plans hold."""
+        eng = ServeEngine(n_workers=1)
+        eng.register("m", *make_adaptive_model(), warm=True)
+        charged = eng.plans.nbytes
+        with eng:
+            for d in (np.ones(1500), np.arange(1500.0)):
+                eng.evaluate("m", d, timeout_s=60.0)
+        resident = sum(
+            eng.plans.peek(key).nbytes for key in eng.plans.entries()
+        )
+        assert charged == eng.plans.nbytes == resident
 
     def test_engine_counts_hits_and_misses(self):
         eng = ServeEngine(n_workers=1)
