@@ -790,7 +790,7 @@ def _cmd_serve_dist(args) -> int:
     Registers one rank-sharded model (with a fallback replica, on the
     simulated GPU so device faults are exercised) and one replicated
     model, runs closed-loop load twice — clean, then under a seeded
-    fault plan covering crash / wait-crash / straggler / in-flight
+    fault plan covering crash / recv-crash / straggler / in-flight
     corruption / GPU device fault — and gates (``--bench``):
 
     * zero untyped errors in both runs (faults surface only as typed
@@ -868,11 +868,16 @@ def _cmd_serve_dist(args) -> int:
     clean = drive("clean")
 
     # the chaos drill: one representative of every fault class the plane
-    # must absorb, spread over the rank space, each with a bounded budget
+    # must absorb, spread over the rank space, each with a bounded budget.
+    # The recv crash hits rank 0's first receive inside COMM_reduce, its
+    # peers blocked in the reduction; the receives before it in a dispatch
+    # are the resume vote (allgather) and the ghost exchange (p - 1)
+    vote_recvs = (p - 1).bit_length() if p & (p - 1) == 0 else p - 1
     faults = FaultPlan(
         [
             Fault("crash", rank=1 % p, op="phase", phase="D2T", attempts=1),
-            Fault("crash", rank=0, op="wait", attempts=1),
+            Fault("crash", rank=0, op="recv", index=vote_recvs + p - 1,
+                  attempts=1),
             Fault("bitflip", rank=(p - 1) % p, op="send", index=3,
                   attempts=1),
             Fault("straggle", rank=2 % p, op="phase", phase="S2U",

@@ -1,11 +1,11 @@
 """The shared dense-contraction primitive of the evaluation phases.
 
 Every kernel-matrix phase (S2U, XLI, WLI, D2T, ULI) reduces to
-``out[b] = k[b] @ den[b]`` over a batch of padded blocks.  Three code
-paths must produce **bit-identical** columns from this contraction — the
-legacy per-call phases, the plan applies, and the multi-RHS (serving
-batch) applies — so they all funnel through :func:`gemm_cols`, which
-fixes the floating-point operation sequence by construction:
+``out[b] = k[b] @ den[b]`` over a batch of padded blocks.  A column must
+come out **bit-identical** whether it is applied alone or as one of the
+``q`` columns of a multi-RHS (serving batch) apply, so every phase body
+of :mod:`repro.core.plan` funnels through :func:`gemm_cols`, which fixes
+the floating-point operation sequence by construction:
 
 * The right-hand side is always materialised as a fresh C-contiguous
   ``(b, j, Q_PAD)`` block, zero-padded to a **fixed column width**.

@@ -612,31 +612,7 @@ class FmmEvaluator:
 
     def xli(self, tree, lists, dens, state, profile, plan) -> None:
         """X-list: source points of coarse leaves onto DC surfaces."""
-        self.xli_apply(state, self.xli_compute(tree, lists, dens, profile, plan))
-
-    def xli_compute(self, tree, lists, dens, profile, plan) -> list:
-        """The GEMM stage of :meth:`xli`, decoupled from state mutation.
-
-        X-list values depend only on ``dens`` — never on ``up`` or
-        ``dcheck`` — so they can be computed while the shared-density
-        reduction is still in flight.  Returns deferred ``(targets,
-        sums)`` adds; :meth:`xli_apply` replays them in the same order
-        and with the same values the fused :meth:`xli` would have added,
-        so the split is bit-identical to running X-list in place.
-        """
-        return plan.compute_xli(self, dens, profile, pool=self.task_pool)
-
-    @staticmethod
-    def xli_apply(state, deferred) -> None:
-        """Add deferred X-list segment sums into the check densities."""
-        dcheck = state["dcheck"]
-        for seg, sums in deferred:
-            dcheck[seg] += sums
-
-    def xli_deferrable(self) -> bool:
-        """Whether :meth:`xli_compute`/:meth:`xli_apply` may replace
-        :meth:`xli` (the GPU evaluator's device path cannot defer)."""
-        return True
+        plan.apply_xli(self, dens, state, profile, pool=self.task_pool)
 
     def d2d(self, tree, state, profile, plan) -> None:
         """Pre-order L2L propagation and check-to-equivalent conversion."""

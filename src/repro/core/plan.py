@@ -585,22 +585,12 @@ class EvalPlan:
         with self._tiles("VLI", profile, pool) as run:
             run(self.vli_fft, compute, done)
 
-    def compute_xli(self, ev, dens, profile, pool=None) -> list:
-        """The GEMM stage of :meth:`apply_xli`, without touching state.
-
-        X-list values depend only on the input densities, so the matrix
-        products can run while the shared-density reduction is still in
-        flight; the returned ``(targets, sums)`` segments (``sums`` in the
-        caller's ``dcheck`` layout: 2-D for a flat ``dens``, ``q`` on axis
-        1 for a block) are added into ``dcheck`` later — same values, same
-        per-block order as the fused apply, so the split is bit-identical.
-        """
-        out: list = []
+    def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
         if not self.xli:
-            return out
+            return
+        dcheck = self._cols(state["dcheck"])
         table = self._dens_table(dens)
         q = table.shape[2]
-        flat = np.ndim(dens) == 1
 
         def compute(blk):
             k = self._kmat(blk, ev.kernel, blk.surf, blk.pts)
@@ -608,19 +598,11 @@ class EvalPlan:
             return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
 
         def done(blk, sums):  # (nseg, ns*kt, q)
-            out.append(
-                (blk.seg, sums[:, :, 0] if flat else sums.transpose(0, 2, 1))
-            )
+            dcheck[blk.seg] += sums.transpose(0, 2, 1)
             profile.add_flops(blk.flops * q)
 
         with self._tiles("XLI", profile, pool) as run:
             run(self.xli, compute, done)
-        return out
-
-    def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
-        dcheck = state["dcheck"]
-        for seg, sums in self.compute_xli(ev, dens, profile, pool=pool):
-            dcheck[seg] += sums
 
     def apply_d2d(self, ev, state, profile, pool=None) -> None:
         dcheck, dequiv = self._cols(state["dcheck"]), self._cols(state["dequiv"])

@@ -90,18 +90,6 @@ class DistributedFmm:
         ranks never evaluate at disagreeing precisions.
     precision_rtol:
         Relative-error target for ``precision="auto"``.
-    pipeline:
-        Overlap communication with computation during ``evaluate`` (the
-        paper's own "asynchronous communication" future-work item): the
-        ghost-density exchange stays in flight through S2U/U2U, and the
-        first (largest) round of the shared-density reduction stays in
-        flight through the X-list GEMMs.  Bit-identical to the sequential
-        schedule — the overlapped work never reads what the in-flight
-        messages deliver, and the X-list adds are deferred to their
-        sequential position — with identical per-rank ledgers.  Active
-        only at ``comm.size > 1`` on non-resumed evaluations; the X-list
-        half is skipped when the evaluator cannot defer it (device WX
-        path).
     threads:
         Intra-rank parallelism: each rank runs its plan phase tiles on a
         task pool (see :mod:`repro.core.parallel`).  The per-rank pool is
@@ -126,7 +114,6 @@ class DistributedFmm:
         gpu_wx: bool = False,
         precision: str = "fp64",
         precision_rtol: float | None = None,
-        pipeline: bool = True,
         threads: int | None = None,
     ):
         if comm_scheme not in ("hypercube", "owner"):
@@ -159,7 +146,6 @@ class DistributedFmm:
                 precision=precision,
                 precision_rtol=precision_rtol,
             )
-        self.pipeline = bool(pipeline)
         self.threads = None if threads is None else max(1, int(threads))
         self.comm: SimComm | None = None
         self.let: LocalEssentialTree | None = None
@@ -256,16 +242,22 @@ class DistributedFmm:
         leaves, points, point_keys = dist.leaves, dist.points, dist.point_keys
         geometry = dist.geometry
 
-        with profile.phase("let"):
-            let = build_let(comm, geometry, leaves, points, point_keys)
-            profile.current.flops += 60.0 * let.tree.n_nodes
-        with profile.phase("lists"):
-            lists = build_lists(let.tree)
-            profile.current.flops += 30.0 * sum(
-                lists.work_summary().values()
-            ) + 52.0 * let.tree.n_nodes * np.log2(max(let.tree.n_nodes, 2))
+        def build(geometry, leaves, points, point_keys):
+            with profile.phase("let"):
+                let = build_let(comm, geometry, leaves, points, point_keys)
+                profile.current.flops += 60.0 * let.tree.n_nodes
+            with profile.phase("lists"):
+                lists = build_lists(let.tree)
+                profile.current.flops += 30.0 * sum(
+                    lists.work_summary().values()
+                ) + 52.0 * let.tree.n_nodes * np.log2(max(let.tree.n_nodes, 2))
+            return let, lists
 
+        let, lists = build(geometry, leaves, points, point_keys)
         if self.load_balance and comm.size > 1:
+            # the paper's weights (§III-B) are computed *from* the lists,
+            # so a balanced setup builds LET and lists twice; ``balance``
+            # is the weighting and the repartition between the two builds
             with profile.phase("balance"):
                 leaf_nodes = let.tree.find(leaves)
                 weights = leaf_work_weights(
@@ -276,20 +268,13 @@ class DistributedFmm:
                     comm, leaves, weights, points, point_keys, begin, end,
                     partition_level=self.partition_level,
                 )
-                counts = comm.allgather(int(new[0].size))
-                if min(counts) > 0:  # degenerate splits fall back
+                # degenerate splits fall back to the unbalanced partition
+                rebalanced = min(comm.allgather(int(new[0].size))) > 0
+                if rebalanced:
                     leaves, points, point_keys = new
                     geometry = RankGeometry.from_leaves(comm, leaves)
-                    with profile.phase("let"):
-                        let = build_let(comm, geometry, leaves, points, point_keys)
-                        profile.current.flops += 60.0 * let.tree.n_nodes
-                    with profile.phase("lists"):
-                        lists = build_lists(let.tree)
-                        profile.current.flops += 30.0 * sum(
-                            lists.work_summary().values()
-                        ) + 52.0 * let.tree.n_nodes * np.log2(
-                            max(let.tree.n_nodes, 2)
-                        )
+            if rebalanced:
+                let, lists = build(geometry, leaves, points, point_keys)
 
         self.let = let
         self.lists = lists
@@ -390,7 +375,6 @@ class DistributedFmm:
         self,
         densities_owned: np.ndarray,
         resume: bool = False,
-        pipeline: bool | None = None,
     ) -> np.ndarray:
         """Potentials at this rank's owned points (same layout as input).
 
@@ -403,16 +387,13 @@ class DistributedFmm:
         ``COMM_exchange``/``COMM_reduce`` on one rank would deadlock the
         others.  A ``RECOVERY:resume`` span marks the restart in the
         trace.  ``resume=True`` without a matching checkpoint silently
-        runs the full pipeline (so a retry loop can pass it
-        unconditionally).
+        runs every phase (so a retry loop can pass it unconditionally).
 
-        ``pipeline`` overrides the constructor's overlap setting for this
-        call (``None`` keeps it).  The schedule choice must be uniform
-        across ranks — both schedules move the same messages, but the
-        overlapped one posts them earlier.  A resumed evaluation skips
-        the communication-bearing phases entirely, so it runs sequential
-        regardless (and stays bit-identical: the deferred X-list adds
-        land in the same order as the sequential schedule's).
+        The schedule is the sequential one of the paper's Algorithm 1 with
+        blocking communication: ``COMM_exchange``, S2U, U2U,
+        ``COMM_reduce``, then the six local downward phases — each entered
+        once, none nested in another, so a rank's phase walls add up to
+        (at most) the wall of the call.
         """
         if self.let is None:
             raise RuntimeError("call setup() before evaluate()")
@@ -473,12 +454,6 @@ class DistributedFmm:
                 )
 
         profile.precision = plan.precision
-        pipelined = (
-            (self.pipeline if pipeline is None else bool(pipeline))
-            and comm.size > 1
-            and not resumable
-        )
-        xli_deferred: list | None = None
         if resumable:
             dens = self._ckpt["dens"].copy()
             state["up"] = self._ckpt["up"].copy()
@@ -486,44 +461,14 @@ class DistributedFmm:
                 pass  # span marks the phases skipped via the checkpoint
         else:
             dens = let.scatter_own_densities(dens_owned, ks)
-            if pipelined:
-                # Post the ghost exchange and let it fly through S2U/U2U:
-                # the upward pass is scoped to owned leaves/contributors
-                # and never reads the ghost density slots being filled.
-                with profile.phase("COMM_exchange"):
-                    inflight = let.exchange_densities_start(comm, dens, ks)
-            else:
-                with profile.phase("COMM_exchange"):
-                    let.exchange_densities(comm, dens, ks)
+            with profile.phase("COMM_exchange"):
+                let.exchange_densities(comm, dens, ks)
             with profile.phase("S2U"):
                 ev.s2u(tree, dens, state, profile, plan)
             with profile.phase("U2U"):
                 ev.u2u(tree, state, profile, plan)
-            if pipelined:
-                # Complete before the reduce: charges land in this phase,
-                # and ghost densities must be in place for X/U-lists.
-                with profile.phase("COMM_exchange"):
-                    inflight.finish()
-            if pipelined and ev.xli_deferrable():
-                # X-list reads only input densities (now complete) and
-                # writes nothing yet, so its GEMMs hide behind the first
-                # reduce round; the adds replay at the sequential XLI
-                # position below, keeping bit-identity.
-                deferred: list = []
-
-                def _overlap() -> None:
-                    with profile.phase("XLI"):
-                        deferred.append(
-                            ev.xli_compute(tree, lists, dens, profile, plan)
-                        )
-
-                with profile.phase("COMM_reduce"):
-                    self._reduce_shared(state, overlap=_overlap)
-                if deferred:
-                    xli_deferred = deferred[0]
-            else:
-                with profile.phase("COMM_reduce"):
-                    self._reduce_shared(state)
+            with profile.phase("COMM_reduce"):
+                self._reduce_shared(state)
             self._ckpt = {
                 "dens_owned": dens_owned.copy(),
                 "dens": dens.copy(),
@@ -545,10 +490,7 @@ class DistributedFmm:
         with profile.phase("VLI"):
             ev.vli(tree, lists, state, profile, plan)
         with profile.phase("XLI"):
-            if xli_deferred is not None:
-                ev.xli_apply(state, xli_deferred)
-            else:
-                ev.xli(tree, lists, dens, state, profile, plan)
+            ev.xli(tree, lists, dens, state, profile, plan)
         with profile.phase("D2D"):
             ev.d2d(tree, state, profile, plan)
         with profile.phase("WLI"):
@@ -559,18 +501,11 @@ class DistributedFmm:
             ev.uli(tree, lists, dens, state, profile, plan)
         return let.gather_own_values(state["pot"], kt)
 
-    def _reduce_shared(self, state: dict, overlap=None) -> None:
-        """Communication steps 2+3: complete the shared upward densities.
-
-        ``overlap`` (optional zero-arg callback) runs once while the
-        largest exchange of the reduction is in flight; it must not read
-        or write upward densities.
-        """
+    def _reduce_shared(self, state: dict) -> None:
+        """Communication steps 2+3: complete the shared upward densities."""
         comm, let = self.comm, self.let
         tree, geometry = let.tree, let.geometry
         if comm.size == 1:
-            if overlap is not None:
-                overlap()
             return
         shared = geometry.is_shared(tree.keys, comm.rank)
         mine = shared & let.owned_contrib & (self._own_counts > 0)
@@ -585,7 +520,7 @@ class DistributedFmm:
             if self.comm_scheme == "hypercube" and pow2
             else owner_reduce_scatter
         )
-        rkeys, rdens = reduce_fn(comm, geometry, keys, dens, overlap=overlap)
+        rkeys, rdens = reduce_fn(comm, geometry, keys, dens)
         idx = tree.find(rkeys)
         ok = idx >= 0
         state["up"][idx[ok]] = rdens[ok]

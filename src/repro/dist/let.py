@@ -17,7 +17,6 @@ merged into the rank's Morton-sorted point array so the resulting
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,38 +27,9 @@ from repro.mpi.comm import SimComm
 from repro.util import geometry as ugeom
 from repro.util import morton
 
-__all__ = ["GhostDensityExchange", "LocalEssentialTree", "build_let"]
+__all__ = ["LocalEssentialTree", "build_let"]
 
 _TAG_DENS = 7300
-
-
-@dataclass
-class GhostDensityExchange:
-    """An in-flight ghost-density exchange.
-
-    Started by :meth:`LocalEssentialTree.exchange_densities_start`; the
-    traffic is posted (nonblocking) and stays in flight while the caller
-    computes.  :meth:`finish` completes the requests — charging the
-    ledger/trace in the phase open at that point — fills the ghost-leaf
-    density slots exactly like the blocking exchange, and emits one
-    ``INFLIGHT:COMM_exchange`` trace span recording how much compute
-    happened while the exchange was airborne.
-    """
-
-    let: "LocalEssentialTree"
-    comm: SimComm
-    merged_dens: np.ndarray
-    source_dim: int
-    handle: object  # AlltoallRequest
-    t0: float
-    flops0: float
-
-    def finish(self) -> None:
-        received = self.handle.wait()
-        self.let._fill_ghost_densities(received, self.merged_dens, self.source_dim)
-        self.comm.record_inflight(
-            "COMM_exchange", self.t0, self.flops0, self.handle.requests
-        )
 
 
 @dataclass
@@ -102,13 +72,17 @@ class LocalEssentialTree:
         """Extract owned-point values from a merged-array vector."""
         return merged.reshape(-1, dim)[self.own_positions].reshape(-1)
 
-    def _density_blocks(
-        self, size: int, merged_dens: np.ndarray, source_dim: int
-    ) -> list:
-        """Per-destination density payloads along the Algorithm-2 routes."""
+    def exchange_densities(
+        self, comm: SimComm, merged_dens: np.ndarray, source_dim: int
+    ) -> None:
+        """Fill ghost-leaf density slots via the Algorithm-2 routes.
+
+        The paper's "first communication step ... to communicate the exact
+        densities for the direct calculation" (§III-C).
+        """
         tree = self.tree
         blocks = []
-        for dest in range(size):
+        for dest in range(comm.size):
             nodes = self.send_leaves[dest]
             if nodes.size == 0:
                 blocks.append(np.empty(0))
@@ -118,14 +92,8 @@ class LocalEssentialTree:
                 for i in nodes
             ]
             blocks.append(np.concatenate(parts) if parts else np.empty(0))
-        return blocks
-
-    def _fill_ghost_densities(
-        self, received: list, merged_dens: np.ndarray, source_dim: int
-    ) -> None:
-        """Scatter received per-source buffers into ghost-leaf slots."""
-        tree = self.tree
-        for src in range(len(received)):
+        received = comm.alltoall(blocks)
+        for src in range(comm.size):
             nodes = self.recv_leaves[src]
             if nodes.size == 0:
                 continue
@@ -138,38 +106,6 @@ class LocalEssentialTree:
                 ] = buf[pos : pos + n]
                 pos += n
             assert pos == buf.size, "density exchange length mismatch"
-
-    def exchange_densities(
-        self, comm: SimComm, merged_dens: np.ndarray, source_dim: int
-    ) -> None:
-        """Fill ghost-leaf density slots via the Algorithm-2 routes.
-
-        The paper's "first communication step ... to communicate the exact
-        densities for the direct calculation" (§III-C).
-        """
-        blocks = self._density_blocks(comm.size, merged_dens, source_dim)
-        received = comm.alltoall(blocks)
-        self._fill_ghost_densities(received, merged_dens, source_dim)
-
-    def exchange_densities_start(
-        self, comm: SimComm, merged_dens: np.ndarray, source_dim: int
-    ) -> GhostDensityExchange:
-        """Nonblocking :meth:`exchange_densities`: post and return.
-
-        Sends the exact same blocks over the exact same pairwise schedule
-        (so per-rank ledgers match the blocking exchange), but returns
-        while the traffic is in flight; the caller runs the upward pass
-        (which touches no ghost density slots) and then calls
-        :meth:`GhostDensityExchange.finish` before the first direct phase
-        that reads ghosts.
-        """
-        blocks = self._density_blocks(comm.size, merged_dens, source_dim)
-        t0 = time.perf_counter()
-        flops0 = comm.profile.total_flops()
-        handle = comm.ialltoall(blocks)
-        return GhostDensityExchange(
-            self, comm, merged_dens, source_dim, handle, t0, flops0
-        )
 
 
 def _let_tree(

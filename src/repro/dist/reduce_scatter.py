@@ -23,9 +23,6 @@ against a serial reduction.
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import numpy as np
 
 from repro.dist.geometry import RankGeometry
@@ -33,8 +30,6 @@ from repro.mpi.comm import SimComm
 
 __all__ = ["hypercube_reduce_scatter", "owner_reduce_scatter"]
 
-# Hypercube rounds are tag-stamped (_TAG_HC + round) so an overlapped
-# round's in-flight traffic can never be matched by a later round.
 _TAG_HC = 7400
 _TAG_OWN_CNT = 7500
 _TAG_OWN = 7501
@@ -57,7 +52,6 @@ def hypercube_reduce_scatter(
     geometry: RankGeometry,
     keys: np.ndarray,
     dens: np.ndarray,
-    overlap: Callable[[], None] | None = None,
 ):
     """Paper Algorithm 3 (REDUCE AND SCATTER).
 
@@ -66,12 +60,6 @@ def hypercube_reduce_scatter(
     keys / dens:
         This rank's *partial* upward densities of its shared octants
         (one row per octant).
-    overlap:
-        Optional callback run once while the *first* round's exchange
-        (the largest: round ``d-1`` moves the most octants) is in
-        flight.  The callback must not touch upward densities; the
-        driver uses it to run the X-list GEMMs.  An
-        ``INFLIGHT:COMM_reduce`` span records the hidden interval.
     Returns
     -------
     (keys, dens):
@@ -103,24 +91,12 @@ def hypercube_reduce_scatter(
             keys, int(bounds[qs]), int(bounds[qe + 1])
         ) if keys.size else np.empty(0, dtype=bool)
 
-        payload = (keys[send_mask], dens[send_mask])
-        if overlap is not None:
-            t0 = time.perf_counter()
-            flops0 = comm.profile.total_flops()
-            sreq = comm.isend(payload, s, _TAG_HC + i)
-            rreq = comm.irecv(s, _TAG_HC + i)
-            overlap()
-            overlap = None
-            other_keys, other_dens = rreq.wait()
-            sreq.wait()
-            comm.record_inflight("COMM_reduce", t0, flops0, (sreq, rreq))
-        else:
-            other_keys, other_dens = comm.sendrecv(payload, s, _TAG_HC + i)
+        other_keys, other_dens = comm.sendrecv(
+            (keys[send_mask], dens[send_mask]), s, _TAG_HC
+        )
         keys = np.concatenate([keys[keep_mask], other_keys])
         dens = np.concatenate([dens[keep_mask], other_dens])
         keys, dens = _merge_sum(keys, dens)
-    if overlap is not None:
-        overlap()  # p == 1 runs no rounds; the deferred work must still run
     return keys, dens
 
 
@@ -129,14 +105,11 @@ def owner_reduce_scatter(
     geometry: RankGeometry,
     keys: np.ndarray,
     dens: np.ndarray,
-    overlap: Callable[[], None] | None = None,
 ):
     """Owner-based baseline (the scheme the paper replaced).
 
     Every shared octant is reduced at its owner (the rank holding its
     first Morton cell) and then sent to each user rank individually.
-    ``overlap`` (if given) runs once while the contributors-to-owners
-    exchange is in flight, as in :func:`hypercube_reduce_scatter`.
     """
     p, r = comm.size, comm.rank
     keys = np.asarray(keys, dtype=np.uint64)
@@ -149,15 +122,7 @@ def owner_reduce_scatter(
     for dest in range(p):
         sel = owners == dest
         blocks.append((keys[sel], dens[sel]))
-    if overlap is not None:
-        t0 = time.perf_counter()
-        flops0 = comm.profile.total_flops()
-        handle = comm.ialltoall(blocks)
-        overlap()
-        received = handle.wait()
-        comm.record_inflight("COMM_reduce", t0, flops0, handle.requests)
-    else:
-        received = comm.alltoall(blocks)
+    received = comm.alltoall(blocks)
     okeys = np.concatenate([blk[0] for blk in received])
     odens = np.concatenate([blk[1] for blk in received])
     okeys, odens = _merge_sum(okeys, odens)

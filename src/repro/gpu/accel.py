@@ -292,11 +292,6 @@ class GpuFmmEvaluator(FmmEvaluator):
             gbytes += acc.nbytes
         self.gpu.charge_launch("XLI", flops, gbytes)
 
-    def xli_deferrable(self) -> bool:
-        """The device X-list is per-box and adds into ``dcheck`` in place;
-        only the CPU path supports the deferred compute/apply split."""
-        return not self.accelerate_wx
-
     def uli(self, tree, lists, dens, state, profile, plan) -> None:
         if not self._device_ok("ULI", profile):
             super().uli(tree, lists, dens, state, profile, plan)

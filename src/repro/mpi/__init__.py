@@ -41,7 +41,7 @@ typed transient faults under a bounded
 """
 
 from repro.mpi.machine import KRAKEN, LINCOLN, LOCAL, MachineModel
-from repro.mpi.comm import CorruptMessage, Request, SimComm, wait_all
+from repro.mpi.comm import CorruptMessage, SimComm
 from repro.mpi.runtime import SpmdError, run_spmd, run_spmd_resilient
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "LINCOLN",
     "LOCAL",
     "SimComm",
-    "Request",
-    "wait_all",
     "CorruptMessage",
     "SpmdError",
     "run_spmd",

@@ -43,18 +43,6 @@ channel), instead of hangs or silent collective desyncs.  On a sequence
 anomaly the receiver *resyncs forward* (never backward), so one dropped
 delivery yields exactly one typed error and the channel verifies clean
 afterwards.
-
-Nonblocking point-to-point (``isend``/``irecv``) returns :class:`Request`
-handles completed with ``wait``/``test``/:func:`wait_all`.  The simulated
-wire is eager — an ``isend`` is deliverable the moment it is posted, so
-posted sends can never deadlock a peer — but the **ledger and trace are
-charged at completion**, in whatever phase the rank has open when it
-calls ``wait``, and integrity frames are verified at ``wait`` too.  This
-mirrors real MPI, where the cost of a nonblocking operation lands where
-the program finally synchronises with it, and it is what lets the
-distributed driver post an exchange, compute through other phases, and
-still account the traffic to the communication phase it reopens to
-complete the requests.
 """
 
 from __future__ import annotations
@@ -62,7 +50,6 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
-import time
 import zlib
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any, Callable
@@ -73,23 +60,15 @@ from repro.util.timer import PhaseProfile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.trace import TraceRecorder
 
-__all__ = [
-    "SimComm",
-    "Fabric",
-    "Request",
-    "AlltoallRequest",
-    "SpmdAborted",
-    "CorruptMessage",
-    "wait_all",
-]
+__all__ = ["SimComm", "Fabric", "SpmdAborted", "CorruptMessage"]
 
 # Internal tag space: user tags must stay below _TAG_COLL.  Each
 # collective owns a block of _TAG_BLOCK tags so individual rounds can be
-# round-stamped (e.g. ``_TAG_BARRIER + round``): with nonblocking ops in
-# the mix, a fast rank may post round-k+1 traffic while a slow peer is
-# still draining round k, and per-round tags keep those messages on
-# distinct FIFO channels instead of relying on every channel staying
-# strictly in lock-step.
+# round-stamped (e.g. ``_TAG_BARRIER + round``): sends are buffered, so a
+# fast rank may post round-k+1 traffic while a slow peer is still
+# draining round k, and per-round tags keep those messages on distinct
+# FIFO channels instead of relying on every channel staying strictly in
+# lock-step.
 _TAG_COLL = 1 << 20
 _TAG_BLOCK = 1 << 16
 _TAG_BARRIER = _TAG_COLL + 1 * _TAG_BLOCK
@@ -166,156 +145,6 @@ class Fabric:
                 if self.abort.is_set():
                     raise SpmdAborted(f"rank {rank}: peer failure during recv")
                 cond.wait()
-
-    def try_get(self, rank: int, src: int, tag: int) -> bytes | None:
-        """Nonblocking :meth:`get`: pop a pending payload or return None.
-
-        Like :meth:`get`, raises :class:`SpmdAborted` when the run is
-        aborted and nothing is pending, so ``Request.test`` polls fail
-        fast on a dead run instead of spinning forever.
-        """
-        cond = self._cond[rank]
-        with cond:
-            q = self._boxes[rank].get((src, tag))
-            if q:
-                return q.popleft()
-            if self.abort.is_set():
-                raise SpmdAborted(f"rank {rank}: peer failure during recv")
-            return None
-
-    def on_wait(self, rank: int) -> None:
-        """Hook fired once per ``Request`` completion (``wait`` entry or a
-        successful ``test``), in per-rank program order.  The chaos fabric
-        overrides this to fire crash/straggle faults *inside* in-flight
-        nonblocking operations (e.g. mid-``wait_all``)."""
-
-
-class Request:
-    """Handle of one in-flight nonblocking operation (``isend``/``irecv``).
-
-    MPI semantics at simulator scale: the operation is *posted*
-    immediately, but the ledger/trace are charged at **completion**
-    (``wait`` or a successful ``test``), in whatever phase the rank has
-    open at that moment, and integrity frames are verified at ``wait``.
-    ``wait`` is idempotent — after completion it returns the same value
-    (``None`` for sends) without charging again.  :meth:`Fabric.abort_all`
-    wakes ranks blocked in ``wait`` with :class:`SpmdAborted`.
-
-    If integrity verification fails at ``wait``, the request is marked
-    done (the corrupt bytes were charged — they really moved) and the
-    typed :class:`CorruptMessage` propagates to the caller.
-
-    Multiple outstanding ``irecv`` s on the *same* (source, tag) channel
-    are matched to deliveries in the order their ``wait``/``test`` calls
-    complete, not the order they were posted — post order is not recorded
-    by the fabric, which delivers each channel FIFO.
-    """
-
-    __slots__ = ("comm", "peer", "tag", "done", "nbytes", "_value")
-
-    def __init__(self, comm: "SimComm", peer: int, tag: int):
-        self.comm = comm
-        self.peer = peer
-        self.tag = tag
-        self.done = False
-        #: Framed payload size; sends know it at post, recvs at completion.
-        self.nbytes = 0
-        self._value: Any = None
-
-    def wait(self) -> Any:
-        raise NotImplementedError
-
-    def test(self) -> bool:
-        raise NotImplementedError
-
-
-class _SendRequest(Request):
-    """A posted send: bytes are already on the (eager) wire; the ledger
-    and trace entries land when the sender completes the request."""
-
-    def wait(self) -> None:
-        if self.done:
-            return None
-        comm = self.comm
-        comm.fabric.on_wait(comm.rank)
-        self.done = True
-        comm.messages_sent += 1
-        comm.bytes_sent += self.nbytes
-        comm._charge(self.nbytes)
-        if comm.trace is not None:
-            comm.trace.record_send(
-                comm.rank,
-                self.peer,
-                self.tag,
-                self.nbytes,
-                comm.profile.current_name,
-                comm.machine.latency,
-                self.nbytes / comm.machine.bandwidth,
-                comm._next_seq(),
-            )
-        return None
-
-    def test(self) -> bool:
-        self.wait()  # the wire is eager: a posted send is always complete
-        return True
-
-
-class _RecvRequest(Request):
-    def wait(self) -> Any:
-        if self.done:
-            return self._value
-        comm = self.comm
-        comm.fabric.on_wait(comm.rank)
-        return self._finish(comm.fabric.get(comm.rank, self.peer, self.tag))
-
-    def test(self) -> bool:
-        if self.done:
-            return True
-        comm = self.comm
-        payload = comm.fabric.try_get(comm.rank, self.peer, self.tag)
-        if payload is None:
-            return False
-        comm.fabric.on_wait(comm.rank)
-        self._finish(payload)
-        return True
-
-    def _finish(self, payload: bytes) -> Any:
-        self.done = True  # even a failed verification consumed a delivery
-        self.nbytes = len(payload)
-        self._value = self.comm._complete_recv(self.peer, self.tag, payload)
-        return self._value
-
-
-def wait_all(requests) -> list:
-    """Complete requests in order; returns their values (None for sends)."""
-    return [req.wait() for req in requests]
-
-
-class AlltoallRequest:
-    """Handle of one in-flight :meth:`SimComm.ialltoall`."""
-
-    __slots__ = ("_out", "_sends", "_recvs", "done")
-
-    def __init__(self, out: list, sends: list, recvs: list):
-        self._out = out
-        self._sends = sends
-        self._recvs = recvs  # (source, Request) pairs
-        self.done = False
-
-    @property
-    def requests(self) -> list:
-        """All member requests, for in-flight span accounting."""
-        return self._sends + [req for _, req in self._recvs]
-
-    def wait(self) -> list:
-        """Complete the exchange; returns received blocks indexed by source."""
-        if not self.done:
-            for src, req in self._recvs:
-                self._out[src] = req.wait()
-            for req in self._sends:
-                req.wait()
-            self.done = True
-        return self._out
 
 
 def _add(a, b):
@@ -408,14 +237,6 @@ class SimComm:
         if not (0 <= source < self.size):
             raise ValueError(f"invalid source {source} for size {self.size}")
         payload = self.fabric.get(self.rank, source, tag)
-        return self._complete_recv(source, tag, payload)
-
-    def _complete_recv(self, source: int, tag: int, payload: bytes) -> Any:
-        """Charge, trace and verify one delivered payload.
-
-        Shared by blocking ``recv`` and ``Request.wait``: verification
-        happens at *completion* time in both cases.
-        """
         # ledger and trace first: the corrupt bytes really did move, and
         # the trace must balance even when verification fails below.
         self._charge(len(payload))
@@ -475,105 +296,6 @@ class SimComm:
         """Simultaneous exchange with a partner rank."""
         self._check_user_tag(tag)
         return self._sendrecv(obj, peer, tag)
-
-    # -- nonblocking point to point ------------------------------------------
-
-    def _isend(self, obj: Any, dest: int, tag: int) -> Request:
-        if not (0 <= dest < self.size):
-            raise ValueError(f"invalid dest {dest} for size {self.size}")
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if self.integrity:
-            # the frame sequence is consumed at *post* time, so blocking
-            # and nonblocking sends interleaved on one channel keep the
-            # program order the receiver will verify against.
-            key = (dest, tag)
-            chan_seq = self._tx_seq.get(key, 0)
-            self._tx_seq[key] = chan_seq + 1
-            payload = (
-                _INTEGRITY_HDR.pack(zlib.crc32(payload), chan_seq & 0xFFFFFFFF)
-                + payload
-            )
-        req = _SendRequest(self, dest, tag)
-        req.nbytes = len(payload)
-        # eager wire: the payload is deliverable the moment it is posted,
-        # so a posted isend can never deadlock a peer's blocking recv.
-        # Only the *charging* is deferred to completion.
-        self.fabric.put(dest, self.rank, tag, payload)
-        return req
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; complete with ``Request.wait``/``test``.
-
-        The ledger/trace charge lands at completion, in whatever phase is
-        open then — post in one phase, complete in another, and the cost
-        is attributed to the completing phase.
-        """
-        self._check_user_tag(tag)
-        return self._isend(obj, dest, tag)
-
-    def _irecv(self, source: int, tag: int) -> Request:
-        if not (0 <= source < self.size):
-            raise ValueError(f"invalid source {source} for size {self.size}")
-        return _RecvRequest(self, source, tag)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive; ``Request.wait`` returns the payload.
-
-        Integrity framing is verified at ``wait`` (completion), matching
-        the blocking ``recv``'s charge-then-verify contract.
-        """
-        self._check_user_tag(tag)
-        return self._irecv(source, tag)
-
-    def wait_all(self, requests) -> list:
-        """Complete requests in order; returns values (None for sends)."""
-        return wait_all(requests)
-
-    def ialltoall(self, blocks: list) -> AlltoallRequest:
-        """Nonblocking :meth:`alltoall`.
-
-        Same partner schedule, round-stamped tags and per-rank byte
-        ledger as the blocking version — but all sends and receives are
-        posted up front and charged when the returned handle's ``wait``
-        completes them, so the whole exchange can stay in flight behind
-        local compute.
-        """
-        p, r = self.size, self.rank
-        if len(blocks) != p:
-            raise ValueError(f"alltoall needs {p} blocks, got {len(blocks)}")
-        out: list = [None] * p
-        out[r] = blocks[r]
-        pow2 = p & (p - 1) == 0
-        sends, recvs = [], []
-        for i in range(1, p):
-            peer = (r ^ i) if pow2 else (r + i) % p
-            src = peer if pow2 else (r - i) % p
-            sends.append(self._isend(blocks[peer], peer, _TAG_ALLTOALL + i))
-            recvs.append((src, self._irecv(src, _TAG_ALLTOALL + i)))
-        return AlltoallRequest(out, sends, recvs)
-
-    def record_inflight(self, label: str, t0: float, flops0: float, requests) -> None:
-        """Emit one ``INFLIGHT:<label>`` span for a completed request group.
-
-        The span's ``flops`` field carries the compute this rank performed
-        while the group was in flight (profile delta since ``flops0``) and
-        its comm fields carry the group's modelled cost; together they let
-        :func:`repro.perf.model.achieved_overlap_seconds` compute how much
-        communication was actually hidden behind compute.
-        """
-        if self.trace is None:
-            return
-        reqs = list(requests)
-        self.trace.record_span(
-            self.rank,
-            f"INFLIGHT:{label}",
-            time.perf_counter() - t0,
-            self.profile.total_flops() - flops0,
-            len(reqs),
-            float(sum(req.nbytes for req in reqs)),
-            sum(self.machine.message_seconds(req.nbytes) for req in reqs),
-            precision=self.profile.precision,
-        )
 
     # -- collectives ----------------------------------------------------------
 

@@ -72,7 +72,7 @@ TRANSIENT_ERRORS = (InjectedFault, CorruptMessage, GpuDeviceFault, TimeoutError)
 #: The supported fault classes of the matrix (``python -m repro chaos``).
 FAULT_KINDS = ("crash", "straggle", "drop", "duplicate", "bitflip", "gpu")
 
-_OPS = ("send", "recv", "phase", "launch", "wait")
+_OPS = ("send", "recv", "phase", "launch")
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,10 @@ class Fault:
         point-to-point operation of ``rank`` (0-based, counted at the
         fabric); ``phase`` fires on the ``index``-th entry of phase
         ``phase`` on ``rank``; ``launch`` arms a GPU fault for phase
-        ``phase`` (``None`` = first accelerated phase); ``wait`` fires at
-        the ``index``-th nonblocking-request completion (``Request.wait``
-        / successful ``test``) on ``rank`` — crashes land *inside* an
-        in-flight ``wait_all``.  Note drops/duplicates/bit-flips already
-        cover in-flight nonblocking traffic through op='send': an
-        ``isend`` posts its (possibly sabotaged) delivery immediately and
-        the damage surfaces as a typed error at the receiver's ``wait``.
+        ``phase`` (``None`` = first accelerated phase).  A crash at a
+        ``recv`` is the "peers blocked in communication" case: nothing
+        the victim would have sent afterwards ever arrives, and the abort
+        machinery wakes the ranks blocked waiting for it.
     seconds / sleep:
         Straggler cost: modelled seconds charged to the rank's profile,
         and real seconds slept (for deadline tests).
@@ -126,8 +123,6 @@ class Fault:
             raise ValueError("gpu faults use op='launch'")
         if self.kind in ("drop", "duplicate", "bitflip") and self.op != "send":
             raise ValueError(f"{self.kind} faults trigger on op='send'")
-        if self.op == "wait" and self.kind not in ("crash", "straggle"):
-            raise ValueError("op='wait' supports crash and straggle faults")
         if self.op == "phase" and not self.phase:
             raise ValueError("op='phase' needs a phase name")
         if self.rank < 0:
@@ -363,7 +358,6 @@ class ChaosFabric(Fabric):
             self._by_trigger.setdefault((f.op, f.rank), []).append(f)
         self._send_idx = [0] * size  # touched only by the owner's thread
         self._recv_idx = [0] * size
-        self._wait_idx = [0] * size
         self._phase_idx: dict[tuple[int, str], int] = {}
         self._events: list[list[FaultEvent]] = [[] for _ in range(size)]
         self._profiles: list | None = None
@@ -445,24 +439,6 @@ class ChaosFabric(Fabric):
                 self._fire(rank, f, idx, "", f"straggle {f.seconds}s at recv #{idx}")
                 self._straggle(rank, f, None)
         return super().get(rank, src, tag)
-
-    def on_wait(self, rank: int) -> None:
-        """Request-completion hook: fires faults inside in-flight ops.
-
-        Called once per ``Request.wait`` entry / successful ``test``, in
-        per-rank program order, *before* the completion charges or blocks
-        — so a planned crash lands mid-``wait_all`` and the surviving
-        ranks' blocked waits are woken by the abort machinery.
-        """
-        idx = self._wait_idx[rank]
-        self._wait_idx[rank] = idx + 1
-        for f in self._matching("wait", rank, idx):
-            if f.kind == "crash":
-                self._fire(rank, f, idx, "", f"crash at request wait #{idx}")
-                raise RankCrash(f"rank {rank}: injected crash at wait #{idx}")
-            if f.kind == "straggle":
-                self._fire(rank, f, idx, "", f"straggle {f.seconds}s at wait #{idx}")
-                self._straggle(rank, f, None)
 
     def on_phase(self, rank: int, name: str, profile) -> None:
         """Phase-entry hook (bound via ``PhaseProfile.bind_chaos``)."""

@@ -26,8 +26,6 @@ __all__ = [
     "evaluation_phase_times",
     "EVAL_PHASES",
     "aggregate",
-    "achieved_overlap_seconds",
-    "overlap_report",
     "parallel_report",
     "serve_span_summary",
 ]
@@ -151,60 +149,6 @@ def overlapped_eval_seconds(
     return float(ovl.max()), float(seq.max())
 
 
-def achieved_overlap_seconds(trace, machine: MachineModel) -> dict[int, float]:
-    """Modelled communication seconds each rank *actually hid*, per rank.
-
-    Reads the ``INFLIGHT:*`` spans a pipelined run emits (one per
-    completed nonblocking request group; see ``SimComm.record_inflight``):
-    a group of modelled cost ``comm_s`` flown over ``flops`` of concurrent
-    compute hides ``min(comm_s, compute_seconds(flops))`` — the message
-    can hide at most behind the compute that actually ran, and the
-    compute can hide at most the message's full cost.  A sequential run
-    emits no in-flight spans and achieves zero overlap, so the return is
-    ``{}``-defaulted per rank.
-    """
-    hidden: dict[int, float] = {}
-    for ev in trace.events:
-        if getattr(ev, "kind", None) != "span":
-            continue
-        if not ev.phase.startswith("INFLIGHT:") or ev.aborted:
-            continue
-        hid = min(ev.comm_s, machine.compute_seconds(ev.flops))
-        hidden[ev.rank] = hidden.get(ev.rank, 0.0) + hid
-    return hidden
-
-
-def overlap_report(
-    profiles: list[PhaseProfile],
-    machine: MachineModel,
-    trace=None,
-) -> dict[str, float]:
-    """Sequential vs modelled vs *achieved* overlapped evaluation seconds.
-
-    ``sequential`` and ``modelled_overlapped`` come from the phase
-    ledgers (:func:`overlapped_eval_seconds` — the dependency-legal
-    bound).  With a trace from a pipelined run, ``achieved`` is the
-    max-over-ranks of ``sequential_rank - hidden_rank``: what the
-    schedule actually saved, which can fall short of the model when the
-    overlapped compute was too small to cover the messages.
-    """
-    ovl, seq = overlapped_eval_seconds(profiles, machine)
-    out = {"sequential": seq, "modelled_overlapped": ovl}
-    if trace is not None:
-        hidden = achieved_overlap_seconds(trace, machine)
-        per_rank = np.zeros(len(profiles))
-        for i, prof in enumerate(profiles):
-            rank_seq = 0.0
-            for ph in EVAL_PHASES:
-                ev = prof.events.get(ph)
-                if ev is not None:
-                    rank_seq += machine.compute_seconds(ev.flops) + ev.comm_seconds
-            per_rank[i] = rank_seq - hidden.get(i, 0.0)
-        out["achieved"] = float(per_rank.max()) if len(profiles) else 0.0
-        out["hidden_max"] = float(max(hidden.values(), default=0.0))
-    return out
-
-
 def parallel_report(trace) -> dict:
     """Modelled vs achieved intra-rank parallel speedup per phase.
 
@@ -224,8 +168,7 @@ def parallel_report(trace) -> dict:
       fixed-assignment schedule of equal-cost tiles would reach, i.e.
       the quantisation-limited bound for the observed tile counts.
 
-    The ``overall`` entry aggregates every phase.  Analogous to
-    :func:`overlap_report` for comm/compute overlap: the gap between
+    The ``overall`` entry aggregates every phase.  The gap between
     achieved and modelled is lost to tile cost imbalance, combine
     serialisation and pool handoff.
     """

@@ -36,15 +36,6 @@ profile was evaluating at — spans of an fp32 plan apply carry
 ``"fp32"``, setup and communication spans inherit whatever the profile
 was bound to.
 
-Nonblocking request groups (see ``SimComm.record_inflight``) emit one
-synthetic ``INFLIGHT:<phase>`` span per completed group: ``comm_*``
-fields carry the group's modelled cost, ``flops`` the compute the rank
-performed *while the group was airborne* — the raw material for
-:func:`repro.perf.model.achieved_overlap_seconds`.  In-flight spans are
-bookkeeping overlays: their comm charges are also accounted in the
-ordinary phase spans, so sum over spans of one phase still matches the
-ledger when ``INFLIGHT:*`` spans are excluded.
-
 ``aborted`` marks spans that were closed by an exception unwinding
 through the phase or force-flushed at abort time for a wedged rank
 (see :meth:`repro.util.timer.PhaseProfile.flush_open_spans`) — so the

@@ -19,8 +19,9 @@ and places each registered model on it one of two ways, chosen at
 
 **The robustness contract** is the point of the merge: under a seeded
 :class:`~repro.mpi.faults.FaultPlan` (rank crash, straggler, in-flight
-corruption, GPU device fault, ``op="wait"`` faults inside the pipelined
-schedule), a request never observes a fault.  It observes either
+corruption, GPU device fault, a crash at a ``recv`` while the peers are
+blocked in ``COMM_reduce``), a request never observes a fault.  It
+observes either
 
 * a **bit-identical answer** — produced by bounded retry with
   exponential seeded backoff (:class:`~repro.mpi.faults.RetryPolicy`),

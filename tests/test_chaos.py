@@ -19,7 +19,6 @@ from repro.mpi import (
     SpmdError,
     run_spmd,
     run_spmd_resilient,
-    wait_all,
 )
 from repro.mpi.comm import _TAG_COLL
 from repro.mpi.faults import (
@@ -67,6 +66,8 @@ class TestFaultPlan:
             Fault("bitflip", rank=0, op="recv")
         with pytest.raises(ValueError, match="phase name"):
             Fault("crash", rank=0, op="phase")
+        with pytest.raises(ValueError, match="unknown fault op"):
+            Fault("crash", rank=0, op="wait")
 
 
 class TestTagValidation:
@@ -136,6 +137,45 @@ class TestIntegrity:
         with pytest.raises(SpmdError, match="dropped or duplicated") as ei:
             run_spmd(2, fn, faults=plan, integrity=True, timeout=30)
         assert isinstance(ei.value.__cause__, CorruptMessage)
+
+    def test_drop_resync_regression(self):
+        """One dropped delivery must poison exactly one receive.
+
+        Regression for the off-by-one where a sequence gap advanced the
+        expected rx sequence by one instead of resyncing to the observed
+        frame, so every later in-order message also raised.
+        """
+        plan = FaultPlan([Fault("drop", 0, op="send", index=0)])
+
+        def fn(comm):
+            if comm.rank == 0:
+                for k in range(4):
+                    comm.send(f"msg{k}", 1, tag=5)
+                return None
+            # delivery of msg0 was dropped: the first recv pops msg1's
+            # frame and reports the gap; msg2/msg3 then verify clean.
+            with pytest.raises(CorruptMessage, match="sequence"):
+                comm.recv(0, tag=5)
+            return [comm.recv(0, tag=5) for _ in range(2)]
+
+        res = run_spmd(2, fn, timeout=60, faults=plan, integrity=True)
+        assert res.values[1] == ["msg2", "msg3"]
+
+    def test_duplicate_single_error(self):
+        plan = FaultPlan([Fault("duplicate", 0, op="send", index=0)])
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send("a", 1, tag=5)
+                comm.send("b", 1, tag=5)
+                return None
+            first = comm.recv(0, tag=5)  # original delivery of "a"
+            with pytest.raises(CorruptMessage, match="sequence"):
+                comm.recv(0, tag=5)  # the stale duplicate
+            return first, comm.recv(0, tag=5)
+
+        res = run_spmd(2, fn, timeout=60, faults=plan, integrity=True)
+        assert res.values[1] == ("a", "b")
 
     def test_ledger_charged_for_corrupt_bytes(self):
         """Charge-before-verify: the byte ledger and trace stay balanced
@@ -435,48 +475,45 @@ class TestDeterminism:
         assert sig() == sig()
 
 
-class TestCrashMidWaitAll:
-    """Crashes landing *inside* an in-flight ``wait_all``.
+class TestCrashWithPeersBlocked:
+    """Crashes landing while the peers are blocked in communication.
 
     The matrix requirement: for every victim rank at p in {2, 5, 8} a
-    crash fired at a nonblocking-request completion (``op="wait"``) must
-    surface as a typed :class:`SpmdError` caused by :class:`RankCrash` —
-    zero hangs — because ``abort_all`` wakes every peer still blocked in
-    ``Request.wait``.
+    crash fired at a blocking ``recv`` must surface as a typed
+    :class:`SpmdError` caused by :class:`RankCrash` — zero hangs —
+    because ``abort_all`` wakes every peer still blocked in ``recv``.
     """
 
     @staticmethod
     def _ring_body(comm):
         r, p = comm.rank, comm.size
-        sreq = comm.isend(("dens", r), (r + 1) % p, tag=4)
-        rreq = comm.irecv((r - 1) % p, tag=4)
-        wait_all([sreq, rreq])  # injected crash fires at a completion here
-        comm.barrier()
-        return rreq.wait()
+        comm.send(("dens", r), (r + 1) % p, tag=4)
+        got = comm.recv((r - 1) % p, tag=4)  # the injected crash fires here
+        comm.barrier()  # ... and the survivors block here
+        return got
 
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_crash_matrix_typed_never_hangs(self, p):
         for victim in range(p):
-            plan = FaultPlan([Fault("crash", victim, op="wait", index=0)])
+            plan = FaultPlan([Fault("crash", victim, op="recv", index=0)])
             t0 = time.monotonic()
             with pytest.raises(SpmdError) as ei:
                 run_spmd(p, self._ring_body, faults=plan, timeout=30)
             assert time.monotonic() - t0 < 30  # aborted, not timed out
             assert ei.value.rank == victim
             assert isinstance(ei.value.__cause__, RankCrash)
-            assert "wait" in str(ei.value.__cause__)
+            assert "recv" in str(ei.value.__cause__)
 
-    def test_abort_wakes_ranks_blocked_in_wait_all(self):
-        """Peers parked in ``Request.wait`` on never-sent messages wake."""
-        plan = FaultPlan([Fault("crash", 0, op="wait", index=0)])
+    def test_abort_wakes_ranks_blocked_in_recv(self):
+        """Peers parked in ``recv`` on never-sent messages wake."""
+        plan = FaultPlan([Fault("crash", 0, op="recv", index=0)])
 
         def fn(comm):
             if comm.rank == 0:
-                # crash at own completion, before serving anyone else
-                comm.isend("x", 1, tag=1).wait()
+                comm.recv(1, tag=1)  # crashes here, before serving anyone
                 return None
-            # these messages are never sent: only abort_all can end this
-            wait_all([comm.irecv(0, tag=2), comm.irecv(0, tag=3)])
+            # this message is never sent: only abort_all can end the wait
+            comm.recv(0, tag=2)
 
         t0 = time.monotonic()
         with pytest.raises(SpmdError) as ei:
@@ -485,9 +522,9 @@ class TestCrashMidWaitAll:
         assert ei.value.rank == 0
         assert ei.value.wedged == ()
 
-    def test_resilient_retry_converges_after_wait_crash(self):
+    def test_resilient_retry_converges_after_recv_crash(self):
         plan = FaultPlan(
-            [Fault("crash", 1, op="wait", index=0, attempts=1)]
+            [Fault("crash", 1, op="recv", index=0, attempts=1)]
         )
         res = run_spmd_resilient(
             4, self._ring_body, faults=plan, timeout=30,

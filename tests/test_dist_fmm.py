@@ -1,5 +1,7 @@
 """End-to-end distributed FMM accuracy and equivalence tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.datasets import ellipsoid_surface, uniform_cube
 from repro.dist.driver import DistributedFmm, distributed_fmm_rank
 from repro.kernels import direct_sum, get_kernel
 from repro.mpi import run_spmd
+from repro.perf.model import EVAL_PHASES
 from repro.util import morton
 
 
@@ -218,6 +221,63 @@ class TestDriverContract:
         )
         assert len(opts) == len(pts)
         assert len(np.unique(opts, axis=0)) == len(np.unique(pts, axis=0))
+
+
+class TestPhaseWallsPartitionTheCall:
+    """Every phase is entered once and none nests in another, so a rank's
+    phase walls are disjoint sub-intervals of the call that accrued them."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_setup_and_evaluate(self, p):
+        pts = ellipsoid_surface(3000, seed=74)  # adaptive: non-empty X-list
+
+        def body(comm):
+            prof = comm.profile
+
+            def phase_walls():
+                return sum(ev.wall_seconds for ev in prof.events.values())
+
+            fmm = DistributedFmm(order=4, max_points_per_box=40,
+                                 load_balance=True)
+            t0 = time.perf_counter()
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            setup_wall = time.perf_counter() - t0
+            in_setup = phase_walls()
+            assert fmm.lists.x.total() > 0
+            dens = densfn(fmm.owned_points)
+            fmm.evaluate(dens)  # compiles the plan
+            before = phase_walls()
+            t0 = time.perf_counter()
+            fmm.evaluate(dens)
+            eval_wall = time.perf_counter() - t0
+            return in_setup, setup_wall, phase_walls() - before, eval_wall
+
+        res = run_spmd(p, body, timeout=560, trace=True)
+        for in_setup, setup_wall, in_eval, eval_wall in res.values:
+            assert in_setup <= setup_wall
+            assert in_eval <= eval_wall
+        for rank in range(p):
+            for phase in EVAL_PHASES:
+                spans = res.trace.span_events(rank=rank, phase=phase)
+                assert len(spans) == 2, (rank, phase)  # one per evaluate
+
+
+class TestCheckpointResume:
+    def test_resume_matches_fresh_eval(self):
+        """Restarting from the post-upward checkpoint is bit-identical."""
+        pts = uniform_cube(1200, seed=44)
+
+        def body(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=30)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            dens = densfn(fmm.owned_points)
+            fresh = fmm.evaluate(dens)
+            assert fmm.checkpoint_phase == "upward"
+            return fresh, fmm.evaluate(dens, resume=True)
+
+        res = run_spmd(4, body, timeout=560)
+        for fresh, resumed in res.values:
+            assert np.array_equal(fresh, resumed)
 
 
 class TestOddRankCounts:

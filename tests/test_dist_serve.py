@@ -7,9 +7,9 @@ shard group, or failover to a surviving replica) or a **typed rejection**
 (`Overloaded`, `DeadlineExceeded`, `ShardUnavailable`) — and never hangs.
 
 The matrix runs every victim rank x {crash, straggler, in-flight
-corruption} at p in {2, 4, 8}, plus wait-faults (inside the pipelined
-nonblocking schedule) and GPU device faults (which must degrade to the
-bit-identical CPU path).
+corruption} at p in {2, 4, 8}, plus a crash at a ``recv`` inside
+``COMM_reduce`` (the peers blocked in ``sendrecv``) and GPU device faults
+(which must degrade to the bit-identical CPU path).
 """
 
 import threading
@@ -106,16 +106,28 @@ class TestFailoverMatrix:
             assert elapsed < 2 * RUN_TIMEOUT, f"{label}: near-hang"
         eng.set_faults(None)
 
-    def test_wait_crash(self, matrix_engine):
-        """Crash inside an in-flight nonblocking wait still recovers."""
+    def test_recv_crash_in_reduce(self, matrix_engine):
+        """Crash at a recv with the peers blocked in the reduction."""
         eng, dens, ref = matrix_engine
-        victim = 1 % eng.nranks
+        p = eng.nranks
+        victim = 1 % p
+        # a rank's receives per dispatch: log2(p) for the collective resume
+        # vote, p - 1 for the ghost exchange, then the hypercube rounds
+        index = (p - 1).bit_length() + (p - 1)
+        trace = TraceRecorder()
+        eng._trace = trace
         eng.set_faults(FaultPlan(
-            [Fault("crash", rank=victim, op="wait", attempts=1)]
+            [Fault("crash", rank=victim, op="recv", index=index, attempts=1)]
         ))
-        out = eng.evaluate("m", dens)
-        eng.set_faults(None)
+        try:
+            out = eng.evaluate("m", dens)
+        finally:
+            eng.set_faults(None)
+            eng._trace = None
         assert np.array_equal(out, ref)
+        died_in = [ev.phase for ev in trace.span_events()
+                   if ev.aborted and ev.rank == victim]
+        assert died_in == ["COMM_reduce"]
 
     def test_crash_pre_checkpoint(self, matrix_engine):
         """A crash before the checkpoint commits restarts from scratch."""

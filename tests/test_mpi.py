@@ -130,6 +130,39 @@ class TestCollectives:
         assert all(run_spmd(p, fn, timeout=120).values)
 
 
+class TestCollectiveTagStress:
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    def test_skewed_collective_sequences(self, p):
+        """Rank-dependent point-to-point skew around back-to-back collectives.
+
+        Buffered user sends land before/after the collectives depending on
+        rank parity; the drain at the end must see them all in order, and
+        no round of a (round-stamped) collective may have swallowed one.
+        """
+
+        def fn(comm):
+            r, psz = comm.rank, comm.size
+            peer = r ^ 1 if (r ^ 1) < psz else r
+            acc = []
+            for it in range(4):
+                # skew: even ranks post before the collective, odd after
+                if r % 2 == 0:
+                    comm.send((r, it), peer, tag=11)
+                acc.append(comm.allreduce(it + r))
+                if r % 2 == 1:
+                    comm.send((r, it), peer, tag=11)
+                comm.barrier()
+            drained = [comm.recv(peer, tag=11) for _ in range(4)]
+            return acc, drained
+
+        res = run_spmd(p, fn, timeout=120)
+        for r, (acc, drained) in enumerate(res.values):
+            peer = r ^ 1 if (r ^ 1) < p else r
+            assert drained == [(peer, it) for it in range(4)]
+            for it in range(4):
+                assert acc[it] == p * it + p * (p - 1) // 2
+
+
 class TestAlltoallNonPowerOfTwo:
     def test_every_block_arrives_exactly_once_p6(self):
         """Non-power-of-two sizes take the (r + i) % p partner path; every
