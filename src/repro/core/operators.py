@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core import surfaces
 from repro.kernels.base import Kernel
+from repro.util.blas import limit_blas_threads
 
 __all__ = ["OperatorCache", "regularized_pinv", "child_center_offset"]
 
@@ -33,10 +34,11 @@ def regularized_pinv(mat: np.ndarray, rcond: float) -> np.ndarray:
     first-kind integral equations; truncating singular values below
     ``rcond * s_max`` is the standard KIFMM regularisation.
     """
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    cutoff = rcond * s[0]
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
+    with limit_blas_threads(1):
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        cutoff = rcond * s[0]
+        inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        return (vt.T * inv_s) @ u.T
 
 
 def child_center_offset(child_pos: int, child_half_width: float) -> np.ndarray:
@@ -60,6 +62,12 @@ def level_half_width(level: int) -> float:
 
 class OperatorCache:
     """Lazy, memoised source of all dense KIFMM translation operators.
+
+    Every cache miss computes on one BLAS thread: operator bytes must not
+    depend on the BLAS width ambient at first use (a Stokes ``uc2ue``
+    built inside a pinned pooled phase and one built outside differ in
+    the last bit), and matrices this small only lose to a second thread,
+    which a freshly started process waits a scheduler tick per call for.
 
     Parameters
     ----------
@@ -170,7 +178,8 @@ class OperatorCache:
             k = self.kernel.matrix(
                 self.uc_points(parent_level), self.ue_points(lvl, off)
             )
-            mat = self._m2m[key] = self.uc2ue(parent_level) @ k
+            with limit_blas_threads(1):
+                mat = self._m2m[key] = self.uc2ue(parent_level) @ k
         return mat
 
     def l2l(self, child_level: int, child_pos: int) -> np.ndarray:

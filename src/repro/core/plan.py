@@ -358,7 +358,7 @@ class EvalPlan:
         covered it, else evaluated now (bit-identical either way)."""
         if blk.kmat is not None:
             return blk.kmat
-        return self._cast(kernel.matrix_batch(a, b))
+        return kernel.matrix_batch(a, b, dtype=self.rdtype)
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Reusable per-thread scratch array (density table, FFT accumulators)."""
@@ -741,12 +741,12 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
     source members survive at shifted column offsets — clean member
     columns are copied ``src -> dst``, dirty ones recomputed — else
     None.  Per-slot stitching — and the column-range recompute — is
-    bitwise safe because every kernel's ``matrix_batch`` is elementwise
-    per (target, source) *pair* (closed-form pairwise formulas; the
-    only reduction is over the fixed 3-vector coordinate axis), so a
-    matrix element does not depend on its batch, row or column
-    neighbours.  The skip decision never looks at the slots — a patched
-    plan makes exactly the caching choices a fresh compile would.
+    bitwise safe because a matrix element depends on its own (target,
+    source) pair only, never on its batch, row or column neighbours —
+    by construction: ``Kernel.matrix_batch`` is one tiling driver over
+    per-pair formulas (``kernels/base.py``) and is tested bitwise
+    across tile splits.  The skip decision never looks at the slots — a
+    patched plan makes exactly the caching choices a fresh compile would.
     """
     itemsize = np.dtype(plan.rdtype).itemsize
     kt, ks = kernel.target_dim, kernel.source_dim
@@ -762,11 +762,12 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
             continue
         if len(s) == 6:
             # dirty target: diff old vs new padded coordinates to find
-            # the rows that actually changed; kernel assembly runs ~8x
-            # slower per byte than the slice copy, so partial reuse
-            # pays until nearly every row moved
+            # the rows that actually changed; kernel assembly runs ~3x
+            # slower per byte than the member-wise slice copy (1.1
+            # against 3.2-3.5 GB/s on 64-row Laplace slots), so partial
+            # reuse pays while fewer than 2/3 of the rows moved
             dr = np.flatnonzero((s[5] != a[j]).any(axis=1))
-            if 8 * dr.size > 7 * a.shape[1]:
+            if 3 * dr.size > 2 * a.shape[1]:
                 norm.append(None)
                 continue
             s = (*s[:5], dr)
@@ -788,7 +789,7 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
             stats["blocks_ref"] += 1
             return first[0]
     if len(dirty) == nb:
-        k = plan._cast(kernel.matrix_batch(a, b))
+        k = kernel.matrix_batch(a, b, dtype=plan.rdtype)
         stats["bytes_fresh"] += k.nbytes
         return k
     k = np.empty((nb, rows, cols), dtype=plan.rdtype)
@@ -851,7 +852,7 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
         cidx = np.zeros((len(bucket), m), dtype=np.int64)
         for t, (_, pc) in enumerate(bucket):
             cidx[t, :pc.size] = pc
-        out = plan._cast(kernel.matrix_batch(a[ji], b[ji[:, None], cidx]))
+        out = kernel.matrix_batch(a[ji], b[ji[:, None], cidx], dtype=plan.rdtype)
         for t, (j, pc) in enumerate(bucket):
             mc = (
                 (pc[:, None] * ks + np.arange(ks)).ravel()
@@ -867,7 +868,7 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
         ridx = np.zeros((len(bucket), m), dtype=np.int64)
         for t, (_, dr) in enumerate(bucket):
             ridx[t, :dr.size] = dr
-        out = plan._cast(kernel.matrix_batch(a[ji[:, None], ridx], b[ji]))
+        out = kernel.matrix_batch(a[ji[:, None], ridx], b[ji], dtype=plan.rdtype)
         for t, (j, dr) in enumerate(bucket):
             mr = (
                 (dr[:, None] * kt + np.arange(kt)).ravel()
@@ -877,7 +878,7 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
             stats["bytes_fresh"] += itemsize * dr.size * kt * cols
     if dirty:
         di = np.asarray(dirty, dtype=np.int64)
-        k[di] = plan._cast(kernel.matrix_batch(a[di], b[di]))
+        k[di] = kernel.matrix_batch(a[di], b[di], dtype=plan.rdtype)
         stats["bytes_fresh"] += itemsize * di.size * rows * cols
     return k
 

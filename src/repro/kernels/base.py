@@ -5,19 +5,56 @@ vector at target points.  The FMM never needs anything else: all of S2M,
 M2M, M2L, L2L, L2T, W- and X-list operators are built from plain kernel
 matrix evaluations between point sets (that is the *kernel independence* of
 Ying et al. 2004).
+
+Every kernel matrix — a plan's cached blocks, the operator factory's
+surface matrices, the direct-summation baseline — comes from one tiling
+driver, :meth:`Kernel.matrix_batch`, built like the paper's direct
+kernel (§IV, Algorithm 4): coordinates staged as separate component
+arrays, pairs swept in tiles that stay in cache.  A concrete kernel
+contributes one formula, :meth:`Kernel._fill`.  The driver guarantees it:
+
+* **Tile shapes.**  Tiles are whole batch slots or, when one slot
+  exceeds a tile, whole target rows of one slot; source columns are
+  never split.  The differences ``d = (dx, dy, dz)``, ``r2`` and two
+  ``tmp`` planes are C-contiguous float64 of the tile's ``(bt, mt, n)``.
+* **Scratch.**  All planes live in one array allocated per call
+  (concurrent serve workers share nothing), sized :data:`_TILE_BYTES`
+  over the float64 planes a tile keeps live — these six plus the
+  destination entries — so the working set fits L2 whatever the
+  kernel's tensor rank.
+* **The r2 association.**  ``r2 = (dx*dx + dz*dz) + dy*dy``, IEEE-exact:
+  what NumPy's ``einsum("...k,...k->...")`` happened to produce for
+  ``k = 3`` on the materialised displacement tensor, written out here
+  so the bits no longer follow NumPy's dispatch or the input layout.
+* **One rounding.**  Planes are float64; each destination entry is
+  stored once, and that store rounds to the requested ``dtype``.
+
+The formula guarantees back that every element depends on its own
+(target, source) pair only — no reduction across the tile — which makes
+a matrix independent of how it was tiled and lets
+:func:`repro.core.plan._materialise` stitch blocks from separately
+evaluated slots, rows and columns.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import math
 
 import numpy as np
 
 __all__ = ["Kernel"]
 
+#: Bytes of float64 planes one tile keeps live (differences, r2, two
+#: temporaries, the destination entries): 1.5 MB of a 2 MB L2.
+_TILE_BYTES = 3 << 19
 
-class Kernel(ABC):
-    """Abstract two-point interaction kernel.
+
+class Kernel:
+    """Two-point interaction kernel: one pair formula, :meth:`_fill`.
+
+    :meth:`matrix` and :meth:`matrix_batch` are the driver's and are not
+    overridden.  (A kernel that defines only :meth:`matrix` still works
+    everywhere: ``matrix_batch`` then loops over the batch.)
 
     Attributes
     ----------
@@ -47,33 +84,70 @@ class Kernel(ABC):
     flops_per_pair: int = 1
     default_rcond: float = 1e-9
 
-    @abstractmethod
+    def _fill(self, d, r2, tmp, dst) -> None:
+        """Write one tile: ``d[0], d[1], d[2]`` are the target-minus-source
+        differences, ``r2`` their squared distance, ``tmp[0], tmp[1]``
+        scratch — all the formula's to overwrite.  ``dst[:, :, a, :, c]``
+        (a ``(bt, mt, target_dim, n, source_dim)`` view of the output)
+        couples target component ``a`` to source component ``c``.
+        Coincident pairs store zero; division warnings are silenced.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _fill nor matrix"
+        )
+
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """Dense interaction matrix of shape ``(m*target_dim, n*source_dim)``.
 
         Degrees of freedom are interleaved per point (point-major layout):
         row ``i*target_dim + a`` is component ``a`` of target ``i``.
         Coincident target/source points contribute zero (the FMM convention
-        for excluding self-interaction).
+        for excluding self-interaction).  The one-slot :meth:`matrix_batch`.
         """
+        return self.matrix_batch(np.asarray(targets)[None], np.asarray(sources)[None])[0]
 
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """Batched interaction matrices.
+    def matrix_batch(
+        self, targets: np.ndarray, sources: np.ndarray, dtype=np.float64
+    ) -> np.ndarray:
+        """Batched interaction matrices, evaluated in cache tiles.
 
         ``targets``: ``(b, m, 3)``; ``sources``: ``(b, n, 3)``; returns
-        ``(b, m*target_dim, n*source_dim)``.  The generic fallback loops;
-        concrete kernels override with broadcast implementations — this is
-        what lets the evaluator process thousands of small leaves per
-        call instead of one Python iteration each.
+        ``(b, m*target_dim, n*source_dim)`` in ``dtype``:
+        ``dtype=np.float32`` equals ``.astype(np.float32)`` of the float64
+        result without ever holding it.  Thousands of small leaves cost
+        one call, and a large block a tile of temporaries.
         """
         targets = np.asarray(targets, dtype=np.float64)
         sources = np.asarray(sources, dtype=np.float64)
-        b = targets.shape[0]
-        out = np.empty(
-            (b, targets.shape[1] * self.target_dim, sources.shape[1] * self.source_dim)
-        )
-        for i in range(b):
-            out[i] = self.matrix(targets[i], sources[i])
+        (b, m), n = targets.shape[:2], sources.shape[1]
+        kt, ks = self.target_dim, self.source_dim
+        out = np.empty((b, m * kt, n * ks), dtype=dtype)
+        if type(self).matrix is not Kernel.matrix:
+            for i in range(b):
+                out[i] = self.matrix(targets[i], sources[i])
+            return out
+        if out.size == 0:
+            return out
+        # component planes (3, b, m) / (3, b, n): a tile's differences
+        # broadcast unit-stride rows instead of gathering 3-vectors
+        t = np.ascontiguousarray(targets.transpose(2, 0, 1))[..., None]
+        s = np.ascontiguousarray(sources.transpose(2, 0, 1))[:, :, None]
+        view = out.reshape(b, m, kt, n, ks)
+        pairs = max(n, _TILE_BYTES // (8 * (6 + kt * ks)))
+        bt, mt = (pairs // (m * n), m) if m * n <= pairs else (1, pairs // n)
+        scratch = np.empty(6 * min(bt, b) * mt * n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b0 in range(0, b, bt):
+                for r0 in range(0, m, mt):
+                    dst = view[b0 : b0 + bt, r0 : r0 + mt]
+                    shape = (6, *dst.shape[:2], n)
+                    tile = scratch[: math.prod(shape)].reshape(shape)
+                    d, r2, tmp = tile[:3], tile[3], tile[4:]
+                    np.subtract(t[:, b0 : b0 + bt, r0 : r0 + mt], s[:, b0 : b0 + bt], out=d)
+                    np.square(d[0], out=r2)
+                    np.add(r2, np.square(d[2], out=tmp[0]), out=r2)
+                    np.add(r2, np.square(d[1], out=tmp[0]), out=r2)
+                    self._fill(d, r2, tmp, dst)
         return out
 
     def apply(
@@ -111,10 +185,3 @@ class Kernel(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
-
-
-def displacements(targets: np.ndarray, sources: np.ndarray):
-    """Pairwise displacement tensor ``(m, n, 3)`` and distances ``(m, n)``."""
-    d = targets[:, None, :] - sources[None, :, :]
-    r = np.sqrt(np.einsum("mnk,mnk->mn", d, d))
-    return d, r

@@ -43,26 +43,12 @@ class LaplaceGradientKernel(Kernel):
         if self.softening > 0.0:
             self.homogeneity = None
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, None, :] - sources[None, :, :]
-        r2 = np.einsum("mnk,mnk->mn", d, d) + self.softening**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv3 = r2**-1.5
+    def _fill(self, d, r2, tmp, dst) -> None:
+        rinv3, w = tmp
+        np.add(r2, self.softening**2, out=r2)
+        np.power(r2, -1.5, out=rinv3)
         rinv3[r2 == 0.0] = 0.0
-        g = -d * rinv3[:, :, None] / (4.0 * np.pi)
-        m, n = r2.shape
-        return np.moveaxis(g, 2, 1).reshape(m * 3, n)
-
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, :, None, :] - sources[:, None, :, :]
-        r2 = np.einsum("bmnk,bmnk->bmn", d, d) + self.softening**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv3 = r2**-1.5
-        rinv3[r2 == 0.0] = 0.0
-        g = -d * rinv3[..., None] / (4.0 * np.pi)
-        b, m, n = r2.shape
-        return np.moveaxis(g, 3, 2).reshape(b, m * 3, n)
+        for a in range(3):
+            np.negative(d[a], out=w)
+            np.multiply(w, rinv3, out=w)
+            np.divide(w, 4.0 * np.pi, out=dst[:, :, a, :, 0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel, displacements
+from repro.kernels.base import Kernel
 
 __all__ = ["LaplaceKernel"]
 
@@ -38,32 +38,15 @@ class LaplaceKernel(Kernel):
         if self.softening > 0.0:
             self.homogeneity = None  # softened kernel has a length scale
 
-    def _soften(self, r2: np.ndarray) -> np.ndarray:
-        return np.sqrt(r2 + self.softening**2)
-
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d, r = displacements(targets, sources)
+    def _fill(self, d, r2, tmp, dst) -> None:
+        out = dst[:, :, 0, :, 0]
         if self.softening > 0.0:
-            return _FOUR_PI_INV / self._soften(r * r)
-        with np.errstate(divide="ignore"):
-            out = _FOUR_PI_INV / r
+            np.add(r2, self.softening**2, out=r2)
+            np.divide(_FOUR_PI_INV, np.sqrt(r2, out=r2), out=out)
+            return
+        r = np.sqrt(r2, out=r2)
+        np.divide(_FOUR_PI_INV, r, out=out)
         out[r == 0.0] = 0.0
-        return out
-
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, :, None, :] - sources[:, None, :, :]
-        r2 = np.einsum("bmnk,bmnk->bmn", d, d)
-        if self.softening > 0.0:
-            return _FOUR_PI_INV / self._soften(r2)
-        r = np.sqrt(r2)
-        with np.errstate(divide="ignore"):
-            out = _FOUR_PI_INV / r
-        out[r == 0.0] = 0.0
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LaplaceKernel(softening={self.softening})"

@@ -3,9 +3,10 @@
 ``U_ab(x, y) = 1 / (16 pi mu (1 - nu)) * ((3 - 4 nu) delta_ab / r
 + r_a r_b / r^3)`` with ``r = x - y``: the fundamental solution of the
 Navier-Cauchy equations for an isotropic elastic solid.  A vector kernel
-(3 dof per point, displacements from point forces), homogeneous of degree
--1 and non-oscillatory — squarely in the class the kernel-independent FMM
-covers (Ying et al. 2004 list it among their supported kernels).
+(3 dof per point, the displacement field of point forces), homogeneous
+of degree -1 and non-oscillatory — squarely in the class the
+kernel-independent FMM covers (Ying et al. 2004 list it among their
+supported kernels).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import Kernel
+from repro.kernels.stokes import fill_point_force
 
 __all__ = ["NavierKernel"]
 
@@ -36,39 +38,8 @@ class NavierKernel(Kernel):
         self._scale = 1.0 / (16.0 * np.pi * self.shear_modulus * (1.0 - self.poisson))
         self._diag = 3.0 - 4.0 * self.poisson
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, None, :] - sources[None, :, :]
-        r = np.sqrt(np.einsum("mnk,mnk->mn", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv = 1.0 / r
-            rinv3 = rinv**3
-        zero = r == 0.0
-        rinv[zero] = 0.0
-        rinv3[zero] = 0.0
-        m, n = r.shape
-        g = np.einsum("mna,mnc->manc", d, d) * rinv3[:, None, :, None]
-        g += self._diag * np.eye(3)[None, :, None, :] * rinv[:, None, :, None]
-        g *= self._scale
-        return g.reshape(m * 3, n * 3)
-
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, :, None, :] - sources[:, None, :, :]
-        r = np.sqrt(np.einsum("bmnk,bmnk->bmn", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv = 1.0 / r
-            rinv3 = rinv**3
-        zero = r == 0.0
-        rinv[zero] = 0.0
-        rinv3[zero] = 0.0
-        b, m, n = r.shape
-        g = np.einsum("zmna,zmnc->zmanc", d, d) * rinv3[:, :, None, :, None]
-        g += self._diag * np.eye(3)[None, None, :, None, :] * rinv[:, :, None, :, None]
-        g *= self._scale
-        return g.reshape(b, m * 3, n * 3)
+    def _fill(self, d, r2, tmp, dst) -> None:
+        fill_point_force(d, r2, tmp, dst, self._diag, self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,9 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel, displacements
+from repro.kernels.base import Kernel
 
 __all__ = ["StokesKernel"]
+
+
+def fill_point_force(d, r2, tmp, dst, diag, scale) -> None:
+    """Tile formula ``scale * (diag * delta_ac / r + d_a d_c / r^3)``: the
+    shape shared by the point-force fundamental solutions (Stokeslet,
+    Kelvin).  Off-diagonal entries still add ``0.0`` so a ``-0.0``
+    product does not survive; the tensor is symmetric, so six entries
+    are formed and three stored twice."""
+    rinv3, w = tmp
+    r = np.sqrt(r2, out=r2)
+    zero = r == 0.0
+    rinv = np.divide(1.0, r, out=r)
+    np.power(rinv, 3, out=rinv3)
+    rinv[zero] = 0.0
+    rinv3[zero] = 0.0
+    np.multiply(diag, rinv, out=rinv)
+    for a in range(3):
+        for c in range(a, 3):
+            np.multiply(d[a], d[c], out=w)
+            np.multiply(w, rinv3, out=w)
+            np.add(w, rinv if a == c else 0.0, out=w)
+            np.multiply(w, scale, out=dst[:, :, a, :, c])
+            if a != c:
+                np.multiply(w, scale, out=dst[:, :, c, :, a])
 
 
 class StokesKernel(Kernel):
@@ -33,42 +57,8 @@ class StokesKernel(Kernel):
         self.viscosity = float(viscosity)
         self._scale = 1.0 / (8.0 * np.pi * self.viscosity)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d, r = displacements(targets, sources)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv = 1.0 / r
-            rinv3 = rinv**3
-        zero = r == 0.0
-        rinv[zero] = 0.0
-        rinv3[zero] = 0.0
-        m, n = r.shape
-        # G[i, a, j, b] so the reshape interleaves dof per point.
-        g = np.einsum("mna,mnb->manb", d, d) * rinv3[:, None, None, None].reshape(
-            m, 1, n, 1
-        )
-        eye = np.eye(3)
-        g += eye[None, :, None, :] * rinv[:, None, :, None]
-        g *= self._scale
-        return g.reshape(m * 3, n * 3)
-
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, :, None, :] - sources[:, None, :, :]
-        r = np.sqrt(np.einsum("bmnk,bmnk->bmn", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv = 1.0 / r
-            rinv3 = rinv**3
-        zero = r == 0.0
-        rinv[zero] = 0.0
-        rinv3[zero] = 0.0
-        b, m, n = r.shape
-        g = np.einsum("zmna,zmnc->zmanc", d, d) * rinv3[:, :, None, :, None]
-        g += np.eye(3)[None, None, :, None, :] * rinv[:, :, None, :, None]
-        g *= self._scale
-        return g.reshape(b, m * 3, n * 3)
+    def _fill(self, d, r2, tmp, dst) -> None:
+        fill_point_force(d, r2, tmp, dst, 1.0, self._scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StokesKernel(viscosity={self.viscosity})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel, displacements
+from repro.kernels.base import Kernel
 
 __all__ = ["YukawaKernel"]
 
@@ -28,24 +28,14 @@ class YukawaKernel(Kernel):
             raise ValueError("screening parameter lam must be non-negative")
         self.lam = float(lam)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        _, r = displacements(targets, sources)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _FOUR_PI_INV * np.exp(-self.lam * r) / r
+    def _fill(self, d, r2, tmp, dst) -> None:
+        out = dst[:, :, 0, :, 0]
+        r = np.sqrt(r2, out=r2)
+        w = np.multiply(-self.lam, r, out=tmp[0])
+        np.exp(w, out=w)
+        np.multiply(_FOUR_PI_INV, w, out=w)
+        np.divide(w, r, out=out)
         out[r == 0.0] = 0.0
-        return out
-
-    def matrix_batch(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        d = targets[:, :, None, :] - sources[:, None, :, :]
-        r = np.sqrt(np.einsum("bmnk,bmnk->bmn", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _FOUR_PI_INV * np.exp(-self.lam * r) / r
-        out[r == 0.0] = 0.0
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"YukawaKernel(lam={self.lam})"

@@ -37,12 +37,15 @@ class TestGradientKernel:
         )
 
     def test_batch_matches_loop(self, rng):
-        gk = LaplaceGradientKernel()
-        t = rng.random((3, 5, 3))
-        s = rng.random((3, 4, 3))
-        batched = gk.matrix_batch(t, s)
-        for i in range(3):
-            np.testing.assert_allclose(batched[i], gk.matrix(t[i], s[i]))
+        """Bitwise, on slots large enough that the driver splits their rows
+        (the broadcast oracle for this kernel is in test_kernels.py)."""
+        t = rng.random((3, 70, 3))
+        s = rng.random((3, 500, 3))
+        s[:, :70][:, ::3] = t[:, ::3]  # coincident pairs
+        for gk in (LaplaceGradientKernel(), LaplaceGradientKernel(softening=0.05)):
+            batched = gk.matrix_batch(t, s)
+            for i in range(3):
+                assert batched[i].tobytes() == gk.matrix(t[i], s[i]).tobytes()
 
 
 class TestGradientFmm:

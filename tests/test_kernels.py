@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (
+    LaplaceGradientKernel,
     LaplaceKernel,
+    NavierKernel,
     StokesKernel,
     YukawaKernel,
     direct_flops,
@@ -154,6 +156,100 @@ class TestApplyAndDirect:
         assert direct_flops(k, 50, 50) == 50 * 50 * k.flops_per_pair
 
 
+# -- the broadcast oracle -----------------------------------------------------
+#
+# The formulas ``matrix_batch`` ran before it was tiled, kept here because
+# ``matrix`` now shares the tiled core and can no longer referee it: the
+# whole ``(b, m, n, 3)`` displacement tensor at once, same per-element
+# operation sequence.  Only the r2 association is spelled out instead of
+# left to ``einsum``; ``test_laplace_digest_frozen`` ties it to the bits the
+# einsum form produced.
+
+_FOUR_PI_INV = 1.0 / (4.0 * np.pi)
+
+
+def _pairs(t, s):
+    d = t[:, :, None, :] - s[:, None, :, :]
+    return d, (d[..., 0] ** 2 + d[..., 2] ** 2) + d[..., 1] ** 2
+
+
+def _oracle_laplace(k, t, s):
+    _, r2 = _pairs(t, s)
+    if k.softening > 0.0:
+        return _FOUR_PI_INV / np.sqrt(r2 + k.softening**2)
+    r = np.sqrt(r2)
+    out = _FOUR_PI_INV / r
+    out[r == 0.0] = 0.0
+    return out
+
+
+def _oracle_yukawa(k, t, s):
+    r = np.sqrt(_pairs(t, s)[1])
+    out = _FOUR_PI_INV * np.exp(-k.lam * r) / r
+    out[r == 0.0] = 0.0
+    return out
+
+
+def _oracle_point_force(k, t, s):
+    d, r2 = _pairs(t, s)
+    r = np.sqrt(r2)
+    rinv = 1.0 / r
+    rinv3 = rinv**3
+    zero = r == 0.0
+    rinv[zero] = 0.0
+    rinv3[zero] = 0.0
+    b, m, n = r.shape
+    g = np.einsum("zmna,zmnc->zmanc", d, d) * rinv3[:, :, None, :, None]
+    diag = getattr(k, "_diag", 1.0)
+    g += diag * np.eye(3)[None, None, :, None, :] * rinv[:, :, None, :, None]
+    g *= k._scale
+    return g.reshape(b, m * 3, n * 3)
+
+
+def _oracle_gradient(k, t, s):
+    d, r2 = _pairs(t, s)
+    r2 = r2 + k.softening**2
+    rinv3 = r2**-1.5
+    rinv3[r2 == 0.0] = 0.0
+    g = -d * rinv3[..., None] / (4.0 * np.pi)
+    b, m, n = r2.shape
+    return np.moveaxis(g, 3, 2).reshape(b, m * 3, n)
+
+
+CONFIGS = {
+    "laplace": (LaplaceKernel(), _oracle_laplace),
+    "laplace-soft": (LaplaceKernel(softening=0.05), _oracle_laplace),
+    "yukawa": (YukawaKernel(lam=1.7), _oracle_yukawa),
+    "stokes": (StokesKernel(viscosity=0.7), _oracle_point_force),
+    "navier": (NavierKernel(shear_modulus=2.0, poisson=0.25), _oracle_point_force),
+    "gradient": (LaplaceGradientKernel(), _oracle_gradient),
+    "gradient-soft": (LaplaceGradientKernel(softening=0.05), _oracle_gradient),
+}
+
+#: one tile; batch direction split with a ragged last tile; one slot larger
+#: than a tile, so rows split (for every kernel's tile size); empty axes
+SHAPES = [(5, 7, 4), (37, 64, 128), (3, 70, 1100), (0, 3, 4), (2, 0, 5), (2, 5, 0)]
+
+
+def _points(seed, b, m, n, coincide=0.3):
+    """Seeded targets/sources with ``coincide`` of the leading sources
+    sitting exactly on a target, and some sharing one coordinate only (a
+    zero difference whose product with a negative one is ``-0.0``)."""
+    rng = np.random.default_rng(seed)
+    t, s = rng.random((b, m, 3)), rng.random((b, n, 3))
+    k = min(m, n)
+    hit = rng.random((b, k)) < coincide
+    s[:, :k][hit] = t[:, :k][hit]
+    same_x = rng.random((b, k)) < 0.2
+    s[:, :k, 0][same_x] = t[:, :k, 0][same_x]
+    return t, s
+
+
+@pytest.fixture(params=sorted(CONFIGS))
+def config(request):
+    return CONFIGS[request.param]
+
+
 class TestMatrixBatch:
     @pytest.mark.parametrize("name", ["laplace", "stokes", "yukawa"])
     def test_batch_matches_loop(self, name, rng):
@@ -162,7 +258,7 @@ class TestMatrixBatch:
         s = rng.random((5, 4, 3))
         batched = k.matrix_batch(t, s)
         for i in range(5):
-            np.testing.assert_allclose(batched[i], k.matrix(t[i], s[i]))
+            np.testing.assert_array_equal(batched[i], k.matrix(t[i], s[i]))
 
     @pytest.mark.parametrize("name", ["laplace", "stokes", "yukawa"])
     def test_batch_self_interaction_zero(self, name, rng):
@@ -175,8 +271,72 @@ class TestMatrixBatch:
                 block = m[i, j * td : (j + 1) * td, j * sd : (j + 1) * sd]
                 np.testing.assert_array_equal(block, 0.0)
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_bitwise_equals_broadcast_oracle(self, config, shape):
+        k, oracle = config
+        t, s = _points(18, *shape)
+        got = k.matrix_batch(t, s)
+        ref = oracle(k, t, s)
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+    def test_matrix_is_the_one_slot_batch(self, config):
+        k, oracle = config
+        t, s = _points(19, 1, 70, 1100)
+        m = k.matrix(t[0], s[0])
+        assert m.tobytes() == k.matrix_batch(t, s)[0].tobytes()
+        assert m.tobytes() == oracle(k, t, s)[0].tobytes()
+
+    def test_dtype_rounds_once_at_the_store(self, config):
+        k, _ = config
+        t, s = _points(20, 9, 64, 128)
+        f32 = k.matrix_batch(t, s, dtype=np.float32)
+        assert f32.dtype == np.float32
+        assert f32.tobytes() == k.matrix_batch(t, s).astype(np.float32).tobytes()
+
+    def test_float32_and_strided_inputs(self, config):
+        k, _ = config
+        t, s = _points(21, 4, 12, 10)
+        t32, s32 = t.astype(np.float32), s.astype(np.float32)
+        ref = k.matrix_batch(t32.astype(np.float64), s32.astype(np.float64))
+        assert k.matrix_batch(t32, s32).tobytes() == ref.tobytes()
+        wide = np.zeros((4, 12, 6))
+        wide[..., ::2] = t
+        got = k.matrix_batch(wide[..., ::2], np.asfortranarray(s))
+        assert got.tobytes() == k.matrix_batch(t, s).tobytes()
+
+    def test_laplace_digest_frozen(self):
+        """blake2b of one Laplace block, recorded before the kernel was
+        tiled (when r2 came from ``einsum``).  subtract, multiply, add,
+        sqrt and divide are IEEE-exact, so this pins the r2 summation
+        order against a NumPy upgrade; the ``pow`` / ``exp`` kernels get
+        no digest because their last bit belongs to libm."""
+        import hashlib
+
+        t, s = _points(18, 37, 64, 128)
+        block = LaplaceKernel().matrix_batch(t, s)
+        assert hashlib.blake2b(block.tobytes(), digest_size=16).hexdigest() == (
+            "e4a27400936591aafb2d81c7cec7887e"
+        )
+
+    def test_temporaries_stay_tile_sized(self):
+        """No clock: under tracemalloc a 32 MB block may cost its own
+        bytes plus a few MB of tile scratch.  The broadcast evaluation
+        peaked at ~5x the result."""
+        import tracemalloc
+
+        t, s = _points(22, 64, 64, 1024)
+        k = LaplaceKernel()
+        tracemalloc.start()
+        try:
+            out = k.matrix_batch(t, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * 2**20
+
     def test_generic_fallback_used_by_base(self, rng):
-        """The ABC fallback loops over matrix(); check via a subclass."""
+        """A kernel that defines only matrix(): matrix_batch loops over it."""
         from repro.kernels.base import Kernel
 
         class Weird(Kernel):
@@ -191,6 +351,15 @@ class TestMatrixBatch:
         s = rng.random((2, 5, 3))
         out = k.matrix_batch(t, s)
         np.testing.assert_allclose(out[1], k.matrix(t[1], s[1]))
+
+    def test_kernel_without_a_formula_raises(self, rng):
+        from repro.kernels.base import Kernel
+
+        class Nothing(Kernel):
+            pass
+
+        with pytest.raises(NotImplementedError, match="neither"):
+            Nothing().matrix_batch(rng.random((1, 2, 3)), rng.random((1, 2, 3)))
 
 
 class TestNavier:

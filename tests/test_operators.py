@@ -179,3 +179,30 @@ class TestHomogeneityScaling:
         ops = OperatorCache(kern, 4)
         a, b = ops.m2m(2, 3), ops.m2m(5, 3)
         assert not np.allclose(a, b)
+
+
+class TestAmbientBlasWidth:
+    """Operator bytes must not depend on the BLAS width at first use."""
+
+    @pytest.mark.parametrize("kname", ["stokes", "laplace"])
+    def test_operators_equal_pinned_and_unpinned(self, kname):
+        from repro.util.blas import (
+            blas_controller,
+            blas_thread_count,
+            limit_blas_threads,
+        )
+
+        if blas_controller() is None:
+            pytest.skip("no controllable BLAS library resolved")
+        if blas_thread_count() < 2:
+            pytest.skip("ambient BLAS is single-threaded: nothing to compare")
+
+        def build(ops):
+            return [ops.uc2ue(2), ops.dc2de(2)] + [ops.m2m(2, k) for k in range(8)]
+
+        kern = get_kernel(kname)
+        with limit_blas_threads(1):
+            pinned = build(OperatorCache(kern, 6))
+        ambient = build(OperatorCache(kern, 6))
+        for a, b in zip(pinned, ambient):
+            assert a.tobytes() == b.tobytes()
