@@ -711,20 +711,6 @@ def _scatter_schedule(targets: np.ndarray):
     return order, starts, st[starts]
 
 
-def _size_buckets(tasks):
-    """Chunk ``(slot, index_array)`` tasks into descending-size buckets
-    where every member is at least half the bucket's padded width, so a
-    padded batch wastes < 2x (in practice ~25%) of its flops."""
-    if not tasks:
-        return
-    tasks = sorted(tasks, key=lambda t: -t[1].size)
-    start = 0
-    for r in range(1, len(tasks) + 1):
-        if r == len(tasks) or 2 * tasks[r][1].size < tasks[start][1].size:
-            yield tasks[start:r]
-            start = r
-
-
 def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
     """The kernel block ``kernel(a, b)`` if ``left`` bytes of matrix budget
     cover it, else None: assembled from reusable old-plan slots plus one
@@ -736,50 +722,32 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
     same budget fits twice the near field.
 
     ``slots[j]`` is ``(old_kmat_array, old_slot)`` when box ``j``'s
-    geometry inputs are unchanged, ``(old_kmat_array, old_slot,
-    dst_cols, src_cols, dirty_cols)`` (point units) when individual
-    source members survive at shifted column offsets — clean member
-    columns are copied ``src -> dst``, dirty ones recomputed — else
-    None.  Per-slot stitching — and the column-range recompute — is
-    bitwise safe because a matrix element depends on its own (target,
-    source) pair only, never on its batch, row or column neighbours —
-    by construction: ``Kernel.matrix_batch`` is one tiling driver over
-    per-pair formulas (``kernels/base.py``) and is tested bitwise
-    across tile splits.  The skip decision never looks at the slots — a
-    patched plan makes exactly the caching choices a fresh compile would.
+    geometry inputs are unchanged, else None.  Three outcomes per block:
+    the old array shared by reference (every slot survives in place),
+    everything evaluated (no slot survives), or slice copies of the clean
+    slots plus one ``matrix_batch`` over the dirty ones.  Per-slot
+    stitching is bitwise safe because a matrix element depends on its own
+    (target, source) pair only, never on its batch neighbours — by
+    construction: ``Kernel.matrix_batch`` is one tiling driver over
+    per-pair formulas (``kernels/base.py``) and is tested bitwise across
+    tile splits.  The skip decision never looks at the slots — a patched
+    plan makes exactly the caching choices a fresh compile would.
     """
     itemsize = np.dtype(plan.rdtype).itemsize
-    kt, ks = kernel.target_dim, kernel.source_dim
-    rows, cols = a.shape[1] * kt, b.shape[1] * ks
+    rows = a.shape[1] * kernel.target_dim
+    cols = b.shape[1] * kernel.source_dim
     est = itemsize * a.shape[0] * rows * cols
     if est > left:
         return None
     nb = a.shape[0]
-    norm = []
-    for j, s in enumerate(slots):
-        if s is None or s[0].shape[1:] != (rows, cols):
-            norm.append(None)
-            continue
-        if len(s) == 6:
-            # dirty target: diff old vs new padded coordinates to find
-            # the rows that actually changed; kernel assembly runs ~3x
-            # slower per byte than the member-wise slice copy (1.1
-            # against 3.2-3.5 GB/s on 64-row Laplace slots), so partial
-            # reuse pays while fewer than 2/3 of the rows moved
-            dr = np.flatnonzero((s[5] != a[j]).any(axis=1))
-            if 3 * dr.size > 2 * a.shape[1]:
-                norm.append(None)
-                continue
-            s = (*s[:5], dr)
-        norm.append(s)
-    slots = norm
+    slots = [
+        s if s is not None and s[0].shape[1:] == (rows, cols) else None
+        for s in slots
+    ]
     dirty = [j for j, s in enumerate(slots) if s is None]
-    partial = [(j, s) for j, s in enumerate(slots)
-               if s is not None and len(s) >= 5]
-    stats["slots_reused"] += nb - len(dirty) - len(partial)
-    stats["slots_partial"] += len(partial)
+    stats["slots_reused"] += nb - len(dirty)
     stats["slots_fresh"] += len(dirty)
-    if not dirty and not partial and nb:
+    if not dirty and nb:
         first = slots[0]
         if first[0].shape[0] == nb and all(
             s[0] is first[0] and s[1] == j for j, s in enumerate(slots)
@@ -795,7 +763,7 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
     k = np.empty((nb, rows, cols), dtype=plan.rdtype)
     by_src: dict[int, tuple] = {}
     for j, s in enumerate(slots):
-        if s is None or len(s) >= 5:
+        if s is None:
             continue
         arr, jj = s
         dst, src, _ = by_src.setdefault(id(arr), ([], [], arr))
@@ -813,69 +781,6 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
                 k[dst[r0]:dst[r - 1] + 1] = arr[src[r0]:src[r - 1] + 1]
                 r0 = r
         stats["bytes_reused"] += itemsize * len(dst) * rows * cols
-
-    col_tasks, row_tasks = [], []
-    for j, s in partial:
-        arr, jj, ranges, pad, dirty_pc = s[:5]
-        drows = s[5] if len(s) == 6 else None
-        # copy the surviving members' columns (possibly shifted); dirty
-        # members' columns and moved-target rows are queued and
-        # recomputed in one padded batch per block — their bytes are
-        # tiny, the per-call overhead of ~100 slot-sized kernel calls
-        # is not; contiguous slice copies per member beat one
-        # fancy-indexed gather
-        old, new = arr[jj], k[j]
-        moved_pts = 0
-        for d0, d1, s0 in ranges:
-            new[:, d0 * ks:d1 * ks] = old[:, s0 * ks:(s0 + d1 - d0) * ks]
-            moved_pts += d1 - d0
-        if pad is not None:
-            p0, p1, o0 = pad
-            new[:, p0 * ks:p1 * ks] = np.tile(
-                old[:, o0 * ks:(o0 + 1) * ks], (1, p1 - p0)
-            )
-            moved_pts += p1 - p0
-        stats["bytes_reused"] += itemsize * rows * ks * moved_pts
-        if dirty_pc.size:
-            col_tasks.append((j, dirty_pc))
-        if drows is not None and drows.size:
-            row_tasks.append((j, drows))
-    # batched recompute of the queued dirty columns/rows: tasks are
-    # size-sorted and chunked so every chunk pads to at most 2x its
-    # smallest member (pad entries reuse index 0 and are discarded);
-    # bitwise safe — elements are per-pair, so padding cannot perturb
-    # its neighbours, and ~100 slot-sized kernel calls collapse to a
-    # handful without meaningful wasted flops
-    for bucket in _size_buckets(col_tasks):
-        m = bucket[0][1].size
-        ji = np.asarray([j for j, _ in bucket], dtype=np.int64)
-        cidx = np.zeros((len(bucket), m), dtype=np.int64)
-        for t, (_, pc) in enumerate(bucket):
-            cidx[t, :pc.size] = pc
-        out = kernel.matrix_batch(a[ji], b[ji[:, None], cidx], dtype=plan.rdtype)
-        for t, (j, pc) in enumerate(bucket):
-            mc = (
-                (pc[:, None] * ks + np.arange(ks)).ravel()
-                if ks > 1 else pc
-            )
-            k[j][:, mc] = out[t][:, :pc.size * ks]
-            stats["bytes_fresh"] += itemsize * rows * ks * pc.size
-    # moved-target rows last, overwriting any provisional copy (and any
-    # freshly recomputed column entries in those rows)
-    for bucket in _size_buckets(row_tasks):
-        m = bucket[0][1].size
-        ji = np.asarray([j for j, _ in bucket], dtype=np.int64)
-        ridx = np.zeros((len(bucket), m), dtype=np.int64)
-        for t, (_, dr) in enumerate(bucket):
-            ridx[t, :dr.size] = dr
-        out = kernel.matrix_batch(a[ji[:, None], ridx], b[ji], dtype=plan.rdtype)
-        for t, (j, dr) in enumerate(bucket):
-            mr = (
-                (dr[:, None] * kt + np.arange(kt)).ravel()
-                if kt > 1 else dr
-            )
-            k[j, mr] = out[t, :dr.size * kt]
-            stats["bytes_fresh"] += itemsize * dr.size * kt * cols
     if dirty:
         di = np.asarray(dirty, dtype=np.int64)
         k[di] = kernel.matrix_batch(a[di], b[di], dtype=plan.rdtype)
@@ -889,8 +794,8 @@ class _NoReuse:
 
     def __init__(self):
         self.stats = dict.fromkeys(
-            ("slots_reused", "slots_partial", "slots_fresh", "bytes_reused",
-             "bytes_fresh", "blocks_ref", "rows_remapped"), 0)
+            ("slots_reused", "slots_fresh", "bytes_reused", "bytes_fresh",
+             "blocks_ref", "rows_remapped"), 0)
 
     def uli_slot(self, tree, i, srcs, tp, sp):
         return None, None
@@ -923,7 +828,6 @@ class _PlanReuse(_NoReuse):
         self.old_index = delta.old_index
         self.perm = delta.perm
         self.old_counts = old_tree.point_counts()
-        self._new_counts = None
         self.kmats_ok = precision == old_plan.precision
         keys = old_tree.keys
         self._uli: dict[int, tuple] = {}
@@ -957,114 +861,38 @@ class _PlanReuse(_NoReuse):
         keys, every member leaf clean) — then the old gather rows remap
         through ``perm`` to exactly what the fresh per-box concatenation
         would build.  The kmat slot additionally needs the target leaf
-        clean and the padded shape unchanged.  When the membership and
-        per-member *counts* survive but some member leaves are dirty,
-        the column layout of the slot is still identical, so the slot is
-        offered for **partial** reuse: ``(kmat, j, dirty_point_cols)``
-        tells :func:`_materialise` to copy the old slot and recompute
-        only the dirty members' columns (bitwise safe — kernels are
-        elementwise per pair).
+        clean and the padded shape unchanged.
         """
         ent = self._uli.get(int(tree.keys[i]))
-        if ent is None:
+        oi = self.old_index[i]
+        if ent is None or oi < 0:
             return None, None
         blk, j = ent
-        oi = self.old_index[i]
-        if oi < 0:
-            return None, None
         osrcs = self.old_lists.u.of(oi)
         osrcs = osrcs[self.old_counts[osrcs] > 0]
+        same = osrcs.size == srcs.size and np.array_equal(
+            self.old_tree.keys[osrcs], tree.keys[srcs]
+        )
+        if not (same and self.node_clean[srcs].all()):
+            return None, None
+        orow = blk.den_rows[j]
+        row = self.perm[orow]
+        if np.any(row < 0):
+            return None, None
+        valid = int((orow != self.old_tree.n_points).sum())
+        if valid > sp:
+            return None, None
+        out = np.full(sp, tree.n_points, dtype=np.int64)
+        out[:valid] = row[:valid]
+        self.stats["rows_remapped"] += 1
         slot_ok = (
             self.kmats_ok
             and blk.kmat is not None
             and blk.tp == tp
             and blk.sp == sp
+            and self.node_clean[i]
         )
-        tgt_clean = bool(self.node_clean[i])
-        # a dirty target only invalidates the *rows* of its moved points:
-        # ship the old padded target coordinates so _materialise can diff
-        # them against the fresh ones and recompute just the changed rows
-        old_tgt = None
-        if slot_ok and not tgt_clean:
-            old_tgt = _padded_points(
-                self.old_tree, np.asarray([oi], dtype=np.int64), tp
-            )[0]
-        same = osrcs.size == srcs.size and np.array_equal(
-            self.old_tree.keys[osrcs], tree.keys[srcs]
-        )
-        if same and self.node_clean[srcs].all():
-            orow = blk.den_rows[j]
-            row = self.perm[orow]
-            if np.any(row < 0):
-                return None, None
-            valid = int((orow != self.old_tree.n_points).sum())
-            if valid > sp:
-                return None, None
-            out = np.full(sp, tree.n_points, dtype=np.int64)
-            out[:valid] = row[:valid]
-            self.stats["rows_remapped"] += 1
-            if not slot_ok:
-                return out, None
-            if tgt_clean:
-                return out, (blk.kmat, j)
-            return out, self._uli_partial(blk, j, osrcs, srcs, tree, sp,
-                                          old_tgt)
-        if not slot_ok:
-            return None, None
-        return None, self._uli_partial(blk, j, osrcs, srcs, tree, sp, old_tgt)
-
-    def _uli_partial(self, blk, j, osrcs, srcs, tree, sp, old_tgt=None):
-        """Column-mapped partial reuse of ULI slot ``(blk.kmat, j)``.
-
-        Members are matched old-to-new by Morton key; a member whose leaf
-        content is clean contributes a column-range *copy* (its offset may
-        have shifted as neighbours gained/lost points), a dirty or new
-        member contributes a column-range *recompute*, and the padding
-        columns — all identical, the kernel against the key-pinned target
-        centre — are broadcast-copied from any old pad column.  Returns
-        ``(kmat, j, copy_ranges, pad, dirty_cols)``: ``copy_ranges`` is
-        ``[(dst_start, dst_stop, src_start), ...]`` and ``pad`` is
-        ``(pad_start, pad_stop, old_pad_col) | None``, all in point
-        units; or None when nothing is copyable.  When the *target* leaf
-        is dirty, ``old_tgt`` (its old padded coordinates) rides along as
-        a sixth element: the copied rows are then provisional and
-        :func:`_materialise` re-derives the rows whose target point
-        actually moved and recomputes those in full.
-        """
-        if self._new_counts is None:
-            self._new_counts = tree.point_counts()
-        oc = self.old_counts[osrcs]
-        nc = self._new_counts[srcs]
-        okeys = self.old_tree.keys[osrcs]
-        nkeys = tree.keys[srcs]
-        ooff = np.concatenate([[0], np.cumsum(oc)])
-        noff = np.concatenate([[0], np.cumsum(nc)])
-        by_key = {int(k): m for m, k in enumerate(okeys)}
-        clean = self.node_clean[srcs]
-        ranges, dirty = [], []
-        for m in range(srcs.size):
-            om = by_key.get(int(nkeys[m]))
-            if om is not None and clean[m] and oc[om] == nc[m]:
-                ranges.append((int(noff[m]), int(noff[m + 1]), int(ooff[om])))
-            else:
-                dirty.append(np.arange(noff[m], noff[m + 1]))
-        if not ranges:
-            return None
-        ostot, nstot = int(ooff[-1]), int(noff[-1])
-        pad = None
-        if nstot < sp:
-            if ostot < sp:
-                # every pad column is the kernel against the target's
-                # centre: broadcast one old pad column across the range
-                pad = (nstot, sp, ostot)
-            else:
-                dirty.append(np.arange(nstot, sp))
-        dirty_pc = (
-            np.concatenate(dirty) if dirty else np.empty(0, dtype=np.int64)
-        )
-        if old_tgt is None:
-            return blk.kmat, j, ranges, pad, dirty_pc
-        return blk.kmat, j, ranges, pad, dirty_pc, old_tgt
+        return out, (blk.kmat, j) if slot_ok else None
 
     def leaf_slots(self, section: str, tree: FmmTree, group: np.ndarray,
                    lev: int, pad: int) -> list:

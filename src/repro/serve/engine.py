@@ -554,6 +554,15 @@ class ServeEngine:
         base = name if version == 0 else f"{name}#g{version}"
         return f"{base}@{precision}"
 
+    def _compile_kwargs(self, geom: ModelGeometry) -> dict:
+        """Compile / patch keywords for plans of ``geom``: the tuned
+        config's matrix budget, else the engine's, else the default."""
+        if geom.tuned is not None:
+            return {"matrix_budget": geom.tuned.matrix_budget}
+        if self.matrix_budget is not None:
+            return {"matrix_budget": self.matrix_budget}
+        return {}
+
     def _plan_for(
         self,
         model: RegisteredModel,
@@ -561,13 +570,7 @@ class ServeEngine:
         geom: ModelGeometry | None = None,
     ):
         geom = model.geometry if geom is None else geom
-        tuned = geom.tuned
-        if tuned is not None:
-            kwargs = {"matrix_budget": tuned.matrix_budget}
-        elif self.matrix_budget is not None:
-            kwargs = {"matrix_budget": self.matrix_budget}
-        else:
-            kwargs = {}
+        kwargs = self._compile_kwargs(geom)
         precision = model.precision if precision is None else precision
 
         def compile_fn():
@@ -652,10 +655,7 @@ class ServeEngine:
                 old.plan, new_points, moved=moved
             )
             version = old.version + 1
-            kwargs = (
-                {} if self.matrix_budget is None
-                else {"matrix_budget": self.matrix_budget}
-            )
+            kwargs = self._compile_kwargs(old)
             patched = {}
             stats = {}
             for prec in ("fp64", "fp32"):
@@ -722,18 +722,19 @@ class ServeEngine:
             self._bind_pool(new_fmm)
             new_plan = new_fmm.plan(old.points)
             version = old.version + 1
+            geom = ModelGeometry(
+                old.points, new_plan, version, fmm=new_fmm, tuned=config
+            )
             ep = new_fmm.compile_eval_plan(
                 new_plan, precision=config.precision,
-                matrix_budget=config.matrix_budget,
+                **self._compile_kwargs(geom),
             )
             # Publication order (see update_geometry): new plan in cache,
             # then the snapshot swap, then stale-key cleanup.
             self.plans.put(
                 self._plan_key(name, version, config.precision), ep
             )
-            model.geometry = ModelGeometry(
-                old.points, new_plan, version, fmm=new_fmm, tuned=config
-            )
+            model.geometry = geom
             model.tuned = config
             model.precision = config.precision
             self._batch_limits[name] = (

@@ -13,8 +13,8 @@ The serving engine is judged on tail latency and batching efficiency, so
   a queue-depth gauge sampled at submit.
 
 Everything is a plain counter under one lock — cheap enough to update per
-request — and exports to a JSON-friendly dict (``python -m repro serve``
-writes it as ``BENCH_serving.json``).  Workers additionally emit
+request — and exports to a JSON-friendly dict (``python -m repro serve
+--out FILE`` writes it).  Workers additionally emit
 ``SERVE:*`` spans through the existing :class:`~repro.perf.trace.
 TraceRecorder` machinery, so serving runs are inspectable with the same
 ``python -m repro trace`` tooling as SPMD runs.

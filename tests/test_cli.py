@@ -4,6 +4,10 @@ import pytest
 
 from repro.__main__ import main
 
+#: ``serve`` at a scale where registration + load take about a second.
+SERVE_TINY = ["serve", "--n", "600", "--order", "4", "--q", "64",
+              "--duration", "0.5", "--clients", "2"]
+
 
 class TestCli:
     def test_info(self, capsys):
@@ -86,6 +90,40 @@ class TestCli:
         from repro.tune.store import TuneStore
 
         assert TuneStore(str(store)).entries()
+
+    def test_serve_prints_snapshot_and_writes_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(SERVE_TINY)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "requests:" in out and "0 errors" in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_out_holds_the_snapshot(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "serve.json"
+        assert main(SERVE_TINY + ["--out", str(path)]) == 0
+        snap = json.loads(path.read_text())
+        assert "m0" in snap["models"] and "hit_rate" in snap["plan_cache"]
+        assert snap["models"]["m0"]["completed"] > 0
+        assert snap["loadgen"]["errors"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--steps", "2"],
+        ["tune", "--gate"],
+        ["tune", "--bench"],
+        ["serve", "--bench"],
+        ["serve", "--dist"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_retired_drill_flags_are_rejected(self, argv, capsys):
+        """Drill modes are not CLI flags: argparse rejects them."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

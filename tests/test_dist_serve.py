@@ -315,6 +315,38 @@ class TestRouter:
         assert summary["heartbeats"]["m"][0] >= 4  # warm + ref + 3 routed
         assert summary["dispatches"]["m"]["count"] == 3
 
+    def test_faults_under_concurrent_closed_loop_load(self):
+        """Crash, recv-crash, corruption and a straggler firing while
+        several clients drive the router: typed outcomes only, and the
+        answers stay the fault-free bits."""
+        from repro.serve.loadgen import run_load
+
+        p = 2
+        eng = _engine(p, 400)
+        dens = np.random.default_rng(17).standard_normal(
+            eng._model("m").expected)
+        ref = eng.evaluate("m", dens)
+        # rank 0's receives before COMM_reduce: resume vote + ghost exchange
+        reduce_recv = (p - 1).bit_length() + p - 1
+        eng.set_faults(FaultPlan([
+            Fault("crash", rank=1, op="phase", phase="D2T", attempts=1),
+            Fault("crash", rank=0, op="recv", index=reduce_recv, attempts=1),
+            Fault("bitflip", rank=1, op="send", index=3, attempts=1),
+            Fault("straggle", rank=0, op="phase", phase="S2U",
+                  seconds=0.2, sleep=True, attempts=1),
+        ], seed=0))
+        with Router(eng, n_dispatchers=2, max_queue=16) as router:
+            summary = run_load(router, ["m"], duration_s=1.0, clients=3,
+                               timeout_s=RUN_TIMEOUT, seed=0)
+            probe = router.evaluate("m", dens, timeout_s=RUN_TIMEOUT)
+        eng.set_faults(None)
+        assert summary["loadgen"]["errors"] == 0, (
+            summary["loadgen"]["error_samples"])
+        assert summary["completed"] > 0
+        # the plan fired under the load: the ranks retried
+        assert router.metrics_snapshot()["retried"] > 0
+        assert np.array_equal(probe, ref)
+
     def test_unavailable_fast_fails_at_submit(self):
         eng = _engine(
             2, 400,

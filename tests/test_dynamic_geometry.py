@@ -5,8 +5,9 @@ The contract under test is *bitwise identity*: every incremental path —
 :func:`repro.core.lists.update_lists`, :func:`repro.core.plan.patch_plan`
 and the serving-layer ``update_geometry`` entry points — must produce
 exactly what the from-scratch rebuild produces, for any motion pattern.
-Speed is benchmarked elsewhere (``benchmarks/bench_dynamic_geometry.py``);
-correctness is absolute here.
+Speed is measured elsewhere (``plan.update_s`` / ``plan.patch_s`` of
+``bench/run.py --workload plummer_adaptive --trace``); correctness is
+absolute here.
 """
 
 import numpy as np

@@ -8,10 +8,9 @@ matrix here exercises that claim across kernels, precisions, thread
 counts, the distributed driver, checkpoint resume, patched plans and
 concurrent serve batches, plus the trace-signature replay guarantee.
 
-Nothing here asserts a time: speedup claims, and the bound that 2 threads
-are not slower than 1.1x serial at tiny N, live in
-``benchmarks/bench_parallel.py::test_parallel_smoke`` (CI's
-``parallel-smoke`` job), where a loaded host cannot fail tier-1.
+Nothing here asserts a time, and nothing elsewhere asserts a bound on
+one: ``parallel.speedup`` of ``bench/run.py --trace``, with its
+run-to-run spread, is the record of what the pool buys.
 """
 
 import time

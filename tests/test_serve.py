@@ -1,9 +1,9 @@
 """The serving layer: engine, plan cache, batching, admission, chaos.
 
 Everything here runs at small N (hundreds of points, order 4) so the
-suite stays in tier-1 time; the paper-scale throughput claims live in
-``benchmarks/bench_serving.py``.  The invariants under test do not
-depend on scale:
+suite stays in tier-1 time; serving latency, queue wait and batch sizes
+are measured by the ``serve_mixed`` workload of ``bench/run.py``.  The
+invariants under test do not depend on scale:
 
 * a served result is *bit-identical* to a direct ``Fmm.evaluate`` on
   the same plan (batching is invisible except in latency),

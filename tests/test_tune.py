@@ -393,6 +393,38 @@ class TestServeIntegration:
         assert engine.metrics.window_count("m") == 0  # reset after re-tune
         assert not mon.poll(now=2.0)  # no flapping
 
+    def test_update_geometry_keeps_the_tuned_matrix_budget(self, points):
+        """A geometry patch compiles under the tuned config's matrix
+        budget, like ``_plan_for`` and ``apply_tuned_config``."""
+        budget = 2 * 2**20
+        grid = default_grid(
+            900, orders=(4,), leaf_sizes=(64,), precisions=("fp64",),
+            batch_shapes=((4, 1.0),), threads_opts=(1,),
+            matrix_budgets=(budget,),
+        )
+        engine = ServeEngine(n_workers=1)
+        engine.register("m", Fmm("laplace"), points,
+                        slo=SLO(latency_s=30.0, precision_rtol=1e-2),
+                        tune_grid=grid, tune_seed=SEED)
+        model = engine._model("m")
+        assert model.tuned.matrix_budget == budget
+        dens = np.random.default_rng(2).standard_normal(model.expected)
+        moved = points.copy()
+        moved[:40] = np.clip(moved[:40] + 0.01, 1e-9, 1.0 - 1e-9)
+        with engine:
+            engine.update_geometry("m", moved)
+            key = engine._plan_key("m", model.geometry.version,
+                                   model.precision)
+            patched = engine.plans.peek(key)
+            assert patched.matrix_bytes() <= budget
+            out = engine.evaluate("m", dens)
+            # the same (model, version, precision) key recompiled on a miss
+            engine.plans.invalidate(key)
+            fresh = engine._plan_for(model)
+            assert fresh is not patched
+            assert fresh.matrix_bytes() == patched.matrix_bytes()
+            assert np.array_equal(engine.evaluate("m", dens), out)
+
     def test_retune_without_slo_raises(self, points):
         engine = ServeEngine(n_workers=1)
         engine.register("plain", Fmm("laplace"), points)
