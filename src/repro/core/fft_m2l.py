@@ -22,8 +22,21 @@ group is a ``(208 ks) x (8 kt)`` matrix ``K`` whose (direction, source
 child, target child) entry is the kernel transform of one of the 316 V
 offsets, or zero where the two children are adjacent (tensor kernels put a
 ``(kt, ks)`` block there).  :meth:`FftM2L.schedule` compiles ``lists.v``
-into per-parent tables (:class:`VGroup`); :meth:`FftM2L.vlist` applies
-them as one batched GEMM per frequency slab (DESIGN.md has the layout).
+into per-parent tables (:class:`VGroup`).
+
+:meth:`FftM2L.translate` applies them as the paper's three kernels over all
+boxes — per-octant forward FFT, diagonal translation, inverse FFT — each a
+data-parallel map over *box-last* arrays.  The data of a box sit in the
+``p^3`` corner of its ``(2p)^3`` grid, so the transforms are three 1-D
+passes that skip the lines whose input is all zero (forward) or whose
+output nobody reads (inverse): at order 6, 162 line transforms per box and
+transform instead of 312, the same bits.  With the boxes on the last axis
+the forward passes write the frequency-major ``(F, boxes)`` table the
+translation reads — no transpose, no zero fill — and the inverse passes run
+in place on the accumulator table.  The translation is one batched GEMM per
+frequency slab against a ``K`` taken from the level's offset table once per
+slab and shared by every group that has the same colleague directions
+(DESIGN.md §5 has the layout and the numbers).
 """
 
 from __future__ import annotations
@@ -78,6 +91,21 @@ def _slot_map() -> np.ndarray:
 _SLOT = _slot_map()
 
 
+def _allocate(_name, shape, dtype):
+    """The ``buffer`` of a caller that keeps no scratch."""
+    return np.empty(shape, dtype)
+
+
+def _run_inline(tiles, compute, done):
+    """The ``run`` of a caller that has no tile pool."""
+    for tile in tiles:
+        done(tile, compute(tile))
+
+
+def _nothing(_tile, _result):
+    """``done`` of a stage whose tiles write disjoint rows from ``compute``."""
+
+
 @dataclass
 class VGroup:
     """V-list schedule of one run of target parents at one level.
@@ -96,8 +124,8 @@ class VGroup:
     n_offsets: int  # distinct V offsets among them
     usrc: np.ndarray  # schild's nodes, flat
     utgt: np.ndarray  # tchild's nodes, flat
-    srow: np.ndarray  # spectra-table rows of usrc's dof, (usrc.size * ks,)
-    trow: np.ndarray  # accumulator-table rows of utgt's dof
+    srow: np.ndarray  # spectra-table columns of usrc's dof, (usrc.size * ks,)
+    trow: np.ndarray  # accumulator-table columns of utgt's dof
     flops: float  # per right-hand side: listed pairs + FFTs
 
 
@@ -105,15 +133,16 @@ class FftM2L:
     """Frequency-domain M2L: offset tables, sibling-group schedule, translate."""
 
     #: Target parents per :class:`VGroup` (<= 2048 target boxes): bounds the
-    #: frequency-grid working set and is what one ``TaskPool`` tile carries.
+    #: tables of one (group, column) item, the tile of the two FFT stages.
     GROUP_PARENTS = 256
 
     #: Scratch bytes of one frequency slab (gathered neighbour blocks +
-    #: ``K``): cache-sized, the GEMM consumes the gather straight away.
+    #: ``K``) — cache-sized, the GEMM consumes the gather straight away —
+    #: for the largest group of a wave; a slab is the translate stage's tile.
     SLAB_BYTES = 2 * 2**20
 
-    #: Bytes of frequency-major spectra + accumulators held at once: a
-    #: column block walks a group in column runs that fit (at least one).
+    #: Bytes of frequency-major spectra + accumulators held at once: the
+    #: (group, column) items of an apply go in waves that fit (at least one).
     SPECTRA_BYTES = 64 * 2**20
 
     def __init__(self, kernel: Kernel, order: int):
@@ -122,9 +151,13 @@ class FftM2L:
         self.n = 2 * order  # convolution grid size per axis (>= 2p-1)
         self.nf = self.n // 2 + 1  # rfft last-axis length
         self.ns = surfaces.n_surface_points(order)
-        # Surface flat indices in the n^3 embedding (p-grid sits at origin).
+        # Surface rows of the two box-last real grids (p-grid at the
+        # origin): the (p, p, p) one FFT-in fills and the (p, p, n) one
+        # FFT-out leaves, as index columns.
         ijk = surfaces.surface_lattice(order)
-        self._surf_n = (ijk[:, 0] * self.n + ijk[:, 1]) * self.n + ijk[:, 2]
+        plane = ijk[:, 0] * order + ijk[:, 1]
+        self._surf_in = (plane * order + ijk[:, 2])[:, None]
+        self._surf_out = (plane * self.n + ijk[:, 2])[:, None]
         # Signed wrap of grid indices: m -> m or m - n (circular support).
         m = np.arange(self.n)
         self._wrap = np.where(m < order, m, m - self.n)
@@ -253,7 +286,7 @@ class FftM2L:
                         tchild=tch,
                         schild=sch,
                         dirs=dirs,
-                        nbr=local[:-1].reshape(-1, 26)[:, dirs].astype(np.intp),
+                        nbr=local[:-1].reshape(-1, 26)[:, dirs].astype(np.intp, order="C"),
                         n_pairs=n_pairs,
                         n_offsets=np.setdiff1d(_SLOT[seen > 0], _ZERO_SLOT).size,
                         usrc=sch.ravel()[spos],
@@ -266,101 +299,147 @@ class FftM2L:
                 )
         return groups
 
-    # -- grid embeddings --------------------------------------------------------
-
-    def forward(self, u: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Surface densities -> frequency grids.
-
-        ``u`` has shape ``(..., ns * source_dim)`` with dof interleaved
-        per point and any leading batch dims (boxes, or boxes x columns);
-        output is ``(..., source_dim, n, n, nf)`` complex.  ``dtype``
-        sets the grid precision: float32 grids yield complex64 transforms
-        (the fp32 plans), float64 the historical complex128.
-
-        Each batch slot is bit-identical whatever the leading shape: the
-        grid embedding is pure data movement and pocketfft transforms
-        are computed independently per slot.
-        """
-        lead = u.shape[:-1]
-        ks = self.kernel.source_dim
-        grids = np.zeros(lead + (ks, self.n**3), dtype=dtype)
-        grids[..., self._surf_n] = np.swapaxes(
-            u.reshape(lead + (self.ns, ks)), -1, -2
-        )
-        grids = grids.reshape(lead + (ks, self.n, self.n, self.n))
-        return np.fft.rfftn(grids, axes=(-3, -2, -1))
-
-    def inverse(self, acc: np.ndarray) -> np.ndarray:
-        """Frequency accumulators -> check potentials on the surface points.
-
-        ``acc``: ``(..., target_dim, n, n, nf)``; returns
-        ``(..., ns * target_dim)`` with dof interleaved per point (batch
-        slots independent, as in :meth:`forward`).
-        """
-        lead = acc.shape[:-4]
-        kt = self.kernel.target_dim
-        grids = np.fft.irfftn(acc, s=(self.n,) * 3, axes=(-3, -2, -1))
-        vals = grids.reshape(lead + (kt, self.n**3))[..., self._surf_n]
-        return np.swapaxes(vals, -1, -2).reshape(lead + (self.ns * kt,))
-
     # -- translation --------------------------------------------------------------
 
-    def vlist(self, g: VGroup, up, dcheck, cdtype=np.complex128, buffer=None):
-        """``dcheck[g.utgt] +=`` the V-list translations of ``up[g.usrc]``.
+    def translate(self, groups, up, dcheck, cdtype=np.complex128,
+                  buffer=_allocate, run=_run_inline):
+        """``dcheck[g.utgt] +=`` the V-list translations of ``up[g.usrc]``
+        for every group of ``groups``, as three staged kernels.
 
         ``up`` / ``dcheck`` are the ``(n_nodes, q, features)`` node states;
         ``cdtype`` picks the precision (complex64: float32 grids, for fp32
         plans and the device path); ``buffer(name, shape, dtype)`` supplies
-        reusable scratch.  Column ``j`` of a block keeps its solo bits: FFTs
-        are batch-stable and inside a slab every column runs its own gather
-        and its own GEMM of the solo shapes; only the indices and the
-        slab's ``K`` are shared.
+        reusable per-thread scratch and ``run(tiles, compute, done)``
+        executes the tiles of one stage (``EvalPlan._buffer`` and
+        ``EvalPlan._tiles``; the defaults allocate and run inline).
+
+        The (group, column) items are walked in *waves* whose
+        frequency-major tables fit :attr:`SPECTRA_BYTES` (at least one
+        item), each wave in three runs:
+
+        1. **FFT-in**, a tile per item.  The surface densities go into the
+           ``p^3`` corner of the grid, box-last ``(p, p, p, cols)`` with one
+           column per spectra-table column (``g.srow``; absent children and
+           the "no colleague" parent stay zero), and three 1-D passes —
+           ``rfft`` along z, ``fft`` along y, ``fft`` along x, each padding
+           its axis to ``2p`` — leave ``(2p, 2p, p + 1, cols)``: in C order
+           the ``(F, cols)`` table itself.
+        2. **Translate**, a tile per frequency slab (disjoint table rows).
+           ``K_slab`` is taken once per distinct (offset table, ``g.dirs``)
+           and shared by every item of the wave that reads it; each item
+           runs its own gather and its own ``np.matmul``.
+        3. **FFT-out**, a tile per item: the inverse passes in the order
+           ``irfftn`` runs them (x, y, then ``irfft`` along z), in place,
+           each reading only the first ``p`` planes of the axes already
+           done; the surface rows are added into ``dcheck[g.utgt, j]``.
+
+        The pruned passes are the full-grid ``rfftn`` / ``irfftn`` bit for
+        bit: pocketfft transforms a batch line by line, a line skipped on
+        the way in is all zero (so is its transform, which the padding of
+        the next pass writes) and a line skipped on the way out feeds no
+        surface point.  Each frequency is its own GEMM whatever the slab
+        length, so column ``j`` of a block keeps its solo bits under any
+        wave and slab split.  The flop *charge* (``VGroup.flops``,
+        :meth:`fft_flops_per_box`) stays the paper's full-grid transform.
         """
-        if buffer is None:
-            buffer = lambda _name, shape, dtype: np.empty(shape, dtype)
+        p, n, nf, ns = self.order, self.n, self.nf, self.ns
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
+        kout = 8 * kt
         cdtype = np.dtype(cdtype)
         rdtype = np.float32 if cdtype == np.complex64 else np.float64
-        table, fac = self.offset_table(g.level, cdtype)
-        nfreq = table.shape[0]
-        ntp, nsp = g.nbr.shape[0], g.schild.shape[0] + 1
-        q = up.shape[1]
-        kin, kout = g.dirs.size * 8 * ks, 8 * kt
-        kidx = self._kidx[g.dirs].ravel()
-        qc = max(1, self.SPECTRA_BYTES // (
-            cdtype.itemsize * nfreq * 8 * (nsp * ks + ntp * kt)))
-        fs = max(1, min(nfreq, self.SLAB_BYTES // (
-            cdtype.itemsize * kin * (ntp + kout))))
-        kbuf = buffer("vli_k", (fs, kin * kout), cdtype)
-        gbuf = buffer("vli_g", (fs, ntp * g.dirs.size, 8 * ks), cdtype)
-        nbr = g.nbr.ravel()
-        for q0 in range(0, q, qc):
-            cols = range(q0, min(q0 + qc, q))
-            spec = buffer("vli_spec", (len(cols), nfreq, nsp * 8 * ks), cdtype)
-            acc = buffer("vli_acc", (len(cols), nfreq, ntp * kout), cdtype)
-            spec.fill(0.0)  # absent children and the "no colleague" parent
-            for c, j in enumerate(cols):
-                uhat = self.forward(up[g.usrc, j], dtype=rdtype)
-                spec[c][:, g.srow] = uhat.reshape(-1, nfreq).T
-            for f0 in range(0, nfreq, fs):
-                m = min(fs, nfreq - f0)
+        nfreq = n * n * nf
+
+        def fft_in(item):
+            g, j, spec, _ = item
+            cols = spec.shape[1]
+            grid = buffer("vli_real", (p**3, cols), rdtype)
+            grid.fill(0.0)
+            u = up[g.usrc, j].reshape(-1, ns, ks)
+            grid[self._surf_in, g.srow] = u.transpose(1, 0, 2).reshape(ns, -1)
+            z = buffer("vli_z", (p, p, nf, cols), cdtype)
+            zy = buffer("vli_zy", (p, n, nf, cols), cdtype)
+            np.fft.rfft(grid.reshape(p, p, p, cols), n=n, axis=2, out=z)
+            np.fft.fft(z, n=n, axis=1, out=zy)
+            np.fft.fft(zy, n=n, axis=0, out=spec.reshape(n, n, nf, cols))
+
+        def fft_out(item):
+            g, j, _, acc = item
+            cols = acc.shape[1]
+            grid = acc.reshape(n, n, nf, cols)
+            np.fft.ifft(grid, axis=0, out=grid)
+            np.fft.ifft(grid[:p], axis=1, out=grid[:p])
+            real = buffer("vli_real", (p * p * n, cols), rdtype)
+            np.fft.irfft(
+                grid[:p, :p], n=n, axis=2, out=real.reshape(p, p, n, cols)
+            )
+            check = real[self._surf_out, g.trow]
+            check = check.reshape(ns, -1, kt).transpose(1, 0, 2).reshape(-1, ns * kt)
+            fac = self._canonical(g.level)[1]
+            dcheck[g.utgt, j] += check if fac == 1.0 else check * fac
+
+        def gemm_slab(slab):
+            f0, f1 = slab
+            m = f1 - f0
+            for table, kidx, readers in shared.values():
                 k = np.take(
-                    table[f0 : f0 + m], kidx, axis=1,
-                    out=kbuf[:m], mode="clip",
-                ).reshape(m, kin, kout)
-                for c in range(len(cols)):
+                    table[f0:f1], kidx, axis=1, mode="clip",
+                    out=buffer("vli_k", (m, kidx.size), cdtype),
+                ).reshape(m, -1, kout)
+                for g, _, spec, acc in readers:
+                    ntp = g.nbr.shape[0]
                     blocks = np.take(
-                        spec[c, f0 : f0 + m].reshape(m, nsp, 8 * ks), nbr,
-                        axis=1, out=gbuf[:m], mode="clip",
+                        spec[f0:f1].reshape(m, -1, 8 * ks), g.nbr.ravel(),
+                        axis=1, mode="clip",
+                        out=buffer("vli_g", (m, g.nbr.size, 8 * ks), cdtype),
                     )
                     np.matmul(
-                        blocks.reshape(m, ntp, kin), k,
-                        out=acc[c, f0 : f0 + m].reshape(m, ntp, kout),
+                        blocks.reshape(m, ntp, -1), k,
+                        out=acc[f0:f1].reshape(m, ntp, kout),
                     )
-            for c, j in enumerate(cols):
-                grids = acc[c].T[g.trow].reshape(-1, kt, self.n, self.n, self.nf)
-                check = self.inverse(grids)
-                dcheck[g.utgt, j] += check if fac == 1.0 else check * fac
+
+        items = [(g, j) for g in groups for j in range(up.shape[1])]
+        if not items:
+            return
+        # table elements of an item: spectra (the extra parent is the
+        # all-zero "no colleague") and accumulators
+        size = nfreq * np.array(
+            [(8 * ks * (g.schild.shape[0] + 1), kout * g.nbr.shape[0])
+             for g, _ in items]
+        )
+        limit = self.SPECTRA_BYTES // cdtype.itemsize
+        waves, start = [], 0
+        while start < len(items):
+            stop = start + 1
+            while stop < len(items) and size[start : stop + 1].sum() <= limit:
+                stop += 1
+            waves.append(slice(start, stop))
+            start = stop
+        # asked for once per apply, at the largest wave: growing them wave
+        # by wave would hold the outgrown tables next to the new ones
+        widest = np.max([size[w].sum(axis=0) for w in waves], axis=0)
+        spectra = buffer("vli_spec", (widest[0],), cdtype)
+        accums = buffer("vli_acc", (widest[1],), cdtype)
+        for w in waves:
+            cs, ct = np.cumsum(np.vstack([(0, 0), size[w]]), axis=0).T
+            wave, shared, per_freq = [], {}, 1
+            for i, (g, j) in enumerate(items[w]):
+                item = (g, j, spectra[cs[i] : cs[i + 1]].reshape(nfreq, -1),
+                        accums[ct[i] : ct[i + 1]].reshape(nfreq, -1))
+                wave.append(item)
+                table = self.offset_table(g.level, cdtype)[0]
+                shared.setdefault(
+                    (id(table), g.dirs.tobytes()),
+                    (table, self._kidx[g.dirs].ravel(), []),
+                )[2].append(item)
+                # slab scratch per frequency: the item's gather and its K
+                per_freq = max(
+                    per_freq, g.dirs.size * 8 * ks * (g.nbr.shape[0] + kout)
+                )
+            fs = max(1, self.SLAB_BYTES // (cdtype.itemsize * per_freq))
+            slabs = [(f0, min(f0 + fs, nfreq)) for f0 in range(0, nfreq, fs)]
+            run(wave, fft_in, _nothing)
+            run(slabs, gemm_slab, _nothing)
+            run(wave, fft_out, _nothing)
 
     # -- flop model ---------------------------------------------------------------
 

@@ -68,6 +68,7 @@ different tree.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 import weakref
@@ -361,11 +362,13 @@ class EvalPlan:
         return kernel.matrix_batch(a, b, dtype=self.rdtype)
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Reusable per-thread scratch array (density table, FFT accumulators)."""
+        """Reusable per-thread scratch array (density table, V-list stage
+        scratch; the V-list's wave tables are the calling thread's, which
+        hands them to its tiles)."""
         bufs = getattr(self._scratch, "bufs", None)
         if bufs is None:
             bufs = self._scratch.bufs = {}
-        need = int(np.prod(shape))
+        need = math.prod(shape)
         buf = bufs.get(name)
         if buf is None or buf.size < need or buf.dtype != np.dtype(dtype):
             buf = bufs[name] = np.empty(need, dtype=dtype)
@@ -447,10 +450,10 @@ class EvalPlan:
     # * Dense matrix steps (U2U, D2D, dense M2L, the S2U post-multiply)
     #   loop over columns: folding ``q`` into those GEMMs would change the
     #   row count and with it the bits.
-    # * The FFT V-list is ``FftM2L.vlist``: pocketfft transforms are
-    #   batch-stable, and every column runs its own gather and GEMM of the
-    #   solo shapes inside each frequency slab, sharing only the slab's
-    #   kernel matrix and the gather indices.
+    # * The FFT V-list is ``FftM2L.translate``: pocketfft transforms a
+    #   batch line by line, and every (group, column) item runs its own
+    #   gather and GEMM of the solo shapes inside each frequency slab,
+    #   sharing only the slab's kernel matrix and the gather indices.
     # * ``np.add.reduceat`` segment sums are exact per slot regardless of
     #   trailing axes, so scatter schedules are shared as-is.
     # * No schedule depends on a density: a column that is zero on a W-list
@@ -458,9 +461,10 @@ class EvalPlan:
     #   in a block as in its solo apply.
     #
     # Output ownership (what lets tiles run on a pool).
-    # * Disjoint-output tiles (S2U leaf groups, V-list group targets)
-    #   write their slices from ``compute`` — the serial stores, reordered
-    #   across disjoint rows.
+    # * Disjoint-output tiles (S2U leaf groups; the V-list's three stages:
+    #   a (group, column) item's own tables and target rows, a frequency
+    #   slab's rows of every table) write their slices from ``compute`` —
+    #   the serial stores, reordered across disjoint rows.
     # * Overlapping-output tiles (dense-M2L targets, the XLI/WLI/D2T/ULI
     #   scatters, whose ``pot_rows`` share the sentinel pad row across
     #   blocks) return values from ``compute``; ``done`` adds them in
@@ -471,8 +475,9 @@ class EvalPlan:
     #   wake-ups than the steps themselves — they are the traversals the
     #   paper, too, leaves sequential.  They run on the caller in compiled
     #   order, under the same BLAS pin as the pooled phases.
-    # * Flops are charged in ``done``, so profiles (and trace signatures)
-    #   are schedule-independent.
+    # * Flops are charged on the caller in compiled order — in ``done``,
+    #   or per group after the V-list's stages — so profiles (and trace
+    #   signatures) are schedule-independent.
     # * With a pool, BLAS is pinned to one thread for the *whole* phase —
     #   worker tiles and the caller's own GEMMs alike — so every pool width
     #   runs the same single-thread GEMMs whatever the host's BLAS setting.
@@ -575,15 +580,12 @@ class EvalPlan:
         if not self.vli_fft:
             return
         up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
-
-        def compute(g):  # group targets are disjoint: added in place
-            ev.fft.vlist(g, up, dcheck, self.cdtype, self._buffer)
-
-        def done(g, _):
-            profile.add_flops(g.flops * up.shape[1])
-
         with self._tiles("VLI", profile, pool) as run:
-            run(self.vli_fft, compute, done)
+            ev.fft.translate(
+                self.vli_fft, up, dcheck, self.cdtype, self._buffer, run
+            )
+        for g in self.vli_fft:
+            profile.add_flops(g.flops * up.shape[1])
 
     def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
         if not self.xli:

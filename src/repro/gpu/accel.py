@@ -171,8 +171,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         grid = fft.n * fft.n * fft.nf * np.dtype(np.complex64).itemsize
         ledger, model = self.gpu.ledger, self.gpu.model
+        fft.translate(plan.vli_fft, up, dcheck, np.complex64, plan._buffer)
         for g in plan.vli_fft:
-            fft.vlist(g, up, dcheck, np.complex64, plan._buffer)
             # CPU: forward and inverse FFTs
             profile.add_flops(
                 (g.usrc.size * ks + g.utgt.size * kt) * fft.fft_flops_per_box()

@@ -13,6 +13,11 @@ both a rank error *and* wedged threads exist, the rank error wins — a
 recorded root cause is never masked by the deadline (the wedged ranks
 are noted on the :class:`SpmdError`).
 
+A run of more than one rank holds BLAS at one thread per rank for its
+duration (:func:`repro.util.blas.limit_blas_threads`): the ranks are
+threads of one process, and ``p`` of them over a BLAS pool of ``nproc``
+threads oversubscribe the host.  A single rank keeps the ambient setting.
+
 Chaos and recovery: ``run_spmd(..., faults=FaultPlan(...))`` swaps the
 fabric for a :class:`~repro.mpi.faults.ChaosFabric` that injects the
 planned faults deterministically; ``integrity=True`` turns on CRC32 +
@@ -27,11 +32,13 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mpi.comm import Fabric, SimComm, SpmdAborted
 from repro.mpi.machine import LOCAL, MachineModel
+from repro.util.blas import limit_blas_threads
 from repro.util.timer import PhaseProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,17 +181,20 @@ def run_spmd(
         threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}", daemon=True)
         for r in range(nranks)
     ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
-    timed_out = any(t.is_alive() for t in threads)
-    if timed_out:
-        fabric.abort_all()
-        grace = time.monotonic() + 5.0
+    # one BLAS thread per rank (module docstring); refcounted, so a rank's
+    # own tile-pool pin nests inside it
+    with limit_blas_threads(1) if nranks > 1 else nullcontext():
         for t in threads:
-            t.join(timeout=max(0.0, grace - time.monotonic()))
+            t.start()
+        deadline = time.monotonic() + timeout
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        timed_out = any(t.is_alive() for t in threads)
+        if timed_out:
+            fabric.abort_all()
+            grace = time.monotonic() + 5.0
+            for t in threads:
+                t.join(timeout=max(0.0, grace - time.monotonic()))
     wedged = tuple(r for r, t in enumerate(threads) if t.is_alive())
     if wedged and trace is not None:
         # close the wedged ranks' open phases so the trace stays well-formed

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Fmm
+from repro.core import Fmm, surfaces
 from repro.core.fft_m2l import FftM2L
 from repro.core.operators import OperatorCache
 from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
@@ -102,19 +102,24 @@ class TestM2LModes:
         with pytest.raises(ValueError):
             Fmm("laplace", m2l_mode="magic")
 
-    def test_fft_translator_matches_dense_operator(self, rng):
-        """Unit-level: the sibling-group routine reproduces the dense M2L
-        matvecs.  One target parent with all 26 colleagues, so every
-        (direction, source child, target child) combination occurs, checked
-        against ``OperatorCache.m2l_dense`` per listed pair; then again with
-        absent source and target children and an out-of-scope target."""
+    def test_fft_translator_matches_dense_operator(self, rng, monkeypatch):
+        """Unit-level: the staged sibling-group translation reproduces the
+        dense M2L matvecs.  One target parent with all 26 colleagues, so
+        every (direction, source child, target child) combination occurs,
+        checked against ``OperatorCache.m2l_dense`` per listed pair; then
+        again with absent source and target children and an out-of-scope
+        target; then with a corner parent as a second group of the same
+        wave, whose ``dirs`` (7 colleagues) need their own ``K``."""
         for name, order in (("laplace", 6), ("stokes", 4), ("yukawa", 4)):
             kern = get_kernel(name)
             ops, fft = OperatorCache(kern, order), FftM2L(kern, order)
-            for holes in (False, True):
-                tree, v, scope, pairs = _colleague_block(rng, holes)
-                groups = fft.schedule(tree, v, scope)
+            for holes, targets in ((False, (13,)), (True, (13,)), (True, (13, 0))):
+                tree, v, scope, pairs = _colleague_block(rng, holes, targets)
+                with monkeypatch.context() as m:
+                    m.setattr(FftM2L, "GROUP_PARENTS", 1)
+                    groups = fft.schedule(tree, v, scope)
                 assert sum(g.n_pairs for g in groups) == len(pairs)
+                assert sorted(g.dirs.size for g in groups) == [7, 26][-len(targets):]
                 up = rng.standard_normal(
                     (tree.n_nodes, 1, ops.n_surf * kern.source_dim)
                 )
@@ -123,8 +128,7 @@ class TestM2LModes:
                     want[t] += ops.m2l_dense(3, off) @ up[s, 0]
                 for cdtype, tol in ((np.complex128, 1e-10), (np.complex64, 2e-4)):
                     got = np.zeros((tree.n_nodes, 1, want.shape[1]))
-                    for g in groups:
-                        fft.vlist(g, up, got, cdtype)
+                    fft.translate(groups, up, got, cdtype)
                     np.testing.assert_allclose(
                         got[:, 0], want, rtol=0, atol=tol * np.abs(want).max()
                     )
@@ -151,10 +155,75 @@ class TestM2LModes:
         assert rel_err(f, direct_sum(kern, pts, pts, dens)) < tol
 
 
-def _colleague_block(rng, holes):
+class TestStagedTransforms:
+    """The pruned, box-last FFT stages of ``FftM2L.translate`` against their
+    definition: ``rfftn`` / ``irfftn`` of the zero-embedded ``(2p)^3`` grid."""
+
+    @pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_fft_in_and_out_equal_full_grid_transforms(
+        self, rng, order, kernel, cdtype
+    ):
+        kern = get_kernel(kernel)
+        fft = FftM2L(kern, order)
+        ks, kt, n = kern.source_dim, kern.target_dim, fft.n
+        rdtype = np.float32 if cdtype == np.complex64 else np.float64
+        # absent source and target children; the corner parent reads the
+        # "no colleague" column in 19 of its 26 directions
+        tree, v, scope, _ = _colleague_block(rng, True, (13, 0))
+        (g,) = fft.schedule(tree, v, scope)
+        assert (g.schild < 0).any() and (g.tchild < 0).any()
+        assert (g.nbr == len(g.schild)).any()
+        up = rng.standard_normal((tree.n_nodes, 2, fft.ns * ks))
+        got = np.zeros((tree.n_nodes, 2, fft.ns * kt))
+        ijk = tuple(surfaces.surface_lattice(order).T)
+        stages, wave, planted = [], [], []
+
+        def run(tiles, compute, done):
+            """FFT-in and FFT-out as they are; in between, seeded
+            accumulators instead of the GEMM, and the tables checked."""
+            stages.append(len(tiles))
+            if len(stages) != 2:
+                for tile in tiles:
+                    compute(tile)
+                if len(stages) == 1:
+                    wave.extend(tiles)
+                return
+            for g, j, spec, acc in wave:
+                want = np.zeros((n, n, fft.nf, len(g.schild) + 1, 8, ks), cdtype)
+                for (r, c), node in np.ndenumerate(g.schild):
+                    for d in range(ks if node >= 0 else 0):
+                        grid = np.zeros((n, n, n), rdtype)
+                        grid[ijk] = up[node, j, d::ks]
+                        want[:, :, :, r, c, d] = np.fft.rfftn(grid)
+                assert spec.dtype == cdtype
+                assert np.array_equal(spec, want.reshape(spec.shape)), j
+                acc[...] = rng.standard_normal(acc.shape)
+                acc.imag = rng.standard_normal(acc.shape)
+                planted.append(acc.copy())
+
+        fft.translate([g], up, got, cdtype, run=run)
+        assert stages == [2, stages[1], 2]  # one wave of two columns
+        fac = fft.offset_table(g.level, cdtype)[1]
+        want = np.zeros_like(got)
+        for (_, j, _, _), acc in zip(wave, planted):
+            acc = acc.reshape(n, n, fft.nf, len(g.tchild), 8, kt)
+            for (r, c), node in np.ndenumerate(g.tchild):
+                for d in range(kt if node >= 0 else 0):
+                    grid = np.fft.irfftn(
+                        acc[:, :, :, r, c, d], s=(n, n, n), axes=(0, 1, 2)
+                    )
+                    assert grid.dtype == rdtype
+                    want[node, j, d::kt] = grid[ijk] * fac
+        assert np.array_equal(got, want)
+
+
+def _colleague_block(rng, holes, targets=(13,)):
     """A 3 x 3 x 3 block of level-2 boxes with their level-3 children, as the
-    arrays ``FftM2L.schedule`` reads, plus the V-list of the centre box's
-    children from brute-force geometry: ``(tree, v, scope, [(t, s, offset)])``.
+    arrays ``FftM2L.schedule`` reads, plus the V-list of the children of the
+    ``targets`` parents (13 is the centre box, 0 a corner) from brute-force
+    geometry: ``(tree, v, scope, [(t, s, offset)])``.
 
     With ``holes``, some source children and one target child are absent
     and one more target child is out of scope (its pairs stay in ``v``).
@@ -187,10 +256,12 @@ def _colleague_block(rng, holes):
     if holes:
         scope[children[13, 0]] = False
     rows, cols, pairs = [], [], []
-    for t in children[13][children[13] >= 0]:
-        for s in range(27, n):
+    for tp in targets:
+        for t, s in ((t, s) for t in children[tp][children[tp] >= 0]
+                     for s in range(27, n)):
             off = np.rint((tree.centers[t] - tree.centers[s]) * 8).astype(int)
-            if np.abs(off).max() > 1:
+            colleagues = np.abs(parents[tree.parent[s]] - parents[tp]).max() <= 1
+            if colleagues and np.abs(off).max() > 1:
                 rows.append(t)
                 cols.append(s)
                 if scope[t]:

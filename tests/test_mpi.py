@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import KRAKEN, LOCAL, MachineModel, run_spmd
+from repro.util.blas import blas_controller, blas_thread_count
 
 
 class TestMachineModel:
@@ -228,3 +229,41 @@ class TestFailures:
     def test_bad_nranks(self):
         with pytest.raises(ValueError):
             run_spmd(0, lambda comm: None)
+
+
+class TestBlasPin:
+    """Ranks are threads of one process: more than one rank runs with one
+    BLAS thread each, or p ranks x the BLAS pool oversubscribe the host."""
+
+    @pytest.fixture
+    def ambient(self):
+        ctl = blas_controller()
+        if ctl is None:
+            pytest.skip("no controllable BLAS")
+        saved = blas_thread_count()
+        ctl.set(2)  # an ambient setting the pin has to change and restore
+        try:
+            if blas_thread_count() != 2:
+                pytest.skip("BLAS does not take a second thread here")
+            yield 2
+        finally:
+            ctl.set(saved)
+
+    def test_ranks_run_pinned_and_the_setting_comes_back(self, ambient):
+        res = run_spmd(2, lambda comm: blas_thread_count(), timeout=60)
+        assert res.values == [1, 1]
+        assert blas_thread_count() == ambient
+
+    def test_restored_when_a_rank_raises(self, ambient):
+        def fn(comm):
+            if comm.rank == 1:
+                raise ValueError("kaboom")
+            comm.recv(1, tag=9)
+
+        with pytest.raises(RuntimeError, match="kaboom"):
+            run_spmd(2, fn, timeout=60)
+        assert blas_thread_count() == ambient
+
+    def test_single_rank_is_left_alone(self, ambient):
+        res = run_spmd(1, lambda comm: blas_thread_count(), timeout=60)
+        assert res.values == [ambient]

@@ -107,6 +107,65 @@ class TestMultiRhsBitIdentity:
                             f"threads={threads} col {j}"
                         )
 
+    def test_vlist_wave_and_slab_independence(self, monkeypatch):
+        """However the (group, column) items of a q=8 block on an adaptive
+        tree are cut into waves, and the frequencies into slab tiles, every
+        column keeps the bits of its solo apply (one wave, default slabs)."""
+        n, q = 1500, 8
+        pts = plummer_cluster(n, seed=9)
+        fmm = Fmm("laplace", order=4, max_points_per_box=20)
+        block = _density_block("laplace", n, q, seed=8)
+        plan = fmm.plan(pts)
+        ep = fmm.compile_eval_plan(plan)
+        assert len(ep.vli_fft) >= 3
+        stages = []  # tiles per stage run: items, slabs, items per wave
+        translate = FftM2L.translate
+
+        def counting(self, groups, up, dcheck, cdtype, buffer, run):
+            def counted(tiles, compute, done):
+                stages.append(len(tiles))
+                run(tiles, compute, done)
+
+            translate(self, groups, up, dcheck, cdtype, buffer, counted)
+
+        def evaluate(dens):
+            del stages[:]
+            return fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
+
+        monkeypatch.setattr(FftM2L, "translate", counting)
+        spectra_bytes, slab_bytes = FftM2L.SPECTRA_BYTES, FftM2L.SLAB_BYTES
+        with limit_blas_threads(1):
+            solos = [evaluate(block[:, j]) for j in range(q)]
+            items, slabs = len(ep.vli_fft), stages[1]
+            assert stages == [items, slabs, items]
+            fft = fmm.evaluator.fft
+            tables = 16 * fft.n**2 * fft.nf * 8 * sum(
+                len(g.schild) + 1 + len(g.tchild) for g in ep.vli_fft
+            )
+            for spectra, slab in (
+                (q * tables // 3, slab_bytes),
+                (spectra_bytes, slab_bytes // 2),
+                (q * tables // 6, slab_bytes // 2),
+            ):
+                monkeypatch.setattr(FftM2L, "SPECTRA_BYTES", spectra)
+                monkeypatch.setattr(FftM2L, "SLAB_BYTES", slab)
+                for threads in (None, 2):
+                    fmm.evaluator.configure_threads(threads)
+                    try:
+                        multi = evaluate(block)
+                    finally:
+                        fmm.evaluator.configure_threads(None)
+                    assert sum(stages[0::3]) == sum(stages[2::3]) == q * items
+                    if spectra < spectra_bytes:
+                        assert len(stages) >= 3 * 3
+                    else:  # one wave, of shorter slabs
+                        assert stages == [q * items, stages[1], q * items]
+                        assert stages[1] > slabs
+                    for j in range(q):
+                        assert np.array_equal(multi[:, j], solos[j]), (
+                            f"spectra={spectra} slab={slab} threads={threads} col {j}"
+                        )
+
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_no_plan_path(self, kernel):
         """A caller that brings no eval plan gets the matrix-free one: the

@@ -451,6 +451,40 @@ def test_vlist_schedule_rejects_non_product_list():
         fmm.evaluator.compile_plan(plan.tree, lists)
 
 
+def test_warm_vlist_apply_allocates_no_table(monkeypatch):
+    """Grids, FFT passes, frequency-major tables and the gather all live in
+    ``EvalPlan._buffer`` scratch: from the third apply on, the V-list holds
+    less than one slab of fresh memory at any moment.  (A table-sized
+    ``np.fft`` output per apply costs a first touch per page wherever the
+    allocator hands freed memory back, which the benchmark's allocator
+    settings hide.)"""
+    import tracemalloc
+
+    from repro.core.fft_m2l import FftM2L
+    from repro.core.plan import EvalPlan
+
+    fmm, plan, dens = _setup(order=6, q=10)
+    ep = fmm.compile_eval_plan(plan)
+    tables = sum(g.usrc.size + g.utgt.size for g in ep.vli_fft)
+    tables *= fmm.evaluator.fft.n ** 2 * fmm.evaluator.fft.nf * 16
+    assert tables > 4 * FftM2L.SLAB_BYTES  # the guard has something to catch
+    apply_vli, peaks = EvalPlan.apply_vli_fft, []
+
+    def traced(self, *args, **kw):
+        tracemalloc.start()
+        try:
+            apply_vli(self, *args, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(EvalPlan, "apply_vli_fft", traced)
+    for _ in range(3):
+        fmm.evaluator.evaluate(plan.tree, plan.lists, dens, plan=ep)
+    assert peaks[0] > tables  # the first apply makes the scratch
+    assert peaks[2] < FftM2L.SLAB_BYTES
+
+
 def test_plan_nbytes_charges_each_offset_table_once(monkeypatch):
     """The serve plan cache budgets on ``nbytes``: a level's offset table
     counts once however many groups the level splits into, and the levels
