@@ -33,7 +33,14 @@ from repro.core.tree import FmmTree, TreeDelta, _concat_ranges
 from repro.octree import linear
 from repro.util import morton
 
-__all__ = ["CsrList", "InteractionLists", "build_lists", "update_lists"]
+__all__ = [
+    "CsrList",
+    "InteractionLists",
+    "ListInvariantError",
+    "build_lists",
+    "check_lists",
+    "update_lists",
+]
 
 
 @dataclass
@@ -100,6 +107,47 @@ class InteractionLists:
             "w_pairs": self.w.total(),
             "x_pairs": self.x.total(),
         }
+
+
+class ListInvariantError(ValueError):
+    """An interaction list breaks one of the Table I symmetries;
+    ``list_name`` and ``pair`` name the list and its first offending
+    ``(node, member)`` entry."""
+
+    def __init__(self, list_name: str, pair: tuple[int, int], why: str):
+        super().__init__(f"{list_name}-list invariant broken at {pair}: {why}")
+        self.list_name, self.pair = list_name, pair
+
+
+def check_lists(tree: FmmTree, lists: InteractionLists) -> None:
+    """Raise :class:`ListInvariantError` unless U and V are symmetric, W
+    and X are transposes of each other and only leaves have a W-list.
+
+    These are the facts the paper's LET proof rests on, and W = Xᵀ is
+    what lets a plan hold each (far box, leaf) kernel block once for
+    both lists; they hold on solo trees and on per-rank LETs alike.  A
+    checker for tests and fuzzers: nothing in the library calls it.
+    """
+    n = np.int64(tree.n_nodes)
+    for name, a, b, why in (
+        ("U", lists.u, lists.u, "member's own U-list lacks the node"),
+        ("V", lists.v, lists.v, "member's own V-list lacks the node"),
+        ("W", lists.w, lists.x, "A in W(B) without B in X(A)"),
+        ("X", lists.x, lists.w, "A in X(B) without B in W(A)"),
+    ):
+        rows, cols = a.pairs()
+        back_rows, back_cols = b.invert().pairs()
+        lost = ~np.isin(rows * n + cols, back_rows * n + back_cols)
+        if lost.any():
+            j = int(np.argmax(lost))
+            raise ListInvariantError(name, (int(rows[j]), int(cols[j])), why)
+    rows, cols = lists.w.pairs()
+    inner = ~tree.is_leaf[rows]
+    if inner.any():
+        j = int(np.argmax(inner))
+        raise ListInvariantError(
+            "W", (int(rows[j]), int(cols[j])), "the node is not a leaf"
+        )
 
 
 def _colleague_table(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.fmm import Fmm
-from repro.core.lists import build_lists, update_lists
+from repro.core.lists import build_lists, check_lists, update_lists
 from repro.core.tree import build_tree, update_tree
 from repro.sort.delta import delta_sort
 from repro.util import morton
@@ -111,6 +111,7 @@ def test_update_lists_matches_build_lists(rng):
         new, moved = _perturb(rng, pts, frac, scale)
         new_tree, delta = update_tree(tree, new, 30, moved=moved)
         got = update_lists(new_tree, tree, lists, delta)
+        check_lists(new_tree, got)
         ref = build_lists(new_tree)
         for name in ("u", "v", "w", "x", "colleagues"):
             a, b = getattr(got, name), getattr(ref, name)
@@ -126,6 +127,7 @@ def test_update_lists_no_refinement_fast_path(rng):
     new = pts.copy()
     new[7] += 1e-9  # stays in its MAX_DEPTH cell's leaf
     new_tree, delta = update_tree(tree, new, 64)
+    check_lists(new_tree, update_lists(new_tree, tree, lists, delta))
     if not delta.refinement_changed:
         assert update_lists(new_tree, tree, lists, delta) is lists
 
@@ -137,6 +139,7 @@ def _patch_and_compare(fmm, pts, new, moved, dens, rng):
     plan = fmm.plan(pts)
     eplan = fmm.compile_eval_plan(plan)
     new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+    check_lists(new_plan.tree, new_plan.lists)
     patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
     ref_plan = fmm.plan(new)
     fresh = fmm.compile_eval_plan(ref_plan)
@@ -187,6 +190,7 @@ def test_patched_plan_multi_rhs_and_chained_steps(rng):
     for _ in range(3):  # patch the patched plan, repeatedly
         new, moved = _perturb(rng, pts, 0.04, 0.02)
         new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+        check_lists(new_plan.tree, new_plan.lists)
         eplan = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
         pts, plan = new, new_plan
     ref = fmm.compile_eval_plan(plan)

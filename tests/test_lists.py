@@ -5,12 +5,18 @@ paper Table I, and the symmetry properties the LET correctness proof
 relies on (U and V symmetric; X is the transpose of W).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.lists import CsrList, build_lists
+from repro.core.lists import CsrList, ListInvariantError, build_lists, check_lists
 from repro.core.tree import build_tree
 from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
+from repro.dist.driver import DistributedFmm
+from repro.mpi import run_spmd
 from repro.util import morton
 
 
@@ -78,31 +84,98 @@ class TestAgainstBruteForce:
             assert set(lists.x.of(i).tolist()) == X[i], f"X mismatch at {i}"
 
 
+def _without(csr, row, col):
+    """``csr`` minus its ``(row, col)`` entry."""
+    rows, cols = csr.pairs()
+    keep = ~((rows == row) & (cols == col))
+    return CsrList.from_pairs(rows[keep], cols[keep], csr.offsets.size - 1)
+
+
 class TestSymmetries:
-    """The symmetry facts the paper's LET proof uses (its footnote 2)."""
+    """The symmetry facts the paper's LET proof uses (its footnote 2), and
+    that a plan's shared W/X blocks rest on: ``check_lists`` holds them on
+    every tree built here and names the list and pair that break them."""
 
     @pytest.fixture(scope="class")
     def built(self):
         tree = build_tree(ellipsoid_surface(1200, seed=5), 20)
         return tree, build_lists(tree)
 
-    def test_u_symmetric(self, built):
+    @pytest.mark.parametrize("name", ["uniform", "plummer", "ellipsoid"])
+    def test_check_lists_solo(self, name):
+        maker = {"uniform": uniform_cube, "plummer": plummer_cluster,
+                 "ellipsoid": ellipsoid_surface}[name]
+        tree = build_tree(maker(1500, seed=9), 20)
+        check_lists(tree, build_lists(tree))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_check_lists_let(self, p):
+        """Every rank's LET lists: ghost octants included, the four
+        invariants hold on the local essential tree as on a solo tree."""
+        points = ellipsoid_surface(2400, seed=3)
+
+        def body(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=30)
+            fmm.setup(comm, points[comm.rank :: comm.size])
+            check_lists(fmm.let.tree, fmm.lists)
+            return fmm.lists.w.total(), fmm.lists.x.total()
+
+        res = run_spmd(p, body)
+        assert all(w > 0 and w == x for w, x in res.values)
+
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(50, 600),
+        st.sampled_from([1, 5, 20, 60]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_check_lists_random_clusters(self, seed, clusters, n, q):
+        """Random clustered point sets x ``max_points_per_box``: tight
+        Gaussian blobs force deep, strongly adaptive refinement."""
+        rng = np.random.default_rng(seed)
+        centres = rng.random((clusters, 3))
+        width = 10.0 ** rng.uniform(-4, -1, size=(clusters, 1))
+        pick = rng.integers(clusters, size=n)
+        pts = centres[pick] + width[pick] * rng.standard_normal((n, 3))
+        tree = build_tree(np.clip(pts, 0.0, 1.0 - 1e-12), q)
+        check_lists(tree, build_lists(tree))
+
+    def _breaks(self, built, name, other=None):
+        """Dropping one entry of list ``name`` is reported against the
+        list that still holds its mirror image, with the mirrored pair."""
         tree, lists = built
-        inv = lists.u.invert()
-        np.testing.assert_array_equal(inv.offsets, lists.u.offsets)
-        np.testing.assert_array_equal(inv.indices, lists.u.indices)
+        check_lists(tree, lists)
+        csr = getattr(lists, name)
+        rows, cols = csr.pairs()
+        j = int(np.argmax(rows != cols))
+        row, col = int(rows[j]), int(cols[j])
+        broken = replace(lists, **{name: _without(csr, row, col)})
+        with pytest.raises(ListInvariantError) as err:
+            check_lists(tree, broken)
+        assert err.value.list_name == (other or name).upper()
+        assert err.value.pair == (col, row)
+        assert str((col, row)) in str(err.value)
+
+    def test_u_symmetric(self, built):
+        self._breaks(built, "u")
 
     def test_v_symmetric(self, built):
-        tree, lists = built
-        inv = lists.v.invert()
-        np.testing.assert_array_equal(inv.offsets, lists.v.offsets)
-        np.testing.assert_array_equal(inv.indices, lists.v.indices)
+        self._breaks(built, "v")
 
     def test_x_is_transpose_of_w(self, built):
+        self._breaks(built, "w", other="x")
+        self._breaks(built, "x", other="w")
+
+    def test_w_rows_are_leaves(self, built):
         tree, lists = built
-        inv = lists.w.invert()
-        np.testing.assert_array_equal(inv.offsets, lists.x.offsets)
-        np.testing.assert_array_equal(inv.indices, lists.x.indices)
+        inner = int(np.flatnonzero(~tree.is_leaf & (tree.levels > 0))[0])
+        far = int(lists.w.indices[0])
+        w = CsrList.from_pairs(*(np.append(a, b) for a, b in
+                                 zip(lists.w.pairs(), (inner, far))), tree.n_nodes)
+        x = CsrList.from_pairs(*(np.append(a, b) for a, b in
+                                 zip(lists.x.pairs(), (far, inner))), tree.n_nodes)
+        with pytest.raises(ListInvariantError, match="not a leaf") as err:
+            check_lists(tree, replace(lists, w=w, x=x))
+        assert (err.value.list_name, err.value.pair) == ("W", (inner, far))
 
     def test_self_in_own_u_list(self, built):
         tree, lists = built
