@@ -45,11 +45,15 @@ Q_PAD = 8
 def gemm_cols(k: np.ndarray, den_cols: np.ndarray) -> np.ndarray:
     """Batched ``k @ den_cols`` with a pinned GEMM shape per column group.
 
-    ``k``: ``(b, i, j)`` kernel blocks (C-contiguous — cached plan
-    matrices and ``matrix_batch`` outputs both are).
+    ``k``: ``(b, i, j)`` kernel blocks, C-contiguous (cached plan
+    matrices and ``matrix_batch`` outputs) or the ``transpose(0, 2, 1)``
+    view of such a stack — the W-list contracts X's blocks that way;
+    ``matmul`` passes BLAS a transpose flag and copies nothing.
     ``den_cols``: ``(b, j, q)`` density columns, any layout.
     Returns ``(b, i, q)``; column ``c`` is bit-identical for any ``q``,
-    any column position, and any values in the other columns.
+    any column position, and any values in the other columns, for either
+    layout of ``k`` (a view and its contiguous copy take different GEMM
+    paths and may differ in the last bit from *each other*).
 
     Arithmetic runs in ``np.result_type(k, den_cols)``: all-float32
     operands stay in float32 (the mixed-precision plans depend on this),

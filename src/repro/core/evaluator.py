@@ -531,9 +531,9 @@ class FmmEvaluator:
                 de = self.ops.de_points(tree.levels[i], tree.centers[i])
                 row += self.eval_kernel.matrix(pts, de) @ state["dequiv"][i]
                 profile.add_flops(self.eval_kernel.pair_flops(len(pts), self.ns))
-                # W-list multipoles
+                # W-list multipoles: membership is the tree's, not the density's
                 for a in lists.w.of(i):
-                    if not state["up"][a].any():
+                    if counts[a] == 0:
                         continue
                     ue = self.ops.ue_points(tree.levels[a], tree.centers[a])
                     row += self.eval_kernel.matrix(pts, ue) @ state["up"][a]

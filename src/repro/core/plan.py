@@ -45,10 +45,12 @@ Design rules:
   no lock, and a plan weighs the same after any number of requests.
 * **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
   only on geometry; they are materialised at compile under a byte budget
-  claimed in the order ULI, S2U, D2T, XLI, WLI (the U-list dominates),
-  turning those phases into pure GEMM + scatter.  Blocks that do not fit
-  fall back to evaluating the kernel per apply, bit-identically either
-  way; ``cache_matrices=False`` compiles schedules only, which is what a
+  claimed in the order ULI (it dominates), S2U, D2T, then the pair
+  section, turning those phases into pure GEMM + scatter.  W and X are
+  duals, so a (far box, leaf) block is held once: XLI contracts it, WLI
+  its transpose (:func:`_wx_dual`).  Blocks that do not fit fall back to
+  evaluating the kernel per apply, bit-identically either way;
+  ``cache_matrices=False`` compiles schedules only, which is what a
   one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
   stores float32 kernel matrices, reads the complex64 V-list offset
@@ -206,20 +208,21 @@ class _D2dLevel:
 
 @dataclass
 class _PairBlock:
-    """One (level, padded-count) pair batch of XLI or WLI."""
+    """X's or W's reading of one (level, padded-count) batch of (far box,
+    leaf) pairs; under :func:`_wx_dual` both hold the same arrays."""
 
     level: int
     pad: int
-    rows: np.ndarray  # target node per pair
+    rows: np.ndarray  # target node per pair: the far box (X) / the leaf (W)
     cols: np.ndarray  # source node per pair
-    pts: np.ndarray  # (b, pad, 3): source pts (XLI) / target pts (WLI)
-    surf: np.ndarray  # (b, ns, 3): DC at rows (XLI) / UE at cols (WLI)
+    pts: np.ndarray  # (b, pad, 3) the leaf's points: X sources / W targets
+    surf: np.ndarray  # (b, ns, 3) the far box's surface: DC (X) = UE (W)
     den_rows: np.ndarray | None  # (b, pad) density-table rows (XLI)
     order: np.ndarray  # stable argsort of the scatter target
     starts: np.ndarray  # reduceat segment starts
     seg: np.ndarray  # unique scatter targets, segment order
     pot_rows: np.ndarray | None  # (nseg, pad) potential-table rows (WLI)
-    kmat: np.ndarray | None
+    kmat: np.ndarray | None  # kernel(surf, pts); eval_kernel(pts, surf) if W's own
     flops: float
 
 
@@ -236,6 +239,11 @@ class _UliBlock:
     pot_rows: np.ndarray  # (b, tp) potential-table rows of the targets
     kmat: np.ndarray | None
     flops: float
+
+
+def _distinct_bytes(values) -> int:
+    """Bytes of the arrays among ``values``, each object counted once."""
+    return sum({id(v): v.nbytes for v in values if isinstance(v, np.ndarray)}.values())
 
 
 @dataclass
@@ -301,36 +309,23 @@ class EvalPlan:
             )
 
     def matrix_bytes(self) -> int:
-        """Bytes held by cached kernel-matrix blocks (memory diagnostics)."""
-        return sum(
-            b.kmat.nbytes
-            for sec in (self.s2u, self.d2t, self.xli, self.wli, self.uli)
-            for b in sec
-            if b.kmat is not None
-        )
+        """Bytes held by cached kernel-matrix blocks, each array once (a
+        block W and X both read is one array)."""
+        secs = (self.s2u, self.d2t, self.xli, self.wli, self.uli)
+        return _distinct_bytes(b.kmat for sec in secs for b in sec)
 
     @property
     def nbytes(self) -> int:
         """Total resident bytes of the plan: cached kernel matrices plus
-        every precompiled index / point / operator array.  This is what the
-        serving plan cache charges against its memory budget when deciding
-        LRU evictions, so it walks *all* block records, not just ``kmat``.
-        """
-
-        def arrays(obj):
-            total = 0
-            for v in vars(obj).values():
-                if isinstance(v, np.ndarray):
-                    total += v.nbytes
-            return total
-
-        total = 0
-        for sec in (self.s2u, self.u2u, self.vli_dense, self.xli,
-                    self.wli, self.d2t, self.uli):
-            total += sum(arrays(b) for b in sec)
-        for lv in self.d2d:
-            total += arrays(lv) + sum(arrays(st) for st in lv.l2l)
-        return total + self.vli_table_bytes + sum(arrays(g) for g in self.vli_fft)
+        every precompiled index / point / operator array, each distinct
+        array once.  The serving plan cache charges this against its memory
+        budget when deciding LRU evictions, so it walks *all* block
+        records, not just ``kmat``."""
+        records = [*self.s2u, *self.u2u, *self.vli_dense, *self.xli, *self.wli,
+                   *self.d2t, *self.uli, *self.vli_fft, *self.d2d,
+                   *(st for lv in self.d2d for st in lv.l2l)]
+        return self.vli_table_bytes + _distinct_bytes(
+            v for rec in records for v in vars(rec).values())
 
     # -- shared helpers ----------------------------------------------------
 
@@ -633,9 +628,13 @@ class EvalPlan:
         up = self._cols(state["up"])
         q = up.shape[1]
         potr = self._pot_table(state)
+        dual = _wx_dual(ev)
 
         def compute(blk):
-            k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
+            if dual:  # X's block, contracted transposed: a BLAS flag, no copy
+                k = self._kmat(blk, ev.kernel, blk.surf, blk.pts).transpose(0, 2, 1)
+            else:
+                k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
             vals = gemm_cols(k, self._cast(up[blk.cols]).transpose(0, 2, 1))
             return np.add.reduceat(vals[blk.order], blk.starts, axis=0)
 
@@ -802,11 +801,8 @@ class _NoReuse:
     def uli_slot(self, tree, i, srcs, tp, sp):
         return None, None
 
-    def leaf_slots(self, section, tree, group, lev, pad) -> list:
-        return [None] * group.size
-
-    def pair_slots(self, section, tree, ri, ci, lev, pad) -> list:
-        return [None] * ri.size
+    def slots(self, tag, lev, pad, nodes, *node_keys) -> list:
+        return [None] * nodes.size
 
 
 class _PlanReuse(_NoReuse):
@@ -815,13 +811,13 @@ class _PlanReuse(_NoReuse):
 
     A slot is offered for reuse only when the :class:`TreeDelta` proves
     its geometry inputs bitwise unchanged — box content for leaf blocks;
-    for pair blocks the content of the leaf whose points enter (the X-list
-    source, the W-list target) plus the other box's surface, pinned by its
-    key; and the full filtered U-membership for ULI blocks.  Kernel
+    for pair blocks the content of the leaf (the X-list source, the W-list
+    target) plus the far box's surface, pinned by its key — one index for
+    both lists; and the full filtered U-membership for ULI blocks.  Kernel
     matrices additionally require matching precision.
     """
 
-    def __init__(self, old_plan: EvalPlan, old_tree: FmmTree, old_lists,
+    def __init__(self, ev, old_plan: EvalPlan, old_tree: FmmTree, old_lists,
                  delta: TreeDelta, precision: str):
         super().__init__()
         self.old_tree = old_tree
@@ -836,25 +832,35 @@ class _PlanReuse(_NoReuse):
         for blk in old_plan.uli:
             for j, i in enumerate(blk.boxes):
                 self._uli[int(keys[i])] = (blk, j)
-        self._leaf: dict[str, dict] = {"s2u": {}, "d2t": {}}
-        self._pair: dict[str, dict] = {"xli": {}, "wli": {}}
+        #: old kmat slots, ``(tag, level, pad, *node keys) -> (kmat, slot)``:
+        #: a leaf block's tag is its section; a pair block's "wx", keyed (far
+        #: box, leaf) whichever list reads it, or "w" for W's own layout
+        self._slots: dict[tuple, tuple] = {}
         if self.kmats_ok:
-            for section in ("s2u", "d2t"):
-                idx = self._leaf[section]
-                for blk in getattr(old_plan, section):
-                    if blk.kmat is None:
-                        continue
-                    for j, i in enumerate(blk.group):
-                        idx[(blk.level, blk.pad, int(keys[i]))] = (blk.kmat, j)
-            for section, idx in self._pair.items():
-                for blk in getattr(old_plan, section):
-                    if blk.kmat is None:
-                        continue
-                    for j in range(blk.rows.size):
-                        idx[
-                            (blk.level, blk.pad,
-                             int(keys[blk.rows[j]]), int(keys[blk.cols[j]]))
-                        ] = (blk.kmat, j)
+            for tag in ("s2u", "d2t"):
+                for blk in getattr(old_plan, tag):
+                    self._index(tag, blk, keys[blk.group])
+            for blk in old_plan.xli:
+                self._index("wx", blk, keys[blk.rows], keys[blk.cols])
+            for blk in old_plan.wli:  # a shared block: the same slots again
+                self._index("wx" if _wx_dual(ev) else "w", blk,
+                            keys[blk.cols], keys[blk.rows])
+
+    def _index(self, tag, blk, *node_keys) -> None:
+        if blk.kmat is not None:
+            for j, ks in enumerate(zip(*(k.tolist() for k in node_keys))):
+                self._slots[(tag, blk.level, blk.pad, *ks)] = (blk.kmat, j)
+
+    def slots(self, tag, lev, pad, nodes, *node_keys) -> list:
+        """Per-member old kmat slots of a ``tag`` batch (None = dirty):
+        offered where the content of ``nodes`` — the leaf whose points
+        enter the matrix — is clean and ``node_keys`` match."""
+        out = [None] * nodes.size
+        if self._slots:
+            cols = [k.tolist() for k in node_keys]
+            for j in np.flatnonzero(self.node_clean[nodes]):
+                out[j] = self._slots.get((tag, lev, pad, *(c[j] for c in cols)))
+        return out
 
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
         """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
@@ -896,31 +902,6 @@ class _PlanReuse(_NoReuse):
         )
         return out, (blk.kmat, j) if slot_ok else None
 
-    def leaf_slots(self, section: str, tree: FmmTree, group: np.ndarray,
-                   lev: int, pad: int) -> list:
-        """Per-box kmat slots for an S2U/D2T leaf batch (None = dirty)."""
-        idx = self._leaf[section]
-        out = [None] * group.size
-        if idx:
-            for j, i in enumerate(group):
-                if self.node_clean[i]:
-                    out[j] = idx.get((lev, pad, int(tree.keys[i])))
-        return out
-
-    def pair_slots(self, section: str, tree: FmmTree, ri: np.ndarray,
-                   ci: np.ndarray, lev: int, pad: int) -> list:
-        """Per-pair kmat slots for an XLI/WLI batch: the content of the
-        leaf whose points enter (X source ``ci``, W target ``ri``) plus the
-        other box's key-pinned surface determine the matrix."""
-        idx = self._pair[section]
-        out = [None] * ri.size
-        if idx:
-            keys = tree.keys
-            clean = self.node_clean[ci if section == "xli" else ri]
-            for j in np.flatnonzero(clean):
-                out[j] = idx.get((lev, pad, int(keys[ri[j]]), int(keys[ci[j]])))
-        return out
-
 
 # -- batch groupings ----------------------------------------------------------
 #
@@ -947,16 +928,20 @@ def _v_offset_steps(tree, lists, scope=None):
             yield lev, off, tgts[sel], srcs[sel]
 
 
-def _pair_batches(ns, rows, cols, level_of, pad_count_of):
-    """Group interaction pairs by (level, padded count) and chunk.
+def _wx_dual(ev) -> bool:
+    """Whether W reads X's blocks: one kernel on both sides of the tree
+    that declares ``K(x, y) = K(y, x)ᵀ`` bitwise makes the W block of
+    (leaf <- far box) the transpose of the X block of (far box <- leaf),
+    ``dc_points`` being ``ue_points``.  Observed, never switched."""
+    return ev.eval_kernel is ev.kernel and ev.kernel.transpose_symmetric
 
-    ``level_of``/``pad_count_of`` pick which side of the pair sets the
-    surface level and the padded point count.  Pairs within a group
-    share one broadcast kernel evaluation.
-    """
-    if rows.size == 0:
+
+def _pair_batches(ns, level_of, counts):
+    """Group (far box, leaf) pairs by (level of the far box, padded count
+    of the leaf) and chunk; yields ``(level, pad, pair indices)``.  Pairs
+    within a chunk share one broadcast kernel evaluation."""
+    if level_of.size == 0:
         return
-    counts = pad_count_of
     kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
     code = level_of * np.int64(1 << 24) + kpad
     for c in np.unique(code):
@@ -965,8 +950,7 @@ def _pair_batches(ns, rows, cols, level_of, pad_count_of):
         lev = int(level_of[sel[0]])
         chunk = max(1, int(6e6 / max(pad * ns, 1)))
         for s in range(0, sel.size, chunk):
-            part = sel[s : s + chunk]
-            yield lev, pad, rows[part], cols[part]
+            yield lev, pad, sel[s : s + chunk]
 
 
 def _uli_groups(tree, lists, scope=None):
@@ -1037,7 +1021,7 @@ def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
         pts = _padded_points(tree, group, pad)
         surf = base[lev][0][None, :, :] + tree.centers[group][:, None, :]
         rows = _padded_point_rows(tree, group, pad)
-        slots = reuse.leaf_slots(section, tree, group, lev, pad)
+        slots = reuse.slots(section, lev, pad, group, tree.keys[group])
         n = counts[group].sum()
         blocks.append(
             _LeafBlock(
@@ -1061,48 +1045,58 @@ def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
     return blocks
 
 
-def _pair_section(ev, tree, counts, mat, reuse, section, rows, cols) -> list:
-    """The XLI or WLI blocks over the ``(target, source)`` pairs: one
-    pair-section builder with the roles swapped.  X reads the source
-    leaf's points onto the target's DC surface; W evaluates the source's
-    UE surface at the target leaf's points.  Both scatter by target."""
-    x = section == "xli"
-    kernel = ev.kernel if x else ev.eval_kernel
-    surface = ev.ops.dc_points if x else ev.ops.ue_points
-    far, leaf = (rows, cols) if x else (cols, rows)  # surface / point side
-    base: dict[int, np.ndarray] = {}
-    blocks = []
-    for lev, pad, ri, ci in _pair_batches(
-        ev.ns, rows, cols, tree.levels[far], counts[leaf]
-    ):
-        if lev not in base:
-            base[lev] = surface(lev)
-        fi, li = (ri, ci) if x else (ci, ri)
+def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
+    """``(xli, wli)`` over X's ``(far box, leaf)`` and W's ``(leaf, far
+    box)`` pairs: one builder, one kernel array per batch.  X reads the
+    leaf's sources onto the far box's DC surface; W evaluates the far
+    box's UE surface — the same points — at the leaf's targets.  Under
+    :func:`_wx_dual` a pair in both lists is materialised, and charged to
+    the budget, once: X contracts ``kernel(surf, pts)``, W its transpose.
+
+    X's pairs are cut as X alone would cut them (its bits do not know W
+    exists); a chunk then splits into the pairs W reads too and the rest,
+    so a record reads whole arrays, never a slice.  W pairs with no
+    in-scope X dual (one-sided on a LET; all of them when the lists are
+    not duals: ``eval_kernel(pts, surf)`` blocks) follow in W's order."""
+    dual = _wx_dual(ev)
+    (xf, xl), (wl, wf) = x_pairs, w_pairs
+    xc, wc = (f * np.int64(tree.n_nodes) + l for f, l in ((xf, xl), (wf, wl)))
+    both = np.isin(xc, wc) & dual  # X pairs W reads too
+    lone = ~(np.isin(wc, xc) & dual)  # W pairs no X record covers
+    xli, wli = [], []
+
+    def block(lev, pad, fi, li, in_x, in_w):
         pts = _padded_points(tree, li, pad)
-        surf = base[lev][None, :, :] + tree.centers[fi][:, None, :]
-        order, starts, seg = _scatter_schedule(ri)
-        slots = reuse.pair_slots(section, tree, ri, ci, lev, pad)
-        n = counts[li].sum()
-        blocks.append(
-            _PairBlock(
-                level=lev,
-                pad=pad,
-                rows=ri,
-                cols=ci,
-                pts=pts,
-                surf=surf,
-                den_rows=_padded_point_rows(tree, ci, pad) if x else None,
-                order=order,
-                starts=starts,
-                seg=seg,
-                pot_rows=None if x else _padded_point_rows(tree, seg, pad),
-                kmat=mat(kernel, *((surf, pts) if x else (pts, surf)), slots),
-                flops=(
-                    kernel.pair_flops(ev.ns, n) if x else kernel.pair_flops(n, ev.ns)
-                ),
-            )
-        )
-    return blocks
+        surf = ev.ops.ue_points(lev)[None, :, :] + tree.centers[fi][:, None, :]
+        w_own = not (in_x or dual)
+        slots = reuse.slots("w" if w_own else "wx", lev, pad, li,
+                            tree.keys[fi], tree.keys[li])
+        n_pts = counts[li].sum()
+        sides = (ev.eval_kernel, pts, surf) if w_own else (ev.kernel, surf, pts)
+        shared = dict(level=lev, pad=pad, pts=pts, surf=surf, kmat=mat(*sides, slots))
+        if in_x:
+            order, starts, seg = _scatter_schedule(fi)
+            xli.append(_PairBlock(
+                rows=fi, cols=li, den_rows=_padded_point_rows(tree, li, pad),
+                order=order, starts=starts, seg=seg, pot_rows=None,
+                flops=ev.kernel.pair_flops(ev.ns, n_pts), **shared,
+            ))
+        if in_w:
+            order, starts, seg = _scatter_schedule(li)
+            wli.append(_PairBlock(
+                rows=li, cols=fi, den_rows=None, order=order, starts=starts,
+                seg=seg, pot_rows=_padded_point_rows(tree, seg, pad),
+                flops=ev.eval_kernel.pair_flops(n_pts, ev.ns), **shared,
+            ))
+
+    for lev, pad, sel in _pair_batches(ev.ns, tree.levels[xf], counts[xl]):
+        for part, in_w in ((sel[~both[sel]], False), (sel[both[sel]], True)):
+            if part.size:
+                block(lev, pad, xf[part], xl[part], True, in_w)
+    wf, wl = wf[lone], wl[lone]
+    for lev, pad, sel in _pair_batches(ev.ns, tree.levels[wf], counts[wl]):
+        block(lev, pad, wf[sel], wl[sel], False, True)
+    return xli, wli
 
 
 def compile_plan(
@@ -1120,8 +1114,9 @@ def compile_plan(
     ``scopes`` carries the distributed ownership masks (``None`` =
     unrestricted).  ``cache_matrices`` materialises leaf/pair kernel
     blocks up to ``matrix_budget`` bytes, claimed in the order ULI (it
-    dominates the near field), S2U, D2T, XLI, WLI; disable it to trade
-    apply speed for memory.  ``precision`` is ``"fp64"`` (default;
+    dominates the near field), S2U, D2T, then the pair section — each
+    (far box, leaf) block once for X and W; disable it to trade apply
+    speed for memory.  ``precision`` is ``"fp64"`` (default;
     bit-identical to the pre-precision engine) or ``"fp32"`` (float32
     matrices / complex64 V-list / float32 tables; see the module
     docstring for what stays float64).  ``"auto"`` must be resolved by
@@ -1161,8 +1156,8 @@ def compile_plan(
     def within(mask, scope):
         return mask if scope is None else mask & scope
 
-    # The matrix-caching sections compile in budget-priority order: ULI,
-    # S2U, D2T, XLI and — after the matrix-free tree phases — WLI.
+    # The matrix-caching sections compile first, in budget-priority order:
+    # ULI, S2U, D2T, the X/W pair section.
     # -- ULI ---------------------------------------------------------------
     u = lists.u
     for tp, sp, boxes, stot in _uli_groups(tree, lists, scopes.uli):
@@ -1198,15 +1193,20 @@ def compile_plan(
             )
         )
 
-    # -- S2U, D2T, XLI -----------------------------------------------------
+    # -- S2U, D2T, XLI + WLI -----------------------------------------------
     leaves = tree.is_leaf & (counts > 0)
     leaf_section = partial(_leaf_section, ev, tree, counts, mat, reuse)
     plan.s2u = leaf_section("s2u", within(leaves, scopes.s2u))
     plan.d2t = leaf_section("d2t", within(leaves, scopes.d2t))
-    pair_section = partial(_pair_section, ev, tree, counts, mat, reuse)
-    rows, cols = lists.x.pairs(scopes.xli)
-    keep = counts[cols] > 0
-    plan.xli = pair_section("xli", rows[keep], cols[keep])
+    # An X source is kept iff it holds points here, a W source iff its
+    # octant holds a point on some rank; a vanishing density adds zeros.
+    nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
+    xf, xl = lists.x.pairs(scopes.xli)
+    wl, wf = lists.w.pairs(within(leaves, scopes.wli))
+    xk, wk = counts[xl] > 0, nonempty[wf]
+    plan.xli, plan.wli = _pair_section(
+        ev, tree, counts, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
+    )
 
     # -- U2U ---------------------------------------------------------------
     for lev in range(tree.max_level, 0, -1):
@@ -1277,13 +1277,6 @@ def compile_plan(
             )
         )
 
-    # -- WLI (last: it takes what the matrix budget has left) --------------
-    # A source is kept iff its octant holds a point on some rank; one whose
-    # density happens to vanish just contributes exact zeros.
-    nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
-    rows, cols = lists.w.pairs(within(leaves, scopes.wli))
-    keep = nonempty[cols]
-    plan.wli = pair_section("wli", rows[keep], cols[keep])
     return plan
 
 
@@ -1308,10 +1301,10 @@ def patch_plan(
     resulting plan are bit-identical to a fresh compile by construction —
     but consults a :class:`_PlanReuse` oracle built from the
     :class:`TreeDelta`, which swaps the expensive kernel-matrix
-    materialisations of all five matrix sections, the W-list included
-    (and the per-box ULI gather loops), for copies or shared references
-    wherever the delta proves the inputs unchanged; the result is a
-    complete plan, read-only like a fresh one.
+    materialisations of the four matrix sections — ULI, S2U, D2T and the
+    X/W pair section — (and the per-box ULI gather loops) for copies or
+    shared references wherever the delta proves the inputs unchanged;
+    the result is a complete plan, read-only like a fresh one.
     Cheap index arrays (gather/scatter schedules, V-list group tables,
     operator steps) are always rebuilt: rows shift after the delta merge
     and the rebuild costs milliseconds.
@@ -1328,7 +1321,7 @@ def patch_plan(
     precision = old_plan.precision if precision is None else precision
     if delta is None:
         delta = diff_trees(old_tree, tree)
-    reuse = _PlanReuse(old_plan, old_tree, old_lists, delta, precision)
+    reuse = _PlanReuse(ev, old_plan, old_tree, old_lists, delta, precision)
 
     def _compile() -> EvalPlan:
         return compile_plan(

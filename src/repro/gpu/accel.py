@@ -217,8 +217,9 @@ class GpuFmmEvaluator(FmmEvaluator):
 
         Source UE surface points are generated on the fly (as in S2U);
         only the target particles and up densities cross global memory.
-        The device path is per-box: the plan names the target leaves, the
-        list is walked on the fly.
+        The device path is per-box: the list is walked on the fly and a
+        source counts iff the plan kept the pair (non-empty on some rank),
+        whatever its density happens to be.
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
             super().wli(tree, lists, state, profile, plan)
@@ -230,12 +231,14 @@ class GpuFmmEvaluator(FmmEvaluator):
         w = lists.w
         flops = 0.0
         gbytes = 0.0
-        segs = [blk.seg for blk in plan.wli]
-        for i in np.unique(np.concatenate(segs)) if segs else ():
+        kept = self._plan_cache(plan, "wli", lambda: {
+            pair for blk in plan.wli
+            for pair in zip(blk.rows.tolist(), blk.cols.tolist())})
+        for i in sorted({i for i, _ in kept}):
             pts = tree.leaf_points(i).astype(np.float32)
             row = np.zeros(len(pts) * kt, dtype=np.float32)
-            for a in w.of(i):
-                if not up[a].any():
+            for a in w.of(i).tolist():
+                if (i, a) not in kept:
                     continue
                 ue = self.ops.ue_points(tree.levels[a], tree.centers[a]).astype(
                     np.float32

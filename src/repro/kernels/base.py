@@ -75,6 +75,11 @@ class Kernel:
         Default relative singular-value cutoff for the equivalent-density
         pseudo-inverses.  Vector kernels (Stokes) are more ill-conditioned
         and need a looser cutoff than scalar kernels.
+    transpose_symmetric:
+        Whether ``K(x, y) = K(y, x)ᵀ`` holds *bitwise*, i.e.
+        ``matrix(a, b)`` equals ``matrix(b, a).T`` element for element
+        (the formula sees ``x - y`` only through even terms).  A plan
+        then holds each W/X kernel block once and contracts it both ways.
     """
 
     name: str = "abstract"
@@ -83,6 +88,7 @@ class Kernel:
     homogeneity: float | None = None
     flops_per_pair: int = 1
     default_rcond: float = 1e-9
+    transpose_symmetric: bool = False
 
     def _fill(self, d, r2, tmp, dst) -> None:
         """Write one tile: ``d[0], d[1], d[2]`` are the target-minus-source

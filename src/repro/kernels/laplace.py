@@ -30,6 +30,7 @@ class LaplaceKernel(Kernel):
     #: sub(3) + mul(3) + add(2) + rsqrt(~4) + scale/accumulate(~8): the
     #: conventional ~20 flops/pair charge of GPU N-body literature.
     flops_per_pair = 20
+    transpose_symmetric = True
 
     def __init__(self, softening: float = 0.0):
         if softening < 0:

@@ -27,6 +27,7 @@ class NavierKernel(Kernel):
     flops_per_pair = 75
     #: Same conditioning class as the Stokeslet.
     default_rcond = 1e-7
+    transpose_symmetric = True
 
     def __init__(self, shear_modulus: float = 1.0, poisson: float = 0.3):
         if shear_modulus <= 0:

@@ -50,6 +50,7 @@ class StokesKernel(Kernel):
     #: The Stokeslet equivalent-density systems are markedly worse
     #: conditioned than scalar ones; a tighter cutoff amplifies noise.
     default_rcond = 1e-7
+    transpose_symmetric = True
 
     def __init__(self, viscosity: float = 1.0):
         if viscosity <= 0:

@@ -22,6 +22,7 @@ class YukawaKernel(Kernel):
     target_dim = 1
     homogeneity = None
     flops_per_pair = 26  # Laplace charge + exponential
+    transpose_symmetric = True
 
     def __init__(self, lam: float = 1.0):
         if lam < 0:

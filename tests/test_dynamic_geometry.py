@@ -165,6 +165,63 @@ def test_patched_plan_bit_identical(rng, kernel, precision):
     assert st.get("slots_reused", 0) + st.get("blocks_ref", 0) > 0
 
 
+def test_patched_plan_counts_a_shared_slot_once(rng):
+    """Plummer geometry, fully cached: W reads X's blocks, so a patched
+    slot is one slot — reused plus fresh bytes add up to the bytes the
+    plan holds, not to the bytes its records can see."""
+    from repro.datasets import plummer_cluster
+
+    pts = plummer_cluster(1500, seed=4)
+    fmm = Fmm(kernel="laplace", order=4, max_points_per_box=25)
+    new, moved = _perturb(rng, pts, 0.05, 0.01)
+    patched = _patch_and_compare(fmm, pts, new, moved, rng.standard_normal(1500), rng)
+    st = patched.patch_stats
+    assert any(w.kmat is x.kmat for w in patched.wli for x in patched.xli)
+    assert st["bytes_reused"] > 0 and st["bytes_fresh"] > 0
+    assert st["bytes_reused"] + st["bytes_fresh"] == patched.matrix_bytes()
+    blocks = patched.uli + patched.s2u + patched.d2t + patched.xli + patched.wli
+    n_slots = sum({id(b.kmat): len(b.kmat) for b in blocks}.values())
+    assert st["slots_reused"] + st["slots_fresh"] == n_slots
+
+
+def test_patched_scoped_plan_with_one_sided_pairs(rng):
+    """Different W and X ownership masks leave pairs only X reads, pairs
+    only W reads and pairs both read (a LET's situation): the patched plan
+    still equals the fresh compile, section by section and bit for bit."""
+    from repro.core.plan import PlanScopes
+    from repro.datasets import plummer_cluster
+
+    def scopes(tree):
+        return PlanScopes(xli=tree.centers[:, 1] < 0.5, wli=tree.centers[:, 0] < 0.52)
+
+    pts = plummer_cluster(1500, seed=4)
+    fmm = Fmm(kernel="laplace", order=4, max_points_per_box=25)
+    ev = fmm.evaluator
+    plan = fmm.plan(pts)
+    old = ev.compile_plan(plan.tree, plan.lists, scopes=scopes(plan.tree))
+    new, moved = _perturb(rng, pts, 0.05, 0.01)
+    new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+    tree, lists = new_plan.tree, new_plan.lists
+    fresh = ev.compile_plan(tree, lists, scopes=scopes(tree))
+    patched = ev.patch_plan(old, plan.tree, plan.lists, tree, lists,
+                            delta=delta, scopes=scopes(tree))
+    x_arrays = {id(b.kmat) for b in fresh.xli}
+    w_arrays = {id(b.kmat) for b in fresh.wli}
+    assert x_arrays & w_arrays and x_arrays - w_arrays and w_arrays - x_arrays
+    assert patched.patch_stats["slots_reused"] > 0
+    for name in ("xli", "wli"):
+        a, b = getattr(patched, name), getattr(fresh, name)
+        assert len(a) == len(b)
+        for pa, pb in zip(a, b):
+            assert np.array_equal(pa.rows, pb.rows) and np.array_equal(pa.cols, pb.cols)
+            assert np.array_equal(pa.kmat, pb.kmat)
+    dens = rng.standard_normal(1500)[tree.order]
+    np.testing.assert_array_equal(
+        ev.evaluate(tree, lists, dens, plan=patched),
+        ev.evaluate(tree, lists, dens, plan=fresh),
+    )
+
+
 def test_patched_plan_refinement_change(rng):
     # collapse a blob into one octant (splits) and scatter another (merges)
     n = 1500

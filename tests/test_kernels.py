@@ -305,6 +305,24 @@ class TestMatrixBatch:
         got = k.matrix_batch(wide[..., ::2], np.asfortranarray(s))
         assert got.tobytes() == k.matrix_batch(t, s).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])
+    def test_transpose_symmetry_is_declared(self, config, dtype):
+        """``K(x, y) = K(y, x)ᵀ`` bit for bit iff the kernel says so —
+        coincident pairs and single shared coordinates included.  It is
+        what lets a plan hold one block for a W pair and its X dual; the
+        gradient kernels flip sign with ``x - y`` and must say no."""
+        k, _ = config
+        a, b = _points(23, 6, 9, 12)
+        fwd = k.matrix_batch(a, b, dtype=dtype)
+        back = k.matrix_batch(b, a, dtype=dtype).transpose(0, 2, 1)
+        assert np.array_equal(fwd, back) == k.transpose_symmetric
+        assert np.array_equal(k.matrix(a[0], b[0]), k.matrix(b[0], a[0]).T) == (
+            k.transpose_symmetric
+        )
+        if not k.transpose_symmetric:  # odd in x - y: every entry negated
+            flipped = -back.reshape(6, 9, 12, 3).transpose(0, 1, 3, 2)
+            assert np.array_equal(fwd, flipped.reshape(fwd.shape))
+
     def test_laplace_digest_frozen(self):
         """blake2b of one Laplace block, recorded before the kernel was
         tiled (when r2 came from ``einsum``).  subtract, multiply, add,

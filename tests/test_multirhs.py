@@ -47,6 +47,31 @@ class TestGemmColsContract:
             out = gemm_cols(k, den)
             assert np.array_equal(out[:, :, pos], ref), f"q={q} pos={pos}"
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("q", [1, 3, Q_PAD, 11])
+    @pytest.mark.parametrize("shape", [(4, 9, 13), (6, 152, 64)], ids=str)
+    def test_transposed_operand(self, rng, shape, q, dtype):
+        """The same contract for ``k.transpose(0, 2, 1)`` views — how the
+        W-list contracts X's blocks: a column's bits do not depend on q,
+        on its position or on what its neighbours hold."""
+        k = rng.standard_normal(shape).astype(dtype).transpose(0, 2, 1)
+        assert not k.flags.c_contiguous
+        den = rng.standard_normal((shape[0], shape[1], q)).astype(dtype)
+        out = gemm_cols(k, den)
+        assert out.dtype == dtype
+        for c in range(q):
+            solo = gemm_cols(k, den[:, :, c : c + 1])[:, :, 0]
+            assert np.array_equal(out[:, :, c], solo), f"column {c}"
+        for width, pos in [(5, 4), (Q_PAD, 3), (11, 9)]:
+            other = rng.standard_normal((shape[0], shape[1], width)).astype(dtype)
+            other[:, :, pos] = den[:, :, 0]
+            moved = gemm_cols(k, other)[:, :, pos]
+            assert np.array_equal(moved, out[:, :, 0]), f"q={width} pos={pos}"
+        tol = 1e-12 if dtype is np.float64 else 1e-4
+        np.testing.assert_allclose(
+            out, gemm_cols(np.ascontiguousarray(k), den), rtol=tol, atol=tol
+        )
+
     def test_matches_matmul_numerically(self, rng):
         k = rng.standard_normal((5, 6, 8))
         den = rng.standard_normal((5, 8, 10))

@@ -21,8 +21,10 @@ import pytest
 from repro.core import Fmm, PlanMismatchError, PlanScopes, tree_fingerprint
 from repro.datasets import uniform_cube
 from repro.dist.driver import DistributedFmm, match_owned_rows
+from repro.gpu.accel import GpuFmmEvaluator
 from repro.kernels import LaplaceGradientKernel, direct_sum
 from repro.mpi import run_spmd
+from repro.util.timer import PhaseProfile
 
 N = 2000
 SEED = 7
@@ -107,6 +109,32 @@ def test_plan_bit_identical_gradient_eval_kernel():
     assert _rel_err(grad, plan.tree, dens, out) < 2e-3  # measured 4.5e-4
 
 
+@pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa", "gradient"])
+def test_w_reads_x_blocks_iff_the_kernel_is_transpose_symmetric(kernel):
+    """On an adaptive tree every W pair has its X dual.  A kernel that
+    declares ``K(x, y) = K(y, x)ᵀ`` then holds one array per block — the
+    W record's ``kmat`` *is* the X record's, charged once — and a gradient
+    ``eval_kernel`` (odd in ``x - y``) keeps W blocks of its own through
+    the same builder; cached == matrix-free == partly cached either way."""
+    from repro.datasets import plummer_cluster
+
+    kw = {"eval_kernel": LaplaceGradientKernel()} if kernel == "gradient" else {}
+    order = max(LADDER[kernel]) if kernel == "stokes" else 4
+    fmm = Fmm("laplace" if kw else kernel, order=order, max_points_per_box=25, **kw)
+    plan = fmm.plan(plummer_cluster(800, seed=5))
+    ev, tree, lists = fmm.evaluator, plan.tree, plan.lists
+    dens = np.random.default_rng(SEED).standard_normal(800 * fmm.kernel.source_dim)
+    out = _apply_all_variants(ev, tree, lists, dens)
+    assert _rel_err(ev.eval_kernel, tree, dens, out) < 5e-3
+    ep = ev.compile_plan(tree, lists)
+    assert len(ep.wli) > 3 and all(b.kmat is not None for b in ep.xli + ep.wli)
+    shared = [any(np.shares_memory(w.kmat, x.kmat) for x in ep.xli) for w in ep.wli]
+    assert all(shared) if fmm.kernel is ev.eval_kernel else not any(shared)
+    x_bytes, w_bytes = (sum(b.kmat.nbytes for b in sec) for sec in (ep.xli, ep.wli))
+    held = sum({id(b.kmat): b.kmat.nbytes for b in ep.xli + ep.wli}.values())
+    assert held == (x_bytes if all(shared) else x_bytes + w_bytes)
+
+
 def test_plan_bit_identical_dense_m2l():
     """Dense M2L is a different V-list arithmetic, not a different
     answer: same ladder rung as the FFT translation."""
@@ -140,7 +168,6 @@ def test_plan_scoped_ownership_masks():
     tree, lists = plan.tree, plan.lists
     rng = np.random.default_rng(3)
     scope = rng.random(tree.n_nodes) < 0.7
-    from repro.util.timer import PhaseProfile
 
     def phases(ep):
         state, prof = ev.allocate(tree), PhaseProfile()
@@ -220,11 +247,22 @@ def test_zeroed_wli_source_leaves_the_plan_untouched():
     tree, lists = plan.tree, plan.lists
     ep = ev.compile_plan(tree, lists)
     before = _plan_state(ep)
+    ledgers = []
+    targets = tree.points[::2]  # some in every leaf, W targets included
     for d in (dens, _zero_a_wli_source(tree, ep, dens)):
         out = ev.evaluate(tree, lists, d, plan=ep).copy()
         assert _plan_state(ep) == before
         assert np.array_equal(_apply_all_variants(ev, tree, lists, d), out)
         assert _rel_err(fmm.kernel, tree, d, out) < LADDER["laplace"][4]
+        # the per-box W walks (arbitrary targets, the device W-list) take
+        # membership from the tree as well: their flop ledgers repeat
+        prof = PhaseProfile()
+        ev.evaluate_targets(tree, lists, d, targets, prof)
+        gpu = GpuFmmEvaluator(fmm.kernel, 4, accelerate_wx=True)
+        gpu.evaluate(tree, lists, d, PhaseProfile())
+        assert gpu.gpu.ledger.kernel_flops["WLI"] > 0
+        ledgers.append((prof.total_flops(), dict(gpu.gpu.ledger.kernel_flops)))
+    assert ledgers[0] == ledgers[1]
 
 
 def test_compiled_plan_is_never_written_to():
@@ -483,6 +521,95 @@ def test_warm_vlist_apply_allocates_no_table(monkeypatch):
         fmm.evaluator.evaluate(plan.tree, plan.lists, dens, plan=ep)
     assert peaks[0] > tables  # the first apply makes the scratch
     assert peaks[2] < FftM2L.SLAB_BYTES
+
+
+def test_warm_wli_apply_copies_no_block(monkeypatch):
+    """The W-list contracts X's cached blocks through a transposed *view*:
+    a warm ``apply_wli`` never holds as much fresh memory as its largest
+    block weighs (a silently copied transposed stack would hand the saved
+    bytes back as memory traffic)."""
+    import tracemalloc
+
+    from repro.core.plan import EvalPlan
+    from repro.datasets import plummer_cluster
+
+    fmm = Fmm("laplace", order=4, max_points_per_box=30)
+    pts = plummer_cluster(3000, seed=5)
+    plan = fmm.plan(pts)
+    ep = fmm.compile_eval_plan(plan)
+    assert all(any(w.kmat is x.kmat for x in ep.xli) for w in ep.wli)
+    largest = max(b.kmat.nbytes for b in ep.wli)
+    apply_wli, peaks = EvalPlan.apply_wli, []
+
+    def traced(self, *args, **kw):
+        tracemalloc.start()
+        try:
+            apply_wli(self, *args, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(EvalPlan, "apply_wli", traced)
+    dens = np.random.default_rng(SEED).standard_normal(len(pts))
+    for _ in range(3):
+        fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
+    assert 0 < peaks[2] < largest
+
+
+def _distinct_array_bytes(ep) -> tuple[int, int]:
+    """``(distinct, naive)``: a plan's array bytes with every array
+    counted once / once per record that holds it, offset tables aside."""
+    records = []
+    for name in ("s2u", "u2u", "vli_fft", "vli_dense", "xli", "wli", "d2t", "uli"):
+        records += getattr(ep, name)
+    for lv in ep.d2d:
+        records += [lv, *lv.l2l]
+    held = [v for r in records for v in vars(r).values() if isinstance(v, np.ndarray)]
+    return sum({id(v): v.nbytes for v in held}.values()), sum(v.nbytes for v in held)
+
+
+def test_plan_weight_counts_each_array_once(rng):
+    """``matrix_bytes()`` stays within the budget and ``nbytes`` is the sum
+    over *distinct* arrays — a block W and X both read weighs once — on a
+    solo plan, a patched plan and the ownership-scoped plans of p = 2."""
+    from repro.datasets import plummer_cluster
+
+    def check(ep, budget):
+        kmats = {id(b.kmat): b.kmat.nbytes
+                 for sec in (ep.s2u, ep.d2t, ep.xli, ep.wli, ep.uli)
+                 for b in sec if b.kmat is not None}
+        assert ep.matrix_bytes() == sum(kmats.values()) <= budget
+        distinct, naive = _distinct_array_bytes(ep)
+        assert ep.nbytes == distinct + ep.vli_table_bytes
+        shared = sum(w.kmat.nbytes for w in ep.wli if w.kmat is not None
+                     and any(w.kmat is x.kmat for x in ep.xli))
+        assert shared > 0 and naive - distinct >= shared
+
+    pts = plummer_cluster(2500, seed=5)
+    fmm = Fmm("laplace", order=4, max_points_per_box=25)
+    plan = fmm.plan(pts)
+    full = fmm.compile_eval_plan(plan)
+    check(full, full.matrix_bytes())
+    budget = int(0.8 * full.matrix_bytes())  # the pair section runs dry
+    tight = fmm.compile_eval_plan(plan, matrix_budget=budget)
+    assert any(b.kmat is None for b in tight.xli)
+    check(tight, budget)
+    new = pts.copy()
+    new[:100] += 0.01 * rng.standard_normal((100, 3))
+    new_plan, delta = fmm.update_plan(plan, new)
+    patched = fmm.patch_eval_plan(tight, plan, new_plan, delta=delta,
+                                  matrix_budget=budget)
+    check(patched, budget)
+
+    def body(comm):
+        dfmm = DistributedFmm(order=4, max_points_per_box=25)
+        dfmm.setup(comm, pts[comm.rank :: comm.size])
+        dfmm.evaluate(np.ones(len(dfmm.owned_points)))
+        ep = dfmm._plan
+        check(ep, full.matrix_bytes())
+        return sum(not any(w.kmat is x.kmat for x in ep.xli) for w in ep.wli)
+
+    assert sum(run_spmd(2, body).values) > 0  # a LET has one-sided W blocks
 
 
 def test_plan_nbytes_charges_each_offset_table_once(monkeypatch):

@@ -284,6 +284,19 @@ class TestPlanCache:
             eng.plans.peek(key).nbytes for key in eng.plans.entries()
         )
         assert charged == eng.plans.nbytes == resident
+        # ... and a block the W- and the X-list both read is charged once:
+        # a budget that two plans weighed record by record would overflow
+        # keeps a second adaptive model resident beside the first
+        (plan,) = (eng.plans.peek(key) for key in eng.plans.entries())
+        pair = [b.kmat for b in plan.xli + plan.wli]
+        saved = sum(k.nbytes for k in pair) - sum({id(k): k.nbytes for k in pair}.values())
+        assert saved > 0.1 * charged
+        budget = 2 * charged + saved // 2
+        assert 2 * (charged + saved) > budget
+        eng = ServeEngine(n_workers=1, plan_budget=budget)
+        for name in ("m1", "m2"):
+            eng.register(name, *make_adaptive_model(), warm=True)
+        assert len(eng.plans) == 2 and eng.plans.nbytes == 2 * charged
 
     def test_engine_counts_hits_and_misses(self):
         eng = ServeEngine(n_workers=1)
