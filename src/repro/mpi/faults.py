@@ -15,11 +15,11 @@ This module makes faults *first-class, seeded inputs* of a run:
   straggler delays (modelled seconds charged to the rank's profile, plus
   an optional *real* sleep for deadline tests), dropped and duplicated
   deliveries, payload bit-flips, and virtual-GPU device faults.
-* :class:`RetryPolicy` — bounded whole-run retries on *typed transient*
-  faults, used by :func:`repro.mpi.runtime.run_spmd_resilient`.  Each
-  retry re-derives the plan (:meth:`FaultPlan.for_attempt`): a fault
-  fires on its first ``attempts`` run attempts and then stops, so
-  deterministic replays converge to a clean run.
+* :class:`RetryPolicy` — the one bounded-retry loop (:meth:`RetryPolicy.run`)
+  on *typed transient* faults, under ``run_spmd_resilient`` and both
+  serving engines.  Each retry re-derives the plan
+  (:meth:`FaultPlan.for_attempt`): a fault fires on its first ``attempts``
+  run attempts and then stops, so deterministic replays converge.
 
 Injection always happens **in the thread of the affected rank** (the
 fabric's ``put`` runs in the sender, ``get`` in the receiver, the phase
@@ -50,6 +50,8 @@ __all__ = [
     "InjectedFault",
     "RankCrash",
     "RetryPolicy",
+    "record_retry_span",
+    "cause_name",
     "TRANSIENT_ERRORS",
     "FAULT_KINDS",
 ]
@@ -270,16 +272,16 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded whole-run retry on typed transient faults.
+    """Bounded retry on typed transient faults.
 
-    ``run_spmd_resilient`` retries a failed run while the *primary* rank
+    :meth:`run` retries a failed attempt while the *primary* rank
     error (or the launcher error itself) is an instance of ``retry_on``,
     up to ``max_attempts`` total attempts.  Anything not in ``retry_on``
     — an assertion, a ValueError, real logic bugs — re-raises
     immediately: retrying can only help faults that are transient *by
     type*.
 
-    Between attempts the caller sleeps :meth:`delay` seconds —
+    Between attempts the loop sleeps :meth:`delay` seconds —
     exponential backoff with *seeded deterministic jitter*: the ``k``-th
     retry waits ``backoff * backoff_factor**(k-1)`` seconds (capped at
     ``max_backoff``), stretched by up to ``jitter`` of itself using a
@@ -326,6 +328,62 @@ class RetryPolicy:
         )
         u = _random.Random(self.seed * 1_000_003 + retry).random()
         return base * (1.0 + self.jitter * u)
+
+    def transient(self, exc: BaseException) -> bool:
+        """Is ``exc`` — or the rank error it wraps — one of ``retry_on``?"""
+        return isinstance(exc, self.retry_on) or isinstance(
+            exc.__cause__, self.retry_on
+        )
+
+    def run(self, attempt, keep_going=None, on_retry=None):
+        """The bounded-retry loop: the result of the first ``attempt(k)``
+        (``k = 0, 1, ...``) that returns.
+
+        An error that is not :meth:`transient` re-raises at once; so does
+        the last of ``max_attempts``, and any after which ``keep_going()``
+        (the caller's breaker / deadline check) says stop.  Otherwise
+        ``on_retry(k, exc, delay)`` — the caller's spans and counters, so
+        a retry is counted when, and only when, it is performed — then the
+        seeded :meth:`delay`, then retry ``k`` (1-based).
+        """
+        k = 0
+        while True:
+            try:
+                return attempt(k)
+            except BaseException as exc:  # noqa: BLE001 - typed filter below
+                k += 1
+                if (
+                    not self.transient(exc)
+                    or k >= self.max_attempts
+                    or (keep_going is not None and not keep_going())
+                ):
+                    raise
+                delay = self.delay(k)
+                if on_retry is not None:
+                    on_retry(k, exc, delay)
+                if delay > 0.0:
+                    time.sleep(delay)
+
+
+def cause_name(exc: BaseException) -> str:
+    """Class name of the rank error an :class:`~repro.mpi.runtime.SpmdError`
+    wraps, or of ``exc`` itself — what counters and ``RECOVERY`` spans name."""
+    return type(exc.__cause__ if exc.__cause__ is not None else exc).__name__
+
+
+def record_retry_span(trace, rank: int, k: int, exc, delay: float,
+                      wall_s: float = 0.0) -> None:
+    """Emit the ``RECOVERY:retry#k:<Cause>:backoff=...`` span of retry ``k``.
+
+    The name carries the whole retry decision, so the recovery history
+    reads straight off the trace and is stable under
+    ``TraceRecorder.signature()`` (seeded jitter, no wall clock in it).
+    """
+    if trace is not None:
+        trace.record_span(
+            rank, f"RECOVERY:retry#{k}:{cause_name(exc)}:backoff={delay:.3f}s",
+            wall_s, 0.0, 0, 0.0, delay,
+        )
 
 
 def _flip_bit(payload: bytes, bit: int) -> bytes:

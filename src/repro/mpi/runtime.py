@@ -100,6 +100,15 @@ class SpmdResult:
         return [p.events.get(phase).flops if phase in p.events else 0.0 for p in self.profiles]
 
 
+def _recorder(trace: "TraceRecorder | bool | None") -> "TraceRecorder | None":
+    """``trace=True`` asks for a fresh recorder, ``False`` for none."""
+    if trace is True:
+        from repro.perf.trace import TraceRecorder
+
+        return TraceRecorder()
+    return None if trace is False else trace
+
+
 def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
@@ -135,12 +144,7 @@ def run_spmd(
     if nranks < 1:
         raise ValueError("nranks must be >= 1")
     machine = machine if machine is not None else LOCAL
-    if trace is True:
-        from repro.perf.trace import TraceRecorder
-
-        trace = TraceRecorder()
-    elif trace is False:
-        trace = None
+    trace = _recorder(trace)
     if faults is not None:
         from repro.mpi.faults import ChaosFabric
 
@@ -258,16 +262,11 @@ def run_spmd_resilient(
     spans — into one trace.  The result's ``attempts`` field reports how
     many runs it took.
     """
+    from repro.mpi.faults import RetryPolicy, record_retry_span
+
     if policy is None:
-        from repro.mpi.faults import RetryPolicy
-
         policy = RetryPolicy()
-    if trace is True:
-        from repro.perf.trace import TraceRecorder
-
-        trace = TraceRecorder()
-    elif trace is False:
-        trace = None
+    trace = _recorder(trace)
     states: list[dict] | None = (
         [{} for _ in range(nranks)] if rank_state else None
     )
@@ -278,52 +277,32 @@ def run_spmd_resilient(
             return inner(comm, states[comm.rank], *a, **k)
 
     past_events: list = []
-    for attempt in range(policy.max_attempts):
-        plan = faults.for_attempt(attempt) if faults is not None else None
-        t0 = time.monotonic()
-        try:
-            result = run_spmd(
-                nranks,
-                fn,
-                *args,
-                machine=machine,
-                timeout=timeout,
-                trace=trace,
-                faults=plan,
-                integrity=integrity,
-                **kwargs,
-            )
-        except BaseException as exc:  # noqa: BLE001 - typed filter below
-            cause = exc.__cause__ if exc.__cause__ is not None else exc
-            transient = isinstance(cause, policy.retry_on) or isinstance(
-                exc, policy.retry_on
-            )
-            if not transient or attempt == policy.max_attempts - 1:
-                raise
-            past_events.extend(getattr(exc, "fault_events", ()))
-            delay = policy.delay(attempt + 1)
-            if trace is not None:
-                # the span name carries the whole retry decision — attempt
-                # number, typed cause, deterministic backoff — so the
-                # recovery history is readable straight off the trace (and
-                # stable under TraceRecorder.signature(): the jitter is
-                # seeded, the wall clock is not part of the name)
-                rank = getattr(exc, "rank", 0) or 0
-                trace.record_span(
-                    rank,
-                    f"RECOVERY:retry#{attempt + 1}:{type(cause).__name__}"
-                    f":backoff={delay:.3f}s",
-                    time.monotonic() - t0,
-                    0.0,
-                    0,
-                    0.0,
-                    delay,
-                )
-            if delay > 0.0:
-                time.sleep(delay)
-            continue
-        result.attempts = attempt + 1
+    started = 0.0
+
+    def attempt(k):
+        nonlocal started
+        started = time.monotonic()
+        result = run_spmd(
+            nranks,
+            fn,
+            *args,
+            machine=machine,
+            timeout=timeout,
+            trace=trace,
+            faults=faults.for_attempt(k) if faults is not None else None,
+            integrity=integrity,
+            **kwargs,
+        )
+        result.attempts = k + 1
         # injections of the failed attempts, then the successful one's
         result.fault_events = past_events + result.fault_events
         return result
-    raise AssertionError("unreachable: retry loop always returns or raises")
+
+    def on_retry(k, exc, delay):
+        past_events.extend(getattr(exc, "fault_events", ()))
+        record_retry_span(
+            trace, getattr(exc, "rank", 0) or 0, k, exc, delay,
+            time.monotonic() - started,
+        )
+
+    return policy.run(attempt, on_retry=on_retry)

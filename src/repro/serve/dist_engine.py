@@ -17,6 +17,14 @@ and places each registered model on it one of two ways, chosen at
   full model; requests round-robin across the surviving replicas, so
   small models buy throughput instead of capacity.
 
+Both are lists of :class:`RankGroup`: a sharded model is ``[shard group,
+optional width-1 fallback group]``, a replicated one ``[r0, r1, ...]``.
+All of them share one set-up, one geometry patch, one checkpoint clear,
+one dispatch (the fabric-wide fault plan projected onto the group's local
+ranks) and one bounded-retry loop around it, :meth:`RetryPolicy.run
+<repro.mpi.faults.RetryPolicy.run>`; where a retry goes is the only
+policy difference left between the placements.
+
 **The robustness contract** is the point of the merge: under a seeded
 :class:`~repro.mpi.faults.FaultPlan` (rank crash, straggler, in-flight
 corruption, GPU device fault, a crash at a ``recv`` while the peers are
@@ -29,18 +37,20 @@ observes either
   committed (``evaluate(..., resume=True)``), or by failing over to a
   surviving replica of a replicated model — or
 * a **typed rejection**: :class:`~repro.serve.scheduler.ShardUnavailable`
-  when the shard's circuit breaker is open and no fallback replica
-  survives, :class:`~repro.serve.scheduler.DeadlineExceeded` when the
-  deadline expires mid-recovery.
+  when no group of the model admits or the bounded retry is exhausted,
+  :class:`~repro.serve.scheduler.DeadlineExceeded` when the deadline
+  expires mid-recovery.
 
-Failover never mixes evaluation paths inside one request: retries stay
-on the *same* shard group (resuming its committed checkpoint), and a
-request is handed to the fallback replica only when the shard group was
-unavailable *before* dispatch.  Re-dispatching a request whose shard
-checkpoint committed onto a differently-partitioned replica would return
-an answer with a different floating-point summation order — correct to
-FMM accuracy but not bit-identical, and bit-determinism is the contract
-(see DESIGN.md, "Failover protocol").
+Failover never mixes evaluation paths inside one request: a sharded
+request's retries stay on the *same* group (resuming its committed
+checkpoint), and it is handed to the fallback group only when the shard
+group's breaker was open *before* dispatch; a replicated request fails
+over to the next admitting replica, all of which partition identically.
+Re-dispatching a request whose shard checkpoint committed onto a
+differently-partitioned group would return an answer with a different
+floating-point summation order — correct to FMM accuracy but not
+bit-identical, and bit-determinism is the contract (see DESIGN.md,
+"Failover protocol").
 
 Health is tracked two ways: :class:`RankHealth` accumulates heartbeats
 (one per rank per completed dispatch, emitted as
@@ -54,20 +64,23 @@ reservoirs are merged fabric-wide at snapshot time by the router.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.dist.driver import DistributedFmm, match_owned_rows
 from repro.kernels import get_kernel
-from repro.mpi.faults import FaultPlan, RetryPolicy
+from repro.mpi.faults import FaultPlan, RetryPolicy, cause_name, record_retry_span
 from repro.mpi.runtime import run_spmd
 from repro.serve.metrics import ServeMetrics
 from repro.serve.scheduler import (
     DeadlineExceeded,
     ShardUnavailable,
     UnknownModel,
+    check_density,
 )
 
 __all__ = ["CircuitBreaker", "DistModel", "DistServeEngine", "RankHealth"]
@@ -192,20 +205,47 @@ class CircuitBreaker:
             return {"state": state, "failures": self._failures}
 
 
+class RankGroup:
+    """``width`` fabric ranks from ``first`` that evaluate a model as one
+    SPMD run: a shard group, or (width 1) a replica or the fallback.
+
+    ``states[j]`` is local rank ``j``'s ``{"fmm": DistributedFmm, "src":
+    global rows it owns}``; ``key`` names the group's circuit breaker;
+    ``lock`` serialises its dispatches and geometry patches.
+    """
+
+    __slots__ = ("key", "first", "width", "states", "lock")
+
+    def __init__(self, key: str, first: int, width: int):
+        self.key = key
+        self.first = first
+        self.width = width
+        self.states: list[dict] = [{} for _ in range(width)]
+        # re-entrant: a sharded request holds it across retries that take it
+        self.lock = threading.RLock()
+
+    def fabric_rank(self, exc: BaseException) -> int | None:
+        """The fabric rank ``exc`` blames (``SpmdError.rank`` is local to
+        the run); a timeout names none, unless there is only one."""
+        local = getattr(exc, "rank", 0 if self.width == 1 else None)
+        return None if local is None else self.first + local
+
+    def clear_checkpoints(self) -> None:
+        for st in self.states:
+            st["fmm"].clear_checkpoint()
+
+
 class DistModel:
-    """One registered distributed model (placement + per-rank state)."""
+    """One registered distributed model (placement + its rank groups)."""
 
     __slots__ = (
-        "name", "placement", "group", "points", "n_points", "ks", "kt",
-        "expected", "shards", "replicas", "fallback", "lock",
-        "tuned", "slo",
+        "name", "placement", "points", "n_points", "ks", "kt",
+        "expected", "groups", "turn", "lock", "tuned", "slo",
     )
 
-    def __init__(self, name, placement, group, points, ks, kt):
+    def __init__(self, name, placement, points, ks, kt):
         self.name = name
         self.placement = placement
-        #: Shard width (sharded) or replica count (replicated).
-        self.group = int(group)
         self.points = points
         self.n_points = len(points)
         self.ks, self.kt = ks, kt
@@ -213,13 +253,11 @@ class DistModel:
         #: Collectively voted TuneConfig (autotuned models only) + SLO.
         self.tuned = None
         self.slo = None
-        #: Per-rank shard state: {"fmm": DistributedFmm, "src": row idx}.
-        self.shards: list[dict] | None = None
-        #: Replica states (each with its own lock for concurrent serving).
-        self.replicas: list[dict] = []
-        #: Optional single-rank fallback of a sharded model.
-        self.fallback: dict | None = None
-        self.lock = threading.Lock()
+        #: Sharded: ``[shard group, optional fallback group]`` in order of
+        #: preference; replicated: ``[r0, r1, ...]``, served round robin.
+        self.groups: list[RankGroup] = []
+        self.turn = itertools.count()  # the replicas' round-robin cursor
+        self.lock = threading.Lock()  # one geometry update at a time
 
 
 class DistServeEngine:
@@ -289,7 +327,6 @@ class DistServeEngine:
         self._models_lock = threading.Lock()
         self._attempt_lock = threading.Lock()
         self._attempt = 0
-        self._rr: dict[str, int] = {}  # replica round-robin cursors
 
     # -- fault-plan control -------------------------------------------------
 
@@ -304,19 +341,18 @@ class DistServeEngine:
             self.faults = faults
             self._attempt = 0
 
-    def _next_attempt(self) -> int:
+    def _next_plan(self, group: RankGroup) -> FaultPlan | None:
+        """The engine's next dispatch attempt's fault plan as ``group``
+        sees it: in-budget faults aimed at its fabric ranks, re-targeted to
+        ``0..width-1`` (the identity for a shard); the rest stay put."""
         with self._attempt_lock:
-            a = self._attempt
+            plan, attempt = self.faults, self._attempt
             self._attempt += 1
-            return a
-
-    def _plan_for_attempt(self, attempt: int, remap=None) -> FaultPlan | None:
-        plan = self.faults
         if plan is None:
             return None
-        plan = plan.for_attempt(attempt)
-        if remap is not None:
-            plan = plan.remapped(remap)
+        plan = plan.for_attempt(attempt).remapped(
+            {group.first + j: j for j in range(group.width)}
+        )
         return plan if len(plan) else None
 
     # -- breakers -----------------------------------------------------------
@@ -413,33 +449,26 @@ class DistServeEngine:
                 precision=tuned.precision,
             )
         model = DistModel(
-            name, placement, width, points,
-            kern.source_dim, kern.target_dim,
+            name, placement, points, kern.source_dim, kern.target_dim
         )
         model.tuned = tuned
         model.slo = slo
         if placement == "sharded":
-            model.shards = self._setup_shards(model, fmm_kwargs)
+            shapes = [("shard", 0, width)]
             if fallback_replica:
-                model.fallback = self._setup_replica(model, fmm_kwargs)
+                shapes.append(("fallback", 0, 1))
         else:
-            model.replicas = [
-                self._setup_replica(model, fmm_kwargs) for _ in range(width)
-            ]
+            shapes = [(f"r{i}", i, 1) for i in range(width)]
+        for tag, first, w in shapes:
+            group = RankGroup(f"{name}/{tag}", first, w)
+            self._setup_group(model, group, fmm_kwargs)
+            model.groups.append(group)
         with self._models_lock:
             self._models[name] = model
         if warm:
             zeros = np.zeros(model.expected)
-            if placement == "sharded":
-                self._run_shard(model, zeros, plan=None, deadline=None)
-                if model.fallback is not None:
-                    self._run_replica(model, model.fallback, zeros,
-                                      plan=None, deadline=None)
-            else:
-                for i, rep in enumerate(model.replicas):
-                    self._run_replica(model, rep, zeros, plan=None,
-                                      deadline=None, fabric_rank=i)
-            self._clear_checkpoints(model)
+            for group in model.groups:
+                self._run_group(model, group, zeros, plan=None, deadline=None)
         return model
 
     def _vote_config(
@@ -461,79 +490,62 @@ class DistServeEngine:
 
         from repro.tune.search import default_grid, propose_config
         from repro.tune.search import TuneConfig as _TC
-        from repro.tune.store import geometry_fingerprint
+        from repro.tune.store import resolve_config
 
-        kname = getattr(kern, "name", "kernel")
-        backend = f"dist{width}"
-        fingerprint = geometry_fingerprint(points)
-        if store is not None:
-            hit = store.get(fingerprint, kname, slo, backend)
-            if hit is not None:
-                return hit
-        if grid is None:
-            grid = default_grid(len(points))
-        winners: list = [None] * width
+        def vote():
+            cands = grid if grid is not None else default_grid(len(points))
+            winners: list = [None] * width
 
-        def body(comm):
-            local = points[comm.rank :: comm.size]
-            cfg = propose_config(
-                local, kernel=kern, slo=slo, grid=grid,
-                seed=seed + comm.rank,
-            )
-            proposals = comm.allgather(cfg.to_dict())
-            keys = [_TC.from_dict(d).key() for d in proposals]
-            counts = Counter(keys)
-            win = sorted(keys, key=lambda k: (-counts[k], k))[0]
-            winners[comm.rank] = next(
-                _TC.from_dict(d)
-                for d, k in zip(proposals, keys)
-                if k == win
-            )
+            def body(comm):
+                local = points[comm.rank :: comm.size]
+                cfg = propose_config(
+                    local, kernel=kern, slo=slo, grid=cands,
+                    seed=seed + comm.rank,
+                )
+                proposals = comm.allgather(cfg.to_dict())
+                keys = [_TC.from_dict(d).key() for d in proposals]
+                counts = Counter(keys)
+                win = sorted(keys, key=lambda k: (-counts[k], k))[0]
+                winners[comm.rank] = next(
+                    _TC.from_dict(d)
+                    for d, k in zip(proposals, keys)
+                    if k == win
+                )
 
-        run_spmd(
+            self._spmd(width, body)
+            return winners[0], None
+
+        return resolve_config(
+            store, points, getattr(kern, "name", "kernel"), slo, vote,
+            backend=f"dist{width}",
+        )[0]
+
+    def _spmd(self, width: int, body, faults=None, deadline=None):
+        """One SPMD run under the engine's integrity framing, trace and
+        anti-hang bound (tightened by a request ``deadline``).  Only
+        serving dispatches pass ``faults``; control-plane runs are clean."""
+        return run_spmd(
             width, body,
-            timeout=self.run_timeout_s,
+            faults=faults,
             integrity=self.integrity,
+            timeout=self._run_timeout(deadline),
             trace=self._trace,
         )
-        config = winners[0]
-        if store is not None:
-            store.put(fingerprint, kname, slo, config, backend=backend)
-        return config
 
-    def _setup_shards(self, model: DistModel, fmm_kwargs: dict) -> list[dict]:
+    def _setup_group(
+        self, model: DistModel, group: RankGroup, fmm_kwargs: dict
+    ) -> None:
         points = model.points
-        states: list[dict | None] = [None] * model.group
 
         def body(comm):
             fmm = DistributedFmm(**fmm_kwargs)
             fmm.setup(comm, points[comm.rank :: comm.size])
-            states[comm.rank] = {
+            group.states[comm.rank] = {
                 "fmm": fmm,
                 "src": match_owned_rows(points, fmm.owned_points),
             }
 
-        run_spmd(
-            model.group, body,
-            timeout=self.run_timeout_s,
-            integrity=self.integrity,
-            trace=self._trace,
-        )
-        return states  # type: ignore[return-value]
-
-    def _setup_replica(self, model: DistModel, fmm_kwargs: dict) -> dict:
-        points = model.points
-        state: dict = {"lock": threading.Lock()}
-
-        def body(comm):
-            fmm = DistributedFmm(**fmm_kwargs)
-            fmm.setup(comm, points)
-            state["fmm"] = fmm
-            state["src"] = match_owned_rows(points, fmm.owned_points)
-
-        run_spmd(1, body, timeout=self.run_timeout_s,
-                 integrity=self.integrity, trace=self._trace)
-        return state
+        self._spmd(group.width, body)
 
     # -- dynamic geometry ---------------------------------------------------
 
@@ -564,32 +576,20 @@ class DistServeEngine:
         t0 = time.monotonic()
         infos: list[dict] = []
 
-        def patch_group(states, width):
-            def body(comm):
-                st = states[comm.rank]
-                fmm = st["fmm"]
-                fmm.rebind(comm)
-                info = fmm.update_geometry(new_points[comm.rank :: comm.size])
-                st["src"] = match_owned_rows(new_points, fmm.owned_points)
-                infos.append(info)
-
-            run_spmd(
-                width, body,
-                timeout=self.run_timeout_s,
-                integrity=self.integrity,
-                trace=self._trace,
-            )
+        def body(comm, group):
+            st = group.states[comm.rank]
+            fmm = st["fmm"]
+            fmm.rebind(comm)
+            info = fmm.update_geometry(new_points[comm.rank :: comm.size])
+            st["src"] = match_owned_rows(new_points, fmm.owned_points)
+            infos.append(info)
 
         with model.lock:
-            if model.placement == "sharded":
-                patch_group(model.shards, model.group)
-                if model.fallback is not None:
-                    patch_group([model.fallback], 1)
-            for rep in model.replicas:
-                with rep["lock"]:
-                    patch_group([rep], 1)
+            for group in model.groups:
+                with group.lock:
+                    self._spmd(group.width, lambda comm: body(comm, group))
+                    group.clear_checkpoints()
             model.points = new_points
-            self._clear_checkpoints(model)
         patch_s = time.monotonic() - t0
         self.rank_metrics[0].record_geometry_update(name, patch_s)
         return {
@@ -602,16 +602,8 @@ class DistServeEngine:
 
     def available(self, name: str) -> bool:
         """Can a dispatch for ``name`` be admitted right now?"""
-        model = self._model(name)
-        if model.placement == "sharded":
-            if self.breaker(f"{name}/shard").allow():
-                return True
-            return model.fallback is not None and self.breaker(
-                f"{name}/fallback"
-            ).allow()
         return any(
-            self.breaker(f"{name}/r{i}").allow()
-            for i in range(len(model.replicas))
+            self.breaker(g.key).allow() for g in self._model(name).groups
         )
 
     def evaluate(
@@ -623,15 +615,46 @@ class DistServeEngine:
         the engine's per-dispatch timeout applies).
         """
         model = self._model(name)
-        dens = np.asarray(density, dtype=np.float64).reshape(-1)
-        if dens.size != model.expected:
-            raise ValueError(
-                f"model {name!r}: densities have {dens.size} values, "
-                f"expected n_points*source_dim = {model.expected}"
-            )
-        if model.placement == "sharded":
-            return self._eval_sharded(model, dens, deadline)
-        return self._eval_replicated(model, dens, deadline)
+        dens = check_density(name, density, model.expected)
+        # The one policy difference: a sharded request's retries stay on
+        # its group (under its lock), a replicated one's fail over.
+        pinned = (
+            self._admitting(model) if model.placement == "sharded" else None
+        )
+        tried: list[RankGroup] = []
+
+        def attempt(_k):
+            self._check_deadline(deadline, name)
+            tried.append(self._admitting(model) if pinned is None else pinned)
+            return self._dispatch(model, tried[-1], dens, deadline)
+
+        def keep_going():
+            if deadline is not None and time.monotonic() > deadline:
+                return False
+            return self.available(name) if pinned is None else \
+                self.breaker(pinned.key).allow()
+
+        def on_retry(k, exc, delay):
+            # counted on the rank the failure names, else the group's first
+            rank = tried[-1].fabric_rank(exc)
+            rank = tried[-1].first if rank is None else rank
+            self.rank_metrics[rank].record_retry(cause_name(exc))
+            record_retry_span(self._trace, rank, k, exc, delay)
+
+        try:
+            with pinned.lock if pinned is not None else nullcontext():
+                return self.retry.run(attempt, keep_going, on_retry)
+        except BaseException as exc:  # noqa: BLE001 - typed filter below
+            if not self.retry.transient(exc):
+                raise
+            # Retries exhausted, breaker open or deadline passed: reject
+            # typed; the *next* requests degrade to a group that admits
+            # (module docstring: no cross-partition re-dispatch).
+            self._check_deadline(deadline, name)
+            raise ShardUnavailable(
+                f"model {name!r}: {len(tried)} dispatch attempt(s) failed, "
+                f"the last on {tried[-1].key}: {exc!r}"
+            ) from exc
 
     def _check_deadline(self, deadline: float | None, name: str) -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -646,115 +669,59 @@ class DistServeEngine:
         return max(0.05, min(self.run_timeout_s,
                              deadline - time.monotonic()))
 
-    def _record_recovery(self, rank: int, retry_no: int, cause: str,
-                         delay: float) -> None:
-        self.rank_metrics[rank if 0 <= rank < self.nranks else 0].record_retry(
-            cause
+    def _admitting(self, model: DistModel) -> RankGroup:
+        """The group the next dispatch goes to — the first whose breaker
+        admits, counting from the shard group of a sharded model (the
+        fallback serves only while the shard breaker is open), round robin
+        over replicas — or a typed rejection: degrade, never hang."""
+        groups = model.groups
+        start = next(model.turn) if model.placement == "replicated" else 0
+        for off in range(len(groups)):
+            group = groups[(start + off) % len(groups)]
+            if self.breaker(group.key).allow():
+                return group
+        raise ShardUnavailable(
+            f"model {model.name!r}: no rank group is admitting requests "
+            f"(circuit breakers open after repeated failures; retry after "
+            f"{self._breaker_cooldown:.1f}s)"
         )
-        if self._trace is not None:
-            self._trace.record_span(
-                rank, f"RECOVERY:retry#{retry_no}:{cause}"
-                f":backoff={delay:.3f}s",
-                0.0, 0.0, 0, 0.0, delay,
-            )
 
-    def _heartbeat(self, model: DistModel, ranks, wall_s: float) -> None:
-        self.health.beat(ranks)
-        if self._trace is not None:
-            for r in ranks:
-                self._trace.record_span(
-                    r, f"SERVE:heartbeat:{model.name}", wall_s,
-                    0.0, 0, 0.0, 0.0,
-                )
-
-    def _clear_checkpoints(self, model: DistModel) -> None:
-        for st in (model.shards or []):
-            st["fmm"].clear_checkpoint()
-        for st in model.replicas + ([model.fallback] if model.fallback else []):
-            st["fmm"].clear_checkpoint()
-
-    # -- sharded path -------------------------------------------------------
-
-    def _eval_sharded(
-        self, model: DistModel, dens: np.ndarray, deadline: float | None
-    ) -> np.ndarray:
-        name = model.name
-        breaker = self.breaker(f"{name}/shard")
-        if not breaker.allow():
-            # degrade, never hang: the shard group keeps failing, so the
-            # request goes whole to the fallback replica (bit-identical
-            # to the *replica's* fault-free answer) or rejects typed
-            if model.fallback is not None:
-                return self._eval_on_replica(
-                    model, model.fallback, f"{name}/fallback", 0,
-                    dens, deadline,
-                )
-            raise ShardUnavailable(
-                f"model {name!r}: shard circuit breaker is "
-                f"{breaker.state} after repeated failures "
-                f"(retry after {breaker.cooldown_s:.1f}s)"
-            )
-        with model.lock:
-            last: BaseException | None = None
-            for k in range(self.retry.max_attempts):
-                self._check_deadline(deadline, name)
-                attempt = self._next_attempt()
-                plan = self._plan_for_attempt(attempt)
-                try:
-                    out = self._run_shard(model, dens, plan, deadline)
-                except BaseException as exc:  # noqa: BLE001 - typed filter below
-                    cause = exc.__cause__ if exc.__cause__ is not None else exc
-                    rank = getattr(exc, "rank", None)
-                    self.health.record_failure(
-                        rank, getattr(exc, "wedged", ()),
-                        type(cause).__name__,
-                    )
-                    breaker.record_failure()
-                    last = exc
-                    transient = isinstance(cause, self.retry.retry_on) or \
-                        isinstance(exc, self.retry.retry_on)
-                    if not transient:
-                        raise
-                    if k + 1 >= self.retry.max_attempts or not breaker.allow():
-                        break
-                    delay = self.retry.delay(k + 1)
-                    self._record_recovery(
-                        rank if rank is not None else 0, k + 1,
-                        type(cause).__name__, delay,
-                    )
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                else:
-                    breaker.record_success()
-                    self._clear_checkpoints(model)
-                    return out
-        # bounded retry exhausted (or the breaker opened mid-request):
-        # degrade to the fallback replica for the *next* requests; this
-        # one rejects typed — its shard checkpoint may have committed,
-        # and re-dispatching it onto a differently-partitioned replica
-        # would break bit-determinism (DESIGN.md, "Failover protocol")
-        self._check_deadline(deadline, name)
-        err = ShardUnavailable(
-            f"model {name!r}: shard group failed "
-            f"{self.retry.max_attempts} attempt(s); last error: {last!r}"
-        )
-        err.__cause__ = last
-        raise err
-
-    def _run_shard(
+    def _dispatch(
         self,
         model: DistModel,
+        group: RankGroup,
+        dens: np.ndarray,
+        deadline: float | None,
+    ) -> np.ndarray:
+        """One dispatch attempt on ``group``: its answer, or the failure —
+        recorded on rank health and the group's breaker — re-raised."""
+        breaker = self.breaker(group.key)
+        plan = self._next_plan(group)
+        try:
+            out = self._run_group(model, group, dens, plan, deadline)
+        except BaseException as exc:
+            self.health.record_failure(
+                group.fabric_rank(exc),
+                [group.first + w for w in getattr(exc, "wedged", ())],
+                cause_name(exc),
+            )
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+        return out
+
+    def _run_group(
+        self,
+        model: DistModel,
+        group: RankGroup,
         dens: np.ndarray,
         plan: FaultPlan | None,
         deadline: float | None,
     ) -> np.ndarray:
-        states = model.shards
         name, ks, kt = model.name, model.ks, model.kt
-        rank_metrics = self.rank_metrics
 
         def body(comm):
-            st = states[comm.rank]
+            st = group.states[comm.rank]
             fmm = st["fmm"]
             fmm.rebind(comm)
             t0 = time.monotonic()
@@ -767,175 +734,25 @@ class DistServeEngine:
             # rank-local apply stats live under a per-rank key so the
             # fabric-wide merge never mixes them into the router's
             # request-level latency reservoir for the bare model name
-            rank_metrics[comm.rank].record_completed(
-                f"{name}@rank{comm.rank}", time.monotonic() - t0, 0.0, 1
+            rank = group.first + comm.rank
+            self.rank_metrics[rank].record_completed(
+                f"{name}@rank{rank}", time.monotonic() - t0, 0.0, 1
             )
             return pot
 
-        t0 = time.monotonic()
-        res = run_spmd(
-            model.group, body,
-            faults=plan,
-            integrity=self.integrity,
-            timeout=self._run_timeout(deadline),
-            trace=self._trace,
-        )
-        out = np.empty((model.n_points, kt))
-        for st, pot in zip(states, res.values):
-            out[st["src"]] = pot.reshape(-1, kt)
-        self._heartbeat(model, range(model.group), time.monotonic() - t0)
-        return out.reshape(-1)
-
-    # -- replicated path ----------------------------------------------------
-
-    def _eval_replicated(
-        self, model: DistModel, dens: np.ndarray, deadline: float | None
-    ) -> np.ndarray:
-        name = model.name
-        last: BaseException | None = None
-        tried_any = False
-        for k in range(self.retry.max_attempts):
-            self._check_deadline(deadline, name)
-            idx = self._pick_replica(model)
-            if idx is None:
-                break  # every replica breaker is open
-            tried_any = True
-            try:
-                return self._eval_on_replica(
-                    model, model.replicas[idx], f"{name}/r{idx}", idx,
-                    dens, deadline, _single_attempt=True,
-                )
-            except BaseException as exc:  # noqa: BLE001 - typed filter below
-                cause = exc.__cause__ if exc.__cause__ is not None else exc
-                transient = isinstance(cause, self.retry.retry_on) or \
-                    isinstance(exc, self.retry.retry_on)
-                if not transient:
-                    raise
-                last = exc
-                delay = self.retry.delay(k + 1)
-                self._record_recovery(idx, k + 1, type(cause).__name__, delay)
-                if delay > 0.0:
-                    time.sleep(delay)
-                # failover: the next loop iteration picks the next
-                # surviving replica (the failed one's breaker counted
-                # the failure and round-robin moves on)
-        self._check_deadline(deadline, name)
-        detail = f"last error: {last!r}" if tried_any else \
-            "every replica circuit breaker is open"
-        err = ShardUnavailable(
-            f"model {name!r}: no replica could serve the request; {detail}"
-        )
-        err.__cause__ = last
-        raise err
-
-    def _pick_replica(self, model: DistModel) -> int | None:
-        """Next surviving replica by round robin (load spread + failover)."""
-        n = len(model.replicas)
-        with self._attempt_lock:
-            start = self._rr.get(model.name, 0)
-            self._rr[model.name] = (start + 1) % max(n, 1)
-        for off in range(n):
-            i = (start + off) % n
-            if self.breaker(f"{model.name}/r{i}").allow():
-                return i
-        return None
-
-    def _eval_on_replica(
-        self,
-        model: DistModel,
-        replica: dict,
-        breaker_key: str,
-        fabric_rank: int,
-        dens: np.ndarray,
-        deadline: float | None,
-        _single_attempt: bool = False,
-    ) -> np.ndarray:
-        """Evaluate on one replica; retries stay on this replica unless
-        ``_single_attempt`` (the replicated path fails over instead)."""
-        breaker = self.breaker(breaker_key)
-        if not breaker.allow():
-            raise ShardUnavailable(
-                f"model {model.name!r}: replica {breaker_key} breaker is open"
-            )
-        attempts = 1 if _single_attempt else self.retry.max_attempts
-        last: BaseException | None = None
-        for k in range(attempts):
-            self._check_deadline(deadline, model.name)
-            attempt = self._next_attempt()
-            # project the fabric-wide plan onto this replica's local
-            # rank 0: faults aimed at other ranks stay with their owners
-            plan = self._plan_for_attempt(attempt, remap={fabric_rank: 0})
-            try:
-                out = self._run_replica(model, replica, dens, plan, deadline,
-                                        fabric_rank=fabric_rank)
-            except BaseException as exc:  # noqa: BLE001 - typed filter below
-                cause = exc.__cause__ if exc.__cause__ is not None else exc
-                self.health.record_failure(
-                    fabric_rank, getattr(exc, "wedged", ()),
-                    type(cause).__name__,
-                )
-                breaker.record_failure()
-                last = exc
-                transient = isinstance(cause, self.retry.retry_on) or \
-                    isinstance(exc, self.retry.retry_on)
-                if not transient:
-                    raise
-                if _single_attempt:
-                    raise
-                if k + 1 >= attempts or not breaker.allow():
-                    break
-                delay = self.retry.delay(k + 1)
-                self._record_recovery(fabric_rank, k + 1,
-                                      type(cause).__name__, delay)
-                if delay > 0.0:
-                    time.sleep(delay)
-                continue
-            else:
-                breaker.record_success()
-                replica["fmm"].clear_checkpoint()
-                return out
-        self._check_deadline(deadline, model.name)
-        err = ShardUnavailable(
-            f"model {model.name!r}: replica {breaker_key} failed "
-            f"{attempts} attempt(s); last error: {last!r}"
-        )
-        err.__cause__ = last
-        raise err
-
-    def _run_replica(
-        self,
-        model: DistModel,
-        replica: dict,
-        dens: np.ndarray,
-        plan: FaultPlan | None,
-        deadline: float | None,
-        fabric_rank: int = 0,
-    ) -> np.ndarray:
-        name, ks, kt = model.name, model.ks, model.kt
-        rank_metrics = self.rank_metrics
-        with replica["lock"]:
-            fmm, src = replica["fmm"], replica["src"]
-
-            def body(comm):
-                fmm.rebind(comm)
-                t0 = time.monotonic()
-                dens_owned = dens.reshape(-1, ks)[src].reshape(-1)
-                pot = fmm.evaluate(dens_owned, resume=True)
-                rank_metrics[fabric_rank].record_completed(
-                    f"{name}@rank{fabric_rank}",
-                    time.monotonic() - t0, 0.0, 1,
-                )
-                return pot
-
+        with group.lock:
             t0 = time.monotonic()
-            res = run_spmd(
-                1, body,
-                faults=plan,
-                integrity=self.integrity,
-                timeout=self._run_timeout(deadline),
-                trace=self._trace,
-            )
-        out = np.empty((model.n_points, kt))
-        out[src] = res.values[0].reshape(-1, kt)
-        self._heartbeat(model, (fabric_rank,), time.monotonic() - t0)
+            res = self._spmd(group.width, body, faults=plan, deadline=deadline)
+            out = np.empty((model.n_points, kt))
+            for st, pot in zip(group.states, res.values):
+                out[st["src"]] = pot.reshape(-1, kt)
+            group.clear_checkpoints()
+        wall_s = time.monotonic() - t0
+        ranks = range(group.first, group.first + group.width)
+        self.health.beat(ranks)
+        if self._trace is not None:
+            for r in ranks:
+                self._trace.record_span(
+                    r, f"SERVE:heartbeat:{name}", wall_s, 0.0, 0, 0.0, 0.0
+                )
         return out.reshape(-1)

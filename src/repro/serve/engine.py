@@ -6,30 +6,32 @@ steppers, iterative solvers, many tenants sharing one machine): register
 a *model* — geometry + kernel + built tree — once, then submit density
 vectors from any thread and get potentials back.
 
-The engine composes four pieces, each its own module:
+The queue -> expire -> execute -> reply path — fair queue, micro-batcher,
+worker pool, metrics, ``start`` / ``stop`` / ``submit`` / ``evaluate`` —
+is :class:`~repro.serve.scheduler.ServeFront`, shared with the
+:class:`~repro.serve.router.Router`.  This module keeps what only local
+serving has:
 
-* a **plan cache** (here): compiled :class:`~repro.core.plan.EvalPlan`
+* the **plan cache**: compiled :class:`~repro.core.plan.EvalPlan`
   objects keyed by ``model@precision``, LRU-evicted under a byte budget
   (the plan's actual, dtype-honest ``plan.nbytes`` — an fp32 plan
   charges roughly half an fp64 one), recompiled transparently on miss.
   Warm plans are what make serving cheap — an apply on a warm plan
   skips all setup.
-* a **micro-batcher** (:mod:`repro.serve.batcher`): concurrent
-  single-density requests for the same model coalesce into one
-  multi-RHS apply.  Each column of the batched result is bit-identical
-  to a solo evaluation (see :mod:`repro.core.contract`), so batching is
-  invisible to callers except in latency.
-* a **scheduler** (:mod:`repro.serve.scheduler`): bounded admission
-  (typed :class:`~repro.serve.scheduler.Overloaded`), per-request
-  deadlines, weighted-fair dequeue across tenants, and a plain-thread
-  worker pool.
-* **metrics** (:mod:`repro.serve.metrics`): latency quantiles,
-  throughput, batch-size distribution, plan-cache hit rate.
+* the **precision policy** (``_admit``): a request's plan precision is
+  resolved at submit; one outside the model's ``allowed`` set is rejected.
+* the **batched apply** (``_execute``): the requests the micro-batcher
+  (:mod:`repro.serve.batcher`) coalesced ride one multi-RHS apply.  Each
+  column of the batched result is bit-identical to a solo evaluation
+  (see :mod:`repro.core.contract`), so batching is invisible to callers
+  except in latency.
+* the **snapshot swap** (``_publish``): geometry updates and tuned-config
+  swaps build off the hot path and publish between batches.
 
 Degraded mode: construct with a :class:`~repro.mpi.faults.FaultPlan` and
 worker applies run on the chaos fabric's phase hooks — injected faults
 surface as typed transient errors inside the worker, which retries the
-whole batch under a :class:`~repro.mpi.faults.RetryPolicy` (re-entering
+whole batch under its :class:`~repro.mpi.faults.RetryPolicy` (re-entering
 a phase advances the per-(worker, phase) trigger counter, so planned
 faults fire their quota and the retry converges).  Accepted requests
 either complete bit-identically or fail with a typed error — never
@@ -46,18 +48,8 @@ import numpy as np
 
 from repro.core.parallel import shared_pool
 from repro.core.plan import PrecisionError
-from repro.mpi.faults import ChaosFabric, FaultPlan, RetryPolicy, TRANSIENT_ERRORS
-from repro.serve.batcher import MicroBatcher
-from repro.serve.metrics import ServeMetrics
-from repro.serve.scheduler import (
-    DeadlineExceeded,
-    FairQueue,
-    Overloaded,
-    Request,
-    UnknownModel,
-    WorkerPool,
-    retry_after_hint,
-)
+from repro.mpi.faults import ChaosFabric, FaultPlan, RetryPolicy, cause_name
+from repro.serve.scheduler import Request, ServeFront, UnknownModel
 from repro.util.timer import PhaseProfile
 
 __all__ = ["PlanCache", "RegisteredModel", "ServeEngine"]
@@ -151,8 +143,6 @@ class RegisteredModel:
         self.tuned = None  # active TuneConfig (autotuned models only)
         self.slo = None  # the SLO the model was tuned against
         if precision == "auto":
-            from repro.util.timer import PhaseProfile
-
             precision = fmm.evaluator._resolve_auto(
                 self.plan.tree, PhaseProfile()
             )
@@ -261,7 +251,7 @@ class PlanCache:
             return plan
 
 
-class ServeEngine:
+class ServeEngine(ServeFront):
     """Batching, admission-controlled FMM evaluation service.
 
     Parameters
@@ -311,23 +301,21 @@ class ServeEngine:
         matrix_budget: int | None = None,
         threads: int | None = None,
     ):
-        self.metrics = ServeMetrics()
-        self.n_workers = int(n_workers)
-        self.threads = None if threads is None else max(1, int(threads))
-        self.task_pool = (
-            shared_pool(self.threads) if self.threads is not None else None
-        )
-        self.max_batch = int(max_batch)
-        self.queue = FairQueue(max_depth=max_queue, weights=tenant_weights)
-        self.plans = PlanCache(plan_budget, metrics=self.metrics)
         #: Per-model (max_batch, max_wait_ms) overrides — the autotuner
         #: owns a model's batch shape; untouched models use the engine
         #: defaults.
         self._batch_limits: dict[str, tuple[int, float]] = {}
-        self.batcher = MicroBatcher(
-            self.queue, max_batch=max_batch, max_wait_ms=max_wait_ms,
+        super().__init__(
+            n_workers, max_queue, tenant_weights,
+            max_batch=max_batch, max_wait_ms=max_wait_ms,
             limits=self._batch_limits.get,
         )
+        self.threads = self.task_pool = None
+        if threads is not None:
+            self.threads = max(1, int(threads))
+            self.task_pool = shared_pool(self.threads)
+            self.metrics.bind_pools(task_pool=self.task_pool.stats)
+        self.plans = PlanCache(plan_budget, metrics=self.metrics)
         self.retry = retry if retry is not None else RetryPolicy()
         #: Kernel-matrix cache budget per compiled plan (None = the
         #: compiler default).  Serving throughput lives on fully cached
@@ -336,7 +324,7 @@ class ServeEngine:
         self.matrix_budget = matrix_budget
         self._models: dict[str, RegisteredModel] = {}
         self._models_lock = threading.Lock()
-        # per-model tuning context (grid/seed/store/...) for online re-tunes
+        # per-model tuning context (grid/seed/store/measure) for re-tunes
         self._tune_ctx: dict[str, dict] = {}
         self._monitors: dict[str, object] = {}
         self._trace = trace
@@ -351,41 +339,12 @@ class ServeEngine:
                 prof.bind_chaos(self._fabric.on_phase, rank=rank)
         if self._fabric is not None:
             self._fabric.bind(self._profiles, trace)
-        self.pool = WorkerPool(n_workers, self._worker)
-        self.metrics.bind_pools(
-            task_pool=(
-                self.task_pool.stats if self.task_pool is not None else None
-            ),
-            workers=self.pool.stats,
-        )
-        self._started = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ServeEngine":
-        if not self._started:
-            self._started = True
-            self.pool.start()
-        return self
 
     def stop(self) -> None:
-        """Stop accepting work and join the workers (queued requests that
-        no worker picks up before shutdown fail with ``Overloaded``)."""
+        """Stop the SLO monitors, then :meth:`ServeFront.stop`."""
         for mon in self._monitors.values():
             mon.stop()
-        self.queue.close()
-        self.pool.stop()
-        while True:  # drain: nothing may be left hanging
-            req = self.queue.pop(timeout=0.0)
-            if req is None:
-                break
-            req.set_error(Overloaded("engine stopped before request ran"))
-
-    def __enter__(self) -> "ServeEngine":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().stop()
 
     @property
     def fault_events(self):
@@ -426,9 +385,9 @@ class ServeEngine:
         forward to :func:`repro.tune.search.tune`; the same context is
         reused by online re-tunes (:meth:`retune`).
         """
-        report = None
+        tuned = None
         if slo is not None:
-            fmm, report = self._tune_at_register(
+            fmm, tuned = self._tune_at_register(
                 name, fmm, points, allowed, slo, store,
                 tune_grid, tune_seed, tune_measure,
             )
@@ -437,15 +396,11 @@ class ServeEngine:
         model = RegisteredModel(
             name, fmm, points, precision=precision, allowed=allowed
         )
-        if slo is not None:
+        if tuned is not None:
             model.slo = slo
-            model.tuned = report.config if report is not None else None
             # not yet published to _models: safe to stamp the snapshot
-            model.geometry.tuned = model.tuned
-            if model.tuned is not None:
-                self._batch_limits[name] = (
-                    model.tuned.max_batch, model.tuned.max_wait_ms
-                )
+            model.tuned = model.geometry.tuned = tuned
+            self._batch_limits[name] = (tuned.max_batch, tuned.max_wait_ms)
         with self._models_lock:
             self._models[name] = model
         # stale plans of a replaced model, all precisions and versions
@@ -465,8 +420,6 @@ class ServeEngine:
         """Resolve the tuned config for a new model (store hit or search)
         and build the tuned Fmm from the template's kernel setup."""
         from repro.tune.search import default_grid
-        from repro.tune.search import tune as tune_search
-        from repro.tune.store import geometry_fingerprint
 
         pts = np.asarray(points, dtype=np.float64)
         grid = tune_grid if tune_grid is not None else default_grid(len(pts))
@@ -477,37 +430,34 @@ class ServeEngine:
                     f"model {name!r}: tuning grid has no config with an "
                     f"allowed precision ({sorted(set(allowed))})"
                 )
-        fingerprint = geometry_fingerprint(pts)
-        kernel_name = getattr(template.kernel, "name", "kernel")
-        config = (
-            store.get(fingerprint, kernel_name, slo)
-            if store is not None else None
-        )
-        report = None
-        if config is None:
-            report = tune_search(
-                pts, kernel=template.kernel, slo=slo, grid=grid,
-                seed=tune_seed, measure=tune_measure,
-            )
-            config = report.config
-            if store is not None:
-                store.put(
-                    fingerprint, kernel_name, slo, config,
-                    report=report.to_dict(),
-                )
-        else:
-            from repro.tune.search import TuneReport
-
-            report = TuneReport(config=config, slo=slo, seed=tune_seed)
         self._tune_ctx[name] = {
             "grid": grid,
             "seed": int(tune_seed),
             "store": store,
             "measure": bool(tune_measure),
-            "fingerprint": fingerprint,
-            "kernel_name": kernel_name,
         }
-        return self._fmm_like(template, config), report
+        config, _ = self._resolve_tuned(name, pts, template.kernel, slo)
+        return self._fmm_like(template, config), config
+
+    def _resolve_tuned(self, name, points, kernel, slo, refresh=False):
+        """``(config, report dict)`` for ``name`` under its tuning context
+        (:func:`repro.tune.store.resolve_config`: stored, else searched)."""
+        from repro.tune.search import tune as tune_search
+        from repro.tune.store import resolve_config
+
+        ctx = self._tune_ctx[name]
+
+        def search():
+            report = tune_search(
+                points, kernel=kernel, slo=slo, grid=ctx["grid"],
+                seed=ctx["seed"], measure=ctx["measure"],
+            )
+            return report.config, report.to_dict()
+
+        return resolve_config(
+            ctx["store"], points, getattr(kernel, "name", "kernel"), slo,
+            search, refresh=refresh,
+        )
 
     def _bind_pool(self, fmm) -> None:
         """Route ``fmm``'s plan applies through the engine's shared tile
@@ -670,20 +620,10 @@ class ServeEngine:
                 )
                 patched[prec] = ep
                 stats[prec] = dict(ep.patch_stats)
-            # Publication order matters: insert the new-version plans,
-            # then swap the geometry snapshot, then drop the old keys.
-            # A worker racing this sees either (old geom, old plan) or
-            # (new geom, new plan) — never a torn pair — and an evicted
-            # new-version plan merely recompiles on first use.
-            for prec, ep in patched.items():
-                self.plans.put(self._plan_key(name, version, prec), ep)
-            patch_s = time.perf_counter() - t0
-            model.geometry = ModelGeometry(
+            self._publish(model, ModelGeometry(
                 new_points, new_plan, version, fmm=old.fmm, tuned=old.tuned
-            )
-            self.plans.invalidate_prefix(
-                self._plan_key(name, old.version, "")
-            )
+            ), patched)
+            patch_s = time.perf_counter() - t0
             fraction = (
                 patch_s / model.compile_s if model.compile_s else None
             )
@@ -697,6 +637,18 @@ class ServeEngine:
             "plans_patched": sorted(patched),
             "patch_stats": stats,
         }
+
+    def _publish(self, model, geom: ModelGeometry, plans: dict) -> None:
+        """Make ``geom`` (with its compiled ``plans``, by precision) the
+        model's snapshot.  Order matters: insert the new-version plans,
+        swap the snapshot, then drop the old keys — a racing worker sees
+        (old geom, old plan) or (new geom, new plan), never a torn pair,
+        and an evicted new-version plan merely recompiles on first use."""
+        old = model.geometry
+        for prec, ep in plans.items():
+            self.plans.put(self._plan_key(model.name, geom.version, prec), ep)
+        model.geometry = geom
+        self.plans.invalidate_prefix(self._plan_key(model.name, old.version, ""))
 
     # -- online autotuning ---------------------------------------------------
 
@@ -729,20 +681,10 @@ class ServeEngine:
                 new_plan, precision=config.precision,
                 **self._compile_kwargs(geom),
             )
-            # Publication order (see update_geometry): new plan in cache,
-            # then the snapshot swap, then stale-key cleanup.
-            self.plans.put(
-                self._plan_key(name, version, config.precision), ep
-            )
-            model.geometry = geom
+            self._publish(model, geom, {config.precision: ep})
             model.tuned = config
             model.precision = config.precision
-            self._batch_limits[name] = (
-                config.max_batch, config.max_wait_ms
-            )
-            self.plans.invalidate_prefix(
-                self._plan_key(name, old.version, "")
-            )
+            self._batch_limits[name] = (config.max_batch, config.max_wait_ms)
             swap_s = time.perf_counter() - t0
             self.metrics.record_config_swap(name, swap_s)
         return {
@@ -762,34 +704,18 @@ class ServeEngine:
         registration — is refreshed under the model's *current* geometry
         fingerprint.
         """
-        from repro.tune.search import tune as tune_search
-        from repro.tune.store import geometry_fingerprint
-
         model = self._model(name)
         if model.slo is None:
             raise ValueError(
                 f"model {name!r} was not registered with an SLO; "
                 f"nothing to retune against"
             )
-        ctx = self._tune_ctx.get(name, {})
         geom = model.geometry
-        report = tune_search(
-            geom.points,
-            kernel=geom.fmm.kernel,
-            slo=model.slo,
-            grid=ctx.get("grid"),
-            seed=ctx.get("seed", 0),
-            measure=ctx.get("measure", True),
+        config, report = self._resolve_tuned(
+            name, geom.points, geom.fmm.kernel, model.slo, refresh=True
         )
-        result = self.apply_tuned_config(name, report.config, report=report)
-        store = ctx.get("store")
-        if store is not None:
-            fingerprint = geometry_fingerprint(geom.points)
-            ctx["fingerprint"] = fingerprint
-            store.put(
-                fingerprint, ctx.get("kernel_name", "kernel"), model.slo,
-                report.config, report=report.to_dict(),
-            )
+        result = self.apply_tuned_config(name, config)
+        result["report"] = report
         result["observed_s"] = observed_s
         return result
 
@@ -826,28 +752,12 @@ class ServeEngine:
 
     # -- submission --------------------------------------------------------
 
-    def submit(
-        self,
-        model: str,
-        density: np.ndarray,
-        tenant: str = "default",
-        timeout_s: float | None = None,
-        precision: str | None = None,
-    ) -> Request:
-        """Enqueue one density vector; returns a :class:`Request` future.
+    def expected(self, model: str) -> int:
+        return self._model(model).expected
 
-        Raises :class:`UnknownModel` / :class:`ValueError` on bad input
-        and :class:`Overloaded` when the queue is full.  ``timeout_s``
-        sets the request deadline: requests a worker cannot reach in time
-        fail with :class:`DeadlineExceeded` instead of completing late.
-
-        ``precision`` overrides the model's default plan precision for
-        this request (``"auto"`` defers to the model's calibrated
-        choice); a precision outside the model's ``allowed`` set raises
-        :class:`~repro.core.plan.PrecisionError` at submit — e.g. an
-        fp64 request against an fp32-only model is rejected typed, never
-        silently evaluated at the wrong precision.
-        """
+    def _admit(self, model: str, precision):
+        """The precision policy: resolve the request's plan precision and
+        reject one outside the model's ``allowed`` set."""
         m = self._model(model)
         if precision is None or precision == "auto":
             precision = m.precision
@@ -861,31 +771,26 @@ class ServeEngine:
                 f"model {model!r} does not allow precision {precision!r} "
                 f"(allowed: {sorted(m.allowed)})"
             )
-        dens = np.asarray(density, dtype=np.float64).reshape(-1)
-        if dens.size != m.expected:
-            raise ValueError(
-                f"model {model!r}: densities shape "
-                f"{np.asarray(density).shape} has {dens.size} values, "
-                f"expected n_points*source_dim = {m.expected}"
-            )
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        req = Request(
-            model, dens, tenant=tenant, deadline=deadline, precision=precision
-        )
-        try:
-            self.queue.push(req)
-        except Overloaded as err:
-            self.metrics.record_rejected()
-            # annotate the rejection with a backpressure estimate: queued
-            # depth x observed p95 service time / (workers x batch width)
-            err.retry_after_s = retry_after_hint(
-                self.queue.depth,
-                self.metrics.service_p95(),
-                self.n_workers * self.max_batch,
-            )
-            raise
-        self.metrics.record_queue_depth(self.queue.depth)
-        return req
+        return precision
+
+    def submit(
+        self,
+        model: str,
+        density: np.ndarray,
+        tenant: str = "default",
+        timeout_s: float | None = None,
+        precision: str | None = None,
+    ) -> Request:
+        """:meth:`ServeFront.submit` with a per-request plan precision.
+
+        ``precision`` overrides the model's default plan precision for
+        this request (``"auto"`` defers to the model's calibrated
+        choice); a precision outside the model's ``allowed`` set raises
+        :class:`~repro.core.plan.PrecisionError` at submit — e.g. an
+        fp64 request against an fp32-only model is rejected typed, never
+        silently evaluated at the wrong precision.
+        """
+        return self._submit(model, density, tenant, timeout_s, precision)
 
     def evaluate(
         self,
@@ -896,82 +801,41 @@ class ServeEngine:
         precision: str | None = None,
     ) -> np.ndarray:
         """Blocking :meth:`submit` + result."""
-        return self.submit(
-            model, density, tenant, timeout_s, precision=precision
-        ).result(timeout=None if timeout_s is None else timeout_s + 60.0)
+        return self._wait(
+            self.submit(model, density, tenant, timeout_s, precision),
+            timeout_s,
+        )
 
     # -- workers -----------------------------------------------------------
 
-    def _worker(self, worker_id: int) -> None:
-        batch = self.batcher.collect()
-        if not batch:
-            return
-        now = time.monotonic()
-        live = []
-        for req in batch:
-            if req.expired(now):
-                self.metrics.record_expired(req.model)
-                req.set_error(
-                    DeadlineExceeded(
-                        f"request for model {req.model!r} expired after "
-                        f"{now - req.enqueued:.3f}s in queue"
-                    )
-                )
-            else:
-                live.append(req)
-        if not live:
-            return
+    def _execute(self, worker_id: int, live: list) -> list:
+        """One multi-RHS apply for the batch, retried whole on a typed
+        transient fault under ``self.retry``."""
         model = self._model(live[0].model)
         precision = live[0].precision  # batches never mix precisions
         profile = self._profiles[worker_id]
-        q = len(live)
-        for req in live:
-            req.batch_size = q
-            req.wait_s = now - req.enqueued
         dens_block = np.stack([r.density for r in live], axis=1)
-        attempts = 0
-        causes: list[str] = []
         # One geometry snapshot for the whole batch: points, tree/lists,
         # the fmm and the compiled plan all come from it, so a concurrent
         # update_geometry or tuned-config swap cannot tear the set
         # mid-batch.
         geom = model.geometry
-        while True:
-            attempts += 1
-            try:
-                eval_plan = self._plan_for(model, precision, geom)
-                with profile.phase(f"SERVE:apply:{model.name}"):
-                    pot = geom.fmm.evaluate(
-                        geom.points,
-                        dens_block,
-                        plan=geom.plan,
-                        eval_plan=eval_plan,
-                        profile=profile,
-                    )
-                break
-            except TRANSIENT_ERRORS as err:
-                if (
-                    attempts >= self.retry.max_attempts
-                    or not isinstance(err, self.retry.retry_on)
-                ):
-                    for req in live:
-                        self.metrics.record_failed(req.model)
-                        req.set_error(err)
-                    return
-                causes.append(type(err).__name__)
-                delay = self.retry.delay(attempts)
-                if delay > 0.0:
-                    time.sleep(delay)
-            except Exception as err:  # non-transient: fail fast, typed
-                for req in live:
-                    self.metrics.record_failed(req.model)
-                    req.set_error(err)
-                return
-        done = time.monotonic()
-        for cause in causes:
-            self.metrics.record_retry(cause)
-        for j, req in enumerate(live):
-            req.set_result(np.ascontiguousarray(pot[:, j]))
-            self.metrics.record_completed(
-                req.model, done - req.enqueued, req.wait_s, q
-            )
+
+        def apply(_k):
+            eval_plan = self._plan_for(model, precision, geom)
+            with profile.phase(f"SERVE:apply:{model.name}"):
+                return geom.fmm.evaluate(
+                    geom.points,
+                    dens_block,
+                    plan=geom.plan,
+                    eval_plan=eval_plan,
+                    profile=profile,
+                )
+
+        pot = self.retry.run(
+            apply,
+            on_retry=lambda k, exc, delay: self.metrics.record_retry(
+                cause_name(exc)
+            ),
+        )
+        return [np.ascontiguousarray(pot[:, j]) for j in range(len(live))]

@@ -21,10 +21,10 @@ instead of hammering a saturated queue.  Typed rejections are counted by
 class (``overloaded`` / ``deadline`` / ``shard_unavailable``); only
 untyped escapes count as ``errors``.
 
-The driver for both is :func:`run_load`, which works against anything
-with the engine duck type (``evaluate`` / ``submit`` / ``_model`` /
-``metrics``): the single-process :class:`~repro.serve.engine.ServeEngine`
-and the distributed :class:`~repro.serve.router.Router`.
+The driver for both is :func:`run_load`, which works against any
+:class:`~repro.serve.scheduler.ServeFront` (``evaluate`` / ``submit`` /
+``expected`` / ``metrics``): the single-process ``ServeEngine`` and the
+distributed :class:`~repro.serve.router.Router`.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def run_load(
 
     def closed_client(i: int) -> None:
         model = models[i % len(models)]
-        expected = engine._model(model).expected
+        expected = engine.expected(model)
         rng = np.random.default_rng(seed + i)
         while time.monotonic() < stop_at:
             dens = rng.standard_normal(expected)
@@ -120,7 +120,7 @@ def run_load(
 
     def open_client(i: int) -> None:
         model = models[i % len(models)]
-        expected = engine._model(model).expected
+        expected = engine.expected(model)
         rng = np.random.default_rng(seed + i)
         period = clients / float(rate_rps)
         next_arrival = time.monotonic() + (i % clients) * period / clients

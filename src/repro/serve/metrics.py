@@ -94,7 +94,7 @@ class ServeMetrics:
         self._models: dict[str, _ModelStats] = {}
         self.rejected = 0  # Overloaded at admission
         self.expired = 0  # DeadlineExceeded at dequeue
-        self.retried = 0  # transient-fault retries that later succeeded
+        self.retried = 0  # retries performed, each counted as it is made
         self.retried_by_cause: dict[str, int] = {}
         self.plan_hits = 0
         self.plan_misses = 0

@@ -1,12 +1,11 @@
 """The router rank: admission, dispatch and fabric-wide observability.
 
 The router is the control plane sitting in front of a
-:class:`~repro.serve.dist_engine.DistServeEngine`.  It reuses the typed
-serving machinery PR 5 built — :class:`~repro.serve.scheduler.FairQueue`
-weighted-fair admission with :class:`~repro.serve.scheduler.Overloaded`
-backpressure, absolute deadlines, a plain-thread
-:class:`~repro.serve.scheduler.WorkerPool` of dispatchers — and adds the
-fault-tolerance surface:
+:class:`~repro.serve.dist_engine.DistServeEngine`: a
+:class:`~repro.serve.scheduler.ServeFront` — the same weighted-fair
+admission, ``Overloaded`` backpressure, deadlines and worker pool as the
+single-process engine — run at batch width 1, whose workers dispatch
+through :meth:`DistServeEngine.evaluate`.  What it adds to the front:
 
 * **Fast-fail admission.**  A request for a model whose every serving
   path is circuit-broken is rejected *at submit* with
@@ -33,34 +32,16 @@ and dispatch alongside per-rank heartbeats and ``RECOVERY:*`` spans.
 
 from __future__ import annotations
 
-import threading
 import time
-
-import numpy as np
 
 from repro.serve.dist_engine import DistServeEngine
 from repro.serve.metrics import ServeMetrics
-from repro.serve.scheduler import (
-    DeadlineExceeded,
-    FairQueue,
-    Overloaded,
-    Request,
-    ShardUnavailable,
-    UnknownModel,
-    WorkerPool,
-    retry_after_hint,
-)
+from repro.serve.scheduler import ServeFront, ShardUnavailable
 
 __all__ = ["Router"]
 
-#: Typed errors a request future may raise; anything else escaping the
-#: engine is a bug and is re-raised to the caller wrapped untyped (tests
-#: assert this never happens under the chaos matrix).
-TYPED_ERRORS = (Overloaded, DeadlineExceeded, ShardUnavailable,
-                UnknownModel, ValueError)
 
-
-class Router:
+class Router(ServeFront):
     """Admission + dispatch front-end over a :class:`DistServeEngine`.
 
     ``n_dispatchers`` bounds the number of concurrently in-flight
@@ -77,43 +58,8 @@ class Router:
         max_queue: int = 64,
         tenant_weights: dict | None = None,
     ):
+        super().__init__(n_dispatchers, max_queue, tenant_weights)
         self.engine = engine
-        self.n_dispatchers = int(n_dispatchers)
-        self.metrics = ServeMetrics()
-        self.queue = FairQueue(max_depth=max_queue, weights=tenant_weights)
-        self._pool = WorkerPool(self.n_dispatchers, self._dispatch)
-        self._started = False
-        self._lock = threading.Lock()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "Router":
-        with self._lock:
-            if not self._started:
-                self._pool.start()
-                self._started = True
-        return self
-
-    def stop(self) -> None:
-        with self._lock:
-            if not self._started:
-                return
-            self._started = False
-        self.queue.close()
-        self._pool.stop()
-        # drain: everything still queued rejects typed, nothing hangs
-        while True:
-            req = self.queue.pop(timeout=0.0)
-            if req is None:
-                break
-            self.metrics.record_failed(req.model)
-            req.set_error(Overloaded("router stopped before dispatch"))
-
-    def __enter__(self) -> "Router":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- registration / introspection (delegated) ---------------------------
 
@@ -125,117 +71,34 @@ class Router:
     def models(self) -> list[str]:
         return self.engine.models()
 
-    def _model(self, name: str):
-        # duck-compatibility with ServeEngine for the load generator:
-        # run_load reads ._model(name).expected to size densities
-        return self.engine._model(name)
+    def expected(self, model: str) -> int:
+        return self.engine._model(model).expected
 
-    # -- admission ----------------------------------------------------------
+    # -- admission and dispatch: what the front does not already do ---------
 
-    def submit(
-        self,
-        model: str,
-        density,
-        tenant: str = "default",
-        timeout_s: float | None = None,
-    ) -> Request:
-        """Admit one request; returns a future-like :class:`Request`.
-
-        Raises typed: :class:`UnknownModel` / :class:`ValueError` on bad
-        input, :class:`ShardUnavailable` when no serving path for the
-        model is currently admissible (fast-fail, no queueing), and
-        :class:`Overloaded` — carrying ``retry_after_s`` — on a full
-        queue.
-        """
-        m = self.engine._model(model)  # raises UnknownModel
-        dens = np.asarray(density, dtype=np.float64).reshape(-1)
-        if dens.size != m.expected:
-            raise ValueError(
-                f"model {model!r}: densities have {dens.size} values, "
-                f"expected {m.expected}"
-            )
+    def _admit(self, model: str, precision):
+        """Fast-fail: reject at submit, typed, a model none of whose rank
+        groups is admitting (no queueing of work that cannot be served)."""
         if not self.engine.available(model):
             self.metrics.record_rejected()
             raise ShardUnavailable(
                 f"model {model!r}: no shard group or replica is currently "
                 f"admitting requests (circuit breakers open)"
             )
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        req = Request(model, dens, tenant=tenant, deadline=deadline)
-        self.metrics.record_queue_depth(self.queue.depth)
-        try:
-            self.queue.push(req)
-        except Overloaded as err:
-            self.metrics.record_rejected()
-            err.retry_after_s = retry_after_hint(
-                self.queue.depth,
-                self.metrics.service_p95(),
-                self.n_dispatchers,
-            )
-            raise
-        return req
+        return "fp64"  # the distributed plane has one precision per model
 
-    def evaluate(
-        self,
-        model: str,
-        density,
-        tenant: str = "default",
-        timeout_s: float | None = None,
-    ) -> np.ndarray:
-        """Blocking convenience wrapper: submit and wait for the result."""
-        req = self.submit(model, density, tenant=tenant, timeout_s=timeout_s)
-        # the dispatcher enforces the deadline; the extra slack only
-        # guards against a wedged dispatcher thread
-        wait = None if timeout_s is None else timeout_s + 2.0
-        return req.result(timeout=wait)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def _dispatch(self, worker_id: int) -> None:
-        req = self.queue.pop(timeout=0.05)
-        if req is None:
-            return
-        now = time.monotonic()
-        if req.expired(now):
-            self.metrics.record_expired(req.model)
-            req.set_error(DeadlineExceeded(
-                f"model {req.model!r}: deadline expired after "
-                f"{now - req.enqueued:.3f}s in queue"
-            ))
-            return
-        req.wait_s = now - req.enqueued
-        req.batch_size = 1
-        t0 = now
-        try:
-            out = self.engine.evaluate(
-                req.model, req.density, deadline=req.deadline
+    def _execute(self, worker_id: int, live: list) -> list:
+        (req,) = live  # batch width 1
+        t0 = time.monotonic()
+        out = self.engine.evaluate(req.model, req.density, deadline=req.deadline)
+        trace = self.engine._trace
+        if trace is not None:
+            trace.record_span(
+                self.engine.nranks,  # the router rank
+                f"SERVE:dispatch:{req.model}",
+                time.monotonic() - t0, 0.0, 0, 0.0, 0.0,
             )
-        except TYPED_ERRORS as err:
-            if isinstance(err, DeadlineExceeded):
-                self.metrics.record_expired(req.model)
-            else:
-                self.metrics.record_failed(req.model)
-            req.set_error(err)
-        except BaseException as err:  # noqa: BLE001 - contract violation path
-            # an untyped escape is a bug in the failover machinery; the
-            # caller still gets an answer-or-error (never a hang)
-            self.metrics.record_failed(req.model)
-            req.set_error(err)
-        else:
-            done = time.monotonic()
-            self.metrics.record_completed(
-                req.model, done - req.enqueued, req.wait_s, 1
-            )
-            trace = self.engine._trace
-            if trace is not None:
-                trace.record_span(
-                    self.engine.nranks,  # the router rank
-                    f"SERVE:dispatch:{req.model}",
-                    done - t0, 0.0, 0, 0.0, 0.0,
-                )
-            req.set_result(out)
+        return [out]
 
     # -- observability ------------------------------------------------------
 

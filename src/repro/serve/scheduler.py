@@ -1,6 +1,15 @@
-"""Admission control, fair queueing and the worker pool.
+"""The serving front: admission, fair queueing, batching, the worker pool.
 
-The serving queue is the contention point of the whole engine, so its
+:class:`ServeFront` is the one queue -> expire -> execute -> reply path of
+this package.  It owns the :class:`FairQueue`, the micro-batcher, the
+:class:`WorkerPool` and the metrics, and implements ``start`` /
+stop-and-drain / ``submit`` (size check -> the subclass's admit hook ->
+deadline -> push -> ``Overloaded.retry_after_s``) / expire-at-dequeue /
+``evaluate`` once.  :class:`~repro.serve.engine.ServeEngine` drives it
+with a batched local apply, :class:`~repro.serve.router.Router` at batch
+width 1 with :meth:`DistServeEngine.evaluate`.
+
+The queue is the contention point of the whole engine, so its
 behaviour is typed and explicit:
 
 * **Bounded admission.**  :meth:`FairQueue.push` raises :class:`Overloaded`
@@ -29,11 +38,16 @@ import threading
 import time
 from collections import deque
 
+import numpy as np
+
+from repro.serve.metrics import ServeMetrics
+
 __all__ = [
     "DeadlineExceeded",
     "FairQueue",
     "Overloaded",
     "Request",
+    "ServeFront",
     "ShardUnavailable",
     "UnknownModel",
     "WorkerPool",
@@ -43,6 +57,11 @@ __all__ = [
 #: Stride normalisation constant (any positive value works; this keeps
 #: passes readable in debuggers).
 _STRIDE_K = 1024.0
+
+#: Seconds a blocking ``evaluate`` waits past the deadline the workers
+#: enforce: it only turns a wedged worker into an error, so it is sized to
+#: outlast an apply already under way at the deadline.
+EVALUATE_SLACK_S = 60.0
 
 
 class Overloaded(RuntimeError):
@@ -101,6 +120,18 @@ def retry_after_hint(
     return float(min(cap_s, max(floor_s, est)))
 
 
+def check_density(model: str, density, expected: int) -> np.ndarray:
+    """``density`` as a flat float64 vector of ``model``'s ``expected``
+    length, or a ``ValueError`` naming the shape that arrived."""
+    dens = np.asarray(density, dtype=np.float64).reshape(-1)
+    if dens.size != expected:
+        raise ValueError(
+            f"model {model!r}: densities shape {np.shape(density)} has "
+            f"{dens.size} values, expected n_points*source_dim = {expected}"
+        )
+    return dens
+
+
 class Request:
     """One queued density evaluation.
 
@@ -116,7 +147,6 @@ class Request:
         "deadline",
         "precision",
         "enqueued",
-        "attempts",
         "batch_size",
         "wait_s",
         "_done",
@@ -137,7 +167,6 @@ class Request:
         #: "fp32"); resolved at submit time, batched only with equals.
         self.precision = precision
         self.enqueued = time.monotonic()
-        self.attempts = 0
         self.batch_size = 0
         self.wait_s = 0.0
         self._done = threading.Event()
@@ -352,3 +381,163 @@ class WorkerPool:
         for t in self._threads:
             if t.ident is not None:  # join() before start() raises
                 t.join(join_timeout)
+
+
+class ServeFront:
+    """Queue -> expire -> execute -> reply (see the module docstring); a
+    serving class supplies :meth:`expected`, :meth:`_admit`, :meth:`_execute`."""
+
+    def __init__(
+        self, n_workers, max_queue, tenant_weights,
+        max_batch=1, max_wait_ms=0.0, limits=None,
+    ):
+        from repro.serve.batcher import MicroBatcher  # it imports this module
+
+        self.metrics = ServeMetrics()
+        self.n_workers = int(n_workers)
+        self.max_batch = int(max_batch)
+        self.queue = FairQueue(max_depth=max_queue, weights=tenant_weights)
+        self.batcher = MicroBatcher(
+            self.queue, max_batch=max_batch, max_wait_ms=max_wait_ms,
+            limits=limits,
+        )
+        self.pool = WorkerPool(n_workers, self._serve_batch)
+        self.metrics.bind_pools(workers=self.pool.stats)
+        self._lifecycle = threading.Lock()
+        self._started = False
+
+    def expected(self, model: str) -> int:
+        """Length of one density vector of ``model``, or :class:`UnknownModel`."""
+        raise NotImplementedError
+
+    def _admit(self, model: str, precision):
+        """The class's own admission check; returns the precision tag the
+        request is batched under."""
+        raise NotImplementedError
+
+    def _execute(self, worker_id: int, live: list) -> list:
+        """One reply per request of the same-model batch ``live``, in
+        order; an exception fails every request of the batch with it."""
+        raise NotImplementedError
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def start(self):
+        with self._lifecycle:
+            if not self._started:
+                self._started = True
+                self.pool.start()
+        return self
+
+    def stop(self) -> None:
+        """Join the workers and drain: every request still queued fails
+        typed (``Overloaded``) and counts as failed — nothing hangs."""
+        with self._lifecycle:
+            self.queue.close()
+            self.pool.stop()
+            while (req := self.queue.pop(timeout=0.0)) is not None:
+                self.metrics.record_failed(req.model)
+                req.set_error(Overloaded("stopped before the request ran"))
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    # -- admission -----------------------------------------------------------
+
+    def _submit(self, model, density, tenant, timeout_s, precision=None):
+        dens = check_density(model, density, self.expected(model))
+        precision = self._admit(model, precision)
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        req = Request(
+            model, dens, tenant=tenant, deadline=deadline, precision=precision
+        )
+        try:
+            self.queue.push(req)
+        except Overloaded as err:
+            self.metrics.record_rejected()
+            # backpressure estimate: queued depth x observed p95 service
+            # time / (workers x batch width)
+            err.retry_after_s = retry_after_hint(
+                self.queue.depth,
+                self.metrics.service_p95(),
+                self.n_workers * self.max_batch,
+            )
+            raise
+        self.metrics.record_queue_depth(self.queue.depth)
+        return req
+
+    def submit(
+        self,
+        model: str,
+        density,
+        tenant: str = "default",
+        timeout_s: float | None = None,
+    ) -> Request:
+        """Admit one density vector; returns a :class:`Request` future.
+
+        Raises typed: :class:`UnknownModel` / ``ValueError`` on bad input,
+        what :meth:`_admit` raises, :class:`Overloaded` (with
+        ``retry_after_s``) on a full queue.  A request no worker reaches
+        within ``timeout_s`` fails with :class:`DeadlineExceeded`.
+        """
+        return self._submit(model, density, tenant, timeout_s)
+
+    def evaluate(
+        self,
+        model: str,
+        density,
+        tenant: str = "default",
+        timeout_s: float | None = None,
+    ) -> np.ndarray:
+        """Blocking :meth:`submit` + result."""
+        return self._wait(
+            self.submit(model, density, tenant, timeout_s), timeout_s
+        )
+
+    @staticmethod
+    def _wait(req: Request, timeout_s):
+        return req.result(
+            timeout=None if timeout_s is None else timeout_s + EVALUATE_SLACK_S
+        )
+
+    # -- workers -------------------------------------------------------------
+
+    def _serve_batch(self, worker_id: int) -> None:
+        batch = self.batcher.collect()
+        now = time.monotonic()
+        live = []
+        for req in batch:
+            if req.expired(now):
+                self.metrics.record_expired(req.model)
+                req.set_error(DeadlineExceeded(
+                    f"request for model {req.model!r} expired after "
+                    f"{now - req.enqueued:.3f}s in queue"
+                ))
+            else:
+                req.wait_s = now - req.enqueued
+                live.append(req)
+        if not live:
+            return
+        for req in live:
+            req.batch_size = len(live)
+        try:
+            replies = self._execute(worker_id, live)
+        except BaseException as err:  # noqa: BLE001 - answer or error, never a hang
+            for req in live:
+                if isinstance(err, DeadlineExceeded):
+                    self.metrics.record_expired(req.model)
+                else:
+                    self.metrics.record_failed(req.model)
+                req.set_error(err)
+            if not isinstance(err, Exception):
+                raise  # interrupt / exit: answered first, then let through
+            return
+        done = time.monotonic()
+        for req, reply in zip(live, replies):
+            self.metrics.record_completed(
+                req.model, done - req.enqueued, req.wait_s, len(live)
+            )
+            req.set_result(reply)

@@ -31,7 +31,7 @@ from repro.core.plan import tree_fingerprint
 from repro.core.tree import build_tree
 from repro.tune.search import SLO, TuneConfig
 
-__all__ = ["TuneStore", "geometry_fingerprint", "STORE_VERSION"]
+__all__ = ["TuneStore", "geometry_fingerprint", "resolve_config", "STORE_VERSION"]
 
 STORE_VERSION = 1
 
@@ -142,3 +142,29 @@ class TuneStore:
     def entries(self) -> list[dict]:
         with self._lock:
             return list(self._load()["entries"].values())
+
+
+def resolve_config(
+    store: TuneStore | None, points, kernel_name: str, slo: SLO, search,
+    backend: str = "cpu", refresh: bool = False,
+):
+    """Store lookup -> search -> persist: the one way a tuned config is
+    resolved for (``points``, kernel, ``slo``, ``backend``).
+
+    ``search()`` runs the tuner and returns ``(config, report dict or
+    None)``, which is also what this returns (report ``None`` on a store
+    hit).  ``refresh`` skips the lookup: a re-tune searches because the
+    stored entry is what drifted.  ``store=None`` is just ``search()``.
+    """
+    if store is None:
+        return search()
+    fingerprint = geometry_fingerprint(points)
+    if not refresh:
+        hit = store.get(fingerprint, kernel_name, slo, backend)
+        if hit is not None:
+            return hit, None
+    config, report = search()
+    store.put(fingerprint, kernel_name, slo, config, backend=backend,
+              report=report)
+    return config, report
+

@@ -214,6 +214,95 @@ class TestReplicatedFailover:
         eng.set_faults(None)
 
 
+class TestRankGroups:
+    """Shard, fallback and replica are one group type with one dispatch."""
+
+    @staticmethod
+    def _engine(**kwargs):
+        return DistServeEngine(
+            nranks=2, run_timeout_s=RUN_TIMEOUT,
+            retry=RetryPolicy(max_attempts=2, backoff=0.0), **kwargs,
+        )
+
+    @pytest.mark.parametrize("placement", ["sharded", "replicated", "fallback"])
+    def test_a_retry_is_counted_when_it_is_performed(self, placement):
+        """RECOVERY:retry spans == ``retried`` == dispatch attempts - 1:
+        no backoff, span or count after the last failed attempt."""
+        trace = TraceRecorder()
+        eng = self._engine(trace=trace, breaker_threshold=2,
+                           breaker_cooldown_s=60.0)
+        eng.register(
+            "m", _points(400), order=ORDER, max_points_per_box=BOX,
+            **({"placement": "replicated", "replicas": 2}
+               if placement == "replicated"
+               else {"fallback_replica": placement == "fallback"}),
+        )
+        dens = np.ones(eng._model("m").expected)
+        crash = [Fault("crash", rank=r, op="phase", phase="D2T",
+                       attempts=1_000_000) for r in (0, 1)]
+        if placement == "fallback":
+            # two failures open the shard breaker; the fallback (projected
+            # onto rank 0) is what the counted request runs on
+            eng.set_faults(FaultPlan(crash[1:]))
+            with pytest.raises(ShardUnavailable):
+                eng.evaluate("m", dens)
+            assert eng.breaker("m/shard").state == "open"
+
+        def counts():
+            return (
+                sum(1 for e in trace.span_events()
+                    if e.phase.startswith("RECOVERY:retry")),
+                sum(m.retried for m in eng.rank_metrics),
+                sum(h["failures"] for h in eng.health.snapshot().values()),
+            )
+
+        before = counts()
+        eng.set_faults(FaultPlan(crash))
+        with pytest.raises(ShardUnavailable):
+            eng.evaluate("m", dens)
+        eng.set_faults(None)
+        spans, retried, attempts = (
+            b - a for a, b in zip(before, counts())
+        )
+        assert attempts == 2  # every attempt of this request failed
+        assert spans == retried == attempts - 1
+
+    def test_one_replica_equals_a_one_rank_shard_bitwise(self):
+        eng = self._engine()
+        pts = _points(400)
+        kwargs = dict(order=ORDER, max_points_per_box=BOX)
+        eng.register("rep", pts, placement="replicated", replicas=1, **kwargs)
+        eng.register("shard", pts, placement="sharded", group=1, **kwargs)
+        dens = np.random.default_rng(23).standard_normal(len(pts))
+        assert np.array_equal(
+            eng.evaluate("rep", dens), eng.evaluate("shard", dens)
+        )
+
+    def test_a_fault_follows_its_fabric_rank(self):
+        """A fault aimed at fabric rank 1 fires on replica 1 — and never
+        on replica 0 or on a one-rank shard, which sit on rank 0."""
+        eng = self._engine()
+        pts = _points(400)
+        kwargs = dict(order=ORDER, max_points_per_box=BOX)
+        eng.register("rep", pts, placement="replicated", replicas=2, **kwargs)
+        eng.register("shard", pts, placement="sharded", group=1, **kwargs)
+        dens = np.ones(len(pts))
+        ref = eng.evaluate("shard", dens)
+        eng.set_faults(FaultPlan(
+            [Fault("crash", rank=1, op="phase", phase="D2T",
+                   attempts=1_000_000)]
+        ))
+        for _ in range(3):
+            assert np.array_equal(eng.evaluate("shard", dens), ref)
+            assert np.array_equal(eng.evaluate("rep", dens), ref)
+        eng.set_faults(None)
+        health = eng.health.snapshot()
+        assert health[1]["failures"] >= 1 and health[0]["failures"] == 0
+        snap = eng.breaker_snapshot()
+        assert snap["rep/r1"]["failures"] >= 1
+        assert snap["rep/r0"]["failures"] == snap["shard/shard"]["failures"] == 0
+
+
 class TestCircuitBreaker:
     def test_shard_breaker_opens_then_recovers(self):
         p, n = 2, 400

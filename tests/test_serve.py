@@ -366,7 +366,12 @@ class TestChaos:
             req = eng.submit("m", np.ones(N), timeout_s=30.0)
             with pytest.raises(TRANSIENT_ERRORS):
                 req.result(timeout=30.0)
-        assert eng.metrics.snapshot()["failed"] == 1
+        snap = eng.metrics.snapshot()
+        assert snap["failed"] == 1
+        # a retry is counted when it is performed, not only if the batch
+        # later succeeds: two attempts, one retry, with its typed cause
+        assert snap["retried"] == 1
+        assert snap["retried_by_cause"] == {"RankCrash": 1}
 
 
 class TestConcurrentClients:
