@@ -19,10 +19,18 @@ the floating-point operation sequence by construction:
   position-independence, other-column-value-independence.
 * A single-RHS caller therefore pads its one column to ``Q_PAD`` and
   reads column 0; a ``q``-column batch runs ``ceil(q / Q_PAD)`` GEMM
-  groups of the identical shape.  The padding columns cost almost
-  nothing: GEMM at these sizes is bound by streaming ``k``, which is
-  read once per group either way — that is the whole multi-RHS batching
-  win.
+  groups of the identical shape.  The padding columns are **not** free:
+  GEMM at these sizes is not bound by streaming ``k``.  Batched
+  ``np.matmul`` on the reference host (2 cores, OpenBLAS 0.3.31, two
+  sittings, medians of 15 and 41): ``(180, 48, 1536) @ (., ., cols)`` —
+  a ULI block — takes 4.0 / 5.2-6.1 / 6.2-7.5 ms at 1 / 4 / 8 columns,
+  ``(2000, 152, 48)`` — an S2U block — 4.6 / 5.5-9.6 / 10.9-12.4 ms.  A
+  single-RHS apply therefore pays 1.5-2.4x in every kernel-matrix phase
+  for its seven zero columns (``k`` streams at 10-17 GB/s in the
+  8-column call, against a ``host.triad_gbs`` of 24-26), while a column of a full
+  group costs 0.13-0.24 of a solo one: that is the multi-RHS batching
+  win, and ``Q_PAD`` trades the two against each other (ROADMAP, *open
+  decision*).
 
 This replaces the previous ``np.einsum("bij,bj->bi")`` formulation,
 which never dispatched to BLAS (2-3x slower) and whose batched

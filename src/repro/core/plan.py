@@ -43,6 +43,14 @@ Design rules:
   :func:`compile_plan` returns, an apply only reads the plan (per-thread
   scratch and the ``gpu`` staging dict aside): concurrent applies need
   no lock, and a plan weighs the same after any number of requests.
+* **Blocks the size of their boxes.**  A block side is
+  :func:`repro.core.tree.pad_class` of the box's own count — a leaf's
+  points (S2U, D2T, the leaf side of an X/W pair, a ULI target) or the
+  packed source total of its U-list (the ULI source side) — two classes
+  per octave, so a block holds, evaluates and multiplies less than half
+  again of its real pairs per side.  The class is a property of the box
+  and nothing else: a geometry patch keeps every clean box's slot key,
+  and every rank of a LET cuts an octant's blocks alike.
 * **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
   only on geometry; they are materialised at compile under a byte budget
   claimed in the order ULI (it dominates), S2U, D2T, then the pair
@@ -82,7 +90,7 @@ import numpy as np
 
 from repro.core.contract import gemm_cols
 from repro.core.parallel import record_parallel_spans
-from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches
+from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches, pad_class
 from repro.util.blas import limit_blas_threads
 
 __all__ = [
@@ -208,10 +216,9 @@ class _D2dLevel:
 
 @dataclass
 class _PairBlock:
-    """X's or W's reading of one (level, padded-count) batch of (far box,
-    leaf) pairs; under :func:`_wx_dual` both hold the same arrays."""
+    """X's or W's reading of one padded-count batch of (far box, leaf)
+    pairs; under :func:`_wx_dual` both hold the same arrays."""
 
-    level: int
     pad: int
     rows: np.ndarray  # target node per pair: the far box (X) / the leaf (W)
     cols: np.ndarray  # source node per pair
@@ -801,7 +808,7 @@ class _NoReuse:
     def uli_slot(self, tree, i, srcs, tp, sp):
         return None, None
 
-    def slots(self, tag, lev, pad, nodes, *node_keys) -> list:
+    def slots(self, tag, pad, nodes, *node_keys) -> list:
         return [None] * nodes.size
 
 
@@ -832,7 +839,7 @@ class _PlanReuse(_NoReuse):
         for blk in old_plan.uli:
             for j, i in enumerate(blk.boxes):
                 self._uli[int(keys[i])] = (blk, j)
-        #: old kmat slots, ``(tag, level, pad, *node keys) -> (kmat, slot)``:
+        #: old kmat slots, ``(tag, pad, *node keys) -> (kmat, slot)``:
         #: a leaf block's tag is its section; a pair block's "wx", keyed (far
         #: box, leaf) whichever list reads it, or "w" for W's own layout
         self._slots: dict[tuple, tuple] = {}
@@ -849,9 +856,9 @@ class _PlanReuse(_NoReuse):
     def _index(self, tag, blk, *node_keys) -> None:
         if blk.kmat is not None:
             for j, ks in enumerate(zip(*(k.tolist() for k in node_keys))):
-                self._slots[(tag, blk.level, blk.pad, *ks)] = (blk.kmat, j)
+                self._slots[(tag, blk.pad, *ks)] = (blk.kmat, j)
 
-    def slots(self, tag, lev, pad, nodes, *node_keys) -> list:
+    def slots(self, tag, pad, nodes, *node_keys) -> list:
         """Per-member old kmat slots of a ``tag`` batch (None = dirty):
         offered where the content of ``nodes`` — the leaf whose points
         enter the matrix — is clean and ``node_keys`` match."""
@@ -859,7 +866,7 @@ class _PlanReuse(_NoReuse):
         if self._slots:
             cols = [k.tolist() for k in node_keys]
             for j in np.flatnonzero(self.node_clean[nodes]):
-                out[j] = self._slots.get((tag, lev, pad, *(c[j] for c in cols)))
+                out[j] = self._slots.get((tag, pad, *(c[j] for c in cols)))
         return out
 
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
@@ -908,7 +915,12 @@ class _PlanReuse(_NoReuse):
 # How compile cuts each phase into blocks.  Block membership and order fix
 # the floating-point operation sequence of an apply, so these are what a
 # patched plan, a scoped plan and a fresh compile must agree on
-# (``tree.leaf_batches`` is the fourth, for the leaf phases).
+# (``tree.leaf_batches`` is the fourth, for the leaf phases).  All four
+# size a block side with ``tree.pad_class`` of the member's own count —
+# never of the batch — and batch the members of one class together, in
+# list order; the chunk bounds below only split such a batch.  Leaves are
+# batched per level as well (S2U applies a per-level operator to the
+# batch), pairs are not.
 
 
 def _v_offset_steps(tree, lists, scope=None):
@@ -936,30 +948,28 @@ def _wx_dual(ev) -> bool:
     return ev.eval_kernel is ev.kernel and ev.kernel.transpose_symmetric
 
 
-def _pair_batches(ns, level_of, counts):
-    """Group (far box, leaf) pairs by (level of the far box, padded count
-    of the leaf) and chunk; yields ``(level, pad, pair indices)``.  Pairs
-    within a chunk share one broadcast kernel evaluation."""
-    if level_of.size == 0:
-        return
-    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
-    code = level_of * np.int64(1 << 24) + kpad
-    for c in np.unique(code):
-        sel = np.flatnonzero(code == c)
-        pad = int(kpad[sel[0]])
-        lev = int(level_of[sel[0]])
+def _pair_batches(ns, counts):
+    """Group (far box, leaf) pairs by :func:`pad_class` of the leaf's count
+    and chunk; yields ``(pad, pair indices)``.  Pairs within a chunk share
+    one broadcast kernel evaluation, whatever the levels of their far
+    boxes: X and W apply no per-level operator."""
+    kpad = pad_class(counts)
+    for pad in np.unique(kpad).tolist():
+        sel = np.flatnonzero(kpad == pad)
         chunk = max(1, int(6e6 / max(pad * ns, 1)))
         for s in range(0, sel.size, chunk):
-            yield lev, pad, sel[s : s + chunk]
+            yield pad, sel[s : s + chunk]
 
 
 def _uli_groups(tree, lists, scope=None):
     """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
 
-    Groups selected leaves by (padded target count, padded total
-    source count) and chunks each group.  The per-leaf total source
-    count is a CSR segment sum over the U-list (prefix-sum difference —
-    no Python loop over leaves).
+    Groups selected leaves by (:func:`pad_class` of the target count,
+    :func:`pad_class` of the total source count) and chunks each group:
+    the packed neighbour sources of a leaf are padded as one side, by
+    their sum (27 boxes of 39 points are 1 053 sources in 1 536 columns).
+    The per-leaf total source count is a CSR segment sum over the U-list
+    (prefix-sum difference — no Python loop over leaves).
     """
     counts = tree.point_counts()
     u = lists.u
@@ -975,12 +985,7 @@ def _uli_groups(tree, lists, scope=None):
     leaves, src_total = leaves[active], src_total[active]
     if leaves.size == 0:
         return
-    tpad = np.maximum(
-        1 << np.ceil(np.log2(np.maximum(counts[leaves], 1))).astype(np.int64), 1
-    )
-    spad = np.maximum(
-        1 << np.ceil(np.log2(np.maximum(src_total, 1))).astype(np.int64), 1
-    )
+    tpad, spad = pad_class(counts[leaves]), pad_class(src_total)
     code = tpad * np.int64(1 << 32) + spad
     for c in np.unique(code):
         grp = np.flatnonzero(code == c)
@@ -1021,7 +1026,7 @@ def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
         pts = _padded_points(tree, group, pad)
         surf = base[lev][0][None, :, :] + tree.centers[group][:, None, :]
         rows = _padded_point_rows(tree, group, pad)
-        slots = reuse.slots(section, lev, pad, group, tree.keys[group])
+        slots = reuse.slots(section, pad, group, tree.keys[group])
         n = counts[group].sum()
         blocks.append(
             _LeafBlock(
@@ -1064,16 +1069,17 @@ def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
     both = np.isin(xc, wc) & dual  # X pairs W reads too
     lone = ~(np.isin(wc, xc) & dual)  # W pairs no X record covers
     xli, wli = [], []
+    ue = np.stack([ev.ops.ue_points(lev) for lev in range(tree.max_level + 1)])
 
-    def block(lev, pad, fi, li, in_x, in_w):
+    def block(pad, fi, li, in_x, in_w):
         pts = _padded_points(tree, li, pad)
-        surf = ev.ops.ue_points(lev)[None, :, :] + tree.centers[fi][:, None, :]
+        surf = ue[tree.levels[fi]] + tree.centers[fi][:, None, :]
         w_own = not (in_x or dual)
-        slots = reuse.slots("w" if w_own else "wx", lev, pad, li,
+        slots = reuse.slots("w" if w_own else "wx", pad, li,
                             tree.keys[fi], tree.keys[li])
         n_pts = counts[li].sum()
         sides = (ev.eval_kernel, pts, surf) if w_own else (ev.kernel, surf, pts)
-        shared = dict(level=lev, pad=pad, pts=pts, surf=surf, kmat=mat(*sides, slots))
+        shared = dict(pad=pad, pts=pts, surf=surf, kmat=mat(*sides, slots))
         if in_x:
             order, starts, seg = _scatter_schedule(fi)
             xli.append(_PairBlock(
@@ -1089,13 +1095,13 @@ def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
                 flops=ev.eval_kernel.pair_flops(n_pts, ev.ns), **shared,
             ))
 
-    for lev, pad, sel in _pair_batches(ev.ns, tree.levels[xf], counts[xl]):
+    for pad, sel in _pair_batches(ev.ns, counts[xl]):
         for part, in_w in ((sel[~both[sel]], False), (sel[both[sel]], True)):
             if part.size:
-                block(lev, pad, xf[part], xl[part], True, in_w)
+                block(pad, xf[part], xl[part], True, in_w)
     wf, wl = wf[lone], wl[lone]
-    for lev, pad, sel in _pair_batches(ev.ns, tree.levels[wf], counts[wl]):
-        block(lev, pad, wf[sel], wl[sel], False, True)
+    for pad, sel in _pair_batches(ev.ns, counts[wl]):
+        block(pad, wf[sel], wl[sel], False, True)
     return xli, wli
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.octree import build as obuild
 from repro.util import geometry, morton
 
-__all__ = ["FmmTree", "TreeDelta", "build_tree", "diff_trees", "update_tree"]
+__all__ = ["FmmTree", "TreeDelta", "build_tree", "diff_trees", "pad_class", "update_tree"]
 
 
 @dataclass
@@ -121,19 +121,34 @@ class FmmTree:
             )
 
 
+def pad_class(n):
+    """Padded size of a block side holding ``n`` points: the smallest of
+    1, 2, 3, 4, 6, 8, 12, 16, 24, ... (``2**k`` and ``3 * 2**(k-1)``, two
+    classes per octave) that is ``>= n``; ``n = 0`` pads to 1.
+
+    Every kernel-matrix section sizes its blocks with this one function,
+    of a box's own count and nothing else: a box keeps its class whatever
+    else is in the batch, the plan or the rank's LET.  The padding is less
+    than half of ``n`` again (a power of two wastes up to ``n``).  Scalar
+    or array in, int64 of the same shape out.
+    """
+    n = np.maximum(np.asarray(n, dtype=np.int64), 1)
+    p = np.int64(1) << np.frexp(n - 1)[1]  # next power of two, exactly
+    return np.where(4 * n <= 3 * p, 3 * p // 4, p)
+
+
 def leaf_batches(tree: FmmTree, sel: np.ndarray, batch: int = 1024):
     """Yield ``(level, padded_count, node_indices)`` groups of leaves.
 
-    Groups selected leaves by (level, power-of-two padded point count) so
-    evaluator phases can process thousands of small leaves per broadcast
-    kernel call; each group is additionally capped at ``batch`` boxes to
-    bound peak memory.
+    Groups selected leaves by (level, :func:`pad_class` of the point
+    count) so evaluator phases can process thousands of small leaves per
+    broadcast kernel call; each group is additionally capped at ``batch``
+    boxes to bound peak memory.
     """
     idx = np.flatnonzero(sel)
     if idx.size == 0:
         return
-    counts = (tree.pt_end - tree.pt_begin)[idx]
-    kpad = np.maximum(1 << np.ceil(np.log2(counts)).astype(np.int64), 1)
+    kpad = pad_class(tree.point_counts()[idx])
     code = tree.levels[idx] * np.int64(1 << 24) + kpad
     for c in np.unique(code):
         grp = idx[code == c]

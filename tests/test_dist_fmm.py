@@ -187,6 +187,51 @@ class TestLetNonemptyMask:
         assert from_reports > 0
 
 
+class TestBlockClasses:
+    def test_a_leafs_block_sides_come_from_its_own_counts(self):
+        """The (pad, members) of an owned leaf's S2U / ULI block are
+        ``pad_class`` of that leaf's point count and of its U-list's source
+        total — nothing about the batch, the LET or the rank count enters:
+        a leaf that keeps its counts keeps its block sides at p = 1, 2, 3."""
+        from repro.core.tree import pad_class
+
+        pts = ellipsoid_surface(4000, seed=35)
+
+        def body(comm):
+            fmm = DistributedFmm("laplace", order=4, max_points_per_box=25)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            fmm.evaluate(np.ones(len(fmm.owned_points)))
+            tree, u, ep = fmm.let.tree, fmm.lists.u, fmm._plan
+            counts = tree.point_counts()
+            csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
+            total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]
+            assert all(fmm.let.owned_leaf[b.group].all() for b in ep.s2u)
+            # leaf key -> (its counts, its block sides), per section
+            s2u = {int(tree.keys[i]): ((int(counts[i]),), (b.pad,))
+                   for b in ep.s2u for i in b.group}
+            uli = {int(tree.keys[i]): ((int(counts[i]), int(total[i])), (b.tp, b.sp))
+                   for b in ep.uli for i in b.boxes}
+            return s2u, uli
+
+        runs = []
+        for p in (1, 2, 3):
+            merged = ({}, {})
+            for rank in run_spmd(p, body, timeout=300).values:
+                for into, part in zip(merged, rank):
+                    assert not into.keys() & part.keys()  # owned once
+                    into.update(part)
+            for section in merged:
+                for cnts, sides in section.values():
+                    assert sides == tuple(pad_class(c) for c in cnts)
+            runs.append(merged)
+        for dist in runs[1:]:
+            for solo_sec, dist_sec in zip(runs[0], dist):
+                kept = [k for k in solo_sec.keys() & dist_sec.keys()
+                        if solo_sec[k][0] == dist_sec[k][0]]  # same counts in both
+                assert len(kept) > len(solo_sec) // 2
+                assert all(solo_sec[k] == dist_sec[k] for k in kept)
+
+
 class TestDriverContract:
     def test_evaluate_before_setup_raises(self):
         from repro.dist.driver import DistributedFmm

@@ -184,6 +184,40 @@ def test_patched_plan_counts_a_shared_slot_once(rng):
     assert st["slots_reused"] + st["slots_fresh"] == n_slots
 
 
+def test_patch_locality_survives_the_finer_block_classes(monkeypatch):
+    """A block side is ``pad_class`` of the box's own count, so a clean
+    box keeps its class and its slot key: one 5 % blob step reuses exactly
+    the slots it reused under power-of-two sides, and no smaller a share
+    of the plan's kernel bytes."""
+    import repro.core.plan as plan_mod
+    import repro.core.tree as tree_mod
+    from repro.datasets import plummer_cluster
+
+    def patch_stats():
+        rng = np.random.default_rng(11)
+        pts = plummer_cluster(1500, seed=4)
+        fmm = Fmm(kernel="laplace", order=4, max_points_per_box=25)
+        plan = fmm.plan(pts)
+        eplan = fmm.compile_eval_plan(plan)
+        new, moved = _perturb(rng, pts, 0.05, 0.01)
+        new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+        patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
+        st = patched.patch_stats
+        return (st["slots_reused"], st["slots_fresh"],
+                st["bytes_reused"] / patched.matrix_bytes())
+
+    def power_of_two(n):
+        n = np.maximum(np.asarray(n, dtype=np.int64), 1)
+        return np.int64(1) << np.frexp(n - 1)[1]
+
+    reused, fresh, frac = patch_stats()
+    monkeypatch.setattr(tree_mod, "pad_class", power_of_two)
+    monkeypatch.setattr(plan_mod, "pad_class", power_of_two)
+    reused2, fresh2, frac2 = patch_stats()
+    assert (reused, fresh) == (reused2, fresh2) and reused > 5 * fresh
+    assert frac >= frac2 > 0.5
+
+
 def test_patched_scoped_plan_with_one_sided_pairs(rng):
     """Different W and X ownership masks leave pairs only X reads, pairs
     only W reads and pairs both read (a LET's situation): the patched plan

@@ -631,3 +631,46 @@ def test_plan_nbytes_charges_each_offset_table_once(monkeypatch):
         assert len(split.vli_fft) > len(ep.vli_fft)
         assert split.vli_table_bytes == ep.vli_table_bytes
         assert ep.nbytes < split.nbytes < ep.nbytes + ep.vli_table_bytes
+
+
+@pytest.mark.parametrize("points", ["uniform", "plummer"])
+def test_blocks_carry_pairs(points):
+    """Blocks are the size of their boxes: every block side is
+    ``pad_class`` of its largest member's count — of the box alone, not of
+    the batch — and a section's cached kernel bytes stay within 1.6x the
+    bytes of its real (target, source) pairs (power-of-two sides, and a
+    power of two over the packed U-list total, held 2.4x for ULI)."""
+    from repro.core.tree import pad_class
+    from repro.datasets import plummer_cluster
+
+    pts = _points(2000) if points == "uniform" else plummer_cluster(800, seed=5)
+    fmm = Fmm("laplace", order=4, max_points_per_box=40)
+    plan = fmm.plan(pts)
+    tree, u = plan.tree, plan.lists.u
+    ep = fmm.compile_eval_plan(plan)
+    counts, ns = tree.point_counts(), fmm.evaluator.ns
+    csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
+    total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]  # per node: U-list sources
+
+    held, real = {}, {}
+
+    def tally(sec, blk, pairs):
+        assert blk.kmat is not None  # everything fits the default budget
+        held[sec] = held.get(sec, 0) + blk.kmat.nbytes
+        real[sec] = real.get(sec, 0) + 8 * int(pairs)
+
+    for sec in ("s2u", "d2t"):
+        for b in getattr(ep, sec):
+            assert b.pad == pad_class(counts[b.group].max())
+            tally(sec, b, ns * counts[b.group].sum())
+    for b in ep.xli:  # W's records read the same arrays
+        assert b.pad == pad_class(counts[b.cols].max())
+        tally("pair", b, ns * counts[b.cols].sum())
+    for b in ep.uli:
+        assert b.tp == pad_class(counts[b.boxes].max())
+        assert b.sp == pad_class(total[b.boxes].max())
+        tally("uli", b, (counts[b.boxes] * total[b.boxes]).sum())
+    assert {"s2u", "d2t", "uli"} <= set(held)
+    assert "pair" in held or points == "uniform"
+    for sec in held:
+        assert held[sec] <= 1.6 * real[sec], (sec, held[sec] / real[sec])

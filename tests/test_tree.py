@@ -1,8 +1,10 @@
 """Tests for the FMM tree structure."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.tree import build_tree
+from repro.core.tree import build_tree, leaf_batches, pad_class
 from repro.util import morton
 
 
@@ -65,3 +67,38 @@ class TestTreeStructure:
         i = tree.leaf_indices[np.argmax(tree.point_counts()[tree.leaf_indices])]
         pts = tree.leaf_points(i)
         assert pts.base is tree.points  # a view, not a copy
+
+
+class TestPadClass:
+    """Block sides come in two classes per octave: 2**k and 3 * 2**(k-1)."""
+
+    def test_the_classes(self):
+        assert sorted(set(pad_class(np.arange(100)).tolist())) == [
+            1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128]
+        assert pad_class(0) == 1 and pad_class(1053) == 1536
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6))
+    def test_covers_with_bounded_waste_and_is_idempotent(self, n):
+        p = int(pad_class(n))
+        assert n <= p and 2 * p < 3 * n  # less than half of n again
+        assert pad_class(p) == p
+        assert pad_class(n + 1) >= p  # monotone
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    def test_array_call_equals_scalar_calls(self, ns):
+        got = pad_class(np.array(ns))
+        assert got.dtype == np.int64 and got.shape == (len(ns),)
+        assert got.tolist() == [int(pad_class(n)) for n in ns]
+
+    def test_leaf_batches_pad_each_leaf_by_its_own_count(self, plummer_points):
+        tree = build_tree(plummer_points, 30)
+        counts = tree.point_counts()
+        sel = tree.is_leaf & (counts > 0)
+        seen = []
+        for lev, pad, grp in leaf_batches(tree, sel):
+            assert np.all(tree.levels[grp] == lev)
+            assert np.all(pad_class(counts[grp]) == pad)
+            seen.append(grp)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.flatnonzero(sel))
