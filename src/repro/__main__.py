@@ -130,8 +130,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_tune_q_sweep(args) -> int:
-    """Legacy one-knob sweep: points-per-box for a CPU or modelled GPU."""
-    from repro.core.autotune import autotune_points_per_box
+    """The tuner's q axis alone: points-per-box for a CPU or modelled GPU."""
+    from repro.tune.probe import autotune_points_per_box
     from repro.datasets import make_distribution
 
     points = make_distribution(args.distribution, args.n, seed=args.seed)
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
     pt = sub.add_parser(
         "tune",
         help="SLO-driven config search (cost-model-guided); "
-             "--q-sweep for the legacy points-per-box sweep",
+             "--q-sweep for its points-per-box axis alone",
     )
     pt.add_argument("--kernel", default="laplace")
     pt.add_argument("--distribution", default="uniform",
@@ -578,7 +578,7 @@ def main(argv=None) -> int:
                     help="cost-model-only selection (no measured probes; "
                          "fully deterministic)")
     pt.add_argument("--q-sweep", action="store_true",
-                    help="legacy mode: sweep points-per-box only")
+                    help="sweep points-per-box (the q axis) only")
     pt.add_argument("--order", type=int, default=6,
                     help="expansion order (--q-sweep only)")
     pt.add_argument("--target", default="cpu", choices=["cpu", "gpu"],

@@ -5,7 +5,6 @@ distributed driver lives in :mod:`repro.dist`, the virtual-GPU accelerated
 evaluator in :mod:`repro.gpu`.
 """
 
-from repro.core.autotune import autotune_points_per_box
 from repro.core.evaluator import FmmEvaluator
 from repro.core.fft_m2l import FftM2L
 from repro.core.fmm import Fmm, FmmPlan
@@ -22,7 +21,6 @@ from repro.core.tree import FmmTree, build_tree
 
 __all__ = [
     "Fmm",
-    "autotune_points_per_box",
     "FmmPlan",
     "FmmEvaluator",
     "FftM2L",

@@ -68,13 +68,12 @@ class FmmEvaluator:
     precision:
         Arithmetic precision of the plans this evaluator compiles:
         ``"fp64"`` (default), ``"fp32"`` (float32 GEMM phases / complex64
-        V-list; accumulators stay float64), or ``"auto"`` (a one-time
-        calibration probe —
-        :func:`repro.core.autotune.autotune_precision` — picks the
+        V-list; accumulators stay float64), or ``"auto"`` (resolved once
+        by :meth:`resolve_auto`: the tuner's calibration probe picks the
         cheapest precision meeting ``precision_rtol``).
     precision_rtol:
         Relative-error target for ``precision="auto"`` (default
-        :data:`repro.core.autotune.DEFAULT_PRECISION_RTOL`).
+        :data:`repro.tune.probe.DEFAULT_PRECISION_RTOL`).
     """
 
     def __init__(
@@ -127,7 +126,6 @@ class FmmEvaluator:
         # its own lock — _cached_plan holds _plan_lock, so the probe must
         # not nest inside it.
         self._auto_choice = None
-        self._auto_result = None
         self._auto_lock = threading.Lock()
         # Intra-rank parallelism: plan applies run their phase tiles on a
         # TaskPool when ``threads`` is set (``None`` = serial).  The pool may also be an externally owned shared
@@ -193,13 +191,11 @@ class FmmEvaluator:
         distributed ownership masks into the plan; ``kwargs`` forward to
         :func:`repro.core.plan.compile_plan` (e.g. ``cache_matrices``,
         ``matrix_budget``).  ``precision`` defaults to the evaluator's
-        own; ``"auto"`` is resolved here via the calibration probe.
+        own; ``"auto"`` is resolved here (:meth:`resolve_auto`).
         """
         from repro.core.plan import compile_plan
 
-        precision = self.precision if precision is None else precision
-        if precision == "auto":
-            precision = self._resolve_auto(tree, PhaseProfile())
+        precision = self._effective_precision(tree, None, precision)
         return compile_plan(
             self, tree, lists, scopes=scopes, precision=precision, **kwargs
         )
@@ -217,45 +213,44 @@ class FmmEvaluator:
         :class:`~repro.core.tree.TreeDelta` from
         :func:`~repro.core.tree.update_tree`/``diff_trees``; omitted, it
         is derived by content diffing.  ``precision`` defaults to the old
-        plan's own (``"auto"`` resolves via the calibration probe).
+        plan's own (``"auto"`` resolves via :meth:`resolve_auto`).
         """
         from repro.core.plan import patch_plan
 
         if precision == "auto":
-            precision = self._resolve_auto(tree, PhaseProfile())
+            precision = self.resolve_auto(tree)
         return patch_plan(
             self, old_plan, old_tree, old_lists, tree, lists,
             delta=delta, scopes=scopes, precision=precision, **kwargs,
         )
 
-    def _resolve_auto(self, tree, profile):
-        """Resolve ``"auto"`` to a concrete precision, once per evaluator.
+    def resolve_auto(self, tree, profile=None, vote=None) -> str:
+        """The concrete precision ``"auto"`` stands for: the one resolver.
 
-        The calibration probe (charged to the ``setup:precision`` span)
-        subsamples the tree's points, so the first workload seen decides
-        for the evaluator's lifetime — matching the plan cache, which is
-        also per-(tree, lists).
+        The first call runs :func:`repro.tune.probe.autotune_precision`
+        on a subsample of ``tree``'s points (a ``setup:precision`` span of
+        ``profile``); the first workload decides for the evaluator's
+        lifetime.  ``vote`` maps the pick to the one adopted (the
+        distributed unanimity vote), which then replaces it.
         """
         with self._auto_lock:
             if self._auto_choice is None:
-                from repro.core.autotune import autotune_precision
+                from repro.tune.probe import autotune_precision
 
+                profile = PhaseProfile() if profile is None else profile
                 with profile.phase("setup:precision"):
-                    res = autotune_precision(
+                    self._auto_choice = autotune_precision(
                         tree.points,
                         kernel=self.kernel,
                         order=self.order,
                         rtol=self.precision_rtol,
                         m2l_mode=self.m2l_mode,
-                        eval_kernel=(
-                            None
-                            if self.eval_kernel is self.kernel
-                            else self.eval_kernel
-                        ),
-                    )
-                    self._auto_result = res
-                    self._auto_choice = res.best
-            return self._auto_choice
+                        eval_kernel=self.eval_kernel,
+                    ).best
+            choice = self._auto_choice
+        if vote is not None:
+            choice = self._auto_choice = vote(choice)
+        return choice
 
     def _effective_precision(self, tree, profile, override=None):
         """Concrete precision for one evaluate call.
@@ -271,7 +266,7 @@ class FmmEvaluator:
                 f"precision must be one of {VALID_PRECISIONS}, got {prec!r}"
             )
         if prec == "auto":
-            prec = self._resolve_auto(tree, profile)
+            prec = self.resolve_auto(tree, profile)
         return prec
 
     #: Whether lazily compiled plans cache kernel-matrix blocks.  The GPU

@@ -95,7 +95,7 @@ class Fmm:
         ~2x BLAS throughput at a float32 accuracy floor), or ``"auto"``
         (one-time calibration probe picks the cheapest precision meeting
         ``precision_rtol``; see
-        :func:`repro.core.autotune.autotune_precision`).
+        :meth:`repro.core.evaluator.FmmEvaluator.resolve_auto`).
     precision_rtol:
         Relative-error target for ``precision="auto"``.
     threads:

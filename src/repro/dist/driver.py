@@ -85,9 +85,11 @@ class DistributedFmm:
     precision:
         Plan precision (``"fp64"`` / ``"fp32"`` / ``"auto"``; see
         :class:`repro.core.Fmm`).  With ``"auto"``, every rank probes its
-        own subsample and the decision is made *collectively* (allgather
-        of the per-rank votes; fp32 only if every rank voted fp32), so
-        ranks never evaluate at disagreeing precisions.
+        own subsample and the decision is made *collectively*: the
+        evaluator's :meth:`~repro.core.evaluator.FmmEvaluator.resolve_auto`
+        runs an allgather of the per-rank picks as its vote (fp32 only if
+        every rank picked fp32), so ranks never evaluate at disagreeing
+        precisions.
     precision_rtol:
         Relative-error target for ``precision="auto"``.
     threads:
@@ -425,21 +427,17 @@ class DistributedFmm:
         if plan is None:
             precision = ev.precision
             if precision == "auto":
-                # Every rank probes its own subsample, then the decision is
-                # made collectively: one disagreeing rank would otherwise
-                # evaluate a different plan and break bitwise determinism
-                # across partitionings.  fp32 only on a unanimous vote.
-                local = ev._resolve_auto(tree, profile)
-                if comm.size > 1:
+                # Every rank probes its own subsample; one disagreeing rank
+                # would break bitwise determinism across partitionings, so
+                # fp32 only on a unanimous vote (kept by the evaluator).
+                def unanimous(local):
+                    if comm.size == 1:
+                        return local
                     with profile.phase("setup:precision"):
-                        votes = comm.allgather(local)
-                    precision = (
-                        "fp32" if all(v == "fp32" for v in votes) else "fp64"
-                    )
-                else:
-                    precision = local
-                # pin the collective choice so lazy evaluator paths agree
-                ev._auto_choice = precision
+                        votes = set(comm.allgather(local))
+                    return "fp32" if votes == {"fp32"} else "fp64"
+
+                precision = ev.resolve_auto(tree, profile, vote=unanimous)
 
             # Compiled once per setup(): the ownership masks are baked in,
             # and the plan survives rebind()/resume, so retried attempts

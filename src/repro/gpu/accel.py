@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.evaluator import FmmEvaluator
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
 from repro.gpu.kernels import gpu_d2t, gpu_s2u, gpu_uli
-from repro.gpu.translate import build_leaf_stream, build_u_stream
+from repro.gpu.translate import build_leaf_stream, build_u_stream, ragged_rows
 from repro.kernels.base import Kernel
 
 __all__ = ["GpuFmmEvaluator"]
@@ -72,16 +72,6 @@ class GpuFmmEvaluator(FmmEvaluator):
     SUPPORTS_MULTI_RHS = False
 
     # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _ragged_rows(begin: np.ndarray, cnts: np.ndarray):
-        """Concatenated ``arange(begin[j], begin[j]+cnts[j])`` + offsets."""
-        offsets = np.concatenate(([0], np.cumsum(cnts))).astype(np.int64)
-        rows = (
-            np.repeat(begin.astype(np.int64) - offsets[:-1], cnts)
-            + np.arange(offsets[-1], dtype=np.int64)
-        )
-        return rows, offsets
 
     @staticmethod
     def _plan_cache(plan, key, builder):
@@ -138,7 +128,7 @@ class GpuFmmEvaluator(FmmEvaluator):
             sel = self._boxes_mask(tree, (b.group for b in plan.s2u))
             stream = build_leaf_stream(tree, sel)
             cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            rows, offsets = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            rows, offsets = ragged_rows(tree.pt_begin[stream.boxes], cnts)
             return stream, rows, offsets
 
         with profile.phase("translate"):
@@ -200,7 +190,7 @@ class GpuFmmEvaluator(FmmEvaluator):
             sel = self._boxes_mask(tree, (b.group for b in plan.d2t))
             stream = build_leaf_stream(tree, sel)
             cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            rows, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            rows, _ = ragged_rows(tree.pt_begin[stream.boxes], cnts)
             return stream, rows
 
         with profile.phase("translate"):
@@ -308,8 +298,8 @@ class GpuFmmEvaluator(FmmEvaluator):
             sel = self._boxes_mask(tree, (b.boxes for b in plan.uli))
             stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
             cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            dst, _ = self._ragged_rows(tree.pt_begin[stream.boxes], cnts)
-            src, _ = self._ragged_rows(stream.tgt_offsets[:-1], cnts)
+            dst, _ = ragged_rows(tree.pt_begin[stream.boxes], cnts)
+            src, _ = ragged_rows(stream.tgt_offsets[:-1], cnts)
             return stream, dst, src
 
         with profile.phase("translate"):

@@ -49,12 +49,17 @@ def _laplace_tile_f32(tgt: np.ndarray, src: np.ndarray, dens: np.ndarray):
 
 def _laplace_batch_f32(tgt: np.ndarray, src: np.ndarray, dens: np.ndarray):
     """Batched Laplace tiles: (b,m,3) x (b,n,3) x (b,n) -> (b,m) float32."""
-    d = tgt[:, :, None, :] - src[:, None, :, :]
-    r2 = np.einsum("bmnk,bmnk->bmn", d, d)
+    # r2 sums the squares per component (one (b, m, n) pass each, in the
+    # order a k-reduction would) and the elementwise steps run in place
+    r2 = None
+    for k in range(3):
+        dk = tgt[:, :, None, k] - src[:, None, :, k]
+        dk *= dk
+        r2 = dk if r2 is None else np.add(r2, dk, out=r2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.float32(1.0) / np.sqrt(r2)
-        inv = inv + (inv - inv)
-    inv = np.fmax(inv, np.float32(0.0))
+        inv = np.divide(np.float32(1.0), np.sqrt(r2, out=r2), out=r2)
+        inv += inv - inv
+    inv = np.fmax(inv, np.float32(0.0), out=inv)
     return _F32_4PI_INV * np.einsum("bmn,bn->bm", inv, dens)
 
 
@@ -122,6 +127,9 @@ def gpu_uli(
     ks = kernel.source_dim
     out = np.zeros(len(stream.tgt_points) * kt, dtype=np.float32)
     n_tgt = np.diff(stream.tgt_offsets)
+    n_real = np.diff(
+        np.concatenate(([0], np.cumsum(stream.tgt_valid)))[stream.tgt_offsets]
+    )
     n_src = np.diff(stream.src_offsets)
     n_src_pad = -(-np.maximum(n_src, 1) // b) * b
     flops = float(
@@ -134,20 +142,22 @@ def gpu_uli(
     dens_rows = dens_dev.reshape(-1, ks)
     for c in np.unique(code[active]):
         grp = active[code[active] == c]
-        tpad = int(n_tgt[grp[0]])
+        # the charge is per padded target row, as on the device; the host
+        # stops at the group's largest real count (NaN rows come out 0)
+        rows = int(n_real[grp].max())
         spad = int(n_src_pad[grp[0]])
         # memory budget: ~64 MB of pair distances per chunk
-        chunk = max(1, int(6e7 / max(tpad * spad, 1)))
+        chunk = max(1, int(6e7 / max(rows * spad, 1)))
         for s in range(0, grp.size, chunk):
             boxes = grp[s : s + chunk]
             m = boxes.size
-            tgt = np.empty((m, tpad, 3), dtype=np.float32)
+            tgt = np.empty((m, rows, 3), dtype=np.float32)
             src = np.full((m, spad, 3), np.nan, dtype=np.float32)
             den = np.zeros((m, spad * ks), dtype=np.float32)
             for j, i in enumerate(boxes):
                 t0, t1 = stream.tgt_offsets[i], stream.tgt_offsets[i + 1]
                 s0, s1 = stream.src_offsets[i], stream.src_offsets[i + 1]
-                tgt[j] = stream.tgt_points[t0:t1]
+                tgt[j] = stream.tgt_points[t0 : t0 + rows]
                 src[j, : s1 - s0] = stream.src_points[s0:s1]
                 den[j, : (s1 - s0) * ks] = dens_rows[
                     stream.src_dens_index[s0:s1]
@@ -160,10 +170,31 @@ def gpu_uli(
             src = np.where(np.isnan(src), tgt[:, :1, :], src)
             vals = pairwise_f32_batch(kernel, tgt, src, den)
             for j, i in enumerate(boxes):
-                t0, t1 = stream.tgt_offsets[i], stream.tgt_offsets[i + 1]
-                out[t0 * kt : t1 * kt] += vals[j]
+                t0 = stream.tgt_offsets[i]
+                out[t0 * kt : (t0 + rows) * kt] += vals[j]
     gpu.charge_launch(phase, flops, gbytes)
     return out
+
+
+def _leaf_batches(stream: LeafStream, ns: int):
+    """``(level, boxes, pts)`` for the stream's non-empty leaves, batched
+    by (level, power-of-two padded count) and chunked to ~6e7 pair slots;
+    ``pts`` holds each box's points, padded with its centre."""
+    counts = np.diff(stream.pt_offsets)
+    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
+    code = stream.levels * np.int64(1 << 24) + kpad
+    active = np.flatnonzero(counts > 0)
+    for c in np.unique(code[active]):
+        grp = active[code[active] == c]
+        lev, pad = int(stream.levels[grp[0]]), int(kpad[grp[0]])
+        chunk = max(1, int(6e7 / max(ns * pad, 1)))
+        for s in range(0, grp.size, chunk):
+            boxes = grp[s : s + chunk]
+            pts = np.repeat(stream.centers[boxes][:, None, :], pad, axis=1)
+            for j, i in enumerate(boxes):
+                p0, p1 = stream.pt_offsets[i], stream.pt_offsets[i + 1]
+                pts[j, : p1 - p0] = stream.points[p0:p1]
+            yield lev, boxes, pts
 
 
 def gpu_s2u(
@@ -191,30 +222,16 @@ def gpu_s2u(
         + 2.0 * nb * (ns * ks) * (ns * kt)
     )
     gbytes = float(counts.sum() * (12.0 + 4.0 * ks) + up.nbytes)
-    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
-    code = stream.levels * np.int64(1 << 24) + kpad
-    active = np.flatnonzero(counts > 0)
-    for c in np.unique(code[active]):
-        grp = active[code[active] == c]
-        lev = int(stream.levels[grp[0]])
-        pad = int(kpad[grp[0]])
-        base = ops.uc_points(lev).astype(np.float32)
-        conv = ops.uc2ue_f32(lev).astype(np.float32)
-        chunk = max(1, int(6e7 / max(ns * pad, 1)))
-        for s in range(0, grp.size, chunk):
-            boxes = grp[s : s + chunk]
-            m = boxes.size
-            pts = np.repeat(stream.centers[boxes][:, None, :], pad, axis=1)
-            den = np.zeros((m, pad * ks), dtype=np.float32)
-            for j, i in enumerate(boxes):
-                p0, p1 = stream.pt_offsets[i], stream.pt_offsets[i + 1]
-                pts[j, : p1 - p0] = stream.points[p0:p1]
-                den[j, : (p1 - p0) * ks] = dens_dev[
-                    dens_offsets[i] * ks : dens_offsets[i + 1] * ks
-                ]
-            uc = base[None, :, :] + stream.centers[boxes][:, None, :]
-            q = pairwise_f32_batch(kernel, uc, pts, den)
-            up[boxes] = q @ conv.T
+    for lev, boxes, pts in _leaf_batches(stream, ns):
+        den = np.zeros((boxes.size, pts.shape[1] * ks), dtype=np.float32)
+        for j, i in enumerate(boxes):
+            d = dens_dev[dens_offsets[i] * ks : dens_offsets[i + 1] * ks]
+            den[j, : d.size] = d
+        uc = ops.uc_points(lev).astype(np.float32)[None, :, :]
+        q = pairwise_f32_batch(
+            kernel, uc + stream.centers[boxes][:, None, :], pts, den
+        )
+        up[boxes] = q @ ops.uc2ue_f32(lev).astype(np.float32).T
     gpu.charge_launch(phase, flops, gbytes)
     return up
 
@@ -233,32 +250,20 @@ def gpu_d2t(
     aligned with the stream.  Returns flat float32 potentials aligned with
     ``stream.points``.
     """
-    ks, kt = kernel.source_dim, kernel.target_dim
+    kt = kernel.target_dim
     ns = ops.n_surf
     out = np.zeros(len(stream.points) * kt, dtype=np.float32)
     counts = np.diff(stream.pt_offsets)
     flops = float((kernel.flops_per_pair * counts * ns).sum())
     gbytes = float(counts.sum() * (12.0 + 4.0 * kt) + dequiv_dev.nbytes)
-    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
-    code = stream.levels * np.int64(1 << 24) + kpad
-    active = np.flatnonzero(counts > 0)
-    for c in np.unique(code[active]):
-        grp = active[code[active] == c]
-        lev = int(stream.levels[grp[0]])
-        pad = int(kpad[grp[0]])
-        base = ops.de_points(lev).astype(np.float32)
-        chunk = max(1, int(6e7 / max(ns * pad, 1)))
-        for s in range(0, grp.size, chunk):
-            boxes = grp[s : s + chunk]
-            m = boxes.size
-            pts = np.repeat(stream.centers[boxes][:, None, :], pad, axis=1)
-            for j, i in enumerate(boxes):
-                p0, p1 = stream.pt_offsets[i], stream.pt_offsets[i + 1]
-                pts[j, : p1 - p0] = stream.points[p0:p1]
-            de = base[None, :, :] + stream.centers[boxes][:, None, :]
-            vals = pairwise_f32_batch(kernel, pts, de, dequiv_dev[boxes])
-            for j, i in enumerate(boxes):
-                p0, p1 = stream.pt_offsets[i], stream.pt_offsets[i + 1]
-                out[p0 * kt : p1 * kt] += vals[j, : (p1 - p0) * kt]
+    for lev, boxes, pts in _leaf_batches(stream, ns):
+        de = ops.de_points(lev).astype(np.float32)[None, :, :]
+        vals = pairwise_f32_batch(
+            kernel, pts, de + stream.centers[boxes][:, None, :],
+            dequiv_dev[boxes],
+        )
+        for j, i in enumerate(boxes):
+            p0, p1 = stream.pt_offsets[i], stream.pt_offsets[i + 1]
+            out[p0 * kt : p1 * kt] += vals[j, : (p1 - p0) * kt]
     gpu.charge_launch(phase, flops, gbytes)
     return out

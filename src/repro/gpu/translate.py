@@ -40,16 +40,6 @@ class UListStream:
     def n_boxes(self) -> int:
         return self.boxes.size
 
-    def padded_pairs(self, block: int) -> float:
-        """Total (padded-target x source) pairs the device will process."""
-        total = 0
-        for i in range(self.n_boxes):
-            nt = self.tgt_offsets[i + 1] - self.tgt_offsets[i]
-            ns = self.src_offsets[i + 1] - self.src_offsets[i]
-            ns_padded = -(-int(ns) // block) * block
-            total += int(nt) * ns_padded
-        return float(total)
-
 
 @dataclass
 class LeafStream:
@@ -69,8 +59,14 @@ class LeafStream:
     points: np.ndarray  # float32 flat leaf points
 
 
-def _pad_to(n: int, block: int) -> int:
-    return -(-n // block) * block
+def ragged_rows(begin: np.ndarray, cnts: np.ndarray):
+    """Concatenated ``arange(begin[j], begin[j]+cnts[j])`` + offsets."""
+    offsets = np.concatenate(([0], np.cumsum(cnts))).astype(np.int64)
+    rows = (
+        np.repeat(begin.astype(np.int64) - offsets[:-1], cnts)
+        + np.arange(offsets[-1], dtype=np.int64)
+    )
+    return rows, offsets
 
 
 def build_u_stream(
@@ -82,77 +78,43 @@ def build_u_stream(
     """Flatten the U-list of the selected leaves into the device layout."""
     boxes = np.flatnonzero(leaf_sel)
     counts = tree.point_counts()
-    tgt_offsets = [0]
-    src_offsets = [0]
-    tgt_parts, valid_parts, src_parts, den_idx_parts = [], [], [], []
-    for i in boxes:
-        pts = tree.leaf_points(i)
-        npad = _pad_to(len(pts), block)
-        block_pts = np.full((npad, 3), np.nan, dtype=np.float32)
-        block_pts[: len(pts)] = pts
-        tgt_parts.append(block_pts)
-        v = np.zeros(npad, dtype=bool)
-        v[: len(pts)] = True
-        valid_parts.append(v)
-        tgt_offsets.append(tgt_offsets[-1] + npad)
-
-        srcs = lists.u.of(i)
-        srcs = srcs[counts[srcs] > 0]
-        if srcs.size:
-            sp = np.concatenate([tree.leaf_points(a) for a in srcs]).astype(
-                np.float32
-            )
-            di = np.concatenate(
-                [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
-            )
-        else:
-            sp = np.empty((0, 3), dtype=np.float32)
-            di = np.empty(0, dtype=np.int64)
-        src_parts.append(sp)
-        den_idx_parts.append(di)
-        src_offsets.append(src_offsets[-1] + len(sp))
-
+    n_tgt = counts[boxes]
+    tgt_offsets = np.concatenate(([0], np.cumsum(-(-n_tgt // block) * block)))
+    slots, _ = ragged_rows(tgt_offsets[:-1], n_tgt)
+    tgt_points = np.full((tgt_offsets[-1], 3), np.nan, dtype=np.float32)
+    tgt_points[slots] = tree.points[ragged_rows(tree.pt_begin[boxes], n_tgt)[0]]
+    tgt_valid = np.zeros(tgt_offsets[-1], dtype=bool)
+    tgt_valid[slots] = True
+    # every box's non-empty U-list sources, in list order
+    u = lists.u
+    srcs = u.indices[ragged_rows(u.offsets[boxes], u.counts[boxes])[0]]
+    owner = np.repeat(np.arange(boxes.size), u.counts[boxes])
+    keep = counts[srcs] > 0
+    srcs, owner = srcs[keep], owner[keep]
+    dens_index, _ = ragged_rows(tree.pt_begin[srcs], counts[srcs])
+    per_box = np.bincount(owner, weights=counts[srcs], minlength=boxes.size)
     return UListStream(
         boxes=boxes,
-        tgt_offsets=np.asarray(tgt_offsets, dtype=np.int64),
-        tgt_points=(
-            np.concatenate(tgt_parts)
-            if tgt_parts
-            else np.empty((0, 3), dtype=np.float32)
-        ),
-        tgt_valid=(
-            np.concatenate(valid_parts) if valid_parts else np.empty(0, dtype=bool)
-        ),
-        src_offsets=np.asarray(src_offsets, dtype=np.int64),
-        src_points=(
-            np.concatenate(src_parts)
-            if src_parts
-            else np.empty((0, 3), dtype=np.float32)
-        ),
-        src_dens_index=(
-            np.concatenate(den_idx_parts)
-            if den_idx_parts
-            else np.empty(0, dtype=np.int64)
-        ),
+        tgt_offsets=tgt_offsets.astype(np.int64),
+        tgt_points=tgt_points,
+        tgt_valid=tgt_valid,
+        src_offsets=np.concatenate(([0], np.cumsum(per_box))).astype(np.int64),
+        src_points=tree.points[dens_index].astype(np.float32),
+        src_dens_index=dens_index,
     )
 
 
 def build_leaf_stream(tree: FmmTree, leaf_sel: np.ndarray) -> LeafStream:
     """Flatten leaf geometry + points for the S2U / D2T device phases."""
     boxes = np.flatnonzero(leaf_sel)
-    offsets = [0]
-    parts = []
-    for i in boxes:
-        pts = tree.leaf_points(i)
-        parts.append(pts.astype(np.float32))
-        offsets.append(offsets[-1] + len(pts))
+    rows, offsets = ragged_rows(
+        tree.pt_begin[boxes], tree.pt_end[boxes] - tree.pt_begin[boxes]
+    )
     return LeafStream(
         boxes=boxes,
         levels=tree.levels[boxes].copy(),
         centers=tree.centers[boxes].astype(np.float32),
         half_widths=tree.half_widths[boxes].astype(np.float32),
-        pt_offsets=np.asarray(offsets, dtype=np.int64),
-        points=(
-            np.concatenate(parts) if parts else np.empty((0, 3), dtype=np.float32)
-        ),
+        pt_offsets=offsets,
+        points=tree.points[rows].astype(np.float32),
     )

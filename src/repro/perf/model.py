@@ -242,8 +242,8 @@ def setup_seconds(
     :mod:`repro.core.plan`): one-time work that amortises
     across repeated applies, so it belongs with setup, not evaluation.
     ``setup:precision`` is the one-time ``precision="auto"`` calibration
-    probe (plus the distributed precision vote; see
-    :func:`repro.core.autotune.autotune_precision`).
+    probe plus the distributed precision vote (see
+    :meth:`repro.core.evaluator.FmmEvaluator.resolve_auto`).
     """
     out = {}
     for ph in (

@@ -488,12 +488,12 @@ class DistServeEngine:
         """
         from collections import Counter
 
-        from repro.tune.search import default_grid, propose_config
-        from repro.tune.search import TuneConfig as _TC
+        from repro.tune.search import TuneConfig, default_grid, propose_config
         from repro.tune.store import resolve_config
 
+        cands = grid if grid is not None else default_grid(len(points))
+
         def vote():
-            cands = grid if grid is not None else default_grid(len(points))
             winners: list = [None] * width
 
             def body(comm):
@@ -502,22 +502,19 @@ class DistServeEngine:
                     local, kernel=kern, slo=slo, grid=cands,
                     seed=seed + comm.rank,
                 )
-                proposals = comm.allgather(cfg.to_dict())
-                keys = [_TC.from_dict(d).key() for d in proposals]
-                counts = Counter(keys)
-                win = sorted(keys, key=lambda k: (-counts[k], k))[0]
-                winners[comm.rank] = next(
-                    _TC.from_dict(d)
-                    for d, k in zip(proposals, keys)
-                    if k == win
+                proposals = [TuneConfig.from_dict(d)
+                             for d in comm.allgather(cfg.to_dict())]
+                counts = Counter(p.key() for p in proposals)
+                winners[comm.rank] = min(
+                    proposals, key=lambda p: (-counts[p.key()], p.key())
                 )
 
             self._spmd(width, body)
             return winners[0], None
 
         return resolve_config(
-            store, points, getattr(kern, "name", "kernel"), slo, vote,
-            backend=f"dist{width}",
+            store, points, getattr(kern, "name", "kernel"), slo, cands,
+            vote, backend=f"dist{width}",
         )[0]
 
     def _spmd(self, width: int, body, faults=None, deadline=None):

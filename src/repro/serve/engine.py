@@ -143,9 +143,7 @@ class RegisteredModel:
         self.tuned = None  # active TuneConfig (autotuned models only)
         self.slo = None  # the SLO the model was tuned against
         if precision == "auto":
-            precision = fmm.evaluator._resolve_auto(
-                self.plan.tree, PhaseProfile()
-            )
+            precision = fmm.evaluator.resolve_auto(self.plan.tree)
             if precision not in self.allowed:
                 # the calibrated pick is disallowed: snap to what is
                 # (fp64 wins ties — it always meets the error target)
@@ -456,7 +454,7 @@ class ServeEngine(ServeFront):
 
         return resolve_config(
             ctx["store"], points, getattr(kernel, "name", "kernel"), slo,
-            search, refresh=refresh,
+            ctx["grid"], search, refresh=refresh,
         )
 
     def _bind_pool(self, fmm) -> None:
@@ -478,9 +476,7 @@ class ServeEngine(ServeFront):
             max_points_per_box=config.max_points,
             m2l_mode=ev.m2l_mode,
             max_depth=template.max_depth,
-            eval_kernel=(
-                None if ev.eval_kernel is ev.kernel else ev.eval_kernel
-            ),
+            eval_kernel=ev.eval_kernel,
             balance_tree=template.balance_tree,
             precision=config.precision,
         )

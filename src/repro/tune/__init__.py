@@ -1,12 +1,16 @@
-"""Online autotuning: cost model, budgeted search, store, SLO monitor.
+"""Autotuning: probes, cost model, budgeted search, store, SLO monitor.
 
 The config space the serving stack exposes is wide — expansion order,
 leaf ``max_points``, precision, batch shape, matrix budget — and the
 right point depends on geometry, kernel and hardware (paper Table III;
 Holm et al., PAPERS.md).  This package picks it automatically:
 
+* :mod:`repro.tune.probe` — the one measurement layer: the
+  :class:`~repro.tune.probe.SubsampleProbe` harness and its (order,
+  precision) probe ladder, the fp32 accuracy rule, the precision pick
+  behind ``precision="auto"`` and the points-per-box (q) sweep.
 * :mod:`repro.tune.cost` — a structural per-phase cost model calibrated
-  from cheap subsample probes (:class:`repro.core.autotune.SubsampleProbe`).
+  from that ladder.
 * :mod:`repro.tune.search` — a seeded, budgeted search over the discrete
   config grid against a typed :class:`~repro.tune.search.SLO`; the cost
   model prunes, measured probes decide only among the shortlist.
@@ -19,6 +23,7 @@ Holm et al., PAPERS.md).  This package picks it automatically:
 
 from repro.tune.cost import CostModel, phase_flops, plan_bytes_estimate
 from repro.tune.monitor import SloMonitor
+from repro.tune.probe import SubsampleProbe, autotune_points_per_box, autotune_precision
 from repro.tune.search import (
     SLO,
     TuneConfig,
@@ -33,6 +38,9 @@ __all__ = [
     "CostModel",
     "phase_flops",
     "plan_bytes_estimate",
+    "SubsampleProbe",
+    "autotune_points_per_box",
+    "autotune_precision",
     "SLO",
     "TuneConfig",
     "TuneReport",

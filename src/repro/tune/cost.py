@@ -10,9 +10,10 @@ The model has two halves, kept deliberately separate:
   plan's GEMM schedules, so they extrapolate from a 2k-point probe tree
   to a 20M-point production tree.
 * **Calibration** (:meth:`CostModel.calibrate`) — secs-per-flop
-  coefficients per (phase, precision), measured by timing a handful of
-  :class:`~repro.core.autotune.SubsampleProbe` applies and dividing each
-  phase's wall seconds by its *structural* flops on the probe tree.
+  coefficients per (phase, precision), measured by one
+  :meth:`~repro.tune.probe.SubsampleProbe.ladder` of probe applies and
+  dividing each phase's wall seconds by its *structural* flops on the
+  probe tree.
   Using structural (not profiled) flops on both sides means systematic
   model error cancels in the ratio.
 
@@ -29,7 +30,7 @@ import os
 
 import numpy as np
 
-from repro.core.autotune import SubsampleProbe
+from repro.tune.probe import SubsampleProbe
 
 __all__ = ["CostModel", "phase_flops", "plan_bytes_estimate", "PHASES"]
 
@@ -171,9 +172,14 @@ class CostModel:
         """Fold one timed probe apply into the coefficients.
 
         ``profile`` is the :class:`PhaseProfile` of a *timed* apply on
-        ``(tree, lists)``; coefficients average (flop-weighted) across
-        every probe ingested for the same (phase, precision).
+        ``(tree, lists)``.  Each (phase, precision) coefficient, and the
+        precision's fixed overhead, blends 1:1 with its previous value:
+        the newest probe weighs 1/2, the one before 1/4, and so on.
         """
+        def blend(table, key, new):
+            old = table.get(key)
+            table[key] = new if old is None else 0.5 * (old + new)
+
         flops = phase_flops(ev, tree, lists)
         total_phase = 0.0
         for ph in PHASES:
@@ -181,20 +187,18 @@ class CostModel:
             if e is None or flops[ph] <= 0:
                 continue
             total_phase += e.wall_seconds
-            key = (ph, precision)
-            old = self.coeffs.get(key)
-            new = e.wall_seconds / flops[ph]
-            # flop-weighted running mean collapses to plain averaging of
-            # per-probe coefficients; keep it simple and robust
-            self.coeffs[key] = new if old is None else 0.5 * (old + new)
-        wall = sum(
-            e.wall_seconds for e in profile.events.values()
-        )
-        over = max(wall - total_phase, 0.0)
-        prev = self.overhead.get(precision)
-        self.overhead[precision] = (
-            over if prev is None else 0.5 * (prev + over)
-        )
+            blend(self.coeffs, (ph, precision), e.wall_seconds / flops[ph])
+        wall = sum(e.wall_seconds for e in profile.events.values())
+        blend(self.overhead, precision, max(wall - total_phase, 0.0))
+
+    def ingest_ladder(
+        self, probe: SubsampleProbe, max_points: int, rungs, batch_eff
+    ) -> None:
+        """Fold a :meth:`SubsampleProbe.ladder` result, rung by rung."""
+        tree, lists, _ = probe.geometry(max_points)
+        for (_, prec), rung in rungs.items():
+            self.ingest_probe(rung.ev, tree, lists, rung.profile, prec)
+        self.batch_eff.update(batch_eff)
 
     def calibrate(
         self,
@@ -205,26 +209,16 @@ class CostModel:
         order: int | None = None,
         batch: int = 8,
     ) -> None:
-        """Run one timed probe apply per precision (plus a batch probe).
+        """Run one ladder rung per precision (plus a batch probe).
 
         ``ev_factory(precision)`` returns a fresh evaluator; the same
         :class:`SubsampleProbe` instance should be shared with the
         accuracy ladder so trees and references are built once.
         """
-        tree, lists, _ = probe.geometry(max_points)
-        for prec in precisions:
-            ev = ev_factory(prec)
-            t1, _, prof = probe.timed_apply(
-                ev, max_points, precision=prec, warmups=1, reps=1
-            )
-            self.ingest_probe(ev, tree, lists, prof, prec)
-            if batch > 1:
-                tq, _, _ = probe.timed_apply(
-                    ev, max_points, precision=prec, warmups=1, reps=1,
-                    batch=batch,
-                )
-                eff = (tq / max(t1, 1e-9) - 1.0) / max(batch - 1, 1)
-                self.batch_eff[prec] = float(min(max(eff, 0.02), 1.0))
+        self.ingest_ladder(probe, max_points, *probe.ladder(
+            [(order, p) for p in precisions],
+            lambda _o, p: ev_factory(p), max_points, batch,
+        ))
 
     # -- prediction --------------------------------------------------------
 

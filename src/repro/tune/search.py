@@ -1,20 +1,24 @@
 """Budgeted, seeded config search against a typed SLO.
 
-The search is successive-halving over a discrete grid, pruned by the
+The search walks a discrete grid, pruned by the
 :class:`~repro.tune.cost.CostModel`:
 
-1. **Calibrate + accuracy ladder** — one subsample probe per
-   (order, precision) cell of the grid measures both the cost-model
-   coefficients and the relative error against the direct-sum reference.
-   Cells breaking the SLO's ``precision_rtol`` floor (fp32 with the
-   probe safety factor) are filtered out before anything expensive runs.
+1. **Calibrate + accuracy ladder** — one
+   :meth:`~repro.tune.probe.SubsampleProbe.ladder` rung per (order,
+   precision) cell of the grid measures both the cost-model coefficients
+   and the relative error against the direct-sum reference.  Cells
+   breaking the SLO's ``precision_rtol`` floor
+   (:func:`~repro.tune.probe.clears_rtol`) are filtered out before
+   anything expensive runs.
 2. **Predict** — the cost model scores every surviving config from the
    *full-N* tree/list structure (trees are built once per candidate leaf
    size and shared across orders/precisions).  No evaluation yet.
 3. **Shortlist + measure** — only the top ``budget_frac`` of the grid by
-   predicted objective gets measured probes (compile the candidate plan
-   at full N, time warm multi-RHS applies, successive halving).  The
-   probed fraction is reported and gated in CI.
+   predicted objective gets measured probes: warm multi-RHS applies at
+   full N, one compiled plan per (order, tree, precision, matrix budget)
+   family (leaf sizes that build the same tree share it), timed config
+   by config, one live full-N plan at a time.  The probed fraction is
+   reported.
 4. **Select** — the cheapest measured config meeting the SLO wins;
    configs within 10% of each other are ties, broken deterministically
    by (predicted cost, config key), so measurement noise cannot flip the
@@ -29,21 +33,22 @@ arithmetic).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from repro.core.autotune import _FP32_SAFETY, SubsampleProbe
 from repro.core.evaluator import FmmEvaluator
-from repro.core.lists import build_lists
 from repro.core.plan import MATRIX_BUDGET
-from repro.core.tree import build_tree
-from repro.kernels import get_kernel
 from repro.tune.cost import CostModel, plan_bytes_estimate
-from repro.util.timer import PhaseProfile
+from repro.tune.probe import (
+    DEFAULT_PRECISION_RTOL,
+    SubsampleProbe,
+    clears_rtol,
+    time_applies,
+)
 
 __all__ = [
     "SLO",
@@ -60,6 +65,11 @@ __all__ = [
 _TIE_RTOL = 0.10
 
 
+def _from_dict(cls, d: dict):
+    """``cls`` from a stored dict; keys it no longer has are ignored."""
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
 @dataclass(frozen=True)
 class SLO:
     """A serving objective: a latency target plus an accuracy floor.
@@ -73,7 +83,7 @@ class SLO:
 
     latency_s: float = 0.25
     percentile: float = 95.0
-    precision_rtol: float = 1e-4
+    precision_rtol: float = DEFAULT_PRECISION_RTOL
     drift_band: float = 1.25
     min_window: int = 16
 
@@ -84,20 +94,11 @@ class SLO:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "latency_s": self.latency_s,
-            "percentile": self.percentile,
-            "precision_rtol": self.precision_rtol,
-            "drift_band": self.drift_band,
-            "min_window": self.min_window,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SLO":
-        return cls(**{k: d[k] for k in (
-            "latency_s", "percentile", "precision_rtol", "drift_band",
-            "min_window",
-        ) if k in d})
+        return _from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -130,22 +131,11 @@ class TuneConfig:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "max_points": self.max_points,
-            "precision": self.precision,
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
-            "matrix_budget": self.matrix_budget,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuneConfig":
-        return cls(**{k: d[k] for k in (
-            "order", "max_points", "precision", "max_batch", "max_wait_ms",
-            "matrix_budget", "threads",
-        ) if k in d})
+        return _from_dict(cls, d)
 
 
 @dataclass
@@ -169,20 +159,7 @@ class TuneReport:
         return self.n_probed / max(self.grid_size, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "slo": self.slo.to_dict(),
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "n_probed": self.n_probed,
-            "probe_fraction": self.probe_fraction,
-            "feasible": self.feasible,
-            "met_slo": self.met_slo,
-            "accuracy": self.accuracy,
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "cost_model": self.cost_model,
-        }
+        return {**asdict(self), "probe_fraction": self.probe_fraction}
 
 
 def default_grid(
@@ -221,29 +198,47 @@ def default_grid(
     return grid
 
 
-def _measure_one(
-    ev: FmmEvaluator, tree, lists, cfg: TuneConfig, rng, reps: int
-) -> float:
-    """Min warm multi-RHS apply time of one config at full N (seconds)."""
-    plan = ev.compile_plan(
-        tree, lists, precision=cfg.precision,
-        matrix_budget=cfg.matrix_budget,
+def _evaluators(kernel):
+    """Memoised ``(order, precision) -> FmmEvaluator`` for ``kernel``."""
+    return functools.cache(
+        lambda order, precision: FmmEvaluator(kernel, order, precision=precision)
     )
-    block = rng.standard_normal(
-        (tree.n_points * ev.kernel.source_dim, cfg.max_batch)
-    )
-    prev_threads = ev.threads
-    ev.configure_threads(cfg.threads if cfg.threads > 1 else None)
-    try:
-        ev.evaluate(tree, lists, block, PhaseProfile(), plan=plan)
-        best = np.inf
-        for _ in range(max(1, reps)):
-            t0 = time.perf_counter()
-            ev.evaluate(tree, lists, block, PhaseProfile(), plan=plan)
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        ev.configure_threads(prev_threads)
-    return float(best)
+
+
+def _measure(full: SubsampleProbe, ev_for, configs, seed: int, reps: int):
+    """Min warm multi-RHS apply seconds of each config at full N.
+
+    Configs sharing (order, tree, precision, matrix_budget) — leaf sizes
+    that build one tree share it — share one compiled plan: batch shape
+    and threads are apply-time knobs.  That plan is dropped before the
+    next family compiles.  Each config times one warm-up and ``reps``
+    applies of a seeded density block.
+    """
+    rng = np.random.default_rng(seed + 2)
+    families: dict[tuple, list[TuneConfig]] = {}
+    for cfg in configs:
+        tree = full.geometry(cfg.max_points)[0]
+        key = (cfg.order, id(tree), cfg.precision, cfg.matrix_budget)
+        families.setdefault(key, []).append(cfg)
+    out: dict[TuneConfig, float] = {}
+    for (order, _, precision, budget), cfgs in families.items():
+        tree, lists, _ = full.geometry(cfgs[0].max_points)
+        ev = ev_for(order, precision)
+        plan = ev.compile_plan(
+            tree, lists, precision=precision, matrix_budget=budget
+        )
+        rows = tree.n_points * ev.kernel.source_dim
+        prev_threads = ev.threads
+        try:
+            for cfg in cfgs:
+                ev.configure_threads(cfg.threads if cfg.threads > 1 else None)
+                block = rng.standard_normal((rows, cfg.max_batch))
+                out[cfg] = time_applies(ev, tree, lists, block, plan, reps=reps)[0]
+                del block  # one density block alive at a time
+        finally:
+            ev.configure_threads(prev_threads)
+        del plan  # before the next family compiles: one live full-N plan
+    return out
 
 
 def measure_grid(
@@ -256,30 +251,17 @@ def measure_grid(
 ) -> dict[TuneConfig, float]:
     """Exhaustively measure every grid config's warm batch apply at full N.
 
-    This is the gate's reference, not part of the search: the search must
-    land within a small factor of the *best measured grid point* while
-    probing only a fraction of the grid.  Returns
-    ``{config: batch_apply_seconds}`` (min over ``reps`` warm applies).
+    The reference a search is judged against, not part of it: ``{config:
+    batch_apply_seconds}``, min over ``reps`` warm applies, measured as
+    the search's shortlist is.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
-    grid = grid if grid is not None else default_grid(len(pts))
+    full = SubsampleProbe(points, kernel=kernel, sample=None, seed=seed)
+    grid = grid if grid is not None else default_grid(full.n)
+    out = _measure(full, _evaluators(full.kernel), grid, seed, reps)
     say = log or (lambda s: None)
-    rng = np.random.default_rng(seed + 2)
-    evs: dict[tuple[int, str], FmmEvaluator] = {}
-    geoms: dict[int, tuple] = {}
-    out: dict[TuneConfig, float] = {}
     for cfg in grid:
-        if cfg.max_points not in geoms:
-            tree = build_tree(pts, cfg.max_points)
-            geoms[cfg.max_points] = (tree, build_lists(tree))
-        tree, lists = geoms[cfg.max_points]
-        key = (cfg.order, cfg.precision)
-        if key not in evs:
-            evs[key] = FmmEvaluator(kern, cfg.order, precision=cfg.precision)
-        out[cfg] = _measure_one(evs[key], tree, lists, cfg, rng, reps)
         say(f"  grid {cfg.key()}: {out[cfg] * 1e3:.1f} ms/batch")
-    return out
+    return {cfg: out[cfg] for cfg in grid}
 
 
 def _latency_s(cfg: TuneConfig, batch_apply_s: float) -> float:
@@ -319,49 +301,29 @@ def tune(
     say = log or (lambda s: None)
 
     probe = SubsampleProbe(pts, kernel=kernel, sample=sample, seed=seed)
+    full = SubsampleProbe(pts, kernel=probe.kernel, sample=None, seed=seed)
     model = model or CostModel()
     report = TuneReport(config=grid[0], slo=slo, seed=int(seed),
                         grid_size=len(grid))
 
     # -- 1. accuracy ladder doubles as cost-model calibration ------------
-    evs: dict[tuple[int, str], FmmEvaluator] = {}
-
-    def ev_for(order: int, precision: str) -> FmmEvaluator:
-        key = (order, precision)
-        if key not in evs:
-            evs[key] = FmmEvaluator(probe.kernel, order, precision=precision)
-        return evs[key]
-
+    ev_for = _evaluators(probe.kernel)
     ladder_q = min(64, min(c.max_points for c in grid))
     cells = sorted({(c.order, c.precision) for c in grid})
-    batch_probe_done: set[str] = set()
-    accuracy: dict[tuple[int, str], float] = {}
-    cal_tree, cal_lists, _ = probe.geometry(ladder_q)
-    for order, prec in cells:
-        ev = ev_for(order, prec)
-        t1, pot, prof = probe.timed_apply(
-            ev, ladder_q, precision=prec, warmups=1, reps=1
-        )
-        err = probe.error(pot, ladder_q)
-        accuracy[(order, prec)] = err
-        report.accuracy[f"o{order}/{prec}"] = err
-        model.ingest_probe(ev, cal_tree, cal_lists, prof, prec)
-        if prec not in batch_probe_done:
-            bq = max(c.max_batch for c in grid)
-            tq, _, _ = probe.timed_apply(
-                ev, ladder_q, precision=prec, warmups=1, reps=1, batch=bq
-            )
-            eff = (tq / max(t1, 1e-9) - 1.0) / max(bq - 1, 1)
-            model.batch_eff[prec] = float(min(max(eff, 0.02), 1.0))
-            batch_probe_done.add(prec)
+    rungs, batch_eff = probe.ladder(
+        cells, ev_for, ladder_q, batch=max(c.max_batch for c in grid)
+    )
+    model.ingest_ladder(probe, ladder_q, rungs, batch_eff)
+    accuracy = {cell: r.error for cell, r in rungs.items()}
+    report.accuracy = {f"o{o}/{p}": err for (o, p), err in accuracy.items()}
     say(f"calibrated {len(cells)} (order, precision) cells on "
         f"{probe.n}-point probe")
 
-    def floor_ok(order: int, prec: str) -> bool:
-        safety = _FP32_SAFETY if prec == "fp32" else 1.0
-        return accuracy[(order, prec)] * safety <= slo.precision_rtol
-
-    candidates = [c for c in grid if floor_ok(c.order, c.precision)]
+    candidates = [
+        c for c in grid
+        if clears_rtol(c.precision, accuracy[(c.order, c.precision)],
+                       slo.precision_rtol)
+    ]
     floor_met = bool(candidates)
     if not candidates:
         # nothing clears the floor: keep the most accurate cell's configs
@@ -374,18 +336,10 @@ def tune(
     say(f"{len(candidates)}/{len(grid)} configs clear the accuracy floor")
 
     # -- 2. cost-model prediction over the full-N structure --------------
-    geoms: dict[int, tuple] = {}
-
-    def geom_for(q: int):
-        if q not in geoms:
-            tree = build_tree(pts, q)
-            geoms[q] = (tree, build_lists(tree))
-        return geoms[q]
-
     predicted: dict[TuneConfig, float] = {}  # per-request objective
     pred_lat: dict[TuneConfig, float] = {}
     for cfg in candidates:
-        tree, lists = geom_for(cfg.max_points)
+        tree, lists, _ = full.geometry(cfg.max_points)
         ev = ev_for(cfg.order, cfg.precision)
         batch_s = model.predict_apply(
             ev, tree, lists, precision=cfg.precision, batch=cfg.max_batch,
@@ -413,33 +367,16 @@ def tune(
     if not measure:
         best = ranked[0]
         report.config = best
-        report.met_slo = floor_met and pred_lat[best] <= slo.latency_s
+        report.met_slo = bool(floor_met and pred_lat[best] <= slo.latency_s)
         report.cost_model = model.to_dict()
         return report
 
-    # -- 3. measured probes for the shortlist (successive halving) -------
+    # -- 3. measured probes for the shortlist ----------------------------
     shortlist = ranked[: max(1, math.ceil(budget_frac * len(grid)))]
     say(f"measuring {len(shortlist)}/{len(grid)} shortlisted configs "
         f"at N={len(pts)}")
-    rng = np.random.default_rng(seed + 2)
-    measured: dict[TuneConfig, float] = {}  # batch apply seconds
-
-    def measure_cfg(cfg: TuneConfig, reps: int) -> float:
-        tree, lists = geom_for(cfg.max_points)
-        ev = ev_for(cfg.order, cfg.precision)
-        return _measure_one(ev, tree, lists, cfg, rng, reps)
-
-    # round 1: one timed rep each; round 2: top half again with 2 reps
-    for cfg in shortlist:
-        measured[cfg] = measure_cfg(cfg, reps=1)
+    measured = _measure(full, ev_for, shortlist, seed, reps=2)
     report.n_probed = len(shortlist)
-    if len(shortlist) > 2:
-        half = sorted(
-            shortlist, key=lambda c: _per_request_s(c, measured[c])
-        )[: max(2, len(shortlist) // 2)]
-        for cfg in half:
-            measured[cfg] = min(measured[cfg], measure_cfg(cfg, reps=2))
-
     for cfg, batch_s in measured.items():
         report.measured[cfg.key()] = {
             "batch_apply_s": batch_s,

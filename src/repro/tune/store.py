@@ -145,26 +145,27 @@ class TuneStore:
 
 
 def resolve_config(
-    store: TuneStore | None, points, kernel_name: str, slo: SLO, search,
-    backend: str = "cpu", refresh: bool = False,
+    store: TuneStore | None, points, kernel_name: str, slo: SLO, grid,
+    search, backend: str = "cpu", refresh: bool = False,
 ):
     """Store lookup -> search -> persist: the one way a tuned config is
-    resolved for (``points``, kernel, ``slo``, ``backend``).
+    resolved for (``points``, kernel, ``slo``, ``backend``) on ``grid``.
 
     ``search()`` runs the tuner and returns ``(config, report dict or
     None)``, which is also what this returns (report ``None`` on a store
-    hit).  ``refresh`` skips the lookup: a re-tune searches because the
-    stored entry is what drifted.  ``store=None`` is just ``search()``.
+    hit).  The store key does not cover the grid, so a stored config
+    outside ``grid`` is a miss.  ``refresh`` skips the lookup: a re-tune
+    searches because the stored entry is what drifted.  ``store=None``
+    is just ``search()``.
     """
     if store is None:
         return search()
     fingerprint = geometry_fingerprint(points)
     if not refresh:
         hit = store.get(fingerprint, kernel_name, slo, backend)
-        if hit is not None:
+        if hit is not None and hit in grid:
             return hit, None
     config, report = search()
     store.put(fingerprint, kernel_name, slo, config, backend=backend,
               report=report)
     return config, report
-

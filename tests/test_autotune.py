@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.autotune import TuneResult, autotune_points_per_box
+from repro.tune.probe import TuneResult, autotune_points_per_box
 from repro.datasets import uniform_cube
 
 

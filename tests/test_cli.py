@@ -91,6 +91,23 @@ class TestCli:
 
         assert TuneStore(str(store)).entries()
 
+    def test_tune_no_measure_store_round_trip(self, capsys, tmp_path):
+        """A cost-model-only search persists like a measured one: the
+        stored entry is the config the command printed."""
+        from repro.datasets import make_distribution
+        from repro.tune.search import SLO
+        from repro.tune.store import TuneStore, geometry_fingerprint
+
+        store = tmp_path / "tune_store"
+        rc = main(["tune", "--n", "3000", "--no-measure", "--orders", "4",
+                   "--sample", "600", "--store", str(store)])
+        assert rc == 0
+        printed = capsys.readouterr().out.split("chosen: ", 1)[1].split()[0]
+        fp = geometry_fingerprint(make_distribution("uniform", 3000, seed=0))
+        slo = SLO(latency_s=0.25, percentile=95.0, precision_rtol=1e-3)
+        stored = TuneStore(str(store)).get(fp, "laplace", slo)
+        assert stored is not None and stored.key() == printed
+
     def test_serve_prints_snapshot_and_writes_nothing(
         self, capsys, tmp_path, monkeypatch
     ):

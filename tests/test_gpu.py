@@ -7,7 +7,7 @@ from repro.core import build_lists, build_tree
 from repro.core.evaluator import FmmEvaluator
 from repro.datasets import ellipsoid_surface, uniform_cube
 from repro.gpu import DeviceModel, GpuFmmEvaluator, VirtualGpu
-from repro.gpu.kernels import pairwise_f32
+from repro.gpu.kernels import gpu_uli, pairwise_f32, pairwise_f32_batch
 from repro.gpu.translate import build_leaf_stream, build_u_stream
 from repro.kernels import get_kernel
 from repro.util.timer import PhaseProfile
@@ -77,6 +77,23 @@ class TestPairwiseF32:
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-5
 
 
+    def test_batched_laplace_is_the_k_reduction_bit_for_bit(self, rng):
+        """The batched tile sums r^2 per component in place; the bits are
+        those of the (b, m, n, 3) difference array reduced over k."""
+        kern = get_kernel("laplace")
+        t = rng.random((5, 7, 3)).astype(np.float32)
+        t[:, 5:] = np.nan  # padding rows
+        s = rng.random((5, 33, 3)).astype(np.float32)
+        s[:, 0] = t[:, 0]  # self-interactions
+        d = rng.standard_normal((5, 33)).astype(np.float32)
+        diff = t[:, :, None, :] - s[:, None, :, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.float32(1.0) / np.sqrt(np.einsum("bmnk,bmnk->bmn", diff, diff))
+            inv = np.fmax(inv + (inv - inv), np.float32(0.0))
+        ref = np.float32(1.0 / (4.0 * np.pi)) * np.einsum("bmn,bn->bm", inv, d)
+        np.testing.assert_array_equal(pairwise_f32_batch(kern, t, s, d), ref)
+
+
 class TestTranslation:
     @pytest.fixture(scope="class")
     def built(self):
@@ -105,6 +122,68 @@ class TestTranslation:
             expect = counts[srcs][counts[srcs] > 0].sum()
             got = stream.src_offsets[j + 1] - stream.src_offsets[j]
             assert got == expect
+
+    def test_streams_equal_the_per_box_layout(self, built):
+        """The streams are built without per-box loops; this is the loop."""
+        tree, lists = built
+        counts = tree.point_counts()
+        sel = tree.is_leaf & (np.arange(tree.n_nodes) % 3 != 0)
+        boxes = np.flatnonzero(sel)
+        tgt, valid, src, dens_idx, tgt_off, src_off = [], [], [], [], [0], [0]
+        for i in boxes:
+            pts = tree.leaf_points(i)
+            pad = -(-len(pts) // 64) * 64
+            tgt.append(np.full((pad, 3), np.nan, np.float32))
+            tgt[-1][: len(pts)] = pts
+            valid.append(np.arange(pad) < len(pts))
+            srcs = [a for a in lists.u.of(i) if counts[a] > 0]
+            src += [tree.leaf_points(a).astype(np.float32) for a in srcs]
+            dens_idx += [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
+            tgt_off.append(tgt_off[-1] + pad)
+            src_off.append(src_off[-1] + sum(counts[a] for a in srcs))
+        u = build_u_stream(tree, lists, 64, sel)
+        for got, want in ((u.boxes, boxes), (u.tgt_offsets, tgt_off),
+                          (u.tgt_points, np.concatenate(tgt)),
+                          (u.tgt_valid, np.concatenate(valid)),
+                          (u.src_offsets, src_off),
+                          (u.src_points, np.concatenate(src)),
+                          (u.src_dens_index, np.concatenate(dens_idx))):
+            np.testing.assert_array_equal(got, want)
+        leaf = build_leaf_stream(tree, sel)
+        np.testing.assert_array_equal(
+            leaf.points,
+            np.concatenate([tree.leaf_points(i) for i in boxes]).astype(np.float32),
+        )
+        np.testing.assert_array_equal(
+            leaf.pt_offsets, np.concatenate(([0], np.cumsum(counts[boxes])))
+        )
+
+    def test_uli_charges_padded_rows_and_computes_real_ones(self, built):
+        """Per box, the device U-list equals one tile over every padded
+        target row (NaN rows give zero), and charges the padded pairs."""
+        tree, lists = built
+        kern = get_kernel("laplace")
+        sel = tree.is_leaf & (tree.point_counts() > 0)
+        stream = build_u_stream(tree, lists, 64, sel)
+        dens = np.random.default_rng(3).standard_normal(tree.n_points)
+        gpu = VirtualGpu(block_size=64)
+        out = gpu_uli(gpu, stream, dens.astype(np.float32), kern)
+        want = np.zeros_like(out)
+        flops = 0.0
+        for j in range(stream.n_boxes):
+            t0, t1 = stream.tgt_offsets[j], stream.tgt_offsets[j + 1]
+            s0, s1 = stream.src_offsets[j], stream.src_offsets[j + 1]
+            spad = -(-(s1 - s0) // 64) * 64
+            src = np.repeat(stream.tgt_points[t0:t0 + 1], spad, axis=0)
+            src[: s1 - s0] = stream.src_points[s0:s1]
+            den = np.zeros(spad, np.float32)
+            den[: s1 - s0] = dens[stream.src_dens_index[s0:s1]]
+            want[t0:t1] = pairwise_f32_batch(
+                kern, stream.tgt_points[None, t0:t1], src[None], den[None]
+            )[0]
+            flops += kern.flops_per_pair * (t1 - t0) * spad
+        np.testing.assert_array_equal(out, want)
+        assert gpu.ledger.kernel_flops["ULI"] == pytest.approx(flops)
 
     def test_leaf_stream_geometry(self, built):
         tree, _ = built

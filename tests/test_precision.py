@@ -19,7 +19,7 @@ Covers the contract the precision feature is sold on:
 import numpy as np
 import pytest
 
-from repro.core.autotune import autotune_precision
+from repro.tune.probe import autotune_precision
 from repro.core.fmm import Fmm
 from repro.core.plan import PrecisionError
 from repro.core.evaluator import FmmEvaluator

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import Fmm
-from repro.core.autotune import SubsampleProbe
+from repro.tune.probe import SubsampleProbe, autotune_precision
 from repro.core.evaluator import FmmEvaluator
 from repro.core.lists import build_lists
 from repro.core.tree import build_tree
@@ -485,6 +485,130 @@ class TestDistVote:
         snap = Router(eng).metrics_snapshot()
         assert snap["tuned"]["m"]["config"]["order"] == 4
         assert snap["tuned"]["m"]["slo"]["latency_s"] == 30.0
+
+
+def one_cell_grid(*precisions):
+    return default_grid(
+        900, orders=(4,), leaf_sizes=(64,), precisions=precisions,
+        batch_shapes=((4, 1.0),), threads_opts=(1,),
+    )
+
+
+class TestStoreHitHonoursGrid:
+    """The store key does not cover the grid: a stored config outside the
+    caller's grid is a miss, searched and re-persisted."""
+
+    slo = SLO(latency_s=30.0, precision_rtol=1e-2)
+
+    def test_serve_register_with_narrower_allowed(self, points, tmp_path):
+        store = TuneStore(tmp_path / "t.json")
+        engine = ServeEngine(n_workers=1)
+        engine.register("m", Fmm("laplace"), points, slo=self.slo,
+                        store=store, tune_grid=one_cell_grid("fp32"))
+        assert engine._model("m").tuned.precision == "fp32"
+        engine.register("m", Fmm("laplace"), points, slo=self.slo,
+                        store=store, tune_grid=one_cell_grid("fp64", "fp32"),
+                        allowed={"fp64"})
+        model = engine._model("m")
+        assert model.tuned.precision == model.precision == "fp64"
+        fp = geometry_fingerprint(points)
+        assert store.get(fp, "laplace", self.slo) == model.tuned
+        engine.stop()
+
+    def test_dist_vote_with_another_grid(self, points, tmp_path):
+        from repro.serve.dist_engine import DistServeEngine
+
+        store = TuneStore(tmp_path / "d.json")
+        first = DistServeEngine(nranks=2).register(
+            "m", points, slo=self.slo, store=store,
+            tune_grid=one_cell_grid("fp32"), tune_seed=SEED,
+        )
+        assert first.tuned.precision == "fp32"
+        grid = one_cell_grid("fp64")
+        second = DistServeEngine(nranks=2).register(
+            "m", points, slo=self.slo, store=store, tune_grid=grid,
+            tune_seed=SEED,
+        )
+        assert second.tuned in grid
+
+
+class TestOneTuner:
+    def test_precision_pick_and_tune_floor_apply_one_rule(self, points):
+        """On one probe, ``autotune_precision`` picks fp32 exactly when
+        ``tune``'s floor admits the (order, fp32) cell and fp32 is the
+        cheaper rung; both read the same error bits."""
+        order, q, sample = 4, 64, 500
+
+        def pick(rtol):
+            return autotune_precision(points, order=order, rtol=rtol,
+                                      sample=sample, max_points_per_box=q,
+                                      seed=SEED)
+
+        err32 = pick(1.0).errors["fp32"]
+        admitted_seen = set()
+        for factor in (1.0, 1.9, 2.0, 2.1, 10.0):
+            rtol = factor * err32
+            res = pick(rtol)
+            rep = tune(points, slo=SLO(latency_s=1e3, precision_rtol=rtol),
+                       grid=[TuneConfig(order=order, max_points=q,
+                                        precision="fp32", max_batch=1)],
+                       seed=SEED, sample=sample, measure=False)
+            assert rep.accuracy[f"o{order}/fp32"] == res.errors["fp32"]
+            admitted = rep.met_slo  # one fp32 cell, latency never binds
+            admitted_seen.add(admitted)
+            cheaper = res.times["fp32"] < res.times["fp64"]
+            assert (res.best == "fp32") == (admitted and cheaper)
+        assert admitted_seen == {True, False}
+
+    def test_one_full_n_plan_per_config_family(self, points, monkeypatch):
+        """Measured probes compile one full-N plan per (order, tree,
+        precision, matrix_budget) and hold at most one of them alive."""
+        import gc
+        import weakref
+
+        import repro.core.plan as plan_mod
+        from repro.core.plan import tree_fingerprint
+
+        real = plan_mod.compile_plan
+        compiled, alive = [], []
+
+        def counting(ev, tree, lists, *args, **kwargs):
+            if tree.n_points == len(points):
+                gc.collect()
+                assert not any(ref() is not None for ref in alive)
+                compiled.append((ev.order, id(tree), kwargs["precision"],
+                                 kwargs["matrix_budget"]))
+            plan = real(ev, tree, lists, *args, **kwargs)
+            if tree.n_points == len(points):
+                alive.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(plan_mod, "compile_plan", counting)
+        # q = 64 and 144 build different trees here; q = 200 builds the
+        # q = 144 tree again, so its configs share that tree's plans
+        grid = default_grid(
+            900, orders=(4,), leaf_sizes=(64, 144, 200),
+            precisions=("fp64", "fp32"),
+            batch_shapes=((4, 1.0), (8, 2.0)), threads_opts=(1,),
+        )
+        shape = {q: tree_fingerprint(build_tree(points, q))
+                 for q in (64, 144, 200)}
+        assert shape[200] == shape[144] != shape[64]
+
+        def families(configs):
+            return {(c.order, shape[c.max_points], c.precision,
+                     c.matrix_budget) for c in configs}
+
+        measure_grid(points, grid=grid, seed=SEED, reps=1)
+        assert len(compiled) == len(set(compiled)) == len(families(grid))
+
+        compiled.clear()
+        alive.clear()
+        rep = tune(points, slo=SLO(latency_s=30.0, precision_rtol=1e-2),
+                   grid=grid, seed=SEED, sample=500, budget_frac=1.0)
+        measured = [c for c in grid if c.key() in rep.measured]
+        assert len(measured) == rep.n_probed == len(grid)
+        assert len(compiled) == len(set(compiled)) == len(families(grid))
 
 
 class TestBatcherLimits:
