@@ -414,6 +414,8 @@ class FmmEvaluator:
         block = arr.ndim == 2 and arr.shape[0] == expected
         dens = np.ascontiguousarray(arr, dtype=np.float64)
         q = dens.shape[1] if block else 1
+        if block and q == 0:  # no column: nothing to run
+            return np.zeros((tree.n_points * self.eval_kernel.target_dim, 0))
         if block and q == 1:
             return self.evaluate(
                 tree, lists, dens[:, 0], profile, plan=plan,

@@ -56,13 +56,11 @@ class CsrList:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.size:
-            code = rows * np.int64(n) + cols
-            code = np.unique(code)
+            code = morton.sorted_unique(rows * np.int64(n) + cols)
             rows = code // n
             cols = code % n
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        np.cumsum(offsets, out=offsets)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
         return cls(offsets, cols)
 
     def of(self, i: int) -> np.ndarray:
@@ -395,7 +393,7 @@ def update_lists(
         return build_lists(new_tree)
 
     aff = np.flatnonzero(affected)
-    need_coll = np.unique(np.concatenate([aff, new_tree.parent[aff].clip(0)]))
+    need_coll = morton.sorted_unique(aff, new_tree.parent[aff].clip(0))
     coll = _colleague_table(new_tree, nodes=need_coll)
     v_rows, v_cols = _build_v(new_tree, coll, nodes=aff)
     u_rows, u_cols, w_rows, w_cols = _build_u_w(

@@ -33,8 +33,8 @@ Design rules:
   argsort + ``np.add.reduceat`` segment sum (precompiled order/starts)
   and/or one fancy-indexed add into a sentinel-extended potential buffer
   (safe because scatter targets are unique within a batch — only the
-  discarded sentinel row repeats).  See DESIGN.md for why ``np.add.at``
-  is avoided.
+  discarded sentinel row repeats).  ``np.add.at`` only on a flat float64
+  table (ULI's transposed reads), where NumPy's fast path runs (DESIGN.md).
 * **Every list is a property of the tree; a compiled plan is never
   written to.**  U/V/W/X membership — the pruning of empty source
   octants included — is decided at compile from point counts (on a LET,
@@ -46,18 +46,19 @@ Design rules:
 * **Blocks the size of their boxes.**  A block side is
   :func:`repro.core.tree.pad_class` of the box's own count — a leaf's
   points (S2U, D2T, the leaf side of an X/W pair, a ULI target) or the
-  packed source total of its U-list (the ULI source side) — two classes
-  per octave, so a block holds, evaluates and multiplies less than half
-  again of its real pairs per side.  The class is a property of the box
-  and nothing else: a geometry patch keeps every clean box's slot key,
-  and every rank of a LET cuts an octant's blocks alike.
-* **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
-  only on geometry; they are materialised at compile under a byte budget
-  claimed in the order ULI (it dominates), S2U, D2T, then the pair
-  section, turning those phases into pure GEMM + scatter.  W and X are
-  duals, so a (far box, leaf) block is held once: XLI contracts it, WLI
-  its transpose (:func:`_wx_dual`).  Blocks that do not fit fall back to
-  evaluating the kernel per apply, bit-identically either way;
+  packed source total of the U-list it stores (the ULI source side) — two
+  classes per octave, so a block holds, evaluates and multiplies less
+  than half again of its real pairs per side.  The class is a property of
+  the box and nothing else: a geometry patch keeps every clean box's slot
+  key, and every rank of a LET cuts an octant's blocks alike.
+* **Kernel matrices are plan state too, each entry once.**  Leaf/pair
+  kernel blocks depend only on geometry; they are materialised at compile
+  under a byte budget claimed in the order ULI (it dominates), S2U, D2T,
+  then the pair section, turning those phases into pure GEMM + scatter.
+  Under ``K(x, y) = K(y, x)ᵀ`` (:func:`_wx_dual`) a dual block is held
+  once and read from both sides: X/W pairs, S2U/D2T (DE is UC) and the U
+  pairs of in-scope leaves (:func:`_uli_members`).  Blocks that do not
+  fit fall back to evaluating the kernel per apply, bit-identically either way;
   ``cache_matrices=False`` compiles schedules only, which is what a
   one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
@@ -83,14 +84,15 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from repro.core.contract import gemm_cols
+from repro.core.contract import gemm_both, gemm_cols, gemm_rows
 from repro.core.parallel import record_parallel_spans
 from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches, pad_class
+from repro.util import morton
 from repro.util.blas import limit_blas_threads
 
 __all__ = [
@@ -235,7 +237,9 @@ class _PairBlock:
 
 @dataclass
 class _UliBlock:
-    """One (tpad, spad) U-list batch: direct near-field interactions."""
+    """One (tpad, spad) U-list batch: direct near-field interactions, over
+    the members each box stores (:func:`_uli_members`); the source slots of
+    in-scope higher neighbours are read transposed too (empty if not dual)."""
 
     tp: int
     sp: int
@@ -244,6 +248,8 @@ class _UliBlock:
     src_pts: np.ndarray  # (b, sp, 3) centre-padded packed neighbour sources
     den_rows: np.ndarray  # (b, sp) density-table rows of the sources
     pot_rows: np.ndarray  # (b, tp) potential-table rows of the targets
+    t_sel: np.ndarray  # flat (b, sp) slots read transposed, ascending
+    t_rows: np.ndarray  # their potential-table rows
     kmat: np.ndarray | None
     flops: float
 
@@ -448,7 +454,8 @@ class EvalPlan:
     # * Kernel-block contractions (S2U/XLI/WLI/D2T/ULI) go through
     #   :func:`repro.core.contract.gemm_cols`: GEMM runs on a fixed
     #   ``(b, j, Q_PAD)`` zero-padded contiguous block, so column ``c`` of a
-    #   ``q``-column call matches the one-column call bit for bit.
+    #   ``q``-column call matches the one-column call bit for bit; a
+    #   transposed read (D2T, ULI's stored half) is ``gemm_rows``, alike.
     # * Dense matrix steps (U2U, D2D, dense M2L, the S2U post-multiply)
     #   loop over columns: folding ``q`` into those GEMMs would change the
     #   row count and with it the bits.
@@ -456,8 +463,8 @@ class EvalPlan:
     #   batch line by line, and every (group, column) item runs its own
     #   gather and GEMM of the solo shapes inside each frequency slab,
     #   sharing only the slab's kernel matrix and the gather indices.
-    # * ``np.add.reduceat`` segment sums are exact per slot regardless of
-    #   trailing axes, so scatter schedules are shared as-is.
+    # * ``np.add.reduceat`` segment sums and ULI's ``np.add.at`` add per slot
+    #   in a fixed order whatever the trailing axes, so schedules are shared.
     # * No schedule depends on a density: a column that is zero on a W-list
     #   source runs the same GEMM and adds the exact zeros it produces,
     #   in a block as in its solo apply.
@@ -658,10 +665,15 @@ class EvalPlan:
         dequiv = self._cols(state["dequiv"])
         q = dequiv.shape[1]
         potr = self._pot_table(state)
+        dual = _wx_dual(ev)
 
         def compute(blk):
+            den = self._cast(dequiv[blk.group])
+            if dual:  # S2U's K(UC, pts), contracted transposed, row-major
+                k = self._kmat(blk, ev.kernel, blk.surf, blk.pts)
+                return gemm_rows(den, k).transpose(0, 2, 1)
             k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
-            return gemm_cols(k, self._cast(dequiv[blk.group]).transpose(0, 2, 1))
+            return gemm_cols(k, den.transpose(0, 2, 1))
 
         def done(blk, vals):
             self._scatter_pot(potr, blk.pot_rows, vals)
@@ -676,13 +688,28 @@ class EvalPlan:
         table = self._dens_table(dens)
         q = table.shape[2]
         potr = self._pot_table(state)
+        # a transposed read's slot row holds (kt, q) values; the potential
+        # table's row holds (q, kt): flat offsets of the one in the other
+        kt = self.kt_eval
+        c, off = q * kt, (np.arange(q) * kt + np.arange(kt)[:, None]).ravel()
 
         def compute(blk):
             k = self._kmat(blk, ev.eval_kernel, blk.tgt_pts, blk.src_pts)
-            return gemm_cols(k, self._den_block(table, blk.den_rows))
+            src = self._den_block(table, blk.den_rows)
+            if not blk.t_sel.size:
+                return gemm_cols(k, src), None
+            b = blk.boxes.size
+            den = table[blk.pot_rows].transpose(0, 3, 1, 2).reshape(b, q, -1)
+            vals, back = gemm_both(k, src, den)
+            back = np.take(back.reshape(b * blk.sp, -1), blk.t_sel, axis=0)
+            at = blk.t_rows if c == 1 else (blk.t_rows[:, None] * c + off).ravel()
+            return vals, (at, back.astype(np.float64, copy=False).ravel())
 
-        def done(blk, vals):
+        def done(blk, res):
+            vals, back = res
             self._scatter_pot(potr, blk.pot_rows, vals)
+            if back is not None:  # a point's reads land one by one, in slot order
+                np.add.at(potr.reshape(-1), *back)
             profile.add_flops(blk.flops * q)
 
         with self._tiles("ULI", profile, pool) as run:
@@ -820,7 +847,7 @@ class _PlanReuse(_NoReuse):
     its geometry inputs bitwise unchanged — box content for leaf blocks;
     for pair blocks the content of the leaf (the X-list source, the W-list
     target) plus the far box's surface, pinned by its key — one index for
-    both lists; and the full filtered U-membership for ULI blocks.  Kernel
+    both lists; and the stored U-membership for ULI blocks.  Kernel
     matrices additionally require matching precision.
     """
 
@@ -834,9 +861,12 @@ class _PlanReuse(_NoReuse):
         self.perm = delta.perm
         self.old_counts = old_tree.point_counts()
         self.kmats_ok = precision == old_plan.precision
+        self.dual = _wx_dual(ev)
         keys = old_tree.keys
         self._uli: dict[int, tuple] = {}
+        self.old_boxed = np.zeros(old_tree.n_nodes, dtype=bool)  # the old ULI scope
         for blk in old_plan.uli:
+            self.old_boxed[blk.boxes] = True
             for j, i in enumerate(blk.boxes):
                 self._uli[int(keys[i])] = (blk, j)
         #: old kmat slots, ``(tag, pad, *node keys) -> (kmat, slot)``:
@@ -872,11 +902,12 @@ class _PlanReuse(_NoReuse):
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
         """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
 
-        Row reuse needs the filtered U-membership unchanged (same member
-        keys, every member leaf clean) — then the old gather rows remap
-        through ``perm`` to exactly what the fresh per-box concatenation
-        would build.  The kmat slot additionally needs the target leaf
-        clean and the padded shape unchanged.
+        Row reuse needs the stored U-membership (:func:`_uli_members`, the
+        old plan's boxes as its scope) unchanged — same member keys, every
+        member leaf clean — and then the old gather rows remap through
+        ``perm`` to exactly what the fresh per-box concatenation would
+        build.  The kmat slot additionally needs the target leaf clean and
+        the padded shape unchanged.
         """
         ent = self._uli.get(int(tree.keys[i]))
         oi = self.old_index[i]
@@ -884,7 +915,7 @@ class _PlanReuse(_NoReuse):
             return None, None
         blk, j = ent
         osrcs = self.old_lists.u.of(oi)
-        osrcs = osrcs[self.old_counts[osrcs] > 0]
+        osrcs = osrcs[_uli_members(oi, osrcs, self.old_counts, self.old_boxed, self.dual)[0]]
         same = osrcs.size == srcs.size and np.array_equal(
             self.old_tree.keys[osrcs], tree.keys[srcs]
         )
@@ -954,43 +985,38 @@ def _pair_batches(ns, counts):
     one broadcast kernel evaluation, whatever the levels of their far
     boxes: X and W apply no per-level operator."""
     kpad = pad_class(counts)
-    for pad in np.unique(kpad).tolist():
+    for pad in morton.sorted_unique(kpad).tolist():
         sel = np.flatnonzero(kpad == pad)
         chunk = max(1, int(6e6 / max(pad * ns, 1)))
         for s in range(0, sel.size, chunk):
             yield pad, sel[s : s + chunk]
 
 
-def _uli_groups(tree, lists, scope=None):
-    """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
+def _uli_members(rows, cols, counts, inscope, dual):
+    """``(stored, transposed)`` masks over U pairs ``(rows <- cols)``: no
+    source without points; under :func:`_wx_dual` a pair of in-scope leaves
+    is held once, by the lower Morton key — a box stores itself, its higher
+    and its out-of-scope (ghost) neighbours, and is read transposed for the
+    higher in-scope ones.  Otherwise a box stores its whole U-list."""
+    shared = dual & (np.True_ if inscope is None else inscope[cols])
+    stored = (counts[cols] > 0) & ~(shared & (cols < rows))
+    return stored, stored & shared & (cols > rows)
 
-    Groups selected leaves by (:func:`pad_class` of the target count,
-    :func:`pad_class` of the total source count) and chunks each group:
-    the packed neighbour sources of a leaf are padded as one side, by
-    their sum (27 boxes of 39 points are 1 053 sources in 1 536 columns).
-    The per-leaf total source count is a CSR segment sum over the U-list
-    (prefix-sum difference — no Python loop over leaves).
-    """
+
+def _uli_groups(tree, src_total, scope=None):
+    """Yield U-list batch groups ``(tpad, spad, boxes)``: the selected
+    leaves grouped by (:func:`pad_class` of the target count, of the stored
+    source total ``src_total``) and chunked.  A leaf's packed neighbour
+    sources are padded as one side, by their sum (14 boxes of 39 points
+    are 546 sources in 768 columns)."""
     counts = tree.point_counts()
-    u = lists.u
-    sel = tree.is_leaf & (counts > 0)
-    if scope is not None:
-        sel = sel & scope
-    leaves = np.flatnonzero(sel)
-    if leaves.size == 0:
-        return
-    csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
-    src_total = csum[u.offsets[leaves + 1]] - csum[u.offsets[leaves]]
-    active = src_total > 0
-    leaves, src_total = leaves[active], src_total[active]
-    if leaves.size == 0:
-        return
-    tpad, spad = pad_class(counts[leaves]), pad_class(src_total)
+    sel = tree.is_leaf & (counts > 0) & (src_total > 0)
+    leaves = np.flatnonzero(sel if scope is None else sel & scope)
+    tpad, spad = pad_class(counts[leaves]), pad_class(src_total[leaves])
     code = tpad * np.int64(1 << 32) + spad
-    for c in np.unique(code):
+    for c in morton.sorted_unique(code):
         grp = np.flatnonzero(code == c)
-        tp = int(tpad[grp[0]])
-        sp = int(spad[grp[0]])
+        tp, sp = int(tpad[grp[0]]), int(spad[grp[0]])
         # bounded chunks keep batched GEMMs large enough to amortise
         # dispatch while keeping each compiled kmat block small
         # enough that a localized geometry update leaves most blocks
@@ -999,8 +1025,7 @@ def _uli_groups(tree, lists, scope=None):
         # order, so a moving cluster dirties a few contiguous chunks)
         chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
         for s in range(0, grp.size, chunk):
-            part = grp[s : s + chunk]
-            yield tp, sp, leaves[part], src_total[part]
+            yield tp, sp, leaves[grp[s : s + chunk]]
 
 
 def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
@@ -1120,14 +1145,14 @@ def compile_plan(
     ``scopes`` carries the distributed ownership masks (``None`` =
     unrestricted).  ``cache_matrices`` materialises leaf/pair kernel
     blocks up to ``matrix_budget`` bytes, claimed in the order ULI (it
-    dominates the near field), S2U, D2T, then the pair section — each
-    (far box, leaf) block once for X and W; disable it to trade apply
-    speed for memory.  ``precision`` is ``"fp64"`` (default;
-    bit-identical to the pre-precision engine) or ``"fp32"`` (float32
-    matrices / complex64 V-list / float32 tables; see the module
-    docstring for what stays float64).  ``"auto"`` must be resolved by
-    the caller first — resolution needs a calibration workload this
-    function does not have.
+    dominates the near field; each U pair once), S2U, D2T (S2U's blocks,
+    under the dual), then the pair section — each (far box, leaf) block
+    once for X and W; disable it to trade apply speed for memory.
+    ``precision`` is ``"fp64"`` (default; bit-identical to the
+    pre-precision engine) or ``"fp32"`` (float32 matrices / complex64
+    V-list / float32 tables; see the module docstring for what stays
+    float64).  ``"auto"`` must be resolved by the caller first —
+    resolution needs a calibration workload this function does not have.
     """
     if precision not in ("fp64", "fp32"):
         raise PrecisionError(
@@ -1165,45 +1190,51 @@ def compile_plan(
     # The matrix-caching sections compile first, in budget-priority order:
     # ULI, S2U, D2T, the X/W pair section.
     # -- ULI ---------------------------------------------------------------
-    u = lists.u
-    for tp, sp, boxes, stot in _uli_groups(tree, lists, scopes.uli):
+    u, dual = lists.u, _wx_dual(ev)
+    urows, ucols = u.pairs()
+    stored, trans = _uli_members(urows, ucols, counts, scopes.uli, dual)
+    w = counts[ucols]  # source totals per leaf: all of U (for the flops) and stored
+    full, held = (np.bincount(urows, x, tree.n_nodes).astype(np.int64) for x in (w, w * stored))
+    for tp, sp, boxes in _uli_groups(tree, held, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
+        t_mask = np.zeros((boxes.size, sp), dtype=bool)
         uslots = [None] * boxes.size
         for j, i in enumerate(boxes):
-            srcs = u.of(i)
-            srcs = srcs[counts[srcs] > 0]
-            if srcs.size == 0:
-                continue
+            seg = slice(u.offsets[i], u.offsets[i + 1])
+            mine = stored[seg]
+            srcs = ucols[seg][mine]
             row, uslots[j] = reuse.uli_slot(tree, i, srcs, tp, sp)
             if row is None:
                 row = np.concatenate(
                     [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
                 )
             src_rows[j, : row.size] = row
+            t_mask[j, : held[i]] = np.repeat(trans[seg][mine], counts[srcs])
         src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
         valid = src_rows != tree.n_points
         src_pts[valid] = tree.points[src_rows[valid]]
         tgt_pts = _padded_points(tree, boxes, tp)
-        plan.uli.append(
-            _UliBlock(
-                tp=tp,
-                sp=sp,
-                boxes=boxes,
-                tgt_pts=tgt_pts,
-                src_pts=src_pts,
-                den_rows=src_rows,
-                pot_rows=_padded_point_rows(tree, boxes, tp),
-                kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
-                flops=ev.eval_kernel.pair_flops(1, 1)
-                * float((counts[boxes] * stot).sum()),
-            )
-        )
+        t_sel = np.flatnonzero(t_mask)
+        plan.uli.append(_UliBlock(
+            tp=tp, sp=sp, boxes=boxes, tgt_pts=tgt_pts, src_pts=src_pts,
+            den_rows=src_rows, pot_rows=_padded_point_rows(tree, boxes, tp),
+            t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
+            kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
+            flops=ev.eval_kernel.pair_flops(1, 1) * float((counts[boxes] * full[boxes]).sum()),
+        ))
 
     # -- S2U, D2T, XLI + WLI -----------------------------------------------
     leaves = tree.is_leaf & (counts > 0)
     leaf_section = partial(_leaf_section, ev, tree, counts, mat, reuse)
-    plan.s2u = leaf_section("s2u", within(leaves, scopes.s2u))
-    plan.d2t = leaf_section("d2t", within(leaves, scopes.d2t))
+    s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(leaves, scopes.d2t)
+    plan.s2u = leaf_section("s2u", s2u_sel)
+    if dual:  # DE is UC: D2T reads S2U's K(UC, pts) records, arrays and all
+        same = np.array_equal(s2u_sel, d2t_sel)
+        plan.d2t = [replace(b, den_rows=None, pot_rows=b.den_rows, mat=None,
+                            flops=ev.kernel.pair_flops(counts[b.group].sum(), ev.ns))
+                    for b in (plan.s2u if same else leaf_section("s2u", d2t_sel))]
+    else:
+        plan.d2t = leaf_section("d2t", d2t_sel)
     # An X source is kept iff it holds points here, a W source iff its
     # octant holds a point on some rank; a vanishing density adds zeros.
     nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
@@ -1309,11 +1340,12 @@ def patch_plan(
     :class:`TreeDelta`, which swaps the expensive kernel-matrix
     materialisations of the four matrix sections — ULI, S2U, D2T and the
     X/W pair section — (and the per-box ULI gather loops) for copies or
-    shared references wherever the delta proves the inputs unchanged;
-    the result is a complete plan, read-only like a fresh one.
-    Cheap index arrays (gather/scatter schedules, V-list group tables,
-    operator steps) are always rebuilt: rows shift after the delta merge
-    and the rebuild costs milliseconds.
+    shared references wherever the delta proves the inputs unchanged
+    (a ULI block holds its higher neighbours' columns, so a moved leaf
+    dirties its lower neighbours' blocks too); the result is a complete
+    plan, read-only like a fresh one.  Cheap index arrays (gather/scatter
+    schedules, V-list group tables, operator steps) are always rebuilt:
+    rows shift after the delta merge and the rebuild costs milliseconds.
 
     ``delta`` defaults to a content diff of the two trees
     (:func:`repro.core.tree.diff_trees`), so arbitrary tree pairs patch —

@@ -150,7 +150,7 @@ def leaf_batches(tree: FmmTree, sel: np.ndarray, batch: int = 1024):
         return
     kpad = pad_class(tree.point_counts()[idx])
     code = tree.levels[idx] * np.int64(1 << 24) + kpad
-    for c in np.unique(code):
+    for c in morton.sorted_unique(code):
         grp = idx[code == c]
         lev = int(tree.levels[grp[0]])
         pad = int(kpad[code == c][0])
@@ -166,7 +166,7 @@ def tree_from_leaves(
 ) -> FmmTree:
     """Assemble an :class:`FmmTree` from a complete leaf set and sorted points."""
     leaves = np.asarray(leaves, dtype=np.uint64)
-    keys = np.union1d(leaves, morton.ancestors_of(leaves))
+    keys = morton.sorted_unique(leaves, morton.ancestors_of(leaves))
     levels = morton.level(keys)
     is_leaf = np.isin(keys, leaves, assume_unique=True)
 
@@ -320,7 +320,7 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
         ch = new.children[nodes]
         clean[nodes] = iok & np.all(clean[np.clip(ch, 0, None)] | (ch < 0), axis=1)
 
-    sym = np.setxor1d(old.keys, new.keys)
+    sym = np.setxor1d(old.keys, new.keys, assume_unique=True)
     tops: list = []
     last = None
     for k in sym:
@@ -371,7 +371,7 @@ def update_tree(
         orig[tree.order] = tree.points
         moved = np.flatnonzero(np.any(orig != new_points, axis=1))
     else:
-        moved = np.unique(np.asarray(moved, dtype=np.int64))
+        moved = morton.sorted_unique(np.asarray(moved, dtype=np.int64))
 
     old_point_keys = morton.encode_points(tree.points)
     ds = delta_sort(old_point_keys, tree.order, new_points, moved)
@@ -381,7 +381,7 @@ def update_tree(
     inv[tree.order] = np.arange(n, dtype=np.int64)
     old_cells = old_point_keys[inv[moved]] if moved.size else np.empty(0, np.uint64)
     new_cells = ds.point_keys[ds.moved_rows]
-    changed_cells = np.unique(np.concatenate([old_cells, new_cells]))
+    changed_cells = morton.sorted_unique(old_cells, new_cells)
 
     ld = update_leaves(
         tree.keys[tree.is_leaf],

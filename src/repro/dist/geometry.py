@@ -128,7 +128,7 @@ class RankGeometry:
         head = np.repeat(np.cumsum(counts[nonempty]) - counts[nonempty], counts[nonempty])
         ranks = np.arange(total, dtype=np.int64) - head + np.repeat(r0[nonempty], counts[nonempty])
         code = rows * np.int64(self.size) + ranks
-        code = np.unique(code)
+        code = morton.sorted_unique(code)
         return code // self.size, code % self.size
 
     def user_overlaps_range(
@@ -156,5 +156,5 @@ class RankGeometry:
         # users beyond this rank?
         rows, ranks = self.user_pairs(octs)
         other = ranks != rank
-        out[np.unique(rows[other])] = True
+        out[rows[other]] = True
         return out

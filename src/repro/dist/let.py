@@ -168,9 +168,8 @@ def build_let(
     """Algorithm 2: exchange ghost octants and assemble the LET."""
     p, r = comm.size, comm.rank
 
-    own_keys = np.union1d(owned_leaves, morton.ancestors_of(owned_leaves))
+    own_keys = morton.sorted_unique(owned_leaves, morton.ancestors_of(owned_leaves))
     own_is_leaf = np.isin(own_keys, owned_leaves, assume_unique=True)
-    leaf_pos = {int(k): i for i, k in enumerate(own_keys)}
 
     # Point ranges of own leaves in the (pre-merge) own point array.
     lo = morton.deepest_first_descendant(own_keys)
@@ -232,14 +231,14 @@ def build_let(
 
     all_keys = np.concatenate([own_keys, ghost_keys])
     all_flags = np.concatenate([own_is_leaf, ghost_flags])
-    uniq, first = np.unique(all_keys, return_index=True)
+    uniq = morton.sorted_unique(all_keys)
     flags = np.zeros(uniq.size, dtype=bool)
     # a key is a leaf iff any copy says leaf (owners are authoritative and
     # internal copies agree, but ghosts of own ancestors may arrive too)
-    leaf_keys_any = np.unique(all_keys[all_flags])
+    leaf_keys_any = morton.sorted_unique(all_keys[all_flags])
     flags[np.isin(uniq, leaf_keys_any, assume_unique=True)] = True
     anc = morton.ancestors_of(uniq)
-    extra = np.setdiff1d(anc, uniq, assume_unique=False)
+    extra = np.setdiff1d(anc, uniq, assume_unique=True)
     let_keys = np.concatenate([uniq, extra])
     let_flags = np.concatenate([flags, np.zeros(extra.size, dtype=bool)])
 

@@ -32,13 +32,13 @@ def _violations(leaves: np.ndarray) -> np.ndarray:
     fine = leaves[morton.level(leaves) > 1]
     if fine.size == 0:
         return np.empty(0, dtype=np.int64)
-    parents = np.unique(morton.parent(fine))
+    parents = morton.sorted_unique(morton.parent(fine))
     ids, valid = morton.neighbors(parents)
-    required = np.unique(ids[valid])
+    required = morton.sorted_unique(ids[valid])
     cover = linear.covering_leaf_indices(leaves, required)
     ok = cover >= 0
     too_coarse = ok & (morton.level(leaves[np.clip(cover, 0, None)]) < morton.level(required))
-    return np.unique(cover[too_coarse])
+    return morton.sorted_unique(cover[too_coarse])
 
 
 def balance_2to1(

@@ -126,7 +126,7 @@ def update_leaves(
 
     # Deduplicate: drop roots at or below an earlier (coarser) root.  The
     # sorted key order is pre-order, so one linear scan suffices.
-    roots = np.unique(roots)
+    roots = morton.sorted_unique(roots)
     keep = np.ones(roots.size, dtype=bool)
     last = None
     for i, r in enumerate(roots):

@@ -39,7 +39,7 @@ def remove_ancestors(keys: np.ndarray) -> np.ndarray:
     so a single linear sweep comparing each octant with the next retained
     one suffices.
     """
-    keys = np.unique(np.asarray(keys, dtype=np.uint64))
+    keys = morton.sorted_unique(np.asarray(keys, dtype=np.uint64))
     if keys.size <= 1:
         return keys
     # In sorted Morton id order the descendants of an octant occupy the

@@ -76,7 +76,7 @@ def delta_sort(
     old_point_keys = np.asarray(old_point_keys, dtype=np.uint64)
     old_order = np.asarray(old_order, dtype=np.int64)
     n = old_order.size
-    moved = np.unique(np.asarray(moved, dtype=np.int64))
+    moved = morton.sorted_unique(np.asarray(moved, dtype=np.int64))
     if moved.size == 0:
         perm = np.arange(n + 1, dtype=np.int64)
         return DeltaSort(

@@ -44,6 +44,7 @@ __all__ = [
     "make_oct",
     "neighbors",
     "parent",
+    "sorted_unique",
 ]
 
 #: Maximum refinement depth supported by the 64-bit key encoding.
@@ -151,6 +152,9 @@ def encode_points(points: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (n, 3) points, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"points must be finite; row {row} is {pts[row]}")
     scaled = np.clip(pts, 0.0, np.nextafter(1.0, 0.0)) * float(1 << depth)
     cells = scaled.astype(np.uint64) << np.uint64(MAX_DEPTH - depth)
     return make_oct(cells[:, 0], cells[:, 1], cells[:, 2], np.full(len(pts), depth))
@@ -233,14 +237,23 @@ def deepest_last_descendant(octs) -> np.ndarray:
 
 def ancestors_of(octs, include_self: bool = False) -> np.ndarray:
     """Sorted unique ancestors of a set of octants (root included)."""
-    cur = np.unique(np.asarray(octs, dtype=np.uint64))
+    cur = sorted_unique(np.asarray(octs, dtype=np.uint64))
     out = [cur] if include_self else []
     while cur.size and np.any(level(cur) > 0):
-        cur = np.unique(parent(cur[level(cur) > 0]))
+        cur = sorted_unique(parent(cur[level(cur) > 0]))
         out.append(cur)
     if not out:
         return np.empty(0, dtype=np.uint64)
-    return np.unique(np.concatenate(out))
+    return sorted_unique(*out)
+
+
+def sorted_unique(*keys) -> np.ndarray:
+    """``np.unique`` (``np.union1d`` of several arrays) by sort + adjacent
+    difference, for the tree, list and LET builds: a plain ``np.unique``
+    takes NumPy's hash path, 10-30x slower on integer keys (calls with
+    ``return_inverse`` / ``return_index`` sort, and keep ``np.unique``)."""
+    s = np.sort(np.concatenate([np.ravel(k) for k in keys]))
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
 
 
 # 26 neighbour offsets (all sign combinations except the zero offset).

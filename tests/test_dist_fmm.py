@@ -203,7 +203,10 @@ class TestBlockClasses:
             fmm.evaluate(np.ones(len(fmm.owned_points)))
             tree, u, ep = fmm.let.tree, fmm.lists.u, fmm._plan
             counts = tree.point_counts()
-            csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
+            # a leaf's block holds itself, its higher keys and its ghosts
+            rows, cols = u.pairs()
+            held = (cols >= rows) | ~fmm.let.owned_leaf[cols]
+            csum = np.concatenate(([0], np.cumsum(counts[cols] * held)))
             total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]
             assert all(fmm.let.owned_leaf[b.group].all() for b in ep.s2u)
             # leaf key -> (its counts, its block sides), per section
@@ -258,6 +261,20 @@ class TestDriverContract:
 
         with pytest.raises(RuntimeError, match="densities size"):
             run_spmd(2, fn, timeout=120)
+
+    def test_non_finite_points_rejected(self):
+        """One NaN coordinate on one rank is a ValueError naming ``points``
+        on that rank, not non-finite potentials on every rank."""
+        pts = uniform_cube(400, seed=40)
+        pts[7, 2] = np.nan  # rank 1's local row 3
+
+        def fn(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=40)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+
+        with pytest.raises(RuntimeError, match=r"rank 1 .*points must be finite; row 3") as err:
+            run_spmd(2, fn, timeout=120)
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_points_conserved_and_owned_once(self):
         pts = uniform_cube(1000, seed=39)

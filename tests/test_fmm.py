@@ -299,6 +299,31 @@ class TestApiContract:
         assert prof.events["ULI"].flops > 0
         assert prof.events["VLI"].flops > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        """One non-finite coordinate is a ValueError naming ``points`` and
+        the row, at ``plan`` and at ``evaluate`` — not a RuntimeWarning
+        followed by non-finite potentials."""
+        pts = uniform_cube(400, seed=16)
+        pts[123, 1] = bad
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        with pytest.raises(ValueError, match=r"points must be finite; row 123"):
+            fmm.plan(pts)
+        with pytest.raises(ValueError, match=r"points must be finite; row 123"):
+            fmm.evaluate(pts, np.ones(400))
+
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    def test_zero_column_block(self, kernel):
+        """A ``(n * ks, 0)`` density block is the empty ``(n * kt, 0)``
+        answer, and no phase runs for it."""
+        pts = uniform_cube(300, seed=17)
+        fmm = Fmm(kernel, order=4, max_points_per_box=40)
+        plan, prof = fmm.plan(pts), PhaseProfile()
+        kd = fmm.kernel.source_dim
+        out = fmm.evaluate(pts, np.ones((300 * kd, 0)), plan=plan, profile=prof)
+        assert out.shape == (300 * fmm.kernel.target_dim, 0)
+        assert not prof.events
+
     def test_output_order_matches_input(self):
         """Permuting inputs permutes outputs identically."""
         pts = uniform_cube(500, seed=15)

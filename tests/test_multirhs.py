@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import Fmm
-from repro.core.contract import Q_PAD, gemm_cols
+from repro.core.contract import Q_PAD, gemm_cols, gemm_rows
 from repro.core.fft_m2l import FftM2L
 from repro.datasets import plummer_cluster, uniform_cube
 from repro.kernels import get_kernel
@@ -71,6 +71,30 @@ class TestGemmColsContract:
         np.testing.assert_allclose(
             out, gemm_cols(np.ascontiguousarray(k), den), rtol=tol, atol=tol
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("q", [1, 3, Q_PAD, 11])
+    @pytest.mark.parametrize("shape", [(4, 9, 13), (6, 152, 64)], ids=str)
+    def test_row_form(self, rng, shape, q, dtype):
+        """The same contract for :func:`gemm_rows` — how ULI's stored half
+        and D2T read a block from its other side: a row's bits do not
+        depend on q, on its position or on what its neighbours hold, and
+        the row form is ``kᵀ @ den`` to rounding."""
+        k = rng.standard_normal(shape).astype(dtype)
+        den = rng.standard_normal((shape[0], q, shape[1])).astype(dtype)
+        out = gemm_rows(den, k)
+        assert out.dtype == dtype and out.shape == (shape[0], q, shape[2])
+        for c in range(q):
+            solo = gemm_rows(den[:, c : c + 1], k)[:, 0]
+            assert np.array_equal(out[:, c], solo), f"row {c}"
+        for width, pos in [(5, 4), (Q_PAD, 3), (11, 9)]:
+            other = rng.standard_normal((shape[0], width, shape[1])).astype(dtype)
+            other[:, pos] = den[:, 0]
+            moved = gemm_rows(other, k)[:, pos]
+            assert np.array_equal(moved, out[:, 0]), f"q={width} pos={pos}"
+        tol = 1e-12 if dtype is np.float64 else 1e-4
+        flag = gemm_cols(k.transpose(0, 2, 1), den.transpose(0, 2, 1))
+        np.testing.assert_allclose(out, flag.transpose(0, 2, 1), rtol=tol, atol=tol)
 
     def test_matches_matmul_numerically(self, rng):
         k = rng.standard_normal((5, 6, 8))

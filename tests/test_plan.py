@@ -135,6 +135,110 @@ def test_w_reads_x_blocks_iff_the_kernel_is_transpose_symmetric(kernel):
     assert held == (x_bytes if all(shared) else x_bytes + w_bytes)
 
 
+@pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa", "gradient"])
+def test_d2t_reads_s2u_blocks_iff_the_kernel_is_transpose_symmetric(kernel):
+    """DE is UC, so ``K(pts, DE) = K(UC, pts)ᵀ`` for a kernel that declares
+    the transpose symmetry: each D2T record then reads its S2U record's
+    arrays — kernel block, points and surface — charged once, while a
+    gradient ``eval_kernel`` keeps D2T blocks of its own; cached ==
+    matrix-free == partly cached either way."""
+    kw = {"eval_kernel": LaplaceGradientKernel()} if kernel == "gradient" else {}
+    order = max(LADDER[kernel]) if kernel == "stokes" else 4
+    n = 1000 if kernel == "stokes" else N
+    fmm, plan, dens = _setup("laplace" if kw else kernel, order=order, n=n, **kw)
+    ev, tree, lists = fmm.evaluator, plan.tree, plan.lists
+    out = _apply_all_variants(ev, tree, lists, dens)
+    bound = 2e-3 if kw else LADDER[kernel][order]
+    assert _rel_err(ev.eval_kernel, tree, dens, out) < bound
+    ep = ev.compile_plan(tree, lists)
+    dual = fmm.kernel is ev.eval_kernel
+    assert len(ep.d2t) == len(ep.s2u) > 1
+    for s, d in zip(ep.s2u, ep.d2t):
+        assert np.array_equal(s.group, d.group)
+        assert np.shares_memory(s.kmat, d.kmat) == dual
+        assert (s.pts is d.pts and s.surf is d.surf) == dual
+    s_bytes, d_bytes = (sum(b.kmat.nbytes for b in sec) for sec in (ep.s2u, ep.d2t))
+    held = sum({id(b.kmat): b.kmat.nbytes for b in ep.s2u + ep.d2t}.values())
+    assert held == (s_bytes if dual else s_bytes + d_bytes)
+
+
+def _uli_point_pairs(tree, ep):
+    """Sorted ``target * (n + 1) + source`` point-pair codes of every
+    contraction the ULI blocks run: a box's targets against its stored
+    sources, and the transposed slots' points against the box's targets."""
+    n, codes = tree.n_points + 1, []
+    for b in ep.uli:
+        bi, si = np.divmod(b.t_sel, b.sp)
+        for j, i in enumerate(b.boxes):
+            own = np.arange(tree.pt_begin[i], tree.pt_end[i])
+            src = b.den_rows[j][b.den_rows[j] != tree.n_points]
+            back = b.den_rows[j, si[bi == j]]
+            codes += [(own[:, None] * n + src).ravel(), (back[:, None] * n + own).ravel()]
+    return np.sort(np.concatenate(codes))
+
+
+def _u_point_pairs(tree, u, targets):
+    """The codes :func:`_uli_point_pairs` must hold: every point pair of
+    every ordered U pair ``(i <- j)`` with ``i`` in ``targets``, once."""
+    n, codes = tree.n_points + 1, []
+    for i in targets:
+        own = np.arange(tree.pt_begin[i], tree.pt_end[i])
+        for j in u.of(i):
+            src = np.arange(tree.pt_begin[j], tree.pt_end[j])
+            codes.append((own[:, None] * n + src).ravel())
+    return np.sort(np.concatenate(codes))
+
+
+def _check_uli_coverage(tree, u, ep, scope, dual):
+    """Every ordered U pair of the ``scope`` targets is contracted once,
+    and something is read transposed iff the kernel is its own dual."""
+    targets = np.flatnonzero(tree.is_leaf & (tree.point_counts() > 0) & scope)
+    assert np.array_equal(_uli_point_pairs(tree, ep), _u_point_pairs(tree, u, targets))
+    assert any(b.t_sel.size for b in ep.uli) == dual
+
+
+@pytest.mark.parametrize("kernel", ["laplace", "gradient"])
+def test_uli_contracts_every_ordered_pair_once(rng, kernel):
+    """Under the transpose symmetry a U pair of in-scope leaves is held
+    once, by the lower key, and contracted both ways; every ordered pair
+    ``(i <- j)`` is then contracted exactly once — directly or transposed —
+    on a solo plan, on a patched one and on the LET plans of p = 2 and 3,
+    fresh and patched after a geometry update.  A gradient
+    ``eval_kernel`` keeps every pair in its target's block and reads
+    nothing transposed."""
+    from repro.datasets import plummer_cluster
+
+    kw = {"eval_kernel": LaplaceGradientKernel()} if kernel == "gradient" else {}
+    pts = plummer_cluster(1500, seed=5)
+    new = pts.copy()
+    new[:150] = 0.3 + 0.02 * rng.random((150, 3))
+    fmm = Fmm("laplace", order=4, max_points_per_box=25, **kw)
+    plan = fmm.plan(pts)
+    ep = fmm.compile_eval_plan(plan)
+    everything = np.ones(plan.tree.n_nodes, dtype=bool)
+    _check_uli_coverage(plan.tree, plan.lists.u, ep, everything, not kw)
+    new_plan, delta = fmm.update_plan(plan, new)
+    patched = fmm.patch_eval_plan(ep, plan, new_plan, delta=delta)
+    assert patched.patch_stats["slots_reused"] > 0
+    everything = np.ones(new_plan.tree.n_nodes, dtype=bool)
+    _check_uli_coverage(new_plan.tree, new_plan.lists.u, patched, everything, not kw)
+    if kw:  # DistributedFmm evaluates the base kernel only
+        return
+
+    def body(comm):
+        dfmm = DistributedFmm(order=4, max_points_per_box=25)
+        dfmm.setup(comm, pts[comm.rank :: comm.size])
+        for step in range(2):
+            if step:
+                assert dfmm.update_geometry(new[comm.rank :: comm.size])["patched"]
+            dfmm.evaluate(np.ones(len(dfmm.owned_points)))
+            let = dfmm.let
+            _check_uli_coverage(let.tree, dfmm.lists.u, dfmm._plan, let.owned_leaf, True)
+
+    for p in (2, 3):
+        run_spmd(p, body)
+
+
 def test_plan_bit_identical_dense_m2l():
     """Dense M2L is a different V-list arithmetic, not a different
     answer: same ladder rung as the FFT translation."""
@@ -649,8 +753,9 @@ def test_blocks_carry_pairs(points):
     tree, u = plan.tree, plan.lists.u
     ep = fmm.compile_eval_plan(plan)
     counts, ns = tree.point_counts(), fmm.evaluator.ns
-    csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
-    total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]  # per node: U-list sources
+    rows, cols = u.pairs()  # a leaf's block holds itself and its higher keys
+    csum = np.concatenate(([0], np.cumsum(counts[cols] * (cols >= rows))))
+    total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]  # per node: stored U sources
 
     held, real = {}, {}
 
