@@ -489,19 +489,12 @@ class FmmEvaluator:
         """
         from repro.octree.linear import covering_leaf_indices
         from repro.util import morton
+        from repro.util.geometry import unit_cube_points
 
         profile = profile if profile is not None else PhaseProfile()
         dens = np.ascontiguousarray(densities, dtype=np.float64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 2 and targets.shape[1] == 3:
-            inside = ((targets >= 0.0) & (targets <= 1.0)).all(axis=1)  # NaN: False
-            if not inside.all():
-                row = int(np.argmin(inside))
-                raise ValueError(
-                    f"targets must be finite points in the unit cube "
-                    f"[0, 1]^3; row {row} is {targets[row]}"
-                )
-        tkeys = morton.encode_points(targets)  # raises on a non-(n, 3) shape
+        targets = unit_cube_points(targets, "targets")
+        tkeys = morton.encode_points(targets)
 
         plan = self._resolve_plan(tree, lists, profile, None, None, targets=True)
         state = self.allocate(tree)

@@ -8,11 +8,12 @@ lattice with spacing ``h = 2 r / (p - 2)``:
     x_t - y_s = h * ((p-2) * offset + (g_t - g_s)),   g in {0..p-1}^3.
 
 The check-potential accumulation is therefore a 3-D *circular convolution*
-on a ``(2p)^3`` grid: per box one forward FFT of its (surface-embedded)
+on an ``n^3`` grid: per box one forward FFT of its (surface-embedded)
 upward density, a pointwise multiply with the kernel transform of the
 pair's offset, an accumulation in frequency space over all V-list sources,
 and one inverse FFT per target box.  This is the paper's "diagonal
-translation (in the frequency space)".
+translation (in the frequency space)".  ``g_t - g_s`` spans ``2p - 1``
+values per axis, so ``n = 2p - 1`` is the alias-free minimum and the grid.
 
 The multiply-accumulate runs per **sibling group**, as the paper's GPU
 V-list does, not per pair.  The V-list of a box is the non-adjacent
@@ -27,16 +28,17 @@ into per-parent tables (:class:`VGroup`).
 :meth:`FftM2L.translate` applies them as the paper's three kernels over all
 boxes — per-octant forward FFT, diagonal translation, inverse FFT — each a
 data-parallel map over *box-last* arrays.  The data of a box sit in the
-``p^3`` corner of its ``(2p)^3`` grid, so the transforms are three 1-D
+``p^3`` corner of its ``n^3`` grid, so the transforms are three 1-D
 passes that skip the lines whose input is all zero (forward) or whose
-output nobody reads (inverse): at order 6, 162 line transforms per box and
-transform instead of 312, the same bits.  With the boxes on the last axis
-the forward passes write the frequency-major ``(F, boxes)`` table the
-translation reads — no transpose, no zero fill — and the inverse passes run
-in place on the accumulator table.  The translation is one batched GEMM per
-frequency slab against a ``K`` taken from the level's offset table once per
-slab and shared by every group that has the same colleague directions
-(DESIGN.md §5 has the layout and the numbers).
+output nobody reads (inverse): at order 6 (``n = 11``), 138 line
+transforms per box and transform instead of 253, the same bits.  With the
+boxes on the last axis the forward passes write the frequency-major
+``(F, boxes)`` table the translation reads — no transpose, no zero fill —
+and the inverse passes run in place on the accumulator table.  The
+translation is one batched GEMM per frequency slab against a ``K`` taken
+from the level's offset table once per slab and shared by every group that
+has the same colleague directions (DESIGN.md §5 has the layout and the
+numbers).
 """
 
 from __future__ import annotations
@@ -148,8 +150,10 @@ class FftM2L:
     def __init__(self, kernel: Kernel, order: int):
         self.kernel = kernel
         self.order = int(order)
-        self.n = 2 * order  # convolution grid size per axis (>= 2p-1)
+        self.n = 2 * self.order - 1  # convolution grid size per axis (alias-free)
         self.nf = self.n // 2 + 1  # rfft last-axis length
+        #: Frequencies of the paper's (2p)^3 grid, which the charges count.
+        self.paper_nfreq = 4 * order * order * (order + 1)
         self.ns = surfaces.n_surface_points(order)
         # Surface rows of the two box-last real grids (p-grid at the
         # origin): the (p, p, p) one FFT-in fills and the (p, p, n) one
@@ -219,10 +223,13 @@ class FftM2L:
 
     # -- sibling-group schedule -------------------------------------------------
 
-    def schedule(self, tree, v, scope=None) -> list:
+    def schedule(self, tree, v, scope=None, sources=None) -> list:
         """Compile ``v`` (the V-list ``CsrList``) into :class:`VGroup` runs.
 
-        ``scope`` (bool mask over nodes) keeps the pairs of in-scope targets.
+        ``scope`` (bool mask over nodes) keeps the pairs of in-scope targets,
+        ``sources`` (likewise) the pairs of kept sources — the plan passes
+        the octants that hold a point (on some rank), so an empty source is
+        neither transformed nor multiplied; an empty target stays.
         The tables assume the V-list definition: a target child sees every
         listed source child of its parent's colleagues unless the two are
         adjacent.  That is checked — the pairs the tables imply are counted
@@ -230,6 +237,9 @@ class FftM2L:
         :class:`~repro.core.plan.PlanMismatchError`.
         """
         tgts, srcs = v.pairs(scope)
+        if sources is not None:
+            keep = sources[srcs]
+            tgts, srcs = tgts[keep], srcs[keep]
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         box_flops = self.fft_flops_per_box()
         pair_flops = self.translate_flops_per_pair()
@@ -322,8 +332,8 @@ class FftM2L:
            column per spectra-table column (``g.srow``; absent children and
            the "no colleague" parent stay zero), and three 1-D passes —
            ``rfft`` along z, ``fft`` along y, ``fft`` along x, each padding
-           its axis to ``2p`` — leave ``(2p, 2p, p + 1, cols)``: in C order
-           the ``(F, cols)`` table itself.
+           its axis to ``n`` — leave ``(n, n, nf, cols)``: in C order the
+           ``(F, cols)`` table itself, ``F = n * n * nf``.
         2. **Translate**, a tile per frequency slab (disjoint table rows).
            ``K_slab`` is taken once per distinct (offset table, ``g.dirs``)
            and shared by every item of the wave that reads it; each item
@@ -340,7 +350,7 @@ class FftM2L:
         surface point.  Each frequency is its own GEMM whatever the slab
         length, so column ``j`` of a block keeps its solo bits under any
         wave and slab split.  The flop *charge* (``VGroup.flops``,
-        :meth:`fft_flops_per_box`) stays the paper's full-grid transform.
+        :meth:`fft_flops_per_box`) stays the paper's full ``(2p)^3`` grid.
         """
         p, n, nf, ns = self.order, self.n, self.nf, self.ns
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
@@ -444,12 +454,13 @@ class FftM2L:
     # -- flop model ---------------------------------------------------------------
 
     def fft_flops_per_box(self) -> float:
-        """Charge of one forward or inverse grid FFT (per dof component)."""
-        n3 = self.n**3
-        return 5.0 * n3 * np.log2(max(n3, 2))
+        """Charge of one forward or inverse FFT (per dof component).  This
+        and the next charge count the paper's ``(2p)^3`` grid, not :attr:`n`."""
+        n3 = (2 * self.order) ** 3
+        return 5.0 * n3 * np.log2(n3)
 
     def translate_flops_per_pair(self) -> float:
         """Charge of one frequency-space pointwise translation."""
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         # complex multiply-add ~ 8 flops
-        return 8.0 * kt * ks * self.n * self.n * self.nf
+        return 8.0 * kt * ks * self.paper_nfreq

@@ -6,8 +6,10 @@ the evaluator behind a two-call API::
     fmm = Fmm(kernel="laplace", order=6, max_points_per_box=100)
     potentials = fmm.evaluate(points, densities)
 
-Points live in the unit cube (callers with other domains rescale; for a
-homogeneous kernel the potential rescales analytically).  Source and
+Points live in the closed unit cube ``[0, 1]^3``: a point outside it, or a
+non-finite one, is a ``ValueError`` naming ``points`` and its row (callers
+with other domains rescale; for a homogeneous kernel the potential
+rescales analytically).  Densities must be real and finite.  Source and
 target points coincide, as in the paper.
 """
 
@@ -21,7 +23,9 @@ from repro.core.evaluator import FmmEvaluator
 from repro.core.lists import InteractionLists, build_lists
 from repro.core.tree import FmmTree, build_tree
 from repro.kernels import Kernel, get_kernel
+from repro.kernels.base import real_densities
 from repro.util import morton
+from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
 __all__ = ["Fmm", "FmmPlan"]
@@ -33,9 +37,10 @@ def _as_density_block(densities, n_points: int, ks: int, where: str):
     The reshape rule: a 2-D array with ``n_points * ks`` rows is a
     multi-RHS column block (one density vector per column); anything else
     is flattened to a single vector, which must then have exactly
-    ``n_points * ks`` values.  Errors always report the offending shape.
+    ``n_points * ks`` values.  Errors always report the offending shape
+    (or, for a complex or non-finite value, the first bad row).
     """
-    arr = np.asarray(densities, dtype=np.float64)
+    arr = real_densities(densities, where)
     expected = n_points * ks
     if arr.ndim == 2 and arr.shape[0] == expected:
         return arr, True
@@ -137,17 +142,17 @@ class Fmm:
 
     def plan(self, points: np.ndarray, profile: PhaseProfile | None = None) -> FmmPlan:
         """Build the adaptive tree and interaction lists (the setup phase)."""
+        points = unit_cube_points(points)
         profile = profile if profile is not None else PhaseProfile()
         with profile.phase("tree"):
             if self.balance_tree:
                 from repro.core.tree import tree_from_leaves
                 from repro.octree import balance_2to1, points_to_octree
 
-                pts = np.asarray(points, dtype=np.float64)
-                ob = points_to_octree(pts, self.max_points_per_box, self.max_depth)
+                ob = points_to_octree(points, self.max_points_per_box, self.max_depth)
                 leaves = balance_2to1(ob.leaves)
                 tree = tree_from_leaves(
-                    leaves, pts[ob.order], ob.point_keys, ob.order
+                    leaves, points[ob.order], ob.point_keys, ob.order
                 )
             else:
                 tree = build_tree(points, self.max_points_per_box, self.max_depth)
@@ -191,10 +196,11 @@ class Fmm:
 
         profile = profile if profile is not None else PhaseProfile()
         if self.balance_tree:
-            new_plan = self.plan(new_points, profile=profile)
+            new_plan = self.plan(new_points, profile=profile)  # validates
             with profile.phase("tree"):
                 delta = diff_trees(plan.tree, new_plan.tree)
             return new_plan, delta
+        new_points = unit_cube_points(new_points)
         with profile.phase("tree"):
             tree, delta = update_tree(
                 plan.tree, new_points, self.max_points_per_box,

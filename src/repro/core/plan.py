@@ -1235,8 +1235,9 @@ def compile_plan(
                     for b in (plan.s2u if same else leaf_section("s2u", d2t_sel))]
     else:
         plan.d2t = leaf_section("d2t", d2t_sel)
-    # An X source is kept iff it holds points here, a W source iff its
-    # octant holds a point on some rank; a vanishing density adds zeros.
+    # An X source is kept iff it holds points here, a W (and V, below)
+    # source iff its octant holds a point on some rank; a vanishing density
+    # adds zeros.
     nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
     xf, xl = lists.x.pairs(scopes.xli)
     wl, wf = lists.w.pairs(within(leaves, scopes.wli))
@@ -1270,7 +1271,7 @@ def compile_plan(
 
     # -- VLI ---------------------------------------------------------------
     if ev.m2l_mode == "fft":
-        plan.vli_fft = ev.fft.schedule(tree, lists.v, scopes.vli)
+        plan.vli_fft = ev.fft.schedule(tree, lists.v, scopes.vli, nonempty)
         # build the levels' offset tables now, not at first apply; levels of
         # a homogeneous kernel share one table
         tables = [ev.fft.offset_table(g.level, plan.cdtype)[0] for g in plan.vli_fft]

@@ -35,9 +35,11 @@ from repro.dist.reduce_scatter import (
     owner_reduce_scatter,
 )
 from repro.kernels import Kernel, get_kernel
+from repro.kernels.base import real_densities
 from repro.mpi.comm import SimComm
 from repro.octree.build import leaf_point_counts
 from repro.util import morton
+from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
 __all__ = ["DistributedFmm", "distributed_fmm_rank", "match_owned_rows"]
@@ -228,7 +230,11 @@ class DistributedFmm:
             self.comm.fabric.arm_gpu(gpu, self.comm.rank)
 
     def setup(self, comm: SimComm, local_points: np.ndarray) -> None:
-        """Sort, build the tree, (re)balance, build LET and lists."""
+        """Sort, build the tree, (re)balance, build LET and lists.
+
+        ``local_points`` must be finite and in the closed unit cube; a bad
+        row is a ``ValueError`` naming ``points`` on its rank."""
+        local_points = unit_cube_points(local_points)
         self.comm = comm
         if self.threads is not None:
             from repro.core.parallel import rank_pool_size
@@ -405,7 +411,7 @@ class DistributedFmm:
         profile = comm.profile
         ev = self.evaluator
 
-        dens_owned = np.asarray(densities_owned, dtype=np.float64).reshape(-1)
+        dens_owned = real_densities(densities_owned, "DistributedFmm.evaluate").reshape(-1)
         if dens_owned.size != let.n_owned_points * ks:
             raise ValueError(
                 f"densities size {dens_owned.size} != owned_points*source_dim "

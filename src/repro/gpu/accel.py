@@ -159,7 +159,7 @@ class GpuFmmEvaluator(FmmEvaluator):
         up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
-        grid = fft.n * fft.n * fft.nf * np.dtype(np.complex64).itemsize
+        grid = fft.paper_nfreq * np.dtype(np.complex64).itemsize
         ledger, model = self.gpu.ledger, self.gpu.model
         fft.translate(plan.vli_fft, up, dcheck, np.complex64, plan._buffer)
         for g in plan.vli_fft:

@@ -42,11 +42,27 @@ import math
 
 import numpy as np
 
-__all__ = ["Kernel"]
+__all__ = ["Kernel", "real_densities"]
 
 #: Bytes of float64 planes one tile keeps live (differences, r2, two
 #: temporaries, the destination entries): 1.5 MB of a 2 MB L2.
 _TILE_BYTES = 3 << 19
+
+
+def real_densities(densities, where: str) -> np.ndarray:
+    """``densities`` as float64 of the same shape, or a ``ValueError`` that
+    starts with ``where`` and names them: a complex value (its imaginary
+    part would be dropped) or a NaN / Inf (it would poison every potential
+    of its column).  Integer and float32 densities convert."""
+    arr = np.asarray(densities)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{where}: densities must be real, got {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        rows = np.atleast_1d(arr)
+        row = int(np.argwhere(~np.isfinite(rows))[0, 0])
+        raise ValueError(f"{where}: densities must be finite; row {row} is {rows[row]}")
+    return arr
 
 
 class Kernel:

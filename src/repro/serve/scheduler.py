@@ -40,6 +40,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.kernels.base import real_densities
 from repro.serve.metrics import ServeMetrics
 
 __all__ = [
@@ -122,8 +123,10 @@ def retry_after_hint(
 
 def check_density(model: str, density, expected: int) -> np.ndarray:
     """``density`` as a flat float64 vector of ``model``'s ``expected``
-    length, or a ``ValueError`` naming the shape that arrived."""
-    dens = np.asarray(density, dtype=np.float64).reshape(-1)
+    length, or a ``ValueError`` naming the shape that arrived (or its first
+    complex or non-finite row): a bad request is refused alone, at submit,
+    and never joins a batch."""
+    dens = real_densities(density, f"model {model!r}").reshape(-1)
     if dens.size != expected:
         raise ValueError(
             f"model {model!r}: densities shape {np.shape(density)} has "

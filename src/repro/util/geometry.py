@@ -11,9 +11,28 @@ import numpy as np
 
 from repro.util import morton
 
-__all__ = ["box_center", "box_half_width", "box_corners", "points_to_box_frame"]
+__all__ = ["box_center", "box_half_width", "box_corners", "points_to_box_frame",
+           "unit_cube_points"]
 
 _SCALE = 1.0 / float(1 << morton.MAX_DEPTH)
+
+
+def unit_cube_points(points, name: str = "points") -> np.ndarray:
+    """``points`` as a float64 ``(n, 3)`` array in the closed unit cube (the
+    root box), or a ``ValueError`` naming ``name`` and the first bad row.
+
+    Morton keys clip a point outside into the cube, but the kernels read
+    its real coordinates: its octant would be wrong, silently.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) {name}, got {pts.shape}")
+    bad = ~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)  # NaN compares False
+    if bad.any():
+        row = int(np.argmax(bad))
+        rule = "be finite" if not np.isfinite(pts[row]).all() else "lie in [0, 1]^3"
+        raise ValueError(f"{name} must {rule}; row {row} is {pts[row]}")
+    return pts
 
 
 def box_half_width(lev) -> np.ndarray:

@@ -147,14 +147,12 @@ def encode_points(points: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
     """Morton ids (at level ``depth``) of points in the unit cube.
 
     Points are clipped into ``[0, 1)`` so boundary points land in the last
-    cell instead of overflowing the lattice.
+    cell instead of overflowing the lattice.  Internal: the public entries
+    validate their points first (:func:`repro.util.geometry.unit_cube_points`).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (n, 3) points, got {pts.shape}")
-    if not np.isfinite(pts).all():
-        row = int(np.argmin(np.isfinite(pts).all(axis=1)))
-        raise ValueError(f"points must be finite; row {row} is {pts[row]}")
     scaled = np.clip(pts, 0.0, np.nextafter(1.0, 0.0)) * float(1 << depth)
     cells = scaled.astype(np.uint64) << np.uint64(MAX_DEPTH - depth)
     return make_oct(cells[:, 0], cells[:, 1], cells[:, 2], np.full(len(pts), depth))

@@ -276,6 +276,41 @@ class TestDriverContract:
             run_spmd(2, fn, timeout=120)
         assert isinstance(err.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("at", ["setup", "update_geometry"])
+    def test_points_outside_unit_cube_rejected(self, at):
+        """A point outside the root box on one rank is a ValueError naming
+        ``points`` on that rank, at setup and at a geometry update."""
+        pts = uniform_cube(400, seed=40)
+        bad = pts.copy()
+        bad[7, 0] = 1.25  # rank 1's local row 3
+
+        def fn(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=40)
+            if at == "setup":
+                fmm.setup(comm, bad[comm.rank :: comm.size])
+            else:
+                fmm.setup(comm, pts[comm.rank :: comm.size])
+                fmm.update_geometry(bad[comm.rank :: comm.size])
+
+        with pytest.raises(RuntimeError, match=r"rank 1 .*points must lie in .*; row 3") as err:
+            run_spmd(2, fn, timeout=120)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1j])
+    def test_bad_densities_rejected(self, bad):
+        pts = uniform_cube(400, seed=41)
+
+        def fn(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=40)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            dens = np.ones(fmm.owned_points.shape[0], dtype=type(bad))
+            dens[5] += bad
+            fmm.evaluate(dens)
+
+        rule = "real" if bad == 1j else "finite; row 5"
+        with pytest.raises(RuntimeError, match=rf"DistributedFmm.evaluate: densities must be {rule}"):
+            run_spmd(2, fn, timeout=120)
+
     def test_points_conserved_and_owned_once(self):
         pts = uniform_cube(1000, seed=39)
         opts, _, _ = _run_and_collect(

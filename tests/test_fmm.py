@@ -98,6 +98,48 @@ class TestM2LModes:
         f2 = Fmm(kern, order=4, max_points_per_box=25, m2l_mode="dense").evaluate(pts, dens)
         assert rel_err(f1, f2) < 1e-10
 
+    @pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    def test_fft_grid_is_alias_free_and_one_smaller_aliases(
+        self, kernel, order, monkeypatch
+    ):
+        """The FFT V-list on its ``(2p - 1)^3`` grid equals the dense M2L on
+        the two geometries above (the two cases the tests above run are not
+        repeated); forced onto a ``(2p - 2)^3`` grid it wraps the extreme
+        offsets onto each other and misses by orders of magnitude.  The
+        bound is about 8x the largest error read (6.1e-11, Laplace p7 on one
+        BLAS thread, 3.8e-11 on two): roundoff through the DC -> DE solve."""
+        if kernel == "laplace":
+            pts = ellipsoid_surface(1200, seed=11)
+        else:
+            pts = uniform_cube(600, seed=12)
+        kern = get_kernel(kernel)
+        dens = np.random.default_rng(4).standard_normal(pts.size // 3 * kern.source_dim)
+
+        def run(mode):
+            return Fmm(kern, order=order, max_points_per_box=25,
+                       m2l_mode=mode).evaluate(pts, dens)
+
+        fft = run("fft")
+        if (kernel, order) not in (("laplace", 6), ("stokes", 4)):
+            assert rel_err(fft, run("dense")) < 5e-10
+        # a class property shadows the constructor's ``self.n = 2p - 1``
+        small = property(lambda s: 2 * s.order - 2, lambda s, _n: None)
+        monkeypatch.setattr(FftM2L, "n", small, raising=False)
+        assert rel_err(run("fft"), fft) > 1e-3
+
+    def test_grid_rule(self):
+        """``n = 2p - 1``; the charges stay on the paper's ``(2p)^3`` grid."""
+        for kernel in ("laplace", "stokes"):
+            kern = get_kernel(kernel)
+            kk = kern.source_dim * kern.target_dim
+            for p in range(4, 17):
+                fft = FftM2L(kern, p)
+                assert (fft.n, fft.nf) == (2 * p - 1, p), p
+                m3 = (2 * p) ** 3
+                assert fft.fft_flops_per_box() == 5.0 * m3 * np.log2(m3)
+                assert fft.translate_flops_per_pair() == 8.0 * kk * (2 * p) ** 2 * (p + 1)
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             Fmm("laplace", m2l_mode="magic")
@@ -157,7 +199,8 @@ class TestM2LModes:
 
 class TestStagedTransforms:
     """The pruned, box-last FFT stages of ``FftM2L.translate`` against their
-    definition: ``rfftn`` / ``irfftn`` of the zero-embedded ``(2p)^3`` grid."""
+    definition: ``rfftn`` / ``irfftn`` of the zero-embedded ``n^3`` grid
+    (``n = fft.n``: 7, 11 and 15 at orders 4, 6 and 8)."""
 
     @pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
@@ -311,6 +354,56 @@ class TestApiContract:
             fmm.plan(pts)
         with pytest.raises(ValueError, match=r"points must be finite; row 123"):
             fmm.evaluate(pts, np.ones(400))
+
+    @pytest.mark.parametrize("move", ["+0.5", "-0.5", "x2"])
+    def test_points_outside_unit_cube_rejected(self, move):
+        """A point outside the root box is a ValueError naming ``points`` and
+        the first bad row at ``plan``, ``evaluate`` and ``update_plan`` —
+        not a key clipped into the cube and a garbage potential."""
+        pts = uniform_cube(400, seed=16)
+        bad = {"+0.5": pts + 0.5, "-0.5": pts - 0.5, "x2": 2.0 * pts}[move]
+        row = int(np.argmax(((bad < 0.0) | (bad > 1.0)).any(axis=1)))
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        plan = fmm.plan(pts)
+        for call in (lambda: fmm.plan(bad), lambda: fmm.evaluate(bad, np.ones(400)),
+                     lambda: fmm.update_plan(plan, bad)):
+            with pytest.raises(ValueError, match=rf"points must lie in .*; row {row} is"):
+                call()
+
+    def test_points_on_the_closed_boundary_accepted(self):
+        """0.0 and 1.0 are inside, coincident corner points too: the answer
+        is the direct sum's."""
+        pts = uniform_cube(1000, seed=19)
+        pts[:4] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.2, 0.0]]
+        pts[4:54] = 1.0  # 50 points on the far corner
+        kern = get_kernel("laplace")
+        dens = np.random.default_rng(9).standard_normal(1000)
+        f = Fmm(kern, order=6, max_points_per_box=40).evaluate(pts, dens)
+        assert rel_err(f, direct_sum(kern, pts, pts, dens)) < 5e-5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j])
+    def test_bad_densities_rejected(self, bad):
+        """A NaN / Inf density (it would turn every potential of its column
+        to NaN) or a complex one (its imaginary part would be dropped) is a
+        ValueError naming ``densities``, flat or in a column block."""
+        pts = uniform_cube(300, seed=18)
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        plan = fmm.plan(pts)
+        rule = "real" if bad == 1j else "finite; row 57"
+        for shape in ((300,), (300, 3)):
+            dens = np.ones(shape, dtype=complex if bad == 1j else float)
+            dens[57] += bad
+            with pytest.raises(ValueError, match=rf"Fmm.evaluate: densities must be {rule}"):
+                fmm.evaluate(pts, dens, plan=plan)
+
+    def test_integer_and_float32_densities_accepted(self):
+        pts = uniform_cube(300, seed=18)
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        plan = fmm.plan(pts)
+        dens = np.arange(300) % 7 - 3
+        want = fmm.evaluate(pts, dens.astype(np.float64), plan=plan)
+        for cast in (dens, dens.astype(np.float32)):
+            assert np.array_equal(fmm.evaluate(pts, cast, plan=plan), want)
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
     def test_zero_column_block(self, kernel):

@@ -237,6 +237,27 @@ class TestGpuEvaluator:
             assert led.phase_seconds(ph) > 0, ph
             assert led.kernel_flops.get(ph, 0) > 0 or ph == "VLI"
 
+    @pytest.mark.parametrize(
+        "kernel,order,n,q,want",
+        [("laplace", 6, 2000, 50, (24966144.0, 52480512.0, 1032192.0)),
+         ("stokes", 4, 1200, 40, (71331840.0, 54835200.0, 983040.0))],
+    )
+    def test_vlist_ledger_charges_the_paper_grid(self, kernel, order, n, q, want):
+        """The device ledger charges the V-list on the paper's ``(2p)^3``
+        grid, not on the smaller grid the host transforms: on a uniform
+        cloud with no empty box, flops, bytes and transfers are the totals
+        the ``(2p)^3`` implementation charged."""
+        kern = get_kernel(kernel)
+        tree = build_tree(uniform_cube(n, seed=47), q)
+        lists = build_lists(tree)
+        ev = GpuFmmEvaluator(kern, order)
+        assert ev.fft.n == 2 * order - 1
+        ev.evaluate(tree, lists, np.ones(n * kern.source_dim), PhaseProfile(),
+                    plan=ev.compile_plan(tree, lists))
+        led = ev.gpu.ledger
+        got = (led.kernel_flops["VLI"], led.kernel_gbytes["VLI"], led.transfer_bytes["VLI"])
+        assert got == want
+
     def test_translation_cost_is_minor(self):
         """The paper's claim: data-structure translation cost is minor."""
         pts = uniform_cube(3000, seed=45)

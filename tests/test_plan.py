@@ -570,6 +570,35 @@ def test_vlist_schedule_counts_let_scoped(p):
         assert want.sum() < unscoped.sum()  # the mask did restrict something
 
 
+def test_vlist_skips_empty_sources_bit_for_bit(monkeypatch):
+    """A V source octant that holds no point is neither transformed nor
+    multiplied (its spectrum is all zeros) and every potential keeps its
+    bits; an empty *target* keeps its pairs (``evaluate_targets`` reads its
+    far field)."""
+    from repro.core.fft_m2l import FftM2L
+    from repro.datasets import ellipsoid_surface
+
+    pts = ellipsoid_surface(4000, seed=3)
+    fmm = Fmm("laplace", order=4, max_points_per_box=30)
+    plan = fmm.plan(pts)
+    counts = plan.tree.point_counts()
+    _, srcs = plan.lists.v.pairs()
+    ep = fmm.compile_eval_plan(plan)
+    assert (counts[srcs] == 0).sum() > 0.2 * srcs.size  # something to skip
+    assert sum(g.n_pairs for g in ep.vli_fft) == (counts[srcs] > 0).sum()
+    assert all((counts[g.usrc] > 0).all() for g in ep.vli_fft)
+    assert any((counts[g.utgt] == 0).any() for g in ep.vli_fft)
+    dens = np.random.default_rng(2).standard_normal(4000)
+    got = fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
+    schedule = FftM2L.schedule
+    monkeypatch.setattr(FftM2L, "schedule",
+                        lambda self, tree, v, scope=None, sources=None:
+                        schedule(self, tree, v, scope))
+    every = fmm.compile_eval_plan(plan)
+    assert sum(g.n_pairs for g in every.vli_fft) == srcs.size
+    assert np.array_equal(got, fmm.evaluate(pts, dens, plan=plan, eval_plan=every))
+
+
 def test_vlist_schedule_rejects_non_product_list():
     """A V-list missing one pair is not a sibling-group product: compile
     refuses it, naming the level and both counts."""

@@ -79,6 +79,31 @@ class TestEngineBasics:
         with pytest.raises(ValueError, match=r"shape \(7,\)"):
             engine.submit("m", np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j])
+    def test_bad_density_refused_alone_at_submit(self, bad):
+        """A NaN / Inf / complex density is refused at submit, naming
+        ``densities``; it never joins the batch of the requests around it,
+        which get their solo replies."""
+        eng = ServeEngine(n_workers=1, max_batch=8, max_wait_ms=20.0)
+        fmm, pts = make_model()
+        model = eng.register("m", fmm, pts)
+        ep = fmm.compile_eval_plan(model.plan)
+        rng = np.random.default_rng(5)
+        good = [rng.standard_normal(N) for _ in range(2)]
+        poisoned = np.ones(N, dtype=type(bad))
+        poisoned[9] += bad
+        rule = "real" if bad == 1j else "finite; row 9"
+        reqs = [eng.submit("m", good[0], timeout_s=60.0)]
+        with pytest.raises(ValueError, match=rf"model 'm': densities must be {rule}"):
+            eng.submit("m", poisoned, timeout_s=60.0)
+        reqs.append(eng.submit("m", good[1], timeout_s=60.0))
+        with eng:  # both queued before the worker starts: one batch of two
+            outs = [r.result(timeout=60.0) for r in reqs]
+        assert [r.batch_size for r in reqs] == [2, 2]
+        for d, got in zip(good, outs):
+            want = fmm.evaluate(model.points, d, plan=model.plan, eval_plan=ep)
+            assert np.array_equal(got, want)
+
     def test_metrics_snapshot_shape(self, engine):
         engine.evaluate("m", np.ones(N), timeout_s=30.0)
         snap = engine.metrics.snapshot(elapsed_s=1.0)
