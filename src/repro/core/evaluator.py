@@ -532,13 +532,9 @@ class FmmEvaluator:
                 srcs = lists.u.of(i)
                 srcs = srcs[counts[srcs] > 0]
                 if srcs.size:
-                    spts = np.concatenate([tree.leaf_points(a) for a in srcs])
-                    sden = np.concatenate(
-                        [
-                            dens[tree.pt_begin[a] * ks : tree.pt_end[a] * ks]
-                            for a in srcs
-                        ]
-                    )
+                    rows = tree.point_rows(srcs)
+                    spts = tree.points[rows]
+                    sden = dens.reshape(-1, ks)[rows].reshape(-1)
                     row += self.eval_kernel.matrix(pts, spts) @ sden
                     profile.add_flops(self.eval_kernel.pair_flops(len(pts), len(spts)))
                 out.reshape(-1, kt)[sel] = row.reshape(-1, kt)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.tree import FmmTree, TreeDelta, _concat_ranges
+from repro.core.tree import FmmTree, TreeDelta, concat_ranges
 from repro.octree import linear
 from repro.util import morton
 
@@ -287,25 +287,13 @@ def _build_x(tree: FmmTree, nodes: np.ndarray | None = None):
     order = np.argsort(cand_rows, kind="stable")
     cand_rows = cand_rows[order]
     cand_leaves = cand_leaves[order]
-    # counts per unique parent
-    pos = np.searchsorted(uniq_parents, cand_rows)
-    counts = np.bincount(pos, minlength=uniq_parents.size)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-
+    # each node takes its parent's run of candidates
+    counts = np.bincount(np.searchsorted(uniq_parents, cand_rows), minlength=uniq_parents.size)
     node_counts = counts[inv]
     rows_rep = np.repeat(nodes, node_counts)
-    total = int(node_counts.sum())
-    # gather[k] walks starts[inv[i]] .. starts[inv[i]]+node_counts[i]-1 for
-    # each node i, fully vectorised.
-    head = np.repeat(np.cumsum(node_counts) - node_counts, node_counts)
-    within = np.arange(total, dtype=np.int64) - head
-    gather = np.repeat(starts[inv], node_counts) + within
-    cols_rep = cand_leaves[gather]
-    rows_out, cols_out = [], []
+    cols_rep = cand_leaves[concat_ranges((np.cumsum(counts) - counts)[inv], node_counts)]
     keep = ~morton.adjacent(tree.keys[rows_rep], tree.keys[cols_rep])
-    rows_out.append(rows_rep[keep])
-    cols_out.append(cols_rep[keep])
-    return np.concatenate(rows_out), np.concatenate(cols_out)
+    return rows_rep[keep], cols_rep[keep]
 
 
 def build_lists(tree: FmmTree) -> InteractionLists:
@@ -410,7 +398,7 @@ def update_lists(
     def merged(old_csr: CsrList, fresh_r, fresh_c) -> CsrList:
         cnts = old_csr.counts[old_of_un]
         rows = np.repeat(un, cnts)
-        cols_old = old_csr.indices[_concat_ranges(old_csr.offsets[old_of_un], cnts)]
+        cols_old = old_csr.indices[concat_ranges(old_csr.offsets[old_of_un], cnts)]
         cols = old_to_new[cols_old]
         if cols.size and cols.min() < 0:
             raise _ListReuseError

@@ -1205,9 +1205,7 @@ def compile_plan(
             srcs = ucols[seg][mine]
             row, uslots[j] = reuse.uli_slot(tree, i, srcs, tp, sp)
             if row is None:
-                row = np.concatenate(
-                    [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
-                )
+                row = tree.point_rows(srcs)
             src_rows[j, : row.size] = row
             t_mask[j, : held[i]] = np.repeat(trans[seg][mine], counts[srcs])
         src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)

@@ -16,7 +16,24 @@ import numpy as np
 from repro.octree import build as obuild
 from repro.util import geometry, morton
 
-__all__ = ["FmmTree", "TreeDelta", "build_tree", "diff_trees", "pad_class", "update_tree"]
+__all__ = [
+    "FmmTree", "TreeDelta", "build_tree", "concat_ranges", "diff_trees", "pad_class",
+    "tree_from_nodes", "update_tree",
+]
+
+
+def concat_ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(begin[i], begin[i] + counts[i])``, vectorised.
+
+    The one gather of a ragged set of ranges (point slices of boxes, CSR
+    rows of lists); int64 out, empty for empty input.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    head = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.asarray(begin, dtype=np.int64), counts) + (
+        np.arange(total, dtype=np.int64) - head
+    )
 
 
 @dataclass
@@ -90,6 +107,10 @@ class FmmTree:
         pos = np.clip(pos, 0, self.keys.size - 1)
         return np.where(self.keys[pos] == query_keys, pos, -1)
 
+    def point_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Rows of ``points`` under each of ``nodes``, concatenated in order."""
+        return concat_ranges(self.pt_begin[nodes], self.pt_end[nodes] - self.pt_begin[nodes])
+
     def leaf_points(self, node: int) -> np.ndarray:
         """Points of a leaf node (view into the sorted array)."""
         return self.points[self.pt_begin[node] : self.pt_end[node]]
@@ -158,20 +179,21 @@ def leaf_batches(tree: FmmTree, sel: np.ndarray, batch: int = 1024):
             yield lev, pad, grp[s : s + batch]
 
 
-def tree_from_leaves(
-    leaves: np.ndarray,
-    sorted_points: np.ndarray,
+def tree_from_nodes(
+    keys: np.ndarray,
+    is_leaf: np.ndarray,
+    points: np.ndarray,
     point_keys: np.ndarray,
     order: np.ndarray,
 ) -> FmmTree:
-    """Assemble an :class:`FmmTree` from a complete leaf set and sorted points."""
-    leaves = np.asarray(leaves, dtype=np.uint64)
-    keys = morton.sorted_unique(leaves, morton.ancestors_of(leaves))
-    levels = morton.level(keys)
-    is_leaf = np.isin(keys, leaves, assume_unique=True)
+    """Assemble an :class:`FmmTree` over a sorted node set that holds every
+    ancestor of its nodes: a solo tree's complete octree, or a rank's LET.
 
-    parent_keys = morton.parent(keys)
-    parent = np.searchsorted(keys, parent_keys).astype(np.int64)
+    ``points`` are Morton sorted with keys ``point_keys``; each node's
+    point range is its subtree's slice of them.
+    """
+    levels = morton.level(keys)
+    parent = np.searchsorted(keys, morton.parent(keys)).astype(np.int64)
     parent[0] = -1
 
     # Child position: the 3 interleaved anchor bits at the node's own level.
@@ -185,29 +207,34 @@ def tree_from_leaves(
     nz = np.arange(1, keys.size)
     children[parent[nz], child_pos[nz]] = nz
 
-    lo = morton.deepest_first_descendant(keys)
-    hi = morton.deepest_last_descendant(keys)
-    pt_begin = np.searchsorted(point_keys, lo, side="left").astype(np.int64)
-    pt_end = np.searchsorted(point_keys, hi, side="right").astype(np.int64)
-
-    centers = geometry.box_center(keys)
-    half_widths = geometry.box_half_width(levels)
-
-    tree = FmmTree(
+    pt_begin, pt_end = obuild.leaf_point_counts(point_keys, keys)
+    return FmmTree(
         keys=keys,
         levels=levels,
         is_leaf=is_leaf,
         parent=parent,
         children=children,
         child_pos=child_pos,
-        points=sorted_points,
+        points=points,
         order=order,
         pt_begin=pt_begin,
         pt_end=pt_end,
-        centers=centers,
-        half_widths=half_widths,
+        centers=geometry.box_center(keys),
+        half_widths=geometry.box_half_width(levels),
     )
-    return tree
+
+
+def tree_from_leaves(
+    leaves: np.ndarray,
+    sorted_points: np.ndarray,
+    point_keys: np.ndarray,
+    order: np.ndarray,
+) -> FmmTree:
+    """Assemble an :class:`FmmTree` from a complete leaf set and sorted points."""
+    leaves = np.asarray(leaves, dtype=np.uint64)
+    keys = morton.sorted_unique(leaves, morton.ancestors_of(leaves))
+    is_leaf = np.isin(keys, leaves, assume_unique=True)
+    return tree_from_nodes(keys, is_leaf, sorted_points, point_keys, order)
 
 
 def build_tree(
@@ -260,16 +287,6 @@ class TreeDelta:
     n_moved: int = -1
 
 
-def _concat_ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(begin[i], begin[i] + counts[i])``, vectorised."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    head = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(np.asarray(begin, dtype=np.int64), counts) + (
-        np.arange(total, dtype=np.int64) - head
-    )
-
-
 def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
     """Content-based diff: which parts of ``new`` are unchanged from ``old``.
 
@@ -293,9 +310,7 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
     ok = (oi >= 0) & old.is_leaf[oic] & (old_counts[oic] == new_counts[leaves])
     cl, co = leaves[ok], oi[ok]
     cnt = new_counts[cl]
-    new_rows = _concat_ranges(new.pt_begin[cl], cnt)
-    old_rows = _concat_ranges(old.pt_begin[co], cnt)
-    eq = np.all(old.points[old_rows] == new.points[new_rows], axis=1)
+    eq = np.all(old.points[old.point_rows(co)] == new.points[new.point_rows(cl)], axis=1)
     leaf_ok = np.ones(cl.size, dtype=bool)
     nz = cnt > 0
     if eq.size:
@@ -303,9 +318,7 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
         leaf_ok[nz] = np.add.reduceat(eq.astype(np.int64), starts) == cnt[nz]
     clean[cl[leaf_ok]] = True
 
-    gl, go = cl[leaf_ok], co[leaf_ok]
-    gc = new_counts[gl]
-    perm[_concat_ranges(old.pt_begin[go], gc)] = _concat_ranges(new.pt_begin[gl], gc)
+    perm[old.point_rows(co[leaf_ok])] = new.point_rows(cl[leaf_ok])
 
     # Internal cleanliness propagates bottom-up: all 8 children clean and
     # the octant was internal before too (a split/merged node is dirty).

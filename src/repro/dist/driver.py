@@ -38,7 +38,6 @@ from repro.kernels import Kernel, get_kernel
 from repro.kernels.base import real_densities
 from repro.mpi.comm import SimComm
 from repro.octree.build import leaf_point_counts
-from repro.util import morton
 from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
@@ -52,15 +51,22 @@ def match_owned_rows(all_points: np.ndarray, owned_points: np.ndarray) -> np.nda
     positions; this recovers them by coordinate identity so callers can
     route global density rows to the owning rank and scatter owned
     potentials back into global order (the serving plane computes this
-    once per shard at registration).  Coincident points would be matched
-    arbitrarily; a missing point raises ``ValueError``.
+    once per shard at registration).  Coincident points are matched one
+    to one: the k-th owned copy of a coordinate takes the k-th global row
+    holding it, so no row is returned twice.  A missing point (or more
+    owned copies than global ones) raises ``ValueError``.
     """
     dt = np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8")])
     glob = np.ascontiguousarray(all_points, dtype=np.float64).view(dt).ravel()
     own = np.ascontiguousarray(owned_points, dtype=np.float64).view(dt).ravel()
-    glob_order = np.argsort(glob)
-    pos = np.searchsorted(glob[glob_order], own)
-    src = glob_order[np.clip(pos, 0, len(glob) - 1)]
+    glob_order = np.argsort(glob, kind="stable")
+    own_order = np.argsort(own, kind="stable")
+    own_sorted = own[own_order]
+    # first global match, plus the copy's rank among equal owned points
+    pos = np.searchsorted(glob[glob_order], own_sorted)
+    pos += np.arange(own.size) - np.searchsorted(own_sorted, own_sorted)
+    src = np.empty(own.size, dtype=np.int64)
+    src[own_order] = glob_order[np.clip(pos, 0, len(glob) - 1)]
     if not np.array_equal(all_points[src], owned_points):
         raise ValueError("owned points not found among the global points")
     return src
@@ -289,12 +295,8 @@ class DistributedFmm:
         self._own_point_keys = point_keys
         # owned points per node (partial-sum scope needs owned counts, not
         # merged counts that include ghosts)
-        tree = let.tree
-        lo = morton.deepest_first_descendant(tree.keys)
-        hi = morton.deepest_last_descendant(tree.keys)
-        b = np.searchsorted(point_keys, lo, side="left")
-        e = np.searchsorted(point_keys, hi, side="right")
-        self._own_counts = (e - b).astype(np.int64)
+        begin, end = leaf_point_counts(point_keys, let.tree.keys)
+        self._own_counts = end - begin
         self._ckpt = None  # densities from an old tree are meaningless
         self._plan = None  # plans are bound to the LET built above
         self._arm_chaos_gpu()

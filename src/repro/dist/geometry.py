@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.tree import concat_ranges
 from repro.mpi.comm import SimComm
 from repro.util import morton
 
@@ -117,16 +118,10 @@ class RankGeometry:
         """
         octs = np.atleast_1d(np.asarray(octs, dtype=np.uint64))
         lo, hi = _parent_neighborhood_ranges(octs)
-        nonempty = hi > lo
         r0, r1 = self.rank_interval(lo, hi)
-        counts = np.where(nonempty, r1 - r0, 0)
-        total = int(counts.sum())
-        rows = np.repeat(
-            np.broadcast_to(np.arange(octs.size)[:, None], counts.shape)[nonempty.nonzero()],
-            counts[nonempty],
-        )
-        head = np.repeat(np.cumsum(counts[nonempty]) - counts[nonempty], counts[nonempty])
-        ranks = np.arange(total, dtype=np.int64) - head + np.repeat(r0[nonempty], counts[nonempty])
+        counts = np.where(hi > lo, r1 - r0, 0)
+        rows = np.repeat(np.arange(octs.size), counts.sum(axis=1))
+        ranks = concat_ranges(r0.ravel(), counts.ravel())
         code = rows * np.int64(self.size) + ranks
         code = morton.sorted_unique(code)
         return code // self.size, code % self.size

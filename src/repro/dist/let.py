@@ -12,7 +12,8 @@ time along exactly the same routes.
 The received octants (plus locally fabricated ancestors, which need no
 communication) are merged with ``B_k`` into the LET; ghost points are
 merged into the rank's Morton-sorted point array so the resulting
-:class:`FmmTree` serves owned and ghost leaves uniformly.
+:class:`FmmTree` serves owned and ghost leaves uniformly.  The solo
+tree's assembler (:func:`repro.core.tree.tree_from_nodes`) builds it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.tree import FmmTree
+from repro.core.tree import FmmTree, concat_ranges, tree_from_nodes
 from repro.dist.geometry import RankGeometry, cell_range
 from repro.mpi.comm import SimComm
-from repro.util import geometry as ugeom
+from repro.octree.build import leaf_point_counts
 from repro.util import morton
 
 __all__ = ["LocalEssentialTree", "build_let"]
@@ -80,82 +81,14 @@ class LocalEssentialTree:
         The paper's "first communication step ... to communicate the exact
         densities for the direct calculation" (§III-C).
         """
-        tree = self.tree
-        blocks = []
-        for dest in range(comm.size):
-            nodes = self.send_leaves[dest]
-            if nodes.size == 0:
-                blocks.append(np.empty(0))
-                continue
-            parts = [
-                merged_dens[tree.pt_begin[i] * source_dim : tree.pt_end[i] * source_dim]
-                for i in nodes
-            ]
-            blocks.append(np.concatenate(parts) if parts else np.empty(0))
-        received = comm.alltoall(blocks)
-        for src in range(comm.size):
-            nodes = self.recv_leaves[src]
-            if nodes.size == 0:
-                continue
-            buf = received[src]
-            pos = 0
-            for i in nodes:
-                n = (tree.pt_end[i] - tree.pt_begin[i]) * source_dim
-                merged_dens[
-                    tree.pt_begin[i] * source_dim : tree.pt_end[i] * source_dim
-                ] = buf[pos : pos + n]
-                pos += n
-            assert pos == buf.size, "density exchange length mismatch"
-
-
-def _let_tree(
-    keys: np.ndarray,
-    leaf_flags: np.ndarray,
-    sorted_points: np.ndarray,
-    sorted_point_keys: np.ndarray,
-) -> FmmTree:
-    """Assemble an :class:`FmmTree` over an explicit (incomplete) node set."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    leaf_flags = leaf_flags[order]
-    levels = morton.level(keys)
-
-    parent_keys = morton.parent(keys)
-    parent = np.searchsorted(keys, parent_keys).astype(np.int64)
-    parent[0] = -1
-    # every non-root parent must be present (ancestors were fabricated)
-    assert np.all(keys[np.clip(parent[1:], 0, None)] == parent_keys[1:]), (
-        "LET is missing ancestors"
-    )
-
-    shift = np.uint64(morton.LEVEL_BITS) + 3 * (morton.MAX_DEPTH - levels).astype(
-        np.uint64
-    )
-    child_pos = ((keys >> shift) & np.uint64(7)).astype(np.int64)
-    child_pos[0] = 0
-    children = np.full((keys.size, 8), -1, dtype=np.int64)
-    nz = np.arange(1, keys.size)
-    children[parent[nz], child_pos[nz]] = nz
-
-    lo = morton.deepest_first_descendant(keys)
-    hi = morton.deepest_last_descendant(keys)
-    pt_begin = np.searchsorted(sorted_point_keys, lo, side="left").astype(np.int64)
-    pt_end = np.searchsorted(sorted_point_keys, hi, side="right").astype(np.int64)
-
-    return FmmTree(
-        keys=keys,
-        levels=levels,
-        is_leaf=leaf_flags,
-        parent=parent,
-        children=children,
-        child_pos=child_pos,
-        points=sorted_points,
-        order=np.arange(len(sorted_points)),
-        pt_begin=pt_begin,
-        pt_end=pt_end,
-        centers=ugeom.box_center(keys),
-        half_widths=ugeom.box_half_width(levels),
-    )
+        dens = merged_dens.reshape(-1, source_dim)  # a view of the flat vector
+        received = comm.alltoall(
+            [dens[self.tree.point_rows(nodes)].reshape(-1) for nodes in self.send_leaves]
+        )
+        for nodes, buf in zip(self.recv_leaves, received):
+            rows = self.tree.point_rows(nodes)
+            assert buf.size == rows.size * source_dim, "density exchange length mismatch"
+            dens[rows] = buf.reshape(-1, source_dim)
 
 
 def build_let(
@@ -171,80 +104,48 @@ def build_let(
     own_keys = morton.sorted_unique(owned_leaves, morton.ancestors_of(owned_leaves))
     own_is_leaf = np.isin(own_keys, owned_leaves, assume_unique=True)
 
-    # Point ranges of own leaves in the (pre-merge) own point array.
-    lo = morton.deepest_first_descendant(own_keys)
-    hi = morton.deepest_last_descendant(own_keys)
-    own_begin = np.searchsorted(sorted_point_keys, lo, side="left")
-    own_end = np.searchsorted(sorted_point_keys, hi, side="right")
+    # Subtree point ranges of own octants in the (pre-merge) own point array.
+    own_begin, own_end = leaf_point_counts(sorted_point_keys, own_keys)
+    own_counts = own_end - own_begin
 
     # I_kk' membership: octant row -> user rank.
     rows, ranks = geometry.user_pairs(own_keys)
-    send_specs: list[dict] = []
+    send_specs: list[dict | None] = []
     send_leaf_keys: list[np.ndarray] = []
     for dest in range(p):
-        sel = rows[ranks == dest]
         if dest == r:
             send_specs.append(None)
             send_leaf_keys.append(np.empty(0, dtype=np.uint64))
             continue
-        keys_d = own_keys[sel]
-        flags_d = own_is_leaf[sel]
-        leaf_sel = sel[flags_d]
-        pts = (
-            np.concatenate(
-                [sorted_points[own_begin[i] : own_end[i]] for i in leaf_sel]
-            )
-            if leaf_sel.size
-            else np.empty((0, 3))
-        )
+        sel = rows[ranks == dest]
+        leaf_sel = sel[own_is_leaf[sel]]
         # subtree point counts: all the receiver learns about the points
         # under an internal octant, which stay on this rank
-        counts = (own_end - own_begin)[sel]
-        send_specs.append(
-            {"keys": keys_d, "is_leaf": flags_d, "counts": counts, "points": pts}
-        )
+        send_specs.append({
+            "keys": own_keys[sel],
+            "is_leaf": own_is_leaf[sel],
+            "counts": own_counts[sel],
+            "points": sorted_points[concat_ranges(own_begin[leaf_sel], own_counts[leaf_sel])],
+        })
         send_leaf_keys.append(own_keys[leaf_sel])
     received = comm.alltoall(send_specs)
 
     # Merge ghosts into the node set; fabricate missing ancestors locally.
-    ghost_keys_parts, ghost_flag_parts = [], []
-    ghost_pts_parts, nonempty_parts = [], []
-    recv_leaf_keys: list[np.ndarray] = [np.empty(0, dtype=np.uint64)] * p
-    for src in range(p):
-        msg = received[src]
-        if msg is None:
-            continue
-        ghost_keys_parts.append(msg["keys"])
-        ghost_flag_parts.append(msg["is_leaf"])
-        leaf_keys = msg["keys"][msg["is_leaf"]]
-        recv_leaf_keys[src] = leaf_keys
-        nonempty_parts.append(msg["keys"][msg["counts"] > 0])
-        if msg["points"].size:
-            ghost_pts_parts.append(msg["points"])
-
-    if ghost_keys_parts:
-        ghost_keys = np.concatenate(ghost_keys_parts)
-        ghost_flags = np.concatenate(ghost_flag_parts)
-    else:
-        ghost_keys = np.empty(0, dtype=np.uint64)
-        ghost_flags = np.empty(0, dtype=bool)
-
-    all_keys = np.concatenate([own_keys, ghost_keys])
-    all_flags = np.concatenate([own_is_leaf, ghost_flags])
-    uniq = morton.sorted_unique(all_keys)
-    flags = np.zeros(uniq.size, dtype=bool)
+    msgs = [msg for msg in received if msg is not None]
+    recv_leaf_keys = [
+        np.empty(0, dtype=np.uint64) if msg is None else msg["keys"][msg["is_leaf"]]
+        for msg in received
+    ]
+    all_keys = np.concatenate([own_keys] + [msg["keys"] for msg in msgs])
+    all_flags = np.concatenate([own_is_leaf] + [msg["is_leaf"] for msg in msgs])
+    let_keys = morton.ancestors_of(all_keys, include_self=True)
     # a key is a leaf iff any copy says leaf (owners are authoritative and
     # internal copies agree, but ghosts of own ancestors may arrive too)
-    leaf_keys_any = morton.sorted_unique(all_keys[all_flags])
-    flags[np.isin(uniq, leaf_keys_any, assume_unique=True)] = True
-    anc = morton.ancestors_of(uniq)
-    extra = np.setdiff1d(anc, uniq, assume_unique=True)
-    let_keys = np.concatenate([uniq, extra])
-    let_flags = np.concatenate([flags, np.zeros(extra.size, dtype=bool)])
+    let_is_leaf = np.isin(let_keys, all_keys[all_flags])
 
     # Merge ghost points with own points (Morton order).
-    if ghost_pts_parts:
-        g_pts = np.concatenate(ghost_pts_parts)
+    g_pts = np.concatenate([np.empty((0, 3))] + [msg["points"] for msg in msgs])
+    if g_pts.size:
         # point keys of ghost points: encode directly (cheap, exact)
         g_keys = morton.encode_points(g_pts)
         m_keys = np.concatenate([sorted_point_keys, g_keys])
@@ -257,7 +158,7 @@ def build_let(
         m_keys, m_pts = sorted_point_keys, sorted_points
         own_positions = np.arange(len(sorted_points))
 
-    tree = _let_tree(let_keys, let_flags, m_pts, m_keys)
+    tree = tree_from_nodes(let_keys, let_is_leaf, m_pts, m_keys, np.arange(len(m_pts)))
 
     # Ownership masks.
     dom_lo, dom_hi = geometry.bounds[r], geometry.bounds[r + 1]
@@ -269,8 +170,8 @@ def build_let(
     # included: a count is a subtree's); the senders' reports add the ghost
     # octants whose points were not shipped, and those octants' ancestors
     nonempty = tree.point_counts() > 0
-    if nonempty_parts:
-        reported = np.concatenate(nonempty_parts)
+    if msgs:
+        reported = np.concatenate([msg["keys"][msg["counts"] > 0] for msg in msgs])
         nonempty[tree.find(morton.ancestors_of(reported, include_self=True))] = True
 
     # Density-exchange routing in tree-node indices.

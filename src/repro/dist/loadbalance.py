@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.lists import InteractionLists
-from repro.core.tree import FmmTree
+from repro.core.tree import FmmTree, concat_ranges
 from repro.kernels.base import Kernel
 from repro.mpi.comm import SimComm
 
@@ -78,15 +78,18 @@ def leaf_work_weights(
     # values per surface point, scaling the V-list matvecs accordingly
     ns_src = float(n_surf) * kernel.source_dim
     ns_tgt = float(n_surf) * kernel.target_dim
-    w = np.zeros(leaf_nodes.size, dtype=np.float64)
-    for j, i in enumerate(leaf_nodes):
-        npts = counts[i]
-        u_src = lists.u.of(i)
-        w[j] = fpp * npts * counts[u_src].sum()  # ULI
-        w[j] += 2.0 * ns_src * ns_tgt * lists.v.counts[i]  # VLI
-        w[j] += fpp * npts * n_surf * lists.w.counts[i]  # WLI
-        w[j] += fpp * n_surf * counts[lists.x.of(i)].sum()  # XLI
-        w[j] += fpp * npts * n_surf * 2 + 4.0 * ns_src * ns_tgt  # S2U/D2T/up/down
+    npts = counts[leaf_nodes]
+
+    def member_points(csr):
+        # exact int64 row sums of the members' point counts
+        cum = np.concatenate(([0], np.cumsum(counts[csr.indices])))
+        return cum[csr.offsets[leaf_nodes + 1]] - cum[csr.offsets[leaf_nodes]]
+
+    w = fpp * npts * member_points(lists.u)  # ULI
+    w += 2.0 * ns_src * ns_tgt * lists.v.counts[leaf_nodes]  # VLI
+    w += fpp * npts * n_surf * lists.w.counts[leaf_nodes]  # WLI
+    w += fpp * n_surf * member_points(lists.x)  # XLI
+    w += fpp * npts * n_surf * 2 + 4.0 * ns_src * ns_tgt  # S2U/D2T/up/down
     return w
 
 
@@ -133,15 +136,8 @@ def repartition_leaves(
     blocks = []
     for dest in range(p):
         sel = np.flatnonzero(target == dest)
-        if sel.size:
-            pt_sel = np.concatenate(
-                [np.arange(leaf_begin[i], leaf_end[i]) for i in sel]
-            )
-        else:
-            pt_sel = np.empty(0, dtype=np.int64)
-        blocks.append(
-            (leaves[sel], points[pt_sel], point_keys[pt_sel])
-        )
+        rows = concat_ranges(leaf_begin[sel], leaf_end[sel] - leaf_begin[sel])
+        blocks.append((leaves[sel], points[rows], point_keys[rows]))
     received = comm.alltoall(blocks)
     new_leaves = np.concatenate([b[0] for b in received])
     new_points = np.concatenate([b[1] for b in received])

@@ -18,9 +18,10 @@ import logging
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
+from repro.core.tree import concat_ranges
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
 from repro.gpu.kernels import gpu_d2t, gpu_s2u, gpu_uli
-from repro.gpu.translate import build_leaf_stream, build_u_stream, ragged_rows
+from repro.gpu.translate import build_leaf_stream, build_u_stream
 from repro.kernels.base import Kernel
 
 __all__ = ["GpuFmmEvaluator"]
@@ -127,17 +128,15 @@ class GpuFmmEvaluator(FmmEvaluator):
         def _stage():
             sel = self._boxes_mask(tree, (b.group for b in plan.s2u))
             stream = build_leaf_stream(tree, sel)
-            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            rows, offsets = ragged_rows(tree.pt_begin[stream.boxes], cnts)
-            return stream, rows, offsets
+            return stream, tree.point_rows(stream.boxes)
 
         with profile.phase("translate"):
-            stream, rows, offsets = self._plan_cache(plan, "s2u", _stage)
+            stream, rows = self._plan_cache(plan, "s2u", _stage)
             ks = self.kernel.source_dim
             flat = dens.reshape(tree.n_points, ks)[rows].reshape(-1)
         dens_dev = self.gpu.to_device(flat, phase="S2U")
         up32 = gpu_s2u(
-            self.gpu, stream, dens_dev, offsets, self.kernel, self.ops
+            self.gpu, stream, dens_dev, stream.pt_offsets, self.kernel, self.ops
         )
         up_host = self.gpu.to_host(up32, phase="S2U")
         state["up"][stream.boxes] = up_host
@@ -189,9 +188,7 @@ class GpuFmmEvaluator(FmmEvaluator):
         def _stage():
             sel = self._boxes_mask(tree, (b.group for b in plan.d2t))
             stream = build_leaf_stream(tree, sel)
-            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            rows, _ = ragged_rows(tree.pt_begin[stream.boxes], cnts)
-            return stream, rows
+            return stream, tree.point_rows(stream.boxes)
 
         with profile.phase("translate"):
             stream, rows = self._plan_cache(plan, "d2t", _stage)
@@ -297,10 +294,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         def _stage():
             sel = self._boxes_mask(tree, (b.boxes for b in plan.uli))
             stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
-            cnts = tree.pt_end[stream.boxes] - tree.pt_begin[stream.boxes]
-            dst, _ = ragged_rows(tree.pt_begin[stream.boxes], cnts)
-            src, _ = ragged_rows(stream.tgt_offsets[:-1], cnts)
-            return stream, dst, src
+            src = concat_ranges(stream.tgt_offsets[:-1], tree.point_counts()[stream.boxes])
+            return stream, tree.point_rows(stream.boxes), src
 
         with profile.phase("translate"):
             stream, dst, src = self._plan_cache(plan, "uli", _stage)

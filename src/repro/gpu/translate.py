@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lists import InteractionLists
-from repro.core.tree import FmmTree
+from repro.core.tree import FmmTree, concat_ranges
 
 __all__ = ["UListStream", "LeafStream", "build_u_stream", "build_leaf_stream"]
 
@@ -59,16 +59,6 @@ class LeafStream:
     points: np.ndarray  # float32 flat leaf points
 
 
-def ragged_rows(begin: np.ndarray, cnts: np.ndarray):
-    """Concatenated ``arange(begin[j], begin[j]+cnts[j])`` + offsets."""
-    offsets = np.concatenate(([0], np.cumsum(cnts))).astype(np.int64)
-    rows = (
-        np.repeat(begin.astype(np.int64) - offsets[:-1], cnts)
-        + np.arange(offsets[-1], dtype=np.int64)
-    )
-    return rows, offsets
-
-
 def build_u_stream(
     tree: FmmTree,
     lists: InteractionLists,
@@ -80,18 +70,18 @@ def build_u_stream(
     counts = tree.point_counts()
     n_tgt = counts[boxes]
     tgt_offsets = np.concatenate(([0], np.cumsum(-(-n_tgt // block) * block)))
-    slots, _ = ragged_rows(tgt_offsets[:-1], n_tgt)
+    slots = concat_ranges(tgt_offsets[:-1], n_tgt)
     tgt_points = np.full((tgt_offsets[-1], 3), np.nan, dtype=np.float32)
-    tgt_points[slots] = tree.points[ragged_rows(tree.pt_begin[boxes], n_tgt)[0]]
+    tgt_points[slots] = tree.points[tree.point_rows(boxes)]
     tgt_valid = np.zeros(tgt_offsets[-1], dtype=bool)
     tgt_valid[slots] = True
     # every box's non-empty U-list sources, in list order
     u = lists.u
-    srcs = u.indices[ragged_rows(u.offsets[boxes], u.counts[boxes])[0]]
+    srcs = u.indices[concat_ranges(u.offsets[boxes], u.counts[boxes])]
     owner = np.repeat(np.arange(boxes.size), u.counts[boxes])
     keep = counts[srcs] > 0
     srcs, owner = srcs[keep], owner[keep]
-    dens_index, _ = ragged_rows(tree.pt_begin[srcs], counts[srcs])
+    dens_index = tree.point_rows(srcs)
     per_box = np.bincount(owner, weights=counts[srcs], minlength=boxes.size)
     return UListStream(
         boxes=boxes,
@@ -107,14 +97,11 @@ def build_u_stream(
 def build_leaf_stream(tree: FmmTree, leaf_sel: np.ndarray) -> LeafStream:
     """Flatten leaf geometry + points for the S2U / D2T device phases."""
     boxes = np.flatnonzero(leaf_sel)
-    rows, offsets = ragged_rows(
-        tree.pt_begin[boxes], tree.pt_end[boxes] - tree.pt_begin[boxes]
-    )
     return LeafStream(
         boxes=boxes,
         levels=tree.levels[boxes].copy(),
         centers=tree.centers[boxes].astype(np.float32),
         half_widths=tree.half_widths[boxes].astype(np.float32),
-        pt_offsets=offsets,
-        points=tree.points[rows].astype(np.float32),
+        pt_offsets=np.concatenate(([0], np.cumsum(tree.point_counts()[boxes]))),
+        points=tree.points[tree.point_rows(boxes)].astype(np.float32),
     )

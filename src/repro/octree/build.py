@@ -22,12 +22,14 @@ from repro.util import morton
 __all__ = ["build_leaves", "leaf_point_counts", "points_to_octree", "OctreeBuild"]
 
 
-def _point_range(point_keys: np.ndarray, octs: np.ndarray):
-    """(begin, end) index ranges of each octant's points in the sorted keys."""
-    lo = morton.deepest_first_descendant(octs)
-    hi = morton.deepest_last_descendant(octs)
-    begin = np.searchsorted(point_keys, lo, side="left")
-    end = np.searchsorted(point_keys, hi, side="right")
+def leaf_point_counts(sorted_point_keys: np.ndarray, octs: np.ndarray):
+    """(begin, end) ranges of each octant's points in the sorted point
+    keys: a leaf's own points, an internal octant's whole subtree.  The
+    one home of the octant -> point-range rule.
+    """
+    keys = np.asarray(sorted_point_keys, dtype=np.uint64)
+    begin = np.searchsorted(keys, morton.deepest_first_descendant(octs), side="left")
+    end = np.searchsorted(keys, morton.deepest_last_descendant(octs), side="right")
     return begin, end
 
 
@@ -63,17 +65,12 @@ def build_leaves(
     )
     leaf_parts: list[np.ndarray] = []
     while current.size:
-        begin, end = _point_range(keys, current)
+        begin, end = leaf_point_counts(keys, current)
         counts = end - begin
         split = (counts > max_points_per_box) & (morton.level(current) < max_depth)
         leaf_parts.append(current[~split])
         current = morton.children(current[split]).ravel() if np.any(split) else np.empty(0, np.uint64)
     return np.sort(np.concatenate(leaf_parts))
-
-
-def leaf_point_counts(sorted_point_keys: np.ndarray, leaves: np.ndarray):
-    """Per-leaf (begin, end) point ranges in the sorted point array."""
-    return _point_range(np.asarray(sorted_point_keys, dtype=np.uint64), leaves)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.octree.build import build_leaves
+from repro.octree.build import build_leaves, leaf_point_counts
 from repro.util import morton
 
 __all__ = ["LeafDiff", "update_leaves"]
@@ -91,21 +91,15 @@ def update_leaves(
         )
 
     # Dirty leaves: any changed cell inside the leaf's key range.
-    lo = morton.deepest_first_descendant(old_leaves)
-    hi = morton.deepest_last_descendant(old_leaves)
-    dirty = (
-        np.searchsorted(cells, hi, side="right")
-        - np.searchsorted(cells, lo, side="left")
-    ) > 0
-    dirty_leaves = old_leaves[dirty]
+    b, e = leaf_point_counts(cells, old_leaves)
+    dirty_leaves = old_leaves[e > b]
     if dirty_leaves.size == 0:
         return LeafDiff(
             leaves=old_leaves, roots=np.empty(0, np.uint64), refinement_changed=False
         )
 
     def count_of(octs: np.ndarray) -> np.ndarray:
-        b = np.searchsorted(keys, morton.deepest_first_descendant(octs), side="left")
-        e = np.searchsorted(keys, morton.deepest_last_descendant(octs), side="right")
+        b, e = leaf_point_counts(keys, octs)
         return e - b
 
     # Rebuild root: the highest ancestor whose new count still fits; an

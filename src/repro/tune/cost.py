@@ -54,10 +54,8 @@ _PARALLEL_FRACTION = 0.9
 
 def _pair_sum(csr, counts_t, counts_s) -> float:
     """Sum over CSR pairs (i, j) of ``counts_t[i] * counts_s[j]``."""
-    if csr.indices.size == 0:
-        return 0.0
-    rows = np.repeat(np.arange(csr.offsets.size - 1), csr.counts)
-    return float(np.sum(counts_t[rows] * counts_s[csr.indices]))
+    rows, cols = csr.pairs()
+    return float(np.sum(counts_t[rows] * counts_s[cols]))
 
 
 def phase_flops(ev, tree, lists) -> dict[str, float]:

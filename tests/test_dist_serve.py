@@ -18,7 +18,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import Fmm
 from repro.datasets import make_distribution
+from repro.dist.driver import match_owned_rows
 from repro.mpi.faults import Fault, FaultPlan, RetryPolicy
 from repro.perf.model import serve_span_summary
 from repro.perf.trace import TraceRecorder
@@ -301,6 +303,38 @@ class TestRankGroups:
         snap = eng.breaker_snapshot()
         assert snap["rep/r1"]["failures"] >= 1
         assert snap["rep/r0"]["failures"] == snap["shard/shard"]["failures"] == 0
+
+
+class TestCoincidentPoints:
+    """Two rows at one coordinate are two sources: each keeps its own
+    density and its own reply slot on a sharded model."""
+
+    def test_duplicate_row_is_served_once_per_row(self):
+        pts = _points(600)
+        pts[599] = pts[0]  # rows 0 and 599 go to different input chunks
+        eng = DistServeEngine(nranks=2, run_timeout_s=RUN_TIMEOUT)
+        eng.register("m", pts, placement="sharded", order=ORDER, max_points_per_box=BOX)
+        for st in eng._model("m").groups[0].states:
+            owned = {tuple(x) for x in st["fmm"].owned_points.tolist()}
+            mine = [r for r in range(len(pts)) if tuple(pts[r].tolist()) in owned]
+            assert np.array_equal(np.sort(st["src"]), mine)
+        dens = np.random.default_rng(5).standard_normal(len(pts))
+        ref = Fmm("laplace", order=ORDER, max_points_per_box=BOX).evaluate(pts, dens)
+        got = eng.evaluate("m", dens)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-3
+
+    def test_match_owned_rows_is_one_to_one(self):
+        pts = np.random.default_rng(6).random((40, 3))
+        pts[[7, 21, 33]] = pts[2]
+        owned = pts[[33, 5, 2, 21, 9, 7]]
+        src = match_owned_rows(pts, owned)
+        assert sorted(src.tolist()) == [2, 5, 7, 9, 21, 33]
+        assert np.array_equal(pts[src], owned)
+        # fewer owned copies than global ones still take distinct rows
+        src = match_owned_rows(pts, pts[[21, 2, 9]])
+        assert np.unique(src).size == 3 and np.array_equal(pts[src], pts[[21, 2, 9]])
+        with pytest.raises(ValueError, match="owned points"):
+            match_owned_rows(pts[:10], pts[[2, 7, 7]])  # three copies, two rows
 
 
 class TestCircuitBreaker:

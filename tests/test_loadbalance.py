@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.lists import build_lists
 from repro.core.tree import build_tree
-from repro.datasets import ellipsoid_surface
+from repro.datasets import ellipsoid_surface, uniform_cube
 from repro.dist.loadbalance import leaf_work_weights, repartition_leaves
 from repro.kernels import get_kernel
 from repro.mpi import run_spmd
@@ -44,6 +44,38 @@ class TestLeafWorkWeights:
         w_lap = leaf_work_weights(tree, lists, get_kernel("laplace"), 152, leaf_nodes)
         w_stk = leaf_work_weights(tree, lists, get_kernel("stokes"), 152, leaf_nodes)
         assert w_stk.sum() > 2.0 * w_lap.sum()
+
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    @pytest.mark.parametrize("cloud", ["uniform", "ellipsoid"])
+    def test_equals_the_per_leaf_loop_bitwise(self, kernel, cloud):
+        """The CSR row sums keep the loop's accumulation order, so the
+        weights (and with them the repartition) are the loop's bits."""
+        make = {"uniform": uniform_cube, "ellipsoid": ellipsoid_surface}[cloud]
+        tree = build_tree(make(1500, seed=86), 25)
+        lists = build_lists(tree)
+        kern = get_kernel(kernel)
+        leaf_nodes = tree.leaf_indices
+        for nodes in (leaf_nodes, leaf_nodes[::-3]):
+            got = leaf_work_weights(tree, lists, kern, 152, nodes)
+            ref = _per_leaf_weights(tree, lists, kern, 152, nodes)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _per_leaf_weights(tree, lists, kernel, n_surf, leaf_nodes):
+    """The per-leaf loop ``leaf_work_weights`` replaced: the reference."""
+    counts = tree.point_counts()
+    fpp = float(kernel.flops_per_pair)
+    ns_src = float(n_surf) * kernel.source_dim
+    ns_tgt = float(n_surf) * kernel.target_dim
+    w = np.zeros(leaf_nodes.size, dtype=np.float64)
+    for j, i in enumerate(leaf_nodes):
+        npts = counts[i]
+        w[j] = fpp * npts * counts[lists.u.of(i)].sum()
+        w[j] += 2.0 * ns_src * ns_tgt * lists.v.counts[i]
+        w[j] += fpp * npts * n_surf * lists.w.counts[i]
+        w[j] += fpp * n_surf * counts[lists.x.of(i)].sum()
+        w[j] += fpp * npts * n_surf * 2 + 4.0 * ns_src * ns_tgt
+    return w
 
 
 class TestRepartition:

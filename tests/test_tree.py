@@ -4,8 +4,40 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tree import build_tree, leaf_batches, pad_class
+from repro.core.tree import build_tree, concat_ranges, leaf_batches, pad_class
 from repro.util import morton
+
+
+class TestConcatRanges:
+    """Every ragged gather (point slices of boxes, CSR rows of lists, rank
+    runs of users) goes through ``concat_ranges``: it must equal the
+    per-box loop it replaced, element for element, in int64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 12)), max_size=40),
+        st.sampled_from([np.int64, np.intp, np.int32]),
+    )
+    def test_equals_the_per_box_loop(self, ranges, dtype):
+        ranges = [(b % 2**31, c) if dtype is np.int32 else (b, c) for b, c in ranges]
+        begin = np.array([b for b, _ in ranges], dtype=dtype)
+        counts = np.array([c for _, c in ranges], dtype=np.intp)
+        ref = np.concatenate(
+            [np.arange(b, b + c, dtype=np.int64) for b, c in ranges] + [np.empty(0, np.int64)]
+        )
+        got = concat_ranges(begin, counts)
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+
+    def test_empty_and_zero_counts(self):
+        assert concat_ranges(np.empty(0, np.int64), np.empty(0, np.int64)).shape == (0,)
+        assert concat_ranges([5, 9], [0, 0]).size == 0
+        assert concat_ranges([5, 9, 2], [0, 2, 1]).tolist() == [9, 10, 2]
+
+    def test_point_rows_are_the_slices_of_the_boxes(self, plummer_points):
+        tree = build_tree(plummer_points, 30)
+        nodes = np.random.default_rng(0).permutation(tree.n_nodes)[:50]
+        ref = np.concatenate([np.arange(tree.pt_begin[i], tree.pt_end[i]) for i in nodes])
+        assert np.array_equal(tree.point_rows(nodes), ref)
 
 
 class TestTreeStructure:
