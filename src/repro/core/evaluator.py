@@ -19,8 +19,9 @@ potentials, charging flops to an optional :class:`PhaseProfile`.  The
 arithmetic of every phase lives in one place, the ``apply_*`` methods of a
 compiled :class:`~repro.core.plan.EvalPlan`; the eight phase methods here
 hand the plan this evaluator's task pool and nothing else.  They are the
-interface a backend overrides (the GPU evaluator replaces four of them),
-and the one the distributed driver calls with its ownership-scoped plan.
+interface a backend overrides (the GPU evaluator runs four of them, six
+with ``accelerate_wx``, on the same plan's blocks in float32), and the one
+the distributed driver calls with its ownership-scoped plan.
 
 :meth:`evaluate` finds the plan itself when the caller passes none: the
 first call on a ``(tree, lists)`` pair applies a transient plan without
@@ -270,8 +271,9 @@ class FmmEvaluator:
         return prec
 
     #: Whether lazily compiled plans cache kernel-matrix blocks.  The GPU
-    #: evaluator turns this off: its device kernels regenerate geometry on
-    #: chip, so host-side matrix caches would only burn memory.
+    #: evaluator turns this off: its device phases evaluate their tiles
+    #: from the plan's points and never read ``kmat``, so host-side matrix
+    #: caches would only burn memory.
     PLAN_CACHE_MATRICES = True
 
     @property
@@ -337,12 +339,6 @@ class FmmEvaluator:
             )
         return plan
 
-    #: Whether this evaluator can push a multi-RHS ``(n, q)`` density
-    #: block through the phases in one pass.  The GPU evaluator turns
-    #: this off (its device kernels stage one density at a time), falling
-    #: back to a bit-identical per-column loop.
-    SUPPORTS_MULTI_RHS = True
-
     def _resolve_plan(self, tree, lists, profile, plan, precision,
                       targets=False):
         """Shared plan/precision resolution for the evaluate entry points.
@@ -391,10 +387,7 @@ class FmmEvaluator:
         phases in one pass and the result is ``(n_points * target_dim,
         q)``, column ``j`` bit-identical to ``evaluate(densities[:, j])``
         (see the phase-apply notes in :mod:`repro.core.plan`).  Any other
-        shape is flattened to a single density vector.  A subclass that
-        sets ``SUPPORTS_MULTI_RHS = False`` runs the columns one at a
-        time — identical by construction, just without the GEMM batching
-        win.
+        shape is flattened to a single density vector.
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
@@ -430,15 +423,6 @@ class FmmEvaluator:
                     f"({expected}, q) multi-RHS block)"
                 )
         plan = self._resolve_plan(tree, lists, profile, plan, precision)
-        if block and not self.SUPPORTS_MULTI_RHS:
-            cols = [
-                self.evaluate(
-                    tree, lists, np.ascontiguousarray(dens[:, j]), profile,
-                    plan=plan,
-                )
-                for j in range(q)
-            ]
-            return np.stack(cols, axis=1)
         state = self.allocate(tree, q)
         self._upward_and_down(tree, lists, dens, state, profile, plan)
         with profile.phase("WLI"):

@@ -41,8 +41,8 @@ Design rules:
   from the mask of ghost octants that hold a point on some rank); a
   source whose density happens to vanish contributes exact zeros.  Once
   :func:`compile_plan` returns, an apply only reads the plan (per-thread
-  scratch and the ``gpu`` staging dict aside): concurrent applies need
-  no lock, and a plan weighs the same after any number of requests.
+  scratch aside): concurrent applies need no lock, and a plan weighs the
+  same after any number of requests.
 * **Blocks the size of their boxes.**  A block side is
   :func:`repro.core.tree.pad_class` of the box's own count — a leaf's
   points (S2U, D2T, the leaf side of an X/W pair, a ULI target) or the
@@ -267,9 +267,9 @@ class EvalPlan:
     :meth:`FmmEvaluator.compile_plan`); apply by passing the plan to the
     evaluator phase methods (``FmmEvaluator.evaluate`` manages this
     automatically).  Read-only once compiled, every section alike; the
-    two exceptions are scratch: the per-thread buffers, and ``gpu``, where
-    :class:`~repro.gpu.accel.GpuFmmEvaluator` keeps its device streams and
-    staging gather/scatter indices.
+    one exception is scratch, the per-thread buffers.  The virtual GPU's
+    phases (:class:`~repro.gpu.accel.GpuFmmEvaluator`) read these same
+    blocks.
     """
 
     fingerprint: str
@@ -295,7 +295,6 @@ class EvalPlan:
     wli: list = field(default_factory=list)
     d2t: list = field(default_factory=list)
     uli: list = field(default_factory=list)
-    gpu: dict = field(default_factory=dict)
     #: Populated by :func:`patch_plan`: how much of the kernel-matrix
     #: state was reused vs recomputed (empty for fresh compiles).
     patch_stats: dict = field(default_factory=dict, repr=False)
@@ -443,10 +442,10 @@ class EvalPlan:
     # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
     # ``_pot_pad`` ``(n_points + 1, q, kt_eval)`` — so a per-column slice
     # ``arr[idx, j]`` gathers the same contiguous copy a 2-D ``arr[idx]``
-    # does.  Single-RHS callers (the distributed driver, the GPU
-    # overrides) hold 2-D / flat views of one-column storage
-    # (``FmmEvaluator.allocate``); :meth:`_cols` / :meth:`_pot_table` lift
-    # them back, so the q axis never leaves this module.  gemm_cols
+    # does.  Single-RHS callers (the distributed driver) hold 2-D / flat
+    # views of one-column storage (``FmmEvaluator.allocate``);
+    # :meth:`_cols` / :meth:`_pot_table` lift them back.  (The GPU
+    # overrides slice a block into those views column by column.)  gemm_cols
     # operands instead keep ``q`` innermost (``(b, j, q)`` in, ``(b, i, q)``
     # out), BLAS's preferred column layout; scatters transpose views.
     #

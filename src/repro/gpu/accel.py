@@ -2,13 +2,21 @@
 
 Subclasses :class:`FmmEvaluator`, overriding exactly the phases the paper
 accelerates — S2U, VLI (diagonal translation; FFTs remain on the CPU),
-D2T and ULI — with virtual-device kernels.  U2U, D2D, W- and X-lists stay
-on the CPU, matching the paper's implementation ("The U2U and D2D
-traversals and XLI, WLI remain sequential").
+D2T and ULI — with virtual-device arithmetic.  U2U, D2D, W- and X-lists
+stay on the CPU, matching the paper's implementation ("The U2U and D2D
+traversals and XLI, WLI remain sequential"), unless ``accelerate_wx``
+moves W and X onto the device too.
 
-The CPU->GPU data-structure translation runs per evaluation and is timed
-under the ``translate`` phase so its (minor) cost is visible, as in the
-paper's analysis.
+A device phase runs the float32 tile of :mod:`repro.gpu.kernels` over its
+section of the compiled :class:`~repro.core.plan.EvalPlan` — the blocks,
+padded rows and scatter schedules the CPU apply reads — with padding slots
+reading the zero density row and writing the sentinel potential row, as
+in the CPU apply.  The device ledger is charged from the plan's counts:
+Algorithm 4's padded streaming layout is the charge model, not a data
+structure.  Staging the float32 inputs runs under the ``translate`` phase
+so its (minor) cost is visible, as in the paper's analysis.  A multi-RHS
+block runs each device phase once per column and charges the ledger in
+column order, exactly what one evaluate per column charges.
 """
 
 from __future__ import annotations
@@ -18,15 +26,20 @@ import logging
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
-from repro.core.tree import concat_ranges
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
-from repro.gpu.kernels import gpu_d2t, gpu_s2u, gpu_uli
-from repro.gpu.translate import build_leaf_stream, build_u_stream
+from repro.gpu.kernels import pairwise_f32_batch, pairwise_f32_both, uli_charge
 from repro.kernels.base import Kernel
 
 __all__ = ["GpuFmmEvaluator"]
 
 _log = logging.getLogger("repro.gpu")
+
+_F32 = np.float32
+
+
+def _cat(blocks, attr: str) -> np.ndarray:
+    """The ``attr`` node arrays of a plan section's blocks, end to end."""
+    return np.concatenate([getattr(b, attr) for b in blocks] + [np.zeros(0, np.int64)])
 
 
 class GpuFmmEvaluator(FmmEvaluator):
@@ -59,35 +72,13 @@ class GpuFmmEvaluator(FmmEvaluator):
         )
         self.gpu = gpu if gpu is not None else VirtualGpu()
         self.accelerate_wx = bool(accelerate_wx)
-        # the dual-kernel (gradient) evaluation path is CPU-only
-        assert self.eval_kernel is self.kernel
 
     #: Lazily compiled plans skip host-side kernel-matrix caches: the
-    #: device kernels regenerate surface geometry on chip, so the cached
-    #: blocks would never be read on the accelerated phases.
+    #: device phases evaluate their tiles from the plan's points and never
+    #: read ``kmat``, so cached blocks would only burn memory.
     PLAN_CACHE_MATRICES = False
 
-    #: Device staging moves one density vector per transfer; multi-RHS
-    #: blocks fall back to a bit-identical per-column loop (see
-    #: ``FmmEvaluator.evaluate``).
-    SUPPORTS_MULTI_RHS = False
-
     # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _plan_cache(plan, key, builder):
-        """Density-independent GPU staging schedule, cached on the plan."""
-        val = plan.gpu.get(key)
-        if val is None:
-            val = plan.gpu[key] = builder()
-        return val
-
-    @staticmethod
-    def _boxes_mask(tree, groups) -> np.ndarray:
-        sel = np.zeros(tree.n_nodes, dtype=bool)
-        for g in groups:
-            sel[g] = True
-        return sel
 
     def _device_ok(self, phase: str, profile) -> bool:
         """Probe the device at phase entry; degrade to the CPU on a fault.
@@ -113,34 +104,56 @@ class GpuFmmEvaluator(FmmEvaluator):
             return False
         return True
 
+    @staticmethod
+    def _columns(state, *arrays):
+        """Yield ``arrays`` as single-RHS views, one tuple per column.
+
+        A ``(rows, q, features)`` state and its ``(n * ks, q)`` density
+        block are sliced column by column; a single-RHS state is its own
+        one column.  Potential tables come back as ``(rows, kt)`` views
+        through ``reshape``, which never copies a same-size view.
+        """
+        if state["up"].ndim == 2:
+            yield arrays
+            return
+        for j in range(state["up"].shape[1]):
+            yield tuple(a[:, j] for a in arrays)
+
+    def _stage_dens(self, profile, dens) -> np.ndarray:
+        """Float32 ``(n_points + 1, ks)`` density rows; the last is the
+        zero sentinel that padding slots read."""
+        ks = self.kernel.source_dim
+        with profile.phase("translate"):
+            table = np.zeros((dens.size // ks + 1, ks), dtype=_F32)
+            table[:-1] = dens.reshape(-1, ks)
+        return table
+
     # -- accelerated phases -------------------------------------------------
     #
-    # Box sets come from ``plan`` (they carry its ownership scopes); the
-    # device stream and the flat gather/scatter rows built from them are
-    # density-independent and cached on the plan, so repeated applies
-    # stage densities with one fancy index.
+    # Box sets and padded layouts come from ``plan`` (they carry its
+    # ownership scopes).  Surfaces are the plan's centre + level points —
+    # the paper generates them on chip, so they cost no global loads.
 
     def s2u(self, tree, dens, state, profile, plan) -> None:
         if not self._device_ok("S2U", profile):
             super().s2u(tree, dens, state, profile, plan)
             return
-
-        def _stage():
-            sel = self._boxes_mask(tree, (b.group for b in plan.s2u))
-            stream = build_leaf_stream(tree, sel)
-            return stream, tree.point_rows(stream.boxes)
-
-        with profile.phase("translate"):
-            stream, rows = self._plan_cache(plan, "s2u", _stage)
-            ks = self.kernel.source_dim
-            flat = dens.reshape(tree.n_points, ks)[rows].reshape(-1)
-        dens_dev = self.gpu.to_device(flat, phase="S2U")
-        up32 = gpu_s2u(
-            self.gpu, stream, dens_dev, stream.pt_offsets, self.kernel, self.ops
-        )
-        up_host = self.gpu.to_host(up32, phase="S2U")
-        state["up"][stream.boxes] = up_host
-        profile.add_flops(0.0)  # CPU does no arithmetic here
+        kern, ns = self.kernel, self.ns
+        ks, kt = kern.source_dim, kern.target_dim
+        n = tree.point_counts()[_cat(plan.s2u, "group")]
+        flops = float((kern.flops_per_pair * ns * n).sum()
+                      + 2.0 * n.size * (ns * ks) * (ns * kt))
+        gbytes = float(n.sum() * (12.0 + 4.0 * ks) + n.size * ns * ks * 4)
+        for up, d in self._columns(state, state["up"], dens):
+            table = self._stage_dens(profile, d)
+            self.gpu.charge_transfer("S2U", int(n.sum()) * ks * 4)
+            for blk in plan.s2u:
+                den = table[blk.den_rows].reshape(blk.group.size, -1)
+                surf, pts = blk.surf.astype(_F32), blk.pts.astype(_F32)
+                chk = pairwise_f32_batch(kern, surf, pts, den)
+                up[blk.group] = chk @ self.ops.uc2ue_f32(blk.level).astype(_F32).T
+            self.gpu.charge_launch("S2U", flops, gbytes)
+            self.gpu.charge_transfer("S2U", n.size * ns * ks * 4)
 
     def vli(self, tree, lists, state, profile, plan) -> None:
         """FFT-diagonalised V-list with the multiply on the device.
@@ -155,151 +168,136 @@ class GpuFmmEvaluator(FmmEvaluator):
         if self.m2l_mode != "fft" or not self._device_ok("VLI", profile):
             super().vli(tree, lists, state, profile, plan)
             return
-        up, dcheck = state["up"][:, None, :], state["dcheck"][:, None, :]
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         grid = fft.paper_nfreq * np.dtype(np.complex64).itemsize
-        ledger, model = self.gpu.ledger, self.gpu.model
-        fft.translate(plan.vli_fft, up, dcheck, np.complex64, plan._buffer)
-        for g in plan.vli_fft:
-            # CPU: forward and inverse FFTs
-            profile.add_flops(
-                (g.usrc.size * ks + g.utgt.size * kt) * fft.fft_flops_per_box()
+        for up, dcheck in self._columns(state, state["up"], state["dcheck"]):
+            fft.translate(
+                plan.vli_fft, up[:, None, :], dcheck[:, None, :], np.complex64, plan._buffer
             )
-            nbytes = g.usrc.size * ks * grid
-            ledger.charge_transfer("VLI", model.transfer_seconds(nbytes), nbytes)
-            self.gpu.charge_launch(
-                "VLI",
-                g.n_pairs * fft.translate_flops_per_pair(),
-                # low arithmetic intensity: every pair streams a grid
-                g.n_pairs * 2.0 * ks * grid + g.n_offsets * kt * ks * grid,
-            )
-            nbytes = g.utgt.size * kt * grid
-            ledger.charge_transfer("VLI", model.transfer_seconds(nbytes), nbytes)
+            for g in plan.vli_fft:
+                # CPU: forward and inverse FFTs
+                profile.add_flops(
+                    (g.usrc.size * ks + g.utgt.size * kt) * fft.fft_flops_per_box()
+                )
+                self.gpu.charge_transfer("VLI", g.usrc.size * ks * grid)
+                self.gpu.charge_launch(
+                    "VLI",
+                    g.n_pairs * fft.translate_flops_per_pair(),
+                    # low arithmetic intensity: every pair streams a grid
+                    g.n_pairs * 2.0 * ks * grid + g.n_offsets * kt * ks * grid,
+                )
+                self.gpu.charge_transfer("VLI", g.utgt.size * kt * grid)
 
     def d2t(self, tree, state, profile, plan) -> None:
         if not self._device_ok("D2T", profile):
             super().d2t(tree, state, profile, plan)
             return
-        kt = self.kernel.target_dim
-
-        # Device results come back contiguous in stream order, so the
-        # cached target-point rows scatter them in one fancy add.
-        def _stage():
-            sel = self._boxes_mask(tree, (b.group for b in plan.d2t))
-            stream = build_leaf_stream(tree, sel)
-            return stream, tree.point_rows(stream.boxes)
-
-        with profile.phase("translate"):
-            stream, rows = self._plan_cache(plan, "d2t", _stage)
-        deq_dev = self.gpu.to_device(
-            state["dequiv"][stream.boxes], phase="D2T"
-        )
-        pot32 = gpu_d2t(self.gpu, stream, deq_dev, self.kernel, self.ops)
-        pot_host = self.gpu.to_host(pot32, phase="D2T")
-        state["pot"].reshape(-1, kt)[rows] += pot_host.reshape(-1, kt)
+        kern, ns = self.kernel, self.ns
+        ks, kt = kern.source_dim, kern.target_dim
+        n = tree.point_counts()[_cat(plan.d2t, "group")]
+        flops = float((kern.flops_per_pair * n * ns).sum())
+        gbytes = float(n.sum() * (12.0 + 4.0 * kt) + n.size * ns * ks * 4)
+        for dequiv, pad in self._columns(state, state["dequiv"], state["_pot_pad"]):
+            with profile.phase("translate"):
+                deq = dequiv.astype(_F32)
+            self.gpu.charge_transfer("D2T", n.size * ns * ks * 4)
+            pot = pad.reshape(-1, kt)
+            for blk in plan.d2t:
+                pts, surf = blk.pts.astype(_F32), blk.surf.astype(_F32)
+                vals = pairwise_f32_batch(kern, pts, surf, deq[blk.group])
+                pot[blk.pot_rows] += vals.reshape(*blk.pot_rows.shape, kt)
+            self.gpu.charge_launch("D2T", flops, gbytes)
+            self.gpu.charge_transfer("D2T", int(n.sum()) * kt * 4)
 
     def wli(self, tree, lists, state, profile, plan) -> None:
         """W-list on the device when ``accelerate_wx`` is set.
 
         Source UE surface points are generated on the fly (as in S2U);
-        only the target particles and up densities cross global memory.
-        The device path is per-box: the list is walked on the fly and a
-        source counts iff the plan kept the pair (non-empty on some rank),
-        whatever its density happens to be.
+        only the target particles and up densities cross global memory:
+        one density fetch per kept (leaf, far box) pair, one read of each
+        target leaf's points and one write of its potentials.
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
             super().wli(tree, lists, state, profile, plan)
             return
-        from repro.gpu.kernels import pairwise_f32
-
-        kt = self.kernel.target_dim
-        up, pot = state["up"], state["pot"]
-        w = lists.w
-        flops = 0.0
-        gbytes = 0.0
-        kept = self._plan_cache(plan, "wli", lambda: {
-            pair for blk in plan.wli
-            for pair in zip(blk.rows.tolist(), blk.cols.tolist())})
-        for i in sorted({i for i, _ in kept}):
-            pts = tree.leaf_points(i).astype(np.float32)
-            row = np.zeros(len(pts) * kt, dtype=np.float32)
-            for a in w.of(i).tolist():
-                if (i, a) not in kept:
-                    continue
-                ue = self.ops.ue_points(tree.levels[a], tree.centers[a]).astype(
-                    np.float32
-                )
-                row += pairwise_f32(
-                    self.kernel, pts, ue, up[a].astype(np.float32)
-                )
-                flops += self.kernel.pair_flops(len(pts), self.ns)
-                gbytes += up[a].nbytes / 2  # float32 density fetch
-            pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += row.astype(
-                np.float64
-            )
-            gbytes += pts.nbytes + row.nbytes
-        self.gpu.charge_launch("WLI", flops, gbytes)
+        kern, ns = self.kernel, self.ns
+        ks, kt = kern.source_dim, kern.target_dim
+        counts = tree.point_counts()
+        leaves = _cat(plan.wli, "rows")
+        flops = float(kern.pair_flops(counts[leaves], ns).sum())
+        gbytes = float(leaves.size * ns * ks * 4
+                       + (counts[np.unique(leaves)] * (12 + 4 * kt)).sum())
+        for up, pad in self._columns(state, state["up"], state["_pot_pad"]):
+            with profile.phase("translate"):
+                up32 = up.astype(_F32)
+            pot = pad.reshape(-1, kt)
+            for blk in plan.wli:
+                pts, surf = blk.pts.astype(_F32), blk.surf.astype(_F32)
+                vals = pairwise_f32_batch(kern, pts, surf, up32[blk.cols])
+                sums = np.add.reduceat(vals[blk.order], blk.starts, axis=0)
+                pot[blk.pot_rows] += sums.reshape(*blk.pot_rows.shape, kt)
+            self.gpu.charge_launch("WLI", flops, gbytes)
 
     def xli(self, tree, lists, dens, state, profile, plan) -> None:
         """X-list on the device when ``accelerate_wx`` is set.
 
-        Target DC surface points are generated on the fly; ghost-leaf
-        source particles stream from global memory.  Per-box, like the
-        device W-list: the plan names the target boxes (those with at
-        least one non-empty X-list source).
+        Target DC surface points are generated on the fly; the leaf source
+        particles and densities stream from global memory once per pair,
+        and each far box writes its check potentials once.
         """
         if not self.accelerate_wx or not self._device_ok("XLI", profile):
             super().xli(tree, lists, dens, state, profile, plan)
             return
-        from repro.gpu.kernels import pairwise_f32
-
-        ks = self.kernel.source_dim
-        dcheck = state["dcheck"]
-        counts = tree.point_counts()
-        x = lists.x
-        flops = 0.0
-        gbytes = 0.0
-        segs = [blk.seg for blk in plan.xli]
-        for i in np.unique(np.concatenate(segs)) if segs else ():
-            dc = self.ops.dc_points(tree.levels[i], tree.centers[i]).astype(
-                np.float32
-            )
-            acc = np.zeros(dcheck.shape[1], dtype=np.float32)
-            for a in x.of(i):
-                if counts[a] == 0:
-                    continue
-                pts = tree.points[tree.pt_begin[a] : tree.pt_end[a]].astype(
-                    np.float32
-                )
-                den = dens[
-                    tree.pt_begin[a] * ks : tree.pt_end[a] * ks
-                ].astype(np.float32)
-                acc += pairwise_f32(self.kernel, dc, pts, den)
-                flops += self.kernel.pair_flops(self.ns, len(pts))
-                gbytes += pts.nbytes + den.nbytes
-            dcheck[i] += acc.astype(np.float64)
-            gbytes += acc.nbytes
-        self.gpu.charge_launch("XLI", flops, gbytes)
+        kern, ns = self.kernel, self.ns
+        ks, kt = kern.source_dim, kern.target_dim
+        n = tree.point_counts()[_cat(plan.xli, "cols")]
+        flops = float(kern.pair_flops(ns, n).sum())
+        far = np.unique(_cat(plan.xli, "seg"))
+        gbytes = float((n * (12 + 4 * ks)).sum() + far.size * ns * kt * 4)
+        for dcheck, d in self._columns(state, state["dcheck"], dens):
+            table = self._stage_dens(profile, d)
+            for blk in plan.xli:
+                den = table[blk.den_rows].reshape(blk.rows.size, -1)
+                surf, pts = blk.surf.astype(_F32), blk.pts.astype(_F32)
+                vals = pairwise_f32_batch(kern, surf, pts, den)
+                dcheck[blk.seg] += np.add.reduceat(vals[blk.order], blk.starts, axis=0)
+            self.gpu.charge_launch("XLI", flops, gbytes)
 
     def uli(self, tree, lists, dens, state, profile, plan) -> None:
+        """Algorithm 4: the U-list on the device.
+
+        Each block's stored sources are one tile into its own targets; the
+        slots its in-scope higher neighbours read transposed come from the
+        same tile, contracted transposed, and are added point by point.  The
+        charge is the padded stream's: every target leaf against its
+        *whole* non-empty U-list, the whole density vector up and the
+        padded target rows back.
+        """
         if not self._device_ok("ULI", profile):
             super().uli(tree, lists, dens, state, profile, plan)
             return
-        kt = self.kernel.target_dim
-
-        # Device targets are padded to block multiples, so unlike D2T
-        # both sides of the scatter need cached row arrays: dst rows
-        # into the potential table, src rows into the device result.
-        def _stage():
-            sel = self._boxes_mask(tree, (b.boxes for b in plan.uli))
-            stream = build_u_stream(tree, lists, self.gpu.block_size, sel)
-            src = concat_ranges(stream.tgt_offsets[:-1], tree.point_counts()[stream.boxes])
-            return stream, tree.point_rows(stream.boxes), src
-
-        with profile.phase("translate"):
-            stream, dst, src = self._plan_cache(plan, "uli", _stage)
-        dens_dev = self.gpu.to_device(dens, phase="ULI")
-        pot32 = gpu_uli(self.gpu, stream, dens_dev, self.kernel)
-        pot_host = self.gpu.to_host(pot32, phase="ULI")
-        state["pot"].reshape(-1, kt)[dst] += pot_host.reshape(-1, kt)[src]
+        kern, kt = self.kernel, self.kernel.target_dim
+        counts = tree.point_counts()
+        boxes = _cat(plan.uli, "boxes")
+        urows, ucols = lists.u.pairs()
+        n_src = np.bincount(urows, counts[ucols], tree.n_nodes).astype(np.int64)
+        flops, gbytes, rows = uli_charge(kern, self.gpu.block_size, counts[boxes], n_src[boxes])
+        for d, pad in self._columns(state, dens, state["_pot_pad"]):
+            table = self._stage_dens(profile, d)
+            self.gpu.charge_transfer("ULI", d.size * 4)
+            pot = pad.reshape(-1, kt)
+            for blk in plan.uli:
+                b = blk.boxes.size
+                tgt, src = blk.tgt_pts.astype(_F32), blk.src_pts.astype(_F32)
+                den = table[blk.den_rows].reshape(b, -1)
+                if blk.t_sel.size:  # the same tile, read transposed too
+                    back_den = table[blk.pot_rows].reshape(b, -1)
+                    vals, back = pairwise_f32_both(kern, tgt, src, den, back_den)
+                else:
+                    vals, back = pairwise_f32_batch(kern, tgt, src, den), None
+                pot[blk.pot_rows] += vals.reshape(b, blk.tp, kt)
+                if back is not None:  # a point's reads land one by one, in slot order
+                    np.add.at(pot, blk.t_rows, back.reshape(-1, kt)[blk.t_sel])
+            self.gpu.charge_launch("ULI", flops, gbytes)
+            self.gpu.charge_transfer("ULI", rows * kt * 4)

@@ -156,17 +156,19 @@ class VirtualGpu:
     def to_device(self, arr: np.ndarray, phase: str = "H2D") -> np.ndarray:
         """Copy to the device (demotes to float32, charges PCIe)."""
         dev = np.ascontiguousarray(arr, dtype=np.float32)
-        self.ledger.charge_transfer(
-            phase, self.model.transfer_seconds(dev.nbytes), dev.nbytes
-        )
+        self.charge_transfer(phase, dev.nbytes)
         return dev
 
     def to_host(self, arr: np.ndarray, phase: str = "D2H") -> np.ndarray:
         """Copy back to the host (float64 promotion on arrival)."""
-        self.ledger.charge_transfer(
-            phase, self.model.transfer_seconds(arr.nbytes), arr.nbytes
-        )
+        self.charge_transfer(phase, arr.nbytes)
         return arr.astype(np.float64)
+
+    def charge_transfer(self, phase: str, nbytes: float) -> None:
+        """Account one host <-> device copy of ``nbytes`` at PCIe bandwidth."""
+        self.ledger.charge_transfer(
+            phase, self.model.transfer_seconds(nbytes), nbytes
+        )
 
     # -- execution ---------------------------------------------------------
 

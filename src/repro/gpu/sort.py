@@ -37,11 +37,7 @@ def gpu_radix_argsort(
     flops = float(passes * n * 4)  # digit extract + histogram update
     gbytes = float(passes * bytes_per_pass)
     gpu.charge_launch(phase, flops, gbytes)
-    gpu.ledger.charge_transfer(
-        phase, gpu.model.transfer_seconds(keys.nbytes), keys.nbytes
-    )
+    gpu.charge_transfer(phase, keys.nbytes)
     order = np.argsort(keys, kind="stable")
-    gpu.ledger.charge_transfer(
-        phase, gpu.model.transfer_seconds(order.nbytes), order.nbytes
-    )
+    gpu.charge_transfer(phase, order.nbytes)
     return order

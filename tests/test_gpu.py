@@ -1,18 +1,20 @@
-"""Tests for the virtual GPU: device model, translation, kernels, evaluator."""
+"""Tests for the virtual GPU: device model, float32 tile, charge model, evaluator."""
 
 import numpy as np
 import pytest
 
 from repro.core import build_lists, build_tree
 from repro.core.evaluator import FmmEvaluator
-from repro.datasets import ellipsoid_surface, uniform_cube
+from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
+from repro.dist.driver import DistributedFmm
 from repro.gpu import DeviceModel, GpuFmmEvaluator, VirtualGpu
-from repro.gpu.kernels import gpu_uli, pairwise_f32, pairwise_f32_batch
-from repro.gpu.translate import build_leaf_stream, build_u_stream
+from repro.gpu.kernels import pairwise_f32_batch
 from repro.kernels import get_kernel
+from repro.mpi import run_spmd
 from repro.util.timer import PhaseProfile
 
-
+LEDGER_FIELDS = ("kernel_flops", "kernel_gbytes", "kernel_seconds",
+                 "transfer_bytes", "transfer_seconds")
 class TestDeviceModel:
     def test_roofline(self):
         m = DeviceModel("d", peak_flops=1e12, mem_bandwidth=1e11,
@@ -39,12 +41,18 @@ class TestDeviceModel:
 
 
 class TestPairwiseF32:
+    """Single tiles are the ``b = 1`` case of the batched tile."""
+
+    @staticmethod
+    def _tile(kern, t, s, d):
+        return pairwise_f32_batch(kern, t[None], s[None], d[None])[0]
+
     def test_laplace_matches_double(self, rng):
         kern = get_kernel("laplace")
         t = rng.random((40, 3)).astype(np.float32)
         s = rng.random((30, 3)).astype(np.float32)
         d = rng.standard_normal(30).astype(np.float32)
-        out = pairwise_f32(kern, t, s, d)
+        out = self._tile(kern, t, s, d)
         ref = kern.matrix(t.astype(np.float64), s.astype(np.float64)) @ d
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-5
 
@@ -52,7 +60,7 @@ class TestPairwiseF32:
         kern = get_kernel("laplace")
         pts = rng.random((10, 3)).astype(np.float32)
         d = rng.standard_normal(10).astype(np.float32)
-        out = pairwise_f32(kern, pts, pts, d)
+        out = self._tile(kern, pts, pts, d)
         ref = kern.matrix(pts.astype(np.float64), pts.astype(np.float64)) @ d
         assert np.all(np.isfinite(out))
         assert np.linalg.norm(out - ref) / (np.linalg.norm(ref) + 1e-30) < 1e-5
@@ -61,7 +69,7 @@ class TestPairwiseF32:
         kern = get_kernel("laplace")
         t = np.full((4, 3), np.nan, dtype=np.float32)
         s = rng.random((5, 3)).astype(np.float32)
-        out = pairwise_f32(kern, t, s, np.ones(5, dtype=np.float32))
+        out = self._tile(kern, t, s, np.ones(5, dtype=np.float32))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_stokes_fallback(self, rng):
@@ -69,13 +77,12 @@ class TestPairwiseF32:
         t = rng.random((6, 3)).astype(np.float32)
         s = rng.random((4, 3)).astype(np.float32)
         d = rng.standard_normal(12).astype(np.float32)
-        out = pairwise_f32(kern, t, s, d)
+        out = self._tile(kern, t, s, d)
         ref = kern.matrix(t.astype(np.float64), s.astype(np.float64)) @ d.astype(
             np.float64
         )
         assert out.shape == (18,)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-5
-
 
     def test_batched_laplace_is_the_k_reduction_bit_for_bit(self, rng):
         """The batched tile sums r^2 per component in place; the bits are
@@ -94,105 +101,125 @@ class TestPairwiseF32:
         np.testing.assert_array_equal(pairwise_f32_batch(kern, t, s, d), ref)
 
 
+def _per_box_ledger(ev, tree, lists, plan):
+    """The device ledger of one evaluate, charged from the per-box
+    Algorithm-4 layout built box by box (phase VLI aside): per-leaf
+    S2U/D2T point streams; per ULI leaf its targets padded to the block
+    size and its whole non-empty U-list's sources packed; per-pair W/X.
+    Per phase the charges run host-to-device, launch, device-to-host."""
+    kern, ns, b = ev.kernel, ev.ns, ev.gpu.block_size
+    ks, kt = kern.source_dim, kern.target_dim
+    counts = tree.point_counts()
+    gpu = VirtualGpu(ev.gpu.model, b)
+
+    def nodes(section, attr):
+        return sorted({int(i) for blk in section for i in getattr(blk, attr)})
+
+    def pts(i):
+        return tree.leaf_points(i).astype(np.float32)
+
+    for phase, section in (("S2U", plan.s2u), ("D2T", plan.d2t)):
+        leaves = [pts(i) for i in nodes(section, "group")]
+        eq = np.zeros((len(leaves), ns * ks), np.float32)  # up / down densities
+        if phase == "S2U":
+            den = [np.zeros(len(p) * ks, np.float32) for p in leaves]
+            gpu.to_device(np.concatenate(den + [np.zeros(0)]), phase)
+            flops = sum(kern.pair_flops(ns, len(p)) + 2.0 * (ns * ks) * (ns * kt)
+                        for p in leaves)
+            gbytes = sum(p.nbytes + d.nbytes for p, d in zip(leaves, den)) + eq.nbytes
+            gpu.charge_launch(phase, flops, gbytes)
+            gpu.to_host(eq, phase)
+        else:
+            gpu.to_device(eq, phase)
+            out = [np.zeros(len(p) * kt, np.float32) for p in leaves]
+            flops = sum(kern.pair_flops(len(p), ns) for p in leaves)
+            gbytes = sum(p.nbytes + o.nbytes for p, o in zip(leaves, out)) + eq.nbytes
+            gpu.charge_launch(phase, flops, gbytes)
+            gpu.to_host(np.concatenate(out + [np.zeros(0, np.float32)]), phase)
+
+    if ev.accelerate_wx:
+        kept = {(int(r), int(c)) for blk in plan.wli for r, c in zip(blk.rows, blk.cols)}
+        flops = gbytes = 0.0
+        for i in sorted({r for r, _ in kept}):
+            row = np.zeros(counts[i] * kt, np.float32)
+            for a in lists.w.of(i):
+                if (i, int(a)) in kept:
+                    flops += kern.pair_flops(counts[i], ns)
+                    gbytes += np.zeros(ns * ks, np.float32).nbytes  # up density
+            gbytes += pts(i).nbytes + row.nbytes
+        gpu.charge_launch("WLI", flops, gbytes)
+        flops = gbytes = 0.0
+        for i in nodes(plan.xli, "seg"):
+            for a in lists.x.of(i):
+                if counts[a]:
+                    flops += kern.pair_flops(ns, counts[a])
+                    gbytes += pts(a).nbytes + np.zeros(counts[a] * ks, np.float32).nbytes
+            gbytes += np.zeros(ns * kt, np.float32).nbytes  # check potentials
+        gpu.charge_launch("XLI", flops, gbytes)
+
+    gpu.to_device(np.zeros(tree.n_points * ks), "ULI")
+    flops = gbytes = 0.0
+    rows = 0
+    for i in nodes(plan.uli, "boxes"):
+        tgt = np.full((-(-counts[i] // b) * b, 3), np.nan, np.float32)
+        tgt[: counts[i]] = pts(i)
+        src = np.concatenate([pts(a) for a in lists.u.of(i) if counts[a]])
+        flops += kern.flops_per_pair * len(tgt) * (-(-len(src) // b) * b)
+        gbytes += len(tgt) // b * (len(src) * 16.0) + len(tgt) * (12.0 + 4.0 * kt)
+        rows += len(tgt)
+    gpu.charge_launch("ULI", flops, gbytes)
+    gpu.to_host(np.zeros(rows * kt, np.float32), "ULI")
+    return gpu.ledger
+
+
+def _assert_ledgers_equal(got, want):
+    for f in LEDGER_FIELDS:
+        mine = {k: v for k, v in getattr(got, f).items() if k != "VLI"}
+        assert mine == getattr(want, f), f
+
+
+def _scoped_runs(comm, pts, kname, order, block):
+    fmm = DistributedFmm(kname, order=order, max_points_per_box=40,
+                         gpu=VirtualGpu(block_size=block), gpu_wx=True)
+    fmm.setup(comm, pts[comm.rank :: comm.size])
+    fmm.evaluate(np.cos(3.0 * fmm.owned_points[:, 0]).repeat(fmm.kernel.source_dim))
+    return fmm.let.tree, fmm.lists, fmm._plan, fmm.evaluator
+
+
 class TestTranslation:
-    @pytest.fixture(scope="class")
-    def built(self):
-        pts = uniform_cube(2000, seed=41)
-        tree = build_tree(pts, 60)
-        return tree, build_lists(tree)
+    """The tree -> device translation is now a charge model over the
+    plan's blocks: the ledger must read what the per-box layout charged."""
 
-    def test_u_stream_padding(self, built):
-        tree, lists = built
-        sel = tree.is_leaf & (tree.point_counts() > 0)
-        stream = build_u_stream(tree, lists, 64, sel)
-        sizes = np.diff(stream.tgt_offsets)
-        assert np.all(sizes % 64 == 0)
-        assert stream.tgt_valid.sum() == tree.point_counts()[stream.boxes].sum()
-        # padding slots are NaN
-        assert np.all(np.isnan(stream.tgt_points[~stream.tgt_valid]))
-        assert not np.any(np.isnan(stream.tgt_points[stream.tgt_valid]))
-
-    def test_u_stream_sources_match_lists(self, built):
-        tree, lists = built
-        sel = tree.is_leaf & (tree.point_counts() > 0)
-        stream = build_u_stream(tree, lists, 64, sel)
-        counts = tree.point_counts()
-        for j, i in enumerate(stream.boxes[:20]):
-            srcs = lists.u.of(i)
-            expect = counts[srcs][counts[srcs] > 0].sum()
-            got = stream.src_offsets[j + 1] - stream.src_offsets[j]
-            assert got == expect
-
-    def test_streams_equal_the_per_box_layout(self, built):
-        """The streams are built without per-box loops; this is the loop."""
-        tree, lists = built
-        counts = tree.point_counts()
-        sel = tree.is_leaf & (np.arange(tree.n_nodes) % 3 != 0)
-        boxes = np.flatnonzero(sel)
-        tgt, valid, src, dens_idx, tgt_off, src_off = [], [], [], [], [0], [0]
-        for i in boxes:
-            pts = tree.leaf_points(i)
-            pad = -(-len(pts) // 64) * 64
-            tgt.append(np.full((pad, 3), np.nan, np.float32))
-            tgt[-1][: len(pts)] = pts
-            valid.append(np.arange(pad) < len(pts))
-            srcs = [a for a in lists.u.of(i) if counts[a] > 0]
-            src += [tree.leaf_points(a).astype(np.float32) for a in srcs]
-            dens_idx += [np.arange(tree.pt_begin[a], tree.pt_end[a]) for a in srcs]
-            tgt_off.append(tgt_off[-1] + pad)
-            src_off.append(src_off[-1] + sum(counts[a] for a in srcs))
-        u = build_u_stream(tree, lists, 64, sel)
-        for got, want in ((u.boxes, boxes), (u.tgt_offsets, tgt_off),
-                          (u.tgt_points, np.concatenate(tgt)),
-                          (u.tgt_valid, np.concatenate(valid)),
-                          (u.src_offsets, src_off),
-                          (u.src_points, np.concatenate(src)),
-                          (u.src_dens_index, np.concatenate(dens_idx))):
-            np.testing.assert_array_equal(got, want)
-        leaf = build_leaf_stream(tree, sel)
-        np.testing.assert_array_equal(
-            leaf.points,
-            np.concatenate([tree.leaf_points(i) for i in boxes]).astype(np.float32),
-        )
-        np.testing.assert_array_equal(
-            leaf.pt_offsets, np.concatenate(([0], np.cumsum(counts[boxes])))
-        )
-
-    def test_uli_charges_padded_rows_and_computes_real_ones(self, built):
-        """Per box, the device U-list equals one tile over every padded
-        target row (NaN rows give zero), and charges the padded pairs."""
-        tree, lists = built
-        kern = get_kernel("laplace")
-        sel = tree.is_leaf & (tree.point_counts() > 0)
-        stream = build_u_stream(tree, lists, 64, sel)
-        dens = np.random.default_rng(3).standard_normal(tree.n_points)
-        gpu = VirtualGpu(block_size=64)
-        out = gpu_uli(gpu, stream, dens.astype(np.float32), kern)
-        want = np.zeros_like(out)
-        flops = 0.0
-        for j in range(stream.n_boxes):
-            t0, t1 = stream.tgt_offsets[j], stream.tgt_offsets[j + 1]
-            s0, s1 = stream.src_offsets[j], stream.src_offsets[j + 1]
-            spad = -(-(s1 - s0) // 64) * 64
-            src = np.repeat(stream.tgt_points[t0:t0 + 1], spad, axis=0)
-            src[: s1 - s0] = stream.src_points[s0:s1]
-            den = np.zeros(spad, np.float32)
-            den[: s1 - s0] = dens[stream.src_dens_index[s0:s1]]
-            want[t0:t1] = pairwise_f32_batch(
-                kern, stream.tgt_points[None, t0:t1], src[None], den[None]
-            )[0]
-            flops += kern.flops_per_pair * (t1 - t0) * spad
-        np.testing.assert_array_equal(out, want)
-        assert gpu.ledger.kernel_flops["ULI"] == pytest.approx(flops)
-
-    def test_leaf_stream_geometry(self, built):
-        tree, _ = built
-        sel = tree.is_leaf & (tree.point_counts() > 0)
-        stream = build_leaf_stream(tree, sel)
-        np.testing.assert_allclose(
-            stream.centers, tree.centers[stream.boxes], rtol=1e-6
-        )
-        assert stream.pt_offsets[-1] == tree.point_counts()[stream.boxes].sum()
+    def test_uli_charges_padded_rows_and_computes_real_ones(self):
+        """Every ledger field equals the per-box Algorithm-4 layout's, for
+        Laplace and Stokes at two block sizes, on a solo plan and on each
+        rank's scoped plan at p = 2; the solo potentials are the CPU's to
+        single precision."""
+        # Stokes at order 6: the order-4 device S2U is off (F32_RCOND
+        # truncates its UC->UE map; ROADMAP item 7(f))
+        for kname, n, order in (("laplace", 1500, 4), ("stokes", 600, 6)):
+            kern = get_kernel(kname)
+            pts = plummer_cluster(n, seed=5)
+            tree = build_tree(pts, 40)
+            lists = build_lists(tree)
+            dens = np.random.default_rng(3).standard_normal(n * kern.source_dim)
+            cpu = FmmEvaluator(kern, order).evaluate(tree, lists, dens)
+            for block in (64, 256):
+                ev = GpuFmmEvaluator(kern, order, gpu=VirtualGpu(block_size=block),
+                                     accelerate_wx=True)
+                plan = ev.compile_plan(tree, lists)
+                assert plan.wli and plan.xli  # every device phase has work
+                pot = ev.evaluate(tree, lists, dens, plan=plan)
+                assert np.linalg.norm(pot - cpu) / np.linalg.norm(cpu) < 5e-4
+                _assert_ledgers_equal(ev.gpu.ledger, _per_box_ledger(ev, tree, lists, plan))
+                for let_tree, let_lists, let_plan, rank_ev in run_spmd(
+                    2, _scoped_runs, pts, kname, order, block, timeout=300
+                ).values:
+                    assert let_plan.scoped
+                    _assert_ledgers_equal(
+                        rank_ev.gpu.ledger,
+                        _per_box_ledger(rank_ev, let_tree, let_lists, let_plan),
+                    )
 
 
 class TestGpuEvaluator:
@@ -209,8 +236,8 @@ class TestGpuEvaluator:
         gpu = GpuFmmEvaluator(kern, 6)
         p_gpu = gpu.evaluate(tree, lists, sdens, PhaseProfile())
         assert np.linalg.norm(p_gpu - p_cpu) / np.linalg.norm(p_cpu) < 5e-4
-        # the one-shot call above staged through a transient plan; a kept
-        # plan stages the same streams
+        # the one-shot call above ran on a transient plan; a kept plan has
+        # the same blocks
         ep = gpu.compile_plan(tree, lists)
         assert np.array_equal(p_gpu, gpu.evaluate(tree, lists, sdens, plan=ep))
 
@@ -281,8 +308,7 @@ class TestGpuEvaluator:
             ev = GpuFmmEvaluator(kern, 4)
             prof = PhaseProfile()
             ev.evaluate(tree, lists, np.ones(4000)[tree.order], prof)
-            true_flops = prof.events["ULI"].flops  # CPU model: exact pairs
-            # re-run CPU to get true pair flops
+            # the CPU charges the exact pairs
             cpu_prof = PhaseProfile()
             FmmEvaluator(kern, 4).evaluate(
                 tree, lists, np.ones(4000)[tree.order], cpu_prof
@@ -291,3 +317,76 @@ class TestGpuEvaluator:
                 ev.gpu.ledger.kernel_flops["ULI"] / cpu_prof.events["ULI"].flops
             )
         assert overhead[30] > overhead[500] >= 1.0
+
+
+def _block_vs_columns(kern, pts, order, wx):
+    """``(block potentials, stacked single potentials, block ledger,
+    per-column ledger)`` for a q = 3 density block on one compiled plan."""
+    tree = build_tree(pts, 40)
+    lists = build_lists(tree)
+    dens = np.random.default_rng(11).standard_normal((len(pts) * kern.source_dim, 3))
+    blk_ev, col_ev = (GpuFmmEvaluator(kern, order, accelerate_wx=wx) for _ in range(2))
+    plan = blk_ev.compile_plan(tree, lists)
+    block = blk_ev.evaluate(tree, lists, dens, plan=plan)
+    cols = np.stack([col_ev.evaluate(tree, lists, np.ascontiguousarray(dens[:, j]), plan=plan)
+                     for j in range(3)], axis=1)
+    return block, cols, blk_ev.gpu.ledger, col_ev.gpu.ledger
+
+
+class TestMultiRhs:
+    @pytest.mark.parametrize("wx", [False, True])
+    @pytest.mark.parametrize("kname,n,order", [("laplace", 1200, 4), ("stokes", 500, 4)])
+    def test_block_is_the_per_column_loop(self, kname, n, order, wx):
+        """Each device phase runs its one-column body per column of the
+        block: the potentials are the single evaluates' stacked, bit for
+        bit, and the ledger is what one evaluate per column charges."""
+        block, cols, got, want = _block_vs_columns(
+            get_kernel(kname), plummer_cluster(n, seed=8), order, wx)
+        assert block.shape == cols.shape
+        np.testing.assert_array_equal(block, cols)
+        for f in LEDGER_FIELDS + ("launches",):
+            assert getattr(got, f) == getattr(want, f), f
+
+
+_HOSTILE = {
+    "n0": lambda rng: np.zeros((0, 3)),
+    "n1": lambda rng: rng.random((1, 3)),
+    "n2": lambda rng: rng.random((2, 3)),
+    "one_leaf": lambda rng: 0.3 + 0.01 * rng.random((30, 3)),
+    "repeated_x3": lambda rng: np.repeat(rng.random((150, 3)), 3, axis=0),
+}
+
+
+class TestHostileInputs:
+    """Plan sections the device meets empty, and degenerate clouds."""
+
+    @pytest.mark.parametrize("wx", [False, True])
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_device_path_on_degenerate_clouds(self, case, wx):
+        rng = np.random.default_rng(13)
+        pts = _HOSTILE[case](rng)
+        kern = get_kernel("laplace")
+        tree = build_tree(pts, 40)
+        lists = build_lists(tree)
+        n = len(pts)
+        for dens in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            cpu = FmmEvaluator(kern, 4).evaluate(tree, lists, dens)
+            ev = GpuFmmEvaluator(kern, 4, accelerate_wx=wx)
+            plan = ev.compile_plan(tree, lists)
+            pot = ev.evaluate(tree, lists, dens, plan=plan)
+            assert pot.shape == cpu.shape
+            assert np.all(np.isfinite(pot))
+            assert np.linalg.norm(pot - cpu) <= 5e-4 * np.linalg.norm(cpu)
+            led = ev.gpu.ledger
+            sections = {"S2U": plan.s2u, "D2T": plan.d2t, "ULI": plan.uli}
+            if wx:
+                sections.update(WLI=plan.wli, XLI=plan.xli)
+            for phase, section in sections.items():
+                if not section:  # an empty section charges no work
+                    assert led.kernel_flops[phase] == led.kernel_gbytes[phase] == 0.0
+                    assert led.transfer_bytes.get(phase, 0.0) == (
+                        n * kern.source_dim * 4 if phase == "ULI" else 0.0)
+            # a device fault falls back to the CPU bit for bit
+            dead = GpuFmmEvaluator(kern, 4, accelerate_wx=wx)
+            dead.gpu.arm_fault("*")
+            np.testing.assert_array_equal(dead.evaluate(tree, lists, dens), cpu)
