@@ -20,8 +20,8 @@ arithmetic of every phase lives in one place, the ``apply_*`` methods of a
 compiled :class:`~repro.core.plan.EvalPlan`; the eight phase methods here
 hand the plan this evaluator's task pool and nothing else.  They are the
 interface a backend overrides (the GPU evaluator runs four of them, six
-with ``accelerate_wx``, on the same plan's blocks in float32), and the one
-the distributed driver calls with its ownership-scoped plan.
+with ``accelerate_wx``, as the same plan's applies read at float32), and
+the one the distributed driver calls with its ownership-scoped plan.
 
 :meth:`evaluate` finds the plan itself when the caller passes none: the
 first call on a ``(tree, lists)`` pair applies a transient plan without
@@ -271,9 +271,9 @@ class FmmEvaluator:
         return prec
 
     #: Whether lazily compiled plans cache kernel-matrix blocks.  The GPU
-    #: evaluator turns this off: its device phases evaluate their tiles
-    #: from the plan's points and never read ``kmat``, so host-side matrix
-    #: caches would only burn memory.
+    #: evaluator turns this off: its device phases read only float32
+    #: blocks, so the float64 caches of its default plan would only burn
+    #: memory.
     PLAN_CACHE_MATRICES = True
 
     @property

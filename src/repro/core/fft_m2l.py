@@ -318,7 +318,7 @@ class FftM2L:
 
         ``up`` / ``dcheck`` are the ``(n_nodes, q, features)`` node states;
         ``cdtype`` picks the precision (complex64: float32 grids, for fp32
-        plans and the device path); ``buffer(name, shape, dtype)`` supplies
+        plans, the device's included); ``buffer(name, shape, dtype)`` supplies
         reusable per-thread scratch and ``run(tiles, compute, done)``
         executes the tiles of one stage (``EvalPlan._buffer`` and
         ``EvalPlan._tiles``; the defaults allocate and run inline).

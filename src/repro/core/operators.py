@@ -90,7 +90,6 @@ class OperatorCache:
         self._inner = surfaces.inner_scale(order)
         self._outer = surfaces.outer_scale(order)
         self._uc2ue: dict[int, np.ndarray] = {}
-        self._uc2ue_f32: dict[int, np.ndarray] = {}
         self._dc2de: dict[int, np.ndarray] = {}
         self._m2m: dict[tuple[int, int], np.ndarray] = {}
         self._l2l: dict[tuple[int, int], np.ndarray] = {}
@@ -138,20 +137,6 @@ class OperatorCache:
         if mat is None:
             k = self.kernel.matrix(self.uc_points(lvl), self.ue_points(lvl))
             mat = self._uc2ue[lvl] = regularized_pinv(k, self.rcond)
-        return mat if fac == 1.0 else mat / fac
-
-    #: Pseudo-inverse cutoff for single-precision (GPU) application: the
-    #: double-precision cutoff sits below float32 resolution and would
-    #: amplify device roundoff catastrophically.
-    F32_RCOND = 1e-4
-
-    def uc2ue_f32(self, level: int) -> np.ndarray:
-        """Single-precision-safe variant of :meth:`uc2ue` for GPU kernels."""
-        lvl, fac = self._canonical(level)
-        mat = self._uc2ue_f32.get(lvl)
-        if mat is None:
-            k = self.kernel.matrix(self.uc_points(lvl), self.ue_points(lvl))
-            mat = self._uc2ue_f32[lvl] = regularized_pinv(k, self.F32_RCOND)
         return mat if fac == 1.0 else mat / fac
 
     def dc2de(self, level: int) -> np.ndarray:

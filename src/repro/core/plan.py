@@ -69,7 +69,10 @@ Design rules:
   ``up``/``dcheck``/``dequiv``/potential arrays, the U2U/D2D operator
   chains (roundoff there compounds with tree depth) and multi-RHS
   column sums.  ``precision="fp64"`` (the default) stages nothing: the
-  casts are identities.
+  casts are identities.  The virtual GPU's device phases are these fp32
+  applies, run on its plan read at ``precision="fp32"``: a cached block
+  is read only at the plan's own dtype, so the float64 blocks of an fp64
+  plan are re-evaluated in float32 there.
 
 A plan is bound to one ``(tree, lists, kernel, order, m2l_mode, scope)``
 configuration; :func:`tree_fingerprint` rejects accidental reuse against a
@@ -268,8 +271,8 @@ class EvalPlan:
     evaluator phase methods (``FmmEvaluator.evaluate`` manages this
     automatically).  Read-only once compiled, every section alike; the
     one exception is scratch, the per-thread buffers.  The virtual GPU's
-    phases (:class:`~repro.gpu.accel.GpuFmmEvaluator`) read these same
-    blocks.
+    phases (:class:`~repro.gpu.accel.GpuFmmEvaluator`) are these same
+    applies, on the plan read at ``precision="fp32"``.
     """
 
     fingerprint: str
@@ -363,8 +366,9 @@ class EvalPlan:
 
     def _kmat(self, blk, kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """A block's kernel matrix: the compile-time cache when the budget
-        covered it, else evaluated now (bit-identical either way)."""
-        if blk.kmat is not None:
+        covered it at this plan's dtype, else evaluated now (bit-identical
+        either way; a plan read at float32 re-evaluates float64 blocks)."""
+        if blk.kmat is not None and blk.kmat.dtype == self.rdtype:
             return blk.kmat
         return kernel.matrix_batch(a, b, dtype=self.rdtype)
 
@@ -444,8 +448,7 @@ class EvalPlan:
     # ``arr[idx, j]`` gathers the same contiguous copy a 2-D ``arr[idx]``
     # does.  Single-RHS callers (the distributed driver) hold 2-D / flat
     # views of one-column storage (``FmmEvaluator.allocate``);
-    # :meth:`_cols` / :meth:`_pot_table` lift them back.  (The GPU
-    # overrides slice a block into those views column by column.)  gemm_cols
+    # :meth:`_cols` / :meth:`_pot_table` lift them back.  gemm_cols
     # operands instead keep ``q`` innermost (``(b, j, q)`` in, ``(b, i, q)``
     # out), BLAS's preferred column layout; scatters transpose views.
     #

@@ -2,11 +2,11 @@
 
 The CUDA layer is reproduced as a *virtual device*: the accelerated
 phases run their real numerics in single precision (as the paper's CUDA
-code did) — Algorithm 4's float32 tile over the compiled plan's blocks —
-while a device performance model (S1070-era constants) converts the
+code did) — the compiled plan's own applies, read at ``precision="fp32"``
+— while a device performance model (S1070-era constants) converts the
 flops, global-memory traffic and PCIe transfers that the paper's padded
-streaming layout would incur, counted from the plan, into modelled
-times.  That ledger is the GPU layer's only state.  The accelerated
+streaming layout (Algorithm 4) would incur, counted from the plan, into
+modelled times.  That ledger is the GPU layer's only state.  The accelerated
 phases are the paper's: S2U, VLI (frequency-space diagonal translation;
 FFTs stay on the CPU), ULI (Algorithm 4) and D2T.  U2U, D2D, W- and
 X-lists remain on the CPU, exactly as in the paper's implementation

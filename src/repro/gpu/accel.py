@@ -2,44 +2,68 @@
 
 Subclasses :class:`FmmEvaluator`, overriding exactly the phases the paper
 accelerates — S2U, VLI (diagonal translation; FFTs remain on the CPU),
-D2T and ULI — with virtual-device arithmetic.  U2U, D2D, W- and X-lists
-stay on the CPU, matching the paper's implementation ("The U2U and D2D
+D2T and ULI — with virtual-device phases.  U2U, D2D, W- and X-lists stay
+on the CPU, matching the paper's implementation ("The U2U and D2D
 traversals and XLI, WLI remain sequential"), unless ``accelerate_wx``
 moves W and X onto the device too.
 
-A device phase runs the float32 tile of :mod:`repro.gpu.kernels` over its
-section of the compiled :class:`~repro.core.plan.EvalPlan` — the blocks,
-padded rows and scatter schedules the CPU apply reads — with padding slots
-reading the zero density row and writing the sentinel potential row, as
-in the CPU apply.  The device ledger is charged from the plan's counts:
-Algorithm 4's padded streaming layout is the charge model, not a data
-structure.  Staging the float32 inputs runs under the ``translate`` phase
-so its (minor) cost is visible, as in the paper's analysis.  A multi-RHS
-block runs each device phase once per column and charges the ledger in
-column order, exactly what one evaluate per column charges.
+A device phase is the float32 plan's own apply: the compiled
+:class:`~repro.core.plan.EvalPlan` read at ``precision="fp32"`` runs the
+phase over the blocks, padded rows and scatter schedules every apply
+reads — float32 kernel blocks, gathers and GEMMs, complex64 V-list
+translation, float64 accumulators and ``uc2ue`` post-multiply — so the
+device and an fp32 CPU evaluate are one implementation, bit for bit.  Its
+flops go to a scratch profile; the device ledger is charged from the
+plan's counts instead: Algorithm 4's padded streaming layout is the
+charge model (:func:`uli_charge`), not a data structure.  Staging the
+float32 inputs runs under the ``translate`` phase so its (minor) cost is
+visible, as in the paper's analysis.  A multi-RHS block runs each device
+phase once and charges the ledger once per column, in column order,
+exactly what one evaluate per column charges.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
-from repro.gpu.kernels import pairwise_f32_batch, pairwise_f32_both, uli_charge
 from repro.kernels.base import Kernel
+from repro.util.timer import PhaseProfile
 
 __all__ = ["GpuFmmEvaluator"]
 
 _log = logging.getLogger("repro.gpu")
 
-_F32 = np.float32
-
 
 def _cat(blocks, attr: str) -> np.ndarray:
     """The ``attr`` node arrays of a plan section's blocks, end to end."""
     return np.concatenate([getattr(b, attr) for b in blocks] + [np.zeros(0, np.int64)])
+
+
+def uli_charge(kernel: Kernel, block: int, n_tgt: np.ndarray, n_src: np.ndarray):
+    """``(flops, gbytes, padded target rows)`` of Algorithm 4 over leaves
+    with ``n_tgt`` points whose non-empty U-lists hold ``n_src`` points.
+
+    A thread block of ``block`` threads owns ``block`` (padded) targets
+    of a leaf and sweeps the sources of the leaf's whole non-empty U-list
+    in shared-memory tiles of ``block``, loading every source tile once
+    (16 bytes per source point).  Flops count the padded target rows
+    against the padded source tiles: padding is real work on a real
+    device, which is what makes the points-per-box sweep of Table III
+    reproduce its U-shape.  Every term is an integer, so the sums are
+    exact.
+    """
+    tiles = -(-n_tgt // block)
+    rows = tiles * block
+    spad = -(-np.maximum(n_src, 1) // block) * block
+    flops = float((kernel.flops_per_pair * rows * np.where(n_src > 0, spad, 0)).sum())
+    per_leaf = tiles * (n_src * 16.0) + rows * (12.0 + 4.0 * kernel.target_dim)
+    gbytes = float(np.where(n_src > 0, per_leaf, 0.0).sum())
+    return flops, gbytes, int(rows.sum())
 
 
 class GpuFmmEvaluator(FmmEvaluator):
@@ -74,8 +98,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         self.accelerate_wx = bool(accelerate_wx)
 
     #: Lazily compiled plans skip host-side kernel-matrix caches: the
-    #: device phases evaluate their tiles from the plan's points and never
-    #: read ``kmat``, so cached blocks would only burn memory.
+    #: device phases read only float32 blocks, so the float64 blocks of
+    #: the default plan would only burn memory.
     PLAN_CACHE_MATRICES = False
 
     # -- helpers -----------------------------------------------------------
@@ -104,54 +128,44 @@ class GpuFmmEvaluator(FmmEvaluator):
             return False
         return True
 
+    def _run(self, plan, phase: str, *args) -> None:
+        """Apply ``phase`` of ``plan`` read at float32 (its cached blocks
+        are read only when they are float32), charging its flops to a
+        scratch profile: the device's work is the ledger's."""
+        apply = getattr(replace(plan, precision="fp32"), f"apply_{phase}")
+        apply(self, *args, PhaseProfile(), pool=self.task_pool)
+
     @staticmethod
-    def _columns(state, *arrays):
-        """Yield ``arrays`` as single-RHS views, one tuple per column.
-
-        A ``(rows, q, features)`` state and its ``(n * ks, q)`` density
-        block are sliced column by column; a single-RHS state is its own
-        one column.  Potential tables come back as ``(rows, kt)`` views
-        through ``reshape``, which never copies a same-size view.
-        """
-        if state["up"].ndim == 2:
-            yield arrays
-            return
-        for j in range(state["up"].shape[1]):
-            yield tuple(a[:, j] for a in arrays)
-
-    def _stage_dens(self, profile, dens) -> np.ndarray:
-        """Float32 ``(n_points + 1, ks)`` density rows; the last is the
-        zero sentinel that padding slots read."""
-        ks = self.kernel.source_dim
+    def _stage(profile, a: np.ndarray) -> np.ndarray:
+        """``a`` rounded to float32 under the ``translate`` span: the
+        one rounding the fp32 apply would make, done before the phase."""
         with profile.phase("translate"):
-            table = np.zeros((dens.size // ks + 1, ks), dtype=_F32)
-            table[:-1] = dens.reshape(-1, ks)
-        return table
+            return a.astype(np.float32)
+
+    @staticmethod
+    def _ncols(state) -> int:
+        """Right-hand sides in ``state``: one per ledger charge sequence."""
+        up = state["up"]
+        return 1 if up.ndim == 2 else up.shape[1]
 
     # -- accelerated phases -------------------------------------------------
     #
-    # Box sets and padded layouts come from ``plan`` (they carry its
-    # ownership scopes).  Surfaces are the plan's centre + level points —
-    # the paper generates them on chip, so they cost no global loads.
+    # Box sets come from ``plan`` (they carry its ownership scopes).
+    # Surfaces are generated on chip in the paper, so they cost no global
+    # loads.
 
     def s2u(self, tree, dens, state, profile, plan) -> None:
         if not self._device_ok("S2U", profile):
-            super().s2u(tree, dens, state, profile, plan)
-            return
+            return super().s2u(tree, dens, state, profile, plan)
         kern, ns = self.kernel, self.ns
         ks, kt = kern.source_dim, kern.target_dim
         n = tree.point_counts()[_cat(plan.s2u, "group")]
         flops = float((kern.flops_per_pair * ns * n).sum()
                       + 2.0 * n.size * (ns * ks) * (ns * kt))
         gbytes = float(n.sum() * (12.0 + 4.0 * ks) + n.size * ns * ks * 4)
-        for up, d in self._columns(state, state["up"], dens):
-            table = self._stage_dens(profile, d)
+        self._run(plan, "s2u", self._stage(profile, dens), state)
+        for _ in range(self._ncols(state)):
             self.gpu.charge_transfer("S2U", int(n.sum()) * ks * 4)
-            for blk in plan.s2u:
-                den = table[blk.den_rows].reshape(blk.group.size, -1)
-                surf, pts = blk.surf.astype(_F32), blk.pts.astype(_F32)
-                chk = pairwise_f32_batch(kern, surf, pts, den)
-                up[blk.group] = chk @ self.ops.uc2ue_f32(blk.level).astype(_F32).T
             self.gpu.charge_launch("S2U", flops, gbytes)
             self.gpu.charge_transfer("S2U", n.size * ns * ks * 4)
 
@@ -161,20 +175,17 @@ class GpuFmmEvaluator(FmmEvaluator):
         Per the paper, per-octant FFTs run on the CPU; only the
         frequency-space translation is offloaded, in complex64.  Dense mode
         has no GPU path and falls back to the CPU implementation.  The
-        arithmetic is the shared sibling-group routine; the ledger charges
-        the device per listed pair (each streams a source and an
-        accumulator grid) plus one kernel transform per distinct offset.
+        ledger charges the device per listed pair (each streams a source
+        and an accumulator grid) plus one kernel transform per distinct
+        offset.
         """
         if self.m2l_mode != "fft" or not self._device_ok("VLI", profile):
-            super().vli(tree, lists, state, profile, plan)
-            return
+            return super().vli(tree, lists, state, profile, plan)
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         grid = fft.paper_nfreq * np.dtype(np.complex64).itemsize
-        for up, dcheck in self._columns(state, state["up"], state["dcheck"]):
-            fft.translate(
-                plan.vli_fft, up[:, None, :], dcheck[:, None, :], np.complex64, plan._buffer
-            )
+        self._run(plan, "vli_fft", state)
+        for _ in range(self._ncols(state)):
             for g in plan.vli_fft:
                 # CPU: forward and inverse FFTs
                 profile.add_flops(
@@ -191,22 +202,15 @@ class GpuFmmEvaluator(FmmEvaluator):
 
     def d2t(self, tree, state, profile, plan) -> None:
         if not self._device_ok("D2T", profile):
-            super().d2t(tree, state, profile, plan)
-            return
+            return super().d2t(tree, state, profile, plan)
         kern, ns = self.kernel, self.ns
         ks, kt = kern.source_dim, kern.target_dim
         n = tree.point_counts()[_cat(plan.d2t, "group")]
         flops = float((kern.flops_per_pair * n * ns).sum())
         gbytes = float(n.sum() * (12.0 + 4.0 * kt) + n.size * ns * ks * 4)
-        for dequiv, pad in self._columns(state, state["dequiv"], state["_pot_pad"]):
-            with profile.phase("translate"):
-                deq = dequiv.astype(_F32)
+        self._run(plan, "d2t", {**state, "dequiv": self._stage(profile, state["dequiv"])})
+        for _ in range(self._ncols(state)):
             self.gpu.charge_transfer("D2T", n.size * ns * ks * 4)
-            pot = pad.reshape(-1, kt)
-            for blk in plan.d2t:
-                pts, surf = blk.pts.astype(_F32), blk.surf.astype(_F32)
-                vals = pairwise_f32_batch(kern, pts, surf, deq[blk.group])
-                pot[blk.pot_rows] += vals.reshape(*blk.pot_rows.shape, kt)
             self.gpu.charge_launch("D2T", flops, gbytes)
             self.gpu.charge_transfer("D2T", int(n.sum()) * kt * 4)
 
@@ -219,8 +223,7 @@ class GpuFmmEvaluator(FmmEvaluator):
         target leaf's points and one write of its potentials.
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
-            super().wli(tree, lists, state, profile, plan)
-            return
+            return super().wli(tree, lists, state, profile, plan)
         kern, ns = self.kernel, self.ns
         ks, kt = kern.source_dim, kern.target_dim
         counts = tree.point_counts()
@@ -228,15 +231,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         flops = float(kern.pair_flops(counts[leaves], ns).sum())
         gbytes = float(leaves.size * ns * ks * 4
                        + (counts[np.unique(leaves)] * (12 + 4 * kt)).sum())
-        for up, pad in self._columns(state, state["up"], state["_pot_pad"]):
-            with profile.phase("translate"):
-                up32 = up.astype(_F32)
-            pot = pad.reshape(-1, kt)
-            for blk in plan.wli:
-                pts, surf = blk.pts.astype(_F32), blk.surf.astype(_F32)
-                vals = pairwise_f32_batch(kern, pts, surf, up32[blk.cols])
-                sums = np.add.reduceat(vals[blk.order], blk.starts, axis=0)
-                pot[blk.pot_rows] += sums.reshape(*blk.pot_rows.shape, kt)
+        self._run(plan, "wli", {**state, "up": self._stage(profile, state["up"])})
+        for _ in range(self._ncols(state)):
             self.gpu.charge_launch("WLI", flops, gbytes)
 
     def xli(self, tree, lists, dens, state, profile, plan) -> None:
@@ -247,57 +243,36 @@ class GpuFmmEvaluator(FmmEvaluator):
         and each far box writes its check potentials once.
         """
         if not self.accelerate_wx or not self._device_ok("XLI", profile):
-            super().xli(tree, lists, dens, state, profile, plan)
-            return
+            return super().xli(tree, lists, dens, state, profile, plan)
         kern, ns = self.kernel, self.ns
         ks, kt = kern.source_dim, kern.target_dim
         n = tree.point_counts()[_cat(plan.xli, "cols")]
         flops = float(kern.pair_flops(ns, n).sum())
         far = np.unique(_cat(plan.xli, "seg"))
         gbytes = float((n * (12 + 4 * ks)).sum() + far.size * ns * kt * 4)
-        for dcheck, d in self._columns(state, state["dcheck"], dens):
-            table = self._stage_dens(profile, d)
-            for blk in plan.xli:
-                den = table[blk.den_rows].reshape(blk.rows.size, -1)
-                surf, pts = blk.surf.astype(_F32), blk.pts.astype(_F32)
-                vals = pairwise_f32_batch(kern, surf, pts, den)
-                dcheck[blk.seg] += np.add.reduceat(vals[blk.order], blk.starts, axis=0)
+        self._run(plan, "xli", self._stage(profile, dens), state)
+        for _ in range(self._ncols(state)):
             self.gpu.charge_launch("XLI", flops, gbytes)
 
     def uli(self, tree, lists, dens, state, profile, plan) -> None:
         """Algorithm 4: the U-list on the device.
 
-        Each block's stored sources are one tile into its own targets; the
-        slots its in-scope higher neighbours read transposed come from the
-        same tile, contracted transposed, and are added point by point.  The
-        charge is the padded stream's: every target leaf against its
-        *whole* non-empty U-list, the whole density vector up and the
-        padded target rows back.
+        The arithmetic is the fp32 apply's: each block's stored sources
+        into its own targets, the same block read transposed for the
+        in-scope higher neighbours.  The charge is the padded stream's:
+        every target leaf against its *whole* non-empty U-list, the whole
+        density vector up and the padded target rows back.
         """
         if not self._device_ok("ULI", profile):
-            super().uli(tree, lists, dens, state, profile, plan)
-            return
+            return super().uli(tree, lists, dens, state, profile, plan)
         kern, kt = self.kernel, self.kernel.target_dim
         counts = tree.point_counts()
         boxes = _cat(plan.uli, "boxes")
         urows, ucols = lists.u.pairs()
         n_src = np.bincount(urows, counts[ucols], tree.n_nodes).astype(np.int64)
         flops, gbytes, rows = uli_charge(kern, self.gpu.block_size, counts[boxes], n_src[boxes])
-        for d, pad in self._columns(state, dens, state["_pot_pad"]):
-            table = self._stage_dens(profile, d)
-            self.gpu.charge_transfer("ULI", d.size * 4)
-            pot = pad.reshape(-1, kt)
-            for blk in plan.uli:
-                b = blk.boxes.size
-                tgt, src = blk.tgt_pts.astype(_F32), blk.src_pts.astype(_F32)
-                den = table[blk.den_rows].reshape(b, -1)
-                if blk.t_sel.size:  # the same tile, read transposed too
-                    back_den = table[blk.pot_rows].reshape(b, -1)
-                    vals, back = pairwise_f32_both(kern, tgt, src, den, back_den)
-                else:
-                    vals, back = pairwise_f32_batch(kern, tgt, src, den), None
-                pot[blk.pot_rows] += vals.reshape(b, blk.tp, kt)
-                if back is not None:  # a point's reads land one by one, in slot order
-                    np.add.at(pot, blk.t_rows, back.reshape(-1, kt)[blk.t_sel])
+        self._run(plan, "uli", self._stage(profile, dens), state)
+        for _ in range(self._ncols(state)):
+            self.gpu.charge_transfer("ULI", len(dens) * 4)
             self.gpu.charge_launch("ULI", flops, gbytes)
             self.gpu.charge_transfer("ULI", rows * kt * 4)

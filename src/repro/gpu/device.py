@@ -10,8 +10,11 @@ paper: "the ratio between computation and memory fetches is small") lands
 bandwidth-bound.  Host/device transfers are charged at PCIe bandwidth.
 
 Numerics run in ``float32``: the paper's GPU path is single precision
-("the GPU acceleration is implemented in single precision") and tests
-verify the accuracy impact stays at the 1e-6 level.
+("the GPU acceleration is implemented in single precision").  The
+device phases are the fp32 plan's applies, whose relative deviation from
+the float64 CPU result measures 1e-7 to 4e-7 on Laplace order 4 and 6
+clouds of 2 000 to 20 000 points, 6e-7 on Stokes order 6 and 8e-6 to
+9e-6 on Stokes order 4; tests bound it at 5e-4.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the virtual GPU: device model, float32 tile, charge model, evaluator."""
+"""Tests for the virtual GPU: device model, charge model, evaluator."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core.evaluator import FmmEvaluator
 from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
 from repro.dist.driver import DistributedFmm
 from repro.gpu import DeviceModel, GpuFmmEvaluator, VirtualGpu
-from repro.gpu.kernels import pairwise_f32_batch
 from repro.kernels import get_kernel
 from repro.mpi import run_spmd
 from repro.util.timer import PhaseProfile
@@ -38,67 +37,6 @@ class TestDeviceModel:
             VirtualGpu(block_size=100)
         with pytest.raises(ValueError):
             VirtualGpu(block_size=16)
-
-
-class TestPairwiseF32:
-    """Single tiles are the ``b = 1`` case of the batched tile."""
-
-    @staticmethod
-    def _tile(kern, t, s, d):
-        return pairwise_f32_batch(kern, t[None], s[None], d[None])[0]
-
-    def test_laplace_matches_double(self, rng):
-        kern = get_kernel("laplace")
-        t = rng.random((40, 3)).astype(np.float32)
-        s = rng.random((30, 3)).astype(np.float32)
-        d = rng.standard_normal(30).astype(np.float32)
-        out = self._tile(kern, t, s, d)
-        ref = kern.matrix(t.astype(np.float64), s.astype(np.float64)) @ d
-        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-5
-
-    def test_self_interaction_skipped_by_fmax_trick(self, rng):
-        kern = get_kernel("laplace")
-        pts = rng.random((10, 3)).astype(np.float32)
-        d = rng.standard_normal(10).astype(np.float32)
-        out = self._tile(kern, pts, pts, d)
-        ref = kern.matrix(pts.astype(np.float64), pts.astype(np.float64)) @ d
-        assert np.all(np.isfinite(out))
-        assert np.linalg.norm(out - ref) / (np.linalg.norm(ref) + 1e-30) < 1e-5
-
-    def test_nan_padding_rows_produce_zero(self, rng):
-        kern = get_kernel("laplace")
-        t = np.full((4, 3), np.nan, dtype=np.float32)
-        s = rng.random((5, 3)).astype(np.float32)
-        out = self._tile(kern, t, s, np.ones(5, dtype=np.float32))
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_stokes_fallback(self, rng):
-        kern = get_kernel("stokes")
-        t = rng.random((6, 3)).astype(np.float32)
-        s = rng.random((4, 3)).astype(np.float32)
-        d = rng.standard_normal(12).astype(np.float32)
-        out = self._tile(kern, t, s, d)
-        ref = kern.matrix(t.astype(np.float64), s.astype(np.float64)) @ d.astype(
-            np.float64
-        )
-        assert out.shape == (18,)
-        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-5
-
-    def test_batched_laplace_is_the_k_reduction_bit_for_bit(self, rng):
-        """The batched tile sums r^2 per component in place; the bits are
-        those of the (b, m, n, 3) difference array reduced over k."""
-        kern = get_kernel("laplace")
-        t = rng.random((5, 7, 3)).astype(np.float32)
-        t[:, 5:] = np.nan  # padding rows
-        s = rng.random((5, 33, 3)).astype(np.float32)
-        s[:, 0] = t[:, 0]  # self-interactions
-        d = rng.standard_normal((5, 33)).astype(np.float32)
-        diff = t[:, :, None, :] - s[:, None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.float32(1.0) / np.sqrt(np.einsum("bmnk,bmnk->bmn", diff, diff))
-            inv = np.fmax(inv + (inv - inv), np.float32(0.0))
-        ref = np.float32(1.0 / (4.0 * np.pi)) * np.einsum("bmn,bn->bm", inv, d)
-        np.testing.assert_array_equal(pairwise_f32_batch(kern, t, s, d), ref)
 
 
 def _per_box_ledger(ev, tree, lists, plan):
@@ -195,9 +133,7 @@ class TestTranslation:
         Laplace and Stokes at two block sizes, on a solo plan and on each
         rank's scoped plan at p = 2; the solo potentials are the CPU's to
         single precision."""
-        # Stokes at order 6: the order-4 device S2U is off (F32_RCOND
-        # truncates its UC->UE map; ROADMAP item 7(f))
-        for kname, n, order in (("laplace", 1500, 4), ("stokes", 600, 6)):
+        for kname, n, order in (("laplace", 1500, 4), ("stokes", 600, 4)):
             kern = get_kernel(kname)
             pts = plummer_cluster(n, seed=5)
             tree = build_tree(pts, 40)
@@ -242,15 +178,51 @@ class TestGpuEvaluator:
         assert np.array_equal(p_gpu, gpu.evaluate(tree, lists, sdens, plan=ep))
 
     def test_stokes_gpu(self):
-        pts = uniform_cube(800, seed=43)
+        """Stokes on the device at orders 4 and 6, on the uniform cloud and
+        on the q = 40 Plummer / uniform clouds whose order-4 device S2U
+        once read deviations of 0.5-0.9."""
         kern = get_kernel("stokes")
-        dens = np.random.default_rng(8).standard_normal(2400)
-        tree = build_tree(pts, 80)
+        clouds = ((uniform_cube(800, seed=43), 80), (plummer_cluster(600, seed=5), 40),
+                  (uniform_cube(800, seed=43), 40))
+        for order in (4, 6):
+            for pts, q in clouds:
+                dens = np.random.default_rng(8).standard_normal(3 * len(pts))
+                tree = build_tree(pts, q)
+                lists = build_lists(tree)
+                sdens = dens.reshape(-1, 3)[tree.order].reshape(-1)
+                p_cpu = FmmEvaluator(kern, order).evaluate(tree, lists, sdens, PhaseProfile())
+                p_gpu = GpuFmmEvaluator(kern, order).evaluate(tree, lists, sdens, PhaseProfile())
+                assert np.linalg.norm(p_gpu - p_cpu) / np.linalg.norm(p_cpu) < 5e-4, (order, q)
+
+    @pytest.mark.parametrize("wx", [False, True])
+    @pytest.mark.parametrize("kname,geom,n,q,order", [
+        ("laplace", "plummer", 3000, 40, 4),
+        ("laplace", "uniform", 2000, 60, 6),
+        ("stokes", "uniform", 800, 40, 4),
+    ])
+    def test_fp32_device_is_the_fp32_plan(self, kname, geom, n, q, order, wx):
+        """The device phases are the fp32 plan's applies: an fp32 GPU
+        evaluate is the fp32 CPU evaluate bit for bit, for one density and
+        a q = 3 block, while the ledger charges every device phase."""
+        kern = get_kernel(kname)
+        maker = {"uniform": lambda: uniform_cube(n, seed=42),
+                 "plummer": lambda: plummer_cluster(n, seed=4)}[geom]
+        tree = build_tree(maker(), q)
         lists = build_lists(tree)
-        sdens = dens.reshape(-1, 3)[tree.order].reshape(-1)
-        p_cpu = FmmEvaluator(kern, 6).evaluate(tree, lists, sdens, PhaseProfile())
-        p_gpu = GpuFmmEvaluator(kern, 6).evaluate(tree, lists, sdens, PhaseProfile())
-        assert np.linalg.norm(p_gpu - p_cpu) / np.linalg.norm(p_cpu) < 5e-4
+        rng = np.random.default_rng(12)
+        for shape in ((n * kern.source_dim,), (n * kern.source_dim, 3)):
+            dens = rng.standard_normal(shape)
+            cpu = FmmEvaluator(kern, order, precision="fp32").evaluate(tree, lists, dens)
+            ev = GpuFmmEvaluator(kern, order, accelerate_wx=wx, precision="fp32")
+            plan = ev.compile_plan(tree, lists)
+            np.testing.assert_array_equal(ev.evaluate(tree, lists, dens, plan=plan), cpu)
+            assert not ev.gpu.failed
+            sections = {"S2U": plan.s2u, "VLI": plan.vli_fft, "D2T": plan.d2t, "ULI": plan.uli}
+            if wx:
+                sections.update(WLI=plan.wli, XLI=plan.xli)
+            for ph, section in sections.items():
+                assert ev.gpu.ledger.launches[ph] > 0, ph
+                assert (ev.gpu.ledger.kernel_flops[ph] > 0) == bool(section), ph
 
     def test_ledger_has_all_accelerated_phases(self):
         pts = uniform_cube(1500, seed=44)
