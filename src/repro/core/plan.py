@@ -95,6 +95,7 @@ import numpy as np
 from repro.core.contract import gemm_both, gemm_cols, gemm_rows
 from repro.core.parallel import record_parallel_spans
 from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches, pad_class
+from repro.core.work import member_sums, work_table
 from repro.util import morton
 from repro.util.blas import limit_blas_threads
 
@@ -1195,8 +1196,8 @@ def compile_plan(
     u, dual = lists.u, _wx_dual(ev)
     urows, ucols = u.pairs()
     stored, trans = _uli_members(urows, ucols, counts, scopes.uli, dual)
-    w = counts[ucols]  # source totals per leaf: all of U (for the flops) and stored
-    full, held = (np.bincount(urows, x, tree.n_nodes).astype(np.int64) for x in (w, w * stored))
+    u_src = work_table(tree, lists).u_src  # all of U's sources: the flops
+    held = member_sums(u, counts[ucols] * stored)  # the stored ones: the block
     for tp, sp, boxes in _uli_groups(tree, held, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
         t_mask = np.zeros((boxes.size, sp), dtype=bool)
@@ -1220,7 +1221,7 @@ def compile_plan(
             den_rows=src_rows, pot_rows=_padded_point_rows(tree, boxes, tp),
             t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
             kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
-            flops=ev.eval_kernel.pair_flops(1, 1) * float((counts[boxes] * full[boxes]).sum()),
+            flops=ev.eval_kernel.pair_flops(1, 1) * float((counts[boxes] * u_src[boxes]).sum()),
         ))
 
     # -- S2U, D2T, XLI + WLI -----------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.lists import InteractionLists
 from repro.core.tree import FmmTree, concat_ranges
+from repro.core.work import work_table
 from repro.kernels.base import Kernel
 from repro.mpi.comm import SimComm
 
@@ -70,27 +71,23 @@ def leaf_work_weights(
     U-list work counts point-pair interactions; V/W/X and the up/down
     passes are charged per list entry at surface-point granularity.  The
     estimate only needs to *rank* leaves consistently, so the per-pair
-    constants reuse the kernel flop model.
+    constants reuse the kernel flop model over the rows of the
+    :func:`~repro.core.work.work_table`.
     """
-    counts = tree.point_counts()
+    t = work_table(tree, lists)
     fpp = float(kernel.flops_per_pair)
     # surface degrees of freedom: vector kernels carry source_dim/target_dim
     # values per surface point, scaling the V-list matvecs accordingly
     ns_src = float(n_surf) * kernel.source_dim
     ns_tgt = float(n_surf) * kernel.target_dim
-    npts = counts[leaf_nodes]
-
-    def member_points(csr):
-        # exact int64 row sums of the members' point counts
-        cum = np.concatenate(([0], np.cumsum(counts[csr.indices])))
-        return cum[csr.offsets[leaf_nodes + 1]] - cum[csr.offsets[leaf_nodes]]
-
-    w = fpp * npts * member_points(lists.u)  # ULI
-    w += 2.0 * ns_src * ns_tgt * lists.v.counts[leaf_nodes]  # VLI
-    w += fpp * npts * n_surf * lists.w.counts[leaf_nodes]  # WLI
-    w += fpp * n_surf * member_points(lists.x)  # XLI
-    w += fpp * npts * n_surf * 2 + 4.0 * ns_src * ns_tgt  # S2U/D2T/up/down
-    return w
+    npts = t.pts[leaf_nodes]
+    return (
+        fpp * npts * t.u_src[leaf_nodes]  # ULI
+        + 2.0 * ns_src * ns_tgt * lists.v.counts[leaf_nodes]  # VLI
+        + fpp * npts * n_surf * lists.w.counts[leaf_nodes]  # WLI
+        + fpp * n_surf * t.x_src[leaf_nodes]  # XLI
+        + (fpp * npts * n_surf * 2 + 4.0 * ns_src * ns_tgt)  # S2U/D2T/up/down
+    )
 
 
 def repartition_leaves(

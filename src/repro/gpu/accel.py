@@ -14,8 +14,9 @@ reads — float32 kernel blocks, gathers and GEMMs, complex64 V-list
 translation, float64 accumulators and ``uc2ue`` post-multiply — so the
 device and an fp32 CPU evaluate are one implementation, bit for bit.  Its
 flops go to a scratch profile; the device ledger is charged from the
-plan's counts instead: Algorithm 4's padded streaming layout is the
-charge model (:func:`uli_charge`), not a data structure.  Staging the
+plan's blocks and the :func:`~repro.core.work.work_table` instead:
+Algorithm 4's padded streaming layout is the charge model
+(:func:`uli_charge`), not a data structure.  Staging the
 float32 inputs runs under the ``translate`` phase so its (minor) cost is
 visible, as in the paper's analysis.  A multi-RHS block runs each device
 phase once and charges the ledger once per column, in column order,
@@ -30,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
+from repro.core.work import work_table
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
 from repro.kernels.base import Kernel
 from repro.util.timer import PhaseProfile
@@ -157,16 +159,13 @@ class GpuFmmEvaluator(FmmEvaluator):
     def s2u(self, tree, dens, state, profile, plan) -> None:
         if not self._device_ok("S2U", profile):
             return super().s2u(tree, dens, state, profile, plan)
-        kern, ns = self.kernel, self.ns
-        ks, kt = kern.source_dim, kern.target_dim
+        ns, ks = self.ns, self.kernel.source_dim
         n = tree.point_counts()[_cat(plan.s2u, "group")]
-        flops = float((kern.flops_per_pair * ns * n).sum()
-                      + 2.0 * n.size * (ns * ks) * (ns * kt))
         gbytes = float(n.sum() * (12.0 + 4.0 * ks) + n.size * ns * ks * 4)
         self._run(plan, "s2u", self._stage(profile, dens), state)
         for _ in range(self._ncols(state)):
             self.gpu.charge_transfer("S2U", int(n.sum()) * ks * 4)
-            self.gpu.charge_launch("S2U", flops, gbytes)
+            self.gpu.charge_launch("S2U", sum(b.flops for b in plan.s2u), gbytes)
             self.gpu.charge_transfer("S2U", n.size * ns * ks * 4)
 
     def vli(self, tree, lists, state, profile, plan) -> None:
@@ -203,15 +202,13 @@ class GpuFmmEvaluator(FmmEvaluator):
     def d2t(self, tree, state, profile, plan) -> None:
         if not self._device_ok("D2T", profile):
             return super().d2t(tree, state, profile, plan)
-        kern, ns = self.kernel, self.ns
-        ks, kt = kern.source_dim, kern.target_dim
+        ns, ks, kt = self.ns, self.kernel.source_dim, self.kernel.target_dim
         n = tree.point_counts()[_cat(plan.d2t, "group")]
-        flops = float((kern.flops_per_pair * n * ns).sum())
         gbytes = float(n.sum() * (12.0 + 4.0 * kt) + n.size * ns * ks * 4)
         self._run(plan, "d2t", {**state, "dequiv": self._stage(profile, state["dequiv"])})
         for _ in range(self._ncols(state)):
             self.gpu.charge_transfer("D2T", n.size * ns * ks * 4)
-            self.gpu.charge_launch("D2T", flops, gbytes)
+            self.gpu.charge_launch("D2T", sum(b.flops for b in plan.d2t), gbytes)
             self.gpu.charge_transfer("D2T", int(n.sum()) * kt * 4)
 
     def wli(self, tree, lists, state, profile, plan) -> None:
@@ -224,16 +221,13 @@ class GpuFmmEvaluator(FmmEvaluator):
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
             return super().wli(tree, lists, state, profile, plan)
-        kern, ns = self.kernel, self.ns
-        ks, kt = kern.source_dim, kern.target_dim
-        counts = tree.point_counts()
+        ns, ks, kt = self.ns, self.kernel.source_dim, self.kernel.target_dim
         leaves = _cat(plan.wli, "rows")
-        flops = float(kern.pair_flops(counts[leaves], ns).sum())
         gbytes = float(leaves.size * ns * ks * 4
-                       + (counts[np.unique(leaves)] * (12 + 4 * kt)).sum())
+                       + (tree.point_counts()[np.unique(leaves)] * (12 + 4 * kt)).sum())
         self._run(plan, "wli", {**state, "up": self._stage(profile, state["up"])})
         for _ in range(self._ncols(state)):
-            self.gpu.charge_launch("WLI", flops, gbytes)
+            self.gpu.charge_launch("WLI", sum(b.flops for b in plan.wli), gbytes)
 
     def xli(self, tree, lists, dens, state, profile, plan) -> None:
         """X-list on the device when ``accelerate_wx`` is set.
@@ -244,15 +238,13 @@ class GpuFmmEvaluator(FmmEvaluator):
         """
         if not self.accelerate_wx or not self._device_ok("XLI", profile):
             return super().xli(tree, lists, dens, state, profile, plan)
-        kern, ns = self.kernel, self.ns
-        ks, kt = kern.source_dim, kern.target_dim
+        ns, ks, kt = self.ns, self.kernel.source_dim, self.kernel.target_dim
         n = tree.point_counts()[_cat(plan.xli, "cols")]
-        flops = float(kern.pair_flops(ns, n).sum())
         far = np.unique(_cat(plan.xli, "seg"))
         gbytes = float((n * (12 + 4 * ks)).sum() + far.size * ns * kt * 4)
         self._run(plan, "xli", self._stage(profile, dens), state)
         for _ in range(self._ncols(state)):
-            self.gpu.charge_launch("XLI", flops, gbytes)
+            self.gpu.charge_launch("XLI", sum(b.flops for b in plan.xli), gbytes)
 
     def uli(self, tree, lists, dens, state, profile, plan) -> None:
         """Algorithm 4: the U-list on the device.
@@ -266,11 +258,9 @@ class GpuFmmEvaluator(FmmEvaluator):
         if not self._device_ok("ULI", profile):
             return super().uli(tree, lists, dens, state, profile, plan)
         kern, kt = self.kernel, self.kernel.target_dim
-        counts = tree.point_counts()
+        t = work_table(tree, lists)
         boxes = _cat(plan.uli, "boxes")
-        urows, ucols = lists.u.pairs()
-        n_src = np.bincount(urows, counts[ucols], tree.n_nodes).astype(np.int64)
-        flops, gbytes, rows = uli_charge(kern, self.gpu.block_size, counts[boxes], n_src[boxes])
+        flops, gbytes, rows = uli_charge(kern, self.gpu.block_size, t.pts[boxes], t.u_src[boxes])
         self._run(plan, "uli", self._stage(profile, dens), state)
         for _ in range(self._ncols(state)):
             self.gpu.charge_transfer("ULI", len(dens) * 4)

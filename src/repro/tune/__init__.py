@@ -9,8 +9,8 @@ Holm et al., PAPERS.md).  This package picks it automatically:
   :class:`~repro.tune.probe.SubsampleProbe` harness and its (order,
   precision) probe ladder, the fp32 accuracy rule, the precision pick
   behind ``precision="auto"`` and the points-per-box (q) sweep.
-* :mod:`repro.tune.cost` — a structural per-phase cost model calibrated
-  from that ladder.
+* :mod:`repro.tune.cost` — a per-phase cost model calibrated from that
+  ladder; it prices :mod:`repro.core.work`'s structural counts.
 * :mod:`repro.tune.search` — a seeded, budgeted search over the discrete
   config grid against a typed :class:`~repro.tune.search.SLO`; the cost
   model prunes, measured probes decide only among the shortlist.
@@ -21,7 +21,8 @@ Holm et al., PAPERS.md).  This package picks it automatically:
   SLO band.
 """
 
-from repro.tune.cost import CostModel, phase_flops, plan_bytes_estimate
+from repro.core.work import phase_flops, plan_bytes_estimate
+from repro.tune.cost import CostModel
 from repro.tune.monitor import SloMonitor
 from repro.tune.probe import SubsampleProbe, autotune_points_per_box, autotune_precision
 from repro.tune.search import (

@@ -1,38 +1,34 @@
-"""Structural cost model: per-phase apply seconds and plan bytes.
+"""Calibrated cost model: per-phase apply seconds.
 
-The model has two halves, kept deliberately separate:
+It prices :func:`~repro.core.work.phase_flops`, formulas over the work
+table of the tree and lists alone, so a 2k-point probe tree extrapolates
+to a 20M-point production tree.  Those are the tuner's features, not
+what an apply books.  Against the booked flops (seed-0 8k points, q = 64,
+order 6, Laplace / Stokes): U2U reads 11.0× / 5.17× and D2D 6.0× / 3.08×
+on the uniform cloud, as every tree edge is charged a surface pair
+evaluation and a solve; on Plummer, where 12 of 547 leaves are empty,
+S2U reads +1.1 % / +1.6 %, VLI +1.5 % / +1.6 % and WLI +0.2 %; on an
+N = 0 tree (order 4) S2U and D2D charge 6 272 flops each, an apply 0.
 
-* **Structure** (:func:`phase_flops`, :func:`plan_bytes_estimate`) — the
-  flop and byte counts of each of the eight phases, computed from the
-  tree and interaction lists alone.  Nothing is evaluated: ULI work is
-  the U-list pair-count sum, V-list work is pair translations plus
-  per-box FFTs, and so on.  These counts are exact consequences of the
-  plan's GEMM schedules, so they extrapolate from a 2k-point probe tree
-  to a 20M-point production tree.
-* **Calibration** (:meth:`CostModel.calibrate`) — secs-per-flop
-  coefficients per (phase, precision), measured by one
-  :meth:`~repro.tune.probe.SubsampleProbe.ladder` of probe applies and
-  dividing each phase's wall seconds by its *structural* flops on the
-  probe tree.
-  Using structural (not profiled) flops on both sides means systematic
-  model error cancels in the ratio.
-
-Predictions are therefore ``coeff[phase, precision] x structural_flops``
-plus a fixed per-apply overhead, scaled by a multi-RHS batch-efficiency
-factor (also measured).  :meth:`CostModel.observe` folds observed
-``SERVE:apply`` span times back in as an EWMA correction, so a model
-calibrated on an idle machine tracks a loaded one.
+Calibration (:meth:`CostModel.calibrate`) measures secs-per-flop per
+(phase, precision) with one :meth:`~repro.tune.probe.SubsampleProbe.ladder`
+of probe applies, dividing each phase's wall seconds by its *structural*
+flops on the probe tree, so those ratios cancel.  Predictions are
+``coeff[phase, precision] x structural_flops`` plus a fixed per-apply
+overhead, scaled by a measured multi-RHS batch-efficiency factor;
+:meth:`CostModel.observe` folds observed ``SERVE:apply`` span times back
+in as an EWMA correction, so a model calibrated on an idle machine
+tracks a loaded one.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
+from repro.core.work import phase_flops
 from repro.tune.probe import SubsampleProbe
 
-__all__ = ["CostModel", "phase_flops", "plan_bytes_estimate", "PHASES"]
+__all__ = ["CostModel", "PHASES"]
 
 PHASES = ("S2U", "U2U", "VLI", "XLI", "D2D", "WLI", "D2T", "ULI")
 
@@ -50,101 +46,6 @@ _OBSERVE_ALPHA = 0.3
 #: the Amdahl serial term.  Matches achieved busy/elapsed ratios on the
 #: reference host to ~10%.
 _PARALLEL_FRACTION = 0.9
-
-
-def _pair_sum(csr, counts_t, counts_s) -> float:
-    """Sum over CSR pairs (i, j) of ``counts_t[i] * counts_s[j]``."""
-    rows, cols = csr.pairs()
-    return float(np.sum(counts_t[rows] * counts_s[cols]))
-
-
-def phase_flops(ev, tree, lists) -> dict[str, float]:
-    """Structural flop count of each phase for ``(tree, lists)``.
-
-    ``ev`` supplies the kernel dims, surface size and M2L mode; the tree
-    and lists supply every count.  No evaluation happens — this is pure
-    arithmetic over the CSR adjacency, cheap even for production trees.
-    """
-    ks = ev.kernel.source_dim
-    kt = ev.eval_kernel.target_dim
-    ns = ev.ns
-    fpp = ev.kernel.pair_flops(1, 1)
-    fpp_eval = ev.eval_kernel.pair_flops(1, 1)
-    counts = tree.point_counts().astype(np.float64)
-    leaf = tree.leaf_indices
-    n_leaf_pts = float(counts[leaf].sum())
-    n_nodes = tree.n_nodes
-    surf_dofs = float(ns * ks)
-    # one equivalent-from-check solve (uc2ue / dc2de pseudo-inverse matvec)
-    solve = 2.0 * surf_dofs * surf_dofs
-
-    out: dict[str, float] = {}
-    # S2U: leaf sources -> upward check (pair eval) + uc2ue solve per leaf
-    out["S2U"] = fpp * ns * n_leaf_pts + solve * len(leaf)
-    # U2U: child up -> parent check (ns x ns pair eval) + solve, per edge
-    edges = max(n_nodes - 1, 0)
-    out["U2U"] = (fpp * ns * ns + solve) * edges
-    # D2D: parent down -> child check + solve per edge, plus the
-    # check-to-down conversion charged once per node
-    out["D2D"] = (fpp * ns * ns + solve) * edges + solve * n_nodes
-    # VLI: translations per pair; FFT mode adds per-box forward/inverse
-    # transforms for every box that participates on either side
-    v = lists.v
-    if ev.fft is not None:
-        n_tgt = int(np.count_nonzero(v.counts))
-        n_src = int(np.count_nonzero(np.bincount(
-            v.indices, minlength=n_nodes
-        ))) if v.indices.size else 0
-        out["VLI"] = (
-            v.total() * ev.fft.translate_flops_per_pair()
-            + ev.fft.fft_flops_per_box() * (n_src * ks + n_tgt * kt)
-        )
-    else:
-        out["VLI"] = v.total() * 2.0 * surf_dofs * (ns * kt)
-    # XLI: x-list sources evaluated at the target's check surface
-    out["XLI"] = fpp * ns * _pair_sum(lists.x, np.ones(n_nodes), counts)
-    # WLI: w-list up densities evaluated directly at leaf target points
-    out["WLI"] = fpp_eval * ns * _pair_sum(
-        lists.w, counts, np.ones(n_nodes)
-    )
-    # D2T: leaf down densities -> leaf target points
-    out["D2T"] = fpp_eval * ns * n_leaf_pts
-    # ULI: exact near field over the U list
-    out["ULI"] = fpp_eval * _pair_sum(lists.u, counts, counts)
-    return out
-
-
-def plan_bytes_estimate(
-    ev, tree, lists, precision: str = "fp64",
-    matrix_budget: int | None = None,
-) -> float:
-    """Rough resident bytes of a compiled plan for this geometry.
-
-    Counts the cached kernel-matrix entries of the GEMM phases (the
-    dominant term) at the precision's itemsize, capped at the matrix
-    budget, plus a small per-node index overhead.  Good to ~2x — enough
-    to decide whether a candidate fits a plan-cache byte budget.
-    """
-    ks = ev.kernel.source_dim
-    kt = ev.eval_kernel.target_dim
-    ns = ev.ns
-    counts = tree.point_counts().astype(np.float64)
-    leaf = tree.leaf_indices
-    n_leaf_pts = float(counts[leaf].sum())
-    n_nodes = tree.n_nodes
-    itemsize = 4 if precision == "fp32" else 8
-    entries = (
-        ns * ks * n_leaf_pts * ks  # s2u check matrices
-        + n_leaf_pts * kt * ns * ks  # d2t
-        + kt * ks * _pair_sum(lists.u, counts, counts)  # uli
-        + ns * ks * kt * _pair_sum(lists.x, np.ones(n_nodes), counts)
-        + kt * ks * ns * _pair_sum(lists.w, counts, np.ones(n_nodes))
-    )
-    mat = entries * itemsize
-    if matrix_budget is not None:
-        mat = min(mat, float(matrix_budget))
-    # index/schedule arrays: a few int64/float64 words per point and node
-    return mat + 64.0 * (tree.n_points + n_nodes)
 
 
 class CostModel:

@@ -42,7 +42,8 @@ import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
 from repro.core.plan import MATRIX_BUDGET
-from repro.tune.cost import CostModel, plan_bytes_estimate
+from repro.core.work import plan_bytes_estimate
+from repro.tune.cost import CostModel
 from repro.tune.probe import (
     DEFAULT_PRECISION_RTOL,
     SubsampleProbe,

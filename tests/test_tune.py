@@ -8,11 +8,16 @@ from repro import Fmm
 from repro.tune.probe import SubsampleProbe, autotune_precision
 from repro.core.evaluator import FmmEvaluator
 from repro.core.lists import build_lists
+from repro.core.plan import compile_plan
 from repro.core.tree import build_tree
+from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
+from repro.dist.driver import DistributedFmm
 from repro.kernels import get_kernel
+from repro.mpi import run_spmd
 from repro.serve import ServeEngine
 from repro.serve.metrics import ServeMetrics
-from repro.tune.cost import CostModel, phase_flops, plan_bytes_estimate
+from repro.tune import phase_flops, plan_bytes_estimate
+from repro.tune.cost import CostModel
 from repro.tune.monitor import SloMonitor
 from repro.tune.search import (
     SLO,
@@ -23,6 +28,7 @@ from repro.tune.search import (
     tune,
 )
 from repro.tune.store import TuneStore, geometry_fingerprint
+from tests.test_gpu import _HOSTILE
 
 SEED = 0
 
@@ -112,6 +118,123 @@ class TestCostModel:
         for _ in range(50):
             model.observe(observed_s=1.0, predicted_s=100.0)
         assert model.correction >= 0.1
+
+
+def _pair_sum(csr, counts_t, counts_s) -> float:
+    """Sum over CSR pairs (i, j) of ``counts_t[i] * counts_s[j]``."""
+    rows, cols = csr.pairs()
+    return float(np.sum(counts_t[rows] * counts_s[cols]))
+
+
+def _ref_phase_flops(ev, tree, lists):
+    """The pair-sum ``phase_flops`` the work table replaced: the reference."""
+    ks = ev.kernel.source_dim
+    kt = ev.eval_kernel.target_dim
+    ns = ev.ns
+    fpp = ev.kernel.pair_flops(1, 1)
+    fpp_eval = ev.eval_kernel.pair_flops(1, 1)
+    counts = tree.point_counts().astype(np.float64)
+    leaf = tree.leaf_indices
+    n_leaf_pts = float(counts[leaf].sum())
+    n_nodes = tree.n_nodes
+    surf_dofs = float(ns * ks)
+    solve = 2.0 * surf_dofs * surf_dofs
+    out = {}
+    out["S2U"] = fpp * ns * n_leaf_pts + solve * len(leaf)
+    edges = max(n_nodes - 1, 0)
+    out["U2U"] = (fpp * ns * ns + solve) * edges
+    out["D2D"] = (fpp * ns * ns + solve) * edges + solve * n_nodes
+    v = lists.v
+    if ev.fft is not None:
+        n_tgt = int(np.count_nonzero(v.counts))
+        n_src = int(np.count_nonzero(np.bincount(
+            v.indices, minlength=n_nodes
+        ))) if v.indices.size else 0
+        out["VLI"] = (
+            v.total() * ev.fft.translate_flops_per_pair()
+            + ev.fft.fft_flops_per_box() * (n_src * ks + n_tgt * kt)
+        )
+    else:
+        out["VLI"] = v.total() * 2.0 * surf_dofs * (ns * kt)
+    out["XLI"] = fpp * ns * _pair_sum(lists.x, np.ones(n_nodes), counts)
+    out["WLI"] = fpp_eval * ns * _pair_sum(lists.w, counts, np.ones(n_nodes))
+    out["D2T"] = fpp_eval * ns * n_leaf_pts
+    out["ULI"] = fpp_eval * _pair_sum(lists.u, counts, counts)
+    return out
+
+
+def _ref_plan_bytes(ev, tree, lists, precision):
+    """The pair-sum ``plan_bytes_estimate`` (uncapped): the reference."""
+    ks = ev.kernel.source_dim
+    kt = ev.eval_kernel.target_dim
+    ns = ev.ns
+    counts = tree.point_counts().astype(np.float64)
+    n_leaf_pts = float(counts[tree.leaf_indices].sum())
+    n_nodes = tree.n_nodes
+    itemsize = 4 if precision == "fp32" else 8
+    entries = (
+        ns * ks * n_leaf_pts * ks
+        + n_leaf_pts * kt * ns * ks
+        + kt * ks * _pair_sum(lists.u, counts, counts)
+        + ns * ks * kt * _pair_sum(lists.x, np.ones(n_nodes), counts)
+        + kt * ks * ns * _pair_sum(lists.w, counts, np.ones(n_nodes))
+    )
+    return entries * itemsize + 64.0 * (tree.n_points + n_nodes)
+
+
+def _ref_uli_flops(ev, tree, lists, plan):
+    """Each ULI block's flops from the U-source bincount the plan used."""
+    counts = tree.point_counts()
+    urows, ucols = lists.u.pairs()
+    full = np.bincount(urows, counts[ucols], tree.n_nodes).astype(np.int64)
+    fpp = ev.eval_kernel.pair_flops(1, 1)
+    return [fpp * float((counts[b.boxes] * full[b.boxes]).sum()) for b in plan.uli]
+
+
+_CLOUDS = {"uniform": uniform_cube, "plummer": plummer_cluster, "ellipsoid": ellipsoid_surface}
+
+
+def _cloud(name):
+    """1500 seed-0 points of a cloud, or a degenerate one of ``_HOSTILE``."""
+    if name in _CLOUDS:
+        return _CLOUDS[name](1500, seed=0)
+    return _HOSTILE[name](np.random.default_rng(13))
+
+
+def _assert_counts_equal(ev, tree, lists):
+    got, want = phase_flops(ev, tree, lists), _ref_phase_flops(ev, tree, lists)
+    assert got == want
+    for prec in ("fp64", "fp32"):
+        assert plan_bytes_estimate(ev, tree, lists, prec) == _ref_plan_bytes(ev, tree, lists, prec)
+
+
+def _let_counts(comm, pts):
+    fmm = DistributedFmm("laplace", order=4, max_points_per_box=40, load_balance=True)
+    fmm.setup(comm, pts[comm.rank :: comm.size])
+    return fmm.let.tree, fmm.lists, fmm.evaluator
+
+
+class TestWorkCounts:
+    """The tuner's counts and the plan's ULI flops, read from the work
+    table, are ``==`` to the pair sums and bincounts they replaced."""
+
+    @pytest.mark.parametrize("mode", ["fft", "dense"])
+    @pytest.mark.parametrize("kname", ["laplace", "stokes"])
+    @pytest.mark.parametrize(
+        "cloud", ["uniform", "plummer", "ellipsoid", "n0", "n1", "one_leaf", "repeated_x3"])
+    def test_tuner_counts_equal_the_pair_sums(self, cloud, kname, mode):
+        tree = build_tree(_cloud(cloud), 40)
+        lists = build_lists(tree)
+        ev = FmmEvaluator(get_kernel(kname), 4, m2l_mode=mode)
+        _assert_counts_equal(ev, tree, lists)
+        if mode == "fft":
+            plan = compile_plan(ev, tree, lists, cache_matrices=False)
+            assert [b.flops for b in plan.uli] == _ref_uli_flops(ev, tree, lists, plan)
+
+    def test_let_counts_equal_the_pair_sums(self):
+        pts = ellipsoid_surface(3000, seed=0)
+        for tree, lists, ev in run_spmd(2, _let_counts, pts, timeout=300).values:
+            _assert_counts_equal(ev, tree, lists)
 
 
 class TestSearch:
