@@ -510,8 +510,8 @@ def main(argv=None) -> int:
                          "(calibrated pick meeting the error target)")
     pe.add_argument("--threads", type=int, default=None, metavar="T",
                     help="intra-rank parallelism: run plan phase tiles on "
-                         "a T-thread pool (bit-identical to serial; "
-                         "default: single-threaded)")
+                         "a T-thread pool (bit-identical at any T; "
+                         "default: every usable core)")
     pe.set_defaults(fn=_cmd_evaluate)
 
     pr = sub.add_parser(
@@ -571,7 +571,7 @@ def main(argv=None) -> int:
                     help="comma list of max_batch:max_wait_ms pairs")
     pt.add_argument("--threads", default=None, metavar="T1,T2,...",
                     help="comma list of intra-rank thread counts in the "
-                         "grid (default: auto from the host core count)")
+                         "grid (default: auto from the usable core count)")
     pt.add_argument("--store", default=None, metavar="PATH",
                     help="persist the chosen config in this TuneStore JSON")
     pt.add_argument("--no-measure", action="store_true",

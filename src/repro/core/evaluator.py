@@ -75,6 +75,11 @@ class FmmEvaluator:
     precision_rtol:
         Relative-error target for ``precision="auto"`` (default
         :data:`repro.tune.probe.DEFAULT_PRECISION_RTOL`).
+    threads:
+        Width of the task pool plan applies run their phase tiles on
+        (:mod:`repro.core.parallel`).  ``None`` (default) takes every
+        usable core (:func:`~repro.core.parallel.rank_pool_size`); ``1``
+        runs the tiles inline.  Bit-identical at any width.
     """
 
     def __init__(
@@ -129,18 +134,22 @@ class FmmEvaluator:
         self._auto_choice = None
         self._auto_lock = threading.Lock()
         # Intra-rank parallelism: plan applies run their phase tiles on a
-        # TaskPool when ``threads`` is set (``None`` = serial).  The pool may also be an externally owned shared
-        # executor (the serving engines) via :meth:`set_pool`.
-        self._threads = None if threads is None else max(1, int(threads))
+        # TaskPool ``threads`` wide, the thread budget's width by default.
+        # The pool may also be an externally owned shared executor, or none
+        # at all (the serial path), bound by the serving engines via
+        # :meth:`set_pool`.
+        self._threads = None
         self._pool = None
         self._pool_owned = False
         self._pool_lock = threading.Lock()
+        self.configure_threads(threads)
 
     # -- intra-rank parallelism --------------------------------------------
 
     @property
     def threads(self) -> int | None:
-        """Configured task-pool size (``None`` = serial applies)."""
+        """Task-pool width (``None`` = the serial path :meth:`set_pool`
+        binds)."""
         return self._threads
 
     @property
@@ -165,7 +174,8 @@ class FmmEvaluator:
 
         The serving engines call this so every model shares one
         process-wide executor instead of nesting per-model pools under
-        the worker pool.  ``None`` restores the serial path.
+        the worker pool.  ``None`` binds the serial path: no pool, BLAS
+        left at its ambient setting.
         """
         with self._pool_lock:
             if self._pool_owned and self._pool is not None:
@@ -175,13 +185,19 @@ class FmmEvaluator:
             self._threads = None if pool is None else pool.threads
 
     def configure_threads(self, threads: int | None) -> None:
-        """Re-size (or disable, with ``None``) the evaluator's own pool."""
+        """Re-size the evaluator's own pool: ``threads`` wide, or the
+        thread budget's width for one process
+        (:func:`~repro.core.parallel.rank_pool_size`) with ``None``."""
+        from repro.core.parallel import rank_pool_size
+
         with self._pool_lock:
             if self._pool_owned and self._pool is not None:
                 self._pool.shutdown()
             self._pool = None
             self._pool_owned = False
-            self._threads = None if threads is None else max(1, int(threads))
+            self._threads = (
+                rank_pool_size() if threads is None else max(1, int(threads))
+            )
 
     # -- plans -------------------------------------------------------------
 

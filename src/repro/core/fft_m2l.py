@@ -43,7 +43,10 @@ numbers).
 
 from __future__ import annotations
 
+import math
+import queue
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -319,9 +322,13 @@ class FftM2L:
         ``up`` / ``dcheck`` are the ``(n_nodes, q, features)`` node states;
         ``cdtype`` picks the precision (complex64: float32 grids, for fp32
         plans, the device's included); ``buffer(name, shape, dtype)`` supplies
-        reusable per-thread scratch and ``run(tiles, compute, done)``
-        executes the tiles of one stage (``EvalPlan._buffer`` and
-        ``EvalPlan._tiles``; the defaults allocate and run inline).
+        the calling thread's reusable scratch and ``run(tiles, compute,
+        done)`` executes the tiles of one stage, at most ``run.width`` at
+        once (1 if unset; ``EvalPlan._buffer`` and ``EvalPlan._tiles``, the
+        defaults allocate and run inline).  A tile's own scratch is one of
+        ``run.width`` *lanes* the caller sizes up front for the largest
+        tile of the apply, leased for the tile's duration: what a warm
+        apply holds does not depend on which worker draws which tile.
 
         The (group, column) items are walked in *waves* whose
         frequency-major tables fit :attr:`SPECTRA_BYTES` (at least one
@@ -359,26 +366,38 @@ class FftM2L:
         rdtype = np.float32 if cdtype == np.complex64 else np.float64
         nfreq = n * n * nf
 
-        def fft_in(item):
+        def leased(body):
+            """``body(tile, scratch)`` on a lane held for the tile's run."""
+            def tile(t):
+                lane = free.get()
+                try:
+                    return body(t, lambda name, shape: lane[name][
+                        : math.prod(shape)].reshape(shape))
+                finally:
+                    free.put(lane)
+
+            return tile
+
+        def fft_in(item, scratch):
             g, j, spec, _ = item
             cols = spec.shape[1]
-            grid = buffer("vli_real", (p**3, cols), rdtype)
+            grid = scratch("vli_real", (p**3, cols))
             grid.fill(0.0)
             u = up[g.usrc, j].reshape(-1, ns, ks)
             grid[self._surf_in, g.srow] = u.transpose(1, 0, 2).reshape(ns, -1)
-            z = buffer("vli_z", (p, p, nf, cols), cdtype)
-            zy = buffer("vli_zy", (p, n, nf, cols), cdtype)
+            z = scratch("vli_z", (p, p, nf, cols))
+            zy = scratch("vli_zy", (p, n, nf, cols))
             np.fft.rfft(grid.reshape(p, p, p, cols), n=n, axis=2, out=z)
             np.fft.fft(z, n=n, axis=1, out=zy)
             np.fft.fft(zy, n=n, axis=0, out=spec.reshape(n, n, nf, cols))
 
-        def fft_out(item):
+        def fft_out(item, scratch):
             g, j, _, acc = item
             cols = acc.shape[1]
             grid = acc.reshape(n, n, nf, cols)
             np.fft.ifft(grid, axis=0, out=grid)
             np.fft.ifft(grid[:p], axis=1, out=grid[:p])
-            real = buffer("vli_real", (p * p * n, cols), rdtype)
+            real = scratch("vli_real", (p * p * n, cols))
             np.fft.irfft(
                 grid[:p, :p], n=n, axis=2, out=real.reshape(p, p, n, cols)
             )
@@ -387,20 +406,20 @@ class FftM2L:
             fac = self._canonical(g.level)[1]
             dcheck[g.utgt, j] += check if fac == 1.0 else check * fac
 
-        def gemm_slab(slab):
+        def gemm_slab(slab, scratch, shared):
             f0, f1 = slab
             m = f1 - f0
             for table, kidx, readers in shared.values():
                 k = np.take(
                     table[f0:f1], kidx, axis=1, mode="clip",
-                    out=buffer("vli_k", (m, kidx.size), cdtype),
+                    out=scratch("vli_k", (m, kidx.size)),
                 ).reshape(m, -1, kout)
                 for g, _, spec, acc in readers:
                     ntp = g.nbr.shape[0]
                     blocks = np.take(
                         spec[f0:f1].reshape(m, -1, 8 * ks), g.nbr.ravel(),
                         axis=1, mode="clip",
-                        out=buffer("vli_g", (m, g.nbr.size, 8 * ks), cdtype),
+                        out=scratch("vli_g", (m, g.nbr.size, 8 * ks)),
                     )
                     np.matmul(
                         blocks.reshape(m, ntp, -1), k,
@@ -417,19 +436,20 @@ class FftM2L:
              for g, _ in items]
         )
         limit = self.SPECTRA_BYTES // cdtype.itemsize
-        waves, start = [], 0
+        spans, start = [], 0
         while start < len(items):
             stop = start + 1
             while stop < len(items) and size[start : stop + 1].sum() <= limit:
                 stop += 1
-            waves.append(slice(start, stop))
+            spans.append(slice(start, stop))
             start = stop
         # asked for once per apply, at the largest wave: growing them wave
         # by wave would hold the outgrown tables next to the new ones
-        widest = np.max([size[w].sum(axis=0) for w in waves], axis=0)
+        widest = np.max([size[w].sum(axis=0) for w in spans], axis=0)
         spectra = buffer("vli_spec", (widest[0],), cdtype)
         accums = buffer("vli_acc", (widest[1],), cdtype)
-        for w in waves:
+        waves = []
+        for w in spans:
             cs, ct = np.cumsum(np.vstack([(0, 0), size[w]]), axis=0).T
             wave, shared, per_freq = [], {}, 1
             for i, (g, j) in enumerate(items[w]):
@@ -445,11 +465,28 @@ class FftM2L:
                 per_freq = max(
                     per_freq, g.dirs.size * 8 * ks * (g.nbr.shape[0] + kout)
                 )
-            fs = max(1, self.SLAB_BYTES // (cdtype.itemsize * per_freq))
+            fs = min(nfreq, max(1, self.SLAB_BYTES // (cdtype.itemsize * per_freq)))
+            waves.append((wave, shared, fs))
+        # the largest tile of the apply: (elements, dtype) per lane array
+        cols_in, cols_out = (size // nfreq).max(axis=0)
+        peak = {
+            "vli_real": (max(p**3 * cols_in, p * p * n * cols_out), rdtype),
+            "vli_z": (p * p * nf * cols_in, cdtype),
+            "vli_zy": (p * n * nf * cols_in, cdtype),
+            "vli_k": (max(fs * kidx.size for _, shared, fs in waves
+                          for _, kidx, _ in shared.values()), cdtype),
+            "vli_g": (max(fs * g.nbr.size * 8 * ks for wave, _, fs in waves
+                          for g, *_ in wave), cdtype),
+        }
+        free = queue.SimpleQueue()
+        for i in range(getattr(run, "width", 1)):
+            free.put({name: buffer(f"{name}:{i}", (need,), dt)
+                      for name, (need, dt) in peak.items()})
+        for wave, shared, fs in waves:
             slabs = [(f0, min(f0 + fs, nfreq)) for f0 in range(0, nfreq, fs)]
-            run(wave, fft_in, _nothing)
-            run(slabs, gemm_slab, _nothing)
-            run(wave, fft_out, _nothing)
+            run(wave, leased(fft_in), _nothing)
+            run(slabs, leased(partial(gemm_slab, shared=shared)), _nothing)
+            run(wave, leased(fft_out), _nothing)
 
     # -- flop model ---------------------------------------------------------------
 

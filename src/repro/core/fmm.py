@@ -105,9 +105,10 @@ class Fmm:
         Relative-error target for ``precision="auto"``.
     threads:
         Intra-rank parallelism: run plan phase tiles on a ``threads``-wide
-        task pool (see :mod:`repro.core.parallel`).  Results are
-        bit-identical to serial at any thread count.  ``None`` (default)
-        keeps the single-threaded apply path.
+        task pool (see :mod:`repro.core.parallel`).  ``None`` (default)
+        takes every usable core (the thread budget,
+        :func:`~repro.core.parallel.rank_pool_size`); ``1`` runs the tiles
+        inline.  Results are bit-identical at any width.
     """
 
     def __init__(

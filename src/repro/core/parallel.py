@@ -30,6 +30,11 @@ threads, and every configured thread count runs the same single-threaded
 GEMMs whatever the host's BLAS setting: the other half of the
 bit-identity argument.
 
+Every pool width comes from one thread budget, :func:`rank_pool_size`:
+a rank's share of the cores the process may use, which is also the
+default width of a solo apply.  A 1-wide pool runs its tiles inline
+under the same BLAS pin.
+
 ``PARALLEL:<phase>`` / ``PARALLEL:busy:<phase>`` trace spans record the
 section's elapsed and summed per-tile busy seconds.  Only ``wall_s``
 carries timing — the signature drops it — while the deterministic tile
@@ -65,9 +70,9 @@ class TaskPool:
     4-thread pool, just scheduled differently.
 
     The pool is safe to share between concurrent coordinators (serve
-    workers): each ``run`` collects only its own futures, and per-thread
-    plan scratch (:meth:`EvalPlan._buffer`) keys off the executing
-    thread.
+    workers): each ``run`` collects only its own futures, and plan
+    scratch (:meth:`EvalPlan._buffer`) is the coordinating thread's,
+    lent to at most ``threads`` of its tiles at once.
     """
 
     def __init__(self, threads: int, name: str = "fmm"):
@@ -192,17 +197,27 @@ def shared_pool_stats(key: str = "serve") -> dict | None:
 
 
 def rank_pool_size(
-    threads: int, nranks: int, host_cpus: int | None = None
+    threads: int | None = None, nranks: int = 1, host_cpus: int | None = None
 ) -> int:
-    """Per-rank pool size so ``p ranks x t threads`` never oversubscribes.
+    """The thread budget: the one place a pool width is decided.
 
-    The simulated SPMD fabric runs every rank as a thread of one
-    process, so each rank's pool gets ``min(threads, cpus // nranks)``
-    (floored at 1): the whole fabric lands at most ``cpus`` compute
-    threads on the host.
+    Every rank of the simulated SPMD fabric is a thread of one process,
+    so a rank's share of the host is ``host_cpus // nranks`` (floored at
+    1).  ``host_cpus`` defaults to the cores the process may run on: its
+    CPU affinity mask, which ``taskset`` / cgroup cpusets narrow below
+    ``os.cpu_count()``.  ``threads=None`` takes the whole share — a solo
+    apply (``nranks=1``) runs on every usable core — and an explicit
+    ``threads`` is capped at it, so the whole fabric lands at most
+    ``host_cpus`` compute threads on the host.
     """
-    cpus = host_cpus if host_cpus is not None else (os.cpu_count() or 1)
-    return max(1, min(int(threads), max(1, cpus // max(1, int(nranks)))))
+    cpus = host_cpus
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except (AttributeError, OSError):  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+    share = max(1, cpus // max(1, int(nranks)))
+    return share if threads is None else max(1, min(int(threads), share))
 
 
 # -- trace spans --------------------------------------------------------------

@@ -374,9 +374,9 @@ class EvalPlan:
         return kernel.matrix_batch(a, b, dtype=self.rdtype)
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Reusable per-thread scratch array (density table, V-list stage
-        scratch; the V-list's wave tables are the calling thread's, which
-        hands them to its tiles)."""
+        """Reusable per-thread scratch array (density table, V-list wave
+        tables and tile lanes: the calling thread's, which lends them to
+        its tiles)."""
         bufs = getattr(self._scratch, "bufs", None)
         if bufs is None:
             bufs = self._scratch.bufs = {}
@@ -493,25 +493,27 @@ class EvalPlan:
     # * With a pool, BLAS is pinned to one thread for the *whole* phase —
     #   worker tiles and the caller's own GEMMs alike — so every pool width
     #   runs the same single-thread GEMMs whatever the host's BLAS setting.
-    #   ``pool=None`` leaves BLAS alone and emits no ``PARALLEL:*`` spans.
+    #   A 1-wide pool runs the tiles inline under the same pin;
+    #   ``pool=None`` leaves BLAS alone.  Neither emits ``PARALLEL:*`` spans.
 
     @contextmanager
     def _tiles(self, phase: str, profile, pool):
         """Yield ``run(tiles, compute, done)``: the one place tiles execute.
 
-        ``pool=None`` runs them inline and lazily — compute a tile, ``done``
-        it, move on — so no list of tile results is ever held.  With a pool
-        the computes of one ``run`` go to the workers together, then every
-        ``done(tile, result)`` replays on the caller in tile order; the
-        BLAS pin and the ``PARALLEL:<phase>`` span pair cover all the runs
-        of the phase.
+        Without a pool, or on a 1-wide one, they run inline and lazily —
+        compute a tile, ``done`` it, move on — so no list of tile results
+        is ever held.  With a wider pool the computes of one ``run`` go to
+        the workers together, then every ``done(tile, result)`` replays on
+        the caller in tile order; the BLAS pin and the ``PARALLEL:<phase>``
+        span pair cover all the runs of the phase.
         """
-        if pool is None:
+        if pool is None or pool.threads <= 1:
             def run(tiles, compute, done):
                 for tile in tiles:
                     done(tile, compute(tile))
 
-            yield run
+            with self._blas_pin(pool):
+                yield run
             return
         busy, ntiles = 0.0, 0
 
@@ -523,6 +525,7 @@ class EvalPlan:
             for tile, res in zip(tiles, results):
                 done(tile, res)
 
+        run.width = pool.threads  # tiles of one run in flight at once
         t0 = time.perf_counter()
         with limit_blas_threads(1):
             yield run

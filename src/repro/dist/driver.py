@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
 from repro.core.lists import build_lists
+from repro.core.parallel import rank_pool_size
 from repro.dist.build import distributed_points_to_octree
 from repro.dist.geometry import RankGeometry
 from repro.dist.let import LocalEssentialTree, build_let
@@ -103,10 +104,12 @@ class DistributedFmm:
     threads:
         Intra-rank parallelism: each rank runs its plan phase tiles on a
         task pool (see :mod:`repro.core.parallel`).  The per-rank pool is
-        sized at :meth:`setup` as ``min(threads, host_cpus // comm.size)``
-        so ``p`` ranks never land more than ``host_cpus`` compute threads
-        on the host.  Bit-identical to serial at any setting; ``None``
-        (default) keeps the single-threaded apply path.
+        sized at :meth:`setup` by the thread budget,
+        :func:`~repro.core.parallel.rank_pool_size`: the rank's share of
+        the usable cores, ``cores // comm.size``, with ``None`` (default)
+        and at most ``threads`` otherwise, so ``p`` ranks never land more
+        than the usable cores' worth of compute threads on the host (at
+        ``p = 2`` on two cores, one each).  Bit-identical at any width.
     """
 
     def __init__(
@@ -242,12 +245,7 @@ class DistributedFmm:
         row is a ``ValueError`` naming ``points`` on its rank."""
         local_points = unit_cube_points(local_points)
         self.comm = comm
-        if self.threads is not None:
-            from repro.core.parallel import rank_pool_size
-
-            self.evaluator.configure_threads(
-                rank_pool_size(self.threads, comm.size)
-            )
+        self.evaluator.configure_threads(rank_pool_size(self.threads, comm.size))
         profile = comm.profile
         with profile.phase("tree"):
             dist = distributed_points_to_octree(

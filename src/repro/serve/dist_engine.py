@@ -290,10 +290,11 @@ class DistServeEngine:
     threads:
         Default intra-rank parallelism for registered models: forwarded
         as ``threads=`` to every :class:`~repro.dist.driver.
-        DistributedFmm` (which sizes each rank's pool as
-        ``min(threads, host_cpus // group)`` so a ``group``-wide shard
-        never oversubscribes the host).  Per-model ``fmm_kwargs`` may
-        override.  ``None`` keeps single-threaded applies.
+        DistributedFmm` (which caps each rank's pool at its share of the
+        usable cores, ``cores // group``, so a ``group``-wide shard never
+        oversubscribes the host).  Per-model ``fmm_kwargs`` may
+        override.  ``None`` (default) forwards ``threads=1``: each rank
+        applies on its own thread.
     """
 
     def __init__(
@@ -423,8 +424,8 @@ class DistServeEngine:
                 f"got {placement!r}"
             )
         points = np.asarray(points, dtype=np.float64)
-        if self.threads is not None and "threads" not in fmm_kwargs:
-            fmm_kwargs = dict(fmm_kwargs, threads=self.threads)
+        if "threads" not in fmm_kwargs:
+            fmm_kwargs = dict(fmm_kwargs, threads=self.threads or 1)
         kern = fmm_kwargs.get("kernel", "laplace")
         kern = get_kernel(kern) if isinstance(kern, str) else kern
         if placement == "sharded":

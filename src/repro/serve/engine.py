@@ -282,7 +282,8 @@ class ServeEngine(ServeFront):
         nesting per-model pools, so total compute threads stay bounded
         at ``threads`` no matter how many workers are mid-apply.
         Results remain bit-identical to serial.  ``None`` (default)
-        keeps single-threaded applies.
+        binds every model to the serial path: workers apply on their own
+        thread, whatever width the model's ``Fmm`` was built with.
     """
 
     def __init__(
@@ -459,9 +460,10 @@ class ServeEngine(ServeFront):
 
     def _bind_pool(self, fmm) -> None:
         """Route ``fmm``'s plan applies through the engine's shared tile
-        pool (no-op when the engine was built without ``threads=``)."""
-        if self.task_pool is not None:
-            fmm.evaluator.set_pool(self.task_pool)
+        pool, or the serial path when the engine was built without
+        ``threads=``: a model's own default pool never runs under a
+        worker."""
+        fmm.evaluator.set_pool(self.task_pool)
 
     @staticmethod
     def _fmm_like(template, config):

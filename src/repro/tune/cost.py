@@ -23,8 +23,7 @@ tracks a loaded one.
 
 from __future__ import annotations
 
-import os
-
+from repro.core.parallel import rank_pool_size
 from repro.core.work import phase_flops
 from repro.tune.probe import SubsampleProbe
 
@@ -144,12 +143,13 @@ class CostModel:
         ``threads > 1`` applies Amdahl's law over the phase-time sum:
         the parallelisable fraction (:data:`_PARALLEL_FRACTION` of the
         tile GEMM/translate work) divides by the *effective* thread
-        count — capped at the host's cores, because a 4-thread pool on
-        one core is pure scheduling overhead — while the serial
+        count — capped at the usable cores by the thread budget
+        (:func:`~repro.core.parallel.rank_pool_size`), because a 4-thread
+        pool on one core is pure scheduling overhead — while the serial
         remainder and the fixed per-apply overhead do not shrink.
         """
         base = sum(self.predict_phases(ev, tree, lists, precision).values())
-        eff_t = min(max(int(threads), 1), os.cpu_count() or 1)
+        eff_t = rank_pool_size(threads)
         if eff_t > 1:
             base = base * (
                 (1.0 - _PARALLEL_FRACTION) + _PARALLEL_FRACTION / eff_t

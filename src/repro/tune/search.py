@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
+from repro.core.parallel import rank_pool_size
 from repro.core.plan import MATRIX_BUDGET
 from repro.core.work import plan_bytes_estimate
 from repro.tune.cost import CostModel
@@ -128,7 +128,7 @@ class TuneConfig:
             "order": self.order,
             "max_points_per_box": self.max_points,
             "precision": self.precision,
-            "threads": self.threads if self.threads > 1 else None,
+            "threads": self.threads,
         }
 
     def to_dict(self) -> dict:
@@ -176,12 +176,12 @@ def default_grid(
 
     Leaf sizes larger than ``n // 4`` are dropped (a near-degenerate
     tree defeats both the cost model and the point of an FMM).
-    ``threads_opts`` defaults to the host shape: ``(1,)`` on a
-    single-core box, else ``(1, min(4, cores))`` — the intra-rank pool
-    only helps when there are cores to spread the tiles over.
+    ``threads_opts`` defaults to the host shape: ``(1,)`` with one
+    usable core, else ``(1, min(4, cores))`` — the intra-rank pool only
+    helps when there are cores to spread the tiles over.
     """
     if threads_opts is None:
-        cores = os.cpu_count() or 1
+        cores = rank_pool_size()
         threads_opts = (1,) if cores < 2 else (1, min(4, cores))
     leaf_sizes = [q for q in leaf_sizes if q <= max(n // 4, min(leaf_sizes))]
     grid = [
@@ -200,9 +200,13 @@ def default_grid(
 
 
 def _evaluators(kernel):
-    """Memoised ``(order, precision) -> FmmEvaluator`` for ``kernel``."""
+    """Memoised ``(order, precision) -> FmmEvaluator`` for ``kernel``, one
+    thread wide: the ladder calibrates the cost model's serial
+    coefficients, and :func:`_measure` sets each config's own width."""
     return functools.cache(
-        lambda order, precision: FmmEvaluator(kernel, order, precision=precision)
+        lambda order, precision: FmmEvaluator(
+            kernel, order, precision=precision, threads=1
+        )
     )
 
 
@@ -232,7 +236,7 @@ def _measure(full: SubsampleProbe, ev_for, configs, seed: int, reps: int):
         prev_threads = ev.threads
         try:
             for cfg in cfgs:
-                ev.configure_threads(cfg.threads if cfg.threads > 1 else None)
+                ev.configure_threads(cfg.threads)
                 block = rng.standard_normal((rows, cfg.max_batch))
                 out[cfg] = time_applies(ev, tree, lists, block, plan, reps=reps)[0]
                 del block  # one density block alive at a time

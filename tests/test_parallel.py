@@ -9,10 +9,12 @@ counts, the distributed driver, checkpoint resume, patched plans and
 concurrent serve batches, plus the trace-signature replay guarantee.
 
 Nothing here asserts a time, and nothing elsewhere asserts a bound on
-one: ``parallel.speedup`` of ``bench/run.py --trace``, with its
-run-to-run spread, is the record of what the pool buys.
+one: the pool is the default, so ``apply_s`` / ``batch_col_s`` of
+``bench/run.py``, with their run-to-run spread, are the record of what
+it buys.
 """
 
+import os
 import time
 
 import numpy as np
@@ -449,7 +451,7 @@ class TestParallelSpans:
     def test_serial_run_emits_no_parallel_spans(self, geometry):
         tree, lists = geometry
         kern = get_kernel("laplace")
-        ev = FmmEvaluator(kern, ORDER)
+        ev = FmmEvaluator(kern, ORDER, threads=1)
         plan = ev.compile_plan(tree, lists)
         rec = TraceRecorder()
         prof = PhaseProfile()
@@ -460,3 +462,69 @@ class TestParallelSpans:
             e.phase.startswith("PARALLEL:") for e in rec.span_events()
         )
         assert parallel_report(rec) == {"phases": {}}
+
+
+def _affinity(monkeypatch, cores):
+    """Pretend the process may run on ``cores`` CPUs (what ``taskset``
+    sets), whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
+class TestThreadBudget:
+    """Live compute threads stay within the usable cores by construction:
+    one budget sizes the solo, rank and tuner widths, and a serving
+    engine without ``threads=`` runs no pool at all."""
+
+    def test_budget_reads_the_affinity_mask(self, monkeypatch):
+        from repro.tune.cost import PHASES, CostModel
+        from repro.tune.search import default_grid
+
+        tree = build_tree(uniform_cube(600, seed=24), BOX)
+        lists = build_lists(tree)
+        ev = FmmEvaluator(get_kernel("laplace"), ORDER, threads=1)
+        model = CostModel()
+        model.coeffs = {(ph, "fp64"): 1e-9 for ph in PHASES}
+        widths = {}
+        for cores in (1, 2):
+            _affinity(monkeypatch, cores)
+            assert rank_pool_size() == rank_pool_size(8) == cores
+            assert FmmEvaluator(get_kernel("laplace"), ORDER).threads == cores
+            widths[cores] = {c.threads for c in default_grid(900)}
+            one, two = (model.predict_apply(ev, tree, lists, threads=t)
+                        for t in (1, 2))
+            assert (two == one) if cores == 1 else (two < one)
+        assert widths == {1: {1}, 2: {1, 2}}
+
+    def test_default_solo_width_is_the_usable_cores(self):
+        cores = len(os.sched_getaffinity(0))
+        fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
+        assert fmm.evaluator.threads == cores
+        assert fmm.evaluator.task_pool.threads == cores
+
+    def test_ranks_share_two_cores(self, monkeypatch):
+        _affinity(monkeypatch, 2)
+        pts = uniform_cube(600, seed=34)
+
+        def body(comm):
+            fmm = DistributedFmm(order=ORDER, max_points_per_box=BOX)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            fmm.evaluate(np.ones(len(fmm.owned_points)))
+            return fmm.evaluator.threads
+
+        res = run_spmd(2, body, timeout=560, trace=True)
+        assert res.values == [1, 1]
+        phases = {e.phase for e in res.trace.span_events()}
+        assert "ULI" in phases
+        assert not any(ph.startswith("PARALLEL:") for ph in phases)
+
+    def test_engine_without_threads_binds_models_serial(self):
+        from repro.serve import ServeEngine
+
+        eng = ServeEngine(n_workers=2)
+        assert eng.task_pool is None
+        fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
+        assert fmm.evaluator.task_pool is not None  # its own default pool
+        model = eng.register("m", fmm, uniform_cube(400, seed=45))
+        assert model.fmm.evaluator.task_pool is None
+        assert model.fmm.evaluator.threads is None

@@ -277,6 +277,24 @@ class TestSearch:
         assert set(out) == set(grid)
         assert all(t > 0 for t in out.values())
 
+    def test_t1_config_runs_one_thread_wide(self, points, monkeypatch):
+        """A ``t1`` config is built, measured and served at width 1, not at
+        the thread budget's default width."""
+        import repro.tune.search as search_mod
+
+        cfg = TuneConfig(order=4, max_points=64, threads=1)
+        assert Fmm(**cfg.fmm_kwargs()).evaluator.threads == 1
+        real, widths = search_mod.time_applies, {}
+
+        def recording(ev, *args, **kwargs):
+            widths[ev.task_pool.threads] = widths.get(ev.task_pool.threads, 0) + 1
+            return real(ev, *args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "time_applies", recording)
+        grid = [cfg, TuneConfig(order=4, max_points=64, threads=2)]
+        measure_grid(points, grid=grid, seed=SEED, reps=1)
+        assert widths == {1: 1, 2: 1}
+
     def test_config_key_roundtrip(self):
         cfg = TuneConfig(order=6, max_points=144, precision="fp32",
                          max_batch=16, max_wait_ms=4.0)
