@@ -33,19 +33,29 @@ matrix cache and repeated applies amortise the setup.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 
 import numpy as np
 
 from repro.core.fft_m2l import FftM2L
-from repro.core.lists import InteractionLists
+from repro.core.lists import InteractionLists, evaluated_lists
 from repro.core.operators import OperatorCache
 from repro.core.tree import FmmTree
 from repro.kernels.base import Kernel
 from repro.util.timer import PhaseProfile
 
-__all__ = ["FmmEvaluator"]
+__all__ = ["FmmEvaluator", "integer_arg"]
+
+
+def integer_arg(value, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer (NumPy integers too), else
+    a ``ValueError`` naming ``name`` — ``int()`` would truncate 1.5 to 1."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class FmmEvaluator:
@@ -107,7 +117,7 @@ class FmmEvaluator:
             raise ValueError(
                 "eval_kernel must share the base kernel's source_dim"
             )
-        self.order = int(order)
+        self.order = integer_arg(order, "order")
         self.m2l_mode = m2l_mode
         self.precision = precision
         self.precision_rtol = precision_rtol
@@ -511,6 +521,7 @@ class FmmEvaluator:
         ks = self.kernel.source_dim
         kt = self.eval_kernel.target_dim
         counts = tree.point_counts()
+        split = evaluated_lists(tree, lists, self.ns)  # the lists the plan ran
         out = np.zeros(len(targets) * kt)
         with profile.phase("TGT"):
             for i in np.unique(leaf_nodes):
@@ -522,14 +533,14 @@ class FmmEvaluator:
                 row += self.eval_kernel.matrix(pts, de) @ state["dequiv"][i]
                 profile.add_flops(self.eval_kernel.pair_flops(len(pts), self.ns))
                 # W-list multipoles: membership is the tree's, not the density's
-                for a in lists.w.of(i):
+                for a in split.w.of(i):
                     if counts[a] == 0:
                         continue
                     ue = self.ops.ue_points(tree.levels[a], tree.centers[a])
                     row += self.eval_kernel.matrix(pts, ue) @ state["up"][a]
                     profile.add_flops(self.eval_kernel.pair_flops(len(pts), self.ns))
-                # near field: direct sum over the U-list sources
-                srcs = lists.u.of(i)
+                # near field: direct sum over the U-list and direct W sources
+                srcs = split.u.of(i)
                 srcs = srcs[counts[srcs] > 0]
                 if srcs.size:
                     rows = tree.point_rows(srcs)

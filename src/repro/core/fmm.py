@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import FmmEvaluator
+from repro.core.evaluator import FmmEvaluator, integer_arg
 from repro.core.lists import InteractionLists, build_lists
+from repro.core.plan import PlanMismatchError
 from repro.core.tree import FmmTree, build_tree
 from repro.kernels import Kernel, get_kernel
 from repro.kernels.base import real_densities
@@ -53,6 +54,18 @@ def _as_density_block(densities, n_points: int, ks: int, where: str):
             f"multi-RHS block"
         )
     return flat, False
+
+
+def _check_plan_points(plan, points: np.ndarray, name: str) -> None:
+    """Raise :class:`~repro.core.plan.PlanMismatchError` naming ``name``
+    unless ``plan`` was built for exactly these points."""
+    tree = plan.tree
+    if points.shape != tree.points.shape or not np.array_equal(points[tree.order], tree.points):
+        raise PlanMismatchError(
+            f"{name} are not the points the plan was built for "
+            f"(shape {points.shape}, planned {tree.points.shape}); build a plan "
+            f"for them with Fmm.plan() or Fmm.update_plan()"
+        )
 
 
 @dataclass
@@ -126,8 +139,8 @@ class Fmm:
         threads: int | None = None,
     ):
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
-        self.order = int(order)
-        self.max_points_per_box = int(max_points_per_box)
+        self.order = integer_arg(order, "order")
+        self.max_points_per_box = integer_arg(max_points_per_box, "max_points_per_box")
         self.max_depth = int(max_depth)
         self.balance_tree = bool(balance_tree)
         self.evaluator = FmmEvaluator(
@@ -258,6 +271,8 @@ class Fmm:
         profile = profile if profile is not None else PhaseProfile()
         if plan is None:
             plan = self.plan(points, profile=profile)
+        else:
+            _check_plan_points(plan, points, "points")
         tree = plan.tree
         ks = self.kernel.source_dim
         kt = self.evaluator.eval_kernel.target_dim
@@ -300,6 +315,8 @@ class Fmm:
         profile = profile if profile is not None else PhaseProfile()
         if plan is None:
             plan = self.plan(sources, profile=profile)
+        else:
+            _check_plan_points(plan, sources, "sources")
         tree = plan.tree
         ks = self.kernel.source_dim
         dens, multi = _as_density_block(

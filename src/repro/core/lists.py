@@ -39,6 +39,7 @@ __all__ = [
     "ListInvariantError",
     "build_lists",
     "check_lists",
+    "evaluated_lists",
     "update_lists",
 ]
 
@@ -312,6 +313,36 @@ def build_lists(tree: FmmTree) -> InteractionLists:
         w=CsrList.from_pairs(w_rows, w_cols, n),
         x=CsrList.from_pairs(x_rows, x_cols, n),
         colleagues=CsrList.from_pairs(coll_rows, coll_cols, n),
+    )
+
+
+def evaluated_lists(tree: FmmTree, lists: InteractionLists, ns: int) -> InteractionLists:
+    """The lists as an evaluation runs them: ``U ∪ D``, ``V``, ``W \\ D``
+    and ``X \\ D``.
+
+    ``D`` holds the W pairs (leaf B <- far box A) whose far box is a leaf
+    holding ``0 < n_A < ns`` points in ``tree`` — fewer than its
+    equivalent surface — and their X duals (A <- B): such a pair costs
+    less point to point than through A's ``ns`` surface values, and is
+    exact.  On a LET the counts are the rank's own, so a ghost W source
+    whose points this rank does not hold stays a W pair.  ``lists`` (the
+    paper's Table I lists) is returned as is when ``D`` is empty.
+    """
+    counts = tree.point_counts()
+    small = tree.is_leaf & (counts > 0) & (counts < ns)
+    (wr, wc), (xr, xc) = lists.w.pairs(), lists.x.pairs()
+    dw, dx = small[wc], small[xr]
+    if not (dw.any() or dx.any()):
+        return lists
+    n = tree.n_nodes
+    ur, uc = lists.u.pairs()
+    return InteractionLists(
+        u=CsrList.from_pairs(np.concatenate([ur, wr[dw], xr[dx]]),
+                             np.concatenate([uc, wc[dw], xc[dx]]), n),
+        v=lists.v,
+        w=CsrList.from_pairs(wr[~dw], wc[~dw], n),
+        x=CsrList.from_pairs(xr[~dx], xc[~dx], n),
+        colleagues=lists.colleagues,
     )
 
 

@@ -39,7 +39,10 @@ Design rules:
   written to.**  U/V/W/X membership — the pruning of empty source
   octants included — is decided at compile from point counts (on a LET,
   from the mask of ghost octants that hold a point on some rank); a
-  source whose density happens to vanish contributes exact zeros.  Once
+  source whose density happens to vanish contributes exact zeros.  So is
+  the one cost rule on top (:func:`~repro.core.lists.evaluated_lists`): a
+  W/X pair whose far box is a leaf with fewer points than its surface is
+  evaluated point to point in ULI and booked to W and X.  Once
   :func:`compile_plan` returns, an apply only reads the plan (per-thread
   scratch aside): concurrent applies need no lock, and a plan weighs the
   same after any number of requests.
@@ -56,9 +59,9 @@ Design rules:
   under a byte budget claimed in the order ULI (it dominates), S2U, D2T,
   then the pair section, turning those phases into pure GEMM + scatter.
   Under ``K(x, y) = K(y, x)ᵀ`` (:func:`_wx_dual`) a dual block is held
-  once and read from both sides: X/W pairs, S2U/D2T (DE is UC) and the U
-  pairs of in-scope leaves (:func:`_uli_members`).  Blocks that do not
-  fit fall back to evaluating the kernel per apply, bit-identically either way;
+  once and read from both sides: X/W pairs, S2U/D2T (DE is UC) and the
+  U and direct pairs of in-scope leaves (:func:`_uli_members`).  Blocks
+  that do not fit fall back to evaluating the kernel per apply, bit-identically either way;
   ``cache_matrices=False`` compiles schedules only, which is what a
   one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
@@ -93,6 +96,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.contract import gemm_both, gemm_cols, gemm_rows
+from repro.core.lists import evaluated_lists
 from repro.core.parallel import record_parallel_spans
 from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches, pad_class
 from repro.core.work import member_sums, work_table
@@ -243,7 +247,7 @@ class _PairBlock:
 class _UliBlock:
     """One (tpad, spad) U-list batch: direct near-field interactions, over
     the members each box stores (:func:`_uli_members`); the source slots of
-    in-scope higher neighbours are read transposed too (empty if not dual)."""
+    its other in-scope members are read transposed too (empty if not dual)."""
 
     tp: int
     sp: int
@@ -299,6 +303,9 @@ class EvalPlan:
     wli: list = field(default_factory=list)
     d2t: list = field(default_factory=list)
     uli: list = field(default_factory=list)
+    #: Kernel flops of the direct W and X pairs (:func:`~repro.core.lists.
+    #: evaluated_lists`) that ULI evaluates, booked to ``"WLI"`` / ``"XLI"``.
+    direct_flops: dict = field(default_factory=dict)
     #: Populated by :func:`patch_plan`: how much of the kernel-matrix
     #: state was reused vs recomputed (empty for fresh compiles).
     patch_stats: dict = field(default_factory=dict, repr=False)
@@ -602,7 +609,13 @@ class EvalPlan:
         for g in self.vli_fft:
             profile.add_flops(g.flops * up.shape[1])
 
+    def _book_direct(self, phase, profile, q) -> None:
+        """Charge ``phase`` the flops of its pairs that ULI evaluates."""
+        if self.direct_flops.get(phase):
+            profile.add_flops(self.direct_flops[phase] * q)
+
     def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
+        self._book_direct("XLI", profile, 1 if np.ndim(dens) == 1 else dens.shape[1])
         if not self.xli:
             return
         dcheck = self._cols(state["dcheck"])
@@ -643,10 +656,11 @@ class EvalPlan:
         potr[rows] += vals.reshape(b, pad, self.kt_eval, -1).transpose(0, 1, 3, 2)
 
     def apply_wli(self, ev, state, profile, pool=None) -> None:
-        if not self.wli:
-            return
         up = self._cols(state["up"])
         q = up.shape[1]
+        self._book_direct("WLI", profile, q)
+        if not self.wli:
+            return
         potr = self._pot_table(state)
         dual = _wx_dual(ev)
 
@@ -853,7 +867,7 @@ class _PlanReuse(_NoReuse):
     its geometry inputs bitwise unchanged — box content for leaf blocks;
     for pair blocks the content of the leaf (the X-list source, the W-list
     target) plus the far box's surface, pinned by its key — one index for
-    both lists; and the stored U-membership for ULI blocks.  Kernel
+    both lists; and the stored U ∪ D membership for ULI blocks.  Kernel
     matrices additionally require matching precision.
     """
 
@@ -861,7 +875,7 @@ class _PlanReuse(_NoReuse):
                  delta: TreeDelta, precision: str):
         super().__init__()
         self.old_tree = old_tree
-        self.old_lists = old_lists
+        self.old_u = evaluated_lists(old_tree, old_lists, ev.ns).u  # the old ULI rows
         self.node_clean = delta.node_clean
         self.old_index = delta.old_index
         self.perm = delta.perm
@@ -908,9 +922,9 @@ class _PlanReuse(_NoReuse):
     def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
         """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
 
-        Row reuse needs the stored U-membership (:func:`_uli_members`, the
-        old plan's boxes as its scope) unchanged — same member keys, every
-        member leaf clean — and then the old gather rows remap through
+        Row reuse needs the stored membership (:func:`_uli_members` over
+        the old split's row, the old plan's boxes as its scope) unchanged —
+        same member keys, every member leaf clean — and then the old gather rows remap through
         ``perm`` to exactly what the fresh per-box concatenation would
         build.  The kmat slot additionally needs the target leaf clean and
         the padded shape unchanged.
@@ -920,8 +934,9 @@ class _PlanReuse(_NoReuse):
         if ent is None or oi < 0:
             return None, None
         blk, j = ent
-        osrcs = self.old_lists.u.of(oi)
-        osrcs = osrcs[_uli_members(oi, osrcs, self.old_counts, self.old_boxed, self.dual)[0]]
+        osrcs = self.old_u.of(oi)
+        osrcs = osrcs[_uli_members(oi, osrcs, self.old_counts, self.old_tree.levels,
+                                   self.old_boxed, self.dual)[0]]
         same = osrcs.size == srcs.size and np.array_equal(
             self.old_tree.keys[osrcs], tree.keys[srcs]
         )
@@ -998,15 +1013,20 @@ def _pair_batches(ns, counts):
             yield pad, sel[s : s + chunk]
 
 
-def _uli_members(rows, cols, counts, inscope, dual):
-    """``(stored, transposed)`` masks over U pairs ``(rows <- cols)``: no
-    source without points; under :func:`_wx_dual` a pair of in-scope leaves
-    is held once, by the lower Morton key — a box stores itself, its higher
-    and its out-of-scope (ghost) neighbours, and is read transposed for the
-    higher in-scope ones.  Otherwise a box stores its whole U-list."""
+def _uli_members(rows, cols, counts, levels, inscope, dual):
+    """``(stored, transposed)`` masks over the pairs ``(rows <- cols)`` of
+    U ∪ D (:func:`evaluated_lists`): no source without points; under
+    :func:`_wx_dual` a pair of in-scope leaves is held once, by its finer
+    leaf, between leaves of one level by the lower Morton key — a box
+    stores itself, those members and its out-of-scope (ghost) ones, and is
+    read transposed for the rest in scope.  Otherwise a box stores its
+    row.  Finer-first keeps a row rank-independent more often than key
+    order alone: a direct pair's coarse side is often a ghost on a LET."""
     shared = dual & (np.True_ if inscope is None else inscope[cols])
-    stored = (counts[cols] > 0) & ~(shared & (cols < rows))
-    return stored, stored & shared & (cols > rows)
+    lr, lc = levels[rows], levels[cols]
+    held = (lc < lr) | ((lc == lr) & (cols >= rows))
+    stored = (counts[cols] > 0) & ~(shared & ~held)
+    return stored, stored & shared & (cols != rows)
 
 
 def _uli_groups(tree, src_total, scope=None):
@@ -1149,11 +1169,14 @@ def compile_plan(
     """Compile an :class:`EvalPlan` for evaluator ``ev`` on ``(tree, lists)``.
 
     ``scopes`` carries the distributed ownership masks (``None`` =
-    unrestricted).  ``cache_matrices`` materialises leaf/pair kernel
-    blocks up to ``matrix_budget`` bytes, claimed in the order ULI (it
-    dominates the near field; each U pair once), S2U, D2T (S2U's blocks,
-    under the dual), then the pair section — each (far box, leaf) block
-    once for X and W; disable it to trade apply speed for memory.
+    unrestricted).  ``lists`` are the paper's Table I lists; the plan runs
+    them as :func:`~repro.core.lists.evaluated_lists` splits them (ULI
+    over U and the direct W/X pairs).  ``cache_matrices`` materialises
+    leaf/pair kernel blocks up to ``matrix_budget`` bytes, claimed in the
+    order ULI (it dominates the near field; each pair once), S2U, D2T
+    (S2U's blocks, under the dual), then the pair section — each (far
+    box, leaf) block once for X and W; disable it to trade apply speed
+    for memory.
     ``precision`` is ``"fp64"`` (default; bit-identical to the
     pre-precision engine) or ``"fp32"`` (float32 matrices / complex64
     V-list / float32 tables; see the module docstring for what stays
@@ -1194,11 +1217,20 @@ def compile_plan(
         return mask if scope is None else mask & scope
 
     # The matrix-caching sections compile first, in budget-priority order:
-    # ULI, S2U, D2T, the X/W pair section.
+    # ULI, S2U, D2T, the X/W pair section.  ULI evaluates U and the direct
+    # W/X pairs D, the pair section the rest (:func:`evaluated_lists`).
+    split = evaluated_lists(tree, lists, ev.ns)
+    leaves = tree.is_leaf & (counts > 0)
+    # a direct pair's kernel pairs are booked to the list it came from, over
+    # the targets ULI evaluates (DESIGN.md §5); its seconds land in ULI's span
+    on = counts * within(leaves, scopes.uli)
+    for phase, full, kept in (("XLI", lists.x, split.x), ("WLI", lists.w, split.w)):
+        gone = member_sums(full, counts[full.indices]) - member_sums(kept, counts[kept.indices])
+        plan.direct_flops[phase] = ev.eval_kernel.pair_flops(1, 1) * float((on * gone).sum())
     # -- ULI ---------------------------------------------------------------
-    u, dual = lists.u, _wx_dual(ev)
+    u, dual = split.u, _wx_dual(ev)
     urows, ucols = u.pairs()
-    stored, trans = _uli_members(urows, ucols, counts, scopes.uli, dual)
+    stored, trans = _uli_members(urows, ucols, counts, tree.levels, scopes.uli, dual)
     u_src = work_table(tree, lists).u_src  # all of U's sources: the flops
     held = member_sums(u, counts[ucols] * stored)  # the stored ones: the block
     for tp, sp, boxes in _uli_groups(tree, held, scopes.uli):
@@ -1228,7 +1260,6 @@ def compile_plan(
         ))
 
     # -- S2U, D2T, XLI + WLI -----------------------------------------------
-    leaves = tree.is_leaf & (counts > 0)
     leaf_section = partial(_leaf_section, ev, tree, counts, mat, reuse)
     s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(leaves, scopes.d2t)
     plan.s2u = leaf_section("s2u", s2u_sel)
@@ -1243,8 +1274,8 @@ def compile_plan(
     # source iff its octant holds a point on some rank; a vanishing density
     # adds zeros.
     nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
-    xf, xl = lists.x.pairs(scopes.xli)
-    wl, wf = lists.w.pairs(within(leaves, scopes.wli))
+    xf, xl = split.x.pairs(scopes.xli)
+    wl, wf = split.w.pairs(within(leaves, scopes.wli))
     xk, wk = counts[xl] > 0, nonempty[wf]
     plan.xli, plan.wli = _pair_section(
         ev, tree, counts, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
@@ -1346,8 +1377,8 @@ def patch_plan(
     materialisations of the four matrix sections — ULI, S2U, D2T and the
     X/W pair section — (and the per-box ULI gather loops) for copies or
     shared references wherever the delta proves the inputs unchanged
-    (a ULI block holds its higher neighbours' columns, so a moved leaf
-    dirties its lower neighbours' blocks too); the result is a complete
+    (a ULI block holds the columns of members it is the holder for, so a
+    moved leaf dirties those holders' blocks too); the result is a complete
     plan, read-only like a fresh one.  Cheap index arrays (gather/scatter
     schedules, V-list group tables, operator steps) are always rebuilt:
     rows shift after the delta merge and the rebuild costs milliseconds.

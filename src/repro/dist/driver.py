@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evaluator import FmmEvaluator
+from repro.core.evaluator import FmmEvaluator, integer_arg
 from repro.core.lists import build_lists
 from repro.core.parallel import rank_pool_size
 from repro.dist.build import distributed_points_to_octree
@@ -132,8 +132,8 @@ class DistributedFmm:
         if comm_scheme not in ("hypercube", "owner"):
             raise ValueError("comm_scheme must be 'hypercube' or 'owner'")
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
-        self.order = int(order)
-        self.max_points_per_box = int(max_points_per_box)
+        self.order = integer_arg(order, "order")
+        self.max_points_per_box = integer_arg(max_points_per_box, "max_points_per_box")
         self.comm_scheme = comm_scheme
         self.load_balance = bool(load_balance)
         self.partition_level = partition_level

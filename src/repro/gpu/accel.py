@@ -217,7 +217,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         Source UE surface points are generated on the fly (as in S2U);
         only the target particles and up densities cross global memory:
         one density fetch per kept (leaf, far box) pair, one read of each
-        target leaf's points and one write of its potentials.
+        target leaf's points and one write of its potentials.  The W pairs
+        ULI evaluates point to point add their flops (``direct_flops``).
         """
         if not self.accelerate_wx or not self._device_ok("WLI", profile):
             return super().wli(tree, lists, state, profile, plan)
@@ -227,14 +228,16 @@ class GpuFmmEvaluator(FmmEvaluator):
                        + (tree.point_counts()[np.unique(leaves)] * (12 + 4 * kt)).sum())
         self._run(plan, "wli", {**state, "up": self._stage(profile, state["up"])})
         for _ in range(self._ncols(state)):
-            self.gpu.charge_launch("WLI", sum(b.flops for b in plan.wli), gbytes)
+            self.gpu.charge_launch("WLI", sum(b.flops for b in plan.wli)
+                                   + plan.direct_flops["WLI"], gbytes)
 
     def xli(self, tree, lists, dens, state, profile, plan) -> None:
         """X-list on the device when ``accelerate_wx`` is set.
 
         Target DC surface points are generated on the fly; the leaf source
         particles and densities stream from global memory once per pair,
-        and each far box writes its check potentials once.
+        and each far box writes its check potentials once.  The X pairs
+        ULI evaluates point to point add their flops (``direct_flops``).
         """
         if not self.accelerate_wx or not self._device_ok("XLI", profile):
             return super().xli(tree, lists, dens, state, profile, plan)
@@ -244,7 +247,8 @@ class GpuFmmEvaluator(FmmEvaluator):
         gbytes = float((n * (12 + 4 * ks)).sum() + far.size * ns * kt * 4)
         self._run(plan, "xli", self._stage(profile, dens), state)
         for _ in range(self._ncols(state)):
-            self.gpu.charge_launch("XLI", sum(b.flops for b in plan.xli), gbytes)
+            self.gpu.charge_launch("XLI", sum(b.flops for b in plan.xli)
+                                   + plan.direct_flops["XLI"], gbytes)
 
     def uli(self, tree, lists, dens, state, profile, plan) -> None:
         """Algorithm 4: the U-list on the device.

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.lists import evaluated_lists
 from repro.datasets import ellipsoid_surface, uniform_cube
 from repro.dist.driver import DistributedFmm, distributed_fmm_rank
 from repro.kernels import direct_sum, get_kernel
@@ -201,11 +202,15 @@ class TestBlockClasses:
             fmm = DistributedFmm("laplace", order=4, max_points_per_box=25)
             fmm.setup(comm, pts[comm.rank :: comm.size])
             fmm.evaluate(np.ones(len(fmm.owned_points)))
-            tree, u, ep = fmm.let.tree, fmm.lists.u, fmm._plan
+            tree, ep = fmm.let.tree, fmm._plan
+            u = evaluated_lists(tree, fmm.lists, fmm.evaluator.ns).u  # U and direct W/X
             counts = tree.point_counts()
-            # a leaf's block holds itself, its higher keys and its ghosts
+            # a leaf's block holds itself, its coarser members, its higher
+            # keys on its own level and its ghosts
             rows, cols = u.pairs()
-            held = (cols >= rows) | ~fmm.let.owned_leaf[cols]
+            lv = tree.levels
+            held = ((lv[cols] < lv[rows]) | ((lv[cols] == lv[rows]) & (cols >= rows))
+                    | ~fmm.let.owned_leaf[cols])
             csum = np.concatenate(([0], np.cumsum(counts[cols] * held)))
             total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]
             assert all(fmm.let.owned_leaf[b.group].all() for b in ep.s2u)

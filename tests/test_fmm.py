@@ -417,6 +417,44 @@ class TestApiContract:
         assert out.shape == (300 * fmm.kernel.target_dim, 0)
         assert not prof.events
 
+    def test_plan_for_other_points_rejected(self):
+        """A plan answers only for the points it was built for: other
+        points (a second draw, a reordering, a subset) are a
+        PlanMismatchError naming ``points`` / ``sources``, not the
+        potentials at the plan's own points."""
+        from repro.core.plan import PlanMismatchError
+
+        pts, other = uniform_cube(500, seed=21), uniform_cube(500, seed=22)
+        dens = np.random.default_rng(8).standard_normal(500)
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        plan = fmm.plan(other)
+        for bad in (pts, other[::-1], other[:250]):
+            with pytest.raises(PlanMismatchError, match=r"^points are not the points"):
+                fmm.evaluate(bad, dens, plan=plan)
+            with pytest.raises(PlanMismatchError, match=r"^sources are not the points"):
+                fmm.evaluate_targets(bad, dens, pts, plan=plan)
+        # the points it was built for, in a copy, still pass
+        want = fmm.evaluate(other, dens)
+        assert np.array_equal(fmm.evaluate(other.copy(), dens, plan=plan), want)
+
+    @pytest.mark.parametrize("arg", ["order", "max_points_per_box"])
+    def test_non_integral_sizes_rejected(self, arg):
+        """``order`` and ``max_points_per_box`` are integers: 6.9 or 1.5 is
+        a ValueError naming the argument at ``Fmm``, ``DistributedFmm`` and
+        (``order``) ``FmmEvaluator`` — not a silent truncation to 6 or 1.
+        NumPy integers pass."""
+        from repro.core.evaluator import FmmEvaluator
+        from repro.dist.driver import DistributedFmm
+
+        makers = [Fmm, DistributedFmm]
+        if arg == "order":
+            makers.append(lambda order: FmmEvaluator(get_kernel("laplace"), order))
+        for make in makers:
+            for bad in (6.9, 1.5, "6", None):
+                with pytest.raises(ValueError, match=rf"{arg} must be an integer"):
+                    make(**{arg: bad})
+            assert getattr(make(**{arg: np.int64(6)}), arg) == 6
+
     def test_output_order_matches_input(self):
         """Permuting inputs permutes outputs identically."""
         pts = uniform_cube(500, seed=15)

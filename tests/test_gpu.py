@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import build_lists, build_tree
 from repro.core.evaluator import FmmEvaluator
+from repro.core.lists import evaluated_lists
 from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
 from repro.dist.driver import DistributedFmm
 from repro.gpu import DeviceModel, GpuFmmEvaluator, VirtualGpu
@@ -76,8 +77,16 @@ def _per_box_ledger(ev, tree, lists, plan):
             gpu.to_host(np.concatenate(out + [np.zeros(0, np.float32)]), phase)
 
     if ev.accelerate_wx:
+        # a direct W/X pair (evaluated point to point in ULI) charges its
+        # point pairs to the launch of the list it came from
+        split = evaluated_lists(tree, lists, ns)
+        direct = {"WLI": 0.0, "XLI": 0.0}
+        for i in nodes(plan.uli, "boxes"):
+            for phase, full, kept in (("WLI", lists.w, split.w), ("XLI", lists.x, split.x)):
+                for a in np.setdiff1d(full.of(i), kept.of(i)):
+                    direct[phase] += kern.pair_flops(counts[i], counts[a])
         kept = {(int(r), int(c)) for blk in plan.wli for r, c in zip(blk.rows, blk.cols)}
-        flops = gbytes = 0.0
+        flops, gbytes = direct["WLI"], 0.0
         for i in sorted({r for r, _ in kept}):
             row = np.zeros(counts[i] * kt, np.float32)
             for a in lists.w.of(i):
@@ -86,7 +95,7 @@ def _per_box_ledger(ev, tree, lists, plan):
                     gbytes += np.zeros(ns * ks, np.float32).nbytes  # up density
             gbytes += pts(i).nbytes + row.nbytes
         gpu.charge_launch("WLI", flops, gbytes)
-        flops = gbytes = 0.0
+        flops, gbytes = direct["XLI"], 0.0
         for i in nodes(plan.xli, "seg"):
             for a in lists.x.of(i):
                 if counts[a]:
@@ -354,8 +363,10 @@ class TestHostileInputs:
             if wx:
                 sections.update(WLI=plan.wli, XLI=plan.xli)
             for phase, section in sections.items():
-                if not section:  # an empty section charges no work
-                    assert led.kernel_flops[phase] == led.kernel_gbytes[phase] == 0.0
+                if not section:  # an empty section charges no work but its direct pairs'
+                    assert led.kernel_gbytes[phase] == 0.0
+                    assert led.kernel_flops[phase] == plan.direct_flops.get(phase, 0.0) * (
+                        1 if dens.ndim == 1 else dens.shape[1])
                     assert led.transfer_bytes.get(phase, 0.0) == (
                         n * kern.source_dim * 4 if phase == "ULI" else 0.0)
             # a device fault falls back to the CPU bit for bit

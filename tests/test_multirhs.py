@@ -257,7 +257,7 @@ class TestMultiRhsBitIdentity:
         plan = fmm.plan(pts)
         tree = plan.tree
         ep = fmm.compile_eval_plan(plan, cache_matrices=cache_matrices)
-        cols = np.concatenate([blk.cols for blk in ep.wli])
+        cols = plan.lists.w.indices  # sources of pair blocks and of direct pairs
         srcs = np.unique(cols[tree.is_leaf[cols]])[:6]
         assert srcs.size == 6, "test tree has too few leaf W-list sources"
         a, b = np.random.default_rng(9).standard_normal((2, n))

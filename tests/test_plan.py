@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import Fmm, PlanMismatchError, PlanScopes, tree_fingerprint
+from repro.core.lists import evaluated_lists
 from repro.datasets import uniform_cube
 from repro.dist.driver import DistributedFmm, match_owned_rows
 from repro.gpu.accel import GpuFmmEvaluator
-from repro.kernels import LaplaceGradientKernel, direct_sum
+from repro.kernels import LaplaceGradientKernel, direct_sum, get_kernel
 from repro.mpi import run_spmd
 from repro.util.timer import PhaseProfile
 
@@ -100,6 +101,105 @@ def test_plan_bit_identical(kernel):
         assert errs[order] < bound, f"{kernel} order {order}: {errs[order]:.2e}"
     if len(errs) > 1:
         assert errs[6] < 0.1 * errs[4]
+
+
+def _cloud(name, n, seed=SEED):
+    from repro.datasets import ellipsoid_surface, plummer_cluster
+
+    return {"plummer": plummer_cluster, "ellipsoid": ellipsoid_surface}[name](n, seed=seed)
+
+
+def _has_direct_pairs(tree, lists, ns) -> bool:
+    """Whether :func:`evaluated_lists` moves some W/X pair into ULI."""
+    return evaluated_lists(tree, lists, ns).w.total() < lists.w.total()
+
+
+# Stokes at order 4 has no ladder rung (it reads 0.14 - 0.63 on these
+# clouds with or without the direct pairs), so it is not a case here.
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+@pytest.mark.parametrize("kernel,order", [("laplace", 4), ("laplace", 6), ("stokes", 6)])
+@pytest.mark.parametrize("cloud", ["plummer", "ellipsoid"])
+def test_direct_wx_pairs_on_the_ladder(cloud, kernel, order, precision):
+    """A W/X pair whose far box is a leaf with fewer points than its
+    surface is evaluated point to point in ULI: on adaptive clouds, where
+    that rule takes pairs, the answer sits under its ladder rung against
+    direct summation, cached, matrix-free and partly cached alike, at
+    either precision."""
+    n = 1200 if kernel == "laplace" else 500
+    fmm = Fmm(kernel, order=order, max_points_per_box=40)
+    plan = fmm.plan(_cloud(cloud, n))
+    assert _has_direct_pairs(plan.tree, plan.lists, fmm.evaluator.ns)
+    ks = fmm.kernel.source_dim
+    dens = np.random.default_rng(SEED).standard_normal((n, ks))[plan.tree.order].ravel()
+    out = _apply_all_variants(fmm.evaluator, plan.tree, plan.lists, dens, precision=precision)
+    assert _rel_err(fmm.kernel, plan.tree, dens, out) < LADDER[kernel][order]
+
+
+def test_direct_wx_pairs_at_separate_targets():
+    """``evaluate_targets`` runs its per-leaf W and U loops over the same
+    split the plan compiled, so targets next to the sources — in leaves
+    with direct pairs — read the direct sum to the order-6 rung."""
+    src = _cloud("plummer", 1500)
+    rng = np.random.default_rng(SEED)
+    tgt = np.clip(src[::4] + 1e-3 * rng.standard_normal((375, 3)), 0.0, 1.0)
+    dens = rng.standard_normal(1500)
+    fmm = Fmm("laplace", order=6, max_points_per_box=30)
+    plan = fmm.plan(src)
+    assert _has_direct_pairs(plan.tree, plan.lists, fmm.evaluator.ns)
+    out = fmm.evaluate_targets(src, dens, tgt, plan=plan)
+    exact = direct_sum(fmm.kernel, tgt, src, dens)
+    assert np.linalg.norm(out - exact) / np.linalg.norm(exact) < LADDER["laplace"][6]
+
+
+def test_direct_wx_pairs_on_a_let():
+    """On a LET the rule reads the rank's own counts; at p = 2 both ranks
+    take direct pairs and the assembled answer sits under the ladder."""
+    points = _cloud("ellipsoid", 2000)
+
+    def densfn(pts):
+        return np.sin(17.0 * pts[:, 0]) + pts[:, 2] * np.cos(11.0 * pts[:, 1])
+
+    def body(comm):
+        fmm = DistributedFmm(order=4, max_points_per_box=30)
+        fmm.setup(comm, points[comm.rank :: comm.size])
+        assert _has_direct_pairs(fmm.let.tree, fmm.lists, fmm.evaluator.ns)
+        return match_owned_rows(points, fmm.owned_points), fmm.evaluate(densfn(fmm.owned_points))
+
+    pot = np.empty(len(points))
+    for rows, p in run_spmd(2, body).values:
+        pot[rows] = p
+    exact = direct_sum(get_kernel("laplace"), points, points, densfn(points))
+    assert np.linalg.norm(pot - exact) / np.linalg.norm(exact) < LADDER["laplace"][4]
+
+
+@pytest.mark.parametrize("cloud", ["plummer", "ellipsoid", "uniform"])
+def test_direct_pairs_are_the_small_far_leaves(cloud):
+    """The rule on a solo tree: the direct W pairs are exactly the
+    transposes of the direct X pairs, every far side of one is a leaf with
+    ``0 < n < ns`` points and no far side left in W is, and D joins U
+    without overlapping it.  A tree with no W/X pair keeps its lists."""
+    from repro.core import build_lists, build_tree
+
+    tree = build_tree(_points(1500) if cloud == "uniform" else _cloud(cloud, 1500), 40)
+    lists, counts, n = build_lists(tree), tree.point_counts(), tree.n_nodes
+
+    def codes(csr):
+        rows, cols = csr.pairs()
+        return set((rows * n + cols).tolist())
+
+    for ns in (56, 152):  # orders 4 and 6
+        split = evaluated_lists(tree, lists, ns)
+        assert split.v is lists.v and split.colleagues is lists.colleagues
+        if not lists.w.total():
+            assert split is lists
+            continue
+        dw, dx = codes(lists.w) - codes(split.w), codes(lists.x) - codes(split.x)
+        assert dw and dw == {c % n * n + c // n for c in dx}
+        small = tree.is_leaf & (counts > 0) & (counts < ns)
+        assert small[[c % n for c in dw]].all()
+        assert not small[split.w.indices].any() and not small[split.x.pairs()[0]].any()
+        u = codes(lists.u)
+        assert not u & (dw | dx) and codes(split.u) == u | dw | dx
 
 
 def test_plan_bit_identical_gradient_eval_kernel():
@@ -199,8 +299,9 @@ def _check_uli_coverage(tree, u, ep, scope, dual):
 
 @pytest.mark.parametrize("kernel", ["laplace", "gradient"])
 def test_uli_contracts_every_ordered_pair_once(rng, kernel):
-    """Under the transpose symmetry a U pair of in-scope leaves is held
-    once, by the lower key, and contracted both ways; every ordered pair
+    """Under the transpose symmetry a pair of in-scope leaves (of U or of
+    the direct W/X pairs) is held once, by its finer leaf or on one level
+    by the lower key, and contracted both ways; every ordered pair
     ``(i <- j)`` is then contracted exactly once — directly or transposed —
     on a solo plan, on a patched one and on the LET plans of p = 2 and 3,
     fresh and patched after a geometry update.  A gradient
@@ -215,13 +316,16 @@ def test_uli_contracts_every_ordered_pair_once(rng, kernel):
     fmm = Fmm("laplace", order=4, max_points_per_box=25, **kw)
     plan = fmm.plan(pts)
     ep = fmm.compile_eval_plan(plan)
+    ns = fmm.evaluator.ns
     everything = np.ones(plan.tree.n_nodes, dtype=bool)
-    _check_uli_coverage(plan.tree, plan.lists.u, ep, everything, not kw)
+    u = evaluated_lists(plan.tree, plan.lists, ns).u  # U and the direct W/X pairs
+    _check_uli_coverage(plan.tree, u, ep, everything, not kw)
     new_plan, delta = fmm.update_plan(plan, new)
     patched = fmm.patch_eval_plan(ep, plan, new_plan, delta=delta)
     assert patched.patch_stats["slots_reused"] > 0
     everything = np.ones(new_plan.tree.n_nodes, dtype=bool)
-    _check_uli_coverage(new_plan.tree, new_plan.lists.u, patched, everything, not kw)
+    u = evaluated_lists(new_plan.tree, new_plan.lists, ns).u
+    _check_uli_coverage(new_plan.tree, u, patched, everything, not kw)
     if kw:  # DistributedFmm evaluates the base kernel only
         return
 
@@ -233,7 +337,8 @@ def test_uli_contracts_every_ordered_pair_once(rng, kernel):
                 assert dfmm.update_geometry(new[comm.rank :: comm.size])["patched"]
             dfmm.evaluate(np.ones(len(dfmm.owned_points)))
             let = dfmm.let
-            _check_uli_coverage(let.tree, dfmm.lists.u, dfmm._plan, let.owned_leaf, True)
+            u = evaluated_lists(let.tree, dfmm.lists, ns).u
+            _check_uli_coverage(let.tree, u, dfmm._plan, let.owned_leaf, True)
 
     for p in (2, 3):
         run_spmd(p, body)
@@ -328,11 +433,12 @@ def _plan_state(ep):
     return ep.nbytes, ep.matrix_bytes(), ids
 
 
-def _zero_a_wli_source(tree, ep, dens):
+def _zero_a_wli_source(tree, lists, dens):
     """``dens`` with the points of one W-list *leaf* source box zeroed,
-    so that box's upward density is exactly 0.0."""
+    so that box's upward density is exactly 0.0 (a pair-block source or a
+    direct one, whichever the list holds first)."""
     counts = tree.point_counts()
-    cols = np.concatenate([blk.cols for blk in ep.wli])
+    cols = lists.w.indices
     src_leaves = cols[tree.is_leaf[cols] & (counts[cols] > 0)]
     assert src_leaves.size, "test tree has no leaf W-list sources"
     box = int(src_leaves[0])
@@ -353,7 +459,7 @@ def test_zeroed_wli_source_leaves_the_plan_untouched():
     before = _plan_state(ep)
     ledgers = []
     targets = tree.points[::2]  # some in every leaf, W targets included
-    for d in (dens, _zero_a_wli_source(tree, ep, dens)):
+    for d in (dens, _zero_a_wli_source(tree, lists, dens)):
         out = ev.evaluate(tree, lists, d, plan=ep).copy()
         assert _plan_state(ep) == before
         assert np.array_equal(_apply_all_variants(ev, tree, lists, d), out)
@@ -381,7 +487,7 @@ def test_compiled_plan_is_never_written_to():
     before = _plan_state(ep)
     rng = np.random.default_rng(SEED + 1)
     densities = [dens, rng.standard_normal(dens.size),
-                 _zero_a_wli_source(tree, ep, dens), rng.standard_normal(dens.size)]
+                 _zero_a_wli_source(tree, lists, dens), rng.standard_normal(dens.size)]
     serial = []
     for d in densities:
         serial.append(ev.evaluate(tree, lists, d, plan=ep).copy())
@@ -660,14 +766,15 @@ def test_warm_wli_apply_copies_no_block(monkeypatch):
     """The W-list contracts X's cached blocks through a transposed *view*:
     a warm ``apply_wli`` never holds as much fresh memory as its largest
     block weighs (a silently copied transposed stack would hand the saved
-    bytes back as memory traffic)."""
+    bytes back as memory traffic).  At q = 100 some far leaves hold more
+    points than their surface, so W keeps blocks of its own size class."""
     import tracemalloc
 
     from repro.core.plan import EvalPlan
     from repro.datasets import plummer_cluster
 
-    fmm = Fmm("laplace", order=4, max_points_per_box=30)
-    pts = plummer_cluster(3000, seed=5)
+    fmm = Fmm("laplace", order=4, max_points_per_box=100)
+    pts = plummer_cluster(6000, seed=5)
     plan = fmm.plan(pts)
     ep = fmm.compile_eval_plan(plan)
     assert all(any(w.kmat is x.kmat for x in ep.xli) for w in ep.wli)
@@ -779,11 +886,13 @@ def test_blocks_carry_pairs(points):
     pts = _points(2000) if points == "uniform" else plummer_cluster(800, seed=5)
     fmm = Fmm("laplace", order=4, max_points_per_box=40)
     plan = fmm.plan(pts)
-    tree, u = plan.tree, plan.lists.u
+    tree, ns = plan.tree, fmm.evaluator.ns
+    u = evaluated_lists(tree, plan.lists, ns).u  # U and the direct W/X pairs
     ep = fmm.compile_eval_plan(plan)
-    counts, ns = tree.point_counts(), fmm.evaluator.ns
-    rows, cols = u.pairs()  # a leaf's block holds itself and its higher keys
-    csum = np.concatenate(([0], np.cumsum(counts[cols] * (cols >= rows))))
+    counts, lv = tree.point_counts(), tree.levels
+    rows, cols = u.pairs()  # a leaf holds a pair it is the finer side of, or the lower key
+    held = (lv[cols] < lv[rows]) | ((lv[cols] == lv[rows]) & (cols >= rows))
+    csum = np.concatenate(([0], np.cumsum(counts[cols] * held)))
     total = csum[u.offsets[1:]] - csum[u.offsets[:-1]]  # per node: stored U sources
 
     held, real = {}, {}
