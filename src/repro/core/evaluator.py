@@ -43,7 +43,7 @@ from repro.core.fft_m2l import FftM2L
 from repro.core.lists import InteractionLists, evaluated_lists
 from repro.core.operators import OperatorCache
 from repro.core.tree import FmmTree
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, density_layout
 from repro.util.timer import PhaseProfile
 
 __all__ = ["FmmEvaluator", "integer_arg"]
@@ -412,8 +412,9 @@ class FmmEvaluator:
         multi-RHS column block: all ``q`` columns ride through the eight
         phases in one pass and the result is ``(n_points * target_dim,
         q)``, column ``j`` bit-identical to ``evaluate(densities[:, j])``
-        (see the phase-apply notes in :mod:`repro.core.plan`).  Any other
-        shape is flattened to a single density vector.
+        (see the phase-apply notes in :mod:`repro.core.plan`).
+        ``(n_points, source_dim)`` per-point vectors are one density; any
+        other shape is a ``ValueError`` naming it.
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
@@ -428,10 +429,11 @@ class FmmEvaluator:
         :class:`~repro.core.plan.PrecisionError`.
         """
         profile = profile if profile is not None else PhaseProfile()
-        expected = tree.n_points * self.kernel.source_dim
-        arr = np.asarray(densities)
-        block = arr.ndim == 2 and arr.shape[0] == expected
-        dens = np.ascontiguousarray(arr, dtype=np.float64)
+        dens, block = density_layout(
+            densities, tree.n_points, self.kernel.source_dim,
+            "FmmEvaluator.evaluate", block=True,
+        )
+        dens = np.ascontiguousarray(dens)
         q = dens.shape[1] if block else 1
         if block and q == 0:  # no column: nothing to run
             return np.zeros((tree.n_points * self.eval_kernel.target_dim, 0))
@@ -440,14 +442,6 @@ class FmmEvaluator:
                 tree, lists, dens[:, 0], profile, plan=plan,
                 precision=precision,
             ).reshape(-1, 1)
-        if not block:
-            dens = dens.reshape(-1)
-            if dens.size != expected:
-                raise ValueError(
-                    f"densities shape {arr.shape} has {dens.size} values, "
-                    f"expected n_points*source_dim = {expected} (or a 2-D "
-                    f"({expected}, q) multi-RHS block)"
-                )
         plan = self._resolve_plan(tree, lists, profile, plan, precision)
         state = self.allocate(tree, q)
         self._upward_and_down(tree, lists, dens, state, profile, plan)

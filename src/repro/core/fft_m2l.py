@@ -28,13 +28,16 @@ into per-parent tables (:class:`VGroup`).
 :meth:`FftM2L.translate` applies them as the paper's three kernels over all
 boxes — per-octant forward FFT, diagonal translation, inverse FFT — each a
 data-parallel map over *box-last* arrays.  The data of a box sit in the
-``p^3`` corner of its ``n^3`` grid, so the transforms are three 1-D
-passes that skip the lines whose input is all zero (forward) or whose
-output nobody reads (inverse): at order 6 (``n = 11``), 138 line
-transforms per box and transform instead of 253, the same bits.  With the
-boxes on the last axis the forward passes write the frequency-major
-``(F, boxes)`` table the translation reads — no transpose, no zero fill —
-and the inverse passes run in place on the accumulator table.  The
+``p^3`` corner of its ``n^3`` grid and only that corner of the inverse is
+read, so each 1-D transform is a product with a small DFT matrix cut to
+the corner — ``(n, p)`` in, ``(p, n)`` out, ``n//2 + 1`` rows / columns
+along the real z axis — and a stage is one batched BLAS GEMM: at
+``n <= 15`` that measured 2-3x faster than an FFT library's line-by-line
+transforms on a 2-core x86 host.  With the boxes on the last axis the forward stages write the
+frequency-major ``(F, boxes)`` table the translation reads — no
+transpose, no zero fill — and the inverse stages read the accumulator
+table as it stands.  The offset table is built with the same matrices,
+half of it mirrored for a transpose-symmetric kernel.  The
 translation is one batched GEMM per frequency slab against a ``K`` taken
 from the level's offset table once per slab and shared by every group that
 has the same colleague directions (DESIGN.md §5 has the layout and the
@@ -54,6 +57,7 @@ from repro.core import surfaces
 from repro.core.operators import level_half_width
 from repro.core.plan import PlanMismatchError
 from repro.kernels.base import Kernel
+from repro.util.blas import limit_blas_threads
 
 __all__ = ["FftM2L", "VGroup"]
 
@@ -154,20 +158,31 @@ class FftM2L:
         self.kernel = kernel
         self.order = int(order)
         self.n = 2 * self.order - 1  # convolution grid size per axis (alias-free)
-        self.nf = self.n // 2 + 1  # rfft last-axis length
+        self.nf = self.n // 2 + 1  # frequencies kept along the real z axis
         #: Frequencies of the paper's (2p)^3 grid, which the charges count.
         self.paper_nfreq = 4 * order * order * (order + 1)
         self.ns = surfaces.n_surface_points(order)
-        # Surface rows of the two box-last real grids (p-grid at the
-        # origin): the (p, p, p) one FFT-in fills and the (p, p, n) one
-        # FFT-out leaves, as index columns.
+        # Surface rows of the box-last (p, p, p) corner grid, as index column.
         ijk = surfaces.surface_lattice(order)
-        plane = ijk[:, 0] * order + ijk[:, 1]
-        self._surf_in = (plane * order + ijk[:, 2])[:, None]
-        self._surf_out = (plane * self.n + ijk[:, 2])[:, None]
+        self._surf = ((ijk[:, 0] * order + ijk[:, 1]) * order + ijk[:, 2])[:, None]
         # Signed wrap of grid indices: m -> m or m - n (circular support).
         m = np.arange(self.n)
         self._wrap = np.where(m < order, m, m - self.n)
+        # The forward DFT matrix: (n, n) along x and y, its first nf rows
+        # along z, for the offset table; translate reads only the p^3
+        # corner, so its four are cut to p columns in and p rows out.  The
+        # complex-to-real z step counts each kept frequency's conjugate
+        # twin (weight 2, except at 0 and, were n even, n / 2).
+        p, n, nf = self.order, self.n, self.nf
+        w = self._dft_full = np.exp(-2j * np.pi * (np.outer(m, m) % n) / n)
+        twin = np.where((m[:nf] == 0) | (2 * m[:nf] == n), 1.0, 2.0)
+        mats = (w[:, :p], w[:nf, :p], w[:p].conj() / n, w[:p, :nf].conj() * twin / n)
+        #: complex dtype -> (forward x/y (n, p), forward z (nf, p),
+        #: inverse x/y (p, n), inverse z (p, nf)).
+        self._dft = {
+            np.dtype(c): tuple(np.ascontiguousarray(a, dtype=c) for a in mats)
+            for c in (np.complex128, np.complex64)
+        }
         kt, ks = kernel.target_dim, kernel.source_dim
         # K[(d, cs, s), (ct, t)] = table[slot(d, cs, ct), t, s]: per
         # direction, the flat take index into a table row.
@@ -205,22 +220,34 @@ class FftM2L:
         if key[1] != np.complex128:
             tab = self.offset_table(level)[0].astype(cdtype)
         else:
-            p, n = self.order, self.n
-            kk = self.kernel.target_dim * self.kernel.source_dim
+            p, n, nf, w = self.order, self.n, self.nf, self._dft_full
+            kt, ks = self.kernel.target_dim, self.kernel.source_dim
             h = 2.0 * level_half_width(lvl) / (p - 2)
             d = self._wrap
             grid = np.stack(np.meshgrid(d, d, d, indexing="ij"), axis=-1)
-            grid = grid.reshape(1, -1, 3).astype(np.float64)
-            tab = np.zeros((n * n * self.nf, (_ZERO_SLOT + 1) * kk), np.complex128)
-            for s0 in range(0, _ZERO_SLOT, 64):  # bounds the transient grids
-                offs = _OFFSETS[s0 : s0 + 64, None, :].astype(np.float64)
+            grid = grid.reshape(-1, 1, 3).astype(np.float64)
+            # Offset 315 - i is -(offset i).  Where K(-r) = K(r)^T its grid
+            # is offset i's reflected and transposed, so its transform is
+            # the conjugate of offset i's with each block transposed: only
+            # the first half is evaluated.
+            half = _ZERO_SLOT // 2 if self.kernel.transpose_symmetric else _ZERO_SLOT
+            tab = np.zeros((n * n * nf, _ZERO_SLOT + 1, kt, ks), np.complex128)
+            for s0 in range(0, half, 32):  # bounds the transient grids
+                offs = _OFFSETS[s0 : min(s0 + 32, half)].astype(np.float64)
                 disp = (h * ((p - 2) * offs + grid)).reshape(-1, 3)
+                # box-last (x, y, z, offset, kt, ks): z, y, then x
                 vals = self.kernel.matrix(disp, np.zeros((1, 3)))
-                t = vals.reshape(len(offs), n, n, n, kk)
-                that = np.fft.rfftn(np.moveaxis(t, 4, 1), axes=(-3, -2, -1))
-                tab[:, s0 * kk : (s0 + len(offs)) * kk] = that.reshape(
-                    len(offs) * kk, -1
-                ).T
+                with limit_blas_threads(1):
+                    t = np.matmul(w[:nf], vals.reshape(n * n, n, -1))
+                    t = np.matmul(w, t.reshape(n, n, -1))
+                    t = np.matmul(w, t.reshape(n, -1))
+                tab[:, s0 : s0 + len(offs)] = t.reshape(n * n * nf, len(offs), kt, ks)
+            if half < _ZERO_SLOT:
+                np.conjugate(
+                    tab[:, half - 1 :: -1].transpose(0, 1, 3, 2),
+                    out=tab[:, half:_ZERO_SLOT],
+                )
+            tab = tab.reshape(n * n * nf, -1)
         tab.setflags(write=False)
         return self._tables.setdefault(key, tab), fac
 
@@ -335,35 +362,35 @@ class FftM2L:
         item), each wave in three runs:
 
         1. **FFT-in**, a tile per item.  The surface densities go into the
-           ``p^3`` corner of the grid, box-last ``(p, p, p, cols)`` with one
-           column per spectra-table column (``g.srow``; absent children and
-           the "no colleague" parent stay zero), and three 1-D passes —
-           ``rfft`` along z, ``fft`` along y, ``fft`` along x, each padding
-           its axis to ``n`` — leave ``(n, n, nf, cols)``: in C order the
-           ``(F, cols)`` table itself, ``F = n * n * nf``.
+           ``p^3`` corner grid, box-last ``(p, p, p, cols)`` with one column
+           per spectra-table column (``g.srow``; absent children and the
+           "no colleague" parent stay zero), and three DFT matrix products
+           — z, each ``(p, cols)`` line block against ``(nf, p)``; y, each
+           x-plane against ``(n, p)``; x, one GEMM against ``(n, p)`` —
+           leave ``(n, n, nf, cols)``: in C order the ``(F, cols)`` table
+           itself, ``F = n * n * nf``.  The grid and the z stage live in
+           the table's own rows until the x stage overwrites them.
         2. **Translate**, a tile per frequency slab (disjoint table rows).
            ``K_slab`` is taken once per distinct (offset table, ``g.dirs``)
            and shared by every item of the wave that reads it; each item
            runs its own gather and its own ``np.matmul``.
-        3. **FFT-out**, a tile per item: the inverse passes in the order
-           ``irfftn`` runs them (x, y, then ``irfft`` along z), in place,
-           each reading only the first ``p`` planes of the axes already
-           done; the surface rows are added into ``dcheck[g.utgt, j]``.
+        3. **FFT-out**, a tile per item: x and y against ``(p, n)``, then
+           the complex-to-real z stage against ``(p, nf)`` (the real part of
+           the product), so only the ``p^3`` corner is ever computed; the
+           y stage lands in the accumulator table's own rows, and the
+           surface rows are added into ``dcheck[g.utgt, j]``.
 
-        The pruned passes are the full-grid ``rfftn`` / ``irfftn`` bit for
-        bit: pocketfft transforms a batch line by line, a line skipped on
-        the way in is all zero (so is its transform, which the padding of
-        the next pass writes) and a line skipped on the way out feeds no
-        surface point.  Each frequency is its own GEMM whatever the slab
-        length, so column ``j`` of a block keeps its solo bits under any
-        wave and slab split.  The flop *charge* (``VGroup.flops``,
-        :meth:`fft_flops_per_box`) stays the paper's full ``(2p)^3`` grid.
+        Every stage is a GEMM whose shape depends on the item alone, and
+        each frequency is its own GEMM whatever the slab length, so column
+        ``j`` of a block keeps its solo bits under any wave and slab split.
+        The flop *charge* (``VGroup.flops``, :meth:`fft_flops_per_box`)
+        stays the paper's full ``(2p)^3`` grid.
         """
         p, n, nf, ns = self.order, self.n, self.nf, self.ns
         kt, ks = self.kernel.target_dim, self.kernel.source_dim
         kout = 8 * kt
         cdtype = np.dtype(cdtype)
-        rdtype = np.float32 if cdtype == np.complex64 else np.float64
+        fxy, fz, ixy, iz = self._dft[cdtype]
         nfreq = n * n * nf
 
         def leased(body):
@@ -381,27 +408,29 @@ class FftM2L:
         def fft_in(item, scratch):
             g, j, spec, _ = item
             cols = spec.shape[1]
-            grid = scratch("vli_real", (p**3, cols))
-            grid.fill(0.0)
+            rows = spec.reshape(-1)
+            grid = rows[: p**3 * cols].reshape(p * p, p, cols)
+            z = rows[p**3 * cols : (p**3 + p * p * nf) * cols].reshape(p, p, nf * cols)
+            grid.fill(0)
             u = up[g.usrc, j].reshape(-1, ns, ks)
-            grid[self._surf_in, g.srow] = u.transpose(1, 0, 2).reshape(ns, -1)
-            z = scratch("vli_z", (p, p, nf, cols))
-            zy = scratch("vli_zy", (p, n, nf, cols))
-            np.fft.rfft(grid.reshape(p, p, p, cols), n=n, axis=2, out=z)
-            np.fft.fft(z, n=n, axis=1, out=zy)
-            np.fft.fft(zy, n=n, axis=0, out=spec.reshape(n, n, nf, cols))
+            grid.reshape(-1, cols)[self._surf, g.srow] = (
+                u.transpose(1, 0, 2).reshape(ns, -1)
+            )
+            np.matmul(fz, grid, out=z.reshape(p * p, nf, cols))
+            zy = scratch("vli_dft", (p, n, nf * cols))
+            np.matmul(fxy, z, out=zy)
+            np.matmul(fxy, zy.reshape(p, -1), out=spec.reshape(n, -1))
 
         def fft_out(item, scratch):
             g, j, _, acc = item
             cols = acc.shape[1]
-            grid = acc.reshape(n, n, nf, cols)
-            np.fft.ifft(grid, axis=0, out=grid)
-            np.fft.ifft(grid[:p], axis=1, out=grid[:p])
-            real = scratch("vli_real", (p * p * n, cols))
-            np.fft.irfft(
-                grid[:p, :p], n=n, axis=2, out=real.reshape(p, p, n, cols)
-            )
-            check = real[self._surf_out, g.trow]
+            x = scratch("vli_dft", (p, n, nf * cols))
+            np.matmul(ixy, acc.reshape(n, -1), out=x.reshape(p, -1))
+            y = acc.reshape(-1)[: p * p * nf * cols].reshape(p * p, nf, cols)
+            np.matmul(ixy, x, out=y.reshape(p, p, -1))
+            grid = x.reshape(-1)[: p**3 * cols].reshape(p * p, p, cols)
+            np.matmul(iz, y, out=grid)
+            check = grid.real.reshape(-1, cols)[self._surf, g.trow]
             check = check.reshape(ns, -1, kt).transpose(1, 0, 2).reshape(-1, ns * kt)
             fac = self._canonical(g.level)[1]
             dcheck[g.utgt, j] += check if fac == 1.0 else check * fac
@@ -470,9 +499,7 @@ class FftM2L:
         # the largest tile of the apply: (elements, dtype) per lane array
         cols_in, cols_out = (size // nfreq).max(axis=0)
         peak = {
-            "vli_real": (max(p**3 * cols_in, p * p * n * cols_out), rdtype),
-            "vli_z": (p * p * nf * cols_in, cdtype),
-            "vli_zy": (p * n * nf * cols_in, cdtype),
+            "vli_dft": (p * n * nf * max(cols_in, cols_out), cdtype),
             "vli_k": (max(fs * kidx.size for _, shared, fs in waves
                           for _, kidx, _ in shared.values()), cdtype),
             "vli_g": (max(fs * g.nbr.size * 8 * ks for wave, _, fs in waves

@@ -24,36 +24,12 @@ from repro.core.lists import InteractionLists, build_lists
 from repro.core.plan import PlanMismatchError
 from repro.core.tree import FmmTree, build_tree
 from repro.kernels import Kernel, get_kernel
-from repro.kernels.base import real_densities
+from repro.kernels.base import density_layout
 from repro.util import morton
 from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
 __all__ = ["Fmm", "FmmPlan"]
-
-
-def _as_density_block(densities, n_points: int, ks: int, where: str):
-    """Validate densities and normalise to ``(n_points * ks, q)`` + q flag.
-
-    The reshape rule: a 2-D array with ``n_points * ks`` rows is a
-    multi-RHS column block (one density vector per column); anything else
-    is flattened to a single vector, which must then have exactly
-    ``n_points * ks`` values.  Errors always report the offending shape
-    (or, for a complex or non-finite value, the first bad row).
-    """
-    arr = real_densities(densities, where)
-    expected = n_points * ks
-    if arr.ndim == 2 and arr.shape[0] == expected:
-        return arr, True
-    flat = arr.reshape(-1)
-    if flat.size != expected:
-        raise ValueError(
-            f"{where}: densities shape {arr.shape} has {flat.size} values, "
-            f"expected n_points*source_dim = {n_points}*{ks} = {expected}; "
-            f"pass a flat ({expected},) vector or a ({expected}, q) "
-            f"multi-RHS block"
-        )
-    return flat, False
 
 
 def _check_plan_points(plan, points: np.ndarray, name: str) -> None:
@@ -256,7 +232,8 @@ class Fmm:
         vector per column, evaluated together through one batched pass —
         and yields a ``(n_points * target_dim, q)`` result whose column
         ``j`` is bit-identical to evaluating ``densities[:, j]`` alone.
-        Any other shape is flattened to a single vector.
+        ``(n_points, source_dim)`` per-point vectors are one density; any
+        other shape is a ``ValueError`` naming it.
 
         Repeated calls with the same ``plan`` amortise setup automatically:
         the evaluator compiles an :class:`~repro.core.plan.EvalPlan` on the
@@ -276,8 +253,8 @@ class Fmm:
         tree = plan.tree
         ks = self.kernel.source_dim
         kt = self.evaluator.eval_kernel.target_dim
-        dens, _ = _as_density_block(
-            densities, tree.n_points, ks, "Fmm.evaluate"
+        dens, _ = density_layout(
+            densities, tree.n_points, ks, "Fmm.evaluate", block=True
         )
         # one permutation for a flat vector and a (rows, q) block alike:
         # points on axis 0, dof on axis 1, columns (if any) trailing
@@ -305,7 +282,7 @@ class Fmm:
         tree and expansions are built over the sources; each target
         inherits the interaction lists of the leaf containing it.
 
-        ``densities`` follows the same reshape rule as :meth:`evaluate`:
+        ``densities`` follows the same layout rule as :meth:`evaluate`:
         a 2-D ``(n_points * source_dim, q)`` block evaluates each column
         in turn (the target-side sums have no batched pass) and returns
         ``(n_targets * target_dim, q)``.  ``targets`` must be finite
@@ -319,8 +296,8 @@ class Fmm:
             _check_plan_points(plan, sources, "sources")
         tree = plan.tree
         ks = self.kernel.source_dim
-        dens, multi = _as_density_block(
-            densities, tree.n_points, ks, "Fmm.evaluate_targets"
+        dens, multi = density_layout(
+            densities, tree.n_points, ks, "Fmm.evaluate_targets", block=True
         )
         if multi:
             cols = [

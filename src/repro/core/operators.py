@@ -144,8 +144,14 @@ class OperatorCache:
         lvl, fac = self._canonical(level)
         mat = self._dc2de.get(lvl)
         if mat is None:
-            k = self.kernel.matrix(self.dc_points(lvl), self.de_points(lvl))
-            mat = self._dc2de[lvl] = regularized_pinv(k, self.rcond)
+            if self.kernel.transpose_symmetric:
+                # DC is UE and DE is UC: K(dc, de) is K(uc, ue)^T bit for
+                # bit, and so is its pseudo-inverse
+                mat = np.ascontiguousarray(self.uc2ue(lvl).T)
+            else:
+                k = self.kernel.matrix(self.dc_points(lvl), self.de_points(lvl))
+                mat = regularized_pinv(k, self.rcond)
+            self._dc2de[lvl] = mat
         return mat if fac == 1.0 else mat / fac
 
     def m2m(self, child_level: int, child_pos: int) -> np.ndarray:

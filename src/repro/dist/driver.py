@@ -36,7 +36,7 @@ from repro.dist.reduce_scatter import (
     owner_reduce_scatter,
 )
 from repro.kernels import Kernel, get_kernel
-from repro.kernels.base import real_densities
+from repro.kernels.base import density_layout
 from repro.mpi.comm import SimComm
 from repro.octree.build import leaf_point_counts
 from repro.util.geometry import unit_cube_points
@@ -411,12 +411,9 @@ class DistributedFmm:
         profile = comm.profile
         ev = self.evaluator
 
-        dens_owned = real_densities(densities_owned, "DistributedFmm.evaluate").reshape(-1)
-        if dens_owned.size != let.n_owned_points * ks:
-            raise ValueError(
-                f"densities size {dens_owned.size} != owned_points*source_dim "
-                f"{let.n_owned_points * ks}"
-            )
+        dens_owned, _ = density_layout(
+            densities_owned, let.n_owned_points, ks, "DistributedFmm.evaluate"
+        )
         resumable = (
             resume
             and self._ckpt is not None

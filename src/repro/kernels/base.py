@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Kernel", "real_densities"]
+__all__ = ["Kernel", "density_layout", "real_densities"]
 
 #: Bytes of float64 planes one tile keeps live (differences, r2, two
 #: temporaries, the destination entries): 1.5 MB of a 2 MB L2.
@@ -63,6 +63,31 @@ def real_densities(densities, where: str) -> np.ndarray:
         row = int(np.argwhere(~np.isfinite(rows))[0, 0])
         raise ValueError(f"{where}: densities must be finite; row {row} is {rows[row]}")
     return arr
+
+
+def density_layout(densities, n_points: int, ks: int, where: str, block: bool = False):
+    """``(densities, is_block)``, checked as :func:`real_densities` does,
+    for the three layouts an entry point accepts: a flat
+    ``(n_points * ks,)`` vector; with ``block``, an ``(n_points * ks, q)``
+    multi-RHS block, returned as it is (with ``ks = 1`` this also takes
+    ``(n_points, 1)``); ``(n_points, ks)`` per-point vectors, returned
+    flat.  Any other shape is a ``ValueError`` that starts with ``where``
+    and names it: an array whose size happens to fit is never flattened.
+    """
+    arr = real_densities(densities, where)
+    flat = n_points * ks
+    if arr.shape == (flat,):
+        return arr, False
+    if block and arr.ndim == 2 and arr.shape[0] == flat:
+        return arr, True
+    if arr.shape == (n_points, ks):
+        return arr.reshape(-1), False
+    multi = f"an ({flat}, q) multi-RHS block, " if block else ""
+    raise ValueError(
+        f"{where}: densities shape {arr.shape} (densities size {arr.size}) is "
+        f"none of the layouts expected for n_points*source_dim = {n_points}*{ks}: "
+        f"a flat ({flat},) vector, {multi}or ({n_points}, {ks}) per-point vectors"
+    )
 
 
 class Kernel:

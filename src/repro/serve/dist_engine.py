@@ -613,7 +613,7 @@ class DistServeEngine:
         the engine's per-dispatch timeout applies).
         """
         model = self._model(name)
-        dens = check_density(name, density, model.expected)
+        dens = check_density(name, density, (model.n_points, model.ks))
         # The one policy difference: a sharded request's retries stay on
         # its group (under its lock), a replicated one's fail over.
         pinned = (

@@ -102,7 +102,7 @@ class RegisteredModel:
     code pairing the two must snapshot ``geometry`` once instead.
     """
 
-    __slots__ = ("name", "geometry", "expected", "precision",
+    __slots__ = ("name", "geometry", "layout", "precision",
                  "allowed", "compile_s", "update_lock", "tuned", "slo")
 
     @property
@@ -112,6 +112,12 @@ class RegisteredModel:
     @property
     def plan(self):
         return self.geometry.plan
+
+    @property
+    def expected(self):
+        """Length of one density vector."""
+        n_points, ks = self.layout
+        return n_points * ks
 
     @property
     def fmm(self):
@@ -137,7 +143,7 @@ class RegisteredModel:
         self.name = name
         pts = np.asarray(points, dtype=np.float64)
         self.geometry = ModelGeometry(pts, fmm.plan(pts), version=0, fmm=fmm)
-        self.expected = self.plan.tree.n_points * fmm.kernel.source_dim
+        self.layout = (self.plan.tree.n_points, fmm.kernel.source_dim)
         self.compile_s = None  # from-scratch plan-compile baseline
         self.update_lock = threading.Lock()  # serialises update_geometry
         self.tuned = None  # active TuneConfig (autotuned models only)
@@ -750,8 +756,8 @@ class ServeEngine(ServeFront):
 
     # -- submission --------------------------------------------------------
 
-    def expected(self, model: str) -> int:
-        return self._model(model).expected
+    def layout(self, model: str) -> tuple[int, int]:
+        return self._model(model).layout
 
     def _admit(self, model: str, precision):
         """The precision policy: resolve the request's plan precision and

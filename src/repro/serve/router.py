@@ -71,8 +71,9 @@ class Router(ServeFront):
     def models(self) -> list[str]:
         return self.engine.models()
 
-    def expected(self, model: str) -> int:
-        return self.engine._model(model).expected
+    def layout(self, model: str) -> tuple[int, int]:
+        m = self.engine._model(model)
+        return m.n_points, m.ks
 
     # -- admission and dispatch: what the front does not already do ---------
 

@@ -40,7 +40,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.kernels.base import real_densities
+from repro.kernels.base import density_layout
 from repro.serve.metrics import ServeMetrics
 
 __all__ = [
@@ -121,18 +121,13 @@ def retry_after_hint(
     return float(min(cap_s, max(floor_s, est)))
 
 
-def check_density(model: str, density, expected: int) -> np.ndarray:
-    """``density`` as a flat float64 vector of ``model``'s ``expected``
-    length, or a ``ValueError`` naming the shape that arrived (or its first
-    complex or non-finite row): a bad request is refused alone, at submit,
-    and never joins a batch."""
-    dens = real_densities(density, f"model {model!r}").reshape(-1)
-    if dens.size != expected:
-        raise ValueError(
-            f"model {model!r}: densities shape {np.shape(density)} has "
-            f"{dens.size} values, expected n_points*source_dim = {expected}"
-        )
-    return dens
+def check_density(model: str, density, layout: tuple[int, int]) -> np.ndarray:
+    """``density`` as a flat float64 vector for ``model``'s ``layout``
+    ``(n_points, source_dim)`` — given flat or per point — or a
+    ``ValueError`` naming the shape that arrived (or its first complex or
+    non-finite row): a bad request is refused alone, at submit, and never
+    joins a batch."""
+    return density_layout(density, *layout, f"model {model!r}")[0]
 
 
 class Request:
@@ -409,9 +404,14 @@ class ServeFront:
         self._lifecycle = threading.Lock()
         self._started = False
 
+    def layout(self, model: str) -> tuple[int, int]:
+        """``(n_points, source_dim)`` of ``model``, or :class:`UnknownModel`."""
+        raise NotImplementedError
+
     def expected(self, model: str) -> int:
         """Length of one density vector of ``model``, or :class:`UnknownModel`."""
-        raise NotImplementedError
+        n_points, ks = self.layout(model)
+        return n_points * ks
 
     def _admit(self, model: str, precision):
         """The class's own admission check; returns the precision tag the
@@ -451,7 +451,7 @@ class ServeFront:
     # -- admission -----------------------------------------------------------
 
     def _submit(self, model, density, tenant, timeout_s, precision=None):
-        dens = check_density(model, density, self.expected(model))
+        dens = check_density(model, density, self.layout(model))
         precision = self._admit(model, precision)
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         req = Request(

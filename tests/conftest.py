@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import ellipsoid_surface, plummer_cluster, uniform_cube
+from repro.kernels import LaplaceKernel
 
 
 @pytest.fixture
@@ -34,3 +35,33 @@ def any_points(request):
         "plummer": plummer_cluster,
     }[request.param]
     return maker(1500, seed=7)
+
+
+class CountingLaplace(LaplaceKernel):
+    """Laplace that counts the points it evaluates."""
+
+    def __init__(self):
+        super().__init__()
+        self.evaluated = 0
+
+    def matrix_batch(self, targets, sources, dtype=np.float64):
+        self.evaluated += np.shape(targets)[0] * np.shape(targets)[1]
+        return super().matrix_batch(targets, sources, dtype)
+
+
+class UndeclaredLaplace(CountingLaplace):
+    """Laplace that does not declare its transpose symmetry, so every
+    shortcut built on it must stay off."""
+
+    name = "laplace-undeclared"
+    transpose_symmetric = False
+
+
+@pytest.fixture
+def counting_laplace():
+    return CountingLaplace()
+
+
+@pytest.fixture
+def undeclared_laplace():
+    return UndeclaredLaplace()

@@ -198,9 +198,14 @@ class TestM2LModes:
 
 
 class TestStagedTransforms:
-    """The pruned, box-last FFT stages of ``FftM2L.translate`` against their
+    """The box-last DFT stages of ``FftM2L.translate`` against their
     definition: ``rfftn`` / ``irfftn`` of the zero-embedded ``n^3`` grid
-    (``n = fft.n``: 7, 11 and 15 at orders 4, 6 and 8)."""
+    (``n = fft.n``: 7, 11 and 15 at orders 4, 6 and 8), within
+    ``8 n eps(dtype) max|ref|``."""
+
+    @staticmethod
+    def _bound(n, cdtype, ref):
+        return 8 * n * np.finfo(cdtype).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
@@ -241,7 +246,8 @@ class TestStagedTransforms:
                         grid[ijk] = up[node, j, d::ks]
                         want[:, :, :, r, c, d] = np.fft.rfftn(grid)
                 assert spec.dtype == cdtype
-                assert np.array_equal(spec, want.reshape(spec.shape)), j
+                want = want.reshape(spec.shape)
+                assert np.abs(spec - want).max() <= self._bound(n, cdtype, want), j
                 acc[...] = rng.standard_normal(acc.shape)
                 acc.imag = rng.standard_normal(acc.shape)
                 planted.append(acc.copy())
@@ -259,7 +265,120 @@ class TestStagedTransforms:
                     )
                     assert grid.dtype == rdtype
                     want[node, j, d::kt] = grid[ijk] * fac
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= self._bound(n, cdtype, want)
+
+    @pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_round_trip_returns_the_corner(self, rng, order, kernel, cdtype):
+        """FFT-in, an identity translation (target child ``(r, c)`` takes
+        the spectrum of source child ``(r mod nsp, c)``), FFT-out: the
+        surface densities come back, scaled by the level's factor."""
+        kern = get_kernel(kernel)
+        fft = FftM2L(kern, order)
+        ks, n = kern.source_dim, fft.n
+        tree, v, scope, _ = _colleague_block(rng, True, (13, 0))
+        (g,) = fft.schedule(tree, v, scope)
+        up = rng.standard_normal((tree.n_nodes, 1, fft.ns * ks))
+        got = np.zeros_like(up)
+        nsp, ntp = len(g.schild), len(g.tchild)
+        stages, wave = [], []
+
+        def run(tiles, compute, done):
+            stages.append(len(tiles))
+            if len(stages) != 2:
+                for tile in tiles:
+                    compute(tile)
+                if len(stages) == 1:
+                    wave.extend(tiles)
+                return
+            for g, _, spec, acc in wave:
+                src = spec.reshape(-1, nsp + 1, 8 * ks)[:, np.arange(ntp) % nsp]
+                acc[...] = src.reshape(acc.shape)
+
+        fft.translate([g], up, got, cdtype, run=run)
+        fac = fft.offset_table(g.level, cdtype)[1]
+        want = np.zeros_like(up)
+        for (r, c), node in np.ndenumerate(g.tchild):
+            src = g.schild[r % nsp, c]
+            if node >= 0 and src >= 0:
+                want[node] = fac * up[src]
+        assert want.any()
+        assert np.abs(got - want).max() <= self._bound(n, cdtype, want)
+
+
+class TestOffsetTable:
+    """The offset table against its definition: ``rfftn`` of each of the
+    316 offsets' kernel grids, within ``8 n eps max|ref|``."""
+
+    @staticmethod
+    def _rfftn_table(fft, level):
+        from repro.core.fft_m2l import _OFFSETS
+        from repro.core.operators import level_half_width
+
+        kern, p, n = fft.kernel, fft.order, fft.n
+        kt, ks = kern.target_dim, kern.source_dim
+        h = 2.0 * level_half_width(level) / (p - 2)
+        m = np.arange(n)
+        d = np.where(m < p, m, m - n)
+        grid = np.stack(np.meshgrid(d, d, d, indexing="ij"), axis=-1).reshape(-1, 3)
+        out = np.zeros((n * n * fft.nf, len(_OFFSETS) + 1, kt, ks), np.complex128)
+        for i, off in enumerate(_OFFSETS):
+            vals = kern.matrix(h * ((p - 2) * off + grid), np.zeros((1, 3)))
+            out[:, i] = np.fft.rfftn(
+                vals.reshape(n, n, n, kt, ks), axes=(0, 1, 2)
+            ).reshape(-1, kt, ks)
+        return out.reshape(n * n * fft.nf, -1)
+
+    @pytest.mark.parametrize(
+        "kname, kwargs, order, level",
+        [("laplace", {}, 6, 2), ("laplace", {}, 8, 2), ("stokes", {}, 4, 2),
+         ("yukawa", {"lam": 5.0}, 4, 3), ("laplace", {"softening": 1e-3}, 4, 3)],
+    )
+    def test_mirrored_table_matches_all_offsets(self, kname, kwargs, order, level):
+        kern = get_kernel(kname, **kwargs)
+        assert kern.transpose_symmetric
+        fft = FftM2L(kern, order)
+        got = fft.offset_table(level)[0]
+        ref = self._rfftn_table(fft, level)
+        assert np.abs(got - ref).max() <= 8 * fft.n * np.finfo(float).eps * np.abs(ref).max()
+        assert not got[:, -kern.target_dim * kern.source_dim :].any()  # the zero slot
+
+    def test_table_gemms_run_on_one_blas_thread(self, monkeypatch):
+        """The table is built at compile, right before the first apply: an
+        ambient multi-thread GEMM there leaves the BLAS library's workers
+        spinning into that apply's V-list, where they take cores from the
+        tile pool (its first translate stage read ~20 ms slow on a
+        2-core host)."""
+        import repro.core.fft_m2l as fft_m2l
+        from repro.util.blas import blas_controller, blas_thread_count
+
+        if blas_controller() is None or blas_thread_count() < 2:
+            pytest.skip("ambient BLAS is single-threaded: nothing to pin")
+        widths = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kw):
+                widths.append(blas_thread_count())
+                return np.matmul(*args, **kw)
+
+        monkeypatch.setattr(fft_m2l, "np", Spy())
+        FftM2L(get_kernel("laplace"), 4).offset_table(2)
+        assert widths and set(widths) == {1}
+
+    def test_undeclared_kernel_evaluates_every_offset(
+        self, counting_laplace, undeclared_laplace
+    ):
+        fft = FftM2L(undeclared_laplace, 4)
+        got = fft.offset_table(2)[0]
+        assert undeclared_laplace.evaluated == 316 * fft.n**3
+        ref = self._rfftn_table(fft, 2)
+        assert np.abs(got - ref).max() <= 8 * fft.n * np.finfo(float).eps * np.abs(ref).max()
+        FftM2L(counting_laplace, 4).offset_table(2)
+        assert counting_laplace.evaluated == 158 * fft.n**3
 
 
 def _colleague_block(rng, holes, targets=(13,)):

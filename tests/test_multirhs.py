@@ -298,6 +298,59 @@ class TestDensityValidation:
             Fmm("laplace", order=4).evaluate(pts, np.zeros((50, 2, 2)))
 
 
+    @pytest.mark.parametrize("shape", [(150, 2), (1, 300), (300, 1, 1), (100, 3)])
+    def test_shapes_that_only_fit_in_size_are_refused(self, shape):
+        """300 values arranged as neither a flat vector, a (300, q) block
+        nor (300, 1) per-point vectors: named, never flattened."""
+        pts = uniform_cube(300, seed=1)
+        fmm = Fmm("laplace", order=4, max_points_per_box=16)
+        dens = np.random.default_rng(2).standard_normal(shape)
+        pattern = rf"densities shape \({shape[0]}, {shape[1]}"
+        with pytest.raises(ValueError, match=rf"Fmm.evaluate: {pattern}"):
+            fmm.evaluate(pts, dens)
+        with pytest.raises(ValueError, match=rf"Fmm.evaluate_targets: {pattern}"):
+            fmm.evaluate_targets(pts, dens, pts[:5])
+        plan = fmm.plan(pts)
+        with pytest.raises(ValueError, match=rf"FmmEvaluator.evaluate: {pattern}"):
+            fmm.evaluator.evaluate(plan.tree, plan.lists, dens)
+
+    def test_per_point_vectors_are_one_density(self):
+        pts = uniform_cube(200, seed=3)
+        fmm = Fmm("stokes", order=4, max_points_per_box=40)
+        plan = fmm.plan(pts)
+        dens = np.random.default_rng(4).standard_normal((200, 3))
+        flat = fmm.evaluate(pts, dens.reshape(-1), plan=plan)
+        assert np.array_equal(fmm.evaluate(pts, dens, plan=plan), flat)
+        with pytest.raises(ValueError, match=r"densities shape \(3, 200\)"):
+            fmm.evaluate(pts, dens.T, plan=plan)
+
+    def test_distributed_and_served_densities_take_the_same_rule(self):
+        from repro.dist.driver import DistributedFmm
+        from repro.mpi import run_spmd
+        from repro.serve import ServeEngine
+
+        pts = uniform_cube(300, seed=5)
+
+        def body(comm):
+            fmm = DistributedFmm("laplace", order=4, max_points_per_box=40)
+            fmm.setup(comm, pts)
+            n = fmm.let.n_owned_points
+            dens = np.random.default_rng(6).standard_normal(n)
+            flat = fmm.evaluate(dens)
+            assert np.array_equal(fmm.evaluate(dens[:, None]), flat)
+            with pytest.raises(ValueError, match=r"DistributedFmm.evaluate: "
+                               rf"densities shape \(1, {n}\)"):
+                fmm.evaluate(dens[None])
+            return True
+
+        assert run_spmd(1, body, timeout=120).values == [True]
+        with ServeEngine(n_workers=1) as eng:
+            eng.register("m", Fmm("laplace", order=4, max_points_per_box=40), pts)
+            dens = np.random.default_rng(7).standard_normal(300)
+            with pytest.raises(ValueError, match=r"model 'm': densities shape \(150, 2\)"):
+                eng.submit("m", dens.reshape(150, 2))
+            assert np.array_equal(eng.evaluate("m", dens[:, None]), eng.evaluate("m", dens))
+
 class TestConcurrentEvaluate:
     def test_shared_fmm_bit_identical_one_compile(self):
         """Threads hammering one Fmm/plan agree bitwise with serial runs

@@ -206,3 +206,42 @@ class TestAmbientBlasWidth:
         ambient = build(OperatorCache(kern, 6))
         for a, b in zip(pinned, ambient):
             assert a.tobytes() == b.tobytes()
+
+
+class TestOneSvdForDualSurfaces:
+    """DC is UE and DE is UC, so a transpose-symmetric kernel's ``dc2de``
+    is ``uc2ue``'s transpose; any other kernel runs its own SVD."""
+
+    @pytest.mark.parametrize(
+        "kname, kwargs, order, level",
+        [("laplace", {}, 6, 2), ("laplace", {}, 4, 2), ("stokes", {}, 6, 2),
+         ("yukawa", {"lam": 5.0}, 4, 3), ("laplace", {"softening": 1e-3}, 4, 3)],
+    )
+    def test_dc2de_is_uc2ue_transposed(self, kname, kwargs, order, level):
+        kern = get_kernel(kname, **kwargs)
+        assert kern.transpose_symmetric
+        ops = OperatorCache(kern, order)
+        got = ops.dc2de(level)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ops.uc2ue(level).T)
+        direct = regularized_pinv(
+            kern.matrix(ops.dc_points(level), ops.de_points(level)), ops.rcond
+        )
+        assert np.abs(got - direct).max() <= 1e-8 * np.abs(direct).max()
+
+    def test_undeclared_kernel_runs_the_second_svd(self, monkeypatch, undeclared_laplace):
+        import repro.core.operators as operators
+
+        calls = []
+
+        def counted(mat, rcond):
+            calls.append(mat.shape)
+            return regularized_pinv(mat, rcond)
+
+        monkeypatch.setattr(operators, "regularized_pinv", counted)
+        ops = OperatorCache(undeclared_laplace, 4)
+        ops.uc2ue(2), ops.dc2de(2)
+        assert len(calls) == 2
+        ref = OperatorCache(get_kernel("laplace"), 4)
+        ref.uc2ue(2), ref.dc2de(2)
+        assert len(calls) == 3  # the declared kernel's one SVD
