@@ -29,6 +29,11 @@ kernel-matrix caches (schedules only, kernel blocks evaluated chunk by
 chunk and discarded), the second consecutive call compiles the cached plan
 that every later call reuses.  One-shot evaluations therefore never hold a
 matrix cache and repeated applies amortise the setup.
+
+:meth:`evaluate_targets` is the same evaluation at separate targets: a
+target tree over the source tree's nodes, which the plan's target-side
+sections (WLI, D2T, ULI) read and those phase methods receive.  Its plan
+is cached beside the tree's, keyed by the targets' fingerprint.
 """
 
 from __future__ import annotations
@@ -40,10 +45,12 @@ import weakref
 import numpy as np
 
 from repro.core.fft_m2l import FftM2L
-from repro.core.lists import InteractionLists, evaluated_lists
+from repro.core.lists import InteractionLists
 from repro.core.operators import OperatorCache
-from repro.core.tree import FmmTree
+from repro.core.tree import FmmTree, tree_from_nodes
 from repro.kernels.base import Kernel, density_layout
+from repro.util import morton
+from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
 __all__ = ["FmmEvaluator", "integer_arg"]
@@ -124,9 +131,10 @@ class FmmEvaluator:
         self.ops = OperatorCache(kernel, order, rcond=rcond)
         self.fft = FftM2L(kernel, order) if m2l_mode == "fft" else None
         self.ns = self.ops.n_surf
-        # Lazy plan cache: weakrefs to the last-seen tree/lists, how many
-        # consecutive evaluates saw them, and a box holding the compiled
-        # plans (``"plan"``, and ``"targets"`` for evaluate_targets).  Guarded by
+        # Lazy plan cache: weakrefs to the last-seen tree/lists, the target
+        # fingerprint the last call on them brought (None: their own points)
+        # and a box holding the compiled plans (``"plan"``, and
+        # ``"targets"`` for evaluate_targets).  Guarded by
         # ``_plan_lock``: concurrent evaluates of one shared evaluator must
         # agree on a single compile per (tree, lists).  The one writer
         # outside the lock is the tree weakref's callback, which empties
@@ -135,7 +143,7 @@ class FmmEvaluator:
         # the lock.
         self._plan_tree = None
         self._plan_lists = None
-        self._plan_calls = 0
+        self._plan_last = ()  # no call yet
         self._plan_box: dict = {}
         self._plan_lock = threading.Lock()
         # "auto" resolves once per evaluator (first workload wins) under
@@ -217,7 +225,7 @@ class FmmEvaluator:
         ``scopes`` (a :class:`~repro.core.plan.PlanScopes`) bakes
         distributed ownership masks into the plan; ``kwargs`` forward to
         :func:`repro.core.plan.compile_plan` (e.g. ``cache_matrices``,
-        ``matrix_budget``).  ``precision`` defaults to the evaluator's
+        ``matrix_budget``, ``targets``).  ``precision`` defaults to the evaluator's
         own; ``"auto"`` is resolved here (:meth:`resolve_auto`).
         """
         from repro.core.plan import compile_plan
@@ -307,21 +315,22 @@ class FmmEvaluator:
         """The lazily compiled plan, or ``None`` (none yet, or its tree died)."""
         return self._plan_box.get("plan")
 
-    def _cached_plan(self, tree, lists, profile, precision, targets=False):
+    def _cached_plan(self, tree, lists, profile, precision, targets):
         """Plan for an evaluate call that brought none.
 
-        The second consecutive call that sees a ``(tree, lists)`` pair
-        compiles the plan every later call reuses; the first gets a
-        transient plan compiled without kernel-matrix caches, which the
-        caller applies once and drops — a one-shot evaluation evaluates
-        each kernel block once either way, and this way never holds them
-        all.  A cached plan at a different precision is discarded and
-        recompiled (per-call overrides flip precision mid-stream), and the
-        cache holds its tree weakly: when the caller drops the tree, the
-        plan goes with it.  ``targets`` asks for the plan
-        :meth:`evaluate_targets` applies, kept beside the full one: it
-        reads S2U..D2D only, so its ULI / D2T / WLI scopes are empty and
-        no block of those sections is ever compiled.
+        The second consecutive call that brings a ``(tree, lists)`` pair
+        and the same targets compiles the plan every later call reuses;
+        the first gets a transient plan compiled without kernel-matrix
+        caches, which the caller applies once and drops — a one-shot
+        evaluation evaluates each kernel block once either way, and this
+        way never holds them all.  A cached plan at a different precision
+        is discarded and recompiled (per-call overrides flip precision
+        mid-stream), and the cache holds its tree weakly: when the caller
+        drops the tree, the plan goes with it.  ``targets`` other than
+        ``tree`` (a target tree, see :meth:`evaluate_targets`) asks for the
+        plan of that target set, kept beside the full one and keyed by the
+        targets' fingerprint; a call with another set drops it, so a
+        stream of different target sets never holds a matrix cache.
 
         The cached compile is charged to the ``setup:plan`` span so traces
         and the perf model can separate amortisable setup from apply work,
@@ -330,50 +339,47 @@ class FmmEvaluator:
         then reuse it) and must not race the weakref bookkeeping into
         re-compiling or dropping a live plan.
         """
-        key, scopes = "plan", None
-        if targets:
-            from repro.core.plan import PlanScopes
+        from repro.core.plan import target_fingerprint
 
-            none = np.zeros(tree.n_nodes, dtype=bool)
-            key, scopes = "targets", PlanScopes(uli=none, d2t=none, wli=none)
+        slot, key = "plan", None
+        if targets is not tree:
+            slot, key = "targets", target_fingerprint(targets)
         with self._plan_lock:
             tr = self._plan_tree() if self._plan_tree is not None else None
             lr = self._plan_lists() if self._plan_lists is not None else None
-            if tr is tree and lr is lists:
-                self._plan_calls += 1
-            else:
+            if tr is not tree or lr is not lists:
                 box = self._plan_box = {}
                 self._plan_tree = weakref.ref(tree, lambda _ref: box.clear())
                 self._plan_lists = weakref.ref(lists)
-                self._plan_calls = 1
-            plan = self._plan_box.get(key)
-            if plan is not None and plan.precision != precision:
+                self._plan_last = ()
+            repeat, self._plan_last = self._plan_last == key, key
+            plan = self._plan_box.get(slot)
+            if plan is not None and (plan.precision, plan.target_fingerprint) != (precision, key):
+                del self._plan_box[slot]
                 plan = None
-            if plan is None and self._plan_calls >= 2:
+            if plan is None and repeat:
                 with profile.phase("setup:plan"):
-                    plan = self._plan_box[key] = self.compile_plan(
+                    plan = self._plan_box[slot] = self.compile_plan(
                         tree,
                         lists,
-                        scopes=scopes,
                         cache_matrices=self.PLAN_CACHE_MATRICES,
                         precision=precision,
+                        targets=targets,
                     )
         if plan is None:
             plan = self.compile_plan(
-                tree, lists, scopes=scopes, cache_matrices=False,
-                precision=precision,
+                tree, lists, cache_matrices=False, precision=precision,
+                targets=targets,
             )
         return plan
 
-    def _resolve_plan(self, tree, lists, profile, plan, precision,
-                      targets=False):
+    def _resolve_plan(self, tree, lists, profile, plan, precision, targets):
         """Shared plan/precision resolution for the evaluate entry points.
 
         Returns the plan to apply and records its precision on the
         profile.  An explicit plan's own precision wins unless an explicit
         override contradicts it; without a plan the lazy cache supplies
-        one at the effective precision (its ``targets`` variant for
-        :meth:`evaluate_targets`).
+        one at the effective precision, for the tree ``targets``.
         """
         from repro.core.plan import PrecisionError
 
@@ -428,47 +434,10 @@ class FmmEvaluator:
         *conflicting* explicit override raises
         :class:`~repro.core.plan.PrecisionError`.
         """
-        profile = profile if profile is not None else PhaseProfile()
-        dens, block = density_layout(
-            densities, tree.n_points, self.kernel.source_dim,
-            "FmmEvaluator.evaluate", block=True,
+        return self._evaluate(
+            tree, lists, densities, profile, plan, precision, tree,
+            "FmmEvaluator.evaluate",
         )
-        dens = np.ascontiguousarray(dens)
-        q = dens.shape[1] if block else 1
-        if block and q == 0:  # no column: nothing to run
-            return np.zeros((tree.n_points * self.eval_kernel.target_dim, 0))
-        if block and q == 1:
-            return self.evaluate(
-                tree, lists, dens[:, 0], profile, plan=plan,
-                precision=precision,
-            ).reshape(-1, 1)
-        plan = self._resolve_plan(tree, lists, profile, plan, precision)
-        state = self.allocate(tree, q)
-        self._upward_and_down(tree, lists, dens, state, profile, plan)
-        with profile.phase("WLI"):
-            self.wli(tree, lists, state, profile, plan)
-        with profile.phase("D2T"):
-            self.d2t(tree, state, profile, plan)
-        with profile.phase("ULI"):
-            self.uli(tree, lists, dens, state, profile, plan)
-        pot = state["pot"]
-        if block:  # (n_points, q, kt_eval) -> (n_points * kt_eval, q)
-            return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(-1, q)
-        return pot
-
-    def _upward_and_down(self, tree, lists, dens, state, profile, plan):
-        """S2U through D2D: everything that does not depend on where the
-        field is evaluated, leaving ``up`` and ``dequiv`` complete."""
-        with profile.phase("S2U"):
-            self.s2u(tree, dens, state, profile, plan)
-        with profile.phase("U2U"):
-            self.u2u(tree, state, profile, plan)
-        with profile.phase("VLI"):
-            self.vli(tree, lists, state, profile, plan)
-        with profile.phase("XLI"):
-            self.xli(tree, lists, dens, state, profile, plan)
-        with profile.phase("D2D"):
-            self.d2d(tree, state, profile, plan)
 
     def evaluate_targets(
         self,
@@ -480,70 +449,72 @@ class FmmEvaluator:
     ) -> np.ndarray:
         """Potentials at arbitrary target points (sources stay on the tree).
 
-        Runs the upward/interaction/downward phases on the source tree
-        through a plan, resolved as :meth:`evaluate` resolves one (so at
-        the evaluator's precision) but compiled without the ULI / D2T /
-        WLI blocks this method never reads, then evaluates the final
-        phases (D2T, W-list, U-list direct) at the given targets: each
-        target inherits the interaction lists of the leaf containing it.
-        The target-side sums depend on the ad-hoc target set, which a
-        tree-bound plan cannot precompile; they run per leaf in float64.
-        ``targets`` must be finite ``(n, 3)`` points in the unit cube;
-        anything else raises a ``ValueError`` naming the first bad row.
+        The targets are Morton sorted into a *target tree* over ``tree``'s
+        own nodes, each node holding the targets its box covers, and the
+        evaluation is :meth:`evaluate`'s with D2T, W and U ∪ D compiled
+        over that tree: each target takes the lists of the leaf containing
+        it.  ``densities`` takes :meth:`evaluate`'s layouts and checks (a
+        ``(n_points * source_dim, q)`` block returns ``(n_targets *
+        target_dim, q)``); the result is in the input target order.  The
+        plan is resolved as :meth:`evaluate` resolves one, the target set
+        standing beside the pair: the second consecutive call with the
+        same targets compiles the cached plan.  ``targets`` must be finite
+        ``(n, 3)`` points in the unit cube; anything else raises a
+        ``ValueError`` naming the first bad row.
         """
-        from repro.octree.linear import covering_leaf_indices
-        from repro.util import morton
-        from repro.util.geometry import unit_cube_points
-
-        profile = profile if profile is not None else PhaseProfile()
-        dens = np.ascontiguousarray(densities, dtype=np.float64).reshape(-1)
         targets = unit_cube_points(targets, "targets")
-        tkeys = morton.encode_points(targets)
-
-        plan = self._resolve_plan(tree, lists, profile, None, None, targets=True)
-        state = self.allocate(tree)
-        self._upward_and_down(tree, lists, dens, state, profile, plan)
-
-        # Locate each target's leaf.
-        leaf_idx_in_leaves = covering_leaf_indices(
-            tree.keys[tree.is_leaf], tkeys
+        keys = morton.encode_points(targets)
+        order = np.argsort(keys, kind="stable")
+        ttree = tree_from_nodes(tree.keys, tree.is_leaf, targets[order], keys[order], order)
+        pot = self._evaluate(
+            tree, lists, densities, profile, None, None, ttree,
+            "FmmEvaluator.evaluate_targets",
         )
-        if np.any(leaf_idx_in_leaves < 0):
-            raise ValueError("every target must fall inside a tree leaf")
-        leaf_nodes = tree.leaf_indices[leaf_idx_in_leaves]
-
-        ks = self.kernel.source_dim
-        kt = self.eval_kernel.target_dim
-        counts = tree.point_counts()
-        split = evaluated_lists(tree, lists, self.ns)  # the lists the plan ran
-        out = np.zeros(len(targets) * kt)
-        with profile.phase("TGT"):
-            for i in np.unique(leaf_nodes):
-                sel = leaf_nodes == i
-                pts = targets[sel]
-                row = np.zeros(len(pts) * kt)
-                # far field via the leaf's downward density
-                de = self.ops.de_points(tree.levels[i], tree.centers[i])
-                row += self.eval_kernel.matrix(pts, de) @ state["dequiv"][i]
-                profile.add_flops(self.eval_kernel.pair_flops(len(pts), self.ns))
-                # W-list multipoles: membership is the tree's, not the density's
-                for a in split.w.of(i):
-                    if counts[a] == 0:
-                        continue
-                    ue = self.ops.ue_points(tree.levels[a], tree.centers[a])
-                    row += self.eval_kernel.matrix(pts, ue) @ state["up"][a]
-                    profile.add_flops(self.eval_kernel.pair_flops(len(pts), self.ns))
-                # near field: direct sum over the U-list and direct W sources
-                srcs = split.u.of(i)
-                srcs = srcs[counts[srcs] > 0]
-                if srcs.size:
-                    rows = tree.point_rows(srcs)
-                    spts = tree.points[rows]
-                    sden = dens.reshape(-1, ks)[rows].reshape(-1)
-                    row += self.eval_kernel.matrix(pts, spts) @ sden
-                    profile.add_flops(self.eval_kernel.pair_flops(len(pts), len(spts)))
-                out.reshape(-1, kt)[sel] = row.reshape(-1, kt)
+        out = np.empty_like(pot)  # back to the input target order
+        shape = (ttree.n_points, self.eval_kernel.target_dim) + pot.shape[1:]
+        out.reshape(shape)[order] = pot.reshape(shape)
         return out
+
+    def _evaluate(self, tree, lists, densities, profile, plan, precision,
+                  targets, where):
+        """The one evaluation body: potentials at the points of
+        ``targets``, a tree over ``tree``'s nodes (``tree`` itself for
+        :meth:`evaluate`), in its sorted order; ``where`` names the entry
+        point in density errors."""
+        profile = profile if profile is not None else PhaseProfile()
+        dens, block = density_layout(
+            densities, tree.n_points, self.kernel.source_dim, where, block=True,
+        )
+        dens = np.ascontiguousarray(dens)
+        q = dens.shape[1] if block else 1
+        if block and q == 0:  # no column: nothing to run
+            return np.zeros((targets.n_points * self.eval_kernel.target_dim, 0))
+        if block and q == 1:
+            return self._evaluate(
+                tree, lists, dens[:, 0], profile, plan, precision, targets, where,
+            ).reshape(-1, 1)
+        plan = self._resolve_plan(tree, lists, profile, plan, precision, targets)
+        state = self.allocate(targets, q)
+        with profile.phase("S2U"):
+            self.s2u(tree, dens, state, profile, plan)
+        with profile.phase("U2U"):
+            self.u2u(tree, state, profile, plan)
+        with profile.phase("VLI"):
+            self.vli(tree, lists, state, profile, plan)
+        with profile.phase("XLI"):
+            self.xli(tree, lists, dens, state, profile, plan)
+        with profile.phase("D2D"):
+            self.d2d(tree, state, profile, plan)
+        with profile.phase("WLI"):
+            self.wli(targets, lists, state, profile, plan)
+        with profile.phase("D2T"):
+            self.d2t(targets, state, profile, plan)
+        with profile.phase("ULI"):
+            self.uli(targets, lists, dens, state, profile, plan)
+        pot = state["pot"]
+        if block:  # (n_targets, q, kt_eval) -> (n_targets * kt_eval, q)
+            return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(-1, q)
+        return pot
 
     # -- state ------------------------------------------------------------
 
@@ -555,7 +526,9 @@ class FmmEvaluator:
         a box's columns adjacent (see the phase-apply notes in
         :mod:`repro.core.plan`).  With ``q == 1`` the returned arrays are
         the 2-D ``(rows, features)`` / flat-potential views of that
-        storage, the layout every single-RHS caller works in.
+        storage, the layout every single-RHS caller works in.  ``tree``
+        is the one the potentials are wanted at: its nodes size the node
+        state, its points the potential rows.
 
         ``pot`` views the first ``n_points`` rows of ``_pot_pad``, which
         carries one extra sentinel row: plan-based scatters send every

@@ -244,29 +244,36 @@ class Fmm:
         ``precision`` overrides the constructor's precision for this call
         (``"fp64"`` / ``"fp32"`` / ``"auto"``).
         """
+        plan, dens, profile = self._sorted_densities(
+            points, densities, plan, profile, "points", "Fmm.evaluate"
+        )
+        tree = plan.tree
+        pot_sorted = self.evaluator.evaluate(
+            tree, plan.lists, dens, profile, plan=eval_plan, precision=precision,
+        )
+        shape = (tree.n_points, self.evaluator.eval_kernel.target_dim) + dens.shape[1:]
+        pot = np.empty_like(pot_sorted)
+        pot.reshape(shape)[tree.order] = pot_sorted.reshape(shape)
+        return pot
+
+    def _sorted_densities(self, points, densities, plan, profile, name, where):
+        """``(plan, densities, profile)`` of an evaluate call: the plan
+        built for (or checked against) ``points``, the densities checked
+        by :func:`~repro.kernels.base.density_layout` (its errors start
+        with ``where``) and permuted to the tree's sorted point order."""
         points = np.asarray(points, dtype=np.float64)
         profile = profile if profile is not None else PhaseProfile()
         if plan is None:
             plan = self.plan(points, profile=profile)
         else:
-            _check_plan_points(plan, points, "points")
-        tree = plan.tree
-        ks = self.kernel.source_dim
-        kt = self.evaluator.eval_kernel.target_dim
-        dens, _ = density_layout(
-            densities, tree.n_points, ks, "Fmm.evaluate", block=True
-        )
+            _check_plan_points(plan, points, name)
+        n, ks = plan.tree.n_points, self.kernel.source_dim
+        dens, _ = density_layout(densities, n, ks, where, block=True)
         # one permutation for a flat vector and a (rows, q) block alike:
         # points on axis 0, dof on axis 1, columns (if any) trailing
-        n, cols = tree.n_points, dens.shape[1:]
-        sorted_dens = dens.reshape((n, ks) + cols)[tree.order].reshape(dens.shape)
-        pot_sorted = self.evaluator.evaluate(
-            tree, plan.lists, sorted_dens, profile,
-            plan=eval_plan, precision=precision,
-        )
-        pot = np.empty_like(pot_sorted)
-        pot.reshape((n, kt) + cols)[tree.order] = pot_sorted.reshape((n, kt) + cols)
-        return pot
+        cols = dens.shape[1:]
+        dens = dens.reshape((n, ks) + cols)[plan.tree.order].reshape(dens.shape)
+        return plan, dens, profile
 
     def evaluate_targets(
         self,
@@ -283,35 +290,16 @@ class Fmm:
         inherits the interaction lists of the leaf containing it.
 
         ``densities`` follows the same layout rule as :meth:`evaluate`:
-        a 2-D ``(n_points * source_dim, q)`` block evaluates each column
-        in turn (the target-side sums have no batched pass) and returns
-        ``(n_targets * target_dim, q)``.  ``targets`` must be finite
-        ``(n, 3)`` points in the unit cube.
+        a 2-D ``(n_points * source_dim, q)`` block runs through the same
+        batched pass and returns ``(n_targets * target_dim, q)``.
+        ``targets`` must be finite ``(n, 3)`` points in the unit cube.
+        Repeated calls with the same targets amortise setup as
+        :meth:`evaluate` does (see
+        :meth:`~repro.core.evaluator.FmmEvaluator.evaluate_targets`).
         """
-        sources = np.asarray(sources, dtype=np.float64)
-        profile = profile if profile is not None else PhaseProfile()
-        if plan is None:
-            plan = self.plan(sources, profile=profile)
-        else:
-            _check_plan_points(plan, sources, "sources")
-        tree = plan.tree
-        ks = self.kernel.source_dim
-        dens, multi = density_layout(
-            densities, tree.n_points, ks, "Fmm.evaluate_targets", block=True
+        plan, dens, profile = self._sorted_densities(
+            sources, densities, plan, profile, "sources", "Fmm.evaluate_targets"
         )
-        if multi:
-            cols = [
-                self.evaluate_targets(
-                    sources,
-                    np.ascontiguousarray(dens[:, j]),
-                    targets,
-                    plan=plan,
-                    profile=profile,
-                )
-                for j in range(dens.shape[1])
-            ]
-            return np.stack(cols, axis=1)
-        sorted_dens = dens.reshape(-1, ks)[tree.order].reshape(-1)
         return self.evaluator.evaluate_targets(
-            tree, plan.lists, sorted_dens, targets, profile
+            plan.tree, plan.lists, dens, targets, profile
         )

@@ -77,9 +77,9 @@ Design rules:
   is read only at the plan's own dtype, so the float64 blocks of an fp64
   plan are re-evaluated in float32 there.
 
-A plan is bound to one ``(tree, lists, kernel, order, m2l_mode, scope)``
-configuration; :func:`tree_fingerprint` rejects accidental reuse against a
-different tree.
+A plan is bound to one ``(tree, lists, kernel, order, m2l_mode, scope,
+targets)`` configuration; :func:`tree_fingerprint` rejects accidental
+reuse against a different tree.
 """
 
 from __future__ import annotations
@@ -151,6 +151,14 @@ def tree_fingerprint(tree: FmmTree) -> str:
     h.update(np.ascontiguousarray(tree.keys).tobytes())
     h.update(np.ascontiguousarray(tree.pt_begin).tobytes())
     h.update(np.ascontiguousarray(tree.pt_end).tobytes())
+    return h.hexdigest()
+
+
+def target_fingerprint(targets: FmmTree) -> str:
+    """:func:`tree_fingerprint` of a target tree with its coordinates too:
+    a target set is new on every call, and its plan holds them."""
+    h = hashlib.blake2b(tree_fingerprint(targets).encode(), digest_size=16)
+    h.update(np.ascontiguousarray(targets.points).tobytes())
     return h.hexdigest()
 
 
@@ -282,6 +290,7 @@ class EvalPlan:
 
     fingerprint: str
     n_points: int
+    n_targets: int  # potential rows: n_points, or the separate targets'
     ns: int
     ks: int
     kt: int  # base-kernel target dim (check surfaces)
@@ -291,6 +300,12 @@ class EvalPlan:
     #: (historical, bit-identical default) or "fp32" (float32 matrices,
     #: complex64 V-list, float32 gather tables; accumulators stay float64).
     precision: str = "fp64"
+    #: Whether W and D2T read X's and S2U's blocks transposed and ULI holds
+    #: a pair once (:func:`_wx_dual`); never with separate targets.
+    dual: bool = False
+    #: :func:`target_fingerprint` of a separate target tree; ``None`` when the
+    #: targets are the tree's own points.
+    target_fingerprint: str | None = None
     s2u: list = field(default_factory=list)
     u2u: list = field(default_factory=list)
     #: :class:`~repro.core.fft_m2l.VGroup` runs, and the bytes of the
@@ -322,7 +337,10 @@ class EvalPlan:
     # -- validation --------------------------------------------------------
 
     def check(self, tree: FmmTree) -> None:
-        """Raise :class:`PlanMismatchError` unless compiled for ``tree``."""
+        """Raise :class:`PlanMismatchError` unless compiled for ``tree``
+        and its own points as the targets."""
+        if self.target_fingerprint is not None:
+            raise PlanMismatchError("EvalPlan was compiled for separate targets")
         if self._tree is not None and self._tree() is tree:
             return
         if tree_fingerprint(tree) != self.fingerprint:
@@ -402,16 +420,16 @@ class EvalPlan:
         return arr if arr.ndim == 3 else arr[:, None, :]
 
     def _pot_table(self, state: dict) -> np.ndarray:
-        """``(n_points + 1, q, kt_eval)`` view of the sentinel-extended
+        """``(n_targets + 1, q, kt_eval)`` view of the sentinel-extended
         potential rows (see ``FmmEvaluator.allocate``).
 
-        Row ``n_points`` absorbs the padding-slot writes of fancy-indexed
+        Row ``n_targets`` absorbs the padding-slot writes of fancy-indexed
         scatters; ``state["pot"]`` views only the real rows.
         """
         pad = state["_pot_pad"]
         if pad.ndim == 3:
             return pad
-        return pad.reshape(self.n_points + 1, 1, self.kt_eval)
+        return pad.reshape(self.n_targets + 1, 1, self.kt_eval)
 
     def _dens_table(self, dens: np.ndarray) -> np.ndarray:
         """Sentinel-extended ``(n_points + 1, ks, q)`` density table for a
@@ -452,7 +470,7 @@ class EvalPlan:
     #
     # State layout.  Node state carries ``q`` on axis 1 — ``up``/``dequiv``
     # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
-    # ``_pot_pad`` ``(n_points + 1, q, kt_eval)`` — so a per-column slice
+    # ``_pot_pad`` ``(n_targets + 1, q, kt_eval)`` — so a per-column slice
     # ``arr[idx, j]`` gathers the same contiguous copy a 2-D ``arr[idx]``
     # does.  Single-RHS callers (the distributed driver) hold 2-D / flat
     # views of one-column storage (``FmmEvaluator.allocate``);
@@ -662,10 +680,9 @@ class EvalPlan:
         if not self.wli:
             return
         potr = self._pot_table(state)
-        dual = _wx_dual(ev)
 
         def compute(blk):
-            if dual:  # X's block, contracted transposed: a BLAS flag, no copy
+            if self.dual:  # X's block, contracted transposed: a BLAS flag, no copy
                 k = self._kmat(blk, ev.kernel, blk.surf, blk.pts).transpose(0, 2, 1)
             else:
                 k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
@@ -685,11 +702,10 @@ class EvalPlan:
         dequiv = self._cols(state["dequiv"])
         q = dequiv.shape[1]
         potr = self._pot_table(state)
-        dual = _wx_dual(ev)
 
         def compute(blk):
             den = self._cast(dequiv[blk.group])
-            if dual:  # S2U's K(UC, pts), contracted transposed, row-major
+            if self.dual:  # S2U's K(UC, pts), contracted transposed, row-major
                 k = self._kmat(blk, ev.kernel, blk.surf, blk.pts)
                 return gemm_rows(den, k).transpose(0, 2, 1)
             k = self._kmat(blk, ev.eval_kernel, blk.pts, blk.surf)
@@ -881,7 +897,7 @@ class _PlanReuse(_NoReuse):
         self.perm = delta.perm
         self.old_counts = old_tree.point_counts()
         self.kmats_ok = precision == old_plan.precision
-        self.dual = _wx_dual(ev)
+        self.dual = old_plan.dual
         keys = old_tree.keys
         self._uli: dict[int, tuple] = {}
         self.old_boxed = np.zeros(old_tree.n_nodes, dtype=bool)  # the old ULI scope
@@ -900,7 +916,7 @@ class _PlanReuse(_NoReuse):
             for blk in old_plan.xli:
                 self._index("wx", blk, keys[blk.rows], keys[blk.cols])
             for blk in old_plan.wli:  # a shared block: the same slots again
-                self._index("wx" if _wx_dual(ev) else "w", blk,
+                self._index("wx" if self.dual else "w", blk,
                             keys[blk.cols], keys[blk.rows])
 
     def _index(self, tag, blk, *node_keys) -> None:
@@ -1054,14 +1070,15 @@ def _uli_groups(tree, src_total, scope=None):
             yield tp, sp, leaves[grp[s : s + chunk]]
 
 
-def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
+def _leaf_section(ev, mat, reuse, tree, section, sel) -> list:
     """The S2U or D2T blocks over the leaves ``sel``: one leaf-section
-    builder, the leaf's points against its UC surface (S2U, sources) or
-    its DE surface (D2T, targets)."""
+    builder, the leaf's points against its UC surface (S2U, ``tree`` holds
+    the sources) or its DE surface (D2T, ``tree`` holds the targets)."""
     up = section == "s2u"
     kernel = ev.kernel if up else ev.eval_kernel
     surface = ev.ops.uc_points if up else ev.ops.de_points
     ks, kt = ev.kernel.source_dim, ev.kernel.target_dim
+    counts = tree.point_counts()
     base: dict[int, tuple] = {}
     blocks = []
     for lev, pad, group in leaf_batches(tree, sel):
@@ -1101,20 +1118,20 @@ def _leaf_section(ev, tree, counts, mat, reuse, section, sel) -> list:
     return blocks
 
 
-def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
+def _pair_section(ev, tree, targets, dual, mat, reuse, x_pairs, w_pairs):
     """``(xli, wli)`` over X's ``(far box, leaf)`` and W's ``(leaf, far
     box)`` pairs: one builder, one kernel array per batch.  X reads the
-    leaf's sources onto the far box's DC surface; W evaluates the far
-    box's UE surface — the same points — at the leaf's targets.  Under
-    :func:`_wx_dual` a pair in both lists is materialised, and charged to
-    the budget, once: X contracts ``kernel(surf, pts)``, W its transpose.
+    leaf's sources (in ``tree``) onto the far box's DC surface; W
+    evaluates the far box's UE surface — the same points — at the leaf's
+    targets (in ``targets``).  Under ``dual`` a pair in both lists is
+    materialised, and charged to the budget, once: X contracts
+    ``kernel(surf, pts)``, W its transpose.
 
     X's pairs are cut as X alone would cut them (its bits do not know W
     exists); a chunk then splits into the pairs W reads too and the rest,
     so a record reads whole arrays, never a slice.  W pairs with no
     in-scope X dual (one-sided on a LET; all of them when the lists are
     not duals: ``eval_kernel(pts, surf)`` blocks) follow in W's order."""
-    dual = _wx_dual(ev)
     (xf, xl), (wl, wf) = x_pairs, w_pairs
     xc, wc = (f * np.int64(tree.n_nodes) + l for f, l in ((xf, xl), (wf, wl)))
     both = np.isin(xc, wc) & dual  # X pairs W reads too
@@ -1123,12 +1140,13 @@ def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
     ue = np.stack([ev.ops.ue_points(lev) for lev in range(tree.max_level + 1)])
 
     def block(pad, fi, li, in_x, in_w):
-        pts = _padded_points(tree, li, pad)
+        side = tree if in_x else targets  # the same tree under the dual
+        pts = _padded_points(side, li, pad)
         surf = ue[tree.levels[fi]] + tree.centers[fi][:, None, :]
         w_own = not (in_x or dual)
         slots = reuse.slots("w" if w_own else "wx", pad, li,
                             tree.keys[fi], tree.keys[li])
-        n_pts = counts[li].sum()
+        n_pts = side.point_counts()[li].sum()
         sides = (ev.eval_kernel, pts, surf) if w_own else (ev.kernel, surf, pts)
         shared = dict(pad=pad, pts=pts, surf=surf, kmat=mat(*sides, slots))
         if in_x:
@@ -1142,16 +1160,16 @@ def _pair_section(ev, tree, counts, mat, reuse, x_pairs, w_pairs):
             order, starts, seg = _scatter_schedule(li)
             wli.append(_PairBlock(
                 rows=li, cols=fi, den_rows=None, order=order, starts=starts,
-                seg=seg, pot_rows=_padded_point_rows(tree, seg, pad),
+                seg=seg, pot_rows=_padded_point_rows(targets, seg, pad),
                 flops=ev.eval_kernel.pair_flops(n_pts, ev.ns), **shared,
             ))
 
-    for pad, sel in _pair_batches(ev.ns, counts[xl]):
+    for pad, sel in _pair_batches(ev.ns, tree.point_counts()[xl]):
         for part, in_w in ((sel[~both[sel]], False), (sel[both[sel]], True)):
             if part.size:
                 block(pad, xf[part], xl[part], True, in_w)
     wf, wl = wf[lone], wl[lone]
-    for pad, sel in _pair_batches(ev.ns, counts[wl]):
+    for pad, sel in _pair_batches(ev.ns, targets.point_counts()[wl]):
         block(pad, wf[sel], wl[sel], False, True)
     return xli, wli
 
@@ -1164,9 +1182,16 @@ def compile_plan(
     cache_matrices: bool = True,
     matrix_budget: int = MATRIX_BUDGET,
     precision: str = "fp64",
+    targets: FmmTree | None = None,
     _reuse: _NoReuse | None = None,
 ) -> EvalPlan:
     """Compile an :class:`EvalPlan` for evaluator ``ev`` on ``(tree, lists)``.
+
+    ``targets`` is a tree over ``tree``'s nodes whose points are where the
+    potential is wanted (default: ``tree`` itself, the paper's coincident
+    sets).  The target-side sections — D2T, W and the rows of U ∪ D — read
+    its points, and a leaf's targets take the leaf's lists; the sources
+    stay ``tree``'s.  Such a plan is never dual (:func:`_wx_dual`).
 
     ``scopes`` carries the distributed ownership masks (``None`` =
     unrestricted).  ``lists`` are the paper's Table I lists; the plan runs
@@ -1190,16 +1215,21 @@ def compile_plan(
         )
     scopes = scopes if scopes is not None else PlanScopes()
     ks, kt = ev.kernel.source_dim, ev.kernel.target_dim
-    counts = tree.point_counts()
+    targets = tree if targets is None else targets
+    own = targets is tree
+    counts, tcounts = tree.point_counts(), targets.point_counts()
     plan = EvalPlan(
         fingerprint=tree_fingerprint(tree),
         n_points=tree.n_points,
+        n_targets=targets.n_points,
         ns=ev.ns,
         ks=ks,
         kt=kt,
         kt_eval=ev.eval_kernel.target_dim,
         scoped=scopes.any_set(),
         precision=precision,
+        dual=own and _wx_dual(ev),
+        target_fingerprint=None if own else target_fingerprint(targets),
     )
     plan._tree = weakref.ref(tree)
     reuse = _NoReuse() if _reuse is None else _reuse
@@ -1220,20 +1250,20 @@ def compile_plan(
     # ULI, S2U, D2T, the X/W pair section.  ULI evaluates U and the direct
     # W/X pairs D, the pair section the rest (:func:`evaluated_lists`).
     split = evaluated_lists(tree, lists, ev.ns)
-    leaves = tree.is_leaf & (counts > 0)
+    leaves, tleaves = tree.is_leaf & (counts > 0), tree.is_leaf & (tcounts > 0)
     # a direct pair's kernel pairs are booked to the list it came from, over
     # the targets ULI evaluates (DESIGN.md §5); its seconds land in ULI's span
-    on = counts * within(leaves, scopes.uli)
+    on = tcounts * within(tleaves, scopes.uli)
     for phase, full, kept in (("XLI", lists.x, split.x), ("WLI", lists.w, split.w)):
         gone = member_sums(full, counts[full.indices]) - member_sums(kept, counts[kept.indices])
         plan.direct_flops[phase] = ev.eval_kernel.pair_flops(1, 1) * float((on * gone).sum())
     # -- ULI ---------------------------------------------------------------
-    u, dual = split.u, _wx_dual(ev)
+    u, dual = split.u, plan.dual
     urows, ucols = u.pairs()
     stored, trans = _uli_members(urows, ucols, counts, tree.levels, scopes.uli, dual)
     u_src = work_table(tree, lists).u_src  # all of U's sources: the flops
     held = member_sums(u, counts[ucols] * stored)  # the stored ones: the block
-    for tp, sp, boxes in _uli_groups(tree, held, scopes.uli):
+    for tp, sp, boxes in _uli_groups(targets, held, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
         t_mask = np.zeros((boxes.size, sp), dtype=bool)
         uslots = [None] * boxes.size
@@ -1249,36 +1279,36 @@ def compile_plan(
         src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
         valid = src_rows != tree.n_points
         src_pts[valid] = tree.points[src_rows[valid]]
-        tgt_pts = _padded_points(tree, boxes, tp)
+        tgt_pts = _padded_points(targets, boxes, tp)
         t_sel = np.flatnonzero(t_mask)
         plan.uli.append(_UliBlock(
             tp=tp, sp=sp, boxes=boxes, tgt_pts=tgt_pts, src_pts=src_pts,
-            den_rows=src_rows, pot_rows=_padded_point_rows(tree, boxes, tp),
+            den_rows=src_rows, pot_rows=_padded_point_rows(targets, boxes, tp),
             t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
             kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
-            flops=ev.eval_kernel.pair_flops(1, 1) * float((counts[boxes] * u_src[boxes]).sum()),
+            flops=ev.eval_kernel.pair_flops(1, 1) * float((tcounts[boxes] * u_src[boxes]).sum()),
         ))
 
     # -- S2U, D2T, XLI + WLI -----------------------------------------------
-    leaf_section = partial(_leaf_section, ev, tree, counts, mat, reuse)
-    s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(leaves, scopes.d2t)
-    plan.s2u = leaf_section("s2u", s2u_sel)
+    leaf_section = partial(_leaf_section, ev, mat, reuse)
+    s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(tleaves, scopes.d2t)
+    plan.s2u = leaf_section(tree, "s2u", s2u_sel)
     if dual:  # DE is UC: D2T reads S2U's K(UC, pts) records, arrays and all
         same = np.array_equal(s2u_sel, d2t_sel)
         plan.d2t = [replace(b, den_rows=None, pot_rows=b.den_rows, mat=None,
                             flops=ev.kernel.pair_flops(counts[b.group].sum(), ev.ns))
-                    for b in (plan.s2u if same else leaf_section("s2u", d2t_sel))]
+                    for b in (plan.s2u if same else leaf_section(tree, "s2u", d2t_sel))]
     else:
-        plan.d2t = leaf_section("d2t", d2t_sel)
+        plan.d2t = leaf_section(targets, "d2t", d2t_sel)
     # An X source is kept iff it holds points here, a W (and V, below)
     # source iff its octant holds a point on some rank; a vanishing density
     # adds zeros.
     nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
     xf, xl = split.x.pairs(scopes.xli)
-    wl, wf = split.w.pairs(within(leaves, scopes.wli))
+    wl, wf = split.w.pairs(within(tleaves, scopes.wli))
     xk, wk = counts[xl] > 0, nonempty[wf]
     plan.xli, plan.wli = _pair_section(
-        ev, tree, counts, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
+        ev, tree, targets, dual, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
     )
 
     # -- U2U ---------------------------------------------------------------

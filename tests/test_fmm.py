@@ -661,6 +661,17 @@ class TestSeparateTargets:
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             fmm.evaluate_targets(src, dens, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes"])
+    def test_empty_block_at_targets(self, kernel):
+        """A ``(n * ks, 0)`` block has no column to run: ``(n_targets *
+        kt, 0)`` at the targets, as ``evaluate`` gives ``(n * kt, 0)``."""
+        src = uniform_cube(300, seed=72)
+        fmm = Fmm(kernel, order=4, max_points_per_box=40)
+        ks, kt = fmm.kernel.source_dim, fmm.kernel.target_dim
+        empty = np.zeros((300 * ks, 0))
+        assert fmm.evaluate(src, empty).shape == (300 * kt, 0)
+        assert fmm.evaluate_targets(src, empty, src[:7]).shape == (7 * kt, 0)
+
     def test_plan_reuse_with_targets(self):
         src = uniform_cube(700, seed=68)
         kern = get_kernel("laplace")
@@ -673,31 +684,41 @@ class TestSeparateTargets:
         np.testing.assert_allclose(out2, 2 * out1, rtol=1e-10)
 
 
-    def test_targets_plan_compiles_no_target_side_blocks(self, monkeypatch):
-        """The plan ``evaluate_targets`` caches holds S2U..D2D only — its
-        target loop never reads a ULI / D2T / WLI block — beside the full
-        plan ``evaluate`` caches, and changes no bit of either answer."""
+    def test_targets_plan_is_cached_per_target_set(self):
+        """The second call with a target set caches a plan whose ULI, D2T
+        and WLI sections run at those targets, with the transient first
+        call's bits, and that ``evaluate`` refuses; other targets drop it
+        rather than reuse it, and the plan ``evaluate`` caches keeps its
+        object and its bits."""
+        from repro.core.plan import PlanMismatchError
+
         src = plummer_cluster(1500, seed=74)
-        tgt = uniform_cube(120, seed=75)
+        tgt, other = uniform_cube(120, seed=75), uniform_cube(120, seed=76)
         dens = np.random.default_rng(7).standard_normal(1500)
         fmm = Fmm("laplace", order=4, max_points_per_box=25)
         ev, plan = fmm.evaluator, fmm.plan(src)
+        want = fmm.evaluate(src, dens, plan=plan)
+        assert np.array_equal(fmm.evaluate(src, dens, plan=plan), want)
+        full = ev._plan_obj
+        assert full is not None and full.target_fingerprint is None
         first = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # transient
+        assert "targets" not in ev._plan_box
         again = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # compiled
         tp = ev._plan_box["targets"]
-        assert not (tp.uli or tp.d2t or tp.wli)
-        assert tp.matrix_bytes() == sum(
-            b.kmat.nbytes for b in tp.s2u + tp.xli
-        ) > 0
-        full = fmm.compile_eval_plan(plan)
-        assert full.uli and full.d2t and full.wli
-        assert np.array_equal(fmm.evaluate(src, dens, plan=plan),
-                              fmm.evaluate(src, dens, plan=plan, eval_plan=full))
-        assert ev._plan_obj is not tp and ev._plan_obj.wli
-        # the same targets through the full plan, as before this split
-        monkeypatch.setattr(ev, "_resolve_plan", lambda *a, **kw: full)
-        ref = fmm.evaluate_targets(src, dens, tgt, plan=plan)
-        assert np.array_equal(first, ref) and np.array_equal(again, ref)
+        assert tp.uli and tp.d2t and tp.wli and tp.matrix_bytes() > 0
+        assert tp.n_targets == 120 and not tp.dual
+        assert np.array_equal(first, again)
+        with pytest.raises(PlanMismatchError, match="separate targets"):
+            fmm.evaluate(src, dens, plan=plan, eval_plan=tp)
+        assert np.array_equal(fmm.evaluate_targets(src, dens, tgt, plan=plan), first)
+        assert ev._plan_box["targets"] is tp
+        got = fmm.evaluate_targets(src, dens, other, plan=plan)
+        assert "targets" not in ev._plan_box
+        fresh = Fmm("laplace", order=4, max_points_per_box=25)
+        assert np.array_equal(got, fresh.evaluate_targets(src, dens, other))
+        assert ev._plan_obj is full
+        assert np.array_equal(fmm.evaluate(src, dens, plan=plan), want)
+        assert ev._plan_obj is full
 
 
 class TestBalancedTree:

@@ -233,6 +233,24 @@ class TestGpuEvaluator:
                 assert ev.gpu.ledger.launches[ph] > 0, ph
                 assert (ev.gpu.ledger.kernel_flops[ph] > 0) == bool(section), ph
 
+    @pytest.mark.parametrize("wx", [False, True])
+    def test_separate_targets(self, wx):
+        """``evaluate_targets`` on the device: the target plan's D2T, ULI
+        (and, with ``accelerate_wx``, WLI) run as the fp32 device phases,
+        within the float32 floor of the direct sum at the targets."""
+        from repro.kernels import direct_sum
+
+        src, tgt = plummer_cluster(1500, seed=9), uniform_cube(400, seed=10)
+        kern = get_kernel("laplace")
+        dens = np.random.default_rng(11).standard_normal(1500)
+        tree = build_tree(src, 40)
+        gpu = GpuFmmEvaluator(kern, 6, accelerate_wx=wx)
+        out = gpu.evaluate_targets(tree, build_lists(tree), dens[tree.order], tgt)
+        ref = direct_sum(kern, tgt, src, dens)
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 5e-5  # F32_FLOOR
+        for ph in ("D2T", "ULI") + (("WLI",) if wx else ()):
+            assert gpu.gpu.ledger.kernel_flops[ph] > 0, ph
+
     def test_ledger_has_all_accelerated_phases(self):
         pts = uniform_cube(1500, seed=44)
         kern = get_kernel("laplace")

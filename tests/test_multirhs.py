@@ -268,6 +268,34 @@ class TestMultiRhsBitIdentity:
             solo = fmm.evaluate(pts, col, plan=plan, eval_plan=ep)
             assert np.array_equal(out[:, j], solo), f"column {j}"
 
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes", "laplace_gradient"])
+    def test_separate_targets(self, kernel):
+        """At separate targets a block rides the target plan's one pass:
+        column ``j`` is the solo ``evaluate_targets`` of column ``j`` (the
+        first call's transient plan and the cached one alike), and a
+        1-wide pool gives the default width's bits."""
+        from repro.kernels.gradients import LaplaceGradientKernel
+
+        n, m, q = 900, 300, 3
+        src, tgt = plummer_cluster(n, seed=35), uniform_cube(m, seed=36)
+        grad = kernel == "laplace_gradient"
+        fmm = Fmm("laplace" if grad else kernel, order=4, max_points_per_box=40,
+                  eval_kernel=LaplaceGradientKernel() if grad else None)
+        block = _density_block(fmm.kernel.name, n, q, seed=8)
+        plan = fmm.plan(src)
+        with limit_blas_threads(1):
+            multi = fmm.evaluate_targets(src, block, tgt, plan=plan)
+            assert multi.shape == (m * fmm.evaluator.eval_kernel.target_dim, q)
+            for j in range(q):
+                solo = fmm.evaluate_targets(src, block[:, j], tgt, plan=plan)
+                assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
+            fmm.evaluator.configure_threads(1)
+            try:
+                narrow = fmm.evaluate_targets(src, block, tgt, plan=plan)
+            finally:
+                fmm.evaluator.configure_threads(None)
+        assert np.array_equal(narrow, multi)
+
     def test_single_column_2d_equals_1d(self):
         n = 600
         pts = uniform_cube(n, seed=34)
@@ -314,6 +342,29 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match=rf"FmmEvaluator.evaluate: {pattern}"):
             fmm.evaluator.evaluate(plan.tree, plan.lists, dens)
 
+    def test_evaluator_targets_take_the_same_rule(self):
+        """``FmmEvaluator.evaluate_targets`` checks densities as
+        ``evaluate`` does: a shape that only fits in size, a complex or a
+        NaN density is a ValueError naming the entry point, and a
+        ``(n, q)`` block runs column for column."""
+        pts = uniform_cube(300, seed=1)
+        fmm = Fmm("laplace", order=4, max_points_per_box=16)
+        plan = fmm.plan(pts)
+        ev, tree, lists, tgt = fmm.evaluator, plan.tree, plan.lists, pts[:5]
+        dens = np.random.default_rng(2).standard_normal(300)
+        nan = dens.copy()
+        nan[7] = np.nan
+        for bad, pattern in ((dens.reshape(150, 2), r"densities shape \(150, 2\)"),
+                             (dens + 1j, "densities must be real"),
+                             (nan, "densities must be finite; row 7")):
+            with pytest.raises(ValueError, match=rf"FmmEvaluator.evaluate_targets: {pattern}"):
+                ev.evaluate_targets(tree, lists, bad, tgt)
+        block = np.stack([dens, 2 * dens], axis=1)
+        out = ev.evaluate_targets(tree, lists, block, tgt)
+        assert out.shape == (5, 2)
+        for j in range(2):
+            assert np.array_equal(out[:, j], ev.evaluate_targets(tree, lists, block[:, j], tgt))
+
     def test_per_point_vectors_are_one_density(self):
         pts = uniform_cube(200, seed=3)
         fmm = Fmm("stokes", order=4, max_points_per_box=40)
@@ -355,9 +406,25 @@ class TestConcurrentEvaluate:
     def test_shared_fmm_bit_identical_one_compile(self):
         """Threads hammering one Fmm/plan agree bitwise with serial runs
         and trigger exactly one lazy plan compile (``setup:plan`` span)."""
+        self._hammer(separate=False)
+
+    def test_shared_fmm_targets_bit_identical_one_compile(self):
+        """The same at one shared set of separate targets: one compiled
+        target plan, and every thread's bits equal a serial run's."""
+        self._hammer(separate=True)
+
+    @staticmethod
+    def _hammer(separate):
         n = 700
         n_threads, calls_each = 4, 3
         pts = uniform_cube(n, seed=41)
+        tgt = uniform_cube(200, seed=42)
+
+        def call(f, dens, **kw):
+            if separate:
+                return f.evaluate_targets(pts, dens, tgt, plan=plan, **kw)
+            return f.evaluate(pts, dens, plan=plan, **kw)
+
         fmm = Fmm("laplace", order=4, max_points_per_box=40)
         plan = fmm.plan(pts)
         blocks = [
@@ -380,9 +447,7 @@ class TestConcurrentEvaluate:
             try:
                 start.wait(timeout=10)
                 for c in range(calls_each):
-                    results[i][c] = fmm.evaluate(
-                        pts, blocks[i], plan=plan, profile=profiles[i]
-                    )
+                    results[i][c] = call(fmm, blocks[i], profile=profiles[i])
             except Exception as err:  # pragma: no cover - failure detail
                 errors.append(err)
 
@@ -397,9 +462,8 @@ class TestConcurrentEvaluate:
 
         # serial references on a fresh evaluator (same tree, same numerics)
         fmm2 = Fmm("laplace", order=4, max_points_per_box=40)
-        ep = fmm2.compile_eval_plan(plan)
         for i in range(n_threads):
-            ref = fmm2.evaluate(pts, blocks[i], plan=plan, eval_plan=ep)
+            ref = call(fmm2, blocks[i])
             for c in range(calls_each):
                 assert np.array_equal(results[i][c], ref), f"thread {i} call {c}"
 

@@ -136,9 +136,9 @@ def test_direct_wx_pairs_on_the_ladder(cloud, kernel, order, precision):
 
 
 def test_direct_wx_pairs_at_separate_targets():
-    """``evaluate_targets`` runs its per-leaf W and U loops over the same
-    split the plan compiled, so targets next to the sources — in leaves
-    with direct pairs — read the direct sum to the order-6 rung."""
+    """``evaluate_targets`` compiles its W and U ∪ D sections from the
+    same split as the source plan, so targets next to the sources — in
+    leaves with direct pairs — read the direct sum to the order-6 rung."""
     src = _cloud("plummer", 1500)
     rng = np.random.default_rng(SEED)
     tgt = np.clip(src[::4] + 1e-3 * rng.standard_normal((375, 3)), 0.0, 1.0)
