@@ -7,17 +7,14 @@ Commands
 ``trace``     run a distributed FMM with per-message tracing and print
               the communication matrices and critical-path estimates
 ``tune``      search the (order, leaf size, precision, batch shape) grid
-              for the cheapest config meeting an SLO; ``--q-sweep`` is
-              the legacy points-per-box sweep for CPU or GPU
-``chaos``     run the fault-injection matrix: every fault class against
-              a distributed FMM, checking typed failure or bit-identical
-              recovery, plus seeded-determinism replay checks
+              for the cheapest config meeting an SLO
 ``serve``     stand up the in-process evaluation service, drive it with
               closed-loop clients, and print latency/throughput/batching
               metrics (``--out`` writes the metrics snapshot)
 ``info``      print version, kernels, machine/device models
 
-This module parses arguments and calls the library; what the repository
+This module parses arguments and calls the library; a ``ValueError``
+the library raises ends as a usage error (exit 2).  What the repository
 measures is measured by ``bench/run.py`` (see ``bench/README.md``).
 """
 
@@ -28,6 +25,8 @@ import sys
 import time
 
 import numpy as np
+
+from repro.datasets import DISTRIBUTIONS
 
 
 def _cmd_evaluate(args) -> int:
@@ -53,12 +52,6 @@ def _cmd_evaluate(args) -> int:
     plan = fmm.plan(points, profile=profile)
     pot = fmm.evaluate(points, dens, plan=plan, profile=profile)
     dt = time.perf_counter() - t0
-    # --repeat: re-apply on the same tree (iterative-solver pattern); the
-    # evaluator compiles its EvalPlan on the second call and amortises it
-    for k in range(args.repeat - 1):
-        t1 = time.perf_counter()
-        pot = fmm.evaluate(points, dens, plan=plan, profile=profile)
-        print(f"  repeat {k + 2}: {time.perf_counter() - t1:.2f}s")
     if recorder is not None:
         n = recorder.write_jsonl(args.trace)
         print(f"trace: {n} events -> {args.trace}")
@@ -129,26 +122,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_tune_q_sweep(args) -> int:
-    """The tuner's q axis alone: points-per-box for a CPU or modelled GPU."""
-    from repro.tune.probe import autotune_points_per_box
-    from repro.datasets import make_distribution
-
-    points = make_distribution(args.distribution, args.n, seed=args.seed)
-    res = autotune_points_per_box(
-        points,
-        kernel=args.kernel,
-        order=args.order,
-        target=args.target,
-        sample=args.sample,
-    )
-    print(f"best q for {args.target}: {res.best_q}  (metric: {res.metric})")
-    for q, cost in res.ranked():
-        marker = " <-- best" if q == res.best_q else ""
-        print(f"  q={q:5d}: {cost:.4f}s{marker}")
-    return 0
-
-
 def _tune_grid_from_args(args):
     from repro.tune.search import default_grid
 
@@ -171,8 +144,6 @@ def _cmd_tune(args) -> int:
     """One budgeted SLO-driven config search
     (:func:`repro.tune.search.tune`) on a synthetic distribution; prints
     the chosen config and, with ``--store``, persists it."""
-    if args.q_sweep:
-        return _cmd_tune_q_sweep(args)
     from repro.datasets import make_distribution
     from repro.tune.search import SLO, tune
     from repro.tune.store import TuneStore, geometry_fingerprint
@@ -210,150 +181,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    """Fault-matrix smoke: each fault class either recovers bit-identically
-    (retry / checkpoint resume / CPU fallback) or fails with a typed error
-    before the deadline — never a hang — and seeded plans replay exactly."""
-    from repro.datasets import make_distribution
-    from repro.dist.driver import DistributedFmm
-    from repro.mpi import SpmdError, run_spmd_resilient
-    from repro.mpi.faults import (
-        Fault,
-        FaultPlan,
-        RetryPolicy,
-        TRANSIENT_ERRORS,
-    )
-
-    p = args.p
-    points = make_distribution("ellipsoid", args.n, seed=args.seed)
-
-    def body(comm, state, use_gpu=False):
-        if "fmm" not in state:
-            fmm = DistributedFmm(
-                order=args.order, max_points_per_box=args.q, use_gpu=use_gpu
-            )
-            fmm.setup(comm, points[comm.rank :: comm.size])
-            state["fmm"] = fmm
-            pts = fmm.owned_points
-            state["dens"] = np.sin(17.0 * pts[:, 0]) + pts[:, 2] * np.cos(
-                11.0 * pts[:, 1]
-            )
-        else:
-            fmm = state["fmm"]
-            fmm.rebind(comm)
-        return fmm.evaluate(state["dens"], resume=True)
-
-    def run(plan=None, use_gpu=False, timeout=None, trace=False):
-        return run_spmd_resilient(
-            p,
-            body,
-            policy=RetryPolicy(max_attempts=3),
-            faults=plan,
-            rank_state=True,
-            integrity=True,
-            timeout=timeout if timeout is not None else args.timeout,
-            trace=trace,
-            use_gpu=use_gpu,
-        )
-
-    t_start = time.perf_counter()
-    base = run()
-    print(f"baseline: p={p} n={args.n} ok ({time.perf_counter() - t_start:.1f}s)")
-
-    def identical(res) -> bool:
-        return all(
-            np.array_equal(res.values[r], base.values[r]) for r in range(p)
-        )
-
-    s = args.seed
-    plans = {
-        "crash": FaultPlan(
-            [Fault("crash", rank=(1 + s) % p, op="phase", phase="VLI", attempts=1)],
-            seed=s,
-        ),
-        "straggle": FaultPlan(
-            [Fault("straggle", rank=(2 + s) % p, op="phase", phase="S2U",
-                   seconds=5.0)],
-            seed=s,
-        ),
-        "drop": FaultPlan(
-            [Fault("drop", rank=s % p, op="send", index=5, attempts=1)], seed=s
-        ),
-        "duplicate": FaultPlan(
-            [Fault("duplicate", rank=s % p, op="send", index=5, attempts=1)],
-            seed=s,
-        ),
-        "bitflip": FaultPlan(
-            [Fault("bitflip", rank=(3 + s) % p, op="send", index=4,
-                   bit=97 + s, attempts=1)],
-            seed=s,
-        ),
-        "gpu": FaultPlan(
-            [Fault("gpu", rank=r, op="launch", phase="*") for r in range(p)],
-            seed=s,
-        ),
-    }
-
-    failures = 0
-    rows = []
-    for kind, plan in plans.items():
-        t0 = time.perf_counter()
-        # a dropped delivery usually wedges a collective until the deadline
-        # (no later traffic exposes the sequence gap), so give that class a
-        # short per-attempt timeout: the retry converges either way
-        timeout = min(args.timeout, 20.0) if kind == "drop" else None
-        try:
-            res = run(plan=plan, use_gpu=(kind == "gpu"), timeout=timeout,
-                      trace=bool(args.out) and kind == "crash")
-        except TRANSIENT_ERRORS + (SpmdError,) as exc:
-            cause = exc.__cause__ if exc.__cause__ is not None else exc
-            if isinstance(cause, TRANSIENT_ERRORS):
-                rows.append((kind, f"typed {type(cause).__name__} "
-                                   f"({time.perf_counter() - t0:.1f}s)", True))
-            else:
-                rows.append((kind, f"FAIL untyped {cause!r}", False))
-                failures += 1
-            continue
-        ok = identical(res)
-        n_inj = len(res.fault_events)
-        rows.append(
-            (kind,
-             f"{'bit-identical' if ok else 'FAIL result mismatch'} "
-             f"(attempts={res.attempts}, injections={n_inj}, "
-             f"{time.perf_counter() - t0:.1f}s)",
-             ok),
-        )
-        if not ok:
-            failures += 1
-        if args.out and kind == "crash" and res.trace is not None:
-            n = res.trace.write_jsonl(args.out)
-            print(f"crash-class trace: {n} events -> {args.out}")
-
-    # seeded determinism: identical plans replay identical event sequences
-    # (crash class) and identical completed-run traces (straggle class)
-    e1 = run(plan=plans["crash"]).fault_events
-    e2 = run(plan=plans["crash"]).fault_events
-    det_events = e1 == e2
-    t1 = run(plan=plans["straggle"], trace=True).trace.signature()
-    t2 = run(plan=plans["straggle"], trace=True).trace.signature()
-    det_trace = t1 == t2
-    rows.append(("determinism",
-                 f"events {'replay' if det_events else 'DIVERGE'}, "
-                 f"trace signature {'replay' if det_trace else 'DIVERGE'}",
-                 det_events and det_trace))
-    if not (det_events and det_trace):
-        failures += 1
-
-    width = max(len(k) for k, _, _ in rows)
-    for kind, msg, ok in rows:
-        print(f"  {kind:{width}s}  {'PASS' if ok else 'FAIL'}  {msg}")
-    print(
-        f"chaos matrix: {len(rows) - failures}/{len(rows)} passed "
-        f"({time.perf_counter() - t_start:.1f}s)"
-    )
-    return 1 if failures else 0
-
-
 def _cmd_serve(args) -> int:
     """Register models on a :class:`~repro.serve.ServeEngine`, drive them
     with closed-loop clients and print the metrics snapshot ``run_load``
@@ -375,28 +202,11 @@ def _cmd_serve(args) -> int:
         f"registering {args.models} model(s): N={args.n} {args.kernel} "
         f"order={args.order} box={args.q} (tree + warm plan) ..."
     )
-    slo = store = None
-    if args.autotune:
-        from repro.tune.search import SLO
-        from repro.tune.store import TuneStore
-
-        slo = SLO(latency_s=args.slo_ms / 1e3, precision_rtol=1e-3)
-        store = TuneStore(args.store) if args.store else None
-    names = []
-    for i in range(args.models):
-        name = f"m{i}"
+    names = [f"m{i}" for i in range(args.models)]
+    for i, name in enumerate(names):
         pts = make_distribution(args.distribution, args.n, seed=args.seed + i)
         fmm = Fmm(args.kernel, order=args.order, max_points_per_box=args.q)
-        if slo is not None:
-            engine.register(name, fmm, pts, warm=True, slo=slo, store=store)
-            engine.start_monitor(name)
-            tuned = engine._model(name).tuned
-            print(f"  {name}: autotuned {tuned.key()} "
-                  f"against SLO {slo.key()}")
-        else:
-            engine.register(name, fmm, pts, warm=True,
-                            precision=args.precision)
-        names.append(name)
+        engine.register(name, fmm, pts, warm=True, precision=args.precision)
 
     with engine:
         print(
@@ -419,9 +229,10 @@ def _cmd_serve(args) -> int:
         f"({summary['throughput_rps']:.1f} req/s)"
     )
     for name in names:
-        m = summary["models"][name]
-        lat = m["latency_s"]
+        # the snapshot lists only the models that were sent a request
+        m = summary["models"].get(name, {"completed": 0, "failed": 0})
         if m["completed"]:
+            lat = m["latency_s"]
             print(
                 f"  {name}: {m['completed']} done, {m['failed']} failed | "
                 f"latency p50 {lat['p50'] * 1e3:.0f} p95 {lat['p95'] * 1e3:.0f} "
@@ -488,8 +299,7 @@ def main(argv=None) -> int:
     pe = sub.add_parser("evaluate", help="run an FMM evaluation")
     pe.add_argument("--kernel", default="laplace")
     pe.add_argument("--distribution", default="uniform",
-                    choices=["uniform", "ellipsoid", "plummer",
-                             "two_spheres", "filament"])
+                    choices=DISTRIBUTIONS)
     pe.add_argument("--n", type=int, default=10_000)
     pe.add_argument("--order", type=int, default=6)
     pe.add_argument("--q", type=int, default=100,
@@ -500,9 +310,6 @@ def main(argv=None) -> int:
                     help="verify against direct summation on a sample")
     pe.add_argument("--trace", default=None, metavar="OUT_JSONL",
                     help="record phase span events to a JSONL trace file")
-    pe.add_argument("--repeat", type=int, default=1, metavar="K",
-                    help="apply K times on the fixed tree (amortised plan "
-                         "path kicks in from the second call)")
     pe.add_argument("--precision", default="fp64",
                     choices=["fp64", "fp32", "auto"],
                     help="plan precision: fp64 (bit-identical baseline), "
@@ -520,8 +327,7 @@ def main(argv=None) -> int:
     )
     pr.add_argument("--kernel", default="laplace")
     pr.add_argument("--distribution", default="ellipsoid",
-                    choices=["uniform", "ellipsoid", "plummer",
-                             "two_spheres", "filament"])
+                    choices=DISTRIBUTIONS)
     pr.add_argument("--n", type=int, default=4_000)
     pr.add_argument("--p", type=int, default=4, help="virtual rank count")
     pr.add_argument("--order", type=int, default=4)
@@ -542,13 +348,11 @@ def main(argv=None) -> int:
 
     pt = sub.add_parser(
         "tune",
-        help="SLO-driven config search (cost-model-guided); "
-             "--q-sweep for its points-per-box axis alone",
+        help="SLO-driven config search (cost-model-guided)",
     )
     pt.add_argument("--kernel", default="laplace")
     pt.add_argument("--distribution", default="uniform",
-                    choices=["uniform", "ellipsoid", "plummer",
-                             "two_spheres", "filament"])
+                    choices=DISTRIBUTIONS)
     pt.add_argument("--n", type=int, default=20_000)
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--sample", type=int, default=2_000,
@@ -577,29 +381,7 @@ def main(argv=None) -> int:
     pt.add_argument("--no-measure", action="store_true",
                     help="cost-model-only selection (no measured probes; "
                          "fully deterministic)")
-    pt.add_argument("--q-sweep", action="store_true",
-                    help="sweep points-per-box (the q axis) only")
-    pt.add_argument("--order", type=int, default=6,
-                    help="expansion order (--q-sweep only)")
-    pt.add_argument("--target", default="cpu", choices=["cpu", "gpu"],
-                    help="architecture the --q-sweep tunes for")
     pt.set_defaults(fn=_cmd_tune)
-
-    pc = sub.add_parser(
-        "chaos",
-        help="fault-injection matrix: typed failure or bit-identical recovery",
-    )
-    pc.add_argument("--seed", type=int, default=0,
-                    help="fault-plan seed (same seed = same injections)")
-    pc.add_argument("--p", type=int, default=8, help="virtual rank count")
-    pc.add_argument("--n", type=int, default=1200)
-    pc.add_argument("--order", type=int, default=4)
-    pc.add_argument("--q", type=int, default=50, help="max points per box")
-    pc.add_argument("--timeout", type=float, default=120.0,
-                    help="per-attempt deadline in seconds")
-    pc.add_argument("--out", default=None, metavar="OUT_JSONL",
-                    help="write the crash-class recovery trace to JSONL")
-    pc.set_defaults(fn=_cmd_chaos)
 
     ps = sub.add_parser(
         "serve",
@@ -607,8 +389,7 @@ def main(argv=None) -> int:
     )
     ps.add_argument("--kernel", default="laplace")
     ps.add_argument("--distribution", default="uniform",
-                    choices=["uniform", "ellipsoid", "plummer",
-                             "two_spheres", "filament"])
+                    choices=DISTRIBUTIONS)
     ps.add_argument("--n", type=int, default=8_000,
                     help="points per registered model")
     ps.add_argument("--order", type=int, default=6)
@@ -633,14 +414,6 @@ def main(argv=None) -> int:
                     choices=["fp64", "fp32", "auto"],
                     help="plan precision the models are registered at "
                          "(auto calibrates once per model at registration)")
-    ps.add_argument("--autotune", action="store_true",
-                    help="register models via the SLO-driven autotuner "
-                         "(cost-model search + online drift monitor) "
-                         "instead of the fixed --order/--q/--precision")
-    ps.add_argument("--slo-ms", type=float, default=250.0,
-                    help="autotune SLO: p95 latency target in ms")
-    ps.add_argument("--store", default=None, metavar="PATH",
-                    help="TuneStore JSON consulted/updated by --autotune")
     ps.add_argument("--threads", type=int, default=None, metavar="T",
                     help="intra-rank parallelism: all models share one "
                          "T-thread tile pool (bit-identical results; "
@@ -655,7 +428,11 @@ def main(argv=None) -> int:
     pi.set_defaults(fn=_cmd_info)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # the library names the offending parameter: a usage error
+        sub.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Particle distributions used by the paper's experiments."""
 
 from repro.datasets.distributions import (
+    DISTRIBUTIONS,
     ellipsoid_surface,
     filament,
     plummer_cluster,
@@ -15,5 +16,6 @@ __all__ = [
     "plummer_cluster",
     "two_spheres",
     "filament",
+    "DISTRIBUTIONS",
     "make_distribution",
 ]

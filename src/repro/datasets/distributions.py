@@ -23,6 +23,7 @@ __all__ = [
     "plummer_cluster",
     "two_spheres",
     "filament",
+    "DISTRIBUTIONS",
     "make_distribution",
 ]
 
@@ -119,6 +120,9 @@ _DISTRIBUTIONS = {
     "two_spheres": two_spheres,
     "filament": filament,
 }
+
+#: The names :func:`make_distribution` accepts.
+DISTRIBUTIONS = tuple(_DISTRIBUTIONS)
 
 
 def make_distribution(name: str, n: int, seed: int = 0) -> np.ndarray:

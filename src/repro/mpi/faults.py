@@ -71,7 +71,7 @@ class RankCrash(InjectedFault):
 #: timeouts when no later traffic exposes the sequence gap).
 TRANSIENT_ERRORS = (InjectedFault, CorruptMessage, GpuDeviceFault, TimeoutError)
 
-#: The supported fault classes of the matrix (``python -m repro chaos``).
+#: The supported fault classes of the matrix (``tests/test_chaos.py``).
 FAULT_KINDS = ("crash", "straggle", "drop", "duplicate", "bitflip", "gpu")
 
 _OPS = ("send", "recv", "phase", "launch")

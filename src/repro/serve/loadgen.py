@@ -74,6 +74,10 @@ def run_load(
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
+    if not models:
+        raise ValueError("models must name at least one registered model")
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
     if mode == "open" and (rate_rps is None or rate_rps <= 0):
         raise ValueError("open-loop mode needs rate_rps > 0")
     stop_at = time.monotonic() + duration_s

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.datasets import make_distribution
 from repro.dist.driver import DistributedFmm
 from repro.mpi import (
     CorruptMessage,
@@ -22,6 +23,8 @@ from repro.mpi import (
 )
 from repro.mpi.comm import _TAG_COLL
 from repro.mpi.faults import (
+    FAULT_KINDS,
+    TRANSIENT_ERRORS,
     Fault,
     FaultPlan,
     RankCrash,
@@ -33,6 +36,32 @@ from repro.perf.trace import TraceRecorder
 def _allreduce_body(comm):
     comm.barrier()
     return comm.allreduce(comm.rank + 1)
+
+
+def _resumable_fmm_body(pts, density, max_points_per_box):
+    """Rank body for ``run_spmd_resilient(..., rank_state=True)``.
+
+    The first attempt sets up an order-4 :class:`DistributedFmm` on the
+    rank's stride of ``pts`` and keeps it, with ``density`` of its owned
+    points, in the per-rank ``state``; a retry rebinds it to the new
+    communicator.  Either way it evaluates with ``resume=True``, so a retry
+    skips the phases the checkpoint already holds.
+    """
+
+    def body(comm, state, use_gpu=False):
+        if "fmm" not in state:
+            fmm = DistributedFmm(
+                order=4, max_points_per_box=max_points_per_box, use_gpu=use_gpu
+            )
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            state["fmm"] = fmm
+            state["dens"] = density(fmm.owned_points)
+        else:
+            fmm = state["fmm"]
+            fmm.rebind(comm)
+        return fmm.evaluate(state["dens"], resume=True)
+
+    return body
 
 
 class TestFaultPlan:
@@ -278,24 +307,11 @@ class TestCheckpointResume:
     P = 4
     N = 160
 
-    def _body(self, pts):
-        def body(comm, state):
-            if "fmm" not in state:
-                fmm = DistributedFmm(order=4, max_points_per_box=30)
-                fmm.setup(comm, pts[comm.rank :: comm.size])
-                state["fmm"] = fmm
-                own = fmm.owned_points
-                state["dens"] = np.sin(9.0 * own[:, 0]) + own[:, 1]
-            else:
-                fmm = state["fmm"]
-                fmm.rebind(comm)
-            return fmm.evaluate(state["dens"], resume=True)
-
-        return body
-
     def test_resume_skips_upward_phases_bit_identically(self):
         pts = np.random.default_rng(3).random((self.N, 3))
-        body = self._body(pts)
+        body = _resumable_fmm_body(
+            pts, lambda own: np.sin(9.0 * own[:, 0]) + own[:, 1], 30
+        )
         base = run_spmd_resilient(self.P, body, rank_state=True, timeout=60)
         # crash in a downward phase, after the checkpoint was cut
         plan = FaultPlan(
@@ -533,3 +549,84 @@ class TestCrashWithPeersBlocked:
         assert res.attempts == 2
         assert [v for v in res.values] == [("dens", 3), ("dens", 0),
                                            ("dens", 1), ("dens", 2)]
+
+
+#: The fault matrix: one seeded plan per class in ``FAULT_KINDS``, for an
+#: 8-rank run.  A transient fault fires on the first attempt only.
+MATRIX_P = 8
+MATRIX_PLANS = {
+    "crash": FaultPlan(
+        [Fault("crash", rank=1, op="phase", phase="VLI", attempts=1)]
+    ),
+    "straggle": FaultPlan(
+        [Fault("straggle", rank=2, op="phase", phase="S2U", seconds=5.0)]
+    ),
+    "drop": FaultPlan([Fault("drop", rank=0, op="send", index=5, attempts=1)]),
+    "duplicate": FaultPlan(
+        [Fault("duplicate", rank=0, op="send", index=5, attempts=1)]
+    ),
+    "bitflip": FaultPlan(
+        [Fault("bitflip", rank=3, op="send", index=4, bit=97, attempts=1)]
+    ),
+    "gpu": FaultPlan(
+        [Fault("gpu", rank=r, op="launch", phase="*") for r in range(MATRIX_P)]
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_run():
+    """``run(plan, ...)`` over the matrix's distributed FMM (1200 points
+    on the ellipsoid, q = 50), and its fault-free baseline."""
+    pts = make_distribution("ellipsoid", 1200, seed=0)
+    body = _resumable_fmm_body(
+        pts,
+        lambda own: np.sin(17.0 * own[:, 0]) + own[:, 2] * np.cos(11.0 * own[:, 1]),
+        50,
+    )
+
+    def run(plan=None, use_gpu=False, timeout=120.0, trace=False):
+        return run_spmd_resilient(
+            MATRIX_P,
+            body,
+            policy=RetryPolicy(max_attempts=3),
+            faults=plan,
+            rank_state=True,
+            integrity=True,
+            timeout=timeout,
+            trace=trace,
+            use_gpu=use_gpu,
+        )
+
+    return run, run()
+
+
+@pytest.mark.chaos
+class TestFaultMatrix:
+    """Every fault class against a distributed FMM, end to end."""
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_recovers_bit_identically_or_fails_typed(self, kind, matrix_run):
+        run, base = matrix_run
+        # a dropped delivery usually wedges a collective until the deadline
+        # (no later traffic exposes the sequence gap), so that class gets a
+        # short per-attempt deadline: the retry converges either way
+        timeout = 20.0 if kind == "drop" else 120.0
+        try:
+            res = run(MATRIX_PLANS[kind], use_gpu=(kind == "gpu"), timeout=timeout)
+        except TRANSIENT_ERRORS + (SpmdError,) as exc:
+            cause = exc.__cause__ if exc.__cause__ is not None else exc
+            assert isinstance(cause, TRANSIENT_ERRORS), f"untyped failure {cause!r}"
+            return
+        for r in range(MATRIX_P):
+            assert np.array_equal(res.values[r], base.values[r]), f"rank {r}"
+
+    def test_seeded_plans_replay(self, matrix_run):
+        """The crash plan replays its injection sequence, and the straggle
+        plan its completed-run trace signature."""
+        run, _ = matrix_run
+        crash = MATRIX_PLANS["crash"]
+        assert run(crash).fault_events == run(crash).fault_events
+        straggle = MATRIX_PLANS["straggle"]
+        assert (run(straggle, trace=True).trace.signature()
+                == run(straggle, trace=True).trace.signature())

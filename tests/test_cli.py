@@ -66,13 +66,6 @@ class TestCli:
         assert back.message_events(kind="send")
         assert back.per_rank_send_counts()
 
-    def test_tune_q_sweep(self, capsys):
-        rc = main(["tune", "--q-sweep", "--n", "2500", "--order", "4",
-                   "--sample", "2500"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "best q" in out
-
     def test_tune_slo_search(self, capsys, tmp_path):
         store = tmp_path / "tune_store"
         rc = main([
@@ -128,12 +121,49 @@ class TestCli:
         assert snap["models"]["m0"]["completed"] > 0
         assert snap["loadgen"]["errors"] == 0
 
+    def test_serve_prints_a_model_no_client_drove(self, capsys):
+        """Client ``i`` drives model ``i % models``: with three models and
+        two clients, ``m2`` is registered but never sent a request."""
+        assert main(SERVE_TINY + ["--models", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "m2: 0 done, 0 failed" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--clients", "0"], "clients must be >= 1"),
+        (["--models", "0"], "models must name"),
+    ], ids=["clients 0", "models 0"])
+    def test_serve_without_load_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(SERVE_TINY + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--q", "0"], "max_points_per_box must be >= 1"),
+        (["evaluate", "--order", "0"], "order must be >= 4"),
+        (["evaluate", "--kernel", "bogus"], "unknown kernel 'bogus'"),
+        (["trace", "--p", "0"], "nranks must be >= 1"),
+    ], ids=["evaluate --q 0", "evaluate --order 0", "evaluate --kernel bogus",
+            "trace --p 0"])
+    def test_library_value_error_is_a_usage_error(self, argv, message, capsys):
+        """A ``ValueError`` the library raises on an argument exits 2 with
+        the subcommand's usage and the library's message."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "300"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"python -m repro {argv[0]}: error: {message}" in err
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--steps", "2"],
         ["tune", "--gate"],
         ["tune", "--bench"],
         ["serve", "--bench"],
         ["serve", "--dist"],
+        ["tune", "--q-sweep"],
+        ["serve", "--autotune"],
+        ["evaluate", "--repeat", "2"],
+        ["chaos", "--seed", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_retired_drill_flags_are_rejected(self, argv, capsys):
         """Drill modes are not CLI flags: argparse rejects them."""

@@ -533,6 +533,14 @@ class TestLoadgen:
         with pytest.raises(ValueError):
             run_load(None, ["m"], mode="sideways")
 
+    def test_needs_a_model_and_a_client(self):
+        from repro.serve.loadgen import run_load
+
+        with pytest.raises(ValueError, match="models"):
+            run_load(None, [])
+        with pytest.raises(ValueError, match="clients"):
+            run_load(None, ["m"], clients=0)
+
 
 class TestMetricsMerge:
     def test_union_quantiles_not_averaged(self):
