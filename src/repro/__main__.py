@@ -14,8 +14,9 @@ Commands
 ``info``      print version, kernels, machine/device models
 
 This module parses arguments and calls the library; a ``ValueError``
-the library raises ends as a usage error (exit 2).  What the repository
-measures is measured by ``bench/run.py`` (see ``bench/README.md``).
+the library raises, on the caller's thread or on a rank, ends as a usage
+error (exit 2).  What the repository measures is measured by
+``bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from repro.datasets import DISTRIBUTIONS
+from repro.mpi import SpmdError
 
 
 def _cmd_evaluate(args) -> int:
@@ -132,12 +134,8 @@ def _tune_grid_from_args(args):
         (int(b), float(w))
         for b, w in (s.split(":") for s in args.batch_shapes.split(","))
     )
-    threads_opts = (
-        tuple(int(x) for x in args.threads.split(",")) if args.threads else None
-    )
     return default_grid(args.n, orders=orders, leaf_sizes=leafs,
-                        precisions=precs, batch_shapes=shapes,
-                        threads_opts=threads_opts)
+                        precisions=precs, batch_shapes=shapes)
 
 
 def _cmd_tune(args) -> int:
@@ -317,8 +315,9 @@ def main(argv=None) -> int:
                          "(calibrated pick meeting the error target)")
     pe.add_argument("--threads", type=int, default=None, metavar="T",
                     help="intra-rank parallelism: run plan phase tiles on "
-                         "a T-thread pool (bit-identical at any T; "
-                         "default: every usable core)")
+                         "a T-thread pool, at most every usable core "
+                         "(bit-identical at any T; default: every usable "
+                         "core)")
     pe.set_defaults(fn=_cmd_evaluate)
 
     pr = sub.add_parser(
@@ -373,9 +372,6 @@ def main(argv=None) -> int:
                     help="comma list of plan precisions in the grid")
     pt.add_argument("--batch-shapes", default="8:2",
                     help="comma list of max_batch:max_wait_ms pairs")
-    pt.add_argument("--threads", default=None, metavar="T1,T2,...",
-                    help="comma list of intra-rank thread counts in the "
-                         "grid (default: auto from the usable core count)")
     pt.add_argument("--store", default=None, metavar="PATH",
                     help="persist the chosen config in this TuneStore JSON")
     pt.add_argument("--no-measure", action="store_true",
@@ -416,8 +412,9 @@ def main(argv=None) -> int:
                          "(auto calibrates once per model at registration)")
     ps.add_argument("--threads", type=int, default=None, metavar="T",
                     help="intra-rank parallelism: all models share one "
-                         "T-thread tile pool (bit-identical results; "
-                         "default: single-threaded applies)")
+                         "T-thread tile pool, at most every usable core "
+                         "(bit-identical results; default: single-threaded "
+                         "applies)")
     ps.add_argument("--out", default=None, metavar="OUT_JSON",
                     help="write the metrics snapshot JSON here "
                          "(default: nothing is written)")
@@ -430,9 +427,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        # the library names the offending parameter: a usage error
-        sub.choices[args.command].error(str(exc))
+    except (ValueError, SpmdError) as exc:
+        # the library names the offending parameter: a usage error, also
+        # when a rank raised it
+        cause = exc.__cause__ if isinstance(exc, SpmdError) else exc
+        if not isinstance(cause, ValueError):
+            raise
+        sub.choices[args.command].error(str(cause))
 
 
 if __name__ == "__main__":

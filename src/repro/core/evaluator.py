@@ -95,8 +95,9 @@ class FmmEvaluator:
     threads:
         Width of the task pool plan applies run their phase tiles on
         (:mod:`repro.core.parallel`).  ``None`` (default) takes every
-        usable core (:func:`~repro.core.parallel.rank_pool_size`); ``1``
-        runs the tiles inline.  Bit-identical at any width.
+        usable core, and a larger ``threads`` is capped at them
+        (:func:`~repro.core.parallel.rank_pool_size`); ``1`` runs the
+        tiles inline.  Bit-identical at any width.
     """
 
     def __init__(
@@ -203,19 +204,18 @@ class FmmEvaluator:
             self._threads = None if pool is None else pool.threads
 
     def configure_threads(self, threads: int | None) -> None:
-        """Re-size the evaluator's own pool: ``threads`` wide, or the
-        thread budget's width for one process
-        (:func:`~repro.core.parallel.rank_pool_size`) with ``None``."""
+        """Re-size the evaluator's own pool to the thread budget's width
+        for one process (:func:`~repro.core.parallel.rank_pool_size`):
+        every usable core with ``None``, else ``threads`` capped at them."""
         from repro.core.parallel import rank_pool_size
 
+        width = rank_pool_size(threads)
         with self._pool_lock:
             if self._pool_owned and self._pool is not None:
                 self._pool.shutdown()
             self._pool = None
             self._pool_owned = False
-            self._threads = (
-                rank_pool_size() if threads is None else max(1, int(threads))
-            )
+            self._threads = width
 
     # -- plans -------------------------------------------------------------
 

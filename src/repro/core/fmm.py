@@ -95,7 +95,8 @@ class Fmm:
     threads:
         Intra-rank parallelism: run plan phase tiles on a ``threads``-wide
         task pool (see :mod:`repro.core.parallel`).  ``None`` (default)
-        takes every usable core (the thread budget,
+        takes every usable core, and a larger ``threads`` is capped at
+        them (the thread budget,
         :func:`~repro.core.parallel.rank_pool_size`); ``1`` runs the tiles
         inline.  Results are bit-identical at any width.
     """

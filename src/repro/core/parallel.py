@@ -53,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 __all__ = [
     "TaskPool",
     "shared_pool",
-    "shared_pool_stats",
     "rank_pool_size",
     "record_parallel_spans",
 ]
@@ -67,7 +66,8 @@ class TaskPool:
     seconds.  With ``threads <= 1`` (or a single task) everything runs
     inline on the calling thread — no executor, no handoff overhead —
     so a 1-thread pool is byte-for-byte the same computation as a
-    4-thread pool, just scheduled differently.
+    4-thread pool, just scheduled differently.  ``threads`` is taken as
+    given: callers size it with :func:`rank_pool_size`.
 
     The pool is safe to share between concurrent coordinators (serve
     workers): each ``run`` collects only its own futures, and plan
@@ -76,7 +76,7 @@ class TaskPool:
     """
 
     def __init__(self, threads: int, name: str = "fmm"):
-        self.threads = max(1, int(threads))
+        self.threads = threads
         self.name = str(name)
         self._lock = threading.Lock()
         self._exec: ThreadPoolExecutor | None = None
@@ -173,14 +173,15 @@ _shared: dict[str, TaskPool] = {}
 
 
 def shared_pool(threads: int, key: str = "serve") -> TaskPool:
-    """The process-wide pool under ``key``, (re)sized to ``threads``.
+    """The process-wide pool under ``key``, (re)sized to the thread
+    budget's width for ``threads`` (:func:`rank_pool_size`).
 
     The serving engines route every model's tile work through one shared
     pool instead of nesting per-model executors under the worker pool:
-    total compute threads on the host stay bounded by ``threads``
+    total compute threads on the host stay bounded by that width
     regardless of how many workers are mid-apply.
     """
-    want = max(1, int(threads))
+    want = rank_pool_size(threads)
     with _shared_lock:
         pool = _shared.get(key)
         if pool is None or pool.threads != want:
@@ -188,12 +189,6 @@ def shared_pool(threads: int, key: str = "serve") -> TaskPool:
                 pool.shutdown()
             pool = _shared[key] = TaskPool(want, name=key)
         return pool
-
-
-def shared_pool_stats(key: str = "serve") -> dict | None:
-    with _shared_lock:
-        pool = _shared.get(key)
-    return pool.stats() if pool is not None else None
 
 
 def rank_pool_size(
@@ -208,8 +203,15 @@ def rank_pool_size(
     ``os.cpu_count()``.  ``threads=None`` takes the whole share — a solo
     apply (``nranks=1``) runs on every usable core — and an explicit
     ``threads`` is capped at it, so the whole fabric lands at most
-    ``host_cpus`` compute threads on the host.
+    ``host_cpus`` compute threads on the host.  Anything but ``None`` or
+    a positive integer is a ``ValueError`` naming ``threads``.
     """
+    if threads is not None:
+        from repro.core.evaluator import integer_arg  # evaluator imports us
+
+        threads = integer_arg(threads, "threads")
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
     cpus = host_cpus
     if cpus is None:
         try:
@@ -217,7 +219,7 @@ def rank_pool_size(
         except (AttributeError, OSError):  # no affinity call on this platform
             cpus = os.cpu_count() or 1
     share = max(1, cpus // max(1, int(nranks)))
-    return share if threads is None else max(1, min(int(threads), share))
+    return share if threads is None else min(threads, share)
 
 
 # -- trace spans --------------------------------------------------------------

@@ -134,6 +134,8 @@ class DistributedFmm:
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.order = integer_arg(order, "order")
         self.max_points_per_box = integer_arg(max_points_per_box, "max_points_per_box")
+        # checked here, on the caller's thread; sized per rank at setup
+        self.threads = None if threads is None else rank_pool_size(threads)
         self.comm_scheme = comm_scheme
         self.load_balance = bool(load_balance)
         self.partition_level = partition_level
@@ -159,7 +161,6 @@ class DistributedFmm:
                 precision=precision,
                 precision_rtol=precision_rtol,
             )
-        self.threads = None if threads is None else max(1, int(threads))
         self.comm: SimComm | None = None
         self.let: LocalEssentialTree | None = None
         self.lists = None

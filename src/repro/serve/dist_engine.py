@@ -287,14 +287,6 @@ class DistServeEngine:
     trace:
         Optional :class:`~repro.perf.trace.TraceRecorder` shared by
         every dispatch (heartbeat + ``RECOVERY:*`` spans land here).
-    threads:
-        Default intra-rank parallelism for registered models: forwarded
-        as ``threads=`` to every :class:`~repro.dist.driver.
-        DistributedFmm` (which caps each rank's pool at its share of the
-        usable cores, ``cores // group``, so a ``group``-wide shard never
-        oversubscribes the host).  Per-model ``fmm_kwargs`` may
-        override.  ``None`` (default) forwards ``threads=1``: each rank
-        applies on its own thread.
     """
 
     def __init__(
@@ -307,12 +299,10 @@ class DistServeEngine:
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
         trace=None,
-        threads: int | None = None,
     ):
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = int(nranks)
-        self.threads = None if threads is None else max(1, int(threads))
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.integrity = bool(integrity)
@@ -414,7 +404,8 @@ class DistServeEngine:
         builds ``replicas`` independent single-rank copies.
         ``fmm_kwargs`` pass through to
         :class:`~repro.dist.driver.DistributedFmm` (kernel, order,
-        max_points_per_box, load_balance, use_gpu, precision, ...).
+        max_points_per_box, load_balance, use_gpu, precision, ...);
+        ``threads`` defaults to 1.
         With ``warm`` (default) each shard group / replica evaluates one
         zero density now, so plans are compiled before the first request.
         """
@@ -424,8 +415,7 @@ class DistServeEngine:
                 f"got {placement!r}"
             )
         points = np.asarray(points, dtype=np.float64)
-        if "threads" not in fmm_kwargs:
-            fmm_kwargs = dict(fmm_kwargs, threads=self.threads or 1)
+        fmm_kwargs = {"threads": 1, **fmm_kwargs}
         kern = fmm_kwargs.get("kernel", "laplace")
         kern = get_kernel(kern) if isinstance(kern, str) else kern
         if placement == "sharded":

@@ -284,9 +284,11 @@ class ServeEngine(ServeFront):
         Intra-rank parallelism for the worker applies: every registered
         model's evaluator routes its plan tiles through **one**
         process-wide :func:`~repro.core.parallel.shared_pool` of this
-        width — workers coordinate on the shared executor instead of
-        nesting per-model pools, so total compute threads stay bounded
-        at ``threads`` no matter how many workers are mid-apply.
+        width, capped at the usable cores by the thread budget
+        (:func:`~repro.core.parallel.rank_pool_size`) — workers
+        coordinate on the shared executor instead of nesting per-model
+        pools, so total compute threads stay bounded at that width no
+        matter how many workers are mid-apply.
         Results remain bit-identical to serial.  ``None`` (default)
         binds every model to the serial path: workers apply on their own
         thread, whatever width the model's ``Fmm`` was built with.
@@ -317,8 +319,8 @@ class ServeEngine(ServeFront):
         )
         self.threads = self.task_pool = None
         if threads is not None:
-            self.threads = max(1, int(threads))
-            self.task_pool = shared_pool(self.threads)
+            self.task_pool = shared_pool(threads)
+            self.threads = self.task_pool.threads
             self.metrics.bind_pools(task_pool=self.task_pool.stats)
         self.plans = PlanCache(plan_budget, metrics=self.metrics)
         self.retry = retry if retry is not None else RetryPolicy()

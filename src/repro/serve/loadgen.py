@@ -78,6 +78,8 @@ def run_load(
         raise ValueError("models must name at least one registered model")
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
     if mode == "open" and (rate_rps is None or rate_rps <= 0):
         raise ValueError("open-loop mode needs rate_rps > 0")
     stop_at = time.monotonic() + duration_s

@@ -23,7 +23,6 @@ tracks a loaded one.
 
 from __future__ import annotations
 
-from repro.core.parallel import rank_pool_size
 from repro.core.work import phase_flops
 from repro.tune.probe import SubsampleProbe
 
@@ -38,13 +37,6 @@ _DEFAULT_BATCH_EFF = 0.5
 
 #: EWMA weight of each new observed-vs-predicted correction sample.
 _OBSERVE_ALPHA = 0.3
-
-#: Fraction of an apply's phase time that the tile executor can spread
-#: over threads.  The remainder (plan bookkeeping, serial combines, the
-#: D2D conversion GEMM, flop-ledger replay) stays on the coordinator —
-#: the Amdahl serial term.  Matches achieved busy/elapsed ratios on the
-#: reference host to ~10%.
-_PARALLEL_FRACTION = 0.9
 
 
 class CostModel:
@@ -135,25 +127,10 @@ class CostModel:
         return out
 
     def predict_apply(
-        self, ev, tree, lists, precision: str = "fp64", batch: int = 1,
-        threads: int = 1,
+        self, ev, tree, lists, precision: str = "fp64", batch: int = 1
     ) -> float:
-        """Predicted wall seconds of one (possibly multi-RHS) apply.
-
-        ``threads > 1`` applies Amdahl's law over the phase-time sum:
-        the parallelisable fraction (:data:`_PARALLEL_FRACTION` of the
-        tile GEMM/translate work) divides by the *effective* thread
-        count — capped at the usable cores by the thread budget
-        (:func:`~repro.core.parallel.rank_pool_size`), because a 4-thread
-        pool on one core is pure scheduling overhead — while the serial
-        remainder and the fixed per-apply overhead do not shrink.
-        """
+        """Predicted wall seconds of one (possibly multi-RHS) apply."""
         base = sum(self.predict_phases(ev, tree, lists, precision).values())
-        eff_t = rank_pool_size(threads)
-        if eff_t > 1:
-            base = base * (
-                (1.0 - _PARALLEL_FRACTION) + _PARALLEL_FRACTION / eff_t
-            )
         base += self.overhead.get(precision, 0.0)
         if batch > 1:
             eff = self.batch_eff.get(precision, _DEFAULT_BATCH_EFF)

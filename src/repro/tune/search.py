@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.core.evaluator import FmmEvaluator
-from repro.core.parallel import rank_pool_size
 from repro.core.plan import MATRIX_BUDGET
 from repro.core.work import plan_bytes_estimate
 from repro.tune.cost import CostModel
@@ -112,24 +111,13 @@ class TuneConfig:
     max_batch: int = 8
     max_wait_ms: float = 2.0
     matrix_budget: int = MATRIX_BUDGET
-    threads: int = 1
 
     def key(self) -> str:
         return (
             f"o{self.order}q{self.max_points}{self.precision}"
             f"b{self.max_batch}w{self.max_wait_ms:g}"
             f"m{self.matrix_budget // 2**20}"
-            f"t{self.threads}"
         )
-
-    def fmm_kwargs(self) -> dict:
-        """Constructor kwargs for :class:`repro.core.fmm.Fmm`."""
-        return {
-            "order": self.order,
-            "max_points_per_box": self.max_points,
-            "precision": self.precision,
-            "threads": self.threads,
-        }
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,31 +157,25 @@ def default_grid(
     leaf_sizes=(64, 144, 400),
     precisions=("fp64", "fp32"),
     batch_shapes=((8, 2.0), (16, 4.0)),
-    threads_opts=None,
     matrix_budgets=(MATRIX_BUDGET,),
 ) -> list[TuneConfig]:
     """The discrete grid the search walks; deterministic order.
 
     Leaf sizes larger than ``n // 4`` are dropped (a near-degenerate
-    tree defeats both the cost model and the point of an FMM).
-    ``threads_opts`` defaults to the host shape: ``(1,)`` with one
-    usable core, else ``(1, min(4, cores))`` — the intra-rank pool only
-    helps when there are cores to spread the tiles over.
+    tree defeats both the cost model and the point of an FMM).  There
+    is no thread axis: a rank's core count is fixed by its placement,
+    not tuned.
     """
-    if threads_opts is None:
-        cores = rank_pool_size()
-        threads_opts = (1,) if cores < 2 else (1, min(4, cores))
     leaf_sizes = [q for q in leaf_sizes if q <= max(n // 4, min(leaf_sizes))]
     grid = [
         TuneConfig(
             order=o, max_points=q, precision=p,
-            max_batch=b, max_wait_ms=w, threads=t, matrix_budget=m,
+            max_batch=b, max_wait_ms=w, matrix_budget=m,
         )
         for o in orders
         for q in leaf_sizes
         for p in precisions
         for (b, w) in batch_shapes
-        for t in threads_opts
         for m in matrix_budgets
     ]
     return grid
@@ -202,7 +184,7 @@ def default_grid(
 def _evaluators(kernel):
     """Memoised ``(order, precision) -> FmmEvaluator`` for ``kernel``, one
     thread wide: the ladder calibrates the cost model's serial
-    coefficients, and :func:`_measure` sets each config's own width."""
+    coefficients, and :func:`_measure` times every config at that width."""
     return functools.cache(
         lambda order, precision: FmmEvaluator(
             kernel, order, precision=precision, threads=1
@@ -214,8 +196,8 @@ def _measure(full: SubsampleProbe, ev_for, configs, seed: int, reps: int):
     """Min warm multi-RHS apply seconds of each config at full N.
 
     Configs sharing (order, tree, precision, matrix_budget) — leaf sizes
-    that build one tree share it — share one compiled plan: batch shape
-    and threads are apply-time knobs.  That plan is dropped before the
+    that build one tree share it — share one compiled plan: the batch
+    shape is an apply-time knob.  That plan is dropped before the
     next family compiles.  Each config times one warm-up and ``reps``
     applies of a seeded density block.
     """
@@ -233,15 +215,10 @@ def _measure(full: SubsampleProbe, ev_for, configs, seed: int, reps: int):
             tree, lists, precision=precision, matrix_budget=budget
         )
         rows = tree.n_points * ev.kernel.source_dim
-        prev_threads = ev.threads
-        try:
-            for cfg in cfgs:
-                ev.configure_threads(cfg.threads)
-                block = rng.standard_normal((rows, cfg.max_batch))
-                out[cfg] = time_applies(ev, tree, lists, block, plan, reps=reps)[0]
-                del block  # one density block alive at a time
-        finally:
-            ev.configure_threads(prev_threads)
+        for cfg in cfgs:
+            block = rng.standard_normal((rows, cfg.max_batch))
+            out[cfg] = time_applies(ev, tree, lists, block, plan, reps=reps)[0]
+            del block  # one density block alive at a time
         del plan  # before the next family compiles: one live full-N plan
     return out
 
@@ -347,8 +324,7 @@ def tune(
         tree, lists, _ = full.geometry(cfg.max_points)
         ev = ev_for(cfg.order, cfg.precision)
         batch_s = model.predict_apply(
-            ev, tree, lists, precision=cfg.precision, batch=cfg.max_batch,
-            threads=cfg.threads,
+            ev, tree, lists, precision=cfg.precision, batch=cfg.max_batch
         )
         predicted[cfg] = _per_request_s(cfg, batch_s)
         pred_lat[cfg] = _latency_s(cfg, batch_s)

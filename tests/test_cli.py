@@ -131,7 +131,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["--clients", "0"], "clients must be >= 1"),
         (["--models", "0"], "models must name"),
-    ], ids=["clients 0", "models 0"])
+        (["--duration", "-1"], "duration_s must be > 0"),
+    ], ids=["clients 0", "models 0", "duration -1"])
     def test_serve_without_load_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(SERVE_TINY + argv)
@@ -143,13 +144,15 @@ class TestCli:
         (["evaluate", "--order", "0"], "order must be >= 4"),
         (["evaluate", "--kernel", "bogus"], "unknown kernel 'bogus'"),
         (["trace", "--p", "0"], "nranks must be >= 1"),
+        (["trace", "--p", "2", "--n", "0"], "rank 0 received no points"),
     ], ids=["evaluate --q 0", "evaluate --order 0", "evaluate --kernel bogus",
-            "trace --p 0"])
+            "trace --p 0", "trace --n 0"])
     def test_library_value_error_is_a_usage_error(self, argv, message, capsys):
-        """A ``ValueError`` the library raises on an argument exits 2 with
-        the subcommand's usage and the library's message."""
+        """A ``ValueError`` the library raises on an argument, on the
+        caller's thread or on a rank, exits 2 with the subcommand's usage
+        and the library's message."""
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--n", "300"])
+            main(argv[:1] + ["--n", "300"] + argv[1:])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"python -m repro {argv[0]}: error: {message}" in err
@@ -164,6 +167,7 @@ class TestCli:
         ["serve", "--autotune"],
         ["evaluate", "--repeat", "2"],
         ["chaos", "--seed", "0"],
+        ["tune", "--threads", "1,2"],
     ], ids=lambda argv: " ".join(argv))
     def test_retired_drill_flags_are_rejected(self, argv, capsys):
         """Drill modes are not CLI flags: argparse rejects them."""

@@ -540,6 +540,8 @@ class TestLoadgen:
             run_load(None, [])
         with pytest.raises(ValueError, match="clients"):
             run_load(None, ["m"], clients=0)
+        with pytest.raises(ValueError, match="duration_s"):
+            run_load(None, ["m"], duration_s=0)
 
 
 class TestMetricsMerge:

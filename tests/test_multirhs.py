@@ -22,6 +22,7 @@ from repro.kernels import get_kernel
 from repro.perf.trace import TraceRecorder
 from repro.util.blas import limit_blas_threads
 from repro.util.timer import PhaseProfile
+from tests.test_parallel import _affinity
 
 
 class TestGemmColsContract:
@@ -126,6 +127,7 @@ class TestMultiRhsBitIdentity:
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_plan_path(self, kernel, monkeypatch):
+        _affinity(monkeypatch, 2)
         n = 900
         pts = uniform_cube(n, seed=31)
         fmm = Fmm(kernel, order=4, max_points_per_box=40)
@@ -160,6 +162,7 @@ class TestMultiRhsBitIdentity:
         """However the (group, column) items of a q=8 block on an adaptive
         tree are cut into waves, and the frequencies into slab tiles, every
         column keeps the bits of its solo apply (one wave, default slabs)."""
+        _affinity(monkeypatch, 2)
         n, q = 1500, 8
         pts = plummer_cluster(n, seed=9)
         fmm = Fmm("laplace", order=4, max_points_per_box=20)

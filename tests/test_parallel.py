@@ -27,7 +27,6 @@ from repro.core.parallel import (
     TaskPool,
     rank_pool_size,
     shared_pool,
-    shared_pool_stats,
 )
 from repro.core.tree import build_tree
 from repro.datasets import uniform_cube
@@ -127,14 +126,13 @@ class TestTaskPool:
         finally:
             pool.shutdown()
 
-    def test_shared_pool_registry_resizes(self):
+    def test_shared_pool_registry_resizes(self, monkeypatch):
+        _affinity(monkeypatch, 4)
         a = shared_pool(2, key="test-shared")
         b = shared_pool(2, key="test-shared")
         assert a is b
         c = shared_pool(3, key="test-shared")
         assert c is not a and c.threads == 3
-        assert shared_pool_stats("test-shared")["threads"] == 3
-        assert shared_pool_stats("no-such-key") is None
         c.shutdown()
 
     def test_rank_pool_size_never_oversubscribes(self):
@@ -157,7 +155,8 @@ class TestBitIdentitySolo:
     @pytest.mark.parametrize("precision", PRECISIONS)
     @pytest.mark.parametrize("threads", THREADS)
     def test_matches_serial(self, compiled, geometry, kernel, precision,
-                            threads):
+                            threads, monkeypatch):
+        _affinity(monkeypatch, max(THREADS))
         tree, lists = geometry
         ev, plan, dens, block, ref, refm = compiled(kernel, precision)
         ev.configure_threads(threads)
@@ -170,7 +169,7 @@ class TestBitIdentitySolo:
         assert np.array_equal(out, ref)
         assert np.array_equal(outm, refm)
 
-    def test_matches_pinned_serial_at_blas_scale(self):
+    def test_matches_pinned_serial_at_blas_scale(self, monkeypatch):
         """The served ``stk`` shape: 3 000 uniform points, Stokes, order 6.
 
         Its per-level check-to-equivalent conversions are 456-wide GEMMs
@@ -179,6 +178,7 @@ class TestBitIdentitySolo:
         left outside the pooled phase's pin then shows up as a pooled
         apply that differs from the pinned serial one.
         """
+        _affinity(monkeypatch, 2)
         if blas_thread_count() < 2:
             pytest.skip(
                 "BLAS runs a single thread (or is not controllable) here: "
@@ -206,7 +206,8 @@ class TestBitIdentitySolo:
             assert np.array_equal(out, ref), f"threads={threads}"
             assert np.array_equal(outm, refm), f"threads={threads} multi"
 
-    def test_threads_kwarg_on_fmm_and_compile(self):
+    def test_threads_kwarg_on_fmm_and_compile(self, monkeypatch):
+        _affinity(monkeypatch, 4)
         pts = uniform_cube(600, seed=22)
         dens = _density(get_kernel("laplace"), 600)
         serial = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
@@ -237,8 +238,8 @@ def _dist_body(comm, pts, kernel, precision, threads):
     )
     fmm.setup(comm, mine)
     if threads is not None:
-        # force the width (bypassing the host-cpu cap) so the pool path
-        # actually runs multi-threaded even on small CI hosts
+        # past the rank's share: the pool path runs multi-threaded even
+        # on small CI hosts (callers state the budget with _affinity)
         fmm.evaluator.configure_threads(threads)
     kern = get_kernel(kernel)
     dens = np.random.default_rng(51 + comm.rank).standard_normal(
@@ -253,7 +254,8 @@ class TestBitIdentityDistributed:
         ("laplace", "fp64"), ("laplace", "fp32"),
         ("yukawa", "fp64"), ("stokes", "fp64"),
     ])
-    def test_matches_serial_ranks(self, p, kernel, precision):
+    def test_matches_serial_ranks(self, p, kernel, precision, monkeypatch):
+        _affinity(monkeypatch, 4)
         pts = uniform_cube(800, seed=31)
         base = run_spmd(p, _dist_body, pts, kernel, precision, None,
                         timeout=560)
@@ -264,7 +266,8 @@ class TestBitIdentityDistributed:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("threads", [2, 8])
-    def test_laplace_thread_sweep(self, threads):
+    def test_laplace_thread_sweep(self, threads, monkeypatch):
+        _affinity(monkeypatch, 8)
         pts = uniform_cube(800, seed=32)
         base = run_spmd(4, _dist_body, pts, "laplace", "fp64", None,
                         timeout=560)
@@ -288,7 +291,8 @@ class TestBitIdentityDistributed:
 
 
 class TestCheckpointResume:
-    def test_resume_bit_identical_under_pool(self):
+    def test_resume_bit_identical_under_pool(self, monkeypatch):
+        _affinity(monkeypatch, 4)
         pts = uniform_cube(800, seed=41)
 
         def body(comm):
@@ -313,7 +317,8 @@ class TestCheckpointResume:
 
 
 class TestPatchedPlans:
-    def test_patched_plan_parallel_apply_matches_serial(self):
+    def test_patched_plan_parallel_apply_matches_serial(self, monkeypatch):
+        _affinity(monkeypatch, 4)
         rng = np.random.default_rng(71)
         pts = uniform_cube(800, seed=42)
         fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
@@ -345,9 +350,10 @@ class TestPatchedPlans:
 
 
 class TestConcurrentServe:
-    def test_concurrent_batches_on_shared_pool_bitwise(self):
+    def test_concurrent_batches_on_shared_pool_bitwise(self, monkeypatch):
         from repro.serve import ServeEngine
 
+        _affinity(monkeypatch, 2)
         pts = uniform_cube(500, seed=43)
         fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
         eng = ServeEngine(n_workers=2, max_batch=4, max_wait_ms=5.0,
@@ -385,7 +391,9 @@ class TestConcurrentServe:
 
 
 class TestDeterminismReplay:
-    def test_same_seed_different_schedule_same_signature(self, geometry):
+    def test_same_seed_different_schedule_same_signature(self, geometry,
+                                                         monkeypatch):
+        _affinity(monkeypatch, 4)
         tree, lists = geometry
         kern = get_kernel("laplace")
         dens = _density(kern, tree.n_points)
@@ -406,7 +414,8 @@ class TestDeterminismReplay:
         assert np.array_equal(out1, out2)
         assert sig1 == sig2
 
-    def test_distributed_signature_replay(self):
+    def test_distributed_signature_replay(self, monkeypatch):
+        _affinity(monkeypatch, 4)
         pts = uniform_cube(700, seed=44)
 
         def run_once():
@@ -418,7 +427,8 @@ class TestDeterminismReplay:
 
 
 class TestParallelSpans:
-    def test_spans_and_report(self, geometry):
+    def test_spans_and_report(self, geometry, monkeypatch):
+        _affinity(monkeypatch, 2)
         tree, lists = geometry
         kern = get_kernel("laplace")
         ev = FmmEvaluator(kern, ORDER)
@@ -473,28 +483,51 @@ def _affinity(monkeypatch, cores):
 
 class TestThreadBudget:
     """Live compute threads stay within the usable cores by construction:
-    one budget sizes the solo, rank and tuner widths, and a serving
+    one budget sizes the solo, rank and serving widths, and a serving
     engine without ``threads=`` runs no pool at all."""
 
     def test_budget_reads_the_affinity_mask(self, monkeypatch):
-        from repro.tune.cost import PHASES, CostModel
-        from repro.tune.search import default_grid
-
-        tree = build_tree(uniform_cube(600, seed=24), BOX)
-        lists = build_lists(tree)
-        ev = FmmEvaluator(get_kernel("laplace"), ORDER, threads=1)
-        model = CostModel()
-        model.coeffs = {(ph, "fp64"): 1e-9 for ph in PHASES}
-        widths = {}
         for cores in (1, 2):
             _affinity(monkeypatch, cores)
             assert rank_pool_size() == rank_pool_size(8) == cores
             assert FmmEvaluator(get_kernel("laplace"), ORDER).threads == cores
-            widths[cores] = {c.threads for c in default_grid(900)}
-            one, two = (model.predict_apply(ev, tree, lists, threads=t)
-                        for t in (1, 2))
-            assert (two == one) if cores == 1 else (two < one)
-        assert widths == {1: {1}, 2: {1, 2}}
+
+    def test_explicit_widths_are_capped_like_a_rank(self, monkeypatch):
+        from repro.serve import ServeEngine
+
+        _affinity(monkeypatch, 2)
+        fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX, threads=4)
+        assert fmm.evaluator.task_pool.threads == 2
+        pts = uniform_cube(600, seed=35)
+
+        def body(comm):
+            fmm = DistributedFmm(order=ORDER, max_points_per_box=BOX,
+                                 threads=2)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            return fmm.evaluator.threads
+
+        assert run_spmd(2, body, timeout=560).values == [1, 1]
+        eng = ServeEngine(n_workers=2, threads=4)
+        assert eng.task_pool.threads == eng.threads == 2
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        from repro.__main__ import main
+        from repro.serve import ServeEngine
+
+        ev = FmmEvaluator(get_kernel("laplace"), ORDER, threads=1)
+        for build in (
+            lambda: Fmm("laplace", order=ORDER, threads=threads),
+            lambda: ev.configure_threads(threads),
+            lambda: DistributedFmm(order=ORDER, threads=threads),
+            lambda: ServeEngine(n_workers=1, threads=threads),
+        ):
+            with pytest.raises(ValueError, match="threads"):
+                build()
+        assert ev.threads == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--n", "200", "--threads", str(threads)])
+        assert exc.value.code == 2
 
     def test_default_solo_width_is_the_usable_cores(self):
         cores = len(os.sched_getaffinity(0))

@@ -277,32 +277,14 @@ class TestSearch:
         assert set(out) == set(grid)
         assert all(t > 0 for t in out.values())
 
-    def test_t1_config_runs_one_thread_wide(self, points, monkeypatch):
-        """A ``t1`` config is built, measured and served at width 1, not at
-        the thread budget's default width."""
-        import repro.tune.search as search_mod
-
-        cfg = TuneConfig(order=4, max_points=64, threads=1)
-        assert Fmm(**cfg.fmm_kwargs()).evaluator.threads == 1
-        real, widths = search_mod.time_applies, {}
-
-        def recording(ev, *args, **kwargs):
-            widths[ev.task_pool.threads] = widths.get(ev.task_pool.threads, 0) + 1
-            return real(ev, *args, **kwargs)
-
-        monkeypatch.setattr(search_mod, "time_applies", recording)
-        grid = [cfg, TuneConfig(order=4, max_points=64, threads=2)]
-        measure_grid(points, grid=grid, seed=SEED, reps=1)
-        assert widths == {1: 1, 2: 1}
-
     def test_config_key_roundtrip(self):
         cfg = TuneConfig(order=6, max_points=144, precision="fp32",
                          max_batch=16, max_wait_ms=4.0)
         assert TuneConfig.from_dict(cfg.to_dict()) == cfg
         assert "o6q144fp32" in cfg.key()
-        # entries stored before the vli_multi_bytes knob was removed
-        # still load: unknown keys are ignored
-        stored = {**cfg.to_dict(), "vli_multi_bytes": 8 * 2**20}
+        # entries stored before the vli_multi_bytes and threads knobs were
+        # removed still load: unknown keys are ignored
+        stored = {**cfg.to_dict(), "vli_multi_bytes": 8 * 2**20, "threads": 2}
         assert TuneConfig.from_dict(stored) == cfg
 
 
@@ -540,7 +522,7 @@ class TestServeIntegration:
         budget = 2 * 2**20
         grid = default_grid(
             900, orders=(4,), leaf_sizes=(64,), precisions=("fp64",),
-            batch_shapes=((4, 1.0),), threads_opts=(1,),
+            batch_shapes=((4, 1.0),),
             matrix_budgets=(budget,),
         )
         engine = ServeEngine(n_workers=1)
@@ -631,7 +613,7 @@ class TestDistVote:
 def one_cell_grid(*precisions):
     return default_grid(
         900, orders=(4,), leaf_sizes=(64,), precisions=precisions,
-        batch_shapes=((4, 1.0),), threads_opts=(1,),
+        batch_shapes=((4, 1.0),),
     )
 
 
@@ -730,7 +712,7 @@ class TestOneTuner:
         grid = default_grid(
             900, orders=(4,), leaf_sizes=(64, 144, 200),
             precisions=("fp64", "fp32"),
-            batch_shapes=((4, 1.0), (8, 2.0)), threads_opts=(1,),
+            batch_shapes=((4, 1.0), (8, 2.0)),
         )
         shape = {q: tree_fingerprint(build_tree(points, q))
                  for q in (64, 144, 200)}
