@@ -24,11 +24,11 @@ with ``accelerate_wx``, as the same plan's applies read at float32), and
 the one the distributed driver calls with its ownership-scoped plan.
 
 :meth:`evaluate` finds the plan itself when the caller passes none: the
-first call on a ``(tree, lists)`` pair applies a transient plan without
-kernel-matrix caches (schedules only, kernel blocks evaluated chunk by
-chunk and discarded), the second consecutive call compiles the cached plan
-that every later call reuses.  One-shot evaluations therefore never hold a
-matrix cache and repeated applies amortise the setup.
+first call on a ``(tree, lists)`` pair compiles the plan every later call
+reuses and applies it without keeping a kernel block (each evaluated
+chunk by chunk and discarded), the second consecutive call fills its
+blocks.  One-shot evaluations therefore never hold a matrix cache, and
+repeated applies amortise one compile.
 
 :meth:`evaluate_targets` is the same evaluation at separate targets: a
 target tree over the source tree's nodes, which the plan's target-side
@@ -41,6 +41,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 
@@ -224,8 +225,8 @@ class FmmEvaluator:
 
         ``scopes`` (a :class:`~repro.core.plan.PlanScopes`) bakes
         distributed ownership masks into the plan; ``kwargs`` forward to
-        :func:`repro.core.plan.compile_plan` (e.g. ``cache_matrices``,
-        ``matrix_budget``, ``targets``).  ``precision`` defaults to the evaluator's
+        :func:`repro.core.plan.compile_plan` (e.g. ``matrix_budget``,
+        ``targets``).  ``precision`` defaults to the evaluator's
         own; ``"auto"`` is resolved here (:meth:`resolve_auto`).
         """
         from repro.core.plan import compile_plan
@@ -304,12 +305,6 @@ class FmmEvaluator:
             prec = self.resolve_auto(tree, profile)
         return prec
 
-    #: Whether lazily compiled plans cache kernel-matrix blocks.  The GPU
-    #: evaluator turns this off: its device phases read only float32
-    #: blocks, so the float64 caches of its default plan would only burn
-    #: memory.
-    PLAN_CACHE_MATRICES = True
-
     @property
     def _plan_obj(self):
         """The lazily compiled plan, or ``None`` (none yet, or its tree died)."""
@@ -318,23 +313,24 @@ class FmmEvaluator:
     def _cached_plan(self, tree, lists, profile, precision, targets):
         """Plan for an evaluate call that brought none.
 
-        The second consecutive call that brings a ``(tree, lists)`` pair
-        and the same targets compiles the plan every later call reuses;
-        the first gets a transient plan compiled without kernel-matrix
-        caches, which the caller applies once and drops — a one-shot
-        evaluation evaluates each kernel block once either way, and this
-        way never holds them all.  A cached plan at a different precision
-        is discarded and recompiled (per-call overrides flip precision
+        The first call that brings a ``(tree, lists)`` pair and a target
+        set compiles the plan and keeps it; it applies a no-fill view of
+        it, which evaluates every kernel block and keeps none, so a
+        one-shot evaluation never holds its blocks.  The next consecutive
+        call with the same targets applies the plan itself, which fills
+        its reserved blocks, and every later call reuses them — one
+        compile per geometry.  A cached plan at a different precision is
+        discarded and recompiled (per-call overrides flip precision
         mid-stream), and the cache holds its tree weakly: when the caller
         drops the tree, the plan goes with it.  ``targets`` other than
         ``tree`` (a target tree, see :meth:`evaluate_targets`) asks for the
         plan of that target set, kept beside the full one and keyed by the
-        targets' fingerprint; a call with another set drops it, so a
-        stream of different target sets never holds a matrix cache.
+        targets' fingerprint; a call with another set replaces it, so a
+        stream of different target sets never fills a matrix block.
 
-        The cached compile is charged to the ``setup:plan`` span so traces
-        and the perf model can separate amortisable setup from apply work,
-        and runs under ``_plan_lock``: two threads evaluating the same pair
+        The compile is charged to the ``setup:plan`` span so traces and
+        the perf model can separate amortisable setup from apply work, and
+        runs under ``_plan_lock``: two threads evaluating the same pair
         must produce exactly one compile (later callers block briefly,
         then reuse it) and must not race the weakref bookkeeping into
         re-compiling or dropping a live plan.
@@ -354,24 +350,12 @@ class FmmEvaluator:
                 self._plan_last = ()
             repeat, self._plan_last = self._plan_last == key, key
             plan = self._plan_box.get(slot)
-            if plan is not None and (plan.precision, plan.target_fingerprint) != (precision, key):
-                del self._plan_box[slot]
-                plan = None
-            if plan is None and repeat:
+            if plan is None or (plan.precision, plan.target_fingerprint) != (precision, key):
                 with profile.phase("setup:plan"):
                     plan = self._plan_box[slot] = self.compile_plan(
-                        tree,
-                        lists,
-                        cache_matrices=self.PLAN_CACHE_MATRICES,
-                        precision=precision,
-                        targets=targets,
+                        tree, lists, precision=precision, targets=targets
                     )
-        if plan is None:
-            plan = self.compile_plan(
-                tree, lists, cache_matrices=False, precision=precision,
-                targets=targets,
-            )
-        return plan
+        return plan if repeat else replace(plan, _fill=False)
 
     def _resolve_plan(self, tree, lists, profile, plan, precision, targets):
         """Shared plan/precision resolution for the evaluate entry points.
@@ -424,9 +408,9 @@ class FmmEvaluator:
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
-        Otherwise the evaluator supplies one: a transient plan without
-        matrix caches on the first call with a ``(tree, lists)`` pair, a
-        cached plan compiled on the second consecutive call and reused
+        Otherwise the evaluator supplies one: compiled on the first call
+        with a ``(tree, lists)`` pair and applied there without keeping a
+        kernel block, filled by the second consecutive call and reused
         from then on.
 
         ``precision`` overrides the evaluator default for this call.  An
@@ -457,10 +441,10 @@ class FmmEvaluator:
         ``(n_points * source_dim, q)`` block returns ``(n_targets *
         target_dim, q)``); the result is in the input target order.  The
         plan is resolved as :meth:`evaluate` resolves one, the target set
-        standing beside the pair: the second consecutive call with the
-        same targets compiles the cached plan.  ``targets`` must be finite
-        ``(n, 3)`` points in the unit cube; anything else raises a
-        ``ValueError`` naming the first bad row.
+        standing beside the pair: the first call with a target set
+        compiles its plan, the second consecutive one fills it.
+        ``targets`` must be finite ``(n, 3)`` points in the unit cube;
+        anything else raises a ``ValueError`` naming the first bad row.
         """
         targets = unit_cube_points(targets, "targets")
         keys = morton.encode_points(targets)

@@ -154,16 +154,13 @@ class Fmm:
     def compile_eval_plan(self, plan: FmmPlan, **kwargs):
         """Eagerly compile an :class:`~repro.core.plan.EvalPlan` for ``plan``.
 
-        Useful when the first :meth:`evaluate` call should already run at
-        amortised speed (by default the evaluator compiles lazily on the
-        second call).  Pass the returned object as ``eval_plan=``.
-
-        ``threads=`` reconfigures the evaluator's task pool for this and
-        all subsequent applies (the compiled plan itself is
-        thread-count-independent).
+        Pass the returned object as ``eval_plan=``: the first
+        :meth:`evaluate` that applies it fills its kernel blocks, and every
+        later one runs at amortised speed (without it the evaluator keeps
+        a plan of its own, filled by the second call).  ``kwargs`` forward
+        to :func:`repro.core.plan.compile_plan` (``matrix_budget``,
+        ``precision``).
         """
-        if "threads" in kwargs:
-            self.evaluator.configure_threads(kwargs.pop("threads"))
         return self.evaluator.compile_plan(plan.tree, plan.lists, **kwargs)
 
     def update_plan(
@@ -238,9 +235,9 @@ class Fmm:
 
         Repeated calls with the same ``plan`` amortise setup automatically:
         the evaluator compiles an :class:`~repro.core.plan.EvalPlan` on the
-        second call and reuses it from then on (``eval_plan=`` supplies a
-        precompiled one; compile it with ``cache_matrices=False`` to trade
-        apply speed for memory).
+        first call, fills its kernel blocks on the second and reuses it
+        from then on (``eval_plan=`` supplies a precompiled one; compile it
+        with ``matrix_budget=0`` to trade apply speed for memory).
 
         ``precision`` overrides the constructor's precision for this call
         (``"fp64"`` / ``"fp32"`` / ``"auto"``).

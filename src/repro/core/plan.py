@@ -35,17 +35,17 @@ Design rules:
   (safe because scatter targets are unique within a batch — only the
   discarded sentinel row repeats).  ``np.add.at`` only on a flat float64
   table (ULI's transposed reads), where NumPy's fast path runs (DESIGN.md).
-* **Every list is a property of the tree; a compiled plan is never
-  written to.**  U/V/W/X membership — the pruning of empty source
-  octants included — is decided at compile from point counts (on a LET,
-  from the mask of ghost octants that hold a point on some rank); a
-  source whose density happens to vanish contributes exact zeros.  So is
-  the one cost rule on top (:func:`~repro.core.lists.evaluated_lists`): a
-  W/X pair whose far box is a leaf with fewer points than its surface is
-  evaluated point to point in ULI and booked to W and X.  Once
-  :func:`compile_plan` returns, an apply only reads the plan (per-thread
-  scratch aside): concurrent applies need no lock, and a plan weighs the
-  same after any number of requests.
+* **Every list is a property of the tree; a plan is written once.**
+  U/V/W/X membership — the pruning of empty source octants included — is
+  decided at compile from point counts (on a LET, from the mask of ghost
+  octants that hold a point on some rank); a source whose density
+  vanishes contributes exact zeros.  So is the one cost rule on top
+  (:func:`~repro.core.lists.evaluated_lists`): a W/X pair whose far box
+  is a leaf with fewer points than its surface is evaluated point to
+  point in ULI and booked to W and X.  An apply's one write (per-thread
+  scratch aside) is a reserved kernel block's first fill, one assignment
+  of the bits every apply evaluates there: concurrent applies need no
+  lock, and a plan weighs what it reserved after any number of requests.
 * **Blocks the size of their boxes.**  A block side is
   :func:`repro.core.tree.pad_class` of the box's own count — a leaf's
   points (S2U, D2T, the leaf side of an X/W pair, a ULI target) or the
@@ -54,16 +54,17 @@ Design rules:
   than half again of its real pairs per side.  The class is a property of
   the box and nothing else: a geometry patch keeps every clean box's slot
   key, and every rank of a LET cuts an octant's blocks alike.
-* **Kernel matrices are plan state too, each entry once.**  Leaf/pair
-  kernel blocks depend only on geometry; they are materialised at compile
-  under a byte budget claimed in the order ULI (it dominates), S2U, D2T,
-  then the pair section, turning those phases into pure GEMM + scatter.
-  Under ``K(x, y) = K(y, x)ᵀ`` (:func:`_wx_dual`) a dual block is held
-  once and read from both sides: X/W pairs, S2U/D2T (DE is UC) and the
-  U and direct pairs of in-scope leaves (:func:`_uli_members`).  Blocks
-  that do not fit fall back to evaluating the kernel per apply, bit-identically either way;
-  ``cache_matrices=False`` compiles schedules only, which is what a
-  one-shot evaluation applies.
+* **Kernel blocks are evaluated in one place, each entry held once.**
+  Compile evaluates none: it reserves a :class:`_KernelBlock` for each
+  leaf/pair block a byte budget covers, claimed in the order ULI (it
+  dominates), S2U, D2T, then the pair section, and the first apply that
+  reads one keeps it (:meth:`EvalPlan._kmat`); later applies are pure
+  GEMM + scatter.  Under ``K(x, y) = K(y, x)ᵀ`` (:func:`_wx_dual`) a dual
+  block is held once and read from both sides: X/W pairs, S2U/D2T (DE is
+  UC) and the U and direct pairs of in-scope leaves (:func:`_uli_members`).
+  Blocks the budget leaves out (all, at ``matrix_budget=0``) are
+  evaluated per apply, bit-identically; so is every block of the no-fill
+  view (``replace(plan, _fill=False)``) a one-shot evaluation applies.
 * **Precision is a compile-time axis.**  ``compile_plan(precision="fp32")``
   stores float32 kernel matrices, reads the complex64 V-list offset
   tables and uses float32 scratch tables, so the GEMM / FFT-translate phases run in
@@ -73,9 +74,9 @@ Design rules:
   chains (roundoff there compounds with tree depth) and multi-RHS
   column sums.  ``precision="fp64"`` (the default) stages nothing: the
   casts are identities.  The virtual GPU's device phases are these fp32
-  applies, run on its plan read at ``precision="fp32"``: a cached block
-  is read only at the plan's own dtype, so the float64 blocks of an fp64
-  plan are re-evaluated in float32 there.
+  applies, run on its plan read at ``precision="fp32"``: a reserved block
+  is read and filled only at the plan's own dtype, so the float64 blocks
+  of an fp64 plan are evaluated in float32 there and kept nowhere.
 
 A plan is bound to one ``(tree, lists, kernel, order, m2l_mode, scope,
 targets)`` configuration; :func:`tree_fingerprint` rejects accidental
@@ -208,7 +209,7 @@ class _LeafBlock:
     den_rows: np.ndarray | None  # (b, pad) density-table rows (S2U)
     pot_rows: np.ndarray | None  # (b, pad) potential-table rows (D2T)
     mat: np.ndarray | None  # uc2ue, materialised once (S2U)
-    kmat: np.ndarray | None  # cached kernel block, budget permitting
+    kmat: _KernelBlock | None  # reserved kernel block, budget permitting
     flops: float
 
 
@@ -247,7 +248,7 @@ class _PairBlock:
     starts: np.ndarray  # reduceat segment starts
     seg: np.ndarray  # unique scatter targets, segment order
     pot_rows: np.ndarray | None  # (nseg, pad) potential-table rows (WLI)
-    kmat: np.ndarray | None  # kernel(surf, pts); eval_kernel(pts, surf) if W's own
+    kmat: _KernelBlock | None  # kernel(surf, pts); eval_kernel(pts, surf) if W's own
     flops: float
 
 
@@ -266,13 +267,28 @@ class _UliBlock:
     pot_rows: np.ndarray  # (b, tp) potential-table rows of the targets
     t_sel: np.ndarray  # flat (b, sp) slots read transposed, ascending
     t_rows: np.ndarray  # their potential-table rows
-    kmat: np.ndarray | None
+    kmat: _KernelBlock | None
     flops: float
 
 
+class _KernelBlock:
+    """One kernel block the matrix budget reserved, ``nbytes`` of
+    ``dtype`` and ``shape``; ``array`` is stored by the first apply that
+    reads it at that dtype (:meth:`EvalPlan._kmat`).  The records that
+    read one block (S2U and D2T, X and W under :func:`_wx_dual`) share it."""
+
+    __slots__ = ("dtype", "shape", "nbytes", "array")
+
+    def __init__(self, dtype, shape: tuple):
+        self.dtype, self.shape, self.array = np.dtype(dtype), shape, None
+        self.nbytes = self.dtype.itemsize * math.prod(shape)
+
+
 def _distinct_bytes(values) -> int:
-    """Bytes of the arrays among ``values``, each object counted once."""
-    return sum({id(v): v.nbytes for v in values if isinstance(v, np.ndarray)}.values())
+    """Bytes of the arrays and reserved kernel blocks among ``values``,
+    each object counted once."""
+    return sum({id(v): v.nbytes for v in values
+                if isinstance(v, (np.ndarray, _KernelBlock))}.values())
 
 
 @dataclass
@@ -282,10 +298,11 @@ class EvalPlan:
     Compile with :func:`compile_plan` (or
     :meth:`FmmEvaluator.compile_plan`); apply by passing the plan to the
     evaluator phase methods (``FmmEvaluator.evaluate`` manages this
-    automatically).  Read-only once compiled, every section alike; the
-    one exception is scratch, the per-thread buffers.  The virtual GPU's
-    phases (:class:`~repro.gpu.accel.GpuFmmEvaluator`) are these same
-    applies, on the plan read at ``precision="fp32"``.
+    automatically).  Every section is fixed at compile; an apply writes
+    only its per-thread scratch and, on the first read, the reserved
+    kernel blocks (:meth:`_kmat`).  The virtual GPU's phases
+    (:class:`~repro.gpu.accel.GpuFmmEvaluator`) are these same applies,
+    on the plan read at ``precision="fp32"``, which fills nothing.
     """
 
     fingerprint: str
@@ -324,6 +341,9 @@ class EvalPlan:
     #: Populated by :func:`patch_plan`: how much of the kernel-matrix
     #: state was reused vs recomputed (empty for fresh compiles).
     patch_stats: dict = field(default_factory=dict, repr=False)
+    #: Whether an apply keeps the reserved blocks it evaluates; the lazy
+    #: cache applies a plan's ``False`` view once before it fills it.
+    _fill: bool = field(default=True, repr=False)
     #: Weak reference to the tree compiled for (the identity fast path of
     #: :meth:`check`); weak so that a cached plan never keeps its tree alive.
     _tree: weakref.ref | None = field(default=None, repr=False)
@@ -350,18 +370,18 @@ class EvalPlan:
             )
 
     def matrix_bytes(self) -> int:
-        """Bytes held by cached kernel-matrix blocks, each array once (a
-        block W and X both read is one array)."""
+        """Bytes of the reserved kernel-matrix blocks, each block once (a
+        block W and X both read is one block), filled or not yet."""
         secs = (self.s2u, self.d2t, self.xli, self.wli, self.uli)
         return _distinct_bytes(b.kmat for sec in secs for b in sec)
 
     @property
     def nbytes(self) -> int:
-        """Total resident bytes of the plan: cached kernel matrices plus
-        every precompiled index / point / operator array, each distinct
-        array once.  The serving plan cache charges this against its memory
-        budget when deciding LRU evictions, so it walks *all* block
-        records, not just ``kmat``."""
+        """Total bytes of the plan once filled: reserved kernel matrices
+        plus every precompiled index / point / operator array, each
+        distinct array once.  The serving plan cache charges this against
+        its memory budget when deciding LRU evictions, so it walks *all*
+        block records, not just ``kmat``."""
         records = [*self.s2u, *self.u2u, *self.vli_dense, *self.xli, *self.wli,
                    *self.d2t, *self.uli, *self.vli_fft, *self.d2d,
                    *(st for lv in self.d2d for st in lv.l2l)]
@@ -391,12 +411,17 @@ class EvalPlan:
         return a
 
     def _kmat(self, blk, kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """A block's kernel matrix: the compile-time cache when the budget
-        covered it at this plan's dtype, else evaluated now (bit-identical
-        either way; a plan read at float32 re-evaluates float64 blocks)."""
-        if blk.kmat is not None and blk.kmat.dtype == self.rdtype:
-            return blk.kmat
-        return kernel.matrix_batch(a, b, dtype=self.rdtype)
+        """``kernel(a, b)`` for ``blk``, the one place blocks are evaluated:
+        kept by one assignment (a racing first read stores the same bits)
+        when reserved at this plan's dtype and the plan fills, else not."""
+        res = blk.kmat
+        mine = res is not None and res.dtype == self.rdtype
+        if mine and res.array is not None:
+            return res.array
+        k = kernel.matrix_batch(a, b, dtype=self.rdtype)
+        if mine and self._fill:
+            res.array = k
+        return k
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Reusable per-thread scratch array (density table, V-list wave
@@ -782,62 +807,57 @@ def _scatter_schedule(targets: np.ndarray):
     return order, starts, st[starts]
 
 
-def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
-    """The kernel block ``kernel(a, b)`` if ``left`` bytes of matrix budget
-    cover it, else None: assembled from reusable old-plan slots plus one
-    batched kernel call over the dirty remainder — all of it, for a fresh
-    compile, whose null oracle offers no slot.
+def _reserve(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
+    """A :class:`_KernelBlock` for ``kernel(a, b)`` if ``left`` bytes of
+    matrix budget cover it, else None; empty for a fresh compile, whose
+    null oracle offers no slot.
 
     The estimate and the caller's charge use the plan's working itemsize:
     fp32 plans store the block rounded to float32, half the bytes, so the
     same budget fits twice the near field.
 
-    ``slots[j]`` is ``(old_kmat_array, old_slot)`` when box ``j``'s
-    geometry inputs are unchanged, else None.  Three outcomes per block:
-    the old array shared by reference (every slot survives in place),
-    everything evaluated (no slot survives), or slice copies of the clean
-    slots plus one ``matrix_batch`` over the dirty ones.  Per-slot
-    stitching is bitwise safe because a matrix element depends on its own
-    (target, source) pair only, never on its batch neighbours — by
-    construction: ``Kernel.matrix_batch`` is one tiling driver over
-    per-pair formulas (``kernels/base.py``) and is tested bitwise across
-    tile splits.  The skip decision never looks at the slots — a patched
-    plan makes exactly the caching choices a fresh compile would.
+    ``slots[j]`` is ``(old_block, old_slot)`` when box ``j``'s geometry
+    inputs are unchanged, else None.  Three outcomes per block: the old
+    block shared (every slot survives in place), slice copies of the clean
+    slots of filled old blocks plus one ``matrix_batch`` over the dirty
+    ones, or empty (no filled slot survives).  Per-slot stitching is
+    bitwise safe because a matrix element depends on its own (target,
+    source) pair only, never on its batch neighbours — by construction:
+    ``Kernel.matrix_batch`` is one tiling driver over per-pair formulas
+    (``kernels/base.py``) and is tested bitwise across tile splits.  The
+    skip decision never looks at the slots — a patched plan makes exactly
+    the reservations a fresh compile would.
     """
     itemsize = np.dtype(plan.rdtype).itemsize
-    rows = a.shape[1] * kernel.target_dim
-    cols = b.shape[1] * kernel.source_dim
-    est = itemsize * a.shape[0] * rows * cols
-    if est > left:
+    nb, rows, cols = a.shape[0], a.shape[1] * kernel.target_dim, b.shape[1] * kernel.source_dim
+    blk = _KernelBlock(plan.rdtype, (nb, rows, cols))
+    if blk.nbytes > left:
         return None
-    nb = a.shape[0]
-    slots = [
-        s if s is not None and s[0].shape[1:] == (rows, cols) else None
-        for s in slots
-    ]
+    slots = [s if s is not None and s[0].shape[1:] == (rows, cols) else None for s in slots]
+    old = slots[0][0] if nb and slots[0] is not None else None
+    if old is not None and old.shape[0] == nb and all(
+        s is not None and s[0] is old and s[1] == j for j, s in enumerate(slots)
+    ):
+        # the whole old block survives: share it, filled or not
+        stats["slots_reused"] += nb
+        stats["bytes_reused"] += blk.nbytes
+        stats["blocks_ref"] += 1
+        return old
+    # slots are copied from filled old blocks only
+    slots = [s if s is not None and s[0].array is not None else None for s in slots]
     dirty = [j for j, s in enumerate(slots) if s is None]
     stats["slots_reused"] += nb - len(dirty)
     stats["slots_fresh"] += len(dirty)
-    if not dirty and nb:
-        first = slots[0]
-        if first[0].shape[0] == nb and all(
-            s[0] is first[0] and s[1] == j for j, s in enumerate(slots)
-        ):
-            # the whole old block survives: share the array, zero copies
-            stats["bytes_reused"] += first[0].nbytes
-            stats["blocks_ref"] += 1
-            return first[0]
+    stats["bytes_fresh"] += itemsize * len(dirty) * rows * cols
     if len(dirty) == nb:
-        k = kernel.matrix_batch(a, b, dtype=plan.rdtype)
-        stats["bytes_fresh"] += k.nbytes
-        return k
-    k = np.empty((nb, rows, cols), dtype=plan.rdtype)
+        return blk
+    k = np.empty(blk.shape, dtype=blk.dtype)
     by_src: dict[int, tuple] = {}
     for j, s in enumerate(slots):
         if s is None:
             continue
-        arr, jj = s
-        dst, src, _ = by_src.setdefault(id(arr), ([], [], arr))
+        old, jj = s
+        dst, src, _ = by_src.setdefault(id(old), ([], [], old.array))
         dst.append(j)
         src.append(jj)
     for dst, src, arr in by_src.values():
@@ -855,13 +875,13 @@ def _materialise(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
     if dirty:
         di = np.asarray(dirty, dtype=np.int64)
         k[di] = kernel.matrix_batch(a[di], b[di], dtype=plan.rdtype)
-        stats["bytes_fresh"] += itemsize * di.size * rows * cols
-    return k
+    blk.array = k
+    return blk
 
 
 class _NoReuse:
     """The null reuse oracle of a fresh compile: no slot survives, so
-    :func:`_materialise` evaluates every block it can afford."""
+    :func:`_reserve` reserves every block it can afford, empty."""
 
     def __init__(self):
         self.stats = dict.fromkeys(
@@ -1124,7 +1144,7 @@ def _pair_section(ev, tree, targets, dual, mat, reuse, x_pairs, w_pairs):
     leaf's sources (in ``tree``) onto the far box's DC surface; W
     evaluates the far box's UE surface — the same points — at the leaf's
     targets (in ``targets``).  Under ``dual`` a pair in both lists is
-    materialised, and charged to the budget, once: X contracts
+    reserved, and charged to the budget, once: X contracts
     ``kernel(surf, pts)``, W its transpose.
 
     X's pairs are cut as X alone would cut them (its bits do not know W
@@ -1179,7 +1199,6 @@ def compile_plan(
     tree: FmmTree,
     lists,
     scopes: PlanScopes | None = None,
-    cache_matrices: bool = True,
     matrix_budget: int = MATRIX_BUDGET,
     precision: str = "fp64",
     targets: FmmTree | None = None,
@@ -1196,12 +1215,12 @@ def compile_plan(
     ``scopes`` carries the distributed ownership masks (``None`` =
     unrestricted).  ``lists`` are the paper's Table I lists; the plan runs
     them as :func:`~repro.core.lists.evaluated_lists` splits them (ULI
-    over U and the direct W/X pairs).  ``cache_matrices`` materialises
-    leaf/pair kernel blocks up to ``matrix_budget`` bytes, claimed in the
-    order ULI (it dominates the near field; each pair once), S2U, D2T
-    (S2U's blocks, under the dual), then the pair section — each (far
-    box, leaf) block once for X and W; disable it to trade apply speed
-    for memory.
+    over U and the direct W/X pairs).  Leaf/pair kernel blocks are
+    reserved up to ``matrix_budget`` bytes, claimed in the order ULI (it
+    dominates the near field; each pair once), S2U, D2T (S2U's blocks,
+    under the dual), then the pair section — each (far box, leaf) block
+    once for X and W — and filled by the first apply that reads them;
+    ``matrix_budget=0`` trades apply speed for memory.
     ``precision`` is ``"fp64"`` (default; bit-identical to the
     pre-precision engine) or ``"fp32"`` (float32 matrices / complex64
     V-list / float32 tables; see the module docstring for what stays
@@ -1233,12 +1252,12 @@ def compile_plan(
     )
     plan._tree = weakref.ref(tree)
     reuse = _NoReuse() if _reuse is None else _reuse
-    left = int(matrix_budget) if cache_matrices else 0
+    left = int(matrix_budget)
 
     def mat(kernel, a, b, slots):
-        """Materialise one kernel block and charge it to the budget."""
+        """Reserve one kernel block and charge it to the budget."""
         nonlocal left
-        k = _materialise(plan, left, kernel, a, b, slots, reuse.stats)
+        k = _reserve(plan, left, kernel, a, b, slots, reuse.stats)
         if k is not None:
             left -= k.nbytes
         return k
@@ -1392,7 +1411,6 @@ def patch_plan(
     lists,
     delta: TreeDelta | None = None,
     scopes: PlanScopes | None = None,
-    cache_matrices: bool = True,
     matrix_budget: int = MATRIX_BUDGET,
     precision: str | None = None,
     profile=None,
@@ -1403,13 +1421,15 @@ def patch_plan(
     ``(tree, lists)`` — so block structure, budget decisions and the
     resulting plan are bit-identical to a fresh compile by construction —
     but consults a :class:`_PlanReuse` oracle built from the
-    :class:`TreeDelta`, which swaps the expensive kernel-matrix
-    materialisations of the four matrix sections — ULI, S2U, D2T and the
-    X/W pair section — (and the per-box ULI gather loops) for copies or
-    shared references wherever the delta proves the inputs unchanged
-    (a ULI block holds the columns of members it is the holder for, so a
-    moved leaf dirties those holders' blocks too); the result is a complete
-    plan, read-only like a fresh one.  Cheap index arrays (gather/scatter
+    :class:`TreeDelta`, which keeps the old kernel blocks of the four
+    matrix sections — ULI, S2U, D2T and the X/W pair section — (and the
+    per-box ULI gather loops) wherever the delta proves the inputs
+    unchanged (a ULI block holds the columns of members it is the holder
+    for, so a moved leaf dirties those holders' blocks too): a block whose
+    slots all survive is shared, filled or not; the clean slots of a
+    filled one are copied and only its dirty slots evaluated; a block with
+    no filled clean slot is reserved empty, for the first apply to fill
+    like a fresh one's.  Cheap index arrays (gather/scatter
     schedules, V-list group tables, operator steps) are always rebuilt:
     rows shift after the delta merge and the rebuild costs milliseconds.
 
@@ -1427,22 +1447,8 @@ def patch_plan(
         delta = diff_trees(old_tree, tree)
     reuse = _PlanReuse(ev, old_plan, old_tree, old_lists, delta, precision)
 
-    def _compile() -> EvalPlan:
-        return compile_plan(
-            ev,
-            tree,
-            lists,
-            scopes=scopes,
-            cache_matrices=cache_matrices,
-            matrix_budget=matrix_budget,
-            precision=precision,
-            _reuse=reuse,
-        )
-
-    if profile is not None:
-        with profile.phase("setup:patch"):
-            plan = _compile()
-    else:
-        plan = _compile()
+    with nullcontext() if profile is None else profile.phase("setup:patch"):
+        plan = compile_plan(ev, tree, lists, scopes=scopes, matrix_budget=matrix_budget,
+                            precision=precision, _reuse=reuse)
     plan.patch_stats = dict(reuse.stats)
     return plan

@@ -340,7 +340,6 @@ class DistributedFmm:
                     self.evaluator, old_plan, old_let.tree, old_lists,
                     let.tree, lists, delta=delta,
                     scopes=self._plan_scopes(),
-                    cache_matrices=self.evaluator.PLAN_CACHE_MATRICES,
                     precision=old_plan.precision,
                 )
             stats = dict(self._plan.patch_stats)
@@ -451,7 +450,6 @@ class DistributedFmm:
                     tree,
                     lists,
                     scopes=self._plan_scopes(),
-                    cache_matrices=ev.PLAN_CACHE_MATRICES,
                     precision=precision,
                 )
 

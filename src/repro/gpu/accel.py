@@ -99,11 +99,6 @@ class GpuFmmEvaluator(FmmEvaluator):
         self.gpu = gpu if gpu is not None else VirtualGpu()
         self.accelerate_wx = bool(accelerate_wx)
 
-    #: Lazily compiled plans skip host-side kernel-matrix caches: the
-    #: device phases read only float32 blocks, so the float64 blocks of
-    #: the default plan would only burn memory.
-    PLAN_CACHE_MATRICES = False
-
     # -- helpers -----------------------------------------------------------
 
     def _device_ok(self, phase: str, profile) -> bool:
@@ -131,9 +126,9 @@ class GpuFmmEvaluator(FmmEvaluator):
         return True
 
     def _run(self, plan, phase: str, *args) -> None:
-        """Apply ``phase`` of ``plan`` read at float32 (its cached blocks
-        are read only when they are float32), charging its flops to a
-        scratch profile: the device's work is the ledger's."""
+        """Apply ``phase`` of ``plan`` read at float32 (its reserved blocks
+        are read and filled only when they are float32), charging its
+        flops to a scratch profile: the device's work is the ledger's."""
         apply = getattr(replace(plan, precision="fp32"), f"apply_{phase}")
         apply(self, *args, PhaseProfile(), pool=self.task_pool)
 

@@ -32,7 +32,7 @@ contributes one formula, :meth:`Kernel._fill`.  The driver guarantees it:
 The formula guarantees back that every element depends on its own
 (target, source) pair only — no reduction across the tile — which makes
 a matrix independent of how it was tiled and lets
-:func:`repro.core.plan._materialise` stitch blocks from separately
+:func:`repro.core.plan._reserve` stitch blocks from separately
 evaluated slots, rows and columns.
 """
 

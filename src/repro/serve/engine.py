@@ -165,9 +165,10 @@ class RegisteredModel:
 class PlanCache:
     """LRU cache of compiled :class:`~repro.core.plan.EvalPlan` objects.
 
-    Entries are charged their ``plan.nbytes`` at insert; a compiled plan
-    is never written to, so that is what it weighs for as long as it is
-    cached.  Compilation runs outside the cache lock under a per-model lock, so
+    Entries are charged their ``plan.nbytes`` at insert: the bytes the
+    plan reserved at compile, which its first request fills and no later
+    one grows, so that is what it weighs for as long as it is cached.
+    Compilation runs outside the cache lock under a per-model lock, so
     two workers missing on the same model produce one compile while other
     models stay servable; eviction never removes the entry being
     inserted, so a single over-budget plan still serves (the cache just

@@ -138,6 +138,7 @@ def test_update_lists_no_refinement_fast_path(rng):
 def _patch_and_compare(fmm, pts, new, moved, dens, rng):
     plan = fmm.plan(pts)
     eplan = fmm.compile_eval_plan(plan)
+    fmm.evaluate(pts, dens, plan=plan, eval_plan=eplan)  # fills the old plan
     new_plan, delta = fmm.update_plan(plan, new, moved=moved)
     check_lists(new_plan.tree, new_plan.lists)
     patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
@@ -180,7 +181,7 @@ def test_patched_plan_counts_a_shared_slot_once(rng):
     assert st["bytes_reused"] > 0 and st["bytes_fresh"] > 0
     assert st["bytes_reused"] + st["bytes_fresh"] == patched.matrix_bytes()
     blocks = patched.uli + patched.s2u + patched.d2t + patched.xli + patched.wli
-    n_slots = sum({id(b.kmat): len(b.kmat) for b in blocks}.values())
+    n_slots = sum({id(b.kmat): b.kmat.shape[0] for b in blocks}.values())
     assert st["slots_reused"] + st["slots_fresh"] == n_slots
 
 
@@ -201,6 +202,7 @@ def test_patch_locality_survives_the_finer_block_classes(monkeypatch):
         fmm = Fmm(kernel="laplace", order=4, max_points_per_box=25)
         plan = fmm.plan(pts)
         eplan = fmm.compile_eval_plan(plan)
+        fmm.evaluate(pts, np.ones(len(pts)), plan=plan, eval_plan=eplan)  # fills it
         new, moved = _perturb(rng, pts, 0.05, 0.01)
         new_plan, delta = fmm.update_plan(plan, new, moved=moved)
         patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
@@ -236,6 +238,7 @@ def test_patched_scoped_plan_with_one_sided_pairs(rng):
     ev = fmm.evaluator
     plan = fmm.plan(pts)
     old = ev.compile_plan(plan.tree, plan.lists, scopes=scopes(plan.tree))
+    ev.evaluate(plan.tree, plan.lists, np.ones(1500), plan=old)  # fills it
     new, moved = _perturb(rng, pts, 0.05, 0.01)
     new_plan, delta = fmm.update_plan(plan, new, moved=moved)
     tree, lists = new_plan.tree, new_plan.lists
@@ -246,17 +249,17 @@ def test_patched_scoped_plan_with_one_sided_pairs(rng):
     w_arrays = {id(b.kmat) for b in fresh.wli}
     assert x_arrays & w_arrays and x_arrays - w_arrays and w_arrays - x_arrays
     assert patched.patch_stats["slots_reused"] > 0
-    for name in ("xli", "wli"):
-        a, b = getattr(patched, name), getattr(fresh, name)
-        assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.rows, pb.rows) and np.array_equal(pa.cols, pb.cols)
-            assert np.array_equal(pa.kmat, pb.kmat)
     dens = rng.standard_normal(1500)[tree.order]
     np.testing.assert_array_equal(
         ev.evaluate(tree, lists, dens, plan=patched),
         ev.evaluate(tree, lists, dens, plan=fresh),
     )
+    for name in ("xli", "wli"):  # both filled by the applies
+        a, b = getattr(patched, name), getattr(fresh, name)
+        assert len(a) == len(b)
+        for pa, pb in zip(a, b):
+            assert np.array_equal(pa.rows, pb.rows) and np.array_equal(pa.cols, pb.cols)
+            assert np.array_equal(pa.kmat.array, pb.kmat.array)
 
 
 def test_patched_plan_refinement_change(rng):

@@ -685,11 +685,11 @@ class TestSeparateTargets:
 
 
     def test_targets_plan_is_cached_per_target_set(self):
-        """The second call with a target set caches a plan whose ULI, D2T
-        and WLI sections run at those targets, with the transient first
-        call's bits, and that ``evaluate`` refuses; other targets drop it
-        rather than reuse it, and the plan ``evaluate`` caches keeps its
-        object and its bits."""
+        """The first call with a target set compiles a plan whose ULI, D2T
+        and WLI sections run at those targets, the second fills it with
+        the first call's bits, and ``evaluate`` refuses it; other targets
+        replace it rather than reuse it, and the plan ``evaluate`` caches
+        keeps its object and its bits."""
         from repro.core.plan import PlanMismatchError
 
         src = plummer_cluster(1500, seed=74)
@@ -701,11 +701,13 @@ class TestSeparateTargets:
         assert np.array_equal(fmm.evaluate(src, dens, plan=plan), want)
         full = ev._plan_obj
         assert full is not None and full.target_fingerprint is None
-        first = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # transient
-        assert "targets" not in ev._plan_box
-        again = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # compiled
+        first = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # compiled
         tp = ev._plan_box["targets"]
         assert tp.uli and tp.d2t and tp.wli and tp.matrix_bytes() > 0
+        assert all(b.kmat.array is None for b in tp.uli)  # ... and not filled
+        again = fmm.evaluate_targets(src, dens, tgt, plan=plan)  # filled
+        assert ev._plan_box["targets"] is tp
+        assert all(b.kmat.array is not None for b in tp.uli)
         assert tp.n_targets == 120 and not tp.dual
         assert np.array_equal(first, again)
         with pytest.raises(PlanMismatchError, match="separate targets"):
@@ -713,7 +715,7 @@ class TestSeparateTargets:
         assert np.array_equal(fmm.evaluate_targets(src, dens, tgt, plan=plan), first)
         assert ev._plan_box["targets"] is tp
         got = fmm.evaluate_targets(src, dens, other, plan=plan)
-        assert "targets" not in ev._plan_box
+        assert ev._plan_box["targets"] is not tp
         fresh = Fmm("laplace", order=4, max_points_per_box=25)
         assert np.array_equal(got, fresh.evaluate_targets(src, dens, other))
         assert ev._plan_obj is full

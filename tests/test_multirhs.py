@@ -221,23 +221,25 @@ class TestMultiRhsBitIdentity:
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_no_plan_path(self, kernel):
         """A caller that brings no eval plan gets the matrix-free one: the
-        block on the first sighting of the tree (nothing cached, every
-        kernel block evaluated in flight), its columns alone after."""
+        block on the first sighting of the tree (the plan kept, nothing
+        filled, every kernel block evaluated in flight), its columns
+        alone after."""
         n = 700
         pts = uniform_cube(n, seed=32)
         fmm = Fmm(kernel, order=4, max_points_per_box=40)
         block = _density_block(kernel, n, 3, seed=6)
         plan = fmm.plan(pts)
         multi = fmm.evaluate(pts, block, plan=plan)
-        assert fmm.evaluator._plan_obj is None  # transient, matrix-free
-        free = fmm.compile_eval_plan(plan, cache_matrices=False)
+        kept = fmm.evaluator._plan_obj  # compiled, not filled
+        assert all(b.kmat.array is None for b in kept.uli + kept.s2u)
+        free = fmm.compile_eval_plan(plan, matrix_budget=0)
         for j in range(3):
             solo = fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=free)
             assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
 
     def test_plan_path_equals_no_plan_path(self):
-        """A cached plan and no plan at all (the transient matrix-free
-        one) agree bitwise, so batching never changes answers."""
+        """A cached plan and no plan at all (the matrix-free view of the
+        kept plan) agree bitwise, so batching never changes answers."""
         n = 800
         pts = uniform_cube(n, seed=33)
         fmm = Fmm("laplace", order=4, max_points_per_box=35)
@@ -249,8 +251,8 @@ class TestMultiRhsBitIdentity:
         a = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("cache_matrices", [True, False])
-    def test_column_zero_on_wlist_sources(self, cache_matrices):
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_column_zero_on_wlist_sources(self, cached):
         """A batched column equals its solo apply whatever its zeros: no
         schedule looks at the density, so a column that vanishes on W-list
         source leaves is batched exactly like its dense neighbour."""
@@ -259,7 +261,7 @@ class TestMultiRhsBitIdentity:
         fmm = Fmm("laplace", order=4, max_points_per_box=25)
         plan = fmm.plan(pts)
         tree = plan.tree
-        ep = fmm.compile_eval_plan(plan, cache_matrices=cache_matrices)
+        ep = fmm.compile_eval_plan(plan, **({} if cached else {"matrix_budget": 0}))
         cols = plan.lists.w.indices  # sources of pair blocks and of direct pairs
         srcs = np.unique(cols[tree.is_leaf[cols]])[:6]
         assert srcs.size == 6, "test tree has too few leaf W-list sources"

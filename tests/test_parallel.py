@@ -206,7 +206,7 @@ class TestBitIdentitySolo:
             assert np.array_equal(out, ref), f"threads={threads}"
             assert np.array_equal(outm, refm), f"threads={threads} multi"
 
-    def test_threads_kwarg_on_fmm_and_compile(self, monkeypatch):
+    def test_threads_kwarg_on_fmm(self, monkeypatch):
         _affinity(monkeypatch, 4)
         pts = uniform_cube(600, seed=22)
         dens = _density(get_kernel("laplace"), 600)
@@ -219,12 +219,6 @@ class TestBitIdentitySolo:
         assert par.evaluator.threads == 4
         pplan = par.plan(pts)
         pep = par.compile_eval_plan(pplan)
-        assert np.array_equal(
-            par.evaluate(pts, dens, plan=pplan, eval_plan=pep), ref
-        )
-        # compile_eval_plan(threads=...) reconfigures the pool
-        par.compile_eval_plan(pplan, threads=2)
-        assert par.evaluator.threads == 2
         assert np.array_equal(
             par.evaluate(pts, dens, plan=pplan, eval_plan=pep), ref
         )

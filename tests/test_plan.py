@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import Fmm, PlanMismatchError, PlanScopes, tree_fingerprint
 from repro.core.lists import evaluated_lists
+from repro.core.plan import _KernelBlock
 from repro.datasets import uniform_cube
 from repro.dist.driver import DistributedFmm, match_owned_rows
 from repro.gpu.accel import GpuFmmEvaluator
@@ -55,12 +56,25 @@ def _setup(kernel="laplace", order=4, q=40, n=N, **kw):
     return fmm, plan, srt
 
 
+def _reserved(ep) -> list:
+    """The plan's reserved kernel blocks, each once."""
+    secs = (ep.s2u, ep.d2t, ep.xli, ep.wli, ep.uli)
+    return list({id(b.kmat): b.kmat for sec in secs for b in sec
+                 if b.kmat is not None}.values())
+
+
+def _filled(ep) -> list:
+    """Fill state of each reserved kernel block."""
+    return [k.array is not None for k in _reserved(ep)]
+
+
 def _caching_variants(ev, tree, lists, **kw):
     """The same compile under three caching outcomes: every kernel block
-    cached, none cached, and a budget that the first U-list block exhausts
-    (so some blocks of the same phase hit the cache and others miss)."""
+    reserved, none (``matrix_budget=0``), and a budget that the first
+    U-list block exhausts (so some blocks of the same phase are reserved
+    and others not).  Nothing is filled yet."""
     full = ev.compile_plan(tree, lists, **kw)
-    free = ev.compile_plan(tree, lists, cache_matrices=False, **kw)
+    free = ev.compile_plan(tree, lists, matrix_budget=0, **kw)
     mixed = ev.compile_plan(
         tree, lists, matrix_budget=full.uli[0].kmat.nbytes, **kw
     )
@@ -68,18 +82,25 @@ def _caching_variants(ev, tree, lists, **kw):
     assert 0 < mixed.matrix_bytes() < full.matrix_bytes()
     cached = [b.kmat is not None for b in mixed.uli]
     assert any(cached) and not all(cached)
+    assert not any(_filled(full) + _filled(mixed))
     return full, free, mixed
 
 
 def _apply_all_variants(ev, tree, lists, dens, **kw):
-    """Apply ``dens`` through every caching variant, assert the outputs
-    are bit-identical, and return that output."""
-    outs = [
-        ev.evaluate(tree, lists, dens, plan=ep).copy()
-        for ep in _caching_variants(ev, tree, lists, **kw)
-    ]
-    assert np.array_equal(outs[0], outs[1]), "cached != matrix-free"
-    assert np.array_equal(outs[0], outs[2]), "cached != partly cached"
+    """Apply ``dens`` through every caching variant — the reserving ones
+    twice: unfilled (the apply fills them), then filled — assert the
+    outputs are bit-identical, and return that output."""
+    full, free, mixed = _caching_variants(ev, tree, lists, **kw)
+
+    def apply(ep):
+        return ev.evaluate(tree, lists, dens, plan=ep).copy()
+
+    outs = [apply(full), apply(full), apply(free), apply(mixed), apply(mixed)]
+    assert all(_filled(full)) and all(_filled(mixed))
+    assert np.array_equal(outs[0], outs[1]), "unfilled != filled"
+    assert np.array_equal(outs[0], outs[2]), "cached != matrix-free"
+    assert np.array_equal(outs[0], outs[3]), "cached != partly cached, unfilled"
+    assert np.array_equal(outs[0], outs[4]), "cached != partly cached, filled"
     return outs[0]
 
 
@@ -88,15 +109,21 @@ def _rel_err(kernel, tree, dens, pot):
     return np.linalg.norm(pot - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
-def test_plan_bit_identical(kernel):
-    """Caching never changes the bits, and the bits are the right answer:
-    the error against direct summation sits under the ladder and falls
-    with the order."""
+# fp64, the default, keeps the bare kernel id
+@pytest.mark.parametrize("kernel,precision", [
+    pytest.param(k, p, id=k if p == "fp64" else f"{k}-{p}")
+    for p in ("fp64", "fp32") for k in ("laplace", "stokes", "yukawa")
+])
+def test_plan_bit_identical(kernel, precision):
+    """Caching never changes the bits — a block evaluated in the tile and
+    one kept from an earlier apply are the same, at either precision —
+    and the bits are the right answer: the error against direct
+    summation sits under the ladder and falls with the order."""
     errs = {}
     for order, bound in LADDER[kernel].items():
         fmm, plan, dens = _setup(kernel, order=order, n=N if kernel != "stokes" else 1000)
-        out = _apply_all_variants(fmm.evaluator, plan.tree, plan.lists, dens)
+        out = _apply_all_variants(fmm.evaluator, plan.tree, plan.lists, dens,
+                                  precision=precision)
         errs[order] = _rel_err(fmm.kernel, plan.tree, dens, out)
         assert errs[order] < bound, f"{kernel} order {order}: {errs[order]:.2e}"
     if len(errs) > 1:
@@ -228,7 +255,7 @@ def test_w_reads_x_blocks_iff_the_kernel_is_transpose_symmetric(kernel):
     assert _rel_err(ev.eval_kernel, tree, dens, out) < 5e-3
     ep = ev.compile_plan(tree, lists)
     assert len(ep.wli) > 3 and all(b.kmat is not None for b in ep.xli + ep.wli)
-    shared = [any(np.shares_memory(w.kmat, x.kmat) for x in ep.xli) for w in ep.wli]
+    shared = [any(w.kmat is x.kmat for x in ep.xli) for w in ep.wli]
     assert all(shared) if fmm.kernel is ev.eval_kernel else not any(shared)
     x_bytes, w_bytes = (sum(b.kmat.nbytes for b in sec) for sec in (ep.xli, ep.wli))
     held = sum({id(b.kmat): b.kmat.nbytes for b in ep.xli + ep.wli}.values())
@@ -255,7 +282,7 @@ def test_d2t_reads_s2u_blocks_iff_the_kernel_is_transpose_symmetric(kernel):
     assert len(ep.d2t) == len(ep.s2u) > 1
     for s, d in zip(ep.s2u, ep.d2t):
         assert np.array_equal(s.group, d.group)
-        assert np.shares_memory(s.kmat, d.kmat) == dual
+        assert (s.kmat is d.kmat) == dual
         assert (s.pts is d.pts and s.surf is d.surf) == dual
     s_bytes, d_bytes = (sum(b.kmat.nbytes for b in sec) for sec in (ep.s2u, ep.d2t))
     held = sum({id(b.kmat): b.kmat.nbytes for b in ep.s2u + ep.d2t}.values())
@@ -353,18 +380,21 @@ def test_plan_bit_identical_dense_m2l():
 
 
 def test_one_shot_evaluate_is_the_matrix_free_plan():
-    """A call that brings no plan applies one anyway — transient and
-    without matrix caches on the first sighting of a ``(tree, lists)``,
-    compiled and kept on the second — and both equal the explicit apply."""
+    """A call that brings no plan applies one anyway, compiled once per
+    ``(tree, lists)``: the first sighting keeps the plan but fills none of
+    its blocks, the second fills them all, and every call equals the
+    explicit matrix-free apply."""
     fmm, plan, dens = _setup()
     ev = fmm.evaluator
-    free = ev.compile_plan(plan.tree, plan.lists, cache_matrices=False)
+    free = ev.compile_plan(plan.tree, plan.lists, matrix_budget=0)
     ref = ev.evaluate(plan.tree, plan.lists, dens, plan=free).copy()
     r1 = ev.evaluate(plan.tree, plan.lists, dens).copy()
-    assert ev._plan_obj is None  # one-shot calls retain nothing
+    kept = ev._plan_obj
+    assert kept.matrix_bytes() > 0 and not any(_filled(kept))  # one-shot holds no block
     r2 = ev.evaluate(plan.tree, plan.lists, dens).copy()
-    assert ev._plan_obj is not None and ev._plan_obj.matrix_bytes() > 0
+    assert ev._plan_obj is kept and all(_filled(kept))
     r3 = ev.evaluate(plan.tree, plan.lists, dens).copy()
+    assert ev._plan_obj is kept
     for r in (r1, r2, r3):
         assert np.array_equal(ref, r)
 
@@ -419,15 +449,21 @@ def test_plan_scoped_ownership_masks():
 
 
 def _plan_state(ep):
-    """What must not change once a plan is compiled: its weight and the
-    identity of every section's block list, blocks and kernel matrices."""
+    """What must not change once a plan is filled: its weight and the
+    identity of every section's block list, blocks, reserved kernel blocks
+    and their arrays."""
     sections = {
         name: getattr(ep, name)
         for name in ("s2u", "u2u", "vli_fft", "vli_dense", "xli", "d2d",
                      "wli", "d2t", "uli")
     }
+
+    def kmat_ids(b):
+        k = getattr(b, "kmat", None)
+        return id(k), id(getattr(k, "array", None))
+
     ids = {
-        name: (id(sec), [(id(b), id(getattr(b, "kmat", None))) for b in sec])
+        name: (id(sec), [(id(b), kmat_ids(b)) for b in sec])
         for name, sec in sections.items()
     }
     return ep.nbytes, ep.matrix_bytes(), ids
@@ -456,6 +492,7 @@ def test_zeroed_wli_source_leaves_the_plan_untouched():
     ev = fmm.evaluator
     tree, lists = plan.tree, plan.lists
     ep = ev.compile_plan(tree, lists)
+    ev.evaluate(tree, lists, dens, plan=ep)  # fills the plan
     before = _plan_state(ep)
     ledgers = []
     targets = tree.points[::2]  # some in every leaf, W targets included
@@ -475,23 +512,31 @@ def test_zeroed_wli_source_leaves_the_plan_untouched():
     assert ledgers[0] == ledgers[1]
 
 
-def test_compiled_plan_is_never_written_to():
-    """``nbytes``, ``matrix_bytes()`` and every section's blocks are the
-    same objects after applies with different densities (one with a zeroed
-    W-list source) and after four threads apply the one plan at once,
-    each bit-equal to its serial result."""
+def test_a_plan_is_written_once():
+    """Four threads make the first applies of one unfilled plan at once,
+    each bit-equal to its serial result; that fills every reserved block
+    with one array of its reserved dtype and shape, ``matrix_bytes()``
+    stays the reservation, and further applies (one with a zeroed W-list
+    source) change nothing.  The virtual GPU's float32 read of an fp64
+    plan fills nothing."""
     fmm, plan, dens = _setup(n=2500, q=25)
     ev = fmm.evaluator
     tree, lists = plan.tree, plan.lists
-    ep = ev.compile_plan(tree, lists)
-    before = _plan_state(ep)
     rng = np.random.default_rng(SEED + 1)
     densities = [dens, rng.standard_normal(dens.size),
                  _zero_a_wli_source(tree, lists, dens), rng.standard_normal(dens.size)]
-    serial = []
-    for d in densities:
-        serial.append(ev.evaluate(tree, lists, d, plan=ep).copy())
-        assert _plan_state(ep) == before
+    ref = ev.compile_plan(tree, lists, matrix_budget=0)
+    serial = [ev.evaluate(tree, lists, d, plan=ref).copy() for d in densities]
+
+    gpu_plan = ev.compile_plan(tree, lists)
+    gpu = GpuFmmEvaluator(fmm.kernel, 4, accelerate_wx=True)
+    out = gpu.evaluate(tree, lists, dens, PhaseProfile(), plan=gpu_plan)
+    assert np.allclose(out, serial[0], rtol=1e-4, atol=1e-4 * np.abs(serial[0]).max())
+    assert not any(_filled(gpu_plan))
+
+    ep = ev.compile_plan(tree, lists)
+    reserved = ep.matrix_bytes()
+    assert reserved > 0 and not any(_filled(ep))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -503,9 +548,62 @@ def test_compiled_plan_is_never_written_to():
             outs = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for i, (out, ref) in enumerate(zip(outs, serial)):
-        assert np.array_equal(out, ref), f"thread {i}"
-    assert _plan_state(ep) == before
+    for i, (out, want) in enumerate(zip(outs, serial)):
+        assert np.array_equal(out, want), f"thread {i}"
+    for k in _reserved(ep):
+        assert isinstance(k.array, np.ndarray)
+        assert (k.array.dtype, k.array.shape) == (k.dtype, k.shape)
+    assert ep.matrix_bytes() == reserved
+    assert sum(k.array.nbytes for k in _reserved(ep)) == reserved
+    before = _plan_state(ep)
+    for d, want in zip(densities, serial):
+        assert np.array_equal(ev.evaluate(tree, lists, d, plan=ep), want)
+        assert _plan_state(ep) == before
+
+
+def test_compile_evaluates_no_kernel_block(monkeypatch, rng):
+    """A fresh compile calls ``Kernel.matrix_batch`` zero times: its
+    blocks are reserved, and the first apply evaluates them.  A patch of
+    a filled plan calls it only for the dirty slots of the blocks it
+    stitches — partly clean ones — and leaves a block with no clean slot
+    reserved and empty for the next apply."""
+    from repro.datasets import plummer_cluster
+    from repro.kernels.base import Kernel
+
+    pts = plummer_cluster(2500, seed=5)
+    fmm = Fmm("laplace", order=4, max_points_per_box=25)
+    plan = fmm.plan(pts)
+    fmm.compile_eval_plan(plan)  # the evaluator's operators, built once
+    calls = []
+    batch = Kernel.matrix_batch
+
+    def counted(self, a, b, dtype=np.float64):
+        calls.append(len(a))
+        return batch(self, a, b, dtype=dtype)
+
+    monkeypatch.setattr(Kernel, "matrix_batch", counted)
+    ep = fmm.compile_eval_plan(plan)
+    assert calls == [] and ep.matrix_bytes() > 0 and not any(_filled(ep))
+    dens = rng.standard_normal(len(pts))
+    fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)
+    assert len(calls) >= len(_reserved(ep)) and all(_filled(ep))
+
+    new = pts.copy()
+    new[:100] += 0.01 * rng.standard_normal((100, 3))
+    new_plan, delta = fmm.update_plan(plan, new)
+    del calls[:]
+    patched = fmm.patch_eval_plan(ep, plan, new_plan, delta=delta)
+    old = {id(k) for k in _reserved(ep)}
+    stitched = [k for k in _reserved(patched) if id(k) not in old and k.array is not None]
+    empty = [k for k in _reserved(patched) if k.array is None]
+    # a stitched block whose clean slots moved holds no dirty slot
+    assert empty and 0 < len(calls) <= len(stitched)
+    assert 0 < sum(calls) < sum(k.shape[0] for k in stitched)
+    fresh = patched.patch_stats["slots_fresh"]
+    assert sum(calls) == fresh - sum(k.shape[0] for k in empty)
+    want = fmm.evaluate(new, dens, plan=new_plan, eval_plan=fmm.compile_eval_plan(new_plan))
+    assert np.array_equal(fmm.evaluate(new, dens, plan=new_plan, eval_plan=patched), want)
+    assert all(_filled(patched))
 
 
 def test_lazy_plan_cache_lets_the_tree_go():
@@ -569,13 +667,15 @@ def test_distributed_plan_bit_identical(p):
 
     def body(comm, cache):
         fmm = DistributedFmm(order=4, max_points_per_box=40)
-        fmm.evaluator.PLAN_CACHE_MATRICES = cache
         fmm.setup(comm, points[comm.rank :: comm.size])
+        if not cache:  # the driver's compile, with no kernel block reserved
+            fmm._plan = fmm.evaluator.compile_plan(
+                fmm.let.tree, fmm.lists, scopes=fmm._plan_scopes(), matrix_budget=0)
         dens = densfn(fmm.owned_points)
         p1 = fmm.evaluate(dens)
         p2 = fmm.evaluate(dens)
         assert np.array_equal(p1, p2)
-        assert (fmm._plan.matrix_bytes() > 0) == cache
+        assert (fmm._plan.matrix_bytes() > 0) == cache and all(_filled(fmm._plan))
         return match_owned_rows(points, fmm.owned_points), p1
 
     free = run_spmd(p, body, False)
@@ -797,14 +897,16 @@ def test_warm_wli_apply_copies_no_block(monkeypatch):
 
 
 def _distinct_array_bytes(ep) -> tuple[int, int]:
-    """``(distinct, naive)``: a plan's array bytes with every array
-    counted once / once per record that holds it, offset tables aside."""
+    """``(distinct, naive)``: a plan's array and reserved-block bytes with
+    every object counted once / once per record that holds it, offset
+    tables aside."""
     records = []
     for name in ("s2u", "u2u", "vli_fft", "vli_dense", "xli", "wli", "d2t", "uli"):
         records += getattr(ep, name)
     for lv in ep.d2d:
         records += [lv, *lv.l2l]
-    held = [v for r in records for v in vars(r).values() if isinstance(v, np.ndarray)]
+    held = [v for r in records for v in vars(r).values()
+            if isinstance(v, (np.ndarray, _KernelBlock))]
     return sum({id(v): v.nbytes for v in held}.values()), sum(v.nbytes for v in held)
 
 

@@ -200,8 +200,9 @@ class TestFp32Behaviour:
         assert ep32.nbytes < 0.75 * ep64.nbytes
 
     def test_fp32_serves_the_first_call(self):
-        # call one applies a transient matrix-free plan at the requested
-        # precision; the cached compile waits for call two, as for fp64
+        # call one compiles the plan at the requested precision and
+        # applies it without filling a block; call two fills it, as for
+        # fp64, and compiles nothing
         n = 800
         points = uniform_cube(n, seed=23)
         fmm = Fmm("laplace", order=4, max_points_per_box=40,
@@ -211,16 +212,19 @@ class TestFp32Behaviour:
         prof = PhaseProfile()
         pot = fmm.evaluate(points, dens, plan=plan, profile=prof)
         assert prof.precision == "fp32"
-        assert "setup:plan" not in prof.events
-        assert fmm.evaluator._plan_obj is None
+        compile_s = prof.events["setup:plan"].wall_seconds
+        kept = fmm.evaluator._plan_obj
+        assert kept.precision == "fp32"
+        assert all(b.kmat.array is None for b in kept.uli)
         ep = fmm.compile_eval_plan(plan)
         assert ep.precision == "fp32"
         np.testing.assert_array_equal(
             pot, fmm.evaluate(points, dens, plan=plan, eval_plan=ep)
         )
         fmm.evaluate(points, dens, plan=plan, profile=prof)
-        assert "setup:plan" in prof.events
-        assert fmm.evaluator._plan_obj.precision == "fp32"
+        assert prof.events["setup:plan"].wall_seconds == compile_s
+        assert fmm.evaluator._plan_obj is kept
+        assert all(b.kmat.array.dtype == np.float32 for b in kept.uli)
 
     def test_fp32_reaches_separate_targets(self):
         # evaluate_targets resolves its plan like evaluate: an fp32 Fmm

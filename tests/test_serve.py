@@ -297,17 +297,23 @@ class TestPlanCache:
         assert len(cache) == 1
 
     def test_cache_charges_what_its_plans_weigh(self):
-        """Nothing grows after insert: once requests have run, the bytes
-        charged still equal the bytes the cached plans hold."""
+        """Nothing grows after insert: once requests have filled the
+        plans' kernel blocks, the bytes charged still equal the bytes the
+        cached plans hold, each filled array once."""
         eng = ServeEngine(n_workers=1)
         eng.register("m", *make_adaptive_model(), warm=True)
         charged = eng.plans.nbytes
         with eng:
             for d in (np.ones(1500), np.arange(1500.0)):
                 eng.evaluate("m", d, timeout_s=60.0)
-        resident = sum(
-            eng.plans.peek(key).nbytes for key in eng.plans.entries()
-        )
+        resident = 0
+        for key in eng.plans.entries():
+            ep = eng.plans.peek(key)
+            blocks = {id(b.kmat): b.kmat for sec in (ep.s2u, ep.d2t, ep.xli, ep.wli, ep.uli)
+                      for b in sec if b.kmat is not None}.values()
+            assert blocks and all(k.array is not None for k in blocks)
+            filled = sum(k.array.nbytes for k in blocks)
+            resident += ep.nbytes - ep.matrix_bytes() + filled
         assert charged == eng.plans.nbytes == resident
         # ... and a block the W- and the X-list both read is charged once:
         # a budget that two plans weighed record by record would overflow

@@ -228,7 +228,7 @@ class TestWorkCounts:
         ev = FmmEvaluator(get_kernel(kname), 4, m2l_mode=mode)
         _assert_counts_equal(ev, tree, lists)
         if mode == "fft":
-            plan = compile_plan(ev, tree, lists, cache_matrices=False)
+            plan = compile_plan(ev, tree, lists, matrix_budget=0)
             assert [b.flops for b in plan.uli] == _ref_uli_flops(ev, tree, lists, plan)
 
     def test_let_counts_equal_the_pair_sums(self):
