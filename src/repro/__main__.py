@@ -75,6 +75,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro import get_kernel
     from repro.datasets import make_distribution
     from repro.dist.driver import distributed_fmm_rank
     from repro.mpi import KRAKEN, LINCOLN, LOCAL, run_spmd
@@ -83,9 +84,6 @@ def _cmd_trace(args) -> int:
 
     machine = {"kraken": KRAKEN, "lincoln": LINCOLN, "local": LOCAL}[args.machine]
     points = make_distribution(args.distribution, args.n, seed=args.seed)
-
-    from repro import get_kernel
-
     ks = get_kernel(args.kernel).source_dim
 
     def density(pts):
@@ -127,15 +125,12 @@ def _cmd_trace(args) -> int:
 def _tune_grid_from_args(args):
     from repro.tune.search import default_grid
 
-    orders = tuple(int(x) for x in args.orders.split(","))
-    leafs = tuple(int(x) for x in args.leaf_sizes.split(","))
-    precs = tuple(p.strip() for p in args.precisions.split(","))
-    shapes = tuple(
-        (int(b), float(w))
-        for b, w in (s.split(":") for s in args.batch_shapes.split(","))
-    )
-    return default_grid(args.n, orders=orders, leaf_sizes=leafs,
-                        precisions=precs, batch_shapes=shapes)
+    return default_grid(
+        args.n, orders=tuple(int(x) for x in args.orders.split(",")),
+        leaf_sizes=tuple(int(x) for x in args.leaf_sizes.split(",")),
+        precisions=tuple(p.strip() for p in args.precisions.split(",")),
+        batch_shapes=tuple((int(b), float(w)) for b, w in (
+            s.split(":") for s in args.batch_shapes.split(","))))
 
 
 def _cmd_tune(args) -> int:
@@ -170,11 +165,8 @@ def _cmd_tune(args) -> int:
           f"({report.probe_fraction:.0%}) in {wall:.1f}s")
 
     if args.store:
-        store = TuneStore(args.store)
-        key = store.put(
-            geometry_fingerprint(points), args.kernel, slo, cfg,
-            report=report.to_dict(),
-        )
+        key = TuneStore(args.store).put(geometry_fingerprint(points), args.kernel,
+                                        slo, cfg, report=report.to_dict())
         print(f"stored under {key} in {args.store}")
     return 0
 
@@ -189,17 +181,12 @@ def _cmd_serve(args) -> int:
     from repro.serve.loadgen import run_load
 
     engine = ServeEngine(
-        n_workers=args.workers,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        matrix_budget=args.matrix_budget_mb * 2**20,
-        threads=args.threads,
+        n_workers=args.workers, max_queue=args.max_queue,
+        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+        matrix_budget=args.matrix_budget_mb * 2**20, threads=args.threads,
     )
-    print(
-        f"registering {args.models} model(s): N={args.n} {args.kernel} "
-        f"order={args.order} box={args.q} (tree + warm plan) ..."
-    )
+    print(f"registering {args.models} model(s): N={args.n} {args.kernel} "
+          f"order={args.order} box={args.q} (tree + warm plan) ...")
     names = [f"m{i}" for i in range(args.models)]
     for i, name in enumerate(names):
         pts = make_distribution(args.distribution, args.n, seed=args.seed + i)
@@ -207,52 +194,30 @@ def _cmd_serve(args) -> int:
         engine.register(name, fmm, pts, warm=True, precision=args.precision)
 
     with engine:
-        print(
-            f"load: {args.clients} closed-loop clients for "
-            f"{args.duration:g}s (timeout {args.timeout:g}s/request)"
-        )
-        summary = run_load(
-            engine,
-            names,
-            duration_s=args.duration,
-            clients=args.clients,
-            timeout_s=args.timeout,
-            seed=args.seed,
-        )
-
-    lg = summary["loadgen"]
-    print(
-        f"\nrequests: {lg['ok']} ok, {lg['overloaded']} overloaded, "
-        f"{lg['errors']} errors in {lg['elapsed_s']:.1f}s "
-        f"({summary['throughput_rps']:.1f} req/s)"
-    )
+        print(f"load: {args.clients} closed-loop clients for {args.duration:g}s "
+              f"(timeout {args.timeout:g}s/request)")
+        summary = run_load(engine, names, duration_s=args.duration,
+                           clients=args.clients, timeout_s=args.timeout,
+                           seed=args.seed)
+    lg, pc, stats = summary["loadgen"], summary["plan_cache"], engine.plan_stats()
+    print(f"\nrequests: {lg['ok']} ok, {lg['overloaded']} overloaded, "
+          f"{lg['errors']} errors in {lg['elapsed_s']:.1f}s "
+          f"({summary['throughput_rps']:.1f} req/s)")
     for name in names:
         # the snapshot lists only the models that were sent a request
         m = summary["models"].get(name, {"completed": 0, "failed": 0})
+        line = f"  {name}: {m['completed']} done, {m['failed']} failed | "
         if m["completed"]:
-            lat = m["latency_s"]
-            print(
-                f"  {name}: {m['completed']} done, {m['failed']} failed | "
-                f"latency p50 {lat['p50'] * 1e3:.0f} p95 {lat['p95'] * 1e3:.0f} "
-                f"p99 {lat['p99'] * 1e3:.0f} ms | "
-                f"batch mean {m['batch_size']['mean']:.2f}"
-            )
-        else:
-            print(f"  {name}: 0 done, {m['failed']} failed")
-    pc = summary["plan_cache"]
-    print(
-        f"plan cache: {pc['hits']} hits / {pc['misses']} misses "
-        f"(hit rate {pc['hit_rate']:.3f}); retries {summary['retried']}, "
-        f"rejected {summary['rejected']}, expired {summary['expired']}"
-    )
-    # per-model served precision + cached plan bytes (dtype-honest)
-    for name, info in engine.plan_stats().items():
-        nb = sum(info["plan_bytes"].values())
-        print(
-            f"  {name}: precision {info['precision']}, "
-            f"cached plan bytes {nb / 2**20:.1f} MiB "
-            f"({', '.join(f'{p}={b / 2**20:.1f}' for p, b in info['plan_bytes'].items())})"
-        )
+            ms = {q: m["latency_s"][q] * 1e3 for q in ("p50", "p95", "p99")}
+            line += (f"latency p50 {ms['p50']:.0f} p95 {ms['p95']:.0f} "
+                     f"p99 {ms['p99']:.0f} ms | batch mean "
+                     f"{m['batch_size']['mean']:.2f} | ")
+        # served precision and cached plan bytes (dtype-honest)
+        mib = sum(stats[name]["plan_bytes"].values()) / 2**20
+        print(line + f"{stats[name]['precision']} plan {mib:.1f} MiB")
+    print(f"plan cache: {pc['hits']} hits / {pc['misses']} misses "
+          f"(hit rate {pc['hit_rate']:.3f}); retries {summary['retried']}, "
+          f"rejected {summary['rejected']}, expired {summary['expired']}")
     for err in lg["error_samples"]:
         print(f"  error: {err}")
 
@@ -310,14 +275,11 @@ def main(argv=None) -> int:
                     help="record phase span events to a JSONL trace file")
     pe.add_argument("--precision", default="fp64",
                     choices=["fp64", "fp32", "auto"],
-                    help="plan precision: fp64 (bit-identical baseline), "
-                         "fp32 (float32 GEMM/FFT phases), or auto "
-                         "(calibrated pick meeting the error target)")
+                    help="plan precision; auto: the calibrated pick meeting "
+                         "the error target")
     pe.add_argument("--threads", type=int, default=None, metavar="T",
-                    help="intra-rank parallelism: run plan phase tiles on "
-                         "a T-thread pool, at most every usable core "
-                         "(bit-identical at any T; default: every usable "
-                         "core)")
+                    help="plan tiles on a T-thread pool, at most every usable "
+                         "core (default), bit-identical at any T")
     pe.set_defaults(fn=_cmd_evaluate)
 
     pr = sub.add_parser(
@@ -411,10 +373,8 @@ def main(argv=None) -> int:
                     help="plan precision the models are registered at "
                          "(auto calibrates once per model at registration)")
     ps.add_argument("--threads", type=int, default=None, metavar="T",
-                    help="intra-rank parallelism: all models share one "
-                         "T-thread tile pool, at most every usable core "
-                         "(bit-identical results; default: single-threaded "
-                         "applies)")
+                    help="one T-thread tile pool for all models, at most every "
+                         "usable core (default: serial applies)")
     ps.add_argument("--out", default=None, metavar="OUT_JSON",
                     help="write the metrics snapshot JSON here "
                          "(default: nothing is written)")

@@ -76,8 +76,6 @@ class FmmEvaluator:
     m2l_mode:
         ``"fft"`` (default; the paper's diagonal translation) or
         ``"dense"`` (ablation baseline).
-    rcond:
-        Pseudo-inverse regularisation.
     eval_kernel:
         Optional second kernel for the *target-side* phases (D2T, W-list,
         U-list): the expansions reproduce the potential field, so
@@ -106,7 +104,6 @@ class FmmEvaluator:
         kernel: Kernel,
         order: int,
         m2l_mode: str = "fft",
-        rcond: float | None = None,
         eval_kernel: Kernel | None = None,
         precision: str = "fp64",
         precision_rtol: float | None = None,
@@ -130,7 +127,7 @@ class FmmEvaluator:
         self.m2l_mode = m2l_mode
         self.precision = precision
         self.precision_rtol = precision_rtol
-        self.ops = OperatorCache(kernel, order, rcond=rcond)
+        self.ops = OperatorCache(kernel, order)
         self.fft = FftM2L(kernel, order) if m2l_mode == "fft" else None
         self.ns = self.ops.n_surf
         # Lazy plan cache: weakrefs to the last-seen tree/lists, the target

@@ -25,7 +25,6 @@ from repro.core.plan import PlanMismatchError
 from repro.core.tree import FmmTree, build_tree
 from repro.kernels import Kernel, get_kernel
 from repro.kernels.base import density_layout
-from repro.util import morton
 from repro.util.geometry import unit_cube_points
 from repro.util.timer import PhaseProfile
 
@@ -78,11 +77,6 @@ class Fmm:
         expansions reproduce the base kernel's potential field, so
         evaluating them with a derivative kernel yields forces/fields
         from the same pass.
-    balance_tree:
-        Apply DENDRO's 2:1 balance refinement to the leaves before
-        building lists.  The FMM does not need it (the paper's trees span
-        20+ levels unbalanced), but balanced trees bound U/W/X list sizes
-        per box, which some downstream uses prefer.
     precision:
         Plan arithmetic precision — ``"fp64"`` (default, bit-identical
         to the pre-precision engine), ``"fp32"`` (float32 GEMM phases,
@@ -99,6 +93,10 @@ class Fmm:
         them (the thread budget,
         :func:`~repro.core.parallel.rank_pool_size`); ``1`` runs the tiles
         inline.  Results are bit-identical at any width.
+
+    The tree is the paper's unbalanced adaptive octree (up to
+    :data:`repro.util.morton.MAX_DEPTH` levels), and the pseudo-inverses
+    use the kernel's ``default_rcond``.
     """
 
     def __init__(
@@ -107,10 +105,7 @@ class Fmm:
         order: int = 6,
         max_points_per_box: int = 64,
         m2l_mode: str = "fft",
-        max_depth: int = morton.MAX_DEPTH,
-        rcond: float | None = None,
         eval_kernel: Kernel | None = None,
-        balance_tree: bool = False,
         precision: str = "fp64",
         precision_rtol: float | None = None,
         threads: int | None = None,
@@ -118,13 +113,10 @@ class Fmm:
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.order = integer_arg(order, "order")
         self.max_points_per_box = integer_arg(max_points_per_box, "max_points_per_box")
-        self.max_depth = int(max_depth)
-        self.balance_tree = bool(balance_tree)
         self.evaluator = FmmEvaluator(
             self.kernel,
             self.order,
             m2l_mode=m2l_mode,
-            rcond=rcond,
             eval_kernel=eval_kernel,
             precision=precision,
             precision_rtol=precision_rtol,
@@ -136,17 +128,7 @@ class Fmm:
         points = unit_cube_points(points)
         profile = profile if profile is not None else PhaseProfile()
         with profile.phase("tree"):
-            if self.balance_tree:
-                from repro.core.tree import tree_from_leaves
-                from repro.octree import balance_2to1, points_to_octree
-
-                ob = points_to_octree(points, self.max_points_per_box, self.max_depth)
-                leaves = balance_2to1(ob.leaves)
-                tree = tree_from_leaves(
-                    leaves, points[ob.order], ob.point_keys, ob.order
-                )
-            else:
-                tree = build_tree(points, self.max_points_per_box, self.max_depth)
+            tree = build_tree(points, self.max_points_per_box)
         with profile.phase("lists"):
             lists = build_lists(tree)
         return FmmPlan(tree, lists)
@@ -177,22 +159,15 @@ class Fmm:
         deletions).  Returns ``(new_plan, delta)`` where ``new_plan`` is
         identical to ``self.plan(new_points)`` and the
         :class:`~repro.core.tree.TreeDelta` feeds
-        :meth:`patch_eval_plan`.  Balanced trees fall back to a full
-        rebuild (2:1 refinement is global) but still produce the delta.
+        :meth:`patch_eval_plan`.
         """
-        from repro.core.tree import diff_trees, update_tree
+        from repro.core.tree import update_tree
 
         profile = profile if profile is not None else PhaseProfile()
-        if self.balance_tree:
-            new_plan = self.plan(new_points, profile=profile)  # validates
-            with profile.phase("tree"):
-                delta = diff_trees(plan.tree, new_plan.tree)
-            return new_plan, delta
         new_points = unit_cube_points(new_points)
         with profile.phase("tree"):
             tree, delta = update_tree(
-                plan.tree, new_points, self.max_points_per_box,
-                moved=moved, max_depth=self.max_depth,
+                plan.tree, new_points, self.max_points_per_box, moved=moved
             )
         with profile.phase("lists"):
             from repro.core.lists import update_lists
@@ -220,7 +195,6 @@ class Fmm:
         plan: FmmPlan | None = None,
         profile: PhaseProfile | None = None,
         eval_plan=None,
-        precision: str | None = None,
     ) -> np.ndarray:
         """Potential at every point, in the input point order.
 
@@ -237,17 +211,15 @@ class Fmm:
         the evaluator compiles an :class:`~repro.core.plan.EvalPlan` on the
         first call, fills its kernel blocks on the second and reuses it
         from then on (``eval_plan=`` supplies a precompiled one; compile it
-        with ``matrix_budget=0`` to trade apply speed for memory).
-
-        ``precision`` overrides the constructor's precision for this call
-        (``"fp64"`` / ``"fp32"`` / ``"auto"``).
+        with ``matrix_budget=0`` to trade apply speed for memory).  The
+        precision is the constructor's, or an ``eval_plan``'s own.
         """
         plan, dens, profile = self._sorted_densities(
             points, densities, plan, profile, "points", "Fmm.evaluate"
         )
         tree = plan.tree
         pot_sorted = self.evaluator.evaluate(
-            tree, plan.lists, dens, profile, plan=eval_plan, precision=precision,
+            tree, plan.lists, dens, profile, plan=eval_plan
         )
         shape = (tree.n_points, self.evaluator.eval_kernel.target_dim) + dens.shape[1:]
         pot = np.empty_like(pot_sorted)

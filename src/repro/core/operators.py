@@ -76,16 +76,16 @@ class OperatorCache:
         block structure and its ``homogeneity`` enables cross-level reuse.
     order:
         Surface order ``p`` (points per cube edge); accuracy parameter.
-    rcond:
-        Relative singular-value cutoff of the pseudo-inverses.
+
+    The pseudo-inverses cut singular values at the kernel's
+    ``default_rcond``, the one regularisation rule.
     """
 
-    def __init__(self, kernel: Kernel, order: int, rcond: float | None = None):
+    def __init__(self, kernel: Kernel, order: int):
         if order < surfaces.MIN_ORDER:
             raise ValueError(f"order must be >= {surfaces.MIN_ORDER}")
         self.kernel = kernel
         self.order = int(order)
-        self.rcond = float(kernel.default_rcond if rcond is None else rcond)
         self.n_surf = surfaces.n_surface_points(order)
         self._inner = surfaces.inner_scale(order)
         self._outer = surfaces.outer_scale(order)
@@ -136,7 +136,7 @@ class OperatorCache:
         mat = self._uc2ue.get(lvl)
         if mat is None:
             k = self.kernel.matrix(self.uc_points(lvl), self.ue_points(lvl))
-            mat = self._uc2ue[lvl] = regularized_pinv(k, self.rcond)
+            mat = self._uc2ue[lvl] = regularized_pinv(k, self.kernel.default_rcond)
         return mat if fac == 1.0 else mat / fac
 
     def dc2de(self, level: int) -> np.ndarray:
@@ -150,7 +150,7 @@ class OperatorCache:
                 mat = np.ascontiguousarray(self.uc2ue(lvl).T)
             else:
                 k = self.kernel.matrix(self.dc_points(lvl), self.de_points(lvl))
-                mat = regularized_pinv(k, self.rcond)
+                mat = regularized_pinv(k, self.kernel.default_rcond)
             self._dc2de[lvl] = mat
         return mat if fac == 1.0 else mat / fac
 

@@ -1413,7 +1413,6 @@ def patch_plan(
     scopes: PlanScopes | None = None,
     matrix_budget: int = MATRIX_BUDGET,
     precision: str | None = None,
-    profile=None,
 ) -> EvalPlan:
     """Recompile only the dirty sections of ``old_plan`` for a new geometry.
 
@@ -1438,8 +1437,7 @@ def patch_plan(
     including per-rank LET trees whose point sets differ.  ``precision``
     defaults to the old plan's; a precision change disables kernel-matrix
     reuse (the stored dtypes differ) but still skips the per-box loops.
-    The work runs under a ``setup:patch`` span when ``profile`` is given,
-    and ``plan.patch_stats`` records what was reused.
+    ``plan.patch_stats`` records what was reused.
     """
     old_plan.check(old_tree)
     precision = old_plan.precision if precision is None else precision
@@ -1447,8 +1445,7 @@ def patch_plan(
         delta = diff_trees(old_tree, tree)
     reuse = _PlanReuse(ev, old_plan, old_tree, old_lists, delta, precision)
 
-    with nullcontext() if profile is None else profile.phase("setup:patch"):
-        plan = compile_plan(ev, tree, lists, scopes=scopes, matrix_budget=matrix_budget,
-                            precision=precision, _reuse=reuse)
+    plan = compile_plan(ev, tree, lists, scopes=scopes, matrix_budget=matrix_budget,
+                        precision=precision, _reuse=reuse)
     plan.patch_stats = dict(reuse.stats)
     return plan

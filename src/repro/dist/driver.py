@@ -76,21 +76,23 @@ def match_owned_rows(all_points: np.ndarray, owned_points: np.ndarray) -> np.nda
 class DistributedFmm:
     """Distributed kernel-independent FMM on a (simulated) communicator.
 
-    Parameters mirror :class:`repro.core.Fmm`, plus:
+    ``kernel``, ``order`` and ``max_points_per_box`` are
+    :class:`repro.core.Fmm`'s; the V-list is the FFT-diagonal one and the
+    pseudo-inverses use the kernel's ``default_rcond``.  The rest:
 
     comm_scheme:
         ``"hypercube"`` (paper Algorithm 3, default) or ``"owner"`` (the
         retired baseline) for the shared-density reduction.
     load_balance:
         Repartition leaves by work weights after the first list build
-        (paper §III-B).
-    partition_level:
-        With ``load_balance``, repartition whole level-``L`` blocks
-        instead of single leaves — the coarser partitioning the paper
-        suggests but did not try.  ``None`` (default) = per-leaf.
+        (paper §III-B), one leaf at a time.
     use_gpu:
         Attach a virtual GPU to this rank and run the accelerated
         evaluator (each MPI process owns one accelerator, as on Lincoln).
+    gpu / gpu_wx:
+        The :class:`~repro.gpu.device.VirtualGpu` to attach (implies
+        ``use_gpu``), and whether the W- and X-lists run on it too
+        (``GpuFmmEvaluator(accelerate_wx=)``, Fig. 6's configuration).
     precision:
         Plan precision (``"fp64"`` / ``"fp32"`` / ``"auto"``; see
         :class:`repro.core.Fmm`).  With ``"auto"``, every rank probes its
@@ -98,9 +100,8 @@ class DistributedFmm:
         evaluator's :meth:`~repro.core.evaluator.FmmEvaluator.resolve_auto`
         runs an allgather of the per-rank picks as its vote (fp32 only if
         every rank picked fp32), so ranks never evaluate at disagreeing
-        precisions.
-    precision_rtol:
-        Relative-error target for ``precision="auto"``.
+        precisions (at the default relative-error target,
+        :data:`repro.tune.probe.DEFAULT_PRECISION_RTOL`).
     threads:
         Intra-rank parallelism: each rank runs its plan phase tiles on a
         task pool (see :mod:`repro.core.parallel`).  The per-rank pool is
@@ -117,16 +118,12 @@ class DistributedFmm:
         kernel: Kernel | str = "laplace",
         order: int = 6,
         max_points_per_box: int = 64,
-        m2l_mode: str = "fft",
         comm_scheme: str = "hypercube",
         load_balance: bool = False,
-        partition_level: int | None = None,
-        rcond: float | None = None,
         use_gpu: bool = False,
         gpu=None,
         gpu_wx: bool = False,
         precision: str = "fp64",
-        precision_rtol: float | None = None,
         threads: int | None = None,
     ):
         if comm_scheme not in ("hypercube", "owner"):
@@ -138,29 +135,15 @@ class DistributedFmm:
         self.threads = None if threads is None else rank_pool_size(threads)
         self.comm_scheme = comm_scheme
         self.load_balance = bool(load_balance)
-        self.partition_level = partition_level
         if use_gpu or gpu is not None:
             from repro.gpu.accel import GpuFmmEvaluator
 
             self.evaluator = GpuFmmEvaluator(
-                self.kernel,
-                self.order,
-                gpu=gpu,
-                m2l_mode=m2l_mode,
-                rcond=rcond,
-                accelerate_wx=gpu_wx,
+                self.kernel, self.order, gpu=gpu, accelerate_wx=gpu_wx,
                 precision=precision,
-                precision_rtol=precision_rtol,
             )
         else:
-            self.evaluator = FmmEvaluator(
-                self.kernel,
-                self.order,
-                m2l_mode=m2l_mode,
-                rcond=rcond,
-                precision=precision,
-                precision_rtol=precision_rtol,
-            )
+            self.evaluator = FmmEvaluator(self.kernel, self.order, precision=precision)
         self.comm: SimComm | None = None
         self.let: LocalEssentialTree | None = None
         self.lists = None
@@ -278,8 +261,7 @@ class DistributedFmm:
                 )
                 begin, end = leaf_point_counts(point_keys, leaves)
                 new = repartition_leaves(
-                    comm, leaves, weights, points, point_keys, begin, end,
-                    partition_level=self.partition_level,
+                    comm, leaves, weights, points, point_keys, begin, end
                 )
                 # degenerate splits fall back to the unbalanced partition
                 rebalanced = min(comm.allgather(int(new[0].size))) > 0

@@ -23,42 +23,6 @@ from repro.mpi.comm import SimComm
 __all__ = ["leaf_work_weights", "repartition_leaves"]
 
 
-def _block_targets(
-    comm: SimComm,
-    leaves: np.ndarray,
-    weights: np.ndarray,
-    total: float,
-    partition_level: int,
-) -> np.ndarray:
-    """Per-leaf target ranks constrained to whole level-``L`` blocks.
-
-    Block ids (the leaves' ancestors at the partition level, or the leaf
-    itself where coarser) and their weights are aggregated globally via a
-    small allgather; all leaves of a block get one target rank computed
-    from the block's global prefix weight.
-    """
-    from repro.util import morton
-
-    p = comm.size
-    lev = np.minimum(morton.level(leaves), partition_level)
-    blocks = morton.ancestor_at(leaves, lev)
-    uniq, inv = np.unique(blocks, return_inverse=True)
-    local_sums = np.zeros(uniq.size)
-    np.add.at(local_sums, inv, weights)
-    merged: dict[int, float] = {}
-    for part in comm.allgather(
-        {int(k): float(v) for k, v in zip(uniq, local_sums)}
-    ):
-        for k, v in part.items():
-            merged[k] = merged.get(k, 0.0) + v
-    order = np.array(sorted(merged), dtype=np.uint64)
-    w = np.array([merged[int(k)] for k in order])
-    prefix = np.cumsum(w) - w
-    block_target = np.minimum((prefix * p / total).astype(np.int64), p - 1)
-    pos = np.searchsorted(order, blocks)
-    return block_target[pos]
-
-
 def leaf_work_weights(
     tree: FmmTree,
     lists: InteractionLists,
@@ -98,19 +62,14 @@ def repartition_leaves(
     point_keys: np.ndarray,
     leaf_begin: np.ndarray,
     leaf_end: np.ndarray,
-    partition_level: int | None = None,
 ):
     """Redistribute whole leaves so per-rank weights balance.
 
     Every leaf (with its points) moves to rank
     ``floor(global_prefix_weight / (total/p))``; prefixes are monotone so
-    each rank receives a contiguous Morton chunk.
-
-    ``partition_level`` enables the paper's suggested-but-untried coarser
-    partitioning (§III-B): leaves sharing an ancestor at that level move
-    as one block (one target rank per block).  Coarser blocks mean less
-    precise balance but cheaper repartitioning and coarser rank
-    boundaries (fewer boundary octants in the rebuilt LET).
+    each rank receives a contiguous Morton chunk.  Leaves move one at a
+    time, as in the paper (§III-B); it suggests, but did not try, moving
+    coarser blocks.
 
     Returns ``(leaves, points, point_keys)`` after the exchange.
     """
@@ -121,13 +80,8 @@ def repartition_leaves(
     total = comm.allreduce(local_total)
     if total <= 0.0:
         return leaves, points, point_keys
-    if partition_level is None:
-        prefix = before + np.cumsum(weights) - weights  # exclusive per leaf
-        target = np.minimum((prefix * p / total).astype(np.int64), p - 1)
-    else:
-        target = _block_targets(
-            comm, leaves, weights, total, int(partition_level)
-        )
+    prefix = before + np.cumsum(weights) - weights  # exclusive per leaf
+    target = np.minimum((prefix * p / total).astype(np.int64), p - 1)
     target = np.maximum.accumulate(target)  # monotone guard
 
     blocks = []

@@ -74,7 +74,13 @@ class GpuFmmEvaluator(FmmEvaluator):
     ``accelerate_wx`` additionally moves the W- and X-list phases onto the
     device — the paper's stated *ongoing work* ("transferring the W,X-lists
     on the GPU"), implemented here as an optional extension.  The default
-    matches the paper's configuration (W/X on the CPU).
+    matches the paper's configuration (W/X on the CPU).  ``gpu`` is the
+    :class:`~repro.gpu.device.VirtualGpu` to charge (a fresh one by
+    default; :class:`~repro.dist.driver.DistributedFmm` passes each rank
+    its own); ``precision`` is
+    :class:`~repro.core.evaluator.FmmEvaluator`'s.  The V-list is the
+    FFT-diagonal one, and the pseudo-inverses use the kernel's
+    ``default_rcond``, as every evaluator's do.
     """
 
     def __init__(
@@ -82,20 +88,10 @@ class GpuFmmEvaluator(FmmEvaluator):
         kernel: Kernel,
         order: int,
         gpu: VirtualGpu | None = None,
-        m2l_mode: str = "fft",
-        rcond: float | None = None,
         accelerate_wx: bool = False,
         precision: str = "fp64",
-        precision_rtol: float | None = None,
     ):
-        super().__init__(
-            kernel,
-            order,
-            m2l_mode=m2l_mode,
-            rcond=rcond,
-            precision=precision,
-            precision_rtol=precision_rtol,
-        )
+        super().__init__(kernel, order, precision=precision)
         self.gpu = gpu if gpu is not None else VirtualGpu()
         self.accelerate_wx = bool(accelerate_wx)
 
@@ -167,13 +163,12 @@ class GpuFmmEvaluator(FmmEvaluator):
         """FFT-diagonalised V-list with the multiply on the device.
 
         Per the paper, per-octant FFTs run on the CPU; only the
-        frequency-space translation is offloaded, in complex64.  Dense mode
-        has no GPU path and falls back to the CPU implementation.  The
+        frequency-space translation is offloaded, in complex64.  The
         ledger charges the device per listed pair (each streams a source
         and an accumulator grid) plus one kernel transform per distinct
         offset.
         """
-        if self.m2l_mode != "fft" or not self._device_ok("VLI", profile):
+        if not self._device_ok("VLI", profile):
             return super().vli(tree, lists, state, profile, plan)
         fft = self.fft
         kt, ks = self.kernel.target_dim, self.kernel.source_dim

@@ -85,6 +85,10 @@ from repro.serve.scheduler import (
 
 __all__ = ["CircuitBreaker", "DistModel", "DistServeEngine", "RankHealth"]
 
+#: Per-dispatch SPMD deadline in seconds: the anti-hang bound, which a
+#: request's own deadline tightens.
+RUN_TIMEOUT_S = 120.0
+
 
 class RankHealth:
     """Liveness/failure bookkeeping over the engine's virtual rank space.
@@ -263,12 +267,16 @@ class DistModel:
 class DistServeEngine:
     """Rank-sharded / replicated model execution with chaos failover.
 
+    Every message is CRC32 + sequence framed (in-flight corruption
+    surfaces as typed :class:`~repro.mpi.comm.CorruptMessage`), and every
+    dispatch runs under :data:`RUN_TIMEOUT_S`.
+
     Parameters
     ----------
     nranks:
-        Width of the virtual rank space.  Sharded models occupy the
-        prefix ``[0, group)`` of it; replica ``i`` of a replicated model
-        is pinned to rank ``i`` (fault plans target these rank numbers).
+        Width of the virtual rank space.  A sharded model spans all of
+        it; replica ``i`` of a replicated model is pinned to rank ``i``
+        (fault plans target these rank numbers).
     faults / retry:
         Optional :class:`~repro.mpi.faults.FaultPlan` executed by the
         chaos fabric on every dispatch, and the
@@ -276,12 +284,6 @@ class DistServeEngine:
         ``attempts`` budgets count *engine-wide dispatch attempts*: a
         fault with ``attempts=1`` fires during the engine's first
         dispatch and is spent afterwards, so retried requests converge.
-    integrity:
-        CRC32 + sequence framing on every message (in-flight corruption
-        surfaces as typed :class:`~repro.mpi.comm.CorruptMessage`).
-    run_timeout_s:
-        Per-dispatch SPMD deadline (the anti-hang bound; a request's own
-        deadline tightens it further).
     breaker_threshold / breaker_cooldown_s:
         Circuit-breaker tuning, shared by all shards and replicas.
     trace:
@@ -294,8 +296,6 @@ class DistServeEngine:
         nranks: int = 4,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        integrity: bool = True,
-        run_timeout_s: float = 120.0,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
         trace=None,
@@ -305,8 +305,6 @@ class DistServeEngine:
         self.nranks = int(nranks)
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
-        self.integrity = bool(integrity)
-        self.run_timeout_s = float(run_timeout_s)
         self.health = RankHealth(self.nranks)
         self.rank_metrics = [ServeMetrics() for _ in range(self.nranks)]
         self._breaker_threshold = int(breaker_threshold)
@@ -382,14 +380,11 @@ class DistServeEngine:
         name: str,
         points,
         placement: str = "sharded",
-        group: int | None = None,
         replicas: int = 2,
         fallback_replica: bool = False,
-        warm: bool = True,
         slo=None,
         store=None,
         tune_grid=None,
-        tune_seed: int = 0,
         **fmm_kwargs,
     ) -> DistModel:
         """Register ``name`` on the fabric; builds all shard/replica state
@@ -397,17 +392,20 @@ class DistServeEngine:
         on a clean fabric (registration is control-plane work; the chaos
         plan targets serving dispatches).
 
-        ``placement="sharded"`` partitions the geometry over ``group``
-        ranks (default: the whole fabric); ``fallback_replica=True``
-        additionally builds one single-rank replica the router degrades
-        to when the shard breaker opens.  ``placement="replicated"``
-        builds ``replicas`` independent single-rank copies.
+        ``placement="sharded"`` partitions the geometry over the whole
+        fabric; ``fallback_replica=True`` additionally builds one
+        single-rank replica the router degrades to when the shard breaker
+        opens.  ``placement="replicated"`` builds ``replicas`` independent
+        single-rank copies.
         ``fmm_kwargs`` pass through to
-        :class:`~repro.dist.driver.DistributedFmm` (kernel, order,
-        max_points_per_box, load_balance, use_gpu, precision, ...);
-        ``threads`` defaults to 1.
-        With ``warm`` (default) each shard group / replica evaluates one
-        zero density now, so plans are compiled before the first request.
+        :class:`~repro.dist.driver.DistributedFmm`: ``kernel``, ``order``,
+        ``max_points_per_box``, ``comm_scheme``, ``load_balance``,
+        ``use_gpu``, ``gpu``, ``gpu_wx``, ``precision`` and ``threads``
+        (default 1 here).  ``slo`` / ``store`` / ``tune_grid`` are
+        :meth:`ServeEngine.register`'s, the config decided by a collective
+        vote (:meth:`_vote_config`).  Each shard group / replica then
+        evaluates one zero density, so plans are compiled before the first
+        request.
         """
         if placement not in ("sharded", "replicated"):
             raise ValueError(
@@ -418,20 +416,17 @@ class DistServeEngine:
         fmm_kwargs = {"threads": 1, **fmm_kwargs}
         kern = fmm_kwargs.get("kernel", "laplace")
         kern = get_kernel(kern) if isinstance(kern, str) else kern
-        if placement == "sharded":
-            width = self.nranks if group is None else int(group)
-        else:
-            width = int(replicas) if group is None else int(group)
+        width = self.nranks if placement == "sharded" else int(replicas)
         if not 1 <= width <= self.nranks:
             raise ValueError(
-                f"model {name!r}: group {width} exceeds the fabric "
-                f"({self.nranks} ranks)"
+                f"model {name!r}: replicas={width} must be in 1.."
+                f"{self.nranks} (the fabric's ranks)"
             )
         tuned = None
         if slo is not None:
             vote_width = width if placement == "sharded" else 1
             tuned = self._vote_config(
-                points, kern, vote_width, slo, tune_grid, tune_seed, store,
+                points, kern, vote_width, slo, tune_grid, store,
             )
             fmm_kwargs = dict(fmm_kwargs)
             fmm_kwargs.update(
@@ -456,14 +451,13 @@ class DistServeEngine:
             model.groups.append(group)
         with self._models_lock:
             self._models[name] = model
-        if warm:
-            zeros = np.zeros(model.expected)
-            for group in model.groups:
-                self._run_group(model, group, zeros, plan=None, deadline=None)
+        zeros = np.zeros(model.expected)
+        for group in model.groups:
+            self._run_group(model, group, zeros, plan=None, deadline=None)
         return model
 
     def _vote_config(
-        self, points, kern, width: int, slo, grid, seed: int, store,
+        self, points, kern, width: int, slo, grid, store,
     ):
         """Collective config vote: one agreed tuned config for the group.
 
@@ -473,7 +467,7 @@ class DistServeEngine:
         slice, allgathers the proposals, and applies the same reduction —
         the modal config wins, ties broken by the lexicographically
         smallest config key — so all ranks adopt one config without a
-        coordinator.  Per-rank seeds differ (``seed + rank``) so the vote
+        coordinator.  Per-rank seeds differ (the rank number) so the vote
         aggregates genuinely independent probes rather than ``width``
         copies of one probe.
         """
@@ -491,7 +485,7 @@ class DistServeEngine:
                 local = points[comm.rank :: comm.size]
                 cfg = propose_config(
                     local, kernel=kern, slo=slo, grid=cands,
-                    seed=seed + comm.rank,
+                    seed=comm.rank,
                 )
                 proposals = [TuneConfig.from_dict(d)
                              for d in comm.allgather(cfg.to_dict())]
@@ -509,13 +503,13 @@ class DistServeEngine:
         )[0]
 
     def _spmd(self, width: int, body, faults=None, deadline=None):
-        """One SPMD run under the engine's integrity framing, trace and
+        """One SPMD run under CRC framing, the engine's trace and the
         anti-hang bound (tightened by a request ``deadline``).  Only
         serving dispatches pass ``faults``; control-plane runs are clean."""
         return run_spmd(
             width, body,
             faults=faults,
-            integrity=self.integrity,
+            integrity=True,
             timeout=self._run_timeout(deadline),
             trace=self._trace,
         )
@@ -653,9 +647,8 @@ class DistServeEngine:
 
     def _run_timeout(self, deadline: float | None) -> float:
         if deadline is None:
-            return self.run_timeout_s
-        return max(0.05, min(self.run_timeout_s,
-                             deadline - time.monotonic()))
+            return RUN_TIMEOUT_S
+        return max(0.05, min(RUN_TIMEOUT_S, deadline - time.monotonic()))
 
     def _admitting(self, model: DistModel) -> RankGroup:
         """The group the next dispatch goes to — the first whose breaker

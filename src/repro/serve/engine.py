@@ -332,7 +332,7 @@ class ServeEngine(ServeFront):
         self.matrix_budget = matrix_budget
         self._models: dict[str, RegisteredModel] = {}
         self._models_lock = threading.Lock()
-        # per-model tuning context (grid/seed/store/measure) for re-tunes
+        # per-model tuning context (grid/store) for re-tunes
         self._tune_ctx: dict[str, dict] = {}
         self._monitors: dict[str, object] = {}
         self._trace = trace
@@ -372,8 +372,6 @@ class ServeEngine(ServeFront):
         slo=None,
         store=None,
         tune_grid=None,
-        tune_seed: int = 0,
-        tune_measure: bool = True,
     ):
         """Register ``name`` as (kernel config, geometry); builds the tree
         now and, with ``warm``, compiles its evaluation plan into the
@@ -389,15 +387,15 @@ class ServeEngine(ServeFront):
         and the search picks order, leaf size, precision and batch shape
         against the SLO, consulting ``store`` (a
         :class:`repro.tune.store.TuneStore`) first and persisting a fresh
-        result into it.  ``tune_grid`` / ``tune_seed`` / ``tune_measure``
-        forward to :func:`repro.tune.search.tune`; the same context is
-        reused by online re-tunes (:meth:`retune`).
+        result into it.  ``tune_grid`` is the search's grid (default
+        :func:`repro.tune.search.default_grid`); online re-tunes
+        (:meth:`retune`) search it again.  The search is seeded with 0 and
+        measures its shortlist.
         """
         tuned = None
         if slo is not None:
             fmm, tuned = self._tune_at_register(
-                name, fmm, points, allowed, slo, store,
-                tune_grid, tune_seed, tune_measure,
+                name, fmm, points, allowed, slo, store, tune_grid
             )
             precision = fmm.evaluator.precision
         self._bind_pool(fmm)
@@ -422,8 +420,7 @@ class ServeEngine(ServeFront):
         return model
 
     def _tune_at_register(
-        self, name, template, points, allowed, slo, store,
-        tune_grid, tune_seed, tune_measure,
+        self, name, template, points, allowed, slo, store, tune_grid
     ):
         """Resolve the tuned config for a new model (store hit or search)
         and build the tuned Fmm from the template's kernel setup."""
@@ -438,12 +435,7 @@ class ServeEngine(ServeFront):
                     f"model {name!r}: tuning grid has no config with an "
                     f"allowed precision ({sorted(set(allowed))})"
                 )
-        self._tune_ctx[name] = {
-            "grid": grid,
-            "seed": int(tune_seed),
-            "store": store,
-            "measure": bool(tune_measure),
-        }
+        self._tune_ctx[name] = {"grid": grid, "store": store}
         config, _ = self._resolve_tuned(name, pts, template.kernel, slo)
         return self._fmm_like(template, config), config
 
@@ -456,10 +448,7 @@ class ServeEngine(ServeFront):
         ctx = self._tune_ctx[name]
 
         def search():
-            report = tune_search(
-                points, kernel=kernel, slo=slo, grid=ctx["grid"],
-                seed=ctx["seed"], measure=ctx["measure"],
-            )
+            report = tune_search(points, kernel=kernel, slo=slo, grid=ctx["grid"])
             return report.config, report.to_dict()
 
         return resolve_config(
@@ -486,9 +475,7 @@ class ServeEngine(ServeFront):
             order=config.order,
             max_points_per_box=config.max_points,
             m2l_mode=ev.m2l_mode,
-            max_depth=template.max_depth,
             eval_kernel=ev.eval_kernel,
-            balance_tree=template.balance_tree,
             precision=config.precision,
         )
 

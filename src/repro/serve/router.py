@@ -47,8 +47,8 @@ class Router(ServeFront):
     ``n_dispatchers`` bounds the number of concurrently in-flight
     dispatches (a sharded model serialises on its group lock anyway;
     replicated models genuinely serve ``min(n_dispatchers, replicas)``
-    requests in parallel).  ``max_queue`` and ``tenant_weights``
-    parameterise the fair queue exactly as in the single-process engine.
+    requests in parallel).  ``max_queue`` bounds the fair queue exactly
+    as in the single-process engine; tenants share it equally.
     """
 
     def __init__(
@@ -56,9 +56,8 @@ class Router(ServeFront):
         engine: DistServeEngine,
         n_dispatchers: int = 2,
         max_queue: int = 64,
-        tenant_weights: dict | None = None,
     ):
-        super().__init__(n_dispatchers, max_queue, tenant_weights)
+        super().__init__(n_dispatchers, max_queue)
         self.engine = engine
 
     # -- registration / introspection (delegated) ---------------------------

@@ -386,7 +386,7 @@ class ServeFront:
     serving class supplies :meth:`expected`, :meth:`_admit`, :meth:`_execute`."""
 
     def __init__(
-        self, n_workers, max_queue, tenant_weights,
+        self, n_workers, max_queue, tenant_weights=None,
         max_batch=1, max_wait_ms=0.0, limits=None,
     ):
         from repro.serve.batcher import MicroBatcher  # it imports this module

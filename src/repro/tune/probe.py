@@ -231,34 +231,27 @@ def autotune_precision(
     rtol: float | None = None,
     m2l_mode: str = "fft",
     eval_kernel: Kernel | None = None,
-    rcond: float | None = None,
-    sample: int | None = 2_000,
-    max_points_per_box: int = 64,
-    seed: int = 0,
 ) -> PrecisionResult:
     """Pick the cheapest plan precision meeting a relative-error target.
 
-    A random subsample of ``sample`` points is probed with an fp64 and an
-    fp32 plan (one :meth:`SubsampleProbe.ladder` rung each: warm apply
-    seconds and error against the exact direct sum).  The cheapest
-    candidate that :func:`clears_rtol` is chosen.  If none does, fp64 is
+    The seed-0 :class:`SubsampleProbe` of ``points`` (its default 2 000
+    points, leaves of 64) is probed with an fp64 and an fp32 plan (one
+    :meth:`SubsampleProbe.ladder` rung each: warm apply seconds and error
+    against the exact direct sum), the rungs :func:`~repro.tune.search.tune`
+    reads for a ``max_points=64`` config at its default sample and seed.
+    The cheapest candidate that :func:`clears_rtol` is chosen.  If none does, fp64 is
     returned with ``met=False`` — the caller's accuracy budget needs a
     higher expansion order, not a precision choice.
     """
     rtol = DEFAULT_PRECISION_RTOL if rtol is None else float(rtol)
     if rtol <= 0:
         raise ValueError("rtol must be positive")
-    probe = SubsampleProbe(
-        points, kernel=kernel, sample=sample, seed=seed,
-        eval_kernel=eval_kernel,
-    )
+    probe = SubsampleProbe(points, kernel=kernel, eval_kernel=eval_kernel)
     rungs, _ = probe.ladder(
         [(order, "fp64"), (order, "fp32")],
         lambda o, _p: FmmEvaluator(
-            probe.kernel, o, m2l_mode=m2l_mode, rcond=rcond,
-            eval_kernel=eval_kernel,
+            probe.kernel, o, m2l_mode=m2l_mode, eval_kernel=eval_kernel,
         ),
-        max_points_per_box,
     )
     errors = {p: r.error for (_, p), r in rungs.items()}
     times = {p: r.seconds for (_, p), r in rungs.items()}

@@ -396,40 +396,3 @@ class TestOddRankCounts:
         )
         pos = _match(pts, opts)
         assert np.linalg.norm(opot - ref[pos]) / np.linalg.norm(ref) < 5e-3
-
-
-class TestCoarsePartitioning:
-    """The paper's suggested (untried) coarser-level repartitioning."""
-
-    def test_result_unchanged(self):
-        pts = ellipsoid_surface(1500, seed=72)
-        kern = get_kernel("laplace")
-        ref = direct_sum(kern, pts, pts, densfn(pts))
-        opts, opot, _ = _run_and_collect(
-            pts, densfn, 4,
-            kernel="laplace", order=4, max_points_per_box=25,
-            load_balance=True, partition_level=3,
-        )
-        pos = _match(pts, opts)
-        assert np.linalg.norm(opot - ref[pos]) / np.linalg.norm(ref) < 2e-3
-
-    def test_blocks_stay_whole(self):
-        """All leaves sharing a level-L ancestor land on one rank."""
-        from repro.util import morton
-
-        pts = ellipsoid_surface(2000, seed=73)
-        L = 3
-        _, _, res = _run_and_collect(
-            pts, densfn, 4,
-            kernel="laplace", order=4, max_points_per_box=25,
-            load_balance=True, partition_level=L,
-        )
-        owner_of_block = {}
-        for rk, (_, _, fmm) in enumerate(res.values):
-            tree = fmm.let.tree
-            keys = tree.keys[fmm.let.owned_leaf]
-            lev = np.minimum(morton.level(keys), L)
-            for b in np.unique(morton.ancestor_at(keys, lev)):
-                assert owner_of_block.setdefault(int(b), rk) == rk, (
-                    f"block {b} split across ranks"
-                )

@@ -35,7 +35,7 @@ from repro.serve.scheduler import DeadlineExceeded, retry_after_hint
 
 ORDER = 4
 BOX = 40
-#: Per-dispatch SPMD timeout: the anti-hang bound for the whole suite.
+#: Request deadline for the load-driven tests.
 RUN_TIMEOUT = 30.0
 
 
@@ -47,7 +47,7 @@ def _engine(p, n, **kwargs):
     kwargs.setdefault(
         "retry", RetryPolicy(max_attempts=3, backoff=0.0)
     )
-    eng = DistServeEngine(nranks=p, run_timeout_s=RUN_TIMEOUT, **kwargs)
+    eng = DistServeEngine(nranks=p, **kwargs)
     eng.register(
         "m", _points(n), placement="sharded",
         order=ORDER, max_points_per_box=BOX,
@@ -150,7 +150,6 @@ class TestGpuFault:
         eng.register(
             "g", _points(n), placement="sharded",
             order=ORDER, max_points_per_box=BOX, use_gpu=True,
-            warm=False,
         )
         rng = np.random.default_rng(3)
         dens = rng.standard_normal(eng._model("m").expected)
@@ -168,7 +167,7 @@ class TestReplicatedFailover:
     def test_failover_to_surviving_replica(self):
         p, n = 2, 400
         eng = DistServeEngine(
-            nranks=p, run_timeout_s=RUN_TIMEOUT,
+            nranks=p,
             retry=RetryPolicy(max_attempts=3, backoff=0.0),
         )
         eng.register(
@@ -193,7 +192,7 @@ class TestReplicatedFailover:
     def test_all_replicas_down_is_typed(self):
         p, n = 2, 400
         eng = DistServeEngine(
-            nranks=p, run_timeout_s=RUN_TIMEOUT,
+            nranks=p,
             retry=RetryPolicy(max_attempts=2, backoff=0.0),
             breaker_threshold=1, breaker_cooldown_s=60.0,
         )
@@ -222,7 +221,7 @@ class TestRankGroups:
     @staticmethod
     def _engine(**kwargs):
         return DistServeEngine(
-            nranks=2, run_timeout_s=RUN_TIMEOUT,
+            nranks=2,
             retry=RetryPolicy(max_attempts=2, backoff=0.0), **kwargs,
         )
 
@@ -270,39 +269,37 @@ class TestRankGroups:
         assert spans == retried == attempts - 1
 
     def test_one_replica_equals_a_one_rank_shard_bitwise(self):
-        eng = self._engine()
+        eng, solo = self._engine(), DistServeEngine(nranks=1)
         pts = _points(400)
         kwargs = dict(order=ORDER, max_points_per_box=BOX)
         eng.register("rep", pts, placement="replicated", replicas=1, **kwargs)
-        eng.register("shard", pts, placement="sharded", group=1, **kwargs)
+        solo.register("shard", pts, placement="sharded", **kwargs)
         dens = np.random.default_rng(23).standard_normal(len(pts))
         assert np.array_equal(
-            eng.evaluate("rep", dens), eng.evaluate("shard", dens)
+            eng.evaluate("rep", dens), solo.evaluate("shard", dens)
         )
 
     def test_a_fault_follows_its_fabric_rank(self):
         """A fault aimed at fabric rank 1 fires on replica 1 — and never
-        on replica 0 or on a one-rank shard, which sit on rank 0."""
+        on replica 0, which sits on rank 0."""
         eng = self._engine()
         pts = _points(400)
-        kwargs = dict(order=ORDER, max_points_per_box=BOX)
-        eng.register("rep", pts, placement="replicated", replicas=2, **kwargs)
-        eng.register("shard", pts, placement="sharded", group=1, **kwargs)
+        eng.register("rep", pts, placement="replicated", replicas=2,
+                     order=ORDER, max_points_per_box=BOX)
         dens = np.ones(len(pts))
-        ref = eng.evaluate("shard", dens)
+        ref = eng.evaluate("rep", dens)
         eng.set_faults(FaultPlan(
             [Fault("crash", rank=1, op="phase", phase="D2T",
                    attempts=1_000_000)]
         ))
         for _ in range(3):
-            assert np.array_equal(eng.evaluate("shard", dens), ref)
             assert np.array_equal(eng.evaluate("rep", dens), ref)
         eng.set_faults(None)
         health = eng.health.snapshot()
         assert health[1]["failures"] >= 1 and health[0]["failures"] == 0
         snap = eng.breaker_snapshot()
         assert snap["rep/r1"]["failures"] >= 1
-        assert snap["rep/r0"]["failures"] == snap["shard/shard"]["failures"] == 0
+        assert snap["rep/r0"]["failures"] == 0
 
 
 class TestCoincidentPoints:
@@ -312,7 +309,7 @@ class TestCoincidentPoints:
     def test_duplicate_row_is_served_once_per_row(self):
         pts = _points(600)
         pts[599] = pts[0]  # rows 0 and 599 go to different input chunks
-        eng = DistServeEngine(nranks=2, run_timeout_s=RUN_TIMEOUT)
+        eng = DistServeEngine(nranks=2)
         eng.register("m", pts, placement="sharded", order=ORDER, max_points_per_box=BOX)
         for st in eng._model("m").groups[0].states:
             owned = {tuple(x) for x in st["fmm"].owned_points.tolist()}
@@ -341,7 +338,7 @@ class TestCircuitBreaker:
     def test_shard_breaker_opens_then_recovers(self):
         p, n = 2, 400
         eng = DistServeEngine(
-            nranks=p, run_timeout_s=RUN_TIMEOUT,
+            nranks=p,
             retry=RetryPolicy(max_attempts=2, backoff=0.0),
             breaker_threshold=2, breaker_cooldown_s=0.2,
         )
@@ -372,7 +369,7 @@ class TestCircuitBreaker:
     def test_fallback_replica_serves_when_shard_down(self):
         p, n = 2, 400
         eng = DistServeEngine(
-            nranks=p, run_timeout_s=RUN_TIMEOUT,
+            nranks=p,
             retry=RetryPolicy(max_attempts=2, backoff=0.0),
             breaker_threshold=1, breaker_cooldown_s=60.0,
         )
@@ -511,28 +508,6 @@ class TestRouter:
 
 
 class TestLoadgen:
-    def test_open_loop_mode(self):
-        from repro.serve.loadgen import run_load
-
-        eng = _engine(2, 400)
-        with Router(eng, n_dispatchers=2, max_queue=16) as router:
-            summary = run_load(
-                router, ["m"], duration_s=1.0, clients=2,
-                timeout_s=20.0, mode="open", rate_rps=10.0,
-            )
-        lg = summary["loadgen"]
-        assert lg["mode"] == "open"
-        assert lg["ok"] > 0
-        assert lg["errors"] == 0, lg["error_samples"]
-
-    def test_open_loop_needs_rate(self):
-        from repro.serve.loadgen import run_load
-
-        with pytest.raises(ValueError):
-            run_load(None, ["m"], mode="open")
-        with pytest.raises(ValueError):
-            run_load(None, ["m"], mode="sideways")
-
     def test_needs_a_model_and_a_client(self):
         from repro.serve.loadgen import run_load
 
@@ -646,7 +621,7 @@ class TestRetryPolicy:
 
 class TestConcurrentClients:
     def test_replicated_serves_concurrently_bit_identical(self):
-        eng = DistServeEngine(nranks=2, run_timeout_s=RUN_TIMEOUT)
+        eng = DistServeEngine(nranks=2)
         eng.register("r", _points(400), placement="replicated",
                      replicas=2, order=ORDER, max_points_per_box=BOX)
         rng = np.random.default_rng(13)

@@ -353,14 +353,14 @@ def test_dist_fmm_update_geometry_p4(rng):
     pts = rng.random((n, 3))
     dens = rng.standard_normal(n)
     eng = DistServeEngine(nranks=4)
-    eng.register("m", pts, placement="sharded", group=4,
+    eng.register("m", pts, placement="sharded",
                  kernel="laplace", order=4, max_points_per_box=30)
     new, _ = _perturb(rng, pts, 0.05, 0.02)
     info = eng.update_geometry("m", new)
     assert info["ranks_patched"] == 4
     out = eng.evaluate("m", dens)
     ref = DistServeEngine(nranks=4)
-    ref.register("m", new, placement="sharded", group=4,
+    ref.register("m", new, placement="sharded",
                  kernel="laplace", order=4, max_points_per_box=30)
     np.testing.assert_array_equal(out, ref.evaluate("m", dens))
 

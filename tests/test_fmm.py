@@ -721,29 +721,3 @@ class TestSeparateTargets:
         assert ev._plan_obj is full
         assert np.array_equal(fmm.evaluate(src, dens, plan=plan), want)
         assert ev._plan_obj is full
-
-
-class TestBalancedTree:
-    def test_accuracy_preserved_and_balanced(self):
-        from repro.octree import is_2to1_balanced
-
-        pts = ellipsoid_surface(1500, seed=91)
-        kern = get_kernel("laplace")
-        dens = np.random.default_rng(7).standard_normal(1500)
-        ref = direct_sum(kern, pts, pts, dens)
-        fmm = Fmm(kern, order=6, max_points_per_box=25, balance_tree=True)
-        plan = fmm.plan(pts)
-        leaves = plan.tree.keys[plan.tree.is_leaf]
-        assert is_2to1_balanced(leaves)
-        f = fmm.evaluate(pts, dens, plan=plan)
-        assert rel_err(f, ref) < 5e-5
-
-    def test_balanced_tree_bounds_u_list_span(self):
-        """With 2:1 balance, U-list members differ by at most one level."""
-        pts = ellipsoid_surface(1500, seed=92)
-        fmm = Fmm("laplace", order=4, max_points_per_box=20, balance_tree=True)
-        plan = fmm.plan(pts)
-        tree, lists = plan.tree, plan.lists
-        for i in tree.leaf_indices:
-            for j in lists.u.of(i):
-                assert abs(int(tree.levels[i]) - int(tree.levels[j])) <= 1

@@ -10,7 +10,6 @@ from repro.dist.loadbalance import leaf_work_weights, repartition_leaves
 from repro.kernels import get_kernel
 from repro.mpi import run_spmd
 from repro.octree.build import leaf_point_counts, points_to_octree
-from repro.util import morton
 
 
 class TestLeafWorkWeights:
@@ -135,22 +134,3 @@ class TestRepartition:
             return np.array_equal(leaves, d.leaves)
 
         assert all(run_spmd(2, fn, timeout=300).values)
-
-    def test_block_partitioning_respects_blocks(self):
-        pts = ellipsoid_surface(2000, seed=85)
-        L = 2
-
-        def fn(comm):
-            d, w, b, e = self._setup(comm, pts)
-            leaves, _, _ = repartition_leaves(
-                comm, d.leaves, w, d.points, d.point_keys, b, e,
-                partition_level=L,
-            )
-            lev = np.minimum(morton.level(leaves), L)
-            return np.unique(morton.ancestor_at(leaves, lev))
-
-        res = run_spmd(4, fn, timeout=300)
-        seen = {}
-        for rk, blocks in enumerate(res.values):
-            for blk in blocks:
-                assert seen.setdefault(int(blk), rk) == rk

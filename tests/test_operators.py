@@ -164,7 +164,7 @@ class TestHomogeneityScaling:
             )
             from repro.core.operators import regularized_pinv
 
-            p_direct = regularized_pinv(k_direct, cached.rcond)
+            p_direct = regularized_pinv(k_direct, cached.kernel.default_rcond)
             np.testing.assert_allclose(
                 cached.uc2ue(lvl), p_direct, rtol=1e-10, atol=1e-30
             )
@@ -225,7 +225,7 @@ class TestOneSvdForDualSurfaces:
         assert got.flags.c_contiguous
         assert np.array_equal(got, ops.uc2ue(level).T)
         direct = regularized_pinv(
-            kern.matrix(ops.dc_points(level), ops.de_points(level)), ops.rcond
+            kern.matrix(ops.dc_points(level), ops.de_points(level)), kern.default_rcond
         )
         assert np.abs(got - direct).max() <= 1e-8 * np.abs(direct).max()
 

@@ -84,16 +84,14 @@ class TestAccuracyLadder:
 
     def test_auto_unsatisfiable_target_falls_back_to_fp64(self):
         points = uniform_cube(1_000, seed=4)
-        res = autotune_precision(points, kernel="laplace", order=4,
-                                 rtol=1e-14, sample=800)
+        res = autotune_precision(points, kernel="laplace", order=4, rtol=1e-14)
         assert res.best == "fp64"
         assert not res.met
         assert set(res.errors) == {"fp64", "fp32"}
 
     def test_probe_ranks_both_precisions(self):
         points = uniform_cube(1_000, seed=5)
-        res = autotune_precision(points, kernel="laplace", order=4,
-                                 rtol=1e-3, sample=800)
+        res = autotune_precision(points, kernel="laplace", order=4, rtol=1e-3)
         assert res.met
         ranked = res.ranked()
         assert {p for p, _ in ranked} == {"fp64", "fp32"}
@@ -283,8 +281,8 @@ class TestTypedErrors:
         plan = fmm.plan(points)
         ep64 = fmm.compile_eval_plan(plan, precision="fp64")
         with pytest.raises(PrecisionError, match="fp32"):
-            fmm.evaluate(points, dens, plan=plan, eval_plan=ep64,
-                         precision="fp32")
+            fmm.evaluator.evaluate(plan.tree, plan.lists, dens[plan.tree.order],
+                                   plan=ep64, precision="fp32")
 
 
 class TestServePrecision:

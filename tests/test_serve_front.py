@@ -31,7 +31,7 @@ POINTS = uniform_cube(N, seed=5)
 
 @pytest.fixture(scope="module")
 def dist_engine():
-    eng = DistServeEngine(nranks=2, run_timeout_s=30.0)
+    eng = DistServeEngine(nranks=2)
     eng.register("m", POINTS, order=4, max_points_per_box=40)
     return eng
 

@@ -452,7 +452,7 @@ class TestServeIntegration:
         store = TuneStore(tmp_path / "store.json")
         slo = SLO(latency_s=30.0, precision_rtol=1e-2)
         engine.register("m", Fmm("laplace"), points, slo=slo, store=store,
-                        tune_grid=tiny_grid(), tune_seed=SEED)
+                        tune_grid=tiny_grid())
         yield engine, store, slo
         engine.stop()
 
@@ -467,7 +467,7 @@ class TestServeIntegration:
         # the vote/store agree on a second registration (store hit)
         engine2 = ServeEngine(n_workers=1)
         engine2.register("m", Fmm("laplace"), points, slo=slo, store=store,
-                         tune_grid=tiny_grid(), tune_seed=SEED)
+                         tune_grid=tiny_grid())
         assert engine2._model("m").tuned == model.tuned
 
     def test_served_answers_bit_identical_per_version(self, tuned_engine,
@@ -528,7 +528,7 @@ class TestServeIntegration:
         engine = ServeEngine(n_workers=1)
         engine.register("m", Fmm("laplace"), points,
                         slo=SLO(latency_s=30.0, precision_rtol=1e-2),
-                        tune_grid=grid, tune_seed=SEED)
+                        tune_grid=grid)
         model = engine._model("m")
         assert model.tuned.matrix_budget == budget
         dens = np.random.default_rng(2).standard_normal(model.expected)
@@ -572,7 +572,7 @@ class TestDistVote:
         monkeypatch.setattr(search_mod, "propose_config", rigged)
         eng = DistServeEngine(nranks=4)
         won = eng._vote_config(points, get_kernel("laplace"), 4, SLO(),
-                               None, 0, None)
+                               None, None)
         assert won == cfg_y  # modal proposal wins over the dissenter
 
     @pytest.mark.parametrize("p", [2, 4])
@@ -583,7 +583,7 @@ class TestDistVote:
         slo = SLO(latency_s=30.0, precision_rtol=1e-2)
         eng = DistServeEngine(nranks=p)
         m = eng.register("m", points, slo=slo, store=store,
-                         tune_grid=tiny_grid(), tune_seed=SEED)
+                         tune_grid=tiny_grid())
         assert m.tuned is not None and m.slo == slo
         # the agreed config is persisted under the dist backend key
         fp = geometry_fingerprint(points)
@@ -591,7 +591,7 @@ class TestDistVote:
         # a second engine takes the store-hit path to the same config
         eng2 = DistServeEngine(nranks=p)
         m2 = eng2.register("m", points, slo=slo, store=store,
-                          tune_grid=tiny_grid(), tune_seed=SEED)
+                          tune_grid=tiny_grid())
         assert m2.tuned == m.tuned
         dens = np.random.default_rng(2).standard_normal(m.expected)
         assert np.array_equal(eng.evaluate("m", dens),
@@ -644,13 +644,12 @@ class TestStoreHitHonoursGrid:
         store = TuneStore(tmp_path / "d.json")
         first = DistServeEngine(nranks=2).register(
             "m", points, slo=self.slo, store=store,
-            tune_grid=one_cell_grid("fp32"), tune_seed=SEED,
+            tune_grid=one_cell_grid("fp32"),
         )
         assert first.tuned.precision == "fp32"
         grid = one_cell_grid("fp64")
         second = DistServeEngine(nranks=2).register(
             "m", points, slo=self.slo, store=store, tune_grid=grid,
-            tune_seed=SEED,
         )
         assert second.tuned in grid
 
@@ -660,12 +659,10 @@ class TestOneTuner:
         """On one probe, ``autotune_precision`` picks fp32 exactly when
         ``tune``'s floor admits the (order, fp32) cell and fp32 is the
         cheaper rung; both read the same error bits."""
-        order, q, sample = 4, 64, 500
+        order, q = 4, 64  # autotune_precision probes leaves of 64
 
         def pick(rtol):
-            return autotune_precision(points, order=order, rtol=rtol,
-                                      sample=sample, max_points_per_box=q,
-                                      seed=SEED)
+            return autotune_precision(points, order=order, rtol=rtol)
 
         err32 = pick(1.0).errors["fp32"]
         admitted_seen = set()
@@ -675,7 +672,7 @@ class TestOneTuner:
             rep = tune(points, slo=SLO(latency_s=1e3, precision_rtol=rtol),
                        grid=[TuneConfig(order=order, max_points=q,
                                         precision="fp32", max_batch=1)],
-                       seed=SEED, sample=sample, measure=False)
+                       seed=SEED, measure=False)
             assert rep.accuracy[f"o{order}/fp32"] == res.errors["fp32"]
             admitted = rep.met_slo  # one fp32 cell, latency never binds
             admitted_seen.add(admitted)
