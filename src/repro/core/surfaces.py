@@ -41,7 +41,6 @@ __all__ = [
     "outer_scale",
     "n_surface_points",
     "surface_lattice",
-    "surface_grid_indices",
     "surface_points",
 ]
 
@@ -95,13 +94,6 @@ def surface_lattice(order: int) -> np.ndarray:
     """
     _check_order(order)
     return _lattice_cached(order)
-
-
-def surface_grid_indices(order: int) -> np.ndarray:
-    """Flat indices of the surface points in a ``(p, p, p)`` C-order grid."""
-    ijk = surface_lattice(order)
-    p = order
-    return (ijk[:, 0] * p + ijk[:, 1]) * p + ijk[:, 2]
 
 
 def surface_points(

@@ -233,28 +233,6 @@ def parallel_report(trace) -> dict:
     return report
 
 
-def setup_seconds(
-    profiles: list[PhaseProfile], machine: MachineModel
-) -> dict[str, float]:
-    """Modelled max-over-ranks time of the setup phases.
-
-    ``setup:plan`` is the evaluation-plan compilation span (see
-    :mod:`repro.core.plan`): one-time work that amortises
-    across repeated applies, so it belongs with setup, not evaluation.
-    ``setup:precision`` is the one-time ``precision="auto"`` calibration
-    probe plus the distributed precision vote (see
-    :meth:`repro.core.evaluator.FmmEvaluator.resolve_auto`).
-    """
-    out = {}
-    for ph in (
-        "tree", "let", "lists", "balance",
-        "setup:plan", "setup:precision",
-    ):
-        secs, _ = _phase_values(profiles, machine, [ph])
-        out[ph] = float(secs.max())
-    return out
-
-
 def serve_span_summary(trace) -> dict:
     """Aggregate the serving plane's trace spans into one health report.
 

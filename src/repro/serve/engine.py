@@ -272,8 +272,6 @@ class ServeEngine(ServeFront):
         :class:`~repro.serve.batcher.MicroBatcher`).
     plan_budget:
         Byte budget of the :class:`PlanCache`.
-    tenant_weights:
-        Weighted-fair shares for :class:`~repro.serve.scheduler.FairQueue`.
     faults / retry:
         Optional :class:`~repro.mpi.faults.FaultPlan` (degraded-mode
         chaos on the worker applies) and the
@@ -302,7 +300,6 @@ class ServeEngine(ServeFront):
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         plan_budget: int = PLAN_BUDGET,
-        tenant_weights: dict | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         trace=None,
@@ -314,8 +311,7 @@ class ServeEngine(ServeFront):
         #: defaults.
         self._batch_limits: dict[str, tuple[int, float]] = {}
         super().__init__(
-            n_workers, max_queue, tenant_weights,
-            max_batch=max_batch, max_wait_ms=max_wait_ms,
+            n_workers, max_queue, max_batch=max_batch, max_wait_ms=max_wait_ms,
             limits=self._batch_limits.get,
         )
         self.threads = self.task_pool = None

@@ -2,7 +2,7 @@
 
 The router is the control plane sitting in front of a
 :class:`~repro.serve.dist_engine.DistServeEngine`: a
-:class:`~repro.serve.scheduler.ServeFront` — the same weighted-fair
+:class:`~repro.serve.scheduler.ServeFront` — the same fair
 admission, ``Overloaded`` backpressure, deadlines and worker pool as the
 single-process engine — run at batch width 1, whose workers dispatch
 through :meth:`DistServeEngine.evaluate`.  What it adds to the front:

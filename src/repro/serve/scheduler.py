@@ -15,12 +15,11 @@ behaviour is typed and explicit:
 * **Bounded admission.**  :meth:`FairQueue.push` raises :class:`Overloaded`
   once the queue holds ``max_depth`` requests — callers see backpressure
   as a typed rejection at submit time instead of unbounded latency.
-* **Weighted fair dequeue.**  Tenants are scheduled by stride scheduling:
-  each tenant carries a *pass* value advanced by ``stride = K / weight``
-  per dequeue, and the non-empty tenant with the smallest pass goes next.
-  A tenant with weight 2 drains twice as fast as a weight-1 tenant under
-  contention; an idle tenant re-enters at the current global pass so it
-  cannot hoard credit while away.
+* **Fair dequeue.**  Tenants are scheduled by stride scheduling: each
+  tenant carries a *pass* value advanced by one stride per dequeue, and
+  the non-empty tenant with the smallest pass goes next, so tenants under
+  contention drain at equal rates; an idle tenant re-enters at the
+  current global pass so it cannot hoard credit while away.
 * **Deadlines.**  Every request may carry an absolute deadline; expired
   requests are dropped at dequeue time with :class:`DeadlineExceeded`
   (never silently evaluated late).
@@ -55,8 +54,8 @@ __all__ = [
     "retry_after_hint",
 ]
 
-#: Stride normalisation constant (any positive value works; this keeps
-#: passes readable in debuggers).
+#: Every tenant's stride (any positive value works; this keeps passes
+#: readable in debuggers).
 _STRIDE_K = 1024.0
 
 #: Seconds a blocking ``evaluate`` waits past the deadline the workers
@@ -204,13 +203,12 @@ class Request:
 
 
 class FairQueue:
-    """Bounded multi-tenant queue with weighted-fair stride dequeue."""
+    """Bounded multi-tenant queue with fair stride dequeue."""
 
-    def __init__(self, max_depth: int = 64, weights: dict | None = None):
+    def __init__(self, max_depth: int = 64):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = int(max_depth)
-        self._weights = dict(weights or {})
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._queues: dict[str, deque] = {}
@@ -218,9 +216,6 @@ class FairQueue:
         self._global_pass = 0.0
         self._depth = 0
         self._closed = False
-
-    def _stride(self, tenant: str) -> float:
-        return _STRIDE_K / float(self._weights.get(tenant, 1.0))
 
     @property
     def depth(self) -> int:
@@ -263,7 +258,7 @@ class FairQueue:
         return best
 
     def pop(self, timeout: float | None = None) -> Request | None:
-        """Next request by weighted fairness, or ``None`` on timeout/close.
+        """Next request by tenant fairness, or ``None`` on timeout/close.
 
         ``timeout`` may be zero or negative — callers compute it as
         ``deadline - time.monotonic()`` and the deadline may already have
@@ -285,7 +280,7 @@ class FairQueue:
                     return None
                 self._arrived.wait(remaining)
             tenant = self._pick_tenant()
-            self._passes[tenant] += self._stride(tenant)
+            self._passes[tenant] += _STRIDE_K
             self._global_pass = max(self._global_pass, self._passes[tenant])
             self._depth -= 1
             return self._queues[tenant].popleft()
@@ -297,7 +292,7 @@ class FairQueue:
 
         Used by the batcher to coalesce a multi-RHS batch: tenants are
         visited in pass order and charged their stride per taken request,
-        so batching still respects the weighted shares; within a tenant
+        so batching still respects the tenants' equal shares; within a tenant
         only the *head* run of matching requests is taken (per-tenant
         FIFO order is never reordered).  ``precision`` additionally
         restricts matches — requests at different plan precisions cannot
@@ -326,7 +321,7 @@ class FairQueue:
                 while len(taken) < limit and dq and _match(dq[0]):
                     taken.append(dq.popleft())
                     self._depth -= 1
-                    self._passes[tenant] += self._stride(tenant)
+                    self._passes[tenant] += _STRIDE_K
                 self._global_pass = max(
                     self._global_pass, self._passes[tenant]
                 )
@@ -386,15 +381,15 @@ class ServeFront:
     serving class supplies :meth:`expected`, :meth:`_admit`, :meth:`_execute`."""
 
     def __init__(
-        self, n_workers, max_queue, tenant_weights=None,
-        max_batch=1, max_wait_ms=0.0, limits=None,
+        self, n_workers, max_queue, max_batch=1, max_wait_ms=0.0,
+        limits=None,
     ):
         from repro.serve.batcher import MicroBatcher  # it imports this module
 
         self.metrics = ServeMetrics()
         self.n_workers = int(n_workers)
         self.max_batch = int(max_batch)
-        self.queue = FairQueue(max_depth=max_queue, weights=tenant_weights)
+        self.queue = FairQueue(max_depth=max_queue)
         self.batcher = MicroBatcher(
             self.queue, max_batch=max_batch, max_wait_ms=max_wait_ms,
             limits=limits,

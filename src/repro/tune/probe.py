@@ -216,12 +216,8 @@ class PrecisionResult:
 
     best: str  # chosen precision ("fp64" or "fp32")
     errors: dict[str, float]  # precision -> probe relative error
-    times: dict[str, float]  # precision -> warm-plan apply seconds
     rtol: float  # the relative-error target calibrated against
     met: bool  # whether the chosen precision met the target
-
-    def ranked(self) -> list[tuple[str, float]]:
-        return sorted(self.times.items(), key=lambda kv: kv[1])
 
 
 def autotune_precision(
@@ -232,16 +228,18 @@ def autotune_precision(
     m2l_mode: str = "fft",
     eval_kernel: Kernel | None = None,
 ) -> PrecisionResult:
-    """Pick the cheapest plan precision meeting a relative-error target.
+    """Pick the cheaper plan precision that meets a relative-error target.
 
     The seed-0 :class:`SubsampleProbe` of ``points`` (its default 2 000
     points, leaves of 64) is probed with an fp64 and an fp32 plan (one
-    :meth:`SubsampleProbe.ladder` rung each: warm apply seconds and error
-    against the exact direct sum), the rungs :func:`~repro.tune.search.tune`
-    reads for a ``max_points=64`` config at its default sample and seed.
-    The cheapest candidate that :func:`clears_rtol` is chosen.  If none does, fp64 is
-    returned with ``met=False`` — the caller's accuracy budget needs a
-    higher expansion order, not a precision choice.
+    :meth:`SubsampleProbe.ladder` rung each: error against the exact
+    direct sum), the rungs :func:`~repro.tune.search.tune` reads for a
+    ``max_points=64`` config at its default sample and seed.  fp32 is
+    chosen when it :func:`clears_rtol`: it holds half the matrix bytes, so
+    it is the cheaper plan by construction, and no timing decides the
+    pick.  Otherwise fp64 is returned, with ``met=False`` when it misses
+    the target too — the caller's accuracy budget needs a higher
+    expansion order, not a precision choice.
     """
     rtol = DEFAULT_PRECISION_RTOL if rtol is None else float(rtol)
     if rtol <= 0:
@@ -254,11 +252,10 @@ def autotune_precision(
         ),
     )
     errors = {p: r.error for (_, p), r in rungs.items()}
-    times = {p: r.seconds for (_, p), r in rungs.items()}
-    qualifying = [p for p in errors if clears_rtol(p, errors[p], rtol)]
+    fp32 = clears_rtol("fp32", errors["fp32"], rtol)
     return PrecisionResult(
-        best=min(qualifying, key=times.get, default="fp64"),
-        errors=errors, times=times, rtol=rtol, met=bool(qualifying),
+        best="fp32" if fp32 else "fp64", errors=errors, rtol=rtol,
+        met=fp32 or clears_rtol("fp64", errors["fp64"], rtol),
     )
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "default_grid",
     "tune",
     "propose_config",
-    "measure_grid",
 ]
 
 #: Measured times within this factor of each other are ties, broken by
@@ -221,29 +220,6 @@ def _measure(full: SubsampleProbe, ev_for, configs, seed: int, reps: int):
             del block  # one density block alive at a time
         del plan  # before the next family compiles: one live full-N plan
     return out
-
-
-def measure_grid(
-    points: np.ndarray,
-    kernel: str = "laplace",
-    grid: list[TuneConfig] | None = None,
-    seed: int = 0,
-    reps: int = 2,
-    log=None,
-) -> dict[TuneConfig, float]:
-    """Exhaustively measure every grid config's warm batch apply at full N.
-
-    The reference a search is judged against, not part of it: ``{config:
-    batch_apply_seconds}``, min over ``reps`` warm applies, measured as
-    the search's shortlist is.
-    """
-    full = SubsampleProbe(points, kernel=kernel, sample=None, seed=seed)
-    grid = grid if grid is not None else default_grid(full.n)
-    out = _measure(full, _evaluators(full.kernel), grid, seed, reps)
-    say = log or (lambda s: None)
-    for cfg in grid:
-        say(f"  grid {cfg.key()}: {out[cfg] * 1e3:.1f} ms/batch")
-    return {cfg: out[cfg] for cfg in grid}
 
 
 def _latency_s(cfg: TuneConfig, batch_apply_s: float) -> float:

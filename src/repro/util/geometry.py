@@ -2,7 +2,7 @@
 
 The octree lives in the unit cube ``[0, 1]^3``.  A level-``l`` octant has
 side ``2**-l``.  These helpers convert octant ids into floating-point
-centres, corners and half-widths used by the KIFMM surface constructions.
+centres and half-widths used by the KIFMM surface constructions.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.util import morton
 
-__all__ = ["box_center", "box_half_width", "box_corners", "points_to_box_frame",
-           "unit_cube_points"]
+__all__ = ["box_center", "box_half_width", "unit_cube_points"]
 
 _SCALE = 1.0 / float(1 << morton.MAX_DEPTH)
 
@@ -51,24 +50,3 @@ def box_center(octs) -> np.ndarray:
     out[:, 1] = (y.astype(np.float64) + half) * _SCALE
     out[:, 2] = (z.astype(np.float64) + half) * _SCALE
     return out
-
-
-def box_corners(octs) -> tuple[np.ndarray, np.ndarray]:
-    """Physical (min corner, max corner) of each octant, shapes ``(n, 3)``."""
-    octs = np.atleast_1d(np.asarray(octs, dtype=np.uint64))
-    x, y, z = morton.anchor(octs)
-    side = morton.box_side_int(morton.level(octs)).astype(np.float64)
-    lo = np.stack([x, y, z], axis=1).astype(np.float64) * _SCALE
-    hi = lo + side[:, None] * _SCALE
-    return lo, hi
-
-
-def points_to_box_frame(points: np.ndarray, oct_id) -> np.ndarray:
-    """Express points in the octant-centred frame scaled by its half width.
-
-    The box interior maps to ``[-1, 1]^3``; used when validating surface
-    separation assumptions in tests.
-    """
-    c = box_center(np.asarray([oct_id], dtype=np.uint64))[0]
-    r = float(box_half_width(morton.level(np.uint64(oct_id))))
-    return (np.asarray(points, dtype=np.float64) - c) / r

@@ -26,7 +26,6 @@ __all__ = [
     "LEVEL_BITS",
     "ROOT",
     "anchor",
-    "anchor_step",
     "ancestor_at",
     "ancestors_of",
     "adjacent",
@@ -35,9 +34,7 @@ __all__ = [
     "closures_touch",
     "deepest_first_descendant",
     "deepest_last_descendant",
-    "encode_anchors",
     "encode_points",
-    "is_ancestor",
     "is_ancestor_or_equal",
     "is_valid",
     "level",
@@ -95,7 +92,7 @@ def make_oct(x, y, z, lev) -> np.ndarray:
 
     Anchor coordinates are lattice positions at ``MAX_DEPTH`` resolution and
     must be aligned to the octant's own grid (multiples of
-    ``anchor_step(lev)``); this is not checked here for speed.
+    ``box_side_int(lev)``); this is not checked here for speed.
     """
     x = np.asarray(x, dtype=np.uint64)
     y = np.asarray(y, dtype=np.uint64)
@@ -117,11 +114,6 @@ def anchor(octs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = _compact(key >> np.uint64(1))
     z = _compact(key)
     return x.astype(np.int64), y.astype(np.int64), z.astype(np.int64)
-
-
-def anchor_step(lev) -> np.ndarray:
-    """Lattice alignment (and side length) of an octant at level ``lev``."""
-    return box_side_int(lev)
 
 
 def box_side_int(lev) -> np.ndarray:
@@ -156,12 +148,6 @@ def encode_points(points: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
     scaled = np.clip(pts, 0.0, np.nextafter(1.0, 0.0)) * float(1 << depth)
     cells = scaled.astype(np.uint64) << np.uint64(MAX_DEPTH - depth)
     return make_oct(cells[:, 0], cells[:, 1], cells[:, 2], np.full(len(pts), depth))
-
-
-def encode_anchors(anchors: np.ndarray, lev) -> np.ndarray:
-    """Octant ids from an ``(n, 3)`` integer anchor array."""
-    a = np.asarray(anchors)
-    return make_oct(a[:, 0], a[:, 1], a[:, 2], lev)
 
 
 def parent(octs) -> np.ndarray:
@@ -199,14 +185,6 @@ def children(octs) -> np.ndarray:
     shift = (np.uint64(LEVEL_BITS) + 3 * (MAX_DEPTH - 1 - lev).astype(np.uint64))
     kids = base[:, None] | (offs[None, :] << shift[:, None]) | clev[:, None].astype(np.uint64)
     return kids
-
-
-def is_ancestor(a, b) -> np.ndarray:
-    """True where octant ``a`` is a *strict* ancestor of octant ``b``."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    la, lb = level(a), level(b)
-    return (la < lb) & (ancestor_at(b, np.minimum(la, lb)) == a)
 
 
 def is_ancestor_or_equal(a, b) -> np.ndarray:

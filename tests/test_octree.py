@@ -1,44 +1,21 @@
-"""Tests for linear-octree operations, construction and partitioning."""
+"""Tests for linear-octree operations and construction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octree import (
-    balance_2to1,
-    build_leaves,
-    complete_region,
-    is_2to1_balanced,
-    is_complete,
-    partition_bounds,
-    points_to_octree,
-    remove_ancestors,
-    split_by_weights,
-)
+from repro.octree import build_leaves, is_complete, points_to_octree
 from repro.octree.linear import (
-    coarsest_common_ancestor,
     covering_leaf_indices,
     fill_cell_range,
     is_sorted_unique,
 )
-from repro.octree.partition import rank_of_index
 from repro.util import morton
 from repro.datasets import ellipsoid_surface, uniform_cube
 
 
 class TestLinearOps:
-    def test_remove_ancestors_drops_parents(self, rng):
-        keys = morton.encode_points(rng.random((200, 3)), depth=6)
-        keys = np.unique(keys)
-        withparents = np.concatenate([keys, morton.parent(keys)])
-        out = remove_ancestors(withparents)
-        np.testing.assert_array_equal(out, keys)
-
-    def test_remove_ancestors_keeps_disjoint(self, rng):
-        keys = np.unique(morton.encode_points(rng.random((50, 3)), depth=4))
-        np.testing.assert_array_equal(remove_ancestors(keys), keys)
-
     def test_fill_cell_range_whole_cube(self):
         out = fill_cell_range(0, 1 << (3 * morton.MAX_DEPTH))
         assert out.size == 1 and out[0] == morton.ROOT
@@ -52,28 +29,6 @@ class TestLinearOps:
         # total cells covered equals the range length
         sizes = 8 ** (morton.MAX_DEPTH - morton.level(out))
         assert sizes.sum() == hi - lo
-
-    def test_complete_region_fills_gap(self):
-        root = np.array([morton.ROOT], dtype=np.uint64)
-        kids = morton.children(root)[0]
-        grand_first = morton.children(kids[:1])[0]
-        grand_last = morton.children(kids[-1:])[0]
-        a, b = grand_first[0], grand_last[-1]
-        region = complete_region(a, b)
-        full = np.sort(np.concatenate([[a], region, [b]]))
-        assert is_complete(full)
-
-    def test_complete_region_rejects_nested(self):
-        root = np.uint64(morton.ROOT)
-        kid = morton.children(np.array([root]))[0][0]
-        with pytest.raises(ValueError):
-            complete_region(root, kid)
-
-    def test_coarsest_common_ancestor(self):
-        kids = morton.children(np.array([morton.ROOT], dtype=np.uint64))[0]
-        g0 = morton.children(kids[:1])[0]
-        assert coarsest_common_ancestor(g0[0], g0[1]) == kids[0]
-        assert coarsest_common_ancestor(g0[0], kids[5]) == morton.ROOT
 
     def test_covering_leaf_indices(self, rng):
         ob = points_to_octree(rng.random((500, 3)), 40)
@@ -123,67 +78,3 @@ class TestBuild:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             build_leaves(np.array([], dtype=np.uint64), 0)
-
-
-class TestPartition:
-    def test_partition_bounds_even(self):
-        b = partition_bounds(10, 3)
-        np.testing.assert_array_equal(b, [0, 4, 7, 10])
-
-    def test_partition_bounds_more_parts_than_items(self):
-        b = partition_bounds(2, 4)
-        assert b[0] == 0 and b[-1] == 2 and len(b) == 5
-        assert np.all(np.diff(b) >= 0)
-
-    @given(st.integers(1, 16), st.integers(0, 500))
-    @settings(max_examples=100, deadline=None)
-    def test_partition_bounds_properties(self, parts, total):
-        b = partition_bounds(total, parts)
-        assert len(b) == parts + 1
-        assert b[0] == 0 and b[-1] == total
-        sizes = np.diff(b)
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_split_by_weights_balances(self, rng):
-        w = rng.random(997) ** 3  # skewed
-        b = split_by_weights(w, 8)
-        per = np.array([w[b[i] : b[i + 1]].sum() for i in range(8)])
-        assert per.max() <= w.sum() / 8 + w.max()
-
-    def test_split_by_weights_degenerate(self):
-        b = split_by_weights(np.zeros(10), 4)
-        assert b[0] == 0 and b[-1] == 10
-        b2 = split_by_weights(np.array([]), 4)
-        assert np.all(b2 == 0)
-
-    def test_split_rejects_negative(self):
-        with pytest.raises(ValueError):
-            split_by_weights(np.array([1.0, -2.0]), 2)
-
-    def test_rank_of_index(self):
-        b = np.array([0, 4, 7, 10])
-        np.testing.assert_array_equal(
-            rank_of_index(b, [0, 3, 4, 6, 7, 9]), [0, 0, 1, 1, 2, 2]
-        )
-
-
-class TestBalance:
-    def test_balance_ellipsoid(self):
-        ob = points_to_octree(ellipsoid_surface(1500, 4), 20)
-        assert not is_2to1_balanced(ob.leaves)
-        bal = balance_2to1(ob.leaves)
-        assert is_complete(bal)
-        assert is_2to1_balanced(bal)
-        # original leaves are preserved or refined, never coarsened
-        cov = covering_leaf_indices(bal, ob.leaves)
-        finer_or_same = cov == -1  # refined away
-        assert np.all(finer_or_same | np.isin(ob.leaves, bal))
-
-    def test_balanced_tree_is_fixed_point(self):
-        ob = points_to_octree(uniform_cube(1000, 9), 40)
-        bal = balance_2to1(ob.leaves)
-        np.testing.assert_array_equal(balance_2to1(bal), bal)
-
-    def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            balance_2to1(np.array([morton.make_oct(0, 0, 0, 1)], dtype=np.uint64))

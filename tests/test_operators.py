@@ -25,6 +25,11 @@ class TestSurfaces:
         with pytest.raises(ValueError):
             surfaces.inner_scale(2)
 
+    def test_grid_indices_unique(self):
+        ijk = surfaces.surface_lattice(6)
+        assert len(np.unique(ijk, axis=0)) == len(ijk)
+        assert ijk.min() >= 0 and ijk.max() < 6
+
     def test_lattice_on_boundary_only(self):
         ijk = surfaces.surface_lattice(6)
         on = (ijk == 0) | (ijk == 5)
@@ -42,11 +47,6 @@ class TestSurfaces:
             a = surfaces.inner_scale(p)
             spacing = 2.0 * a / (p - 1)  # in units of half-width r
             assert abs(round(2.0 / spacing) - 2.0 / spacing) < 1e-12
-
-    def test_grid_indices_unique(self):
-        idx = surfaces.surface_grid_indices(6)
-        assert len(np.unique(idx)) == len(idx)
-        assert idx.max() < 6**3
 
 
 class TestPinv:

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.mpi import LOCAL, MachineModel
-from repro.perf.model import (
-    aggregate,
-    evaluation_phase_times,
-    setup_seconds,
-)
+from repro.perf.model import aggregate, evaluation_phase_times
 from repro.perf.report import format_table, phase_breakdown_table
 from repro.util.timer import PhaseProfile
 
@@ -46,15 +42,6 @@ class TestModel:
         # total includes comm; comp excludes it
         assert by["Total eval"].max_seconds > by["Comp"].max_seconds - 1e-12
         assert by["Comp"].max_flops == by["Total eval"].max_flops
-
-    def test_setup_seconds(self):
-        prof = PhaseProfile()
-        prof.add_flops(2e9, phase="tree")
-        prof.add_message(100, 0.25, phase="let")
-        out = setup_seconds([prof], LOCAL)
-        assert out["tree"] == pytest.approx(2.0)
-        assert out["let"] == pytest.approx(0.25)
-        assert out["lists"] == 0.0
 
     def test_fft_rate_separate(self):
         m = MachineModel("m", cpu_flops=1e9, latency=0, bandwidth=1e9,
