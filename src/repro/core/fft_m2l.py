@@ -54,6 +54,7 @@ from functools import partial
 import numpy as np
 
 from repro.core import surfaces
+from repro.core.lists import COLLEAGUE_DIRS, V_OFFSETS, V_SLOT
 from repro.core.operators import level_half_width
 from repro.core.plan import PlanMismatchError
 from repro.kernels.base import Kernel
@@ -63,41 +64,15 @@ __all__ = ["FftM2L", "VGroup"]
 
 _REF_LEVEL = 2
 
-#: The 26 colleague directions (source parent minus target parent, in
-#: parent sides) and ``_DIR_OF[(D + 1) . (9, 3, 1)]`` back to their index
-#: (-1 for the centre, which no V pair has).
-_DIRS = np.array(
-    [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)
-     if (x, y, z) != (0, 0, 0)],
-    dtype=np.int64,
-)
+#: ``_DIR_OF[(D + 1) . (9, 3, 1)]``: the index of colleague direction
+#: ``D`` (source parent minus target parent, in parent sides), -1 for the
+#: centre, which no V pair has.
 _DIR_OF = np.full(27, -1, dtype=np.int64)
-_DIR_OF[(_DIRS + 1) @ (9, 3, 1)] = np.arange(26)
+_DIR_OF[(COLLEAGUE_DIRS + 1) @ (9, 3, 1)] = np.arange(26)
 
-#: The 316 V offsets ``(c_target - c_source) / side``: infinity-norm 2 or 3.
-_OFFSETS = np.array(
-    [(x, y, z) for x in range(-3, 4) for y in range(-3, 4) for z in range(-3, 4)
-     if max(abs(x), abs(y), abs(z)) > 1],
-    dtype=np.int64,
-)
-_ZERO_SLOT = len(_OFFSETS)
-
-
-def _slot_map() -> np.ndarray:
-    """``(26, 8, 8)``: (direction, source child, target child) -> index into
-    :data:`_OFFSETS`, or :data:`_ZERO_SLOT` where the children are adjacent.
-
-    Child positions are Morton (bit 2 = x, bit 1 = y, bit 0 = z), as in
-    :func:`repro.core.operators.child_center_offset`.
-    """
-    c = (np.arange(8)[:, None] >> (2, 1, 0)) & 1
-    off = c[None, None, :, :] - c[None, :, None, :] - 2 * _DIRS[:, None, None, :]
-    slot_of = np.full(343, _ZERO_SLOT, dtype=np.int64)
-    slot_of[(_OFFSETS + 3) @ (49, 7, 1)] = np.arange(_ZERO_SLOT)
-    return slot_of[(off + 3) @ (49, 7, 1)]
-
-
-_SLOT = _slot_map()
+#: The slot of adjacent children in :data:`V_SLOT`: the offset table's
+#: zero block.
+_ZERO_SLOT = len(V_OFFSETS)
 
 
 def _allocate(_name, shape, dtype):
@@ -187,7 +162,7 @@ class FftM2L:
         # K[(d, cs, s), (ct, t)] = table[slot(d, cs, ct), t, s]: per
         # direction, the flat take index into a table row.
         self._kidx = (
-            _SLOT[:, :, None, :, None] * (kt * ks)
+            V_SLOT[:, :, None, :, None] * (kt * ks)
             + np.arange(kt)[None, None, None, None, :] * ks
             + np.arange(ks)[None, None, :, None, None]
         ).reshape(26, -1)
@@ -233,7 +208,7 @@ class FftM2L:
             half = _ZERO_SLOT // 2 if self.kernel.transpose_symmetric else _ZERO_SLOT
             tab = np.zeros((n * n * nf, _ZERO_SLOT + 1, kt, ks), np.complex128)
             for s0 in range(0, half, 32):  # bounds the transient grids
-                offs = _OFFSETS[s0 : min(s0 + 32, half)].astype(np.float64)
+                offs = V_OFFSETS[s0 : min(s0 + 32, half)].astype(np.float64)
                 disp = (h * ((p - 2) * offs + grid)).reshape(-1, 3)
                 # box-last (x, y, z, offset, kt, ks): z, y, then x
                 vals = self.kernel.matrix(disp, np.zeros((1, 3)))
@@ -297,7 +272,7 @@ class FftM2L:
             nbr[ti[ok], d[ok]] = si[ok]
             has_src = np.vstack([schild >= 0, np.zeros((1, 8), dtype=bool)])
             implied = np.einsum(
-                "pdk,dkc,pc->p", has_src[nbr], _SLOT != _ZERO_SLOT, tchild >= 0,
+                "pdk,dkc,pc->p", has_src[nbr], V_SLOT != _ZERO_SLOT, tchild >= 0,
                 dtype=np.int64,
             )
             pairs = np.bincount(ti, minlength=tp.size)
@@ -328,7 +303,7 @@ class FftM2L:
                         dirs=dirs,
                         nbr=local[:-1].reshape(-1, 26)[:, dirs].astype(np.intp, order="C"),
                         n_pairs=n_pairs,
-                        n_offsets=np.setdiff1d(_SLOT[seen > 0], _ZERO_SLOT).size,
+                        n_offsets=np.setdiff1d(V_SLOT[seen > 0], _ZERO_SLOT).size,
                         usrc=sch.ravel()[spos],
                         utgt=tch.ravel()[tpos],
                         srow=(spos[:, None] * ks + np.arange(ks)).ravel(),

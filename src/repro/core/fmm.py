@@ -172,7 +172,7 @@ class Fmm:
         with profile.phase("lists"):
             from repro.core.lists import update_lists
 
-            lists = update_lists(tree, plan.tree, plan.lists, delta)
+            lists = update_lists(tree, plan.lists, delta)
         return FmmPlan(tree, lists), delta
 
     def patch_eval_plan(self, old_eval_plan, old_plan: FmmPlan,

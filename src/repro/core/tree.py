@@ -270,9 +270,6 @@ class TreeDelta:
         sorted row; -1 where a row is not cleanly mappable (its leaf
         changed).  The sentinel row maps to the new sentinel, so padded
         gather indices remap with one fancy index.
-    changed_roots:
-        Topmost octant keys present in exactly one of the two trees —
-        the subtrees whose refinement changed.
     refinement_changed:
         True when the node key sets differ at all.
     n_moved:
@@ -282,7 +279,6 @@ class TreeDelta:
     old_index: np.ndarray
     node_clean: np.ndarray
     perm: np.ndarray
-    changed_roots: np.ndarray
     refinement_changed: bool
     n_moved: int = -1
 
@@ -333,19 +329,11 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
         ch = new.children[nodes]
         clean[nodes] = iok & np.all(clean[np.clip(ch, 0, None)] | (ch < 0), axis=1)
 
-    sym = np.setxor1d(old.keys, new.keys, assume_unique=True)
-    tops: list = []
-    last = None
-    for k in sym:
-        if last is None or not morton.is_ancestor_or_equal(last, k):
-            tops.append(k)
-            last = k
     return TreeDelta(
         old_index=old_index,
         node_clean=clean,
         perm=perm,
-        changed_roots=np.asarray(tops, dtype=np.uint64),
-        refinement_changed=sym.size > 0,
+        refinement_changed=not np.array_equal(old.keys, new.keys),
         n_moved=n_moved,
     )
 

@@ -57,19 +57,26 @@ def match_owned_rows(all_points: np.ndarray, owned_points: np.ndarray) -> np.nda
     holding it, so no row is returned twice.  A missing point (or more
     owned copies than global ones) raises ``ValueError``.
     """
-    dt = np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8")])
-    glob = np.ascontiguousarray(all_points, dtype=np.float64).view(dt).ravel()
-    own = np.ascontiguousarray(owned_points, dtype=np.float64).view(dt).ravel()
-    glob_order = np.argsort(glob, kind="stable")
-    own_order = np.argsort(own, kind="stable")
-    own_sorted = own[own_order]
-    # first global match, plus the copy's rank among equal owned points
-    pos = np.searchsorted(glob[glob_order], own_sorted)
-    pos += np.arange(own.size) - np.searchsorted(own_sorted, own_sorted)
-    src = np.empty(own.size, dtype=np.int64)
-    src[own_order] = glob_order[np.clip(pos, 0, len(glob) - 1)]
-    if not np.array_equal(all_points[src], owned_points):
+    glob = np.asarray(all_points, dtype=np.float64)
+    own = np.asarray(owned_points, dtype=np.float64)
+    pts = np.concatenate([glob, own])
+    if not len(own):
+        return np.empty(0, dtype=np.int64)
+    # stable sort by (x, y, z): in a run of equal points the global rows
+    # come first, in row order, then the owned copies, in their order
+    order = np.lexsort(pts.T[::-1])
+    s = pts[order]
+    start = np.ones(len(s), dtype=bool)
+    start[1:] = (s[1:] != s[:-1]).any(axis=1)
+    head = np.flatnonzero(start)
+    n_glob = np.add.reduceat(order < len(glob), head)
+    at = np.flatnonzero(order >= len(glob))  # sorted places of the owned copies
+    run = np.cumsum(start)[at] - 1
+    take = at - n_glob[run]  # the k-th owned copy -> the k-th global row
+    if np.any(take >= head[run] + n_glob[run]):
         raise ValueError("owned points not found among the global points")
+    src = np.empty(len(own), dtype=np.int64)
+    src[order[at] - len(glob)] = order[take]
     return src
 
 

@@ -4,9 +4,8 @@ A *linear octree* stores only leaves, as a Morton-sorted ``uint64`` array.
 It is *complete* when the leaf regions tile the unit cube exactly.  Of the
 DENDRO primitives the paper builds on, the code keeps what it runs: the
 coarsest cover of a Morton cell range (the distributed build's seed
-octants, :mod:`repro.dist.build`) and the covering leaf of an octant (the
-list builder's coarse-neighbour lookup, :mod:`repro.core.lists`), plus the
-order and completeness checks the tests hold the built trees to.
+octants, :mod:`repro.dist.build`), plus the order and completeness checks
+the tests hold the built trees to.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "is_sorted_unique",
     "fill_cell_range",
     "is_complete",
-    "covering_leaf_indices",
 ]
 
 
@@ -67,23 +65,3 @@ def is_complete(leaves: np.ndarray) -> bool:
     if hi[-1] != morton.deepest_last_descendant(np.array([morton.ROOT]))[0]:
         return False
     return bool(np.all(hi[:-1] + span == lo[1:]))
-
-
-def covering_leaf_indices(leaves: np.ndarray, octs: np.ndarray) -> np.ndarray:
-    """Index of the leaf whose region contains each query octant.
-
-    ``leaves`` must be a complete sorted linear octree.  Returns -1 when the
-    query octant is not contained in (or equal to) any single leaf — i.e.
-    when the query is coarser than the local refinement.
-    """
-    leaves = np.asarray(leaves, dtype=np.uint64)
-    octs = np.asarray(octs, dtype=np.uint64)
-    lo = morton.deepest_first_descendant(leaves)
-    q_lo = morton.deepest_first_descendant(octs)
-    q_hi = morton.deepest_last_descendant(octs)
-    idx = np.searchsorted(lo, q_lo, side="right") - 1
-    idx = np.clip(idx, 0, leaves.size - 1)
-    ok = (morton.deepest_first_descendant(leaves[idx]) <= q_lo) & (
-        q_hi <= morton.deepest_last_descendant(leaves[idx])
-    )
-    return np.where(ok, idx, -1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -74,12 +75,13 @@ _GET_SYMBOLS = (
 
 
 def _candidate_libs() -> list[str]:
-    """Shared BLAS libraries bundled with the loaded numpy/scipy."""
+    """Shared BLAS libraries bundled with numpy, and with scipy when the
+    process has already imported it: the probe imports nothing, and
+    numpy's library is the one NumPy's matmul calls."""
     out: list[str] = []
     for mod in ("numpy", "scipy"):
-        try:
-            pkg = __import__(mod)
-        except Exception:  # pragma: no cover - numpy is a hard dep
+        pkg = sys.modules.get(mod)
+        if pkg is None:
             continue
         base = os.path.dirname(os.path.dirname(pkg.__file__))
         for libdir in (f"{mod}.libs", f"{mod}/.libs"):

@@ -17,6 +17,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Fmm
 from repro.datasets import make_distribution
@@ -311,10 +313,10 @@ class TestCoincidentPoints:
         pts[599] = pts[0]  # rows 0 and 599 go to different input chunks
         eng = DistServeEngine(nranks=2)
         eng.register("m", pts, placement="sharded", order=ORDER, max_points_per_box=BOX)
-        for st in eng._model("m").groups[0].states:
-            owned = {tuple(x) for x in st["fmm"].owned_points.tolist()}
+        for state in eng._model("m").groups[0].states:
+            owned = {tuple(x) for x in state["fmm"].owned_points.tolist()}
             mine = [r for r in range(len(pts)) if tuple(pts[r].tolist()) in owned]
-            assert np.array_equal(np.sort(st["src"]), mine)
+            assert np.array_equal(np.sort(state["src"]), mine)
         dens = np.random.default_rng(5).standard_normal(len(pts))
         ref = Fmm("laplace", order=ORDER, max_points_per_box=BOX).evaluate(pts, dens)
         got = eng.evaluate("m", dens)
@@ -332,6 +334,28 @@ class TestCoincidentPoints:
         assert np.unique(src).size == 3 and np.array_equal(pts[src], pts[[21, 2, 9]])
         with pytest.raises(ValueError, match="owned points"):
             match_owned_rows(pts[:10], pts[[2, 7, 7]])  # three copies, two rows
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(0, 40),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_match_owned_rows_against_a_dictionary(self, seed, n_coords, n, frac):
+        """Against a reference that hands out each coordinate's global rows
+        in order: owned copies are any sub-multiset, in any order."""
+        rng = np.random.default_rng(seed)
+        coords = rng.random((n_coords, 3))
+        pts = coords[rng.integers(n_coords, size=n)]
+        owned = pts[rng.permutation(n)[: int(frac * n)]]
+        rows = {}
+        for r, x in enumerate(pts.tolist()):
+            rows.setdefault(tuple(x), []).append(r)
+        want = [rows[tuple(x)].pop(0) for x in owned.tolist()]
+        assert match_owned_rows(pts, owned).tolist() == want
+        # one copy more than the global rows hold, or a point not there
+        extra = np.vstack([owned, pts[:1]]) if n else owned
+        for bad in ((pts, np.vstack([pts, pts[:1]])) if n else (pts, coords[:1]),
+                    (pts, np.vstack([extra, rng.random((1, 3)) + 2.0]))):
+            with pytest.raises(ValueError, match="owned points"):
+                match_owned_rows(*bad)
 
 
 class TestCircuitBreaker:

@@ -110,7 +110,7 @@ def test_update_lists_matches_build_lists(rng):
     for frac, scale in [(0.02, 0.01), (0.15, 0.25)]:
         new, moved = _perturb(rng, pts, frac, scale)
         new_tree, delta = update_tree(tree, new, 30, moved=moved)
-        got = update_lists(new_tree, tree, lists, delta)
+        got = update_lists(new_tree, lists, delta)
         check_lists(new_tree, got)
         ref = build_lists(new_tree)
         for name in ("u", "v", "w", "x", "colleagues"):
@@ -127,9 +127,9 @@ def test_update_lists_no_refinement_fast_path(rng):
     new = pts.copy()
     new[7] += 1e-9  # stays in its MAX_DEPTH cell's leaf
     new_tree, delta = update_tree(tree, new, 64)
-    check_lists(new_tree, update_lists(new_tree, tree, lists, delta))
+    check_lists(new_tree, update_lists(new_tree, lists, delta))
     if not delta.refinement_changed:
-        assert update_lists(new_tree, tree, lists, delta) is lists
+        assert update_lists(new_tree, lists, delta) is lists
 
 
 # -- plan patching ------------------------------------------------------------

@@ -313,7 +313,7 @@ class TestOffsetTable:
 
     @staticmethod
     def _rfftn_table(fft, level):
-        from repro.core.fft_m2l import _OFFSETS
+        from repro.core.lists import V_OFFSETS
         from repro.core.operators import level_half_width
 
         kern, p, n = fft.kernel, fft.order, fft.n
@@ -322,8 +322,8 @@ class TestOffsetTable:
         m = np.arange(n)
         d = np.where(m < p, m, m - n)
         grid = np.stack(np.meshgrid(d, d, d, indexing="ij"), axis=-1).reshape(-1, 3)
-        out = np.zeros((n * n * fft.nf, len(_OFFSETS) + 1, kt, ks), np.complex128)
-        for i, off in enumerate(_OFFSETS):
+        out = np.zeros((n * n * fft.nf, len(V_OFFSETS) + 1, kt, ks), np.complex128)
+        for i, off in enumerate(V_OFFSETS):
             vals = kern.matrix(h * ((p - 2) * off + grid), np.zeros((1, 3)))
             out[:, i] = np.fft.rfftn(
                 vals.reshape(n, n, n, kt, ks), axes=(0, 1, 2)

@@ -84,6 +84,54 @@ class TestAgainstBruteForce:
             assert set(lists.x.of(i).tolist()) == X[i], f"X mismatch at {i}"
 
 
+def _assert_brute_force(tree, lists):
+    U, V, W, X = brute_force_lists(tree)
+    for name, ref in zip("uvwx", (U, V, W, X)):
+        csr = getattr(lists, name)
+        got = [set(csr.of(i).tolist()) for i in range(tree.n_nodes)]
+        assert got == [ref[i] for i in range(tree.n_nodes)], f"{name.upper()} mismatch"
+    check_lists(tree, lists)
+
+
+def _cloud(kind, seed, n):
+    """``n`` points: uniform, Gaussian blobs down to 1e-5 wide, or the
+    ellipsoid surface — the three refinement patterns of the workloads."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random((n, 3))
+    if kind == "surface":
+        return ellipsoid_surface(n, seed=seed)
+    centres = rng.random((3, 3))
+    width = 10.0 ** rng.uniform(-5, -1, size=(3, 1))
+    pick = rng.integers(3, size=n)
+    return np.clip(centres[pick] + width[pick] * rng.standard_normal((n, 3)), 0.0, 1.0 - 1e-12)
+
+
+class TestRandomTrees:
+    """The table-driven build against the literal Table I definitions on
+    random adaptive trees (q down to 1; 1e-5-wide blobs refine 15-18
+    levels deep) and on every rank's LET."""
+
+    @given(st.sampled_from(["uniform", "blobs", "surface"]), st.integers(0, 2**31 - 1),
+           st.integers(2, 120), st.sampled_from([1, 2, 5, 16, 64]))
+    @settings(max_examples=20, deadline=None)
+    def test_build_matches_brute_force(self, kind, seed, n, q):
+        tree = build_tree(_cloud(kind, seed, n), q)
+        _assert_brute_force(tree, build_lists(tree))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_let_matches_brute_force(self, p):
+        points = ellipsoid_surface(900, seed=8)
+
+        def body(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=30)
+            fmm.setup(comm, points[comm.rank :: comm.size])
+            return fmm.let.tree, fmm.lists
+
+        for tree, lists in run_spmd(p, body).values:
+            _assert_brute_force(tree, lists)
+
+
 def _without(csr, row, col):
     """``csr`` minus its ``(row, col)`` entry."""
     rows, cols = csr.pairs()

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.octree import build_leaves, is_complete, points_to_octree
-from repro.octree.linear import (
-    covering_leaf_indices,
-    fill_cell_range,
-    is_sorted_unique,
-)
+from repro.octree.linear import fill_cell_range, is_sorted_unique
 from repro.util import morton
 from repro.datasets import ellipsoid_surface, uniform_cube
 
@@ -29,17 +25,6 @@ class TestLinearOps:
         # total cells covered equals the range length
         sizes = 8 ** (morton.MAX_DEPTH - morton.level(out))
         assert sizes.sum() == hi - lo
-
-    def test_covering_leaf_indices(self, rng):
-        ob = points_to_octree(rng.random((500, 3)), 40)
-        queries = morton.children(ob.leaves[morton.level(ob.leaves) < morton.MAX_DEPTH][::5]).ravel()
-        cov = covering_leaf_indices(ob.leaves, queries)
-        assert np.all(cov >= 0)
-        assert morton.is_ancestor_or_equal(ob.leaves[cov], queries).all()
-        # a coarser query octant is not covered by any single leaf
-        coarse = morton.parent(ob.leaves[morton.level(ob.leaves) > 2][:4])
-        cov2 = covering_leaf_indices(ob.leaves, coarse)
-        assert np.all(cov2 == -1)
 
 
 class TestBuild:

@@ -15,6 +15,8 @@ it buys.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -522,6 +524,22 @@ class TestThreadBudget:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--n", "200", "--threads", str(threads)])
         assert exc.value.code == 2
+
+    def test_blas_probe_imports_nothing(self):
+        """The BLAS probe looks at packages already loaded: a fresh process
+        that evaluates once and reads the BLAS width never imports scipy."""
+        code = (
+            "import sys, numpy as np, repro\n"
+            "from repro.util.blas import blas_thread_count\n"
+            "repro.Fmm(order=4).evaluate(np.random.default_rng(0).random((300, 3)), np.ones(300))\n"
+            "blas_thread_count()\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["False"]
 
     def test_default_solo_width_is_the_usable_cores(self):
         cores = len(os.sched_getaffinity(0))
