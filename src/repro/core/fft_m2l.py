@@ -58,6 +58,7 @@ from repro.core.lists import COLLEAGUE_DIRS, V_OFFSETS, V_SLOT
 from repro.core.operators import level_half_width
 from repro.core.plan import PlanMismatchError
 from repro.kernels.base import Kernel
+from repro.util import morton
 from repro.util.blas import limit_blas_threads
 
 __all__ = ["FftM2L", "VGroup"]
@@ -250,7 +251,7 @@ class FftM2L:
         pair_flops = self.translate_flops_per_pair()
         groups = []
         levels = tree.levels[tgts]
-        for lev in np.unique(levels):
+        for lev in morton.sorted_unique(levels):
             sel = levels == lev
             t, s = tgts[sel], srcs[sel]
             tpar, spar = tree.parent[t], tree.parent[s]
@@ -262,14 +263,17 @@ class FftM2L:
             listed[:] = False
             listed[s] = True
             schild = np.where(listed[tree.children[sp]], tree.children[sp], -1)
+            # one direction per (target parent, source parent) relation
+            rel = morton.sorted_unique(ti * np.int64(sp.size) + si)
+            rt, rs = rel // sp.size, rel % sp.size
             dvec = np.rint(
-                (tree.centers[spar] - tree.centers[tpar])
-                / (2.0 * tree.half_widths[tpar])[:, None]
+                (tree.centers[sp[rs]] - tree.centers[tp[rt]])
+                / (2.0 * tree.half_widths[tp[rt]])[:, None]
             ).astype(np.int64)
             d = _DIR_OF[np.clip(dvec + 1, 0, 2) @ (9, 3, 1)]
             ok = (np.abs(dvec) <= 1).all(axis=1) & (d >= 0)
             nbr = np.full((tp.size, 26), sp.size, dtype=np.intp)
-            nbr[ti[ok], d[ok]] = si[ok]
+            nbr[rt[ok], d[ok]] = rs[ok]
             has_src = np.vstack([schild >= 0, np.zeros((1, 8), dtype=bool)])
             implied = np.einsum(
                 "pdk,dkc,pc->p", has_src[nbr], V_SLOT != _ZERO_SLOT, tchild >= 0,
@@ -303,7 +307,7 @@ class FftM2L:
                         dirs=dirs,
                         nbr=local[:-1].reshape(-1, 26)[:, dirs].astype(np.intp, order="C"),
                         n_pairs=n_pairs,
-                        n_offsets=np.setdiff1d(V_SLOT[seen > 0], _ZERO_SLOT).size,
+                        n_offsets=morton.sorted_unique(V_SLOT[(seen > 0) & (V_SLOT != _ZERO_SLOT)]).size,
                         usrc=sch.ravel()[spos],
                         utgt=tch.ravel()[tpos],
                         srow=(spos[:, None] * ks + np.arange(ks)).ravel(),

@@ -10,7 +10,9 @@ Operators depend only on the octant *level* (and, for M2M/L2L, the child's
 position within its parent; for M2L, the translation offset), so they are
 computed lazily and memoised.  For kernels homogeneous of degree ``h``
 (Laplace, Stokes) matrices at any level are a scalar multiple of the
-reference level's, so only one level is ever materialised.
+reference level's, so only that level is ever evaluated; the ``uc2ue``,
+``dc2de`` and ``l2l`` of another level are its rescaled copies, made once
+and kept (a compile reads them per level and child position).
 """
 
 from __future__ import annotations
@@ -132,27 +134,33 @@ class OperatorCache:
 
     def uc2ue(self, level: int) -> np.ndarray:
         """Map check potentials on UC to the upward-equivalent density."""
-        lvl, fac = self._canonical(level)
-        mat = self._uc2ue.get(lvl)
+        mat = self._uc2ue.get(level)
         if mat is None:
-            k = self.kernel.matrix(self.uc_points(lvl), self.ue_points(lvl))
-            mat = self._uc2ue[lvl] = regularized_pinv(k, self.kernel.default_rcond)
-        return mat if fac == 1.0 else mat / fac
+            lvl, fac = self._canonical(level)
+            if lvl != level:
+                mat = self.uc2ue(lvl) / fac
+            else:
+                k = self.kernel.matrix(self.uc_points(lvl), self.ue_points(lvl))
+                mat = regularized_pinv(k, self.kernel.default_rcond)
+            self._uc2ue[level] = mat
+        return mat
 
     def dc2de(self, level: int) -> np.ndarray:
         """Map check potentials on DC to the downward-equivalent density."""
-        lvl, fac = self._canonical(level)
-        mat = self._dc2de.get(lvl)
+        mat = self._dc2de.get(level)
         if mat is None:
-            if self.kernel.transpose_symmetric:
+            lvl, fac = self._canonical(level)
+            if lvl != level:
+                mat = self.dc2de(lvl) / fac
+            elif self.kernel.transpose_symmetric:
                 # DC is UE and DE is UC: K(dc, de) is K(uc, ue)^T bit for
                 # bit, and so is its pseudo-inverse
                 mat = np.ascontiguousarray(self.uc2ue(lvl).T)
             else:
                 k = self.kernel.matrix(self.dc_points(lvl), self.de_points(lvl))
                 mat = regularized_pinv(k, self.kernel.default_rcond)
-            self._dc2de[lvl] = mat
-        return mat if fac == 1.0 else mat / fac
+            self._dc2de[level] = mat
+        return mat
 
     def m2m(self, child_level: int, child_pos: int) -> np.ndarray:
         """Child upward density -> parent upward density contribution.
@@ -175,15 +183,16 @@ class OperatorCache:
 
     def l2l(self, child_level: int, child_pos: int) -> np.ndarray:
         """Parent downward density -> child downward *check* potentials."""
-        lvl, fac = self._canonical(child_level)
-        key = (lvl, child_pos)
-        mat = self._l2l.get(key)
+        mat = self._l2l.get((child_level, child_pos))
         if mat is None:
-            off = child_center_offset(child_pos, level_half_width(lvl))
-            mat = self._l2l[key] = self.kernel.matrix(
-                self.dc_points(lvl, off), self.de_points(lvl - 1)
-            )
-        return mat if fac == 1.0 else mat * fac
+            lvl, fac = self._canonical(child_level)
+            if lvl != child_level:
+                mat = self.l2l(lvl, child_pos) * fac
+            else:
+                off = child_center_offset(child_pos, level_half_width(lvl))
+                mat = self.kernel.matrix(self.dc_points(lvl, off), self.de_points(lvl - 1))
+            self._l2l[(child_level, child_pos)] = mat
+        return mat
 
     def m2l_dense(self, level: int, offset: tuple[int, int, int]) -> np.ndarray:
         """Source upward density -> target downward *check* potentials.

@@ -99,8 +99,8 @@ import numpy as np
 from repro.core.contract import gemm_both, gemm_cols, gemm_rows
 from repro.core.lists import evaluated_lists
 from repro.core.parallel import record_parallel_spans
-from repro.core.tree import FmmTree, TreeDelta, diff_trees, leaf_batches, pad_class
-from repro.core.work import member_sums, work_table
+from repro.core.tree import FmmTree, TreeDelta, concat_ranges, diff_trees, leaf_batches, pad_class
+from repro.core.work import member_sums
 from repro.util import morton
 from repro.util.blas import limit_blas_threads
 
@@ -780,23 +780,28 @@ class EvalPlan:
 # -- compile ------------------------------------------------------------------
 
 
-def _padded_point_rows(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray:
-    """(b, pad) rows into the point-major table; padding -> sentinel row."""
-    counts = (tree.pt_end - tree.pt_begin)[nodes]
-    ar = np.arange(pad, dtype=np.int64)[None, :]
-    rows = tree.pt_begin[nodes][:, None] + ar
-    rows[ar >= counts[:, None]] = tree.n_points
-    return rows
+class _Side:
+    """One tree's per-box arrays, shared by every kernel-matrix section of
+    a compile: each batch cuts its padded point rows and points from them
+    with one gather, whatever its boxes."""
 
+    def __init__(self, tree: FmmTree):
+        self.tree, self.n = tree, tree.n_points
+        self.counts = tree.point_counts()
+        #: the points, then every box centre: a padding slot's point
+        self.table = np.concatenate([tree.points, tree.centers])
 
-def _padded_points(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray:
-    """(b, pad, 3) leaf points, padding slots at the box centre (a finite
-    in-box point whose zero density contributes nothing to any sum)."""
-    rows = _padded_point_rows(tree, nodes, pad)
-    pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
-    valid = rows != tree.n_points
-    pts[valid] = tree.points[rows[valid]]
-    return pts
+    def rows(self, nodes: np.ndarray, pad: int) -> np.ndarray:
+        """(b, pad) rows into the point-major table; padding -> sentinel row."""
+        ar = np.arange(pad, dtype=np.int64)
+        return np.where(ar < self.counts[nodes][:, None],
+                        self.tree.pt_begin[nodes][:, None] + ar, self.n)
+
+    def points(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """(b, pad, 3) points of ``rows``, padding slots at the centre of
+        their box in ``nodes`` (a finite in-box point whose zero density
+        contributes nothing to any sum)."""
+        return np.take(self.table, np.where(rows < self.n, rows, self.n + nodes[:, None]), axis=0)
 
 
 def _scatter_schedule(targets: np.ndarray):
@@ -807,74 +812,65 @@ def _scatter_schedule(targets: np.ndarray):
     return order, starts, st[starts]
 
 
-def _reserve(plan: EvalPlan, left: int, kernel, a, b, slots, stats):
+def _reserve(plan: EvalPlan, left: int, kernel, a, b, slots, reuse):
     """A :class:`_KernelBlock` for ``kernel(a, b)`` if ``left`` bytes of
     matrix budget cover it, else None; empty for a fresh compile, whose
-    null oracle offers no slot.
+    null oracle offers no slot (``slots`` None).
 
     The estimate and the caller's charge use the plan's working itemsize:
     fp32 plans store the block rounded to float32, half the bytes, so the
     same budget fits twice the near field.
 
-    ``slots[j]`` is ``(old_block, old_slot)`` when box ``j``'s geometry
-    inputs are unchanged, else None.  Three outcomes per block: the old
-    block shared (every slot survives in place), slice copies of the clean
-    slots of filled old blocks plus one ``matrix_batch`` over the dirty
-    ones, or empty (no filled slot survives).  Per-slot stitching is
-    bitwise safe because a matrix element depends on its own (target,
-    source) pair only, never on its batch neighbours — by construction:
-    ``Kernel.matrix_batch`` is one tiling driver over per-pair formulas
-    (``kernels/base.py``) and is tested bitwise across tile splits.  The
-    skip decision never looks at the slots — a patched plan makes exactly
-    the reservations a fresh compile would.
+    ``slots`` is ``(bi, si)``: block ``j``'s geometry inputs are unchanged
+    from slot ``si[j]`` of ``reuse.blocks[bi[j]]``, or ``bi[j] = -1``.
+    Three outcomes per block: the old block shared (every slot survives in
+    place), slice copies of the clean slots of filled old blocks plus one
+    ``matrix_batch`` over the dirty ones, or empty (no filled slot
+    survives).  Per-slot stitching is bitwise safe because a matrix
+    element depends on its own (target, source) pair only, never on its
+    batch neighbours — by construction: ``Kernel.matrix_batch`` is one
+    tiling driver over per-pair formulas (``kernels/base.py``) and is
+    tested bitwise across tile splits.  The skip decision never looks at
+    the slots — a patched plan makes exactly the reservations a fresh
+    compile would.
     """
     itemsize = np.dtype(plan.rdtype).itemsize
     nb, rows, cols = a.shape[0], a.shape[1] * kernel.target_dim, b.shape[1] * kernel.source_dim
     blk = _KernelBlock(plan.rdtype, (nb, rows, cols))
     if blk.nbytes > left:
         return None
-    slots = [s if s is not None and s[0].shape[1:] == (rows, cols) else None for s in slots]
-    old = slots[0][0] if nb and slots[0] is not None else None
-    if old is not None and old.shape[0] == nb and all(
-        s is not None and s[0] is old and s[1] == j for j, s in enumerate(slots)
-    ):
+    if slots is None:
+        return blk
+    bi, si, stats = *slots, reuse.stats
+    live = bi >= 0
+    live[live] = (reuse.shapes[bi[live]] == (rows, cols)).all(axis=1)
+    if live.all() and (bi == bi[0]).all() and np.array_equal(si, np.arange(nb)) \
+            and reuse.blocks[bi[0]].shape[0] == nb:
         # the whole old block survives: share it, filled or not
         stats["slots_reused"] += nb
         stats["bytes_reused"] += blk.nbytes
         stats["blocks_ref"] += 1
-        return old
-    # slots are copied from filled old blocks only
-    slots = [s if s is not None and s[0].array is not None else None for s in slots]
-    dirty = [j for j, s in enumerate(slots) if s is None]
-    stats["slots_reused"] += nb - len(dirty)
-    stats["slots_fresh"] += len(dirty)
-    stats["bytes_fresh"] += itemsize * len(dirty) * rows * cols
-    if len(dirty) == nb:
+        return reuse.blocks[bi[0]]
+    live[live] = reuse.filled[bi[live]]  # slots are copied from filled old blocks only
+    dirty = np.flatnonzero(~live)
+    stats["slots_reused"] += nb - dirty.size
+    stats["slots_fresh"] += dirty.size
+    stats["bytes_fresh"] += itemsize * dirty.size * rows * cols
+    if dirty.size == nb:
         return blk
     k = np.empty(blk.shape, dtype=blk.dtype)
-    by_src: dict[int, tuple] = {}
-    for j, s in enumerate(slots):
-        if s is None:
-            continue
-        old, jj = s
-        dst, src, _ = by_src.setdefault(id(old), ([], [], old.array))
-        dst.append(j)
-        src.append(jj)
-    for dst, src, arr in by_src.values():
-        # run-grouped contiguous slice copies: a fancy-indexed gather
-        # materialises arr[src] as a temporary (twice the memory
-        # traffic); surviving slots overwhelmingly sit in long aligned
-        # runs, so slice-to-slice copies hit straight memcpy bandwidth
-        r0 = 0
-        for r in range(1, len(dst) + 1):
-            if (r == len(dst) or dst[r] != dst[r - 1] + 1
-                    or src[r] != src[r - 1] + 1):
-                k[dst[r0]:dst[r - 1] + 1] = arr[src[r0]:src[r - 1] + 1]
-                r0 = r
-        stats["bytes_reused"] += itemsize * len(dst) * rows * cols
-    if dirty:
-        di = np.asarray(dirty, dtype=np.int64)
-        k[di] = kernel.matrix_batch(a[di], b[di], dtype=plan.rdtype)
+    dst = np.flatnonzero(live)
+    src, old = si[dst], bi[dst]
+    # run-grouped contiguous slice copies: a fancy-indexed gather
+    # materialises arr[src] as a temporary (twice the memory traffic);
+    # surviving slots overwhelmingly sit in long aligned runs, so
+    # slice-to-slice copies hit straight memcpy bandwidth
+    cut = np.flatnonzero((np.diff(dst) != 1) | (np.diff(src) != 1) | (np.diff(old) != 0)) + 1
+    for r0, r1 in zip([0, *cut.tolist()], [*cut.tolist(), dst.size]):
+        k[dst[r0]:dst[r1 - 1] + 1] = reuse.blocks[old[r0]].array[src[r0]:src[r1 - 1] + 1]
+    stats["bytes_reused"] += itemsize * dst.size * rows * cols
+    if dirty.size:
+        k[dirty] = kernel.matrix_batch(a[dirty], b[dirty], dtype=plan.rdtype)
     blk.array = k
     return blk
 
@@ -883,119 +879,113 @@ class _NoReuse:
     """The null reuse oracle of a fresh compile: no slot survives, so
     :func:`_reserve` reserves every block it can afford, empty."""
 
-    def __init__(self):
-        self.stats = dict.fromkeys(
-            ("slots_reused", "slots_fresh", "bytes_reused", "bytes_fresh",
-             "blocks_ref", "rows_remapped"), 0)
+    def slots(self, *args):
+        return None
 
-    def uli_slot(self, tree, i, srcs, tp, sp):
-        return None, None
-
-    def slots(self, tag, pad, nodes, *node_keys) -> list:
-        return [None] * nodes.size
+    uli_slots = slots
 
 
 class _PlanReuse(_NoReuse):
-    """Reuse oracle for :func:`patch_plan`: per-phase section indexes of the
-    old plan, keyed by node-key signatures.
+    """Reuse oracle for :func:`patch_plan`: the old plan's kernel slots,
+    found by the old index of a node (``delta.old_index``: the same octant
+    key) with one search per batch.
 
     A slot is offered for reuse only when the :class:`TreeDelta` proves
     its geometry inputs bitwise unchanged — box content for leaf blocks;
     for pair blocks the content of the leaf (the X-list source, the W-list
     target) plus the far box's surface, pinned by its key — one index for
-    both lists; and the stored U ∪ D membership for ULI blocks.  Kernel
-    matrices additionally require matching precision.
+    both lists; and for ULI blocks the target's content and the stored
+    U ∪ D membership (:func:`_uli_members` over the old split's row, the
+    old plan's boxes as its scope: same member keys, every member leaf
+    clean).  Kernel matrices additionally require matching precision.
     """
 
     def __init__(self, ev, old_plan: EvalPlan, old_tree: FmmTree, old_lists,
                  delta: TreeDelta, precision: str):
-        super().__init__()
-        self.old_tree = old_tree
-        self.old_u = evaluated_lists(old_tree, old_lists, ev.ns).u  # the old ULI rows
-        self.node_clean = delta.node_clean
-        self.old_index = delta.old_index
-        self.perm = delta.perm
-        self.old_counts = old_tree.point_counts()
-        self.kmats_ok = precision == old_plan.precision
-        self.dual = old_plan.dual
-        keys = old_tree.keys
-        self._uli: dict[int, tuple] = {}
-        self.old_boxed = np.zeros(old_tree.n_nodes, dtype=bool)  # the old ULI scope
-        for blk in old_plan.uli:
-            self.old_boxed[blk.boxes] = True
-            for j, i in enumerate(blk.boxes):
-                self._uli[int(keys[i])] = (blk, j)
-        #: old kmat slots, ``(tag, pad, *node keys) -> (kmat, slot)``:
-        #: a leaf block's tag is its section; a pair block's "wx", keyed (far
-        #: box, leaf) whichever list reads it, or "w" for W's own layout
-        self._slots: dict[tuple, tuple] = {}
-        if self.kmats_ok:
-            for tag in ("s2u", "d2t"):
-                for blk in getattr(old_plan, tag):
-                    self._index(tag, blk, keys[blk.group])
-            for blk in old_plan.xli:
-                self._index("wx", blk, keys[blk.rows], keys[blk.cols])
-            for blk in old_plan.wli:  # a shared block: the same slots again
-                self._index("wx" if self.dual else "w", blk,
-                            keys[blk.cols], keys[blk.rows])
+        self.stats = dict.fromkeys(
+            ("slots_reused", "slots_fresh", "bytes_reused", "bytes_fresh", "blocks_ref"), 0)
+        self.clean, self.old_index = delta.node_clean, delta.old_index
+        n = self.n_old = old_tree.n_nodes
+        #: old slots, ``tag -> [(node codes, pad, kmat)]``: a leaf block's tag
+        #: is its section and ULI's "uli", coded by the leaf; a pair block's
+        #: "wx", coded (far box, leaf) whichever list reads it, or "w" for
+        #: W's own layout
+        parts = {
+            "uli": [(b.boxes, b.tp << 32 | b.sp, b.kmat) for b in old_plan.uli],
+            "s2u": [(b.group, b.pad, b.kmat) for b in old_plan.s2u],
+            "d2t": [(b.group, b.pad, b.kmat) for b in old_plan.d2t],
+            "wx": [(b.rows * n + b.cols, b.pad, b.kmat) for b in old_plan.xli],
+        }
+        parts.setdefault("wx" if old_plan.dual else "w", []).extend(
+            (b.cols * n + b.rows, b.pad, b.kmat) for b in old_plan.wli)
+        if precision != old_plan.precision:  # the stored dtypes differ
+            parts = {}
+        #: the distinct old kernel blocks, their (rows, cols) and filled state
+        self.blocks = list({id(k): k for p in parts.values() for *_, k in p
+                            if k is not None}.values())
+        self.shapes = np.array([k.shape[1:] for k in self.blocks], dtype=np.int64).reshape(-1, 2)
+        self.filled = np.array([k.array is not None for k in self.blocks], dtype=bool)
+        bid = {id(k): j for j, k in enumerate(self.blocks)}
+        self._slots = {}
+        for tag, p in parts.items():
+            if p:  # a pair both lists read is listed twice, at the same slot
+                codes = np.concatenate([c for c, _, _ in p])
+                order = np.argsort(codes, kind="stable")
+                self._slots[tag] = tuple(a[order] for a in (
+                    codes,
+                    np.concatenate([np.full(c.size, pad) for c, pad, _ in p]),
+                    np.concatenate([np.full(c.size, bid.get(id(k), -1)) for c, _, k in p]),
+                    np.concatenate([np.arange(c.size) for c, _, _ in p])))
+        # the old stored U ∪ D members, flat by row
+        old_boxed = np.zeros(n, dtype=bool)
+        for b in old_plan.uli:
+            old_boxed[b.boxes] = True
+        old_u = evaluated_lists(old_tree, old_lists, ev.ns).u
+        r, c = old_u.pairs()
+        st = _uli_members(r, c, old_tree.point_counts(), old_tree.levels, old_boxed,
+                          old_plan.dual)[0]
+        self.old_keys = old_tree.keys[c[st]]
+        self.old_n = member_sums(old_u, st)
+        self.old_start = np.cumsum(self.old_n) - self.old_n
 
-    def _index(self, tag, blk, *node_keys) -> None:
-        if blk.kmat is not None:
-            for j, ks in enumerate(zip(*(k.tolist() for k in node_keys))):
-                self._slots[(tag, blk.pad, *ks)] = (blk.kmat, j)
+    def slots(self, tag, pad, nodes, far=None):
+        """``(bi, si)`` old kmat slots of a ``tag`` batch (``bi`` -1 =
+        dirty): offered where the content of ``nodes`` — the leaf whose
+        points enter the matrix — is clean and the (``far``, node) keys
+        and ``pad`` match."""
+        bi = np.full(nodes.size, -1)
+        si = np.zeros(nodes.size, dtype=np.int64)
+        table = self._slots.get(tag)
+        if table is None:
+            return bi, si
+        codes, pads, blk, slot = table
+        oi = self.old_index[nodes]
+        hit = self.clean[nodes]
+        if far is not None:
+            hit = hit & (self.old_index[far] >= 0)
+            oi = self.old_index[far] * self.n_old + oi
+        pos = np.minimum(np.searchsorted(codes, oi), codes.size - 1)
+        hit &= (codes[pos] == oi) & (pads[pos] == pad) & (blk[pos] >= 0)
+        bi[hit], si[hit] = blk[pos[hit]], slot[pos[hit]]
+        return bi, si
 
-    def slots(self, tag, pad, nodes, *node_keys) -> list:
-        """Per-member old kmat slots of a ``tag`` batch (None = dirty):
-        offered where the content of ``nodes`` — the leaf whose points
-        enter the matrix — is clean and ``node_keys`` match."""
-        out = [None] * nodes.size
-        if self._slots:
-            cols = [k.tolist() for k in node_keys]
-            for j in np.flatnonzero(self.node_clean[nodes]):
-                out[j] = self._slots.get((tag, pad, *(c[j] for c in cols)))
-        return out
-
-    def uli_slot(self, tree: FmmTree, i: int, srcs: np.ndarray, tp: int, sp: int):
-        """(remapped src_rows, kmat slot) for target leaf ``i``, or Nones.
-
-        Row reuse needs the stored membership (:func:`_uli_members` over
-        the old split's row, the old plan's boxes as its scope) unchanged —
-        same member keys, every member leaf clean — and then the old gather rows remap through
-        ``perm`` to exactly what the fresh per-box concatenation would
-        build.  The kmat slot additionally needs the target leaf clean and
-        the padded shape unchanged.
-        """
-        ent = self._uli.get(int(tree.keys[i]))
-        oi = self.old_index[i]
-        if ent is None or oi < 0:
-            return None, None
-        blk, j = ent
-        osrcs = self.old_u.of(oi)
-        osrcs = osrcs[_uli_members(oi, osrcs, self.old_counts, self.old_tree.levels,
-                                   self.old_boxed, self.dual)[0]]
-        same = osrcs.size == srcs.size and np.array_equal(
-            self.old_tree.keys[osrcs], tree.keys[srcs]
-        )
-        if not (same and self.node_clean[srcs].all()):
-            return None, None
-        orow = blk.den_rows[j]
-        row = self.perm[orow]
-        if np.any(row < 0):
-            return None, None
-        valid = int((orow != self.old_tree.n_points).sum())
-        if valid > sp:
-            return None, None
-        out = np.full(sp, tree.n_points, dtype=np.int64)
-        out[:valid] = row[:valid]
-        self.stats["rows_remapped"] += 1
-        slot_ok = (
-            self.kmats_ok
-            and blk.kmat is not None
-            and blk.tp == tp
-            and blk.sp == sp
-            and self.node_clean[i]
-        )
-        return out, (blk.kmat, j) if slot_ok else None
+    def uli_slots(self, tree, boxes, tp, sp, members):
+        """The old kmat slots (:meth:`slots`) of a ULI batch whose boxes
+        store the old members: ``members`` (``(start, n, flat member
+        nodes)`` by row) hold the same keys in the same order as the old
+        box's, and every member leaf is clean."""
+        bi, si = self.slots("uli", tp << 32 | sp, boxes)
+        live = np.flatnonzero(bi >= 0)
+        start, n, cols = members
+        b, oi = boxes[live], self.old_index[boxes[live]]
+        differ = n[b] != self.old_n[oi]
+        m = np.where(differ, 0, n[b])  # members compared per box
+        new = cols[concat_ranges(start[b], m)]
+        same = tree.keys[new] == self.old_keys[concat_ranges(self.old_start[oi], m)]
+        bad = np.bincount(np.repeat(np.arange(live.size), m)[~(same & self.clean[new])],
+                          minlength=live.size)
+        bi[live[differ | (bad > 0)]] = -1
+        return bi, si
 
 
 # -- batch groupings ----------------------------------------------------------
@@ -1026,6 +1016,20 @@ def _v_offset_steps(tree, lists, scope=None):
         if sel.size:
             lev, off = int(tree.levels[tgts[sel[0]]]), tuple(offs[sel[0]])
             yield lev, off, tgts[sel], srcs[sel]
+
+
+def _child_steps(tree, nodes, lev, op, up) -> list:
+    """One :class:`_MatStep` per child position of the level-``lev``
+    ``nodes``, operator ``op(lev, position)``: child -> parent (``up``,
+    U2U) or parent -> child (D2D's L2L)."""
+    pos, steps = tree.child_pos[nodes], []
+    for k in range(8):
+        ch = nodes[pos == k]
+        if ch.size:
+            m, par = op(lev, k), tree.parent[ch]
+            steps.append(_MatStep(mat=m, src=ch if up else par, dst=par if up else ch,
+                                  flops=2.0 * ch.size * m.size))
+    return steps
 
 
 def _wx_dual(ev) -> bool:
@@ -1065,19 +1069,21 @@ def _uli_members(rows, cols, counts, levels, inscope, dual):
     return stored, stored & shared & (cols != rows)
 
 
-def _uli_groups(tree, src_total, scope=None):
+def _uli_groups(side, src_total, scope=None):
     """Yield U-list batch groups ``(tpad, spad, boxes)``: the selected
-    leaves grouped by (:func:`pad_class` of the target count, of the stored
-    source total ``src_total``) and chunked.  A leaf's packed neighbour
-    sources are padded as one side, by their sum (14 boxes of 39 points
-    are 546 sources in 768 columns)."""
-    counts = tree.point_counts()
-    sel = tree.is_leaf & (counts > 0) & (src_total > 0)
+    leaves of ``side`` grouped by (:func:`pad_class` of the target count,
+    of the stored source total ``src_total``) and chunked.  A leaf's packed
+    neighbour sources are padded as one side, by their sum (14 boxes of 39
+    points are 546 sources in 768 columns)."""
+    counts = side.counts
+    sel = side.tree.is_leaf & (counts > 0) & (src_total > 0)
     leaves = np.flatnonzero(sel if scope is None else sel & scope)
     tpad, spad = pad_class(counts[leaves]), pad_class(src_total[leaves])
     code = tpad * np.int64(1 << 32) + spad
-    for c in morton.sorted_unique(code):
-        grp = np.flatnonzero(code == c)
+    order = np.argsort(code, kind="stable")  # leaves stay in node order
+    for grp in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        if not grp.size:
+            continue
         tp, sp = int(tpad[grp[0]]), int(spad[grp[0]])
         # bounded chunks keep batched GEMMs large enough to amortise
         # dispatch while keeping each compiled kmat block small
@@ -1090,15 +1096,15 @@ def _uli_groups(tree, src_total, scope=None):
             yield tp, sp, leaves[grp[s : s + chunk]]
 
 
-def _leaf_section(ev, mat, reuse, tree, section, sel) -> list:
+def _leaf_section(ev, mat, reuse, side, section, sel) -> list:
     """The S2U or D2T blocks over the leaves ``sel``: one leaf-section
-    builder, the leaf's points against its UC surface (S2U, ``tree`` holds
-    the sources) or its DE surface (D2T, ``tree`` holds the targets)."""
+    builder, the leaf's points against its UC surface (S2U, ``side`` holds
+    the sources) or its DE surface (D2T, ``side`` holds the targets)."""
     up = section == "s2u"
     kernel = ev.kernel if up else ev.eval_kernel
     surface = ev.ops.uc_points if up else ev.ops.de_points
     ks, kt = ev.kernel.source_dim, ev.kernel.target_dim
-    counts = tree.point_counts()
+    tree = side.tree
     base: dict[int, tuple] = {}
     blocks = []
     for lev, pad, group in leaf_batches(tree, sel):
@@ -1111,39 +1117,27 @@ def _leaf_section(ev, mat, reuse, tree, section, sel) -> list:
             # heavy leaf-kernel GEMMs stay float32, and the fp32 error
             # stays at the float32 floor instead of the pinv's.
             base[lev] = (surface(lev), ev.ops.uc2ue(lev) if up else None)
-        pts = _padded_points(tree, group, pad)
+        rows = side.rows(group, pad)
+        pts = side.points(rows, group)
         surf = base[lev][0][None, :, :] + tree.centers[group][:, None, :]
-        rows = _padded_point_rows(tree, group, pad)
-        slots = reuse.slots(section, pad, group, tree.keys[group])
-        n = counts[group].sum()
-        blocks.append(
-            _LeafBlock(
-                level=lev,
-                pad=pad,
-                group=group,
-                pts=pts,
-                surf=surf,
-                den_rows=rows if up else None,
-                pot_rows=None if up else rows,
-                mat=base[lev][1],
-                kmat=mat(kernel, *((surf, pts) if up else (pts, surf)), slots),
-                flops=(
-                    kernel.pair_flops(ev.ns, n)
-                    + 2.0 * group.size * (ev.ns * ks) * (ev.ns * kt)
-                    if up
-                    else kernel.pair_flops(n, ev.ns)
-                ),
-            )
-        )
+        n = side.counts[group].sum()
+        blocks.append(_LeafBlock(
+            level=lev, pad=pad, group=group, pts=pts, surf=surf,
+            den_rows=rows if up else None, pot_rows=None if up else rows, mat=base[lev][1],
+            kmat=mat(kernel, *((surf, pts) if up else (pts, surf)),
+                     reuse.slots(section, pad, group)),
+            flops=(kernel.pair_flops(ev.ns, n) + 2.0 * group.size * (ev.ns * ks) * (ev.ns * kt)
+                   if up else kernel.pair_flops(n, ev.ns)),
+        ))
     return blocks
 
 
-def _pair_section(ev, tree, targets, dual, mat, reuse, x_pairs, w_pairs):
+def _pair_section(ev, src, tgt, dual, mat, reuse, x_pairs, w_pairs):
     """``(xli, wli)`` over X's ``(far box, leaf)`` and W's ``(leaf, far
     box)`` pairs: one builder, one kernel array per batch.  X reads the
-    leaf's sources (in ``tree``) onto the far box's DC surface; W
+    leaf's sources (in ``src``) onto the far box's DC surface; W
     evaluates the far box's UE surface — the same points — at the leaf's
-    targets (in ``targets``).  Under ``dual`` a pair in both lists is
+    targets (in ``tgt``).  Under ``dual`` a pair in both lists is
     reserved, and charged to the budget, once: X contracts
     ``kernel(surf, pts)``, W its transpose.
 
@@ -1152,27 +1146,28 @@ def _pair_section(ev, tree, targets, dual, mat, reuse, x_pairs, w_pairs):
     so a record reads whole arrays, never a slice.  W pairs with no
     in-scope X dual (one-sided on a LET; all of them when the lists are
     not duals: ``eval_kernel(pts, surf)`` blocks) follow in W's order."""
+    tree = src.tree
     (xf, xl), (wl, wf) = x_pairs, w_pairs
     xc, wc = (f * np.int64(tree.n_nodes) + l for f, l in ((xf, xl), (wf, wl)))
-    both = np.isin(xc, wc) & dual  # X pairs W reads too
-    lone = ~(np.isin(wc, xc) & dual)  # W pairs no X record covers
+    both = np.isin(xc, wc, assume_unique=True) & dual  # X pairs W reads too
+    lone = ~(np.isin(wc, xc, assume_unique=True) & dual)  # W pairs no X record covers
     xli, wli = [], []
     ue = np.stack([ev.ops.ue_points(lev) for lev in range(tree.max_level + 1)])
 
     def block(pad, fi, li, in_x, in_w):
-        side = tree if in_x else targets  # the same tree under the dual
-        pts = _padded_points(side, li, pad)
+        side = src if in_x else tgt  # the same tree under the dual
+        rows = side.rows(li, pad)
+        pts = side.points(rows, li)
         surf = ue[tree.levels[fi]] + tree.centers[fi][:, None, :]
         w_own = not (in_x or dual)
-        slots = reuse.slots("w" if w_own else "wx", pad, li,
-                            tree.keys[fi], tree.keys[li])
-        n_pts = side.point_counts()[li].sum()
+        slots = reuse.slots("w" if w_own else "wx", pad, li, fi)
+        n_pts = side.counts[li].sum()
         sides = (ev.eval_kernel, pts, surf) if w_own else (ev.kernel, surf, pts)
         shared = dict(pad=pad, pts=pts, surf=surf, kmat=mat(*sides, slots))
         if in_x:
             order, starts, seg = _scatter_schedule(fi)
             xli.append(_PairBlock(
-                rows=fi, cols=li, den_rows=_padded_point_rows(tree, li, pad),
+                rows=fi, cols=li, den_rows=rows,
                 order=order, starts=starts, seg=seg, pot_rows=None,
                 flops=ev.kernel.pair_flops(ev.ns, n_pts), **shared,
             ))
@@ -1180,18 +1175,53 @@ def _pair_section(ev, tree, targets, dual, mat, reuse, x_pairs, w_pairs):
             order, starts, seg = _scatter_schedule(li)
             wli.append(_PairBlock(
                 rows=li, cols=fi, den_rows=None, order=order, starts=starts,
-                seg=seg, pot_rows=_padded_point_rows(targets, seg, pad),
+                seg=seg, pot_rows=tgt.rows(seg, pad),
                 flops=ev.eval_kernel.pair_flops(n_pts, ev.ns), **shared,
             ))
 
-    for pad, sel in _pair_batches(ev.ns, tree.point_counts()[xl]):
+    for pad, sel in _pair_batches(ev.ns, src.counts[xl]):
         for part, in_w in ((sel[~both[sel]], False), (sel[both[sel]], True)):
             if part.size:
                 block(pad, xf[part], xl[part], True, in_w)
     wf, wl = wf[lone], wl[lone]
-    for pad, sel in _pair_batches(ev.ns, targets.point_counts()[wl]):
+    for pad, sel in _pair_batches(ev.ns, tgt.counts[wl]):
         block(pad, wf[sel], wl[sel], False, True)
     return xli, wli
+
+
+def _uli_section(ev, mat, reuse, src, tgt, u, table_u, scope, dual) -> list:
+    """The ULI blocks over ``u`` (U ∪ D), a block's flops counting its
+    targets' Table I U-lists ``table_u``: every batch is cut from one flat
+    array of the stored member point rows (one ``concat_ranges`` over every
+    stored member of every row) and one of their transposed-slot flags."""
+    tree, counts = src.tree, src.counts
+    u_src = member_sums(table_u, counts[table_u.indices])  # all of U's sources: the flops
+    urows, ucols = u.pairs()
+    stored, trans = _uli_members(urows, ucols, counts, tree.levels, scope, dual)
+    held = member_sums(u, counts[ucols] * stored)  # the stored points: the block
+    cols = ucols[stored]
+    # one slot past the end: a padding slot's row (the sentinel) and flag
+    flat = np.append(concat_ranges(tree.pt_begin[cols], counts[cols]), src.n)
+    flat_t = np.append(np.repeat(trans[stored], counts[cols]), False)
+    start = np.cumsum(held) - held
+    n_stored = member_sums(u, stored)
+    members = (np.cumsum(n_stored) - n_stored, n_stored, cols)
+    blocks = []
+    for tp, sp, boxes in _uli_groups(tgt, held, scope):
+        ar = np.arange(sp, dtype=np.int64)
+        at = np.where(ar < held[boxes][:, None], start[boxes][:, None] + ar, flat.size - 1)
+        src_rows = np.take(flat, at)
+        t_sel = np.flatnonzero(np.take(flat_t, at))
+        pot_rows = tgt.rows(boxes, tp)
+        tgt_pts, src_pts = tgt.points(pot_rows, boxes), src.points(src_rows, boxes)
+        blocks.append(_UliBlock(
+            tp=tp, sp=sp, boxes=boxes, tgt_pts=tgt_pts, src_pts=src_pts,
+            den_rows=src_rows, pot_rows=pot_rows, t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
+            kmat=mat(ev.eval_kernel, tgt_pts, src_pts,
+                     reuse.uli_slots(tree, boxes, tp, sp, members)),
+            flops=ev.eval_kernel.pair_flops(1, 1) * float((tgt.counts[boxes] * u_src[boxes]).sum()),
+        ))
+    return blocks
 
 
 def compile_plan(
@@ -1236,7 +1266,9 @@ def compile_plan(
     ks, kt = ev.kernel.source_dim, ev.kernel.target_dim
     targets = tree if targets is None else targets
     own = targets is tree
-    counts, tcounts = tree.point_counts(), targets.point_counts()
+    src = _Side(tree)
+    tgt = src if own else _Side(targets)
+    counts, tcounts = src.counts, tgt.counts
     plan = EvalPlan(
         fingerprint=tree_fingerprint(tree),
         n_points=tree.n_points,
@@ -1257,7 +1289,7 @@ def compile_plan(
     def mat(kernel, a, b, slots):
         """Reserve one kernel block and charge it to the budget."""
         nonlocal left
-        k = _reserve(plan, left, kernel, a, b, slots, reuse.stats)
+        k = _reserve(plan, left, kernel, a, b, slots, reuse)
         if k is not None:
             left -= k.nbytes
         return k
@@ -1277,48 +1309,20 @@ def compile_plan(
         gone = member_sums(full, counts[full.indices]) - member_sums(kept, counts[kept.indices])
         plan.direct_flops[phase] = ev.eval_kernel.pair_flops(1, 1) * float((on * gone).sum())
     # -- ULI ---------------------------------------------------------------
-    u, dual = split.u, plan.dual
-    urows, ucols = u.pairs()
-    stored, trans = _uli_members(urows, ucols, counts, tree.levels, scopes.uli, dual)
-    u_src = work_table(tree, lists).u_src  # all of U's sources: the flops
-    held = member_sums(u, counts[ucols] * stored)  # the stored ones: the block
-    for tp, sp, boxes in _uli_groups(targets, held, scopes.uli):
-        src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
-        t_mask = np.zeros((boxes.size, sp), dtype=bool)
-        uslots = [None] * boxes.size
-        for j, i in enumerate(boxes):
-            seg = slice(u.offsets[i], u.offsets[i + 1])
-            mine = stored[seg]
-            srcs = ucols[seg][mine]
-            row, uslots[j] = reuse.uli_slot(tree, i, srcs, tp, sp)
-            if row is None:
-                row = tree.point_rows(srcs)
-            src_rows[j, : row.size] = row
-            t_mask[j, : held[i]] = np.repeat(trans[seg][mine], counts[srcs])
-        src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
-        valid = src_rows != tree.n_points
-        src_pts[valid] = tree.points[src_rows[valid]]
-        tgt_pts = _padded_points(targets, boxes, tp)
-        t_sel = np.flatnonzero(t_mask)
-        plan.uli.append(_UliBlock(
-            tp=tp, sp=sp, boxes=boxes, tgt_pts=tgt_pts, src_pts=src_pts,
-            den_rows=src_rows, pot_rows=_padded_point_rows(targets, boxes, tp),
-            t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
-            kmat=mat(ev.eval_kernel, tgt_pts, src_pts, uslots),
-            flops=ev.eval_kernel.pair_flops(1, 1) * float((tcounts[boxes] * u_src[boxes]).sum()),
-        ))
+    dual = plan.dual
+    plan.uli = _uli_section(ev, mat, reuse, src, tgt, split.u, lists.u, scopes.uli, dual)
 
     # -- S2U, D2T, XLI + WLI -----------------------------------------------
     leaf_section = partial(_leaf_section, ev, mat, reuse)
     s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(tleaves, scopes.d2t)
-    plan.s2u = leaf_section(tree, "s2u", s2u_sel)
+    plan.s2u = leaf_section(src, "s2u", s2u_sel)
     if dual:  # DE is UC: D2T reads S2U's K(UC, pts) records, arrays and all
         same = np.array_equal(s2u_sel, d2t_sel)
         plan.d2t = [replace(b, den_rows=None, pot_rows=b.den_rows, mat=None,
                             flops=ev.kernel.pair_flops(counts[b.group].sum(), ev.ns))
-                    for b in (plan.s2u if same else leaf_section(tree, "s2u", d2t_sel))]
+                    for b in (plan.s2u if same else leaf_section(src, "s2u", d2t_sel))]
     else:
-        plan.d2t = leaf_section(targets, "d2t", d2t_sel)
+        plan.d2t = leaf_section(tgt, "d2t", d2t_sel)
     # An X source is kept iff it holds points here, a W (and V, below)
     # source iff its octant holds a point on some rank; a vanishing density
     # adds zeros.
@@ -1327,31 +1331,14 @@ def compile_plan(
     wl, wf = split.w.pairs(within(tleaves, scopes.wli))
     xk, wk = counts[xl] > 0, nonempty[wf]
     plan.xli, plan.wli = _pair_section(
-        ev, tree, targets, dual, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
+        ev, src, tgt, dual, mat, reuse, (xf[xk], xl[xk]), (wl[wk], wf[wk])
     )
 
     # -- U2U ---------------------------------------------------------------
     for lev in range(tree.max_level, 0, -1):
         nodes = tree.nodes_at_level(lev)
-        nodes = nodes[counts[nodes] > 0]
-        if scopes.u2u is not None:
-            nodes = nodes[scopes.u2u[nodes]]
-        if nodes.size == 0:
-            continue
-        pos = tree.child_pos[nodes]
-        for k in range(8):
-            ch = nodes[pos == k]
-            if ch.size == 0:
-                continue
-            m = ev.ops.m2m(lev, k)
-            plan.u2u.append(
-                _MatStep(
-                    mat=m,
-                    src=ch,
-                    dst=tree.parent[ch],
-                    flops=2.0 * ch.size * m.size,
-                )
-            )
+        nodes = nodes[within(counts[nodes] > 0, None if scopes.u2u is None else scopes.u2u[nodes])]
+        plan.u2u += _child_steps(tree, nodes, lev, ev.ops.m2m, up=True)
 
     # -- VLI ---------------------------------------------------------------
     if ev.m2l_mode == "fft":
@@ -1372,32 +1359,11 @@ def compile_plan(
         nodes = tree.nodes_at_level(lev)
         if scopes.d2d is not None:
             nodes = nodes[scopes.d2d[nodes]]
-        if nodes.size == 0:
-            continue
-        pos = tree.child_pos[nodes]
-        l2l_steps = []
-        for k in range(8):
-            ch = nodes[pos == k]
-            if ch.size == 0:
-                continue
-            m = ev.ops.l2l(lev, k)
-            l2l_steps.append(
-                _MatStep(
-                    mat=m,
-                    src=tree.parent[ch],
-                    dst=ch,
-                    flops=2.0 * ch.size * m.size,
-                )
-            )
-        conv = ev.ops.dc2de(lev)
-        plan.d2d.append(
-            _D2dLevel(
-                l2l=l2l_steps,
-                conv_mat=conv,
-                nodes=nodes,
-                conv_flops=2.0 * nodes.size * conv.size,
-            )
-        )
+        if nodes.size:
+            conv = ev.ops.dc2de(lev)
+            plan.d2d.append(_D2dLevel(
+                l2l=_child_steps(tree, nodes, lev, ev.ops.l2l, up=False), conv_mat=conv,
+                nodes=nodes, conv_flops=2.0 * nodes.size * conv.size))
 
     return plan
 
@@ -1421,22 +1387,21 @@ def patch_plan(
     resulting plan are bit-identical to a fresh compile by construction —
     but consults a :class:`_PlanReuse` oracle built from the
     :class:`TreeDelta`, which keeps the old kernel blocks of the four
-    matrix sections — ULI, S2U, D2T and the X/W pair section — (and the
-    per-box ULI gather loops) wherever the delta proves the inputs
-    unchanged (a ULI block holds the columns of members it is the holder
-    for, so a moved leaf dirties those holders' blocks too): a block whose
-    slots all survive is shared, filled or not; the clean slots of a
-    filled one are copied and only its dirty slots evaluated; a block with
-    no filled clean slot is reserved empty, for the first apply to fill
-    like a fresh one's.  Cheap index arrays (gather/scatter
-    schedules, V-list group tables, operator steps) are always rebuilt:
-    rows shift after the delta merge and the rebuild costs milliseconds.
+    matrix sections — ULI, S2U, D2T and the X/W pair section — wherever
+    the delta proves the inputs unchanged (a ULI block holds the columns
+    of members it is the holder for, so a moved leaf dirties those
+    holders' blocks too): a block whose slots all survive is shared,
+    filled or not; the clean slots of a filled one are copied and only its
+    dirty slots evaluated; a block with no filled clean slot is reserved
+    empty, for the first apply to fill like a fresh one's.  Index arrays
+    (gather/scatter schedules, V-list group tables, operator steps) are
+    always rebuilt, in the one pass a fresh compile makes.
 
     ``delta`` defaults to a content diff of the two trees
     (:func:`repro.core.tree.diff_trees`), so arbitrary tree pairs patch —
     including per-rank LET trees whose point sets differ.  ``precision``
     defaults to the old plan's; a precision change disables kernel-matrix
-    reuse (the stored dtypes differ) but still skips the per-box loops.
+    reuse (the stored dtypes differ).
     ``plan.patch_stats`` records what was reused.
     """
     old_plan.check(old_tree)

@@ -158,6 +158,8 @@ class DistributedFmm:
         self._own_counts: np.ndarray | None = None
         self._ckpt: dict | None = None
         self._plan = None
+        self._shared: np.ndarray | None = None
+        self._reduce_memo: dict = {}
 
     # -- setup ---------------------------------------------------------------
 
@@ -285,6 +287,13 @@ class DistributedFmm:
         # merged counts that include ghosts)
         begin, end = leaf_point_counts(point_keys, let.tree.keys)
         self._own_counts = end - begin
+        # Algorithm 3 reads the geometry alone: this rank's contributed
+        # shared octants, and each step's masks (kept by the first reduce),
+        # so a warm evaluate decodes no key
+        self._shared = None if comm.size == 1 else (
+            let.geometry.is_shared(let.tree.keys, comm.rank)
+            & let.owned_contrib & (self._own_counts > 0))
+        self._reduce_memo = {}
         self._ckpt = None  # densities from an old tree are meaningless
         self._plan = None  # plans are bound to the LET built above
         self._arm_chaos_gpu()
@@ -496,10 +505,8 @@ class DistributedFmm:
         tree, geometry = let.tree, let.geometry
         if comm.size == 1:
             return
-        shared = geometry.is_shared(tree.keys, comm.rank)
-        mine = shared & let.owned_contrib & (self._own_counts > 0)
-        keys = tree.keys[mine]
-        dens = state["up"][mine]
+        keys = tree.keys[self._shared]
+        dens = state["up"][self._shared]
         # Algorithm 3 assumes a power-of-two communicator (as the paper
         # states); odd sizes fall back to the owner-based scheme, which
         # is correct at any size.
@@ -509,7 +516,7 @@ class DistributedFmm:
             if self.comm_scheme == "hypercube" and pow2
             else owner_reduce_scatter
         )
-        rkeys, rdens = reduce_fn(comm, geometry, keys, dens)
+        rkeys, rdens = reduce_fn(comm, geometry, keys, dens, self._reduce_memo)
         idx = tree.find(rkeys)
         ok = idx >= 0
         state["up"][idx[ok]] = rdens[ok]

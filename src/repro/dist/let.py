@@ -141,7 +141,8 @@ def build_let(
     let_keys = morton.ancestors_of(all_keys, include_self=True)
     # a key is a leaf iff any copy says leaf (owners are authoritative and
     # internal copies agree, but ghosts of own ancestors may arrive too)
-    let_is_leaf = np.isin(let_keys, all_keys[all_flags])
+    let_is_leaf = np.isin(let_keys, morton.sorted_unique(all_keys[all_flags]),
+                          assume_unique=True)
 
     # Merge ghost points with own points (Morton order).
     g_pts = np.concatenate([np.empty((0, 3))] + [msg["points"] for msg in msgs])

@@ -47,11 +47,21 @@ def _merge_sum(keys: np.ndarray, dens: np.ndarray):
     return uniq, out
 
 
+def _memo(memo: dict, name, keys: np.ndarray, compute):
+    """``compute(keys)``, kept in ``memo`` for the next call with the same
+    keys: a step's keys follow from the geometry alone."""
+    hit = memo.get(name)
+    if hit is None or not np.array_equal(hit[0], keys):
+        hit = memo[name] = (keys, compute(keys))
+    return hit[1]
+
+
 def hypercube_reduce_scatter(
     comm: SimComm,
     geometry: RankGeometry,
     keys: np.ndarray,
     dens: np.ndarray,
+    memo: dict | None = None,
 ):
     """Paper Algorithm 3 (REDUCE AND SCATTER).
 
@@ -60,6 +70,8 @@ def hypercube_reduce_scatter(
     keys / dens:
         This rank's *partial* upward densities of its shared octants
         (one row per octant).
+    memo:
+        Keeps each round's send / keep masks across calls (:func:`_memo`).
     Returns
     -------
     (keys, dens):
@@ -74,23 +86,17 @@ def hypercube_reduce_scatter(
     if dens.ndim != 2 or dens.shape[0] != keys.size:
         raise ValueError("dens must be (n_octants, width)")
     keys, dens = _merge_sum(keys, dens)
+    memo = {} if memo is None else memo
     d = p.bit_length() - 1
     bounds = geometry.bounds
     for i in range(d - 1, -1, -1):
         s = r ^ (1 << i)
-        # ranks reachable through s in the remaining rounds
-        us = s & (p - (1 << i))
-        ue = s | ((1 << i) - 1)
-        send_mask = geometry.user_overlaps_range(
-            keys, int(bounds[us]), int(bounds[ue + 1])
-        ) if keys.size else np.empty(0, dtype=bool)
-        # ranks this copy can still serve locally
-        qs = r & (p - (1 << i))
-        qe = r | ((1 << i) - 1)
-        keep_mask = geometry.user_overlaps_range(
-            keys, int(bounds[qs]), int(bounds[qe + 1])
-        ) if keys.size else np.empty(0, dtype=bool)
-
+        # octants used by the ranks reachable through s in the remaining
+        # rounds, and by the ranks this copy can still serve locally
+        send_mask, keep_mask = _memo(memo, i, keys, lambda k: tuple(
+            geometry.user_overlaps_range(
+                k, int(bounds[x & (p - (1 << i))]), int(bounds[(x | ((1 << i) - 1)) + 1])
+            ) if k.size else np.empty(0, dtype=bool) for x in (s, r)))
         other_keys, other_dens = comm.sendrecv(
             (keys[send_mask], dens[send_mask]), s, _TAG_HC
         )
@@ -105,19 +111,23 @@ def owner_reduce_scatter(
     geometry: RankGeometry,
     keys: np.ndarray,
     dens: np.ndarray,
+    memo: dict | None = None,
 ):
     """Owner-based baseline (the scheme the paper replaced).
 
     Every shared octant is reduced at its owner (the rank holding its
     first Morton cell) and then sent to each user rank individually.
+    ``memo`` keeps the owners and user rows across calls (:func:`_memo`).
     """
     p, r = comm.size, comm.rank
     keys = np.asarray(keys, dtype=np.uint64)
     dens = np.asarray(dens, dtype=np.float64)
     keys, dens = _merge_sum(keys, dens)
+    memo = {} if memo is None else memo
 
     # contributors -> owners
-    owners = geometry.owner_of_octants(keys) if keys.size else np.empty(0, np.int64)
+    owners = _memo(memo, "owners", keys, lambda k: geometry.owner_of_octants(k)
+                   if k.size else np.empty(0, np.int64))
     blocks = []
     for dest in range(p):
         sel = owners == dest
@@ -129,11 +139,8 @@ def owner_reduce_scatter(
 
     # owners -> users, point-to-point per user rank (the scaling problem:
     # root-level octants have up to p users)
-    if okeys.size:
-        rows, ranks = geometry.user_pairs(okeys)
-    else:
-        rows = np.empty(0, np.int64)
-        ranks = np.empty(0, np.int64)
+    rows, ranks = _memo(memo, "users", okeys, lambda k: geometry.user_pairs(k) if k.size
+                        else (np.empty(0, np.int64), np.empty(0, np.int64)))
     out_counts = np.zeros(p, dtype=np.int64)
     for dest in range(p):
         out_counts[dest] = int(np.sum(ranks == dest))

@@ -34,6 +34,7 @@ from repro.core.evaluator import FmmEvaluator
 from repro.core.work import work_table
 from repro.gpu.device import GpuDeviceFault, VirtualGpu
 from repro.kernels.base import Kernel
+from repro.util import morton
 from repro.util.timer import PhaseProfile
 
 __all__ = ["GpuFmmEvaluator"]
@@ -215,7 +216,7 @@ class GpuFmmEvaluator(FmmEvaluator):
         ns, ks, kt = self.ns, self.kernel.source_dim, self.kernel.target_dim
         leaves = _cat(plan.wli, "rows")
         gbytes = float(leaves.size * ns * ks * 4
-                       + (tree.point_counts()[np.unique(leaves)] * (12 + 4 * kt)).sum())
+                       + (tree.point_counts()[morton.sorted_unique(leaves)] * (12 + 4 * kt)).sum())
         self._run(plan, "wli", {**state, "up": self._stage(profile, state["up"])})
         for _ in range(self._ncols(state)):
             self.gpu.charge_launch("WLI", sum(b.flops for b in plan.wli)
@@ -233,7 +234,7 @@ class GpuFmmEvaluator(FmmEvaluator):
             return super().xli(tree, lists, dens, state, profile, plan)
         ns, ks, kt = self.ns, self.kernel.source_dim, self.kernel.target_dim
         n = tree.point_counts()[_cat(plan.xli, "cols")]
-        far = np.unique(_cat(plan.xli, "seg"))
+        far = morton.sorted_unique(_cat(plan.xli, "seg"))
         gbytes = float((n * (12 + 4 * ks)).sum() + far.size * ns * kt * 4)
         self._run(plan, "xli", self._stage(profile, dens), state)
         for _ in range(self._ncols(state)):

@@ -5,8 +5,9 @@ an autotuning algorithm"; this is that algorithm's measurement layer.
 Every tuning decision is ranked on a :class:`SubsampleProbe` (seeded
 subsample, seeded densities, direct-sum references) by one loop,
 :meth:`SubsampleProbe.ladder`, which ``tune``'s accuracy floor and cost
-calibration and :func:`autotune_precision` (behind ``precision="auto"``)
-all read; :func:`clears_rtol` is the one accuracy rule, and
+calibration read, and :func:`autotune_precision` (behind
+``precision="auto"``) applies each precision of the same probe once;
+:func:`clears_rtol` is the one accuracy rule, and
 :func:`autotune_points_per_box` is the leaf-size (q) axis (Holm et al.,
 PAPERS.md: one calibrated probe that every knob is ranked by).
 """
@@ -231,27 +232,27 @@ def autotune_precision(
     """Pick the cheaper plan precision that meets a relative-error target.
 
     The seed-0 :class:`SubsampleProbe` of ``points`` (its default 2 000
-    points, leaves of 64) is probed with an fp64 and an fp32 plan (one
-    :meth:`SubsampleProbe.ladder` rung each: error against the exact
-    direct sum), the rungs :func:`~repro.tune.search.tune` reads for a
-    ``max_points=64`` config at its default sample and seed.  fp32 is
-    chosen when it :func:`clears_rtol`: it holds half the matrix bytes, so
-    it is the cheaper plan by construction, and no timing decides the
-    pick.  Otherwise fp64 is returned, with ``met=False`` when it misses
-    the target too — the caller's accuracy budget needs a higher
-    expansion order, not a precision choice.
+    points, leaves of 64) is evaluated once with an fp64 and once with an
+    fp32 plan, each error taken against the exact direct sum: the rung
+    errors :func:`~repro.tune.search.tune` reads for a ``max_points=64``
+    config at its default sample and seed.  fp32 is chosen when it
+    :func:`clears_rtol`: it holds half the matrix bytes, so it is the
+    cheaper plan by construction, and no timing decides the pick.
+    Otherwise fp64 is returned, with ``met=False`` when it misses the
+    target too — the caller's accuracy budget needs a higher expansion
+    order, not a precision choice.
     """
     rtol = DEFAULT_PRECISION_RTOL if rtol is None else float(rtol)
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     probe = SubsampleProbe(points, kernel=kernel, eval_kernel=eval_kernel)
-    rungs, _ = probe.ladder(
-        [(order, "fp64"), (order, "fp32")],
-        lambda o, _p: FmmEvaluator(
-            probe.kernel, o, m2l_mode=m2l_mode, eval_kernel=eval_kernel,
-        ),
-    )
-    errors = {p: r.error for (_, p), r in rungs.items()}
+    tree, lists, dens = probe.geometry(64)
+    errors = {
+        prec: probe.error(FmmEvaluator(
+            probe.kernel, order, m2l_mode=m2l_mode, eval_kernel=eval_kernel,
+        ).evaluate(tree, lists, dens, precision=prec), 64)
+        for prec in ("fp64", "fp32")
+    }
     fp32 = clears_rtol("fp32", errors["fp32"], rtol)
     return PrecisionResult(
         best="fp32" if fp32 else "fp64", errors=errors, rtol=rtol,

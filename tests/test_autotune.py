@@ -41,3 +41,22 @@ class TestAutotune:
     def test_invalid_target(self):
         with pytest.raises(ValueError, match="target"):
             autotune_points_per_box(uniform_cube(100), target="tpu")
+
+
+def test_precision_pick_applies_each_precision_once(monkeypatch):
+    """``autotune_precision`` needs one error per precision: two applies
+    of the probe, no warm-up and no timed repeat."""
+    from repro.core.evaluator import FmmEvaluator
+    from repro.tune.probe import autotune_precision
+
+    calls = []
+    evaluate = FmmEvaluator.evaluate
+
+    def counted(self, *a, **k):
+        calls.append(k.get("precision"))
+        return evaluate(self, *a, **k)
+
+    monkeypatch.setattr(FmmEvaluator, "evaluate", counted)
+    res = autotune_precision(uniform_cube(3000, seed=6), order=4)
+    assert sorted(calls) == ["fp32", "fp64"]
+    assert set(res.errors) == {"fp32", "fp64"}

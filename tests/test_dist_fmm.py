@@ -382,6 +382,45 @@ class TestCheckpointResume:
             assert np.array_equal(fresh, resumed)
 
 
+class TestWarmReduce:
+    """Algorithm 3's masks are a property of the geometry: a warm evaluate
+    reads them back and decodes no Morton key, and returns the bits of the
+    first evaluate, which computed them."""
+
+    @pytest.mark.parametrize("p, scheme", [(2, "hypercube"), (4, "hypercube"), (3, "owner")])
+    def test_warm_evaluate_decodes_no_key(self, monkeypatch, p, scheme):
+        import functools
+        import threading
+        import types
+
+        pts = ellipsoid_surface(2000, seed=45)
+        calls, lock = [], threading.Lock()
+        for name, fn in list(vars(morton).items()):
+            if isinstance(fn, types.FunctionType):
+                def counted(*a, _fn=fn, _name=name, **k):
+                    with lock:
+                        calls.append(_name)
+                    return _fn(*a, **k)
+                monkeypatch.setattr(morton, name, functools.wraps(fn)(counted))
+
+        def body(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=30, comm_scheme=scheme)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            dens = densfn(fmm.owned_points)
+            first = fmm.evaluate(dens)
+            comm.barrier()
+            before = len(calls)
+            comm.barrier()
+            warm = fmm.evaluate(dens)
+            comm.barrier()
+            return first, warm, len(calls) - before
+
+        res = run_spmd(p, body, timeout=560)
+        for first, warm, decoded in res.values:
+            assert decoded == 0
+            assert np.array_equal(first, warm)
+
+
 class TestOddRankCounts:
     """Algorithm 3 needs 2^d ranks (as in the paper); other sizes must
     still produce correct results via the owner-based fallback."""

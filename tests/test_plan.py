@@ -11,6 +11,8 @@ retries and what keeps the chaos-matrix replay checks meaningful.
 """
 
 import gc
+import os
+import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -1019,3 +1021,330 @@ def test_blocks_carry_pairs(points):
     assert "pair" in held or points == "uniform"
     for sec in held:
         assert held[sec] <= 1.6 * real[sec], (sec, held[sec] / real[sec])
+
+
+# -- compile identity: the per-box builders, kept as the oracle ---------------
+#
+# Compile cuts every kernel-matrix section from flat per-box arrays, one
+# gather per batch.  The builders below are the per-box loops it replaced:
+# a fresh compile, a LET's scoped compile and a patched plan must hold
+# exactly the records they build, field by field.
+
+
+def _oracle_point_rows(tree, nodes, pad):
+    counts = (tree.pt_end - tree.pt_begin)[nodes]
+    ar = np.arange(pad, dtype=np.int64)[None, :]
+    rows = tree.pt_begin[nodes][:, None] + ar
+    rows[ar >= counts[:, None]] = tree.n_points
+    return rows
+
+
+def _oracle_points(tree, nodes, pad):
+    rows = _oracle_point_rows(tree, nodes, pad)
+    pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
+    valid = rows != tree.n_points
+    pts[valid] = tree.points[rows[valid]]
+    return pts
+
+
+def _oracle_uli_groups(tree, src_total, scope):
+    from repro.core.tree import pad_class
+
+    counts = tree.point_counts()
+    sel = tree.is_leaf & (counts > 0) & (src_total > 0)
+    leaves = np.flatnonzero(sel if scope is None else sel & scope)
+    tpad, spad = pad_class(counts[leaves]), pad_class(src_total[leaves])
+    code = tpad * np.int64(1 << 32) + spad
+    for c in sorted(set(code.tolist())):
+        grp = np.flatnonzero(code == c)
+        tp, sp = int(tpad[grp[0]]), int(spad[grp[0]])
+        chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
+        for s in range(0, grp.size, chunk):
+            yield tp, sp, leaves[grp[s : s + chunk]]
+
+
+def _oracle_sections(ev, tree, lists, scopes=None, matrix_budget=None,
+                     precision="fp64", targets=None) -> dict:
+    """The ULI, S2U, D2T, X and W records of a fresh compile, built box by
+    box: ``{section: [{field: value}]}``, a reserved kernel block as its
+    ``(shape, dtype)`` plus the first record holding it."""
+    from repro.core.plan import (MATRIX_BUDGET, PlanScopes, _pair_batches, _scatter_schedule,
+                                 _uli_members, _wx_dual)
+    from repro.core.tree import leaf_batches
+    from repro.core.work import member_sums
+
+    scopes = scopes or PlanScopes()
+    targets = tree if targets is None else targets
+    own = targets is tree
+    dual = own and _wx_dual(ev)
+    rdtype = np.float32 if precision == "fp32" else np.float64
+    left = MATRIX_BUDGET if matrix_budget is None else matrix_budget
+    counts, tcounts = tree.point_counts(), targets.point_counts()
+    ks, kt, ns = ev.kernel.source_dim, ev.kernel.target_dim, ev.ns
+    out = {sec: [] for sec in ("uli", "s2u", "d2t", "xli", "wli")}
+
+    def mat(kernel, a, b):
+        nonlocal left
+        shape = (a.shape[0], a.shape[1] * kernel.target_dim, b.shape[1] * kernel.source_dim)
+        nbytes = np.dtype(rdtype).itemsize * int(np.prod(shape))
+        if nbytes > left:
+            return None
+        left -= nbytes
+        return _KernelBlock(rdtype, shape)
+
+    def within(mask, scope):
+        return mask if scope is None else mask & scope
+
+    split = evaluated_lists(tree, lists, ns)
+    leaves, tleaves = tree.is_leaf & (counts > 0), tree.is_leaf & (tcounts > 0)
+    u = split.u
+    urows, ucols = u.pairs()
+    stored, trans = _uli_members(urows, ucols, counts, tree.levels, scopes.uli, dual)
+    u_src = member_sums(lists.u, counts[lists.u.indices])
+    held = member_sums(u, counts[ucols] * stored)
+    for tp, sp, boxes in _oracle_uli_groups(targets, held, scopes.uli):
+        src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
+        t_mask = np.zeros((boxes.size, sp), dtype=bool)
+        for j, i in enumerate(boxes):
+            seg = slice(u.offsets[i], u.offsets[i + 1])
+            mine = stored[seg]
+            srcs = ucols[seg][mine]
+            row = tree.point_rows(srcs)
+            src_rows[j, : row.size] = row
+            t_mask[j, : held[i]] = np.repeat(trans[seg][mine], counts[srcs])
+        src_pts = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
+        valid = src_rows != tree.n_points
+        src_pts[valid] = tree.points[src_rows[valid]]
+        tgt_pts = _oracle_points(targets, boxes, tp)
+        t_sel = np.flatnonzero(t_mask)
+        out["uli"].append(dict(
+            tp=tp, sp=sp, boxes=boxes, tgt_pts=tgt_pts, src_pts=src_pts,
+            den_rows=src_rows, pot_rows=_oracle_point_rows(targets, boxes, tp),
+            t_sel=t_sel, t_rows=src_rows.ravel()[t_sel],
+            kmat=mat(ev.eval_kernel, tgt_pts, src_pts),
+            flops=ev.eval_kernel.pair_flops(1, 1) * float((tcounts[boxes] * u_src[boxes]).sum()),
+        ))
+
+    def leaf_section(side, section, sel):
+        up = section == "s2u"
+        kernel = ev.kernel if up else ev.eval_kernel
+        surface = ev.ops.uc_points if up else ev.ops.de_points
+        recs = []
+        for lev, pad, group in leaf_batches(side, sel):
+            pts = _oracle_points(side, group, pad)
+            surf = surface(lev)[None, :, :] + side.centers[group][:, None, :]
+            rows = _oracle_point_rows(side, group, pad)
+            n = side.point_counts()[group].sum()
+            recs.append(dict(
+                level=lev, pad=pad, group=group, pts=pts, surf=surf,
+                den_rows=rows if up else None, pot_rows=None if up else rows,
+                mat=ev.ops.uc2ue(lev) if up else None,
+                kmat=mat(kernel, *((surf, pts) if up else (pts, surf))),
+                flops=(kernel.pair_flops(ns, n) + 2.0 * group.size * (ns * ks) * (ns * kt)
+                       if up else kernel.pair_flops(n, ns)),
+            ))
+        return recs
+
+    s2u_sel, d2t_sel = within(leaves, scopes.s2u), within(tleaves, scopes.d2t)
+    out["s2u"] = leaf_section(tree, "s2u", s2u_sel)
+    if dual:
+        same = np.array_equal(s2u_sel, d2t_sel)
+        out["d2t"] = [{**b, "den_rows": None, "pot_rows": b["den_rows"], "mat": None,
+                       "flops": ev.kernel.pair_flops(counts[b["group"]].sum(), ns)}
+                      for b in (out["s2u"] if same else leaf_section(tree, "s2u", d2t_sel))]
+    else:
+        out["d2t"] = leaf_section(targets, "d2t", d2t_sel)
+
+    nonempty = counts > 0 if scopes.nonempty is None else scopes.nonempty
+    xf, xl = split.x.pairs(scopes.xli)
+    wl, wf = split.w.pairs(within(tleaves, scopes.wli))
+    xk, wk = counts[xl] > 0, nonempty[wf]
+    xf, xl, wl, wf = xf[xk], xl[xk], wl[wk], wf[wk]
+    xc, wc = (f * np.int64(tree.n_nodes) + l for f, l in ((xf, xl), (wf, wl)))
+    both = np.isin(xc, wc) & dual
+    lone = ~(np.isin(wc, xc) & dual)
+    ue = np.stack([ev.ops.ue_points(lev) for lev in range(tree.max_level + 1)])
+
+    def block(pad, fi, li, in_x, in_w):
+        side = tree if in_x else targets
+        pts = _oracle_points(side, li, pad)
+        surf = ue[tree.levels[fi]] + tree.centers[fi][:, None, :]
+        w_own = not (in_x or dual)
+        n_pts = side.point_counts()[li].sum()
+        sides = (ev.eval_kernel, pts, surf) if w_own else (ev.kernel, surf, pts)
+        shared = dict(pad=pad, pts=pts, surf=surf, kmat=mat(*sides))
+        if in_x:
+            order, starts, seg = _scatter_schedule(fi)
+            out["xli"].append(dict(
+                rows=fi, cols=li, den_rows=_oracle_point_rows(tree, li, pad), order=order,
+                starts=starts, seg=seg, pot_rows=None,
+                flops=ev.kernel.pair_flops(ns, n_pts), **shared))
+        if in_w:
+            order, starts, seg = _scatter_schedule(li)
+            out["wli"].append(dict(
+                rows=li, cols=fi, den_rows=None, order=order, starts=starts, seg=seg,
+                pot_rows=_oracle_point_rows(targets, seg, pad),
+                flops=ev.eval_kernel.pair_flops(n_pts, ns), **shared))
+
+    for pad, sel in _pair_batches(ns, counts[xl]):
+        for part, in_w in ((sel[~both[sel]], False), (sel[both[sel]], True)):
+            if part.size:
+                block(pad, xf[part], xl[part], True, in_w)
+    wf, wl = wf[lone], wl[lone]
+    for pad, sel in _pair_batches(ns, targets.point_counts()[wl]):
+        block(pad, wf[sel], wl[sel], False, True)
+    return out
+
+
+def _kmat_first_holders(sections: dict) -> dict:
+    """``(section, index) -> (shape, dtype, first holder)`` of each record's
+    kernel block (``None`` where none is reserved)."""
+    first, out = {}, {}
+    for sec in ("uli", "s2u", "d2t", "xli", "wli"):
+        for j, rec in enumerate(sections[sec]):
+            k = rec["kmat"] if isinstance(rec, dict) else rec.kmat
+            out[sec, j] = None if k is None else (
+                k.shape, k.dtype, first.setdefault(id(k), (sec, j)))
+    return out
+
+
+def _assert_compiled_as_oracle(ev, tree, lists, ep, **kw) -> None:
+    """Every ULI / S2U / D2T / X / W record field of ``ep`` is the per-box
+    oracle's: index arrays, masks, padded points, surfaces, schedules,
+    operators and flops; kernel blocks alike in shape, dtype and sharing."""
+    want = _oracle_sections(ev, tree, lists, **kw)
+    got = {sec: getattr(ep, sec) for sec in want}
+    for sec, recs in want.items():
+        assert len(got[sec]) == len(recs), sec
+        for j, (w, g) in enumerate(zip(recs, got[sec])):
+            for name, val in w.items():
+                if name == "kmat":
+                    continue
+                have = getattr(g, name)
+                if isinstance(val, np.ndarray) or isinstance(have, np.ndarray):
+                    assert have is not None and val is not None, (sec, j, name)
+                    assert have.dtype == val.dtype and np.array_equal(have, val), (sec, j, name)
+                else:
+                    assert have == val, (sec, j, name, have, val)
+    assert _kmat_first_holders(got) == _kmat_first_holders(want)
+
+
+def _workload_trees():
+    """The benchmark's four workload shapes: (kernel, order, precision,
+    points), one fixed draw each."""
+    from repro.datasets import ellipsoid_surface, plummer_cluster
+
+    return {
+        "uniform_laplace": ("laplace", 6, "fp64", uniform_cube(20_000, seed=1)),
+        "plummer_adaptive": ("laplace", 6, "fp64", plummer_cluster(8_000, seed=2)),
+        "ellipsoid_dist": ("laplace", 6, "fp64", ellipsoid_surface(20_000, seed=3)),
+        "serve_lap": ("laplace", 4, "fp32", ellipsoid_surface(5_000, seed=4)),
+        "serve_stk": ("stokes", 6, "fp64", uniform_cube(3_000, seed=5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_workload_trees()))
+def test_compile_matches_the_per_box_builders(name):
+    kernel, order, precision, pts = _workload_trees()[name]
+    fmm = Fmm(kernel, order=order, max_points_per_box=64, precision=precision)
+    plan = fmm.plan(pts)
+    ev, tree, lists = fmm.evaluator, plan.tree, plan.lists
+    for budget in (None, 40 * 2**20):  # every block reserved / the budget runs out
+        kw = {} if budget is None else {"matrix_budget": budget}
+        ep = ev.compile_plan(tree, lists, precision=precision, **kw)
+        _assert_compiled_as_oracle(ev, tree, lists, ep, precision=precision, **kw)
+
+
+def test_separate_target_compile_matches_the_per_box_builders():
+    from repro.core.tree import tree_from_nodes
+    from repro.datasets import plummer_cluster
+    from repro.util import morton
+
+    fmm = Fmm("laplace", order=4, max_points_per_box=40)
+    plan = fmm.plan(plummer_cluster(3_000, seed=6))
+    grid = uniform_cube(2_000, seed=7)
+    keys = morton.encode_points(grid)
+    order = np.argsort(keys, kind="stable")
+    targets = tree_from_nodes(plan.tree.keys, plan.tree.is_leaf, grid[order], keys[order], order)
+    ev = fmm.evaluator
+    ep = ev.compile_plan(plan.tree, plan.lists, targets=targets)
+    assert not ep.dual and ep.target_fingerprint is not None
+    _assert_compiled_as_oracle(ev, plan.tree, plan.lists, ep, targets=targets)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_let_compile_matches_the_per_box_builders(p):
+    from repro.datasets import ellipsoid_surface
+
+    pts = ellipsoid_surface(4_000, seed=8)
+
+    def body(comm):
+        fmm = DistributedFmm(kernel="laplace", order=4, max_points_per_box=40)
+        fmm.setup(comm, pts[comm.rank :: comm.size])
+        ev, tree, lists = fmm.evaluator, fmm.let.tree, fmm.lists
+        scopes = fmm._plan_scopes()
+        ep = ev.compile_plan(tree, lists, scopes=scopes)
+        _assert_compiled_as_oracle(ev, tree, lists, ep, scopes=scopes)
+        return len(ep.uli) + len(ep.xli)
+
+    assert all(run_spmd(p, body).values)
+
+
+def test_patched_plans_match_the_per_box_builders():
+    """Six seeded blob steps in the style of the ``plummer_adaptive``
+    benchmark, each plan patched from the last (filled) one: every patched
+    plan holds the fresh compile's records, and its reused blocks the
+    bits the matrix-free plan evaluates."""
+    from repro.datasets import plummer_cluster
+
+    rng = np.random.default_rng(12)
+    pts = plummer_cluster(3_000, seed=9)
+    fmm = Fmm("laplace", order=4, max_points_per_box=30)
+    ev = fmm.evaluator
+    plan = fmm.plan(pts)
+    ep = fmm.compile_eval_plan(plan)
+    dens = rng.standard_normal(len(pts))
+    reused = 0
+    fmm.evaluate(pts, dens, plan=plan, eval_plan=ep)  # fills the first plan
+    for _ in range(6):
+        d2 = ((pts - pts[rng.integers(len(pts))]) ** 2).sum(axis=1)
+        moved = np.argpartition(d2, 149)[:150]
+        new = pts.copy()
+        new[moved] = np.clip(new[moved] + rng.normal(scale=0.01, size=3)
+                             + rng.normal(scale=0.0025, size=(150, 3)), 1e-9, 1 - 1e-9)
+        new_plan, delta = fmm.update_plan(plan, new, moved=moved)
+        ep = fmm.patch_eval_plan(ep, plan, new_plan, delta=delta)
+        reused += ep.patch_stats["slots_reused"]
+        _assert_compiled_as_oracle(ev, new_plan.tree, new_plan.lists, ep)
+        free = fmm.compile_eval_plan(new_plan, matrix_budget=0)
+        np.testing.assert_array_equal(
+            fmm.evaluate(new, dens, plan=new_plan, eval_plan=ep),
+            fmm.evaluate(new, dens, plan=new_plan, eval_plan=free))
+        plan, pts = new_plan, new
+    assert reused > 0
+
+
+def test_cold_start_leaves_numpy_ma_unimported():
+    """NumPy's hash-path ``np.unique`` and ``np.setdiff1d`` import
+    ``numpy.ma`` (milliseconds of a cold start); a fresh process that
+    plans, compiles and evaluates, solo and on two ranks, never does."""
+    code = (
+        "import sys, numpy as np\n"
+        "from repro.core import Fmm\n"
+        "from repro.datasets import plummer_cluster\n"
+        "from repro.dist.driver import distributed_fmm_rank\n"
+        "from repro.mpi import run_spmd\n"
+        "pts = plummer_cluster(3000, seed=3)\n"
+        "fmm = Fmm('laplace', order=4, max_points_per_box=30)\n"
+        "plan = fmm.plan(pts)\n"
+        "ep = fmm.compile_eval_plan(plan)\n"
+        "fmm.evaluate(pts, np.ones(3000), plan=plan, eval_plan=ep)\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "run_spmd(2, distributed_fmm_rank, pts, np.ones(3000), order=4, max_points_per_box=30)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["False", "False"]
