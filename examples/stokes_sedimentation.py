@@ -6,11 +6,13 @@ cloud of point forces — gravity acting on a particle suspension — settles
 through quiescent fluid above a dense static bed of Stokeslets on the
 surface of a 1:1:4 ellipsoid, the paper's nonuniform geometry.  Each time
 step advects only the cloud (explicit Euler on the Stokeslet velocities),
-so the geometry change is small and localized: instead of rebuilding
-tree, lists and evaluation plan from scratch, the loop steps via
+so the geometry change is small and localized: instead of compiling the
+evaluation plan from scratch, the loop steps via
 :meth:`~repro.core.fmm.Fmm.update_plan` +
-:meth:`~repro.core.fmm.Fmm.patch_eval_plan` and prints per-step
-patch-vs-recompile timings (the first step bit-compares both answers).
+:meth:`~repro.core.fmm.Fmm.patch_eval_plan` and prints per step the
+seconds of both paths, each timed through its first apply (the apply
+that fills the kernel blocks a compile or a patch left empty); the
+first step bit-compares both answers.
 
 Run:  python examples/stokes_sedimentation.py
 """
@@ -61,39 +63,39 @@ def main() -> None:
             points[moving] + dt * velocity[moving], 1e-9, 1 - 1e-9
         )
 
-        # incremental geometry: only the cloud's subtrees are dirty
+        # the patched path: only the cloud's boxes lose their kernel
+        # blocks, which the first apply fills
         t0 = time.perf_counter()
         new_plan, delta = fmm.update_plan(plan, points, moved=moving)
-        new_eplan = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
+        eplan = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
+        plan = new_plan
+        velocity = fmm.evaluate(points, forces.reshape(-1), plan=plan,
+                                eval_plan=eplan).reshape(-1, 3)
         t_patch = time.perf_counter() - t0
 
+        # the same step from scratch, also through its first apply
         t0 = time.perf_counter()
         ref_plan = fmm.plan(points)
-        ref_eplan = fmm.compile_eval_plan(ref_plan)
+        ref = fmm.evaluate(points, forces.reshape(-1), plan=ref_plan,
+                           eval_plan=fmm.compile_eval_plan(ref_plan)).reshape(-1, 3)
         t_full = time.perf_counter() - t0
         t_patch_total += t_patch
         t_full_total += t_full
-
-        plan, eplan = new_plan, new_eplan
-        velocity = fmm.evaluate(points, forces.reshape(-1), plan=plan,
-                                eval_plan=eplan).reshape(-1, 3)
         if step == 0:
-            ref = fmm.evaluate(points, forces.reshape(-1), plan=ref_plan,
-                               eval_plan=ref_eplan).reshape(-1, 3)
             assert np.array_equal(velocity, ref), "patched plan diverged"
             print("step 1: patched plan bit-identical to fresh rebuild")
         print(f"step {step + 1}: cloud z = {points[moving, 2].mean():.3f}, "
-              f"v_z = {velocity[moving, 2].mean(): .3e}; geometry update "
-              f"{t_patch * 1e3:.0f} ms (full rebuild {t_full * 1e3:.0f} ms, "
-              f"{t_full / max(t_patch, 1e-12):.1f}x)")
+              f"v_z = {velocity[moving, 2].mean(): .3e}; update + patch + "
+              f"first apply {t_patch * 1e3:.0f} ms (plan + compile + first "
+              f"apply {t_full * 1e3:.0f} ms, {t_full / max(t_patch, 1e-12):.1f}x)")
 
     print()
     print(f"geometry updates: {t_patch_total:.2f}s patched vs "
           f"{t_full_total:.2f}s from scratch "
           f"({t_full_total / max(t_patch_total, 1e-12):.1f}x)")
     print("The cloud settles faster than an isolated Stokeslet would —")
-    print("collective hydrodynamic screening, resolved with O(N) work and")
-    print("O(moved) geometry updates per step.")
+    print("collective hydrodynamic screening, resolved with O(N) work per")
+    print("step.")
 
 
 if __name__ == "__main__":

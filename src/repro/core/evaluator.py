@@ -244,7 +244,7 @@ class FmmEvaluator:
         survived the geometry change untouched (see
         :func:`repro.core.plan.patch_plan`).  ``delta`` is the
         :class:`~repro.core.tree.TreeDelta` from
-        :func:`~repro.core.tree.update_tree`/``diff_trees``; omitted, it
+        :func:`~repro.core.tree.diff_trees`; omitted, it
         is derived by content diffing.  ``precision`` defaults to the old
         plan's own (``"auto"`` resolves via :meth:`resolve_auto`).
         """

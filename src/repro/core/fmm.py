@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.evaluator import FmmEvaluator, integer_arg
 from repro.core.lists import InteractionLists, build_lists
 from repro.core.plan import PlanMismatchError
-from repro.core.tree import FmmTree, build_tree
+from repro.core.tree import FmmTree, build_tree, diff_trees
 from repro.kernels import Kernel, get_kernel
 from repro.kernels.base import density_layout
 from repro.util.geometry import unit_cube_points
@@ -152,27 +152,40 @@ class Fmm:
         moved: np.ndarray | None = None,
         profile: PhaseProfile | None = None,
     ):
-        """Incrementally rebuild ``plan`` after a point-motion step.
+        """Rebuild ``plan`` after a point-motion step and diff it against
+        the old one.
 
         ``new_points`` is the full point array in the original order
-        (same shape as before; rebuild from scratch for insertions or
-        deletions).  Returns ``(new_plan, delta)`` where ``new_plan`` is
-        identical to ``self.plan(new_points)`` and the
-        :class:`~repro.core.tree.TreeDelta` feeds
-        :meth:`patch_eval_plan`.
+        (same shape as before; plan afresh for insertions or deletions).
+        Returns ``(new_plan, delta)``: ``new_plan`` is
+        ``self.plan(new_points)``, keeping the old lists when the octant
+        set did not change, and the :class:`~repro.core.tree.TreeDelta`
+        of :func:`~repro.core.tree.diff_trees` feeds
+        :meth:`patch_eval_plan`.  ``moved`` optionally names the rows
+        that changed; it sets ``delta.n_moved`` (derived by comparison
+        when omitted) and nothing else.
         """
-        from repro.core.tree import update_tree
-
         profile = profile if profile is not None else PhaseProfile()
         new_points = unit_cube_points(new_points)
-        with profile.phase("tree"):
-            tree, delta = update_tree(
-                plan.tree, new_points, self.max_points_per_box, moved=moved
+        old = plan.tree
+        if new_points.shape != old.points.shape:
+            raise ValueError(
+                f"update_plan requires a same-shape point array "
+                f"(got {new_points.shape}, tree has {old.points.shape}); "
+                "plan afresh for insertions/deletions"
             )
+        if moved is None:
+            orig = np.empty_like(old.points)
+            orig[old.order] = old.points
+            n_moved = int(np.count_nonzero(np.any(orig != new_points, axis=1)))
+        else:
+            n_moved = np.unique(np.asarray(moved, dtype=np.int64)).size
+        with profile.phase("tree"):
+            tree = build_tree(new_points, self.max_points_per_box)
+            delta = diff_trees(old, tree, n_moved=n_moved)
         with profile.phase("lists"):
-            from repro.core.lists import update_lists
-
-            lists = update_lists(tree, plan.lists, delta)
+            # the lists depend on the octant set alone
+            lists = build_lists(tree) if delta.refinement_changed else plan.lists
         return FmmPlan(tree, lists), delta
 
     def patch_eval_plan(self, old_eval_plan, old_plan: FmmPlan,

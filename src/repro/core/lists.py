@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.tree import FmmTree, TreeDelta
+from repro.core.tree import FmmTree
 
 __all__ = [
     "COLLEAGUE_DIRS",
@@ -56,7 +56,6 @@ __all__ = [
     "build_lists",
     "check_lists",
     "evaluated_lists",
-    "update_lists",
     "V_OFFSETS",
     "V_SLOT",
 ]
@@ -350,17 +349,3 @@ def evaluated_lists(tree: FmmTree, lists: InteractionLists, ns: int) -> Interact
         x=CsrList.from_pairs(xr[~dx], xc[~dx], n),
         colleagues=lists.colleagues,
     )
-
-
-def update_lists(tree: FmmTree, lists: InteractionLists, delta: TreeDelta) -> InteractionLists:
-    """Interaction lists for ``tree``, the result of an
-    :func:`~repro.core.tree.update_tree` step that returned ``delta``,
-    given the old tree's ``lists``.
-
-    The lists depend only on the octant key set, so when the refinement
-    did not change the old lists are returned as they stand (node indices
-    are identical); otherwise they are built afresh, which at 8k-200k
-    points measured faster than merging reused rows into fresh ones.
-    Identical to ``build_lists(tree)`` in all cases.
-    """
-    return build_lists(tree) if delta.refinement_changed else lists

@@ -18,7 +18,7 @@ from repro.util import geometry, morton
 
 __all__ = [
     "FmmTree", "TreeDelta", "build_tree", "concat_ranges", "diff_trees", "pad_class",
-    "tree_from_nodes", "update_tree",
+    "tree_from_nodes",
 ]
 
 
@@ -248,7 +248,7 @@ def build_tree(
     return tree_from_leaves(ob.leaves, points[ob.order], ob.point_keys, ob.order)
 
 
-# -- incremental updates ------------------------------------------------------
+# -- geometry updates ---------------------------------------------------------
 
 
 @dataclass
@@ -265,11 +265,6 @@ class TreeDelta:
         coordinates in the same order).  Clean nodes are the reuse
         frontier: every cached kernel-matrix slot whose geometry inputs
         are all clean can be copied instead of recomputed.
-    perm:
-        ``(old_n_points + 1,)`` map from old sorted point row to new
-        sorted row; -1 where a row is not cleanly mappable (its leaf
-        changed).  The sentinel row maps to the new sentinel, so padded
-        gather indices remap with one fancy index.
     refinement_changed:
         True when the node key sets differ at all.
     n_moved:
@@ -278,7 +273,6 @@ class TreeDelta:
 
     old_index: np.ndarray
     node_clean: np.ndarray
-    perm: np.ndarray
     refinement_changed: bool
     n_moved: int = -1
 
@@ -295,8 +289,6 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
     """
     old_index = old.find(new.keys)
     clean = np.zeros(new.n_nodes, dtype=bool)
-    perm = np.full(old.n_points + 1, -1, dtype=np.int64)
-    perm[old.n_points] = new.n_points
 
     new_counts = new.point_counts()
     old_counts = old.point_counts()
@@ -314,8 +306,6 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
         leaf_ok[nz] = np.add.reduceat(eq.astype(np.int64), starts) == cnt[nz]
     clean[cl[leaf_ok]] = True
 
-    perm[old.point_rows(co[leaf_ok])] = new.point_rows(cl[leaf_ok])
-
     # Internal cleanliness propagates bottom-up: all 8 children clean and
     # the octant was internal before too (a split/merged node is dirty).
     for lev in range(new.max_level - 1, -1, -1):
@@ -332,66 +322,6 @@ def diff_trees(old: FmmTree, new: FmmTree, n_moved: int = -1) -> TreeDelta:
     return TreeDelta(
         old_index=old_index,
         node_clean=clean,
-        perm=perm,
         refinement_changed=not np.array_equal(old.keys, new.keys),
         n_moved=n_moved,
     )
-
-
-def update_tree(
-    tree: FmmTree,
-    new_points: np.ndarray,
-    max_points_per_box: int,
-    moved: np.ndarray | None = None,
-    max_depth: int = morton.MAX_DEPTH,
-) -> tuple[FmmTree, TreeDelta]:
-    """Incremental rebuild of ``tree`` after a point-motion step.
-
-    ``new_points`` is the full point array in *original* order (same
-    shape as the points the tree was built from).  ``moved`` optionally
-    names the rows whose coordinates changed; when omitted it is derived
-    by comparison.  The moved points are re-keyed and insertion-merged
-    into the existing Morton order (:func:`repro.sort.delta.delta_sort`),
-    the octant structure is diffed and locally rebuilt
-    (:func:`repro.octree.diff.update_leaves`), and the returned
-    :class:`TreeDelta` marks everything downstream consumers may reuse.
-    The resulting tree is identical to ``build_tree(new_points, q)``.
-    """
-    from repro.octree.diff import update_leaves
-    from repro.sort.delta import delta_sort
-
-    new_points = np.asarray(new_points, dtype=np.float64)
-    if new_points.shape != tree.points.shape:
-        raise ValueError(
-            f"update_tree requires a same-shape point array "
-            f"(got {new_points.shape}, tree has {tree.points.shape}); "
-            "rebuild with build_tree for insertions/deletions"
-        )
-    if moved is None:
-        orig = np.empty_like(tree.points)
-        orig[tree.order] = tree.points
-        moved = np.flatnonzero(np.any(orig != new_points, axis=1))
-    else:
-        moved = morton.sorted_unique(np.asarray(moved, dtype=np.int64))
-
-    old_point_keys = morton.encode_points(tree.points)
-    ds = delta_sort(old_point_keys, tree.order, new_points, moved)
-
-    n = tree.n_points
-    inv = np.empty(n, dtype=np.int64)
-    inv[tree.order] = np.arange(n, dtype=np.int64)
-    old_cells = old_point_keys[inv[moved]] if moved.size else np.empty(0, np.uint64)
-    new_cells = ds.point_keys[ds.moved_rows]
-    changed_cells = morton.sorted_unique(old_cells, new_cells)
-
-    ld = update_leaves(
-        tree.keys[tree.is_leaf],
-        ds.point_keys,
-        changed_cells,
-        max_points_per_box,
-        max_depth,
-    )
-    new_tree = tree_from_leaves(
-        ld.leaves, new_points[ds.order], ds.point_keys, ds.order
-    )
-    return new_tree, diff_trees(tree, new_tree, n_moved=moved.size)

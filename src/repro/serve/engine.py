@@ -574,12 +574,12 @@ class ServeEngine(ServeFront):
         ``new_points`` is the full point array in the model's original
         point order (same shape — rebuild via :meth:`register` for
         insertions or deletions); ``moved`` optionally names the rows
-        that changed.  The tree is delta-sorted and locally rebuilt, the
-        interaction lists are patched around the dirty subtrees, and
-        every cached evaluation plan is re-derived by
-        :func:`~repro.core.plan.patch_plan` — bit-identical to a fresh
-        compile but reusing each kernel-matrix block whose boxes
-        survived untouched.  All of that happens *here*, concurrently
+        that changed (it sets the reported ``n_moved``).  The tree is
+        rebuilt and diffed against the old one, the lists are rebuilt when
+        the octant set changed, and every cached evaluation plan is
+        re-derived by :func:`~repro.core.plan.patch_plan` — bit-identical
+        to a fresh compile but reusing each kernel-matrix block whose
+        boxes survived untouched.  All of that happens *here*, concurrently
         with serving: workers keep evaluating on the old geometry
         snapshot until the atomic swap, so in-flight batches finish on
         the plan they started with and the next batch sees the new

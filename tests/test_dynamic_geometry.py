@@ -1,34 +1,30 @@
-"""Incremental geometry updates: delta-sort, tree/list diffing, plan patching.
+"""Geometry updates: the rebuilt plan, its tree diff, and plan patching.
 
-The contract under test is *bitwise identity*: every incremental path —
-:func:`repro.sort.delta.delta_sort`, :func:`repro.core.tree.update_tree`,
-:func:`repro.core.lists.update_lists`, :func:`repro.core.plan.patch_plan`
-and the serving-layer ``update_geometry`` entry points — must produce
-exactly what the from-scratch rebuild produces, for any motion pattern.
-Speed is measured elsewhere (``plan.update_s`` / ``plan.patch_s`` of
-``bench/run.py --workload plummer_adaptive --trace``); correctness is
-absolute here.
+The contract under test is *bitwise identity*: :meth:`repro.core.fmm.Fmm.update_plan`
+returns exactly what :meth:`~repro.core.fmm.Fmm.plan` builds on the new
+points, whatever ``moved=`` names, and a plan patched by
+:func:`repro.core.plan.patch_plan` — solo, through the serving layer's
+``update_geometry`` or per rank — evaluates exactly as a fresh compile,
+for any motion pattern.  Speed is measured elsewhere (``plan.update_s`` /
+``plan.patch_s`` of ``bench/run.py --workload plummer_adaptive --trace``);
+correctness is absolute here.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.fmm import Fmm
-from repro.core.lists import build_lists, check_lists, update_lists
-from repro.core.tree import build_tree, update_tree
-from repro.sort.delta import delta_sort
-from repro.util import morton
+from repro.core.lists import check_lists
+from repro.datasets import plummer_cluster
 
 
-def _perturb(rng, pts, frac, scale, localized=True):
+def _perturb(rng, pts, frac, scale):
+    """Move the ``frac`` of the points nearest a random one by ``scale``."""
     n = len(pts)
     m = max(1, int(round(frac * n)))
-    if localized:
-        center = pts[rng.integers(n)]
-        d2 = ((pts - center) ** 2).sum(axis=1)
-        moved = np.argpartition(d2, m - 1)[:m] if m < n else np.arange(n)
-    else:
-        moved = rng.choice(n, size=m, replace=False)
+    center = pts[rng.integers(n)]
+    d2 = ((pts - center) ** 2).sum(axis=1)
+    moved = np.argpartition(d2, m - 1)[:m] if m < n else np.arange(n)
     new = pts.copy()
     new[moved] = np.clip(
         new[moved] + rng.normal(scale=scale, size=(m, 3)), 1e-9, 1 - 1e-9
@@ -36,120 +32,109 @@ def _perturb(rng, pts, frac, scale, localized=True):
     return new, moved
 
 
-# -- delta sort ---------------------------------------------------------------
+# -- plan update --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("frac", [0.0, 0.02, 0.3, 1.0])
-def test_delta_sort_matches_stable_argsort(rng, frac):
-    n = 1500
-    pts = rng.random((n, 3))
-    keys = morton.encode_points(pts)
-    order = np.argsort(keys, kind="stable")
-    new, moved = _perturb(rng, pts, frac, 0.05, localized=False)
-    ds = delta_sort(keys[order], order, new, moved)
-    ref_keys = morton.encode_points(new)
-    ref_order = np.argsort(ref_keys, kind="stable")
-    np.testing.assert_array_equal(ds.order, ref_order)
-    np.testing.assert_array_equal(ds.point_keys, ref_keys[ref_order])
-    # perm maps each old sorted row to the new sorted row holding the
-    # same original point, and keeps the sentinel fixed
-    assert ds.perm[-1] == n
-    np.testing.assert_array_equal(ref_order[ds.perm[:-1]], order)
-
-
-def test_delta_sort_key_collisions(rng):
-    # many points in one MAX_DEPTH cell: ties must break by point index
-    n = 400
-    pts = rng.random((n, 3))
-    pts[::3] = pts[0]  # a third of the points share one cell exactly
-    keys = morton.encode_points(pts)
-    order = np.argsort(keys, kind="stable")
-    new = pts.copy()
-    moved = np.arange(0, n, 5)
-    new[moved] = pts[1]  # moved points all collide into another shared cell
-    ds = delta_sort(keys[order], order, new, moved)
-    ref = np.argsort(morton.encode_points(new), kind="stable")
-    np.testing.assert_array_equal(ds.order, ref)
-
-
-# -- tree & lists -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("frac,scale", [(0.02, 0.01), (0.1, 0.2), (1.0, 0.3)])
-def test_update_tree_matches_build_tree(rng, frac, scale):
-    pts = rng.random((1800, 3))
-    tree = build_tree(pts, 40)
-    new, moved = _perturb(rng, pts, frac, scale)
-    got, delta = update_tree(tree, new, 40, moved=moved)
-    ref = build_tree(new, 40)
-    np.testing.assert_array_equal(got.keys, ref.keys)
-    np.testing.assert_array_equal(got.is_leaf, ref.is_leaf)
-    np.testing.assert_array_equal(got.points, ref.points)
-    np.testing.assert_array_equal(got.order, ref.order)
-    got.validate()
-    # clean nodes must have bitwise-identical point slices
-    for i in np.flatnonzero(delta.node_clean):
-        j = delta.old_index[i]
-        assert j >= 0
-        a = got.points[got.pt_begin[i]:got.pt_end[i]]
-        b = tree.points[tree.pt_begin[j]:tree.pt_end[j]]
-        np.testing.assert_array_equal(a, b)
-
-
-def test_update_tree_rejects_shape_change(rng):
-    pts = rng.random((500, 3))
-    tree = build_tree(pts, 40)
-    with pytest.raises(ValueError):
-        update_tree(tree, rng.random((501, 3)), 40)
-
-
-def test_update_lists_matches_build_lists(rng):
-    pts = rng.random((1600, 3))
-    tree = build_tree(pts, 30)
-    lists = build_lists(tree)
-    for frac, scale in [(0.02, 0.01), (0.15, 0.25)]:
-        new, moved = _perturb(rng, pts, frac, scale)
-        new_tree, delta = update_tree(tree, new, 30, moved=moved)
-        got = update_lists(new_tree, lists, delta)
-        check_lists(new_tree, got)
-        ref = build_lists(new_tree)
-        for name in ("u", "v", "w", "x", "colleagues"):
-            a, b = getattr(got, name), getattr(ref, name)
-            np.testing.assert_array_equal(a.offsets, b.offsets, err_msg=name)
-            np.testing.assert_array_equal(a.indices, b.indices, err_msg=name)
-
-
-def test_update_lists_no_refinement_fast_path(rng):
-    # motion inside one leaf: same octants, lists returned by identity
-    pts = rng.random((1200, 3))
-    tree = build_tree(pts, 64)
-    lists = build_lists(tree)
-    new = pts.copy()
-    new[7] += 1e-9  # stays in its MAX_DEPTH cell's leaf
-    new_tree, delta = update_tree(tree, new, 64)
-    check_lists(new_tree, update_lists(new_tree, lists, delta))
-    if not delta.refinement_changed:
-        assert update_lists(new_tree, lists, delta) is lists
-
-
-# -- plan patching ------------------------------------------------------------
-
-
-def _patch_and_compare(fmm, pts, new, moved, dens, rng):
+def _patch_and_compare(fmm, pts, new, moved, dens):
+    """One geometry step through ``update_plan`` + ``patch_eval_plan``
+    against ``plan`` + ``compile_eval_plan`` on the new points: the same
+    tree and lists, and the same potential bit for bit."""
     plan = fmm.plan(pts)
     eplan = fmm.compile_eval_plan(plan)
     fmm.evaluate(pts, dens, plan=plan, eval_plan=eplan)  # fills the old plan
     new_plan, delta = fmm.update_plan(plan, new, moved=moved)
-    check_lists(new_plan.tree, new_plan.lists)
-    patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
     ref_plan = fmm.plan(new)
+    for name in ("keys", "is_leaf", "order", "points", "pt_begin", "pt_end"):
+        np.testing.assert_array_equal(getattr(new_plan.tree, name),
+                                      getattr(ref_plan.tree, name), err_msg=name)
+    check_lists(new_plan.tree, new_plan.lists)
+    for name in ("u", "v", "w", "x", "colleagues"):
+        a, b = getattr(new_plan.lists, name), getattr(ref_plan.lists, name)
+        np.testing.assert_array_equal(a.offsets, b.offsets, err_msg=name)
+        np.testing.assert_array_equal(a.indices, b.indices, err_msg=name)
+    patched = fmm.patch_eval_plan(eplan, plan, new_plan, delta=delta)
     fresh = fmm.compile_eval_plan(ref_plan)
     assert patched.fingerprint == fresh.fingerprint
     assert patched.precision == fresh.precision
     out_p = fmm.evaluate(new, dens, plan=new_plan, eval_plan=patched)
     out_f = fmm.evaluate(new, dens, plan=ref_plan, eval_plan=fresh)
     np.testing.assert_array_equal(out_p, out_f)
-    return patched
+    return patched, plan, new_plan, delta
+
+
+def _blob(frac, scale):
+    def step(rng):
+        pts = rng.random((1800, 3))
+        return (pts, *_perturb(rng, pts, frac, scale))
+    return step
+
+
+def _key_collisions(rng):
+    # many points in one MAX_DEPTH cell: the Morton order breaks ties by
+    # point index, and the moved points all collide into another cell
+    pts = rng.random((400, 3))
+    pts[::3] = pts[0]
+    new = pts.copy()
+    moved = np.arange(0, 400, 5)
+    new[moved] = pts[1]
+    return pts, new, moved
+
+
+def _incomplete_moved(rng):
+    # ``moved`` names half of the rows that changed: the tree must not read it
+    pts = plummer_cluster(1500, seed=4)
+    new, moved = _perturb(rng, pts, 0.05, 0.01)
+    return pts, new, moved[::2]
+
+
+def _inside_one_leaf(rng):
+    # one point moves inside its leaf: same octants, no ``moved`` given
+    pts = rng.random((1200, 3))
+    new = pts.copy()
+    new[7] += 1e-9
+    return pts, new, None
+
+
+STEPS = {
+    "blob-2%": (_blob(0.02, 0.01), 40),
+    "blob-10%": (_blob(0.1, 0.2), 40),
+    "all-moved": (_blob(1.0, 0.3), 40),
+    "key-collisions": (_key_collisions, 40),
+    "incomplete-moved": (_incomplete_moved, 25),
+    "inside-one-leaf": (_inside_one_leaf, 64),
+}
+
+
+@pytest.mark.parametrize("step", list(STEPS))
+def test_update_plan_matches_plan(rng, step):
+    make, q = STEPS[step]
+    pts, new, moved = make(rng)
+    fmm = Fmm(kernel="laplace", order=4, max_points_per_box=q)
+    _, plan, new_plan, delta = _patch_and_compare(
+        fmm, pts, new, moved, rng.standard_normal(len(pts)))
+    changed = np.flatnonzero(np.any(pts != new, axis=1))
+    assert delta.n_moved == (changed.size if moved is None else np.unique(moved).size)
+    # clean nodes have bitwise-identical point slices
+    old, tree = plan.tree, new_plan.tree
+    for i in np.flatnonzero(delta.node_clean):
+        j = delta.old_index[i]
+        assert j >= 0
+        np.testing.assert_array_equal(tree.points[tree.pt_begin[i]:tree.pt_end[i]],
+                                      old.points[old.pt_begin[j]:old.pt_end[j]])
+    if not delta.refinement_changed:  # the same octants keep their lists
+        assert new_plan.lists is plan.lists
+    if step == "inside-one-leaf":
+        assert not delta.refinement_changed
+
+
+def test_update_plan_rejects_shape_change(rng):
+    fmm = Fmm(kernel="laplace", order=4, max_points_per_box=40)
+    plan = fmm.plan(rng.random((500, 3)))
+    with pytest.raises(ValueError, match="same-shape"):
+        fmm.update_plan(plan, rng.random((501, 3)))
+
+
+# -- plan patching ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
@@ -161,7 +146,7 @@ def test_patched_plan_bit_identical(rng, kernel, precision):
               precision=precision)
     new, moved = _perturb(rng, pts, 0.05, 0.02)
     dens = rng.standard_normal(n * fmm.kernel.source_dim)
-    patched = _patch_and_compare(fmm, pts, new, moved, dens, rng)
+    patched = _patch_and_compare(fmm, pts, new, moved, dens)[0]
     st = patched.patch_stats
     assert st.get("slots_reused", 0) + st.get("blocks_ref", 0) > 0
 
@@ -170,12 +155,10 @@ def test_patched_plan_counts_a_shared_slot_once(rng):
     """Plummer geometry, fully cached: W reads X's blocks, so a patched
     slot is one slot — reused plus fresh bytes add up to the bytes the
     plan holds, not to the bytes its records can see."""
-    from repro.datasets import plummer_cluster
-
     pts = plummer_cluster(1500, seed=4)
     fmm = Fmm(kernel="laplace", order=4, max_points_per_box=25)
     new, moved = _perturb(rng, pts, 0.05, 0.01)
-    patched = _patch_and_compare(fmm, pts, new, moved, rng.standard_normal(1500), rng)
+    patched = _patch_and_compare(fmm, pts, new, moved, rng.standard_normal(1500))[0]
     st = patched.patch_stats
     assert any(w.kmat is x.kmat for w in patched.wli for x in patched.xli)
     assert st["bytes_reused"] > 0 and st["bytes_fresh"] > 0
@@ -194,8 +177,6 @@ def test_patch_locality_survives_the_finer_block_classes(monkeypatch):
     (505 slots, 2 728 768 bytes on this geometry); it may only shrink."""
     import repro.core.plan as plan_mod
     import repro.core.tree as tree_mod
-    from repro.datasets import plummer_cluster
-
     def patch_stats():
         rng = np.random.default_rng(11)
         pts = plummer_cluster(1500, seed=4)
@@ -228,8 +209,6 @@ def test_patched_scoped_plan_with_one_sided_pairs(rng):
     only W reads and pairs both read (a LET's situation): the patched plan
     still equals the fresh compile, section by section and bit for bit."""
     from repro.core.plan import PlanScopes
-    from repro.datasets import plummer_cluster
-
     def scopes(tree):
         return PlanScopes(xli=tree.centers[:, 1] < 0.5, wli=tree.centers[:, 0] < 0.52)
 
@@ -274,7 +253,7 @@ def test_patched_plan_refinement_change(rng):
     plan = fmm.plan(pts)
     _, delta = fmm.update_plan(plan, new, moved=moved)
     assert delta.refinement_changed
-    _patch_and_compare(fmm, pts, new, moved, dens, rng)
+    _patch_and_compare(fmm, pts, new, moved, dens)
 
 
 def test_patched_plan_multi_rhs_and_chained_steps(rng):

@@ -509,6 +509,21 @@ class TestServeIntegration:
         assert engine.metrics.window_count("m") == 0  # reset after re-tune
         assert not mon.poll(now=2.0)  # no flapping
 
+    def test_start_monitor_replaces_and_stops(self, tuned_engine):
+        """TUTORIAL §16's ``engine.start_monitor("m")``: a running monitor,
+        replaced (and stopped) by a second call, stopped by ``stop()``."""
+        engine, _, _ = tuned_engine
+        first = engine.start_monitor("m", interval_s=60.0)
+        assert isinstance(first, SloMonitor)
+        t1 = first._thread
+        assert t1 is not None and t1.is_alive()
+        second = engine.start_monitor("m", interval_s=60.0)
+        assert second is not first and not t1.is_alive()
+        t2 = second._thread
+        assert t2 is not None and t2.is_alive()
+        engine.stop()
+        assert not t2.is_alive()
+
     def test_update_geometry_keeps_the_tuned_matrix_budget(self, points):
         """A geometry patch compiles under the tuned config's matrix
         budget, like ``_plan_for`` and ``apply_tuned_config``."""
