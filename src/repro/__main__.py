@@ -374,7 +374,7 @@ def main(argv=None) -> int:
                          "(auto calibrates once per model at registration)")
     ps.add_argument("--threads", type=int, default=None, metavar="T",
                     help="one T-thread tile pool for all models, at most every "
-                         "usable core (default: serial applies)")
+                         "usable core (default), bit-identical at any T")
     ps.add_argument("--out", default=None, metavar="OUT_JSON",
                     help="write the metrics snapshot JSON here "
                          "(default: nothing is written)")

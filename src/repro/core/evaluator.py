@@ -18,10 +18,11 @@ The evaluator owns no tree state: it maps ``(tree, lists, densities)`` to
 potentials, charging flops to an optional :class:`PhaseProfile`.  The
 arithmetic of every phase lives in one place, the ``apply_*`` methods of a
 compiled :class:`~repro.core.plan.EvalPlan`; the eight phase methods here
-hand the plan this evaluator's task pool and nothing else.  They are the
-interface a backend overrides (the GPU evaluator runs four of them, six
-with ``accelerate_wx``, as the same plan's applies read at float32), and
-the one the distributed driver calls with its ownership-scoped plan.
+hand the plan this evaluator's task pool (all but U2U and D2D, which run
+on the caller) and nothing else.  They are the interface a backend
+overrides (the GPU evaluator runs four of them, six with
+``accelerate_wx``, as the same plan's applies read at float32), and the
+one the distributed driver calls with its ownership-scoped plan.
 
 :meth:`evaluate` finds the plan itself when the caller passes none: the
 first call on a ``(tree, lists)`` pair compiles the plan every later call
@@ -48,6 +49,7 @@ import numpy as np
 from repro.core.fft_m2l import FftM2L
 from repro.core.lists import InteractionLists
 from repro.core.operators import OperatorCache
+from repro.core.parallel import TaskPool, rank_pool_size
 from repro.core.tree import FmmTree, tree_from_nodes
 from repro.kernels.base import Kernel, density_layout
 from repro.util import morton
@@ -152,11 +154,8 @@ class FmmEvaluator:
         self._auto_lock = threading.Lock()
         # Intra-rank parallelism: plan applies run their phase tiles on a
         # TaskPool ``threads`` wide, the thread budget's width by default.
-        # The pool may also be an externally owned shared executor, or none
-        # at all (the serial path), bound by the serving engines via
-        # :meth:`set_pool`.
-        self._threads = None
-        self._pool = None
+        # The pool may also be an externally owned shared executor, bound
+        # by the serving engine via :meth:`set_pool`.
         self._pool_owned = False
         self._pool_lock = threading.Lock()
         self.configure_threads(threads)
@@ -164,56 +163,39 @@ class FmmEvaluator:
     # -- intra-rank parallelism --------------------------------------------
 
     @property
-    def threads(self) -> int | None:
-        """Task-pool width (``None`` = the serial path :meth:`set_pool`
-        binds)."""
-        return self._threads
+    def threads(self) -> int:
+        """Task-pool width."""
+        return self._pool.threads
 
     @property
-    def task_pool(self):
-        """The active :class:`~repro.core.parallel.TaskPool`, or ``None``.
-
-        Created lazily from ``threads`` so constructing an evaluator
-        never spawns OS threads; the phase methods pass this to the plan.
-        """
-        if self._threads is None:
-            return self._pool  # None, or an externally shared pool
-        with self._pool_lock:
-            if self._pool is None:
-                from repro.core.parallel import TaskPool
-
-                self._pool = TaskPool(self._threads, name="fmm")
-                self._pool_owned = True
-            return self._pool
+    def task_pool(self) -> TaskPool:
+        """The pool the phase methods pass to the plan: the one
+        :meth:`set_pool` bound, else this evaluator's own (which starts
+        its threads on its first pooled run)."""
+        return self._pool
 
     def set_pool(self, pool) -> None:
-        """Route tile work through an externally owned pool.
+        """Route tile work through an externally owned pool, shutting
+        this evaluator's own down.
 
-        The serving engines call this so every model shares one
+        The serving engine calls this so every model shares one
         process-wide executor instead of nesting per-model pools under
-        the worker pool.  ``None`` binds the serial path: no pool, BLAS
-        left at its ambient setting.
+        the worker pool.
         """
         with self._pool_lock:
-            if self._pool_owned and self._pool is not None:
+            if self._pool_owned:
                 self._pool.shutdown()
-            self._pool = pool
-            self._pool_owned = False
-            self._threads = None if pool is None else pool.threads
+            self._pool, self._pool_owned = pool, False
 
     def configure_threads(self, threads: int | None) -> None:
         """Re-size the evaluator's own pool to the thread budget's width
         for one process (:func:`~repro.core.parallel.rank_pool_size`):
         every usable core with ``None``, else ``threads`` capped at them."""
-        from repro.core.parallel import rank_pool_size
-
         width = rank_pool_size(threads)
         with self._pool_lock:
-            if self._pool_owned and self._pool is not None:
+            if self._pool_owned:
                 self._pool.shutdown()
-            self._pool = None
-            self._pool_owned = False
-            self._threads = width
+            self._pool, self._pool_owned = TaskPool(width, name="fmm"), True
 
     # -- plans -------------------------------------------------------------
 
@@ -538,7 +520,8 @@ class FmmEvaluator:
     # The interface a backend implements: one method per phase of Algorithm
     # 1, each applying its section of ``plan`` to ``state``.  Ownership
     # scopes, precision and the kernel-matrix caches are properties of the
-    # plan; the pool is this evaluator's.
+    # plan; the pool is this evaluator's (U2U and D2D, chained level to
+    # level, stay on the caller).
 
     def s2u(self, tree, dens, state, profile, plan) -> None:
         """Leaf sources to upward equivalent densities."""
@@ -546,7 +529,7 @@ class FmmEvaluator:
 
     def u2u(self, tree, state, profile, plan) -> None:
         """Post-order M2M accumulation (children into parents)."""
-        plan.apply_u2u(self, state, profile, pool=self.task_pool)
+        plan.apply_u2u(self, state, profile)
 
     def vli(self, tree, lists, state, profile, plan) -> None:
         """V-list translations (FFT-diagonal by default)."""
@@ -561,7 +544,7 @@ class FmmEvaluator:
 
     def d2d(self, tree, state, profile, plan) -> None:
         """Pre-order L2L propagation and check-to-equivalent conversion."""
-        plan.apply_d2d(self, state, profile, pool=self.task_pool)
+        plan.apply_d2d(self, state, profile)
 
     def wli(self, tree, lists, state, profile, plan) -> None:
         """W-list: source-box up densities evaluated at target points."""

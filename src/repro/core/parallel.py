@@ -32,8 +32,8 @@ bit-identity argument.
 
 Every pool width comes from one thread budget, :func:`rank_pool_size`:
 a rank's share of the cores the process may use, which is also the
-default width of a solo apply.  A 1-wide pool runs its tiles inline
-under the same BLAS pin.
+default width of a solo apply and of a served one.  Every apply runs on
+a pool, and a 1-wide pool runs its tiles inline under the same BLAS pin.
 
 ``PARALLEL:<phase>`` / ``PARALLEL:busy:<phase>`` trace spans record the
 section's elapsed and summed per-tile busy seconds.  Only ``wall_s``
@@ -172,14 +172,16 @@ _shared_lock = threading.Lock()
 _shared: dict[str, TaskPool] = {}
 
 
-def shared_pool(threads: int, key: str = "serve") -> TaskPool:
+def shared_pool(threads: int | None, key: str = "serve") -> TaskPool:
     """The process-wide pool under ``key``, (re)sized to the thread
-    budget's width for ``threads`` (:func:`rank_pool_size`).
+    budget's width for ``threads`` (:func:`rank_pool_size`; ``None`` is
+    every usable core).
 
-    The serving engines route every model's tile work through one shared
+    The serving engine routes every model's tile work through one shared
     pool instead of nesting per-model executors under the worker pool:
     total compute threads on the host stay bounded by that width
-    regardless of how many workers are mid-apply.
+    regardless of how many workers are mid-apply.  The pool outlives the
+    engines that use it: the next engine at the same width reuses it.
     """
     want = rank_pool_size(threads)
     with _shared_lock:

@@ -15,11 +15,11 @@ Design rules:
 
 * **One body per phase.**  Each apply is written once, for a
   ``(rows, q, features)`` column block of right-hand sides and as a list
-  of tiles run through :meth:`EvalPlan._tiles`: a single density is the
-  ``q = 1`` case, serial execution the ``pool=None`` case.  The numerics
-  and ownership rules that make every column at every pool width
-  bit-identical to the solo serial apply sit in one comment block beside
-  that helper.
+  of tiles run through :meth:`EvalPlan._tiles` on a task pool: a single
+  density is the ``q = 1`` case, and a 1-wide pool runs the tiles inline.
+  The numerics and ownership rules that make every column at every pool
+  width bit-identical to the solo inline apply sit in one comment block
+  beside that helper.
 * **Bit-identical results.**  The floating-point operation sequence of
   an apply is fixed by the compiled block structure alone: batch
   membership, batch order and group boundaries come from one set of
@@ -90,7 +90,7 @@ import math
 import threading
 import time
 import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -489,9 +489,9 @@ class EvalPlan:
     # run on a pool worker) and a ``done`` (always runs on the caller, in
     # compiled tile order).  ``q`` right-hand sides ride through together
     # (every operator is density-linear); a single density is the ``q = 1``
-    # case, and serial execution is the ``pool=None`` case.  Three sets of
-    # rules make every column of every (q, pool width) combination
-    # **bit-identical** to the solo serial apply:
+    # case, and a 1-wide pool runs the tiles inline.  Three sets of rules
+    # make every column of every (q, pool width) combination
+    # **bit-identical** to the solo inline apply:
     #
     # State layout.  Node state carries ``q`` on axis 1 — ``up``/``dequiv``
     # ``(n_nodes, q, ns*ks)``, ``dcheck`` ``(n_nodes, q, ns*kt)``,
@@ -536,33 +536,34 @@ class EvalPlan:
     #   eight small GEMMs per level, so a pooled round costs more in worker
     #   wake-ups than the steps themselves — they are the traversals the
     #   paper, too, leaves sequential.  They run on the caller in compiled
-    #   order, under the same BLAS pin as the pooled phases.
+    #   order, under the same BLAS pin as the pooled phases, and take no
+    #   pool.
     # * Flops are charged on the caller in compiled order — in ``done``,
     #   or per group after the V-list's stages — so profiles (and trace
     #   signatures) are schedule-independent.
-    # * With a pool, BLAS is pinned to one thread for the *whole* phase —
-    #   worker tiles and the caller's own GEMMs alike — so every pool width
-    #   runs the same single-thread GEMMs whatever the host's BLAS setting.
-    #   A 1-wide pool runs the tiles inline under the same pin;
-    #   ``pool=None`` leaves BLAS alone.  Neither emits ``PARALLEL:*`` spans.
+    # * BLAS is pinned to one thread for the *whole* phase — worker tiles
+    #   and the caller's own GEMMs alike — so every pool width runs the
+    #   same single-thread GEMMs whatever the host's BLAS setting.  A
+    #   1-wide pool runs the tiles inline under the same pin and emits no
+    #   ``PARALLEL:*`` spans.
 
     @contextmanager
     def _tiles(self, phase: str, profile, pool):
         """Yield ``run(tiles, compute, done)``: the one place tiles execute.
 
-        Without a pool, or on a 1-wide one, they run inline and lazily —
-        compute a tile, ``done`` it, move on — so no list of tile results
-        is ever held.  With a wider pool the computes of one ``run`` go to
-        the workers together, then every ``done(tile, result)`` replays on
-        the caller in tile order; the BLAS pin and the ``PARALLEL:<phase>``
-        span pair cover all the runs of the phase.
+        On a 1-wide pool they run inline and lazily — compute a tile,
+        ``done`` it, move on — so no list of tile results is ever held.
+        With a wider pool the computes of one ``run`` go to the workers
+        together, then every ``done(tile, result)`` replays on the caller
+        in tile order; the BLAS pin and the ``PARALLEL:<phase>`` span pair
+        cover all the runs of the phase.
         """
-        if pool is None or pool.threads <= 1:
+        if pool.threads <= 1:
             def run(tiles, compute, done):
                 for tile in tiles:
                     done(tile, compute(tile))
 
-            with self._blas_pin(pool):
+            with limit_blas_threads(1):
                 yield run
             return
         busy, ntiles = 0.0, 0
@@ -585,13 +586,7 @@ class EvalPlan:
                 ntiles, pool.threads,
             )
 
-    @staticmethod
-    def _blas_pin(pool):
-        """BLAS setting for a phase that stays on the caller: pinned to one
-        thread whenever a pool is set, like the pooled phases around it."""
-        return nullcontext() if pool is None else limit_blas_threads(1)
-
-    def apply_s2u(self, ev, dens, state, profile, pool=None) -> None:
+    def apply_s2u(self, ev, dens, state, profile, pool) -> None:
         if not self.s2u:
             return
         up = self._cols(state["up"])
@@ -610,16 +605,16 @@ class EvalPlan:
         with self._tiles("S2U", profile, pool) as run:
             run(self.s2u, compute, done)
 
-    def apply_u2u(self, ev, state, profile, pool=None) -> None:
+    def apply_u2u(self, ev, state, profile) -> None:
         up = self._cols(state["up"])
         q = up.shape[1]
-        with self._blas_pin(pool):
+        with limit_blas_threads(1):
             for st in self.u2u:  # a step's parents are distinct rows
                 for j in range(q):
                     up[st.dst, j] += up[st.src, j] @ st.mat.T
                 profile.add_flops(st.flops * q)
 
-    def apply_vli_dense(self, ev, state, profile, pool=None) -> None:
+    def apply_vli_dense(self, ev, state, profile, pool) -> None:
         if not self.vli_dense:
             return
         up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
@@ -641,7 +636,7 @@ class EvalPlan:
         with self._tiles("VLI", profile, pool) as run:
             run(self.vli_dense, compute, done)
 
-    def apply_vli_fft(self, ev, state, profile, pool=None) -> None:
+    def apply_vli_fft(self, ev, state, profile, pool) -> None:
         if not self.vli_fft:
             return
         up, dcheck = self._cols(state["up"]), self._cols(state["dcheck"])
@@ -657,7 +652,7 @@ class EvalPlan:
         if self.direct_flops.get(phase):
             profile.add_flops(self.direct_flops[phase] * q)
 
-    def apply_xli(self, ev, dens, state, profile, pool=None) -> None:
+    def apply_xli(self, ev, dens, state, profile, pool) -> None:
         self._book_direct("XLI", profile, 1 if np.ndim(dens) == 1 else dens.shape[1])
         if not self.xli:
             return
@@ -677,10 +672,10 @@ class EvalPlan:
         with self._tiles("XLI", profile, pool) as run:
             run(self.xli, compute, done)
 
-    def apply_d2d(self, ev, state, profile, pool=None) -> None:
+    def apply_d2d(self, ev, state, profile) -> None:
         dcheck, dequiv = self._cols(state["dcheck"]), self._cols(state["dequiv"])
         q = dcheck.shape[1]
-        with self._blas_pin(pool):
+        with limit_blas_threads(1):
             for lv in self.d2d:
                 # one l2l step per child position: distinct child rows,
                 # reading parent rows the previous level finished
@@ -698,7 +693,7 @@ class EvalPlan:
         b, pad = rows.shape
         potr[rows] += vals.reshape(b, pad, self.kt_eval, -1).transpose(0, 1, 3, 2)
 
-    def apply_wli(self, ev, state, profile, pool=None) -> None:
+    def apply_wli(self, ev, state, profile, pool) -> None:
         up = self._cols(state["up"])
         q = up.shape[1]
         self._book_direct("WLI", profile, q)
@@ -721,7 +716,7 @@ class EvalPlan:
         with self._tiles("WLI", profile, pool) as run:
             run(self.wli, compute, done)
 
-    def apply_d2t(self, ev, state, profile, pool=None) -> None:
+    def apply_d2t(self, ev, state, profile, pool) -> None:
         if not self.d2t:
             return
         dequiv = self._cols(state["dequiv"])
@@ -743,7 +738,7 @@ class EvalPlan:
         with self._tiles("D2T", profile, pool) as run:
             run(self.d2t, compute, done)
 
-    def apply_uli(self, ev, dens, state, profile, pool=None) -> None:
+    def apply_uli(self, ev, dens, state, profile, pool) -> None:
         if not self.uli:
             return
         table = self._dens_table(dens)

@@ -21,8 +21,10 @@ serving has:
 * the **precision policy** (``_admit``): a request's plan precision is
   resolved at submit; one outside the model's ``allowed`` set is rejected.
 * the **batched apply** (``_execute``): the requests the micro-batcher
-  (:mod:`repro.serve.batcher`) coalesced ride one multi-RHS apply.  Each
-  column of the batched result is bit-identical to a solo evaluation
+  (:mod:`repro.serve.batcher`) coalesced ride one multi-RHS apply, whose
+  phase tiles run on the one process-wide tile pool every model is bound
+  to (:func:`~repro.core.parallel.shared_pool`).  Each column of the
+  batched result is bit-identical to a solo evaluation
   (see :mod:`repro.core.contract`), so batching is invisible to callers
   except in latency.
 * the **snapshot swap** (``_publish``): geometry updates and tuned-config
@@ -262,8 +264,8 @@ class ServeEngine(ServeFront):
     Parameters
     ----------
     n_workers:
-        Worker threads.  On one core they overlap queue waits with
-        compute; throughput comes from batching, not parallelism.
+        Worker threads: each coordinates one batch's apply at a time, and
+        their phase tiles share the engine's tile pool.
     max_queue:
         Admission bound; :meth:`submit` raises
         :class:`~repro.serve.scheduler.Overloaded` beyond it.
@@ -283,14 +285,13 @@ class ServeEngine(ServeFront):
         Intra-rank parallelism for the worker applies: every registered
         model's evaluator routes its plan tiles through **one**
         process-wide :func:`~repro.core.parallel.shared_pool` of this
-        width, capped at the usable cores by the thread budget
-        (:func:`~repro.core.parallel.rank_pool_size`) — workers
-        coordinate on the shared executor instead of nesting per-model
-        pools, so total compute threads stay bounded at that width no
-        matter how many workers are mid-apply.
-        Results remain bit-identical to serial.  ``None`` (default)
-        binds every model to the serial path: workers apply on their own
-        thread, whatever width the model's ``Fmm`` was built with.
+        width, whatever width the model's ``Fmm`` was built with —
+        workers coordinate on the shared executor instead of nesting
+        per-model pools, so total compute threads stay bounded at that
+        width no matter how many workers are mid-apply.  The thread
+        budget (:func:`~repro.core.parallel.rank_pool_size`) sizes it:
+        every usable core with ``None`` (default), else ``threads``
+        capped at them.  Results are bit-identical at any width.
     """
 
     def __init__(
@@ -314,11 +315,9 @@ class ServeEngine(ServeFront):
             n_workers, max_queue, max_batch=max_batch, max_wait_ms=max_wait_ms,
             limits=self._batch_limits.get,
         )
-        self.threads = self.task_pool = None
-        if threads is not None:
-            self.task_pool = shared_pool(threads)
-            self.threads = self.task_pool.threads
-            self.metrics.bind_pools(task_pool=self.task_pool.stats)
+        self.task_pool = shared_pool(threads)
+        self.threads = self.task_pool.threads
+        self.metrics.bind_pools(task_pool=self.task_pool.stats)
         self.plans = PlanCache(plan_budget, metrics=self.metrics)
         self.retry = retry if retry is not None else RetryPolicy()
         #: Kernel-matrix cache budget per compiled plan (None = the
@@ -345,7 +344,11 @@ class ServeEngine(ServeFront):
             self._fabric.bind(self._profiles, trace)
 
     def stop(self) -> None:
-        """Stop the SLO monitors, then :meth:`ServeFront.stop`."""
+        """Stop the SLO monitors, then :meth:`ServeFront.stop`.
+
+        The tile pool is process-wide and outlives the engine: the next
+        engine at the same width reuses its threads.
+        """
         for mon in self._monitors.values():
             mon.stop()
         super().stop()
@@ -454,9 +457,7 @@ class ServeEngine(ServeFront):
 
     def _bind_pool(self, fmm) -> None:
         """Route ``fmm``'s plan applies through the engine's shared tile
-        pool, or the serial path when the engine was built without
-        ``threads=``: a model's own default pool never runs under a
-        worker."""
+        pool: a model's own pool never runs under a worker."""
         fmm.evaluator.set_pool(self.task_pool)
 
     @staticmethod

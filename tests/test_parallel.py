@@ -17,6 +17,7 @@ it buys.
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -376,14 +377,17 @@ class TestConcurrentServe:
         assert snap["pools"]["task_pool"]["tiles_run"] > 0
         assert snap["pools"]["workers"]["workers"] == 2
 
-    def test_engine_without_threads_keeps_serial_path(self):
+    def test_engine_default_runs_on_the_shared_pool(self, monkeypatch):
         from repro.serve import ServeEngine
 
-        eng = ServeEngine(n_workers=1)
-        assert eng.task_pool is None
-        snap = eng.metrics.snapshot()
-        assert snap["pools"]["workers"]["workers"] == 1
-        assert "task_pool" not in snap["pools"]
+        for cores in (1, 2):
+            _affinity(monkeypatch, cores)
+            eng = ServeEngine(n_workers=1)
+            assert eng.task_pool is shared_pool(None)
+            assert eng.threads == eng.task_pool.threads == rank_pool_size(None) == cores
+            pools = eng.metrics.snapshot()["pools"]
+            assert pools["workers"]["workers"] == 1
+            assert pools["task_pool"]["threads"] == cores
 
 
 class TestDeterminismReplay:
@@ -480,7 +484,7 @@ def _affinity(monkeypatch, cores):
 class TestThreadBudget:
     """Live compute threads stay within the usable cores by construction:
     one budget sizes the solo, rank and serving widths, and a serving
-    engine without ``threads=`` runs no pool at all."""
+    engine runs every model on one process-wide pool of its width."""
 
     def test_budget_reads_the_affinity_mask(self, monkeypatch):
         for cores in (1, 2):
@@ -563,13 +567,95 @@ class TestThreadBudget:
         assert "ULI" in phases
         assert not any(ph.startswith("PARALLEL:") for ph in phases)
 
-    def test_engine_without_threads_binds_models_serial(self):
+    def test_engine_default_binds_models_to_the_shared_pool(self, monkeypatch):
         from repro.serve import ServeEngine
 
-        eng = ServeEngine(n_workers=2)
-        assert eng.task_pool is None
-        fmm = Fmm("laplace", order=ORDER, max_points_per_box=BOX)
-        assert fmm.evaluator.task_pool is not None  # its own default pool
-        model = eng.register("m", fmm, uniform_cube(400, seed=45))
-        assert model.fmm.evaluator.task_pool is None
-        assert model.fmm.evaluator.threads is None
+        for cores in (1, 2):
+            _affinity(monkeypatch, cores)
+            eng = ServeEngine(n_workers=2)
+            pool = shared_pool(None)
+            assert eng.task_pool is pool and pool.threads == rank_pool_size(None) == cores
+            fmms = [Fmm(k, order=ORDER, max_points_per_box=BOX) for k in ("laplace", "stokes")]
+            # each model's own default pool has run tiles on its threads
+            ran = [f.evaluator.task_pool.run([threading.current_thread] * 2)[0] for f in fmms]
+            own = {t for ts in ran for t in ts} - {threading.current_thread()}
+            assert bool(own) == (cores > 1)
+            for i, fmm in enumerate(fmms):
+                model = eng.register(f"m{i}", fmm, uniform_cube(400, seed=45 + i), warm=False)
+                assert model.fmm.evaluator.task_pool is pool
+                assert model.fmm.evaluator.threads == cores
+            assert not any(t.is_alive() for t in own)  # their own pools shut down
+            tiles = pool.stats()["tiles_run"]
+            with eng:
+                eng.evaluate("m0", np.ones(400))
+            pools = eng.metrics.snapshot()["pools"]
+            assert pools["task_pool"]["threads"] == cores
+            # a 1-wide pool's tiles run inline in the plan, past its counters
+            assert (pools["task_pool"]["tiles_run"] > tiles) == (cores > 1)
+
+    def test_serving_and_ranks_share_the_budget(self, monkeypatch):
+        """A default engine's two workers serve two models while two SPMD
+        ranks evaluate: the only tile threads alive are the shared pool's,
+        at most the budget's width, and each rank runs at width 1."""
+        from repro.serve import ServeEngine
+
+        _affinity(monkeypatch, 2)
+        budget = rank_pool_size(None)
+        before = set(threading.enumerate())
+        eng = ServeEngine(n_workers=2, max_batch=2)
+        for name, kern in (("lap", "laplace"), ("stk", "stokes")):
+            eng.register(name, Fmm(kern, order=ORDER, max_points_per_box=BOX),
+                         uniform_cube(600, seed=46))
+        pts = uniform_cube(600, seed=47)
+        done, new_tiles, serve_peak = threading.Event(), set(), [0]
+        tiles = eng.task_pool.stats()["tiles_run"]
+
+        def sample():
+            while not done.is_set():
+                alive = threading.enumerate()
+                new_tiles.update(t.name for t in alive if t not in before and "-tile" in t.name)
+                serve = sum(t.name.startswith("serve-tile") for t in alive)
+                serve_peak[0] = max(serve_peak[0], serve)
+                time.sleep(0.001)
+
+        def body(comm):
+            fmm = DistributedFmm(order=ORDER, max_points_per_box=BOX)
+            fmm.setup(comm, pts[comm.rank :: comm.size])
+            for _ in range(3):
+                fmm.evaluate(np.ones(len(fmm.owned_points)))
+            return fmm.evaluator.threads
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        try:
+            with eng:
+                reqs = [eng.submit(name, np.ones(600 * k))
+                        for _ in range(4) for name, k in (("lap", 1), ("stk", 3))]
+                widths = run_spmd(2, body, timeout=560).values
+                for r in reqs:
+                    r.result(timeout=60.0)
+        finally:
+            done.set()
+            sampler.join(10.0)
+        assert not sampler.is_alive()
+        assert widths == [1, 1]
+        assert all(n.startswith("serve-tile") for n in new_tiles)
+        assert 0 < serve_peak[0] <= budget
+        assert eng.metrics.snapshot()["pools"]["task_pool"]["tiles_run"] > tiles
+
+    def test_engines_in_turn_reuse_the_shared_pool(self, monkeypatch):
+        """Three default engines, one after another, each serving one
+        request: the process-wide pool outlives each ``stop`` and is
+        reused, so its threads never stack."""
+        from repro.serve import ServeEngine
+
+        _affinity(monkeypatch, 2)
+        pts, pools, peak = uniform_cube(500, seed=48), set(), 0
+        for _ in range(3):
+            with ServeEngine(n_workers=1) as eng:
+                eng.register("m", Fmm("laplace", order=ORDER, max_points_per_box=BOX), pts)
+                eng.evaluate("m", np.ones(len(pts)))
+                pools.add(id(eng.task_pool))
+                peak = max(peak, sum(t.name.startswith("serve-tile") for t in threading.enumerate()))
+        assert len(pools) == 1
+        assert 0 < peak <= rank_pool_size(None)
